@@ -55,10 +55,12 @@ from .optimize import (
 )
 from .phasespace import CharFn, ORIGIN, PhasePoint, convert_ordering, eval_at
 from .photonstats import (
+    DeltaFamily,
     DistortionMeasures,
     PhotonDistribution,
     d_functional,
     d_increment_estimate,
+    delta_family,
     distortion_measures,
     input_distribution,
     output_photon_prob,
@@ -78,6 +80,7 @@ from .states import (
     fock_charfn,
     input_charfn,
     input_photon_probs,
+    input_purity,
     sbl_two_mode_value,
     state_from_descriptor,
     state_to_descriptor,

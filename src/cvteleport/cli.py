@@ -42,7 +42,7 @@ from .optimize import (
     minimize_delta,
     sweep_r,
 )
-from .photonstats import distortion_measures, input_distribution, output_photon_probs
+from .photonstats import delta_family, input_distribution, output_photon_probs
 from .states import (
     Channel,
     CoherentInput,
@@ -175,19 +175,30 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _opt(resolved: dict, key: str, default, cast=float):
+    """Option ``key`` cast by ``cast``, or ``default`` when it was not given.
+
+    Only an absent value (None) takes the default, so an explicit zero
+    reaches the validation of the object it configures.
+    """
+    value = resolved.get(key)
+    return default if value is None else cast(value)
+
+
 def _quad_cfg(resolved: dict) -> QuadratureConfig:
+    cutoff = resolved.get("cutoff_radius")
     return QuadratureConfig(
-        radial_nodes=int(resolved.get("radial_nodes") or 96),
-        angular_nodes=int(resolved.get("angular_nodes") or 128),
-        cutoff_radius=resolved.get("cutoff_radius") or "auto",
-        target_abs_tol=float(resolved.get("quad_tol") or 1e-9),
+        radial_nodes=_opt(resolved, "radial_nodes", 96, int),
+        angular_nodes=_opt(resolved, "angular_nodes", 128, int),
+        cutoff_radius="auto" if cutoff is None else cutoff,
+        target_abs_tol=_opt(resolved, "quad_tol", 1e-9),
     )
 
 
 def _diff_cfg(resolved: dict) -> DiffConfig:
     return DiffConfig(
-        step=float(resolved.get("fd_step") or 1e-3),
-        richardson_levels=int(resolved.get("richardson_levels") or 3),
+        step=_opt(resolved, "fd_step", 1e-3),
+        richardson_levels=_opt(resolved, "richardson_levels", 3, int),
     )
 
 
@@ -197,9 +208,9 @@ def _channel_from(resolved: dict, delta=None) -> Channel:
             raise InvalidArgumentError("a resource needs --delta (or --identity-channel)")
         delta = float(resolved["delta"])
     res = SqueezedBellResource(
-        delta=delta, theta=float(resolved.get("theta") or 0.0), r=float(_single_r(resolved))
+        delta=delta, theta=_opt(resolved, "theta", 0.0), r=float(_single_r(resolved))
     )
-    return Channel(res, gain=float(resolved.get("gain") or 1.0))
+    return Channel(res, gain=_opt(resolved, "gain", 1.0))
 
 
 def _single_r(resolved: dict) -> float:
@@ -250,7 +261,7 @@ def _cmd_moments(args, resolved):
 
 def _cmd_photon_stats(args, resolved):
     state = _input_state(resolved)
-    n_photons = int(resolved.get("N") or 24)
+    n_photons = _opt(resolved, "N", 24, int)
     p_in = input_distribution(state, n_photons)
     if resolved.get("identity_channel"):
         p_out = p_in
@@ -271,15 +282,17 @@ def _cmd_compare(args, resolved):
     deltas = parse_grid(resolved["delta_grid"])
     if not deltas:
         raise InvalidArgumentError("empty --delta-grid")
-    n_photons = int(resolved.get("N") or 24)
-    r = _single_r(resolved)
-    theta = float(resolved.get("theta") or 0.0)
-    gain = float(resolved.get("gain") or 1.0)
-    qcfg = _quad_cfg(resolved)
+    family = delta_family(
+        state,
+        _single_r(resolved),
+        theta=_opt(resolved, "theta", 0.0),
+        gain=_opt(resolved, "gain", 1.0),
+        N=_opt(resolved, "N", 24, int),
+        cfg=_quad_cfg(resolved),
+    )
 
     def cell(delta: float) -> dict:
-        ch = Channel(SqueezedBellResource(delta=delta, theta=theta, r=r), gain=gain)
-        meas = distortion_measures(state, teleport(state, ch), n_photons, qcfg)
+        meas = family.measures(delta)
         return {
             "delta": delta,
             "d_n": meas.d_n,
@@ -300,10 +313,10 @@ def _cmd_optimize(args, resolved):
     obj = Objective(
         kind=kind,
         r=_single_r(resolved),
-        theta=float(resolved.get("theta") or 0.0),
+        theta=_opt(resolved, "theta", 0.0),
         input=state,
-        gain=float(resolved.get("gain") or 1.0),
-        n_photons=int(resolved.get("N") or 24),
+        gain=_opt(resolved, "gain", 1.0),
+        n_photons=_opt(resolved, "N", 24, int),
         quad_cfg=_quad_cfg(resolved),
         diff_cfg=_diff_cfg(resolved),
         use_fd=bool(resolved.get("use_fd")),
@@ -333,9 +346,9 @@ def _cmd_sweep(args, resolved):
         raise InvalidArgumentError("sweep needs --r-grid")
     r_grid = parse_grid(resolved["r_grid"])
     state = parse_state(resolved["input"]) if resolved.get("input") is not None else None
-    theta = float(resolved.get("theta") or 0.0)
-    gain = float(resolved.get("gain") or 1.0)
-    n_photons = int(resolved.get("N") or 24)
+    theta = _opt(resolved, "theta", 0.0)
+    gain = _opt(resolved, "gain", 1.0)
+    n_photons = _opt(resolved, "N", 24, int)
     qcfg = _quad_cfg(resolved)
     dcfg = _diff_cfg(resolved)
 
@@ -380,8 +393,8 @@ def _preset_delta(preset: str, r: float) -> float:
 
 def _cmd_transfer_surface(args, resolved):
     r = _single_r(resolved)
-    theta = float(resolved.get("theta") or 0.0)
-    gain = float(resolved.get("gain") or 1.0)
+    theta = _opt(resolved, "theta", 0.0)
+    gain = _opt(resolved, "gain", 1.0)
     presets_text = resolved.get("presets")
     presets = (
         presets_text.split(",") if isinstance(presets_text, str)

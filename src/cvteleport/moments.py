@@ -62,6 +62,7 @@ from .states import (
     InputState,
     SqueezedBellResource,
     SqueezedVacuumInput,
+    delta_weights,
     transfer_coefficients,
 )
 
@@ -127,11 +128,9 @@ def _radial_xp_values(f1: float, f2: float):
 
 def _transfer_radial_derivs(ch: Channel):
     """F'(0), F''(0) of the transfer function seen as F(|xi|^2)."""
-    res = ch.resource
     a, b = transfer_coefficients(ch)
     e = 0.5 * (a * a + b * b)
-    comp = 1.0 - res.delta**2
-    cross = 2.0 * res.delta * math.sqrt(max(comp, 0.0)) * math.cos(res.theta)
+    _, cross, comp = delta_weights(ch.resource)
     h1 = cross * a * b - 2.0 * e * comp
     h2 = 2.0 * comp * a * a * b * b
     f1 = -e + h1

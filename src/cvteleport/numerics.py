@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -219,15 +219,41 @@ def _anisotropy_scale(f) -> float:
 
 
 def _eval_grid(f, W, Z):
-    """Evaluate ``f`` on a node grid, vectorized when the closure allows it."""
-    try:
-        vals = np.asarray(f(PhasePoint(W, Z)), dtype=complex)
-        if vals.shape == W.shape:
-            return vals
-    except Exception:
-        pass
-    flat = [complex(f(PhasePoint(w, z))) for w, z in zip(W.ravel(), Z.ravel())]
-    return np.asarray(flat, dtype=complex).reshape(W.shape)
+    """Evaluate ``f`` on a node grid in one vectorized call.
+
+    A closure that returns a scalar (a constant) is broadcast to the grid;
+    anything the closure raises reaches the caller.
+    """
+    vals = np.asarray(f(PhasePoint(W, Z)), dtype=complex)
+    return np.broadcast_to(vals, W.shape)
+
+
+def _certified_tail(scaled, radius: float, c_est: float, cfg: QuadratureConfig) -> float:
+    """Truncation-tail estimate of ``scaled`` beyond ``radius``.
+
+    Samples ``|f|`` on eight rays at the cutoff and just inside it and bounds
+    the Gaussian tail by ``pi max|f| / c``.  Raises :class:`AccuracyError`
+    when the estimate exceeds ``cfg.target_abs_tol``.
+    """
+    m_tail = max(
+        _abs_at(scaled, rr * cw, rr * sz)
+        for rr in (radius, 0.97 * radius)
+        for cw, sz in _EIGHT_RAYS
+    )
+    tail = math.pi * m_tail / c_est if m_tail > _NEGLIGIBLE else 0.0
+    if tail > cfg.target_abs_tol:
+        raise AccuracyError(
+            f"estimated truncation error {tail:.3e} exceeds target {cfg.target_abs_tol:.3e}",
+            estimate=tail,
+        )
+    return tail
+
+
+def _rescaled(f, lam: float):
+    def scaled(p: PhasePoint):
+        return f(PhasePoint(p.w / lam, p.z * lam))
+
+    return scaled
 
 
 @dataclass(frozen=True)
@@ -255,9 +281,7 @@ def plan_quadrature(f: Callable[[PhasePoint], complex], cfg: QuadratureConfig) -
         lam = 1.0
     else:
         lam = _anisotropy_scale(f)
-
-    def scaled(p: PhasePoint):
-        return f(PhasePoint(p.w / lam, p.z * lam))
+    scaled = _rescaled(f, lam)
 
     profile = _max_profile(scaled, _EIGHT_RAYS, _PROBE_RADII)
     c_est = _decay_rate(profile, _PROBE_RADII)
@@ -270,18 +294,41 @@ def plan_quadrature(f: Callable[[PhasePoint], complex], cfg: QuadratureConfig) -
         radius = float(cfg.cutoff_radius)
     else:
         radius = math.sqrt(_DECAY_TARGET / c_est)
-    m_tail = max(
-        _abs_at(scaled, rr * cw, rr * sz)
-        for rr in (radius, 0.97 * radius)
-        for cw, sz in _EIGHT_RAYS
-    )
-    tail = math.pi * m_tail / c_est if m_tail > _NEGLIGIBLE else 0.0
-    if tail > cfg.target_abs_tol:
-        raise AccuracyError(
-            f"estimated truncation error {tail:.3e} exceeds target {cfg.target_abs_tol:.3e}",
-            estimate=tail,
-        )
+    tail = _certified_tail(scaled, radius, c_est, cfg)
     return QuadraturePlan(scale=lam, radius=radius, decay_rate=c_est, tail_estimate=tail)
+
+
+def plan_polynomial_family(
+    base: Callable[[PhasePoint], complex],
+    terms: Sequence[Callable[[PhasePoint], complex]],
+    degree: int,
+    cfg: QuadratureConfig,
+) -> QuadraturePlan:
+    """One geometry for every integrand ``base(xi) * q(|xi|^2)``, ``deg q <= degree``.
+
+    ``base`` fixes the scale and the decay rate ``c`` through
+    :func:`plan_quadrature`.  The polynomial factor slows the decay, so an
+    automatic cutoff is widened until ``exp(-c R^2) (R^2)^degree`` meets the
+    same ``exp(-36.85) ~ 1e-16`` target.  The tail check of
+    :func:`plan_quadrature` then runs on each of ``terms`` (the actual
+    integrands) at that cutoff; the largest estimate is the plan's.
+    """
+    plan = plan_quadrature(base, cfg)
+    radius = plan.radius
+    if cfg.cutoff_radius == "auto":
+        c = plan.decay_rate
+        # Fixed point of c x = T + degree ln x for x = R^2; it contracts
+        # because c x >= T > degree.
+        x = radius * radius
+        for _ in range(8):
+            x = max(x, (_DECAY_TARGET + degree * math.log(x)) / c)
+        radius = math.sqrt(x)
+    tail = max(
+        _certified_tail(_rescaled(t, plan.scale), radius, plan.decay_rate, cfg) for t in terms
+    )
+    return QuadraturePlan(
+        scale=plan.scale, radius=radius, decay_rate=plan.decay_rate, tail_estimate=tail
+    )
 
 
 def integrate_plane(

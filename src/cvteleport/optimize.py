@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .channel import teleport
 from .errors import EvaluationError, InvalidArgumentError
 from .moments import (
     moment_set,
@@ -28,14 +27,8 @@ from .moments import (
     raw_moment_xp,
 )
 from .numerics import DiffConfig, QuadratureConfig
-from .photonstats import (
-    d_functional,
-    input_distribution,
-    output_photon_probs,
-    overlap,
-    purity,
-)
-from .states import Channel, InputState, SqueezedBellResource, input_charfn, transfer_fn
+from .photonstats import d_functional, delta_family
+from .states import Channel, InputState, SqueezedBellResource, transfer_fn
 
 OBJECTIVE_KINDS = (
     "x2_transfer",
@@ -147,31 +140,18 @@ def objective_function(obj: Objective) -> Callable[[float], float]:
 
         return mu4_distortion
 
-    chi_in = input_charfn(obj.input)
+    family = delta_family(
+        obj.input, obj.r, obj.theta, obj.gain, obj.n_photons, obj.quad_cfg
+    )
 
     if obj.kind == "d_functional":
-        p_in = input_distribution(obj.input, obj.n_photons)
-
-        def d_value(d: float) -> float:
-            out = teleport(obj.input, _channel(obj, d))
-            return d_functional(p_in, output_photon_probs(out, obj.n_photons, obj.quad_cfg))
-
-        return d_value
+        return lambda d: d_functional(family.p_in, family.photon_distribution(d))
 
     if obj.kind == "one_minus_fidelity":
-        return lambda d: 1.0 - overlap(
-            chi_in, teleport(obj.input, _channel(obj, d)).charfn, obj.quad_cfg
-        )
+        return lambda d: 1.0 - family.fidelity(d)
 
     # frobenius
-    pur_in = purity(chi_in, obj.quad_cfg)
-
-    def frobenius_value(d: float) -> float:
-        out_cf = teleport(obj.input, _channel(obj, d)).charfn
-        fid = overlap(chi_in, out_cf, obj.quad_cfg)
-        return math.sqrt(max(pur_in + purity(out_cf, obj.quad_cfg) - 2.0 * fid, 0.0))
-
-    return frobenius_value
+    return family.frobenius
 
 
 def _transfer_f1(obj: Objective, delta: float) -> float:

@@ -27,6 +27,7 @@ the full two-mode form (:func:`sbl_two_mode_value`) is kept as a test oracle.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -59,7 +60,10 @@ class CoherentInput:
     beta: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", complex(self.beta))
+        beta = complex(self.beta)
+        if not cmath.isfinite(beta):
+            raise InvalidArgumentError(f"coherent displacement must be finite, got {beta!r}")
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,9 @@ class SqueezedVacuumInput:
     """Squeezed vacuum with real squeezing parameter ``s``."""
 
     s: float
+
+    def __post_init__(self):
+        _cosh_sinh(self.s, "squeezing s")
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,8 @@ class FockMixtureInput:
         for n, p in weights:
             if n < 0:
                 raise InvalidArgumentError("mixture photon numbers must be nonnegative")
-            if p < 0:
-                raise InvalidArgumentError("mixture probabilities must be nonnegative")
+            if not 0.0 <= p <= 1.0:
+                raise InvalidArgumentError(f"mixture probabilities must lie in [0, 1], got {p!r}")
         total = math.fsum(p for _, p in weights)
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise InvalidArgumentError(f"mixture probabilities sum to {total!r}, not 1")
@@ -108,8 +115,10 @@ class SqueezedBellResource:
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise InvalidArgumentError(f"delta must lie in [0, 1], got {self.delta!r}")
-        if self.r < 0.0:
-            raise InvalidArgumentError(f"two-mode squeezing r must be >= 0, got {self.r!r}")
+        if not 0.0 <= self.r < math.inf:
+            raise InvalidArgumentError(f"two-mode squeezing r must be finite and >= 0, got {self.r!r}")
+        if not math.isfinite(self.theta):
+            raise InvalidArgumentError(f"phase theta must be finite, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +129,8 @@ class Channel:
     gain: float = 1.0
 
     def __post_init__(self):
-        if not self.gain > 0:
-            raise InvalidArgumentError(f"gain must be positive, got {self.gain!r}")
+        if not 0.0 < self.gain < math.inf:
+            raise InvalidArgumentError(f"gain must be positive and finite, got {self.gain!r}")
 
 
 def fock_charfn(n: int, n_max: int = N_MAX_FOCK) -> CharFn:
@@ -173,15 +182,58 @@ def input_charfn(state: InputState) -> CharFn:
     raise InvalidArgumentError(f"unknown input state {state!r}")
 
 
+def _cosh_sinh(x: float, what: str) -> tuple[float, float]:
+    """``(cosh x, sinh x)``, or InvalidArgumentError when x is non-finite or they overflow."""
+    try:
+        ch, sh = math.cosh(x), math.sinh(x)
+    except OverflowError:
+        raise InvalidArgumentError(f"{what}={x!r} overflows cosh/sinh") from None
+    if not math.isfinite(ch):
+        raise InvalidArgumentError(f"{what} must be finite, got {x!r}")
+    return ch, sh
+
+
 def transfer_coefficients(ch: Channel):
     """Coefficients (a, b) of the squeezed-mode maps under the (g xi*, xi) restriction.
 
     With gain g, ``xi'_A = a conj(xi)`` and ``xi'_B = b xi`` where
     ``a = g cosh(r) - sinh(r)`` and ``b = cosh(r) - g sinh(r)``; at g = 1 both
-    reduce to ``exp(-r)``.
+    reduce to ``exp(-r)``.  Raises InvalidArgumentError when ``cosh(r)``
+    overflows.
     """
     r, g = ch.resource.r, ch.gain
-    return g * math.cosh(r) - math.sinh(r), math.cosh(r) - g * math.sinh(r)
+    ch_r, sh_r = _cosh_sinh(r, "two-mode squeezing r")
+    return g * ch_r - sh_r, ch_r - g * sh_r
+
+
+def delta_weights(res: SqueezedBellResource) -> tuple[float, float, float]:
+    """Weights ``(Delta^2, 2 Delta sqrt(1 - Delta^2) cos(theta), 1 - Delta^2)``.
+
+    They multiply the three Delta-free terms of :func:`transfer_basis`; every
+    other dependence of the channel on Delta and theta goes through them.
+    """
+    delta = res.delta
+    comp = 1.0 - delta * delta
+    return delta * delta, 2.0 * delta * math.sqrt(max(comp, 0.0)) * math.cos(res.theta), comp
+
+
+def transfer_basis(ch: Channel):
+    """The Delta-free split of the transfer function.
+
+    Returns ``(rate, terms)`` with
+    ``tau(xi) = exp(-rate u) * sum_k w_k terms(u)[k]`` for the weights ``w`` of
+    :func:`delta_weights` and ``u = |xi|^2``.  The three polynomial terms are
+    ``1``, ``a b u`` and ``(1 - a^2 u)(1 - b^2 u)`` with (a, b) from
+    :func:`transfer_coefficients`; ``rate = (a^2 + b^2) / 2``.  Only
+    ``ch.resource.r`` and ``ch.gain`` enter.
+    """
+    a, b = transfer_coefficients(ch)
+    a2, b2, ab = a * a, b * b, a * b
+
+    def terms(u):
+        return 1.0, ab * u, (1.0 - a2 * u) * (1.0 - b2 * u)
+
+    return 0.5 * (a2 + b2), terms
 
 
 def transfer_fn(ch: Channel) -> CharFn:
@@ -190,20 +242,17 @@ def transfer_fn(ch: Channel) -> CharFn:
     For the Squeezed Bell-like family this reduces to a function of
     ``u = |xi|^2`` alone; at g = 1 it is
     ``exp(-gamma) [Delta^2 + 2 Delta sqrt(1-Delta^2) cos(theta) gamma
-    + (1-Delta^2)(1-gamma)^2]`` with ``gamma = u exp(-2r)``.
+    + (1-Delta^2)(1-gamma)^2]`` with ``gamma = u exp(-2r)``, i.e. the
+    :func:`delta_weights` combination of the :func:`transfer_basis` terms.
     """
     res = ch.resource
-    a, b = transfer_coefficients(ch)
-    delta = res.delta
-    cross = 2.0 * delta * math.sqrt(max(1.0 - delta * delta, 0.0)) * math.cos(res.theta)
-    comp = 1.0 - delta * delta
-    d2 = delta * delta
-    a2, b2, ab = a * a, b * b, a * b
+    d2, cross, comp = delta_weights(res)
+    rate, terms = transfer_basis(ch)
 
     def tau(p: PhasePoint):
         u = p.abs_sq
-        brace = d2 + cross * ab * u + comp * (1.0 - a2 * u) * (1.0 - b2 * u)
-        return np.exp(-0.5 * (a2 + b2) * u) * brace + 0.0j
+        one, mixed, paired = terms(u)
+        return np.exp(-rate * u) * (d2 * one + cross * mixed + comp * paired) + 0.0j
 
     return CharFn(
         tau,
@@ -261,6 +310,22 @@ def input_photon_probs(state: InputState, N: int) -> np.ndarray:
                 probs[n] += p
         return probs
 
+    raise InvalidArgumentError(f"unknown input state {state!r}")
+
+
+def input_purity(state: InputState) -> float:
+    """Exact purity ``Tr(rho^2)`` of a catalog state.
+
+    Fock, coherent and squeezed-vacuum states are pure; a Fock mixture has
+    ``sum_n p_n^2`` (repeated photon numbers are merged first).
+    """
+    if isinstance(state, (FockInput, CoherentInput, SqueezedVacuumInput)):
+        return 1.0
+    if isinstance(state, FockMixtureInput):
+        merged: dict = {}
+        for n, p in state.weights:
+            merged[n] = merged.get(n, 0.0) + p
+        return math.fsum(p * p for p in merged.values())
     raise InvalidArgumentError(f"unknown input state {state!r}")
 
 

@@ -22,6 +22,7 @@ from cvteleport import (
     SqueezedVacuumInput,
     closed_form_delta,
     d_functional,
+    delta_family,
     input_charfn,
     input_distribution,
     input_photon_probs,
@@ -256,6 +257,28 @@ def test_criterion_6_case_studies(case_study_table):
         f"(a) max|D-dF|={worst_a:.2e}; (b) argmins match; (c) {len(argmins)} distinct; "
         f"(d) max increment ratio={worst_ratio:.2e}",
     )
+
+
+def test_criterion_6_family_matches_direct_table(case_study_table):
+    """The Delta family reproduces every cell of the direct-path table."""
+    t0 = time.perf_counter()
+    worst = 0.0
+    for state in case_study_inputs():
+        p_in = np.clip(input_photon_probs(state, 25), 0.0, 1.0)
+        for r in CASE_RS:
+            fam = delta_family(state, r, N=25)
+            for delta in CASE_GRID:
+                diff = fam.photon_distribution(float(delta)).clamped() - p_in
+                got = (
+                    math.sqrt(float(np.sum(diff[:25] ** 2))),
+                    math.sqrt(float(np.sum(diff**2))),
+                    fam.fidelity(float(delta)),
+                    fam.frobenius(float(delta)),
+                )
+                want = case_study_table[(state, r, float(delta))]
+                worst = max(worst, *(abs(a - b) for a, b in zip(got, want)))
+    assert worst <= 1e-9
+    report("6-family", time.perf_counter() - t0, f"max |family - direct|={worst:.2e}")
 
 
 # ---------------------------------------------------------------------------

@@ -209,3 +209,35 @@ def test_bad_delta_rejected(capsys):
     )
     assert code == 1
     assert "delta" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--input", "fock:1", "--r", "nan", "--delta-grid", "0.9"],
+        ["compare", "--input", "coherent:nan", "--r", "1.0", "--delta-grid", "0.9"],
+        ["compare", "--input", "fock:1", "--r", "800", "--delta-grid", "0.9"],
+    ],
+    ids=["r-nan", "coherent-nan", "r-overflow"],
+)
+def test_non_finite_and_overflowing_parameters_give_error_record(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidArgumentError"
+
+
+def test_explicit_zero_gain_is_rejected(capsys):
+    code, _, err = run_cli(
+        ["compare", "--input", "fock:1", "--r", "1.0", "--gain", "0", "--delta-grid", "0.9"], capsys
+    )
+    assert code == 1
+    assert "gain" in json.loads(err)["error"]["message"]
+
+
+def test_explicit_zero_cutoff_prints_one_row(capsys):
+    code, out, _ = run_cli(
+        ["photon-stats", "--input", "fock:0", "--N", "0", "--delta", "0.9", "--r", "1.0"], capsys
+    )
+    assert code == 0
+    rows = read_csv(out)
+    assert [r["n"] for r in rows] == ["0"]

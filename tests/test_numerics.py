@@ -22,7 +22,7 @@ from cvteleport import (
     teleport,
     transfer_fn,
 )
-from cvteleport.numerics import laguerre_envelope, laguerre_envelope_all
+from cvteleport.numerics import _eval_grid, laguerre_envelope, laguerre_envelope_all
 from conftest import case_study_inputs, moderate_inputs
 
 
@@ -85,6 +85,22 @@ def test_truncation_estimate_raises_accuracy_error():
     with pytest.raises(AccuracyError) as err:
         integrate_plane(lambda p: np.exp(-1e-3 * p.abs_sq), cfg)
     assert err.value.estimate is not None and err.value.estimate > 1e-14
+
+
+def test_vectorized_closure_errors_reach_the_caller():
+    def broken(p):
+        if np.ndim(p.w):
+            raise RuntimeError("broken grid evaluation")
+        return np.exp(-p.abs_sq)
+
+    with pytest.raises(RuntimeError, match="broken grid evaluation"):
+        integrate_plane(broken)
+
+
+def test_scalar_closure_result_is_broadcast():
+    W, Z = np.zeros((3, 4)), np.ones((3, 4))
+    vals = _eval_grid(lambda p: 2.0, W, Z)
+    assert vals.shape == (3, 4) and np.all(vals == 2.0)
 
 
 def test_explicit_cutoff_radius():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from cvteleport import (
+    AccuracyError,
     Channel,
     CoherentInput,
     ConsistencyError,
+    CVTeleportError,
     FockInput,
     FockMixtureInput,
     InvalidArgumentError,
@@ -16,10 +18,12 @@ from cvteleport import (
     SqueezedVacuumInput,
     d_functional,
     d_increment_estimate,
+    delta_family,
     distortion_measures,
     input_charfn,
     input_distribution,
     input_photon_probs,
+    input_purity,
     output_photon_prob,
     output_photon_probs,
     overlap,
@@ -100,6 +104,24 @@ def test_quadrature_node_doubling_invariance():
         fine_a = output_photon_probs(out, 24, QuadratureConfig(angular_nodes=256)).probs
         assert np.abs(base - fine_r).max() <= 1e-9
         assert np.abs(base - fine_a).max() <= 1e-9
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.5, 0.75, 1.0])
+def test_squeezing_sign_does_not_change_photon_stats(delta):
+    # Photon statistics do not depend on the sign of the squeezing; a
+    # negative sign maps to an anisotropy scale below 1, and the photon grid
+    # must be refined for it as much as for the reciprocal scale.
+    ch = Channel(SqueezedBellResource(delta=delta, theta=0.0, r=1.25))
+    plus = output_photon_probs(teleport(SqueezedVacuumInput(1.5), ch), 24).probs
+    minus = output_photon_probs(teleport(SqueezedVacuumInput(-1.5), ch), 24).probs
+    assert np.abs(plus - minus).max() <= 1e-12
+
+
+def test_negative_squeezing_distribution_is_consistent():
+    # Without refinement for scales below 1 these probabilities summed to 1.113.
+    ch = Channel(SqueezedBellResource(delta=0.2, theta=0.0, r=1.25))
+    pd = output_photon_probs(teleport(SqueezedVacuumInput(-1.5), ch), 24)
+    assert pd.probs.sum() <= 1.0
 
 
 def test_distribution_validation():
@@ -241,6 +263,96 @@ def test_frobenius_identity_and_bounds():
         assert m.fidelity <= math.sqrt(m.purity_in * m.purity_out) + 1e-7
 
 
+@pytest.mark.parametrize("state", case_study_inputs() + [FockInput(3), FockMixtureInput(((0, 0.25), (2, 0.75)))])
+def test_input_purity_matches_quadrature(state):
+    fine = QuadratureConfig(radial_nodes=256, angular_nodes=256)
+    assert input_purity(state) == pytest.approx(purity(input_charfn(state), fine), abs=1e-9)
+
+
 def test_mixture_purity_is_half():
     mix = FockMixtureInput(((0, 0.5), (1, 0.5)))
     assert purity(input_charfn(mix)) == pytest.approx(0.5, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the Delta family
+# ---------------------------------------------------------------------------
+
+def _random_input(rng):
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return FockInput(int(rng.integers(0, 5)))
+    if kind == 1:
+        return CoherentInput(complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+    if kind == 2:
+        return SqueezedVacuumInput(float(rng.uniform(-1.5, 1.5)))
+    ns = rng.choice(6, size=int(rng.integers(1, 4)), replace=False)
+    p = rng.dirichlet(np.ones(len(ns)))
+    p[-1] = 1.0 - p[:-1].sum()
+    return FockMixtureInput(tuple((int(n), float(q)) for n, q in zip(ns, p)))
+
+
+def test_family_matches_direct_path_on_random_cells():
+    """Family P_n, fidelity, purity and Frobenius equal the per-Delta quadratures.
+
+    The family runs at the default configuration.  The direct path runs at
+    256 x 768 nodes: its overlaps use the plain grid, and its anisotropy
+    probe of ``chi_out`` can be misled by the polynomial factor of the
+    transfer function, so at the default 96 x 128 nodes it is itself off by
+    up to 1e-4 on strongly anisotropic cells.
+    """
+    rng = np.random.default_rng(20261017)
+    fine = QuadratureConfig(radial_nodes=256, angular_nodes=768)
+    compared = 0
+    draws = 16
+    for _ in range(draws):
+        state = _random_input(rng)
+        delta = float(rng.uniform(0.0, 1.0))
+        theta = float(rng.uniform(0.0, math.pi))
+        r = float(rng.uniform(0.4, 2.5))
+        gain = float(rng.uniform(0.8, 1.2))
+        try:
+            fam = delta_family(state, r, theta, gain, 24)
+            got = (
+                fam.photon_distribution(delta).probs,
+                fam.fidelity(delta),
+                fam.purity_out(delta),
+                fam.frobenius(delta),
+            )
+        except CVTeleportError:
+            continue
+        out = teleport(state, Channel(SqueezedBellResource(delta, theta, r), gain=gain))
+        chi_in = input_charfn(state)
+        try:
+            probs = output_photon_probs(out, 24, fine).probs
+            fid = overlap(chi_in, out.charfn, fine)
+            pur_out = purity(out.charfn, fine)
+            frob = math.sqrt(max(purity(chi_in, fine) + pur_out - 2.0 * fid, 0.0))
+        except CVTeleportError:
+            continue
+        cell = (state, delta, theta, r, gain)
+        assert np.abs(got[0] - probs).max() <= 1e-8, cell
+        assert abs(got[1] - fid) <= 1e-8, cell
+        assert abs(got[2] - pur_out) <= 1e-8, cell
+        assert abs(got[3] - frob) <= 1e-8, cell
+        compared += 1
+    assert compared >= 0.8 * draws
+
+
+def test_family_validates_each_delta():
+    fam = delta_family(FockInput(1), 1.0, N=8)
+    with pytest.raises(InvalidArgumentError):
+        fam.measures(1.5)
+    with pytest.raises(InvalidArgumentError):
+        fam.fidelity(float("nan"))
+
+
+def test_family_tail_check_raises():
+    with pytest.raises(AccuracyError):
+        delta_family(FockInput(1), 1.0, cfg=QuadratureConfig(cutoff_radius=3.0))
+
+
+def test_distortion_measures_rejects_foreign_output():
+    ch = Channel(SqueezedBellResource(delta=0.9, theta=0.0, r=1.0))
+    with pytest.raises(InvalidArgumentError):
+        distortion_measures(FockInput(0), teleport(FockInput(1), ch), 24)

@@ -217,6 +217,32 @@ def test_constructor_validation():
         Channel(SqueezedBellResource(delta=0.5, r=1.0), gain=0.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CoherentInput(complex(math.nan, 0.0)),
+        lambda: CoherentInput(complex(0.0, math.inf)),
+        lambda: SqueezedVacuumInput(math.nan),
+        lambda: SqueezedVacuumInput(800.0),
+        lambda: FockMixtureInput(((0, math.nan), (1, 0.5))),
+        lambda: SqueezedBellResource(delta=0.5, r=math.nan),
+        lambda: SqueezedBellResource(delta=0.5, r=math.inf),
+        lambda: SqueezedBellResource(delta=0.5, theta=math.nan, r=1.0),
+        lambda: Channel(SqueezedBellResource(delta=0.5, r=1.0), gain=math.inf),
+    ],
+    ids=["beta-nan", "beta-inf", "s-nan", "s-overflow", "weight-nan", "r-nan", "r-inf",
+         "theta-nan", "gain-inf"],
+)
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(InvalidArgumentError):
+        make()
+
+
+def test_transfer_overflow_is_typed():
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        transfer_fn(Channel(SqueezedBellResource(delta=0.5, r=800.0)))
+
+
 @pytest.mark.parametrize("state", case_study_inputs())
 def test_descriptor_roundtrip(state):
     again = state_from_descriptor(state_to_descriptor(state))
