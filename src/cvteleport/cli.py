@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -42,6 +44,7 @@ from .optimize import (
     minimize_delta,
     sweep_r,
 )
+from .phasespace import PhasePoint
 from .photonstats import delta_family, input_distribution, output_photon_probs
 from .states import (
     Channel,
@@ -110,17 +113,6 @@ def parse_grid(text) -> list[float]:
         raise InvalidArgumentError(f"bad grid {text!r}: {exc}") from exc
 
 
-def _fmt(value):
-    """Shortest round-trip decimal for floats; pass everything else through."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 _EXECUTION_KEYS = ("jobs", "output")
 
 
@@ -132,27 +124,79 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _emit(rows, columns, args, resolved):
-    fmt = resolved.get("format") or "csv"
-    if fmt not in _FORMATS:
-        raise InvalidArgumentError(f"unknown output format {fmt!r}")
-    if fmt == "json":
-        payload = [{k: row[k] for k in columns} for row in rows]
-        text = json.dumps(payload, indent=2, default=float) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write(f"# cvteleport {__version__} config={_config_hash(resolved)}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in columns])
-        text = buf.getvalue()
+def _write(chunks, resolved: dict):
+    """Write the text ``chunks`` to ``--output`` or to standard output."""
     out_path = resolved.get("output")
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it among the fields of a row."""
+    if isinstance(value, float):
+        return float.__repr__(value)  # csv.writer's spelling of a float, never quoted
+    buf = io.StringIO()
+    # A second, empty field keeps an empty first field from being quoted.
+    csv.writer(buf, lineterminator="\n").writerow((value, None))
+    return buf.getvalue()[:-2]
+
+
+def _csv_fields(column) -> list[str]:
+    """The column's CSV fields, each distinct value spelled once.
+
+    A float64 array's values are told apart by bit pattern, so 0.0 and -0.0
+    keep their own spelling; any other column repeats a value by repeating
+    the object, and each object is spelled once.
+    """
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        bits, index = np.unique(column.view(np.int64), return_inverse=True)
+        spelled = [_csv_field(v) for v in bits.view(np.float64).tolist()]
+        return np.array(spelled, dtype=object)[index].tolist()
+    values = list(column)  # holds every object, so no two share an id meanwhile
+    spelled = {id(v): _csv_field(v) for v in {id(v): v for v in values}.values()}
+    return [spelled[id(v)] for v in values]
+
+
+def _emit(table: dict, resolved: dict):
+    """Write a column table (name -> sequence, one entry per row) as CSV or JSON.
+
+    The CSV is what ``csv.writer`` writes for the same rows, built one column
+    at a time.  It is written line by line, so the whole text of a large
+    table is never held at once.
+    """
+    columns = list(table)
+    if resolved.get("format") == "json":
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+        payload = [dict(zip(columns, row)) for row in zip(*values)]
+        chunks = [json.dumps(payload, indent=2, default=float) + "\n"]
+    else:
+        rows = itertools.chain([_csv_fields(columns)], zip(*map(_csv_fields, table.values())))
+        lines = map(",".join, rows)
+        if len(columns) == 1:
+            lines = (line or '""' for line in lines)  # csv.writer quotes a lone empty field
+        provenance = f"# cvteleport {__version__} config={_config_hash(resolved)}\n"
+        chunks = itertools.chain([provenance], map("{}\n".format, lines))
+    _write(chunks, resolved)
+
+
+_NOT_CONFIG_KEYS = ("command", "config", "func")
+
+
+def _check_config_keys(file_cfg: dict, args: argparse.Namespace):
+    """Reject config-file keys that are not option names of the subcommand."""
+    known = set(vars(args)).difference(_NOT_CONFIG_KEYS)
+    for key in file_cfg:
+        if key in known:
+            continue
+        spelling = key.lstrip("-").replace("-", "_")
+        hint = (
+            f"did you mean {spelling!r}?" if spelling in known
+            else f"expected one of {sorted(known)}"
+        )
+        raise InvalidArgumentError(f"unknown config key {key!r} for {args.command}; {hint}")
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -163,6 +207,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise InvalidArgumentError("config file must hold a JSON object")
+        _check_config_keys(file_cfg, args)
     resolved = dict(file_cfg)
     for key, value in vars(args).items():
         if key in ("config", "func"):
@@ -239,27 +284,20 @@ def _run_jobs(worker, cells, jobs: int):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_moments(args, resolved):
+def _cmd_moments(resolved):
     state = _input_state(resolved)
     if resolved.get("identity_channel"):
         ms = moment_set(state)
     else:
         ms = moment_set(teleport(state, _channel_from(resolved)))
     row = ms.to_dict()
-    if (resolved.get("format") or "csv") == "json":
-        out_path = resolved.get("output")
-        text = json.dumps(row, indent=2, default=float) + "\n"
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    columns = list(row.keys())
-    _emit([row], columns, args, resolved)
+    if resolved.get("format") == "json":
+        _write([json.dumps(row, indent=2, default=float) + "\n"], resolved)
+    else:
+        _emit({k: [v] for k, v in row.items()}, resolved)
 
 
-def _cmd_photon_stats(args, resolved):
+def _cmd_photon_stats(resolved):
     state = _input_state(resolved)
     n_photons = _opt(resolved, "N", 24, int)
     p_in = input_distribution(state, n_photons)
@@ -268,14 +306,10 @@ def _cmd_photon_stats(args, resolved):
     else:
         out = teleport(state, _channel_from(resolved))
         p_out = output_photon_probs(out, n_photons, _quad_cfg(resolved))
-    rows = [
-        {"n": n, "P_in": float(p_in.probs[n]), "P_out": float(p_out.probs[n])}
-        for n in range(n_photons + 1)
-    ]
-    _emit(rows, ["n", "P_in", "P_out"], args, resolved)
+    _emit({"n": range(n_photons + 1), "P_in": p_in.probs, "P_out": p_out.probs}, resolved)
 
 
-def _cmd_compare(args, resolved):
+def _cmd_compare(resolved):
     state = _input_state(resolved)
     if resolved.get("delta_grid") is None:
         raise InvalidArgumentError("compare needs --delta-grid")
@@ -291,21 +325,18 @@ def _cmd_compare(args, resolved):
         cfg=_quad_cfg(resolved),
     )
 
-    def cell(delta: float) -> dict:
-        meas = family.measures(delta)
-        return {
-            "delta": delta,
-            "d_n": meas.d_n,
-            "fidelity": meas.fidelity,
-            "one_minus_fidelity": 1.0 - meas.fidelity,
-            "frobenius": meas.frobenius,
-        }
-
-    rows = _run_jobs(cell, deltas, int(resolved["jobs"]))
-    _emit(rows, ["delta", "d_n", "fidelity", "one_minus_fidelity", "frobenius"], args, resolved)
+    cells = _run_jobs(family.measures, deltas, int(resolved["jobs"]))
+    table = {
+        "delta": deltas,
+        "d_n": [m.d_n for m in cells],
+        "fidelity": [m.fidelity for m in cells],
+        "one_minus_fidelity": [1.0 - m.fidelity for m in cells],
+        "frobenius": [m.frobenius for m in cells],
+    }
+    _emit(table, resolved)
 
 
-def _cmd_optimize(args, resolved):
+def _cmd_optimize(resolved):
     kind = resolved.get("kind")
     if kind is None:
         raise InvalidArgumentError("optimize needs --kind")
@@ -322,19 +353,17 @@ def _cmd_optimize(args, resolved):
         use_fd=bool(resolved.get("use_fd")),
     )
     rec = minimize_delta(obj)
-    rows = [
-        {
-            "kind": rec.kind,
-            "r": rec.r,
-            "delta_star": rec.delta_star,
-            "objective_value": rec.objective_value,
-            "iterations": rec.iterations,
-        }
-    ]
-    _emit(rows, ["kind", "r", "delta_star", "objective_value", "iterations"], args, resolved)
+    table = {
+        "kind": [rec.kind],
+        "r": [rec.r],
+        "delta_star": [rec.delta_star],
+        "objective_value": [rec.objective_value],
+        "iterations": [rec.iterations],
+    }
+    _emit(table, resolved)
 
 
-def _cmd_sweep(args, resolved):
+def _cmd_sweep(resolved):
     kinds_text = resolved.get("kinds")
     if not kinds_text:
         raise InvalidArgumentError("sweep needs --kinds")
@@ -362,17 +391,14 @@ def _cmd_sweep(args, resolved):
 
     cells = [(kind, r) for kind in kinds for r in r_grid]
     records = _run_jobs(cell, cells, int(resolved["jobs"]))
-    rows = [
-        {
-            "kind": rec.kind,
-            "r": rec.r,
-            "delta_star": rec.delta_star,
-            "objective_value": rec.objective_value,
-            "status": "ok" if rec.error is None else f"error: {rec.error}",
-        }
-        for rec in records
-    ]
-    _emit(rows, ["kind", "r", "delta_star", "objective_value", "status"], args, resolved)
+    table = {
+        "kind": [rec.kind for rec in records],
+        "r": [rec.r for rec in records],
+        "delta_star": [rec.delta_star for rec in records],
+        "objective_value": [rec.objective_value for rec in records],
+        "status": ["ok" if rec.error is None else f"error: {rec.error}" for rec in records],
+    }
+    _emit(table, resolved)
 
 
 _SURFACE_PRESETS = ("tmsv", "photon_subtracted", "photon_added", "coherent_optimal")
@@ -391,7 +417,7 @@ def _preset_delta(preset: str, r: float) -> float:
     raise InvalidArgumentError(f"unknown preset {preset!r}; expected one of {_SURFACE_PRESETS}")
 
 
-def _cmd_transfer_surface(args, resolved):
+def _cmd_transfer_surface(resolved):
     r = _single_r(resolved)
     theta = _opt(resolved, "theta", 0.0)
     gain = _opt(resolved, "gain", 1.0)
@@ -401,26 +427,23 @@ def _cmd_transfer_surface(args, resolved):
         else list(presets_text or _SURFACE_PRESETS)
     )
     axis = parse_grid(resolved.get("grid") or "-2:2:41")
-    rows = []
-    from .phasespace import PhasePoint
-
-    for preset in presets:
-        delta = _preset_delta(preset, r)
-        tau = transfer_fn(
+    # Rows run w-major, z-minor within each preset.
+    w, z = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    deltas = [_preset_delta(preset, r) for preset in presets]
+    taus = [
+        transfer_fn(
             Channel(SqueezedBellResource(delta=delta, theta=theta, r=r), gain=gain)
-        )
-        for w in axis:
-            for z in axis:
-                rows.append(
-                    {
-                        "preset": preset,
-                        "delta": delta,
-                        "w": w,
-                        "z": z,
-                        "tau": float(tau.fn(PhasePoint(w, z)).real),
-                    }
-                )
-    _emit(rows, ["preset", "delta", "w", "z", "tau"], args, resolved)
+        ).fn(PhasePoint(w, z)).real
+        for delta in deltas
+    ]
+    table = {
+        "preset": [preset for preset in presets for _ in range(w.size)],
+        "delta": np.repeat(deltas, w.size),
+        "w": np.tile(w, len(presets)),
+        "z": np.tile(z, len(presets)),
+        "tau": np.concatenate(taus),
+    }
+    _emit(table, resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +529,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         resolved = _resolve(args)
         fmt = resolved.get("format") or "csv"
         if fmt not in _FORMATS:
             raise InvalidArgumentError(f"unknown output format {fmt!r}")
-        args.func(args, resolved)
+        args.func(resolved)
         return 0
     except (CVTeleportError, ValueError, OSError, KeyError) as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -6,8 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from cvteleport.cli import main, parse_grid, parse_state
-from cvteleport import CoherentInput, FockInput, FockMixtureInput, InvalidArgumentError, SqueezedVacuumInput
+from cvteleport.cli import _emit, main, parse_grid, parse_state
+from cvteleport import (
+    Channel,
+    CoherentInput,
+    FockInput,
+    FockMixtureInput,
+    InvalidArgumentError,
+    SqueezedBellResource,
+    SqueezedVacuumInput,
+    __version__,
+)
+from cvteleport.optimize import closed_form_delta
+from cvteleport.phasespace import PhasePoint
+from cvteleport.states import transfer_fn
 
 
 def run_cli(args, capsys):
@@ -167,6 +179,84 @@ def test_transfer_surface(capsys):
     assert float(tmsv_origin[0]["tau"]) == 1.0
 
 
+def _surface_rows_per_point(r, theta, gain, axis):
+    """The transfer-surface rows as one scalar transfer call per point builds them."""
+    deltas = {
+        "tmsv": 1.0,
+        "photon_subtracted": math.cos(math.atan(math.tanh(r))),
+        "photon_added": math.cos(math.atan(1.0 / math.tanh(r))),
+        "coherent_optimal": closed_form_delta("fidelity_coherent", r),
+    }
+    rows = []
+    for preset, delta in deltas.items():
+        tau = transfer_fn(Channel(SqueezedBellResource(delta=delta, theta=theta, r=r), gain=gain))
+        for w in axis:
+            for z in axis:
+                value = float(tau.fn(PhasePoint(w, z)).real)
+                rows.append({"preset": preset, "delta": delta, "w": w, "z": z, "tau": value})
+    return rows
+
+
+def test_transfer_surface_bytes_match_per_point_evaluation(capsys):
+    argv = ["transfer-surface", "--r", "1.25", "--grid=-2:2:31", "--theta", "0.4", "--gain", "0.9"]
+    rows = _surface_rows_per_point(1.25, 0.4, 0.9, [float(x) for x in np.linspace(-2, 2, 31)])
+    buf = io.StringIO()
+    # The provenance hash of this configuration, unchanged since the per-point CLI.
+    buf.write(f"# cvteleport {__version__} config=a52a89b80c76\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(rows[0]))
+    writer.writerows(row.values() for row in rows)
+
+    # Compared as lists of lines: a mismatch then reports the first differing
+    # line instead of a diff of the whole text.
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and len(rows) == 4 * 31 * 31
+    assert out.splitlines(True) == buf.getvalue().splitlines(True)
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    expected = json.dumps(rows, indent=2, default=float) + "\n"
+    assert out.splitlines(True) == expected.splitlines(True)
+
+
+def test_emit_writes_what_csv_writer_writes(capsys):
+    table = {
+        "array": np.array([0.1, -0.0, 0.0, np.nan, np.inf, 1e-300, 0.1, -0.0]),
+        "float": [0.1, -0.0, 2.5, 1e22, 0.1, -1.5e-7, float("nan"), 3.0],
+        "np_float": [np.float64(0.1), np.float64(-0.0), np.float64(1 / 3), np.float64(0.1)] * 2,
+        "int": [0, 1, -7, True, False, np.int64(4), 10**20, 2],
+        "none": [None, 1.0, None, "x", None, 2, None, None],
+        "text": ["a,b", 'say "hi"', "", "line\nbreak", "plain", "a,b", " pad ", "c\rr"],
+        "words": np.array(["x", "y,z", "x", "", "q\"", "x", "y,z", "w"]),
+        "repeats": ["a,b"] * 3 + ["c"] * 5,
+        "range": range(300, 308),
+    }
+    resolved = {"format": "csv"}
+    _emit(table, resolved)
+    lines = capsys.readouterr().out.split("\n", 1)
+    assert lines[0].startswith(f"# cvteleport {__version__} config=")
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(table)
+    writer.writerows(zip(*table.values()))
+    assert lines[1] == expected.getvalue()
+
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    _emit(table, {"format": "json"})
+    assert capsys.readouterr().out == json.dumps(rows, indent=2, default=float) + "\n"
+
+    # csv.writer quotes a row that is one empty field.
+    _emit({"lone": [None, "", 0.5]}, resolved)
+    assert capsys.readouterr().out.split("\n", 1)[1] == 'lone\n""\n""\n0.5\n'
+
+
+def test_parser_reuse_keeps_no_state_between_calls(capsys):
+    code, _, _ = run_cli(["optimize", "--kind", "x2_transfer", "--r", "1.0"], capsys)
+    assert code == 0
+    code, out, err = run_cli(["optimize", "--kind", "x2_transfer"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["message"] == "missing --r"
+
+
 def test_json_output_is_row_array(capsys):
     code, out, _ = run_cli(
         ["optimize", "--kind", "x2_transfer", "--r", "1.0", "--format", "json"], capsys
@@ -194,6 +284,21 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert abs(float(read_csv(out)[0]["r"]) - 1.0) == 0.0
     code, out, _ = run_cli(["optimize", "--config", str(cfg), "--r", "2.0"], capsys)
     assert float(read_csv(out)[0]["r"]) == 2.0
+
+
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": "fock:1", "r": 1.25, "delta-grid": "0.7:1.0:61"}))
+    code, out, err = run_cli(["compare", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidArgumentError"
+    assert "'delta-grid'" in error["message"] and "did you mean 'delta_grid'?" in error["message"]
+
+    cfg.write_text(json.dumps({"kind": "x2_transfer", "r": 1.0, "delta_grid": "0.7:1.0:3"}))
+    code, out, err = run_cli(["optimize", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert "unknown config key 'delta_grid' for optimize" in json.loads(err)["error"]["message"]
 
 
 def test_error_record_and_exit_code(capsys):
