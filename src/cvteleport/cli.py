@@ -231,11 +231,9 @@ def _opt(resolved: dict, key: str, default, cast=float):
 
 
 def _quad_cfg(resolved: dict) -> QuadratureConfig:
-    cutoff = resolved.get("cutoff_radius")
     return QuadratureConfig(
         radial_nodes=_opt(resolved, "radial_nodes", 96, int),
         angular_nodes=_opt(resolved, "angular_nodes", 128, int),
-        cutoff_radius="auto" if cutoff is None else cutoff,
         target_abs_tol=_opt(resolved, "quad_tol", 1e-9),
     )
 
@@ -325,13 +323,13 @@ def _cmd_compare(resolved):
         cfg=_quad_cfg(resolved),
     )
 
-    cells = _run_jobs(family.measures, deltas, int(resolved["jobs"]))
+    cols = family.measure_columns(deltas)
     table = {
         "delta": deltas,
-        "d_n": [m.d_n for m in cells],
-        "fidelity": [m.fidelity for m in cells],
-        "one_minus_fidelity": [1.0 - m.fidelity for m in cells],
-        "frobenius": [m.frobenius for m in cells],
+        "d_n": cols["d_n"],
+        "fidelity": cols["fidelity"],
+        "one_minus_fidelity": 1.0 - cols["fidelity"],
+        "frobenius": cols["frobenius"],
     }
     _emit(table, resolved)
 

@@ -32,6 +32,9 @@ MAX_DERIVATIVE_ORDER = 6
 # ln(1e16): the auto cutoff radius R satisfies exp(-c R^2) < 1e-16.
 _DECAY_TARGET = 36.85
 _PROBE_RADII = (0.93, 1.91, 3.17, 4.57)
+# Down to 1e-6 of the probe radii: enough for the fastest axis that does not
+# underflow at the origin's scale.
+_PROBE_HALVINGS = 20
 _FLOOR = 1e-300
 _NEGLIGIBLE = 1e-250
 
@@ -163,15 +166,15 @@ def polar_grid(radial_nodes: int, angular_nodes: int, radius: float):
     return W, Z, weights
 
 
-def _abs_at(f, w, z) -> float:
-    return abs(complex(f(PhasePoint(w, z))))
-
-
 def _max_profile(f, directions, radii):
-    """Max |f| over the given (cos, sin) directions at each probe radius."""
-    return [
-        max(max(_abs_at(f, r * cw, r * sz) for cw, sz in directions), _FLOOR) for r in radii
-    ]
+    """Max |f| over the given (cos, sin) directions at each probe radius.
+
+    One call of ``f`` covers every probe point (radii x directions).
+    """
+    rays = np.asarray(directions, dtype=float)
+    rr = np.asarray(radii, dtype=float)[:, None]
+    vals = np.abs(_eval_grid(f, rr * rays[:, 0], rr * rays[:, 1]))
+    return np.maximum(vals.max(axis=1), _FLOOR).tolist()
 
 
 def _decay_rate(profile, radii):
@@ -209,10 +212,28 @@ _EIGHT_RAYS = tuple(
 )
 
 
+def _axis_rate(f, axis):
+    """Gaussian decay rate of ``|f|`` along one axis.
+
+    A sample at the floor bounds the rate only from below, so only samples
+    above it enter.  When fewer than two of them remain (a strongly squeezed
+    axis decays past the floor inside the probe span), the probe radii are
+    halved until two do, at most ``_PROBE_HALVINGS`` times.
+    """
+    radii = _PROBE_RADII
+    for _ in range(_PROBE_HALVINGS):
+        profile = _max_profile(f, axis, radii)
+        kept = [(m, rr) for m, rr in zip(profile, radii) if m > _NEGLIGIBLE]
+        if len(kept) >= 2:
+            return _decay_rate(*zip(*kept))
+        radii = tuple(0.5 * rr for rr in radii)
+    return _decay_rate(_max_profile(f, axis, _PROBE_RADII), _PROBE_RADII)
+
+
 def _anisotropy_scale(f) -> float:
     """Area-preserving scale lam equalizing per-axis Gaussian decay rates."""
-    cw = _decay_rate(_max_profile(f, _AXIS_W, _PROBE_RADII), _PROBE_RADII)
-    cz = _decay_rate(_max_profile(f, _AXIS_Z, _PROBE_RADII), _PROBE_RADII)
+    cw = _axis_rate(f, _AXIS_W)
+    cz = _axis_rate(f, _AXIS_Z)
     if cw is None or cz is None or cw <= 0 or cz <= 0:
         return 1.0
     return float(np.clip((cw / cz) ** 0.25, 1.0 / 32.0, 32.0))
@@ -235,11 +256,7 @@ def _certified_tail(scaled, radius: float, c_est: float, cfg: QuadratureConfig) 
     the Gaussian tail by ``pi max|f| / c``.  Raises :class:`AccuracyError`
     when the estimate exceeds ``cfg.target_abs_tol``.
     """
-    m_tail = max(
-        _abs_at(scaled, rr * cw, rr * sz)
-        for rr in (radius, 0.97 * radius)
-        for cw, sz in _EIGHT_RAYS
-    )
+    m_tail = max(_max_profile(scaled, _EIGHT_RAYS, (radius, 0.97 * radius)))
     tail = math.pi * m_tail / c_est if m_tail > _NEGLIGIBLE else 0.0
     if tail > cfg.target_abs_tol:
         raise AccuracyError(
@@ -342,36 +359,55 @@ def integrate_plane(
     return complex(np.sum(wt * vals))
 
 
-def laguerre_all(n_max: int, u) -> np.ndarray:
-    """Laguerre polynomials ``L_0(u) .. L_n_max(u)`` by the stable recurrence.
+def _laguerre_steps(n_max: int, u: np.ndarray, start):
+    """Yield ``start * L_k(u)`` for ``k = 0 .. n_max`` by the three-term recurrence.
 
-    ``L_{k+1} = ((2k + 1 - u) L_k - k L_{k-1}) / (k + 1)``; returns an array of
-    shape ``(n_max + 1, *u.shape)``.
+    ``L_{k+1} = ((2k + 1 - u) L_k - k L_{k-1}) / (k + 1)``; the recurrence is
+    linear, so a premultiplied start carries through every degree.  The
+    recurrence reads the yielded arrays again: callers must not modify them.
     """
+    lkm1 = start
+    yield lkm1
+    if n_max >= 1:
+        lk = (1.0 - u) * start
+        yield lk
+        for k in range(1, n_max):
+            lk, lkm1 = ((2.0 * k + 1.0 - u) * lk - k * lkm1) / (k + 1.0), lk
+            yield lk
+
+
+def _laguerre_stack(n_max: int, u, envelope: bool) -> np.ndarray:
     if n_max < 0:
         raise InvalidArgumentError("n_max must be nonnegative")
     u = np.asarray(u, dtype=float)
+    start = np.exp(-0.5 * u) if envelope else np.ones_like(u)
     out = np.empty((n_max + 1,) + u.shape, dtype=float)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 1.0 - u
-    for k in range(1, n_max):
-        out[k + 1] = ((2.0 * k + 1.0 - u) * out[k] - k * out[k - 1]) / (k + 1.0)
+    for k, row in enumerate(_laguerre_steps(n_max, u, start)):
+        out[k] = row
     return out
+
+
+def _laguerre_last(n: int, u, envelope: bool):
+    if n < 0:
+        raise InvalidArgumentError("n must be nonnegative")
+    u = np.asarray(u, dtype=float)
+    start = np.exp(-0.5 * u) if envelope else np.ones_like(u)
+    for last in _laguerre_steps(n, u, start):
+        pass
+    return last if last.shape else float(last)
+
+
+def laguerre_all(n_max: int, u) -> np.ndarray:
+    """Laguerre polynomials ``L_0(u) .. L_n_max(u)`` by the stable recurrence.
+
+    Returns an array of shape ``(n_max + 1, *u.shape)``.
+    """
+    return _laguerre_stack(n_max, u, envelope=False)
 
 
 def laguerre(n: int, u):
     """Laguerre polynomial ``L_n(u)`` (scalar or ndarray ``u``)."""
-    if n < 0:
-        raise InvalidArgumentError("n must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    lkm1 = np.ones_like(u)
-    if n == 0:
-        return lkm1 if lkm1.shape else float(lkm1)
-    lk = 1.0 - u
-    for k in range(1, n):
-        lk, lkm1 = ((2.0 * k + 1.0 - u) * lk - k * lkm1) / (k + 1.0), lk
-    return lk if lk.shape else float(lk)
+    return _laguerre_last(n, u, envelope=False)
 
 
 def laguerre_envelope_all(n_max: int, u) -> np.ndarray:
@@ -380,28 +416,90 @@ def laguerre_envelope_all(n_max: int, u) -> np.ndarray:
     The recurrence is applied to the premultiplied values, which stay in
     [-1, 1] for all u >= 0, so neither factor can overflow on wide grids.
     """
-    if n_max < 0:
-        raise InvalidArgumentError("n_max must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    env = np.exp(-0.5 * u)
-    out = np.empty((n_max + 1,) + u.shape, dtype=float)
-    out[0] = env
-    if n_max >= 1:
-        out[1] = (1.0 - u) * env
-    for k in range(1, n_max):
-        out[k + 1] = ((2.0 * k + 1.0 - u) * out[k] - k * out[k - 1]) / (k + 1.0)
-    return out
+    return _laguerre_stack(n_max, u, envelope=True)
 
 
 def laguerre_envelope(n: int, u):
     """``exp(-u/2) L_n(u)`` with the bounded product recurrence."""
-    if n < 0:
-        raise InvalidArgumentError("n must be nonnegative")
+    return _laguerre_last(n, u, envelope=True)
+
+
+def laguerre_envelope_series(weights, u) -> np.ndarray:
+    """``sum_k weights[k] exp(-u/2) L_k(u)`` as a running sum.
+
+    Memory stays O(u.size) however many weights there are; zero weights
+    cost one recurrence step and nothing more.  Every ``u`` must keep
+    ``exp(-u/2)`` a normal float (``u <= RADIAL_ARG_MAX``), or the start of the
+    recurrence loses precision.
+    """
+    weights = np.asarray(weights, dtype=float)
     u = np.asarray(u, dtype=float)
-    tkm1 = np.exp(-0.5 * u)
-    if n == 0:
-        return tkm1 if tkm1.shape else float(tkm1)
-    tk = (1.0 - u) * tkm1
-    for k in range(1, n):
-        tk, tkm1 = ((2.0 * k + 1.0 - u) * tk - k * tkm1) / (k + 1.0), tk
-    return tk if tk.shape else float(tk)
+    total = np.zeros_like(u)
+    for w, term in zip(weights, _laguerre_steps(weights.size - 1, u, np.exp(-0.5 * u))):
+        if w != 0.0:
+            total += w * term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# One-dimensional rules in u = |xi|^2 for phase-invariant integrands
+# ---------------------------------------------------------------------------
+
+# exp(-u/2) at u = 1400 is ~1e-304, still a normal float.
+RADIAL_ARG_MAX = 1400.0
+
+
+def _log_envelope_tail(rate: float, factors, cutoff: float) -> float:
+    kappa = rate - sum(d * s / (1.0 + s * cutoff) for s, d in factors)
+    if not kappa > 0.0:
+        return math.inf
+    log_f = -rate * cutoff + sum(d * math.log1p(s * cutoff) for s, d in factors)
+    return log_f - math.log(kappa)
+
+
+def envelope_tail(rate: float, factors, cutoff: float) -> float:
+    """Bound on ``∫_U^∞ exp(-rate u) prod (1 + s u)^d du`` at ``U = cutoff``.
+
+    ``factors`` holds the ``(s, d)`` pairs, ``s, d >= 0``.  The logarithm of
+    the integrand is concave with slope ``-kappa(u)``,
+    ``kappa = rate - sum d s / (1 + s u)``, so beyond ``U`` the integrand lies
+    below its tangent there and the tail is at most ``f(U) / kappa(U)``.
+    Before the envelope peaks (``kappa(U) <= 0``) the bound is infinite.
+    """
+    log_tail = _log_envelope_tail(rate, factors, cutoff)
+    return math.exp(log_tail) if log_tail < 700.0 else math.inf
+
+
+def envelope_cutoff(rate: float, factors) -> float:
+    """The cutoff ``U`` at which :func:`envelope_tail` meets ``exp(-36.85) ~ 1e-16``.
+
+    From ``U0 = max(36.85, 2 sum d) / rate`` on, ``kappa >= rate / 2`` and the
+    logarithm of the bound falls at least as fast as ``kappa(U0)``, so one
+    tangent step from ``U0`` certifies; bisection then tightens the cutoff
+    to within 0.1%.
+    """
+    def excess(cutoff):
+        return _log_envelope_tail(rate, factors, cutoff) + _DECAY_TARGET
+
+    lo = max(_DECAY_TARGET, 2.0 * sum(d for _, d in factors)) / rate
+    if excess(lo) <= 0.0:
+        return lo
+    kappa = rate - sum(d * s / (1.0 + s * lo) for s, d in factors)
+    hi = lo + excess(lo) / kappa
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if excess(mid) <= 0.0 else (mid, hi)
+    return hi
+
+
+def radial_rule(nodes: int, cutoff: float):
+    """Nodes ``u`` and weights for ``∫_0^U f(u) du`` at ``U = cutoff``.
+
+    Gauss-Legendre in ``rho = sqrt(u)`` on ``[0, sqrt(U)]`` (``du = 2 rho
+    drho``): the integrands are Gaussians in ``rho`` times polynomials and
+    Laguerre factors, exactly as on the rays of :func:`polar_grid`.
+    """
+    x, v = _leggauss(nodes)
+    radius = math.sqrt(cutoff)
+    rho = 0.5 * radius * (x + 1.0)
+    return rho * rho, radius * v * rho

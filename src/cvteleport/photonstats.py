@@ -5,11 +5,12 @@ formula
 
 ``P_n = (1/pi) ∫ d^2 xi  chi_out(xi) chi_n(-xi)``
 
-with ``chi_n`` the Fock-state characteristic function.  One grid evaluation
-of ``chi_out(xi) exp(-|xi|^2/2)`` feeds every ``n`` through the Laguerre
-recurrence, so a whole distribution costs a single quadrature plan; the
+with ``chi_n`` the Fock-state characteristic function.  In
+:func:`output_photon_probs` one 2-D grid evaluation of ``chi_out(xi)
+exp(-|xi|^2/2)`` feeds every ``n`` through the Laguerre recurrence; the
 per-``n`` route through :func:`cvteleport.numerics.integrate_plane` is kept as
-:func:`output_photon_prob` and the tests pin both paths together.
+:func:`output_photon_prob`.  Both are the direct path, which the tests use as
+the oracle of :func:`delta_family`.
 
 Fidelity, purity, and the Frobenius distance are overlap integrals
 ``Tr(rho_f rho_g) = (1/pi) ∫ d^2 xi f(xi) g(-xi)``.
@@ -22,15 +23,51 @@ every ``P_n`` and the fidelity are linear in ``w`` and the output purity is
 the quadratic form ``w^T G w``.  :func:`delta_family` computes the
 ``(N+1) x 3`` photon basis, the three fidelity overlaps and the 3 x 3 Gram
 matrix ``G`` once per (input, r, theta, gain, N, quadrature config); each
-Delta then costs O(N) arithmetic (:class:`DeltaFamily`).
+Delta then costs O(N) arithmetic, and a Delta grid is one ``(N+1) x D``
+product (:meth:`DeltaFamily.measure_columns`).
 
-Family geometry.  The shared factor ``exp(-e u) chi_in(g xi)`` (the Delta = 1
-output) is planned with :func:`cvteleport.numerics.plan_quadrature`; the
-cutoff is widened until ``exp(-c R^2) (R^2)^4`` meets the 1e-16 target, since
-the Gram integrands carry polynomials of degree 4 in ``u``; the tail check
-then runs on each basis term ``exp(-e u) q_k(u) chi_in(g xi)``.  One grid,
-with the node counts of :func:`output_photon_probs`, serves the photon
-basis, the overlaps and the Gram matrix.
+Dephasing identity.  ``tau`` and the Fock factors depend on ``u = |xi|^2``
+only, so the channel is phase covariant: with ``(1/pi) d^2 xi = du dphi /
+2 pi`` the angle integral acts on ``chi_in(g xi)`` alone and gives
+``A~(g^2 u) = sum_m p_m L~_m(g^2 u)``, ``L~_m(v) = exp(-v/2) L_m(v)``, the
+characteristic function of the dephased input with the photon
+distribution ``p_m`` of :func:`cvteleport.states.input_photon_probs`.  Hence
+
+``photon_basis[n, k] = ∫_0^∞ du exp(-e u) q_k(u) L~_n(u) A~(g^2 u)``
+
+for every input, and for Fock-diagonal inputs (``A~ = chi_in``) also
+``fidelity_basis[k] = ∫ tau_k A~(u) A~(g^2 u)`` and
+``gram[j, k] = ∫ tau_j tau_k A~(g^2 u)^2``: no plane quadrature at all.
+
+The 1-D rule.  Gauss-Legendre in ``rho = sqrt(u)`` on ``[0, sqrt(U)]``
+(:func:`cvteleport.numerics.radial_rule`).  ``U`` comes from closed-form
+envelopes, ``|q_k(u)| <= (1 + a^2 u)(1 + b^2 u)``,
+``|L~_n(u)| <= exp(-u/2) (1 + u)^n`` and ``|A~| <= 1``: the tail integral of
+each envelope past ``U`` is bounded by :func:`cvteleport.numerics.envelope_tail`
+and ``U`` is where that bound meets 1e-16 (or the square of a fixed
+``cutoff_radius``, whose bound must then meet ``target_abs_tol``, else
+:class:`~cvteleport.errors.AccuracyError`).  The node count resolves the
+oscillation of ``L~_N`` and of the input (wavenumbers ``sqrt(4n + 6)``, with
+``n`` the top photon number of a Fock-diagonal input and the mean photon
+number of a coherent or squeezed one) and is rounded to ``2^k`` or
+``3 * 2^(k-1)``, so few Legendre rules are built.
+
+The tail certificate.  ``A~`` is summed to the cutoff ``M`` of
+:func:`cvteleport.states.input_photon_cutoff`: exact for Fock states and
+mixtures, and for coherent and squeezed inputs the smallest ``M`` whose
+closed-form tail bound (``p_M mu / (M + 1 - mu)``, ``p_M sinh^2 s``, taken in
+log space) is at most 1e-16; every ``P_n`` then moves by at most that mass.
+Past ``M = 2^16`` the family raises :class:`~cvteleport.errors.CapacityError`
+(``sqvac:4`` needs about 51k; ``sqvac:6`` raises).  The sum is a running sum
+over the shared Laguerre recurrence, in O(nodes) memory.
+
+Phase-sensitive overlaps.  For coherent and squeezed inputs the fidelity
+and Gram integrands are not phase invariant.  They stay on one 2-D grid:
+the shared factor ``exp(-e u) chi_in(g xi)`` (the Delta = 1 output) is
+planned with :func:`cvteleport.numerics.plan_polynomial_family` (cutoff
+widened until ``exp(-c R^2) (R^2)^4`` meets the 1e-16 target, tail check on
+each basis term), and the plain ``cfg`` node counts resolve the overlap
+integrands in its rescaled frame.
 """
 
 from __future__ import annotations
@@ -41,14 +78,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import OutputState
-from .errors import CapacityError, ConsistencyError, InvalidArgumentError
+from .errors import AccuracyError, CapacityError, ConsistencyError, InvalidArgumentError
 from .numerics import (
+    RADIAL_ARG_MAX,
     QuadratureConfig,
     QuadraturePlan,
+    envelope_cutoff,
+    envelope_tail,
     integrate_plane,
     laguerre_envelope_all,
+    laguerre_envelope_series,
     plan_polynomial_family,
     plan_quadrature,
+    radial_rule,
 )
 from .phasespace import CharFn, PhasePoint
 from .states import (
@@ -61,16 +103,22 @@ from .states import (
     delta_weights,
     fock_charfn,
     input_charfn,
+    input_photon_cutoff,
     input_photon_probs,
     input_purity,
     transfer_basis,
+    transfer_coefficients,
 )
 
 _PROB_SLACK = 1e-8
 _SUM_SLACK = 1e-7
 D_N_UPPER = math.sqrt(2.0)
-# Degree in u of the Gram integrands tau_j tau_k: the family cutoff is sized for it.
+# Degree in u of the Gram integrands tau_j tau_k: the 2-D family cutoff is sized for it.
 _GRAM_DEGREE = 4
+# Certified input photon mass left beyond the family's truncation M.
+_PHOTON_TAIL = 1e-16
+# Slack of the Fock-diagonal Frobenius / D_N cross-check.
+_FROBENIUS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,13 +138,7 @@ class PhotonDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (self.N + 1,):
             raise InvalidArgumentError(f"expected {self.N + 1} probabilities, got {probs.shape}")
-        if np.any(probs < -_PROB_SLACK) or np.any(probs > 1.0 + _PROB_SLACK):
-            raise ConsistencyError(
-                f"photon probabilities outside [-{_PROB_SLACK}, 1+{_PROB_SLACK}]: "
-                f"min={probs.min():.3e}, max={probs.max():.3e}"
-            )
-        if probs.sum() > 1.0 + _SUM_SLACK:
-            raise ConsistencyError(f"photon probabilities sum to {probs.sum()!r} > 1")
+        _raise_first(_probability_checks(probs[:, None]))
         object.__setattr__(self, "probs", probs)
 
     def clamped(self) -> np.ndarray:
@@ -104,6 +146,35 @@ class PhotonDistribution:
 
     def mean(self) -> float:
         return float(np.arange(self.N + 1) @ self.clamped())
+
+
+def _probability_checks(probs: np.ndarray) -> list:
+    """The :class:`PhotonDistribution` checks on each column of ``probs``."""
+    sums = probs.sum(axis=0)
+    return [
+        (
+            np.any((probs < -_PROB_SLACK) | (probs > 1.0 + _PROB_SLACK), axis=0),
+            lambda j: f"photon probabilities outside [-{_PROB_SLACK}, 1+{_PROB_SLACK}]: "
+            f"min={probs[:, j].min():.3e}, max={probs[:, j].max():.3e}",
+        ),
+        (sums > 1.0 + _SUM_SLACK, lambda j: f"photon probabilities sum to {float(sums[j])!r} > 1"),
+    ]
+
+
+def _raise_first(checks: list):
+    """Raise :class:`ConsistencyError` for the first column that fails a check.
+
+    ``checks`` is a list of ``(failed, message)`` pairs in the order one
+    column is checked: ``failed`` marks the failing columns and
+    ``message(j)`` describes the failure in column ``j``.  Columns are taken
+    in order, so the error is the one a column-by-column loop would raise
+    first.
+    """
+    failed = np.array([mask for mask, _ in checks])
+    columns = np.flatnonzero(failed.any(axis=0))
+    if columns.size:
+        j = int(columns[0])
+        raise ConsistencyError(checks[int(np.argmax(failed[:, j]))][1](j))
 
 
 @dataclass(frozen=True)
@@ -266,56 +337,119 @@ class DeltaFamily:
     def measures(self, delta: float) -> DistortionMeasures:
         """D_N, fidelity, Frobenius distance, and purities at one Delta.
 
-        Checks D_N against [0, sqrt(2)], the fidelity against the
-        Cauchy-Schwarz bound, and, for Fock-diagonal inputs (Fock states and
-        Fock mixtures), D_N against the Frobenius distance to 1e-6, which
-        cross-checks the photon-probability and overlap quadratures.
+        Checked as in :meth:`measure_columns`, a grid of one Delta.
         """
-        d_n = d_functional(self.p_in, self.photon_distribution(delta))
-        fid, pur_in, pur_out = self.fidelity(delta), self.purity_in, self.purity_out(delta)
-        frob = _frobenius(pur_in, pur_out, fid)
+        cols = self.measure_columns([delta])
+        return DistortionMeasures(**{name: float(col[0]) for name, col in cols.items()})
 
-        if not -1e-9 <= d_n <= D_N_UPPER + 1e-9:
-            raise ConsistencyError(f"D_N={d_n!r} outside [0, sqrt(2)]")
-        # Cauchy-Schwarz bound; implies the purest-state upper bound on fidelity.
-        if fid > math.sqrt(max(pur_in * pur_out, 0.0)) + 1e-7:
-            raise ConsistencyError(
-                f"fidelity {fid!r} exceeds sqrt(purity_in * purity_out); quadrature fault"
-            )
-        if isinstance(self.state, (FockInput, FockMixtureInput)) and abs(d_n - frob) > 1e-6:
-            raise ConsistencyError(
-                f"D_N={d_n!r} and Frobenius={frob!r} disagree for a Fock-diagonal input; "
-                "quadrature or truncation fault"
-            )
-        return DistortionMeasures(
-            d_n=d_n, fidelity=fid, frobenius=frob, purity_in=pur_in, purity_out=pur_out
-        )
+    def measure_columns(self, deltas) -> dict:
+        """The :class:`DistortionMeasures` fields over a Delta grid, one array each.
+
+        The whole grid is one ``(N+1) x D`` product.  Each column then passes
+        the :class:`PhotonDistribution` checks, D_N against [0, sqrt(2)], the
+        fidelity against the Cauchy-Schwarz bound, and, for Fock-diagonal
+        inputs (Fock states and Fock mixtures), the Frobenius distance
+        against D_N: the output is then Fock-diagonal too, so
+        ``Frobenius^2 - D_N^2`` is the squared photon-number difference
+        beyond N and lies in ``[0, (T_out + T_in)^2]`` up to 1e-6, with ``T``
+        the mass beyond N.  This cross-checks the photon-probability and
+        overlap quadratures.  Every Delta is validated as a resource first;
+        then the first Delta that fails a check raises, with the error a
+        per-Delta loop would raise for it.
+        """
+        w = np.array([self._weights(delta) for delta in deltas]).reshape(-1, 3).T
+        probs = self.photon_basis @ w
+        fid = self.fidelity_basis @ w
+        pur_in = self.purity_in
+        pur_out = np.sum(w * (self.gram @ w), axis=0)
+        diff = np.clip(probs, 0.0, 1.0) - self.p_in.clamped()[:, None]
+        d_n = np.sqrt(np.sum(diff * diff, axis=0))
+        frob = np.sqrt(np.maximum(pur_in + pur_out - 2.0 * fid, 0.0))
+
+        checks = _probability_checks(probs) + [
+            (
+                ~((-1e-9 <= d_n) & (d_n <= D_N_UPPER + 1e-9)),
+                lambda j: f"D_N={float(d_n[j])!r} outside [0, sqrt(2)]",
+            ),
+            # Cauchy-Schwarz bound; implies the purest-state upper bound on fidelity.
+            (
+                fid > np.sqrt(np.maximum(pur_in * pur_out, 0.0)) + 1e-7,
+                lambda j: f"fidelity {float(fid[j])!r} exceeds sqrt(purity_in * purity_out); "
+                "quadrature fault",
+            ),
+        ]
+        if isinstance(self.state, (FockInput, FockMixtureInput)):
+            beyond = np.maximum(1.0 - probs.sum(axis=0), 0.0) + self.p_in.truncation_mass_bound
+            gap = frob * frob - d_n * d_n
+            checks.append((
+                ~((-_FROBENIUS_TOL <= gap) & (gap <= beyond * beyond + _FROBENIUS_TOL)),
+                lambda j: f"D_N={float(d_n[j])!r} and Frobenius={float(frob[j])!r} disagree "
+                "for a Fock-diagonal input by more than the photon mass past N; "
+                "quadrature or truncation fault",
+            ))
+        _raise_first(checks)
+        return {
+            "d_n": d_n,
+            "fidelity": fid,
+            "frobenius": frob,
+            "purity_in": np.full(fid.shape, pur_in),
+            "purity_out": pur_out,
+        }
 
 
 def _frobenius(pur_in: float, pur_out: float, fid: float) -> float:
     return math.sqrt(max(pur_in + pur_out - 2.0 * fid, 0.0))
 
 
-def delta_family(
-    state: InputState,
-    r: float,
-    theta: float = 0.0,
-    gain: float = 1.0,
-    N: int = 24,
-    cfg: QuadratureConfig | None = None,
-) -> DeltaFamily:
-    """Build the :class:`DeltaFamily` of one cell: one plan, one grid, three quadratures.
+def _rule_size(nodes: int) -> int:
+    """``nodes`` rounded up to ``2^k`` or ``3 * 2^(k-1)``, so few rule sizes recur."""
+    size = 1 << (nodes - 1).bit_length()
+    return 3 * size // 4 if 3 * size // 4 >= nodes else size
 
-    Raises like :func:`output_photon_probs` (bad cutoff, no decay,
-    :class:`~cvteleport.errors.AccuracyError` when any basis term fails the
-    tail check) and like the resource constructors (bad r, theta or gain).
+
+def _radial_nodes(envelopes, arg_scale: float, cfg: QuadratureConfig):
+    """One certified 1-D rule in ``u`` for the radial integrands of a family.
+
+    Each of ``envelopes`` is ``(rate, factors, k)``: an integrand bounded by
+    ``exp(-rate u) prod (1 + s u)^d`` whose Laguerre factors oscillate with
+    wavenumber at most ``k`` in ``rho = sqrt(u)``.  The cutoff ``U`` is the
+    largest :func:`~cvteleport.numerics.envelope_cutoff` (or the square of a
+    fixed ``cfg.cutoff_radius``), capped so that every Laguerre argument
+    ``arg_scale * u`` stays within ``RADIAL_ARG_MAX``; every integrand's
+    tail bound at ``U`` must then meet ``cfg.target_abs_tol``.  The node
+    count resolves the fastest oscillation (``n > k sqrt(U) / 2``, as in
+    :func:`_photon_nodes`), is at least ``cfg.radial_nodes`` and is rounded
+    by :func:`_rule_size`.
     """
-    _check_cutoff(N)
-    cfg = cfg or QuadratureConfig()
-    rate, terms = transfer_basis(
-        Channel(SqueezedBellResource(delta=1.0, theta=theta, r=r), gain=gain)
-    )
-    chi_in = input_charfn(state)
+    cap = RADIAL_ARG_MAX / arg_scale
+    if cfg.cutoff_radius == "auto":
+        cutoff = max(envelope_cutoff(rate, factors) for rate, factors, _ in envelopes)
+    else:
+        cutoff = float(cfg.cutoff_radius) ** 2
+    cutoff = min(cutoff, cap)
+    tail = max(envelope_tail(rate, factors, cutoff) for rate, factors, _ in envelopes)
+    if tail > cfg.target_abs_tol:
+        raise AccuracyError(
+            f"radial tail bound {tail:.3e} at u = {cutoff:.4g} exceeds target "
+            f"{cfg.target_abs_tol:.3e}",
+            estimate=tail,
+        )
+    k = max(k for _, _, k in envelopes)
+    nodes = _rule_size(max(cfg.radial_nodes, int(0.5 * k * math.sqrt(cutoff)) + 32))
+    return radial_rule(nodes, cutoff)
+
+
+def _overlap_basis(chi_in: CharFn, rate: float, terms, gain: float, cfg: QuadratureConfig):
+    """Fidelity overlaps and Gram matrix of a phase-sensitive input, on a 2-D grid.
+
+    The shared factor ``exp(-e u) chi_in(g xi)`` is planned with
+    :func:`~cvteleport.numerics.plan_polynomial_family`.  Its anisotropy
+    scale equalizes the Gaussian decay of that factor, and in the rescaled
+    frame the overlap integrands are nearly isotropic Gaussians times
+    polynomials of degree <= 4 in ``u``, so the plain ``cfg`` node counts
+    resolve them (to ~1e-14 against closed-form Gaussian moments for
+    squeezed vacua up to |s| = 4).
+    """
 
     def chi_at(p: PhasePoint, scale: float):
         return np.asarray(chi_in.fn(PhasePoint(scale * p.w, scale * p.z)), dtype=complex)
@@ -327,19 +461,75 @@ def delta_family(
         return lambda p: base(p) * terms(p.abs_sq)[k]
 
     plan = plan_polynomial_family(base, [term(k) for k in range(3)], _GRAM_DEGREE, cfg)
-    W, Z, wt = _photon_nodes(plan, N, cfg)
+    W, Z, wt = plan.nodes(cfg)
     pts = PhasePoint(W, Z)
-    u = pts.abs_sq
-    # (3, nodes): the transfer terms exp(-e u) q_k(u) on the grid.
-    tau_k = (np.stack(np.broadcast_arrays(*terms(u))) * np.exp(-rate * u)).reshape(3, -1)
-    chi_g, chi_mg = chi_at(pts, gain).ravel(), chi_at(pts, -gain).ravel()
+    tau_k = _transfer_terms(rate, terms, pts.abs_sq.ravel())
     wt = wt.ravel() / math.pi
+    # chi(-xi) = conj(chi(xi)) for every state, so chi_in(-g xi) is conj(chi_g).
+    chi_g = chi_at(pts, gain).ravel()
+    chi_1 = chi_g if gain == 1.0 else chi_at(pts, 1.0).ravel()
+    fidelity_basis = tau_k @ ((chi_1 * chi_g.conj()).real * wt)
+    gram = (tau_k * ((chi_g.real ** 2 + chi_g.imag ** 2) * wt)) @ tau_k.T
+    return fidelity_basis, gram
 
-    # The Laguerre and transfer factors are real, so only real parts enter.
-    lag = laguerre_envelope_all(N, u).reshape(N + 1, -1)
-    photon_basis = lag @ (tau_k * (chi_g.real * wt)).T
-    fidelity_basis = tau_k @ ((chi_at(pts, 1.0).ravel() * chi_mg).real * wt)
-    gram = (tau_k * ((chi_g * chi_mg).real * wt)) @ tau_k.T
+
+def _transfer_terms(rate: float, terms, u: np.ndarray) -> np.ndarray:
+    """``(3, len(u))``: the transfer terms ``exp(-e u) q_k(u)``."""
+    return np.stack(np.broadcast_arrays(*terms(u))) * np.exp(-rate * u)
+
+
+def delta_family(
+    state: InputState,
+    r: float,
+    theta: float = 0.0,
+    gain: float = 1.0,
+    N: int = 24,
+    cfg: QuadratureConfig | None = None,
+) -> DeltaFamily:
+    """Build the :class:`DeltaFamily` of one cell on 1-D radial quadrature.
+
+    Raises like :func:`output_photon_probs` (bad cutoff), with
+    :class:`~cvteleport.errors.AccuracyError` when an integrand's tail bound
+    fails the target or the 2-D tail check fails, with
+    :class:`~cvteleport.errors.CapacityError` when the input's photon tail
+    cannot be certified below the cap, and like the resource constructors
+    (bad r, theta or gain).
+    """
+    _check_cutoff(N)
+    cfg = cfg or QuadratureConfig()
+    ch = Channel(SqueezedBellResource(delta=1.0, theta=theta, r=r), gain=gain)
+    rate, terms = transfer_basis(ch)
+    a, b = transfer_coefficients(ch)
+    g2 = gain * gain
+    M = input_photon_cutoff(state, _PHOTON_TAIL)
+    p = input_photon_probs(state, M)
+    fock_diagonal = isinstance(state, (FockInput, FockMixtureInput))
+    # Wavenumber of chi_in in rho: sqrt(4 n + 6) bounds that of L~_n; a coherent
+    # chi_in oscillates like J0(2 sqrt(<n>) rho) and a squeezed vacuum has a
+    # narrow axis of width e^-|s| ~ 1 / (2 sqrt(<n>)), so <n> stands in for n.
+    n_in = M if fock_diagonal else float(np.arange(M + 1) @ p)
+    k_in = math.sqrt(4.0 * n_in + 6.0)
+    # |q_k(u)| <= (1 + a^2 u)(1 + b^2 u) for all three terms, |L~_n(u)| <= exp(-u/2)(1 + u)^n
+    # and |A~| <= 1: the envelopes of the photon, fidelity and Gram integrands.
+    poly = ((a * a, 1), (b * b, 1))
+    envelopes = [(rate + 0.5, poly + ((1.0, N),), math.sqrt(4.0 * N + 6.0) + gain * k_in)]
+    if fock_diagonal:
+        envelopes += [
+            (rate + 0.5 * (1.0 + g2), poly + ((1.0, M), (g2, M)), (1.0 + gain) * k_in),
+            (2.0 * rate + g2, ((a * a, 2), (b * b, 2), (g2, 2 * M)), 2.0 * gain * k_in),
+        ]
+    u, wt = _radial_nodes(envelopes, max(1.0, g2), cfg)
+
+    tau_k = _transfer_terms(rate, terms, u)
+    # The angular mean of chi_in(g xi): the dephased input sum_m p_m L~_m(g^2 u).
+    chi_g = laguerre_envelope_series(p, g2 * u)
+    photon_basis = laguerre_envelope_all(N, u) @ (tau_k * (chi_g * wt)).T
+    if fock_diagonal:
+        chi_1 = chi_g if gain == 1.0 else laguerre_envelope_series(p, u)
+        fidelity_basis = tau_k @ (chi_1 * chi_g * wt)
+        gram = (tau_k * (chi_g * chi_g * wt)) @ tau_k.T
+    else:
+        fidelity_basis, gram = _overlap_basis(input_charfn(state), rate, terms, gain, cfg)
     return DeltaFamily(
         state=state,
         r=r,

@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
-from .numerics import laguerre_envelope, laguerre_envelope_all
+from .numerics import laguerre_envelope, laguerre_envelope_series
 from .phasespace import CharFn, PhasePoint
 
 N_MAX_FOCK = 64
@@ -169,15 +169,13 @@ def input_charfn(state: InputState) -> CharFn:
         return CharFn(chi, ordering=0, label=f"sqvac:{state.s}")
 
     if isinstance(state, FockMixtureInput):
-        weights = state.weights
-        n_top = state.max_n
+        probs = input_photon_probs(state, state.max_n)
 
         def chi(p: PhasePoint):
-            u = np.asarray(p.abs_sq, dtype=float)
-            lag = laguerre_envelope_all(n_top, u)
-            return sum(pk * lag[nk] for nk, pk in weights) + 0.0j
+            return laguerre_envelope_series(probs, p.abs_sq) + 0.0j
 
-        return CharFn(chi, ordering=0, label="mix:" + ",".join(f"{n}@{p}" for n, p in weights))
+        label = "mix:" + ",".join(f"{n}@{p}" for n, p in state.weights)
+        return CharFn(chi, ordering=0, label=label)
 
     raise InvalidArgumentError(f"unknown input state {state!r}")
 
@@ -291,10 +289,12 @@ def input_photon_probs(state: InputState, N: int) -> np.ndarray:
 
     if isinstance(state, CoherentInput):
         mu = abs(state.beta) ** 2
-        probs[0] = math.exp(-mu)
-        for n in range(1, N + 1):
-            probs[n] = probs[n - 1] * mu / n
-        return probs
+        if mu == 0.0:
+            probs[0] = 1.0
+            return probs
+        # In log space: exp(-mu) alone underflows for mu > 745.
+        log_fact = np.array([math.lgamma(n + 1.0) for n in range(N + 1)])
+        return np.exp(np.arange(N + 1) * math.log(mu) - mu - log_fact)
 
     if isinstance(state, SqueezedVacuumInput):
         t2 = math.tanh(state.s) ** 2
@@ -311,6 +311,88 @@ def input_photon_probs(state: InputState, N: int) -> np.ndarray:
         return probs
 
     raise InvalidArgumentError(f"unknown input state {state!r}")
+
+
+# Largest photon cutoff input_photon_cutoff returns; sqvac:4 needs about 51k.
+PHOTON_CUTOFF_CAP = 2**16
+
+
+def _log_photon_tail(state: InputState, M: int) -> float:
+    """Log of a closed-form bound on ``sum_{m > M} p_m`` (-inf when exactly 0).
+
+    Coherent (``mu = |beta|^2``): the ratios ``p_{m+1} / p_m = mu / (m + 1)``
+    past M are at most ``mu / (M + 1)``, so the tail is at most
+    ``p_M mu / (M + 1 - mu)``.  Squeezed vacuum (M even): the ratios
+    ``p_{2k+2} / p_{2k}`` are below ``t^2 = tanh^2 s``, so the tail is at most
+    ``p_M t^2 / (1 - t^2) = p_M sinh^2 s``.  Both are taken in log space, so
+    no underflowed ``p_M`` can certify a tail.  Fock states and mixtures have
+    an exact, finite support.
+    """
+    if isinstance(state, (FockInput, FockMixtureInput)):
+        tail = math.fsum(p for n, p in _fock_weights(state) if n > M)
+        return math.log(tail) if tail > 0.0 else -math.inf
+    if isinstance(state, CoherentInput):
+        mu = abs(state.beta) ** 2
+        if mu == 0.0:
+            return -math.inf
+        if M + 1 <= mu:
+            return 0.0
+        return M * math.log(mu) - mu - math.lgamma(M + 1.0) + math.log(mu / (M + 1 - mu))
+    if isinstance(state, SqueezedVacuumInput):
+        if state.s == 0.0:
+            return -math.inf
+        k = M // 2
+        ch, sh = _cosh_sinh(state.s, "squeezing s")
+        log_p = (
+            math.lgamma(2.0 * k + 1.0) - 2.0 * math.lgamma(k + 1.0) - 2.0 * k * math.log(2.0)
+            + 2.0 * k * math.log(abs(math.tanh(state.s))) - math.log(ch)
+        )
+        return log_p + 2.0 * math.log(abs(sh))
+    raise InvalidArgumentError(f"unknown input state {state!r}")
+
+
+def _fock_weights(state) -> tuple:
+    return ((state.n, 1.0),) if isinstance(state, FockInput) else state.weights
+
+
+def _top_photon(state) -> int:
+    return max(n for n, _ in _fock_weights(state))
+
+
+def input_photon_tail(state: InputState, M: int) -> float:
+    """A closed-form bound on the photon mass ``sum_{m > M} p_m`` beyond ``M``."""
+    if M < 0:
+        raise InvalidArgumentError("M must be nonnegative")
+    return min(math.exp(_log_photon_tail(state, M)), 1.0)
+
+
+def input_photon_cutoff(state: InputState, tol: float) -> int:
+    """The smallest ``M`` whose :func:`input_photon_tail` bound is at most ``tol``.
+
+    Fock states and mixtures return their top photon number (no tail).  The
+    coherent and squeezed-vacuum bounds fall monotonically past the mode, so
+    the cutoff is found by bisection; past :data:`PHOTON_CUTOFF_CAP` the call
+    raises :class:`CapacityError` instead of returning an uncertified cutoff.
+    """
+    if isinstance(state, (FockInput, FockMixtureInput)):
+        return _top_photon(state)
+    log_tol = math.log(tol)
+    if isinstance(state, CoherentInput):
+        lo = math.floor(abs(state.beta) ** 2)  # the bound is trivial up to mu - 1
+    else:
+        lo = 0
+    hi = PHOTON_CUTOFF_CAP
+    if lo >= hi or _log_photon_tail(state, hi) > log_tol:
+        raise CapacityError(
+            f"{state!r} keeps photon mass above {tol:.1e} beyond the cutoff cap "
+            f"{PHOTON_CUTOFF_CAP}"
+        )
+    if _log_photon_tail(state, lo) <= log_tol:
+        return lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _log_photon_tail(state, mid) <= log_tol else (mid, hi)
+    return hi
 
 
 def input_purity(state: InputState) -> float:

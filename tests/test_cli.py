@@ -346,3 +346,30 @@ def test_explicit_zero_cutoff_prints_one_row(capsys):
     assert code == 0
     rows = read_csv(out)
     assert [r["n"] for r in rows] == ["0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--input", "fock:10", "--r", "0.3", "--delta-grid", "0.5"],
+        ["compare", "--input", "mix:0@0.5,12@0.5", "--r", "0.5", "--delta-grid", "0.5,0.9"],
+    ],
+)
+def test_compare_fock_diagonal_with_mass_beyond_cutoff(argv, capsys):
+    # Frobenius - D_N reaches ~1e-5 here because the output keeps photon mass
+    # beyond N = 24; the consistency check allows exactly that mass.
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    rows = read_csv(out)
+    assert len(rows) == len(argv[-1].split(","))
+    assert all(float(row["frobenius"]) >= float(row["d_n"]) for row in rows)
+
+
+def test_config_cutoff_radius_is_not_an_option(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": "fock:1", "r": 1.0, "delta_grid": "0.9", "cutoff_radius": 3.0}))
+    code, out, err = run_cli(["compare", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidArgumentError"
+    assert "unknown config key 'cutoff_radius' for compare" in error["message"]

@@ -186,3 +186,91 @@ def test_derivative_levels_configurable():
     cfg = DiffConfig(step=1e-3, richardson_levels=4)
     val = derivative_at_origin(lambda p: np.exp(-0.5 * p.abs_sq), 0, 2, cfg)
     assert abs(val - (-1.0)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# vectorized probes, the shared recurrence and the 1-D radial rule
+# ---------------------------------------------------------------------------
+
+from cvteleport.numerics import (  # noqa: E402
+    _EIGHT_RAYS,
+    _PROBE_RADII,
+    _anisotropy_scale,
+    _max_profile,
+    envelope_cutoff,
+    envelope_tail,
+    laguerre_envelope_series,
+    radial_rule,
+)
+
+
+def _scalar_profile(f, directions, radii):
+    """The probe profile as one scalar closure call per point builds it."""
+    return [
+        max(max(abs(complex(f(PhasePoint(r * c, r * s)))) for c, s in directions), 1e-300)
+        for r in radii
+    ]
+
+
+@pytest.mark.parametrize("state", case_study_inputs())
+def test_probe_profile_on_arrays_equals_scalar_probing(state):
+    chi = input_charfn(state)
+    out = teleport(state, Channel(SqueezedBellResource(delta=0.8, theta=0.4, r=1.1), gain=0.9))
+    for f in (chi.fn, out.charfn.fn):
+        got = _max_profile(f, _EIGHT_RAYS, _PROBE_RADII)
+        want = _scalar_profile(f, _EIGHT_RAYS, _PROBE_RADII)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_probe_profile_broadcasts_scalar_closures():
+    assert _max_profile(lambda p: 0.5, _EIGHT_RAYS, _PROBE_RADII) == [0.5] * len(_PROBE_RADII)
+    assert _max_profile(lambda p: 0.0, _EIGHT_RAYS, _PROBE_RADII) == [1e-300] * len(_PROBE_RADII)
+
+
+@pytest.mark.parametrize("fast", [10.0, 548.5, 2.0e4, 1.0e6])
+def test_anisotropy_probe_measures_axes_that_underflow_in_its_span(fast):
+    # exp(-548.5 w^2) is already below 1e-250 at the second probe radius;
+    # floored samples only bound the rate from below and must not enter.
+    slow = 0.2236
+    lam = _anisotropy_scale(lambda p: np.exp(-fast * p.w * p.w - slow * p.z * p.z))
+    assert lam == pytest.approx(min((fast / slow) ** 0.25, 32.0), rel=1e-9)
+
+
+def test_laguerre_series_is_the_weighted_envelope_stack(rng):
+    u = np.linspace(0.0, 300.0, 257)
+    weights = rng.uniform(0.0, 1.0, 41)
+    weights[::3] = 0.0
+    want = weights @ laguerre_envelope_all(40, u)
+    assert np.abs(laguerre_envelope_series(weights, u) - want).max() <= 1e-15 * weights.sum()
+    table = laguerre_envelope_all(40, u)
+    for n in (0, 1, 7, 40):
+        assert np.array_equal(table[n], laguerre_envelope(n, u))
+        assert np.array_equal(laguerre_all(40, u)[n], laguerre(n, u))
+
+
+@pytest.mark.parametrize("k,c", [(0, 0.5), (3, 0.7), (8, 1.3)])
+def test_radial_rule_integrates_gaussian_moments(k, c):
+    u, wt = radial_rule(192, 40.0 / c + 20.0)
+    want = math.gamma(k + 1) / c ** (k + 1)  # the tail past U is below 1e-15 here
+    assert abs(np.sum(wt * u**k * np.exp(-c * u)) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize(
+    "rate,factors",
+    [(0.5, ((1.0, 24),)), (0.6, ((0.13, 1), (0.13, 1), (1.0, 24))), (2.0, ((4.0, 10), (1.0, 3)))],
+)
+def test_envelope_tail_bounds_the_envelope_integral(rate, factors):
+    def envelope(u):
+        return np.exp(-rate * u + sum(d * np.log1p(s * u) for s, d in factors))
+
+    cutoff = envelope_cutoff(rate, factors)
+    assert envelope_tail(rate, factors, cutoff) <= math.exp(-36.85) * (1.0 + 1e-12)
+    # The bisection is tight: a 1% smaller cutoff misses the target.
+    assert envelope_tail(rate, factors, 0.99 * cutoff) > math.exp(-36.85)
+    for U in (0.7 * cutoff, cutoff, 1.5 * cutoff):
+        x, w = np.polynomial.legendre.leggauss(400)
+        hi = U + 200.0 / rate
+        tail = np.sum(0.5 * (hi - U) * w * envelope(U + 0.5 * (hi - U) * (x + 1.0)))
+        assert envelope_tail(rate, factors, U) >= tail
+    # Before the envelope's peak no finite bound exists.
+    assert envelope_tail(rate, factors, 1e-3) == math.inf

@@ -356,3 +356,205 @@ def test_distortion_measures_rejects_foreign_output():
     ch = Channel(SqueezedBellResource(delta=0.9, theta=0.0, r=1.0))
     with pytest.raises(InvalidArgumentError):
         distortion_measures(FockInput(0), teleport(FockInput(1), ch), 24)
+
+
+# ---------------------------------------------------------------------------
+# the radial family
+# ---------------------------------------------------------------------------
+
+import dataclasses  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+
+from cvteleport import CapacityError  # noqa: E402
+from cvteleport.states import input_photon_cutoff, transfer_basis, transfer_coefficients  # noqa: E402
+
+
+def _dephased(state):
+    """The Fock mixture with the photon distribution of ``state``."""
+    probs = input_photon_probs(state, input_photon_cutoff(state, 1e-16))
+    return FockMixtureInput(tuple((m, float(p)) for m, p in enumerate(probs) if p > 0.0))
+
+
+@pytest.mark.parametrize(
+    "state", [CoherentInput(1.3 + 0.4j), SqueezedVacuumInput(0.9), SqueezedVacuumInput(-0.6)]
+)
+def test_family_photon_basis_is_phase_covariant(state):
+    """The transfer function depends on |xi| only, so the output photon numbers
+    depend on the input's photon distribution only: a phase-sensitive input and
+    its dephased Fock mixture give the same P_out (direct 2-D path as oracle)."""
+    r, theta, gain = 1.1, 0.3, 0.9
+    fam = delta_family(state, r, theta, gain, 24)
+    mix = _dephased(state)
+    for delta in (0.3, 0.8, 1.0):
+        out = teleport(mix, Channel(SqueezedBellResource(delta, theta, r), gain=gain))
+        want = output_photon_probs(out, 24).probs
+        assert np.abs(fam.photon_distribution(delta).probs - want).max() <= 1e-10
+
+
+def _gaussian_poly_integral(coef, P, Q):
+    """``(1/pi) ∫∫ exp(-P w^2 - Q z^2) sum_n coef[n] (w^2 + z^2)^n dw dz``."""
+    total = 0.0
+    for n, c in enumerate(coef):
+        for i in range(n + 1):
+            total += (
+                c * math.comb(n, i) * math.gamma(i + 0.5) * math.gamma(n - i + 0.5)
+                / (P ** (i + 0.5) * Q ** (n - i + 0.5))
+            )
+    return total / math.pi
+
+
+def _sqvac_overlap_oracle(s, r, gain):
+    """Closed-form fidelity basis and Gram matrix of a squeezed vacuum.
+
+    ``|chi_in(xi)| = exp(-(e^{2s} w^2 + e^{-2s} z^2) / 2)`` is real and even,
+    so every overlap integrand is a Gaussian times a polynomial in u.
+    """
+    ch = Channel(SqueezedBellResource(1.0, 0.0, r), gain=gain)
+    rate, _ = transfer_basis(ch)
+    a, b = transfer_coefficients(ch)
+    q = [np.array([1.0]), np.array([0.0, a * b]), np.array([1.0, -(a * a + b * b), (a * b) ** 2])]
+    A, B = math.exp(2.0 * s), math.exp(-2.0 * s)
+    g2 = gain * gain
+    P, Q = rate + 0.5 * (1.0 + g2) * A, rate + 0.5 * (1.0 + g2) * B
+    fid = np.array([_gaussian_poly_integral(qk, P, Q) for qk in q])
+    P, Q = 2.0 * rate + g2 * A, 2.0 * rate + g2 * B
+    gram = np.array(
+        [[_gaussian_poly_integral(np.convolve(qj, qk), P, Q) for qk in q] for qj in q]
+    )
+    return fid, gram
+
+
+_OVERLAP_CELLS = [
+    (s, r, gain) for s in (1.5, 2.5, -2.5) for r in (0.4, 0.75, 2.5) for gain in (0.5, 1.0, 1.2)
+] + [(3.5, 0.75, 1.0), (-3.5, 2.5, 0.8), (4.0, 0.75, 1.2), (4.0, 2.5, 1.0)]
+
+
+@pytest.mark.parametrize("s,r,gain", _OVERLAP_CELLS)
+def test_family_overlaps_match_gaussian_moments(s, r, gain):
+    # sqvac:3.5 at r = 0.75 needs the decay probe to skip samples at the
+    # underflow floor; with them its anisotropy scale, and the fidelity basis,
+    # are off (by 3.7e-9 here).
+    fid, gram = _sqvac_overlap_oracle(s, r, gain)
+    fam = delta_family(SqueezedVacuumInput(s), r, 0.0, gain, 8)
+    assert np.abs(fam.fidelity_basis - fid).max() <= 1e-12 * max(1.0, np.abs(fid).max())
+    assert np.abs(fam.gram - gram).max() <= 1e-12 * max(1.0, np.abs(gram).max())
+
+
+@pytest.mark.parametrize("r", [0.75, 2.5])
+def test_family_strong_squeezing_matches_fine_direct_reference(r):
+    state = SqueezedVacuumInput(3.5)
+    fam = delta_family(state, r)
+    fine = QuadratureConfig(radial_nodes=512, angular_nodes=2048)
+    delta = 0.6
+    out = teleport(state, Channel(SqueezedBellResource(delta, 0.0, r)))
+    assert abs(fam.fidelity(delta) - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
+    assert abs(fam.purity_out(delta) - purity(out.charfn, fine)) <= 1e-9
+
+
+def test_fock_diagonal_family_needs_no_plane_plan(monkeypatch):
+    import cvteleport.photonstats as ps
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("Fock-diagonal families run on the 1-D rule only")
+
+    states = (FockInput(0), FockInput(3), FockMixtureInput(((0, 0.5), (1, 0.5))))
+    with monkeypatch.context() as patched:
+        patched.setattr(ps, "plan_polynomial_family", no_plan)
+        patched.setattr(ps, "plan_quadrature", no_plan)
+        families = [delta_family(state, 1.25, 0.2, 0.9, 24) for state in states]
+    fine = QuadratureConfig(radial_nodes=256, angular_nodes=768)
+    for state, fam in zip(states, families):
+        out = teleport(state, Channel(SqueezedBellResource(0.8, 0.2, 1.25), gain=0.9))
+        assert abs(fam.fidelity(0.8) - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
+
+
+def test_family_fixed_cutoff_radius_matches_auto():
+    auto = delta_family(FockInput(1), 1.0)
+    fixed = delta_family(FockInput(1), 1.0, cfg=QuadratureConfig(cutoff_radius=25.0))
+    assert np.abs(auto.photon_basis - fixed.photon_basis).max() <= 1e-13
+    assert np.abs(auto.gram - fixed.gram).max() <= 1e-13
+
+
+@pytest.mark.parametrize("state", case_study_inputs() + [FockInput(10)])
+def test_measure_columns_match_per_delta_measures(state):
+    fam = delta_family(state, 0.9, 0.3, 1.05, 24)
+    deltas = np.linspace(0.55, 1.0, 10).tolist()
+    cols = fam.measure_columns(deltas)
+    for j, delta in enumerate(deltas):
+        assert abs(cols["d_n"][j] - d_functional(fam.p_in, fam.photon_distribution(delta))) <= 1e-15
+        assert abs(cols["fidelity"][j] - fam.fidelity(delta)) <= 1e-15
+        assert abs(cols["purity_out"][j] - fam.purity_out(delta)) <= 1e-15
+        assert abs(cols["frobenius"][j] - fam.frobenius(delta)) <= 1e-15
+        one = fam.measures(delta)
+        assert abs(one.d_n - cols["d_n"][j]) <= 1e-15
+        assert abs(one.frobenius - cols["frobenius"][j]) <= 1e-15
+
+
+def test_measure_columns_raise_the_first_failure_in_grid_order():
+    fam = delta_family(FockInput(1), 1.0, N=8)
+    with pytest.raises(InvalidArgumentError) as grid_err:
+        fam.measure_columns([0.9, 1.5, float("nan")])
+    with pytest.raises(InvalidArgumentError) as one_err:
+        fam.measures(1.5)
+    assert str(grid_err.value) == str(one_err.value)
+
+    # A corrupted fidelity overlap breaks the Fock-diagonal D_N / Frobenius check
+    # from some Delta on; the grid raises what a per-Delta loop raises first.
+    bad = dataclasses.replace(fam, fidelity_basis=fam.fidelity_basis * np.array([1.0, 1.0, 0.9]))
+    deltas = [1.0, 0.95, 0.5, 0.2]
+    first = None
+    for delta in deltas:
+        try:
+            bad.measures(delta)
+        except ConsistencyError as exc:
+            first = str(exc)
+            break
+    assert first is not None and "Frobenius" in first
+    with pytest.raises(ConsistencyError) as grid_err:
+        bad.measure_columns(deltas)
+    assert str(grid_err.value) == first
+
+
+@pytest.mark.parametrize(
+    "state,r,deltas",
+    [
+        (FockInput(10), 0.3, [0.5]),
+        (FockMixtureInput(((0, 0.5), (12, 0.5))), 0.5, [0.5, 0.9]),
+    ],
+)
+def test_fock_diagonal_check_allows_the_mass_beyond_cutoff(state, r, deltas):
+    """Frobenius^2 - D_N^2 is the squared photon difference beyond N; it may
+    exceed 1e-6 when the output keeps mass past N and stays below its square."""
+    fam = delta_family(state, r)
+    cols = fam.measure_columns(deltas)
+    gap = cols["frobenius"] ** 2 - cols["d_n"] ** 2
+    beyond = 1.0 - np.array([fam.photon_distribution(d).probs.sum() for d in deltas])
+    assert np.all(gap >= 0.0) and np.all(gap <= beyond**2)
+    assert np.any(cols["frobenius"] - cols["d_n"] > 1e-6)
+
+
+def test_strong_squeezing_past_the_cap_raises_quickly():
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(CapacityError):
+            delta_family(SqueezedVacuumInput(6.0), 1.0)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 10e6
+
+
+def test_large_coherent_input_is_certified():
+    # exp(-1600) underflows, so the photon probabilities must come from log
+    # space.  At gain 1 the channel commutes with displacements, so fidelity
+    # and purity do not depend on beta.
+    fam = delta_family(CoherentInput(40.0), 1.0)
+    vac = delta_family(FockInput(0), 1.0)
+    for delta in (0.5, 0.9, 1.0):
+        m = fam.measures(delta)
+        assert m.d_n == pytest.approx(0.0, abs=1e-12)
+        assert m.fidelity == pytest.approx(vac.fidelity(delta), abs=1e-9)
+        assert m.purity_out == pytest.approx(vac.purity_out(delta), abs=1e-9)
