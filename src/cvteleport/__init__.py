@@ -42,8 +42,6 @@ from .numerics import (
     QuadratureConfig,
     derivative_at_origin,
     integrate_plane,
-    laguerre,
-    laguerre_all,
 )
 from .optimize import (
     Objective,

@@ -26,9 +26,7 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,7 +43,7 @@ from .optimize import (
     sweep_r,
 )
 from .phasespace import PhasePoint
-from .photonstats import delta_family, input_distribution, output_photon_probs
+from .photonstats import delta_family, input_distribution
 from .states import (
     Channel,
     CoherentInput,
@@ -113,12 +111,12 @@ def parse_grid(text) -> list[float]:
         raise InvalidArgumentError(f"bad grid {text!r}: {exc}") from exc
 
 
-_EXECUTION_KEYS = ("jobs", "output")
+_EXECUTION_KEYS = ("output",)
 
 
 def _config_hash(resolved: dict) -> str:
-    # Execution details (worker count, output path) do not alter the numbers
-    # and stay out of the provenance hash.
+    # The output path does not alter the numbers and stays out of the
+    # provenance hash.
     science = {k: v for k, v in resolved.items() if k not in _EXECUTION_KEYS}
     blob = json.dumps(science, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -215,8 +213,6 @@ def _resolve(args: argparse.Namespace) -> dict:
         if value is not None:
             resolved[key] = value
     resolved.setdefault("format", "csv")
-    if resolved.get("jobs") is None:
-        resolved["jobs"] = int(os.environ.get("CVTELEPORT_JOBS", "1"))
     return resolved
 
 
@@ -233,7 +229,6 @@ def _opt(resolved: dict, key: str, default, cast=float):
 def _quad_cfg(resolved: dict) -> QuadratureConfig:
     return QuadratureConfig(
         radial_nodes=_opt(resolved, "radial_nodes", 96, int),
-        angular_nodes=_opt(resolved, "angular_nodes", 128, int),
         target_abs_tol=_opt(resolved, "quad_tol", 1e-9),
     )
 
@@ -271,13 +266,6 @@ def _input_state(resolved: dict) -> InputState:
     return parse_state(resolved["input"])
 
 
-def _run_jobs(worker, cells, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, cells))
-    return [worker(c) for c in cells]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -302,8 +290,10 @@ def _cmd_photon_stats(resolved):
     if resolved.get("identity_channel"):
         p_out = p_in
     else:
-        out = teleport(state, _channel_from(resolved))
-        p_out = output_photon_probs(out, n_photons, _quad_cfg(resolved))
+        ch = _channel_from(resolved)
+        res = ch.resource
+        family = delta_family(state, res.r, res.theta, ch.gain, n_photons, _quad_cfg(resolved))
+        p_out = family.photon_distribution(res.delta)
     _emit({"n": range(n_photons + 1), "P_in": p_in.probs, "P_out": p_out.probs}, resolved)
 
 
@@ -373,22 +363,12 @@ def _cmd_sweep(resolved):
         raise InvalidArgumentError("sweep needs --r-grid")
     r_grid = parse_grid(resolved["r_grid"])
     state = parse_state(resolved["input"]) if resolved.get("input") is not None else None
-    theta = _opt(resolved, "theta", 0.0)
-    gain = _opt(resolved, "gain", 1.0)
-    n_photons = _opt(resolved, "N", 24, int)
-    qcfg = _quad_cfg(resolved)
-    dcfg = _diff_cfg(resolved)
-
-    def cell(kr):
-        kind, r = kr
-        return sweep_r(
-            [kind], [r], input=state, theta=theta, gain=gain,
-            n_photons=n_photons, quad_cfg=qcfg, diff_cfg=dcfg,
-            use_fd=bool(resolved.get("use_fd")),
-        )[0]
-
-    cells = [(kind, r) for kind in kinds for r in r_grid]
-    records = _run_jobs(cell, cells, int(resolved["jobs"]))
+    records = sweep_r(
+        kinds, r_grid, input=state, theta=_opt(resolved, "theta", 0.0),
+        gain=_opt(resolved, "gain", 1.0), n_photons=_opt(resolved, "N", 24, int),
+        quad_cfg=_quad_cfg(resolved), diff_cfg=_diff_cfg(resolved),
+        use_fd=bool(resolved.get("use_fd")),
+    )
     table = {
         "kind": [rec.kind for rec in records],
         "r": [rec.r for rec in records],
@@ -452,9 +432,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--output", help="output file (default: stdout)")
     p.add_argument("--format", choices=_FORMATS, help="csv (default) or json")
-    p.add_argument("--jobs", type=int, help="parallel sweep cells (default: $CVTELEPORT_JOBS or 1)")
     p.add_argument("--radial-nodes", dest="radial_nodes", type=int)
-    p.add_argument("--angular-nodes", dest="angular_nodes", type=int)
     p.add_argument("--quad-tol", dest="quad_tol", type=float)
     p.add_argument("--fd-step", dest="fd_step", type=float)
     p.add_argument("--richardson-levels", dest="richardson_levels", type=int)

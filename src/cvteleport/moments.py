@@ -431,7 +431,9 @@ class ResourceClosedForms:
 
     ``n_ab`` carries an ordering bookkeeping that sits exactly 1 below the
     bare-derivative photon-number average; only its minimizer in Delta is
-    convention-independent.  ``kappa4_ab`` is the theta = 0 form.
+    convention-independent.  ``kappa4_ab`` is
+    ``24 e^{-4r} (1 - Delta^2) [1 - 2 (Delta cos(theta) - sqrt(1 - Delta^2))^2]``,
+    the fourth x-cumulant of the transfer function at every theta.
     """
 
     x2_ab: float
@@ -446,7 +448,10 @@ def resource_closed_forms(res: SqueezedBellResource) -> ResourceClosedForms:
     em2r = math.exp(-2.0 * r)
     x2 = em2r * (6.0 - 4.0 * delta**2 - 4.0 * delta * q * math.cos(theta))
     n_ab = -em2r * (-3.0 + e2r + 2.0 * delta**2 + 2.0 * delta * q * math.cos(theta))
-    kappa4 = 24.0 * math.exp(-4.0 * r) * (-1.0 + delta**2) * (1.0 - 4.0 * delta * q)
+    kappa4 = (
+        24.0 * math.exp(-4.0 * r) * (1.0 - delta * delta)
+        * (1.0 - 2.0 * (delta * math.cos(theta) - q) ** 2)
+    )
     return ResourceClosedForms(x2_ab=x2, n_ab=n_ab, kappa4_ab=kappa4)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -249,30 +249,6 @@ def _eval_grid(f, W, Z):
     return np.broadcast_to(vals, W.shape)
 
 
-def _certified_tail(scaled, radius: float, c_est: float, cfg: QuadratureConfig) -> float:
-    """Truncation-tail estimate of ``scaled`` beyond ``radius``.
-
-    Samples ``|f|`` on eight rays at the cutoff and just inside it and bounds
-    the Gaussian tail by ``pi max|f| / c``.  Raises :class:`AccuracyError`
-    when the estimate exceeds ``cfg.target_abs_tol``.
-    """
-    m_tail = max(_max_profile(scaled, _EIGHT_RAYS, (radius, 0.97 * radius)))
-    tail = math.pi * m_tail / c_est if m_tail > _NEGLIGIBLE else 0.0
-    if tail > cfg.target_abs_tol:
-        raise AccuracyError(
-            f"estimated truncation error {tail:.3e} exceeds target {cfg.target_abs_tol:.3e}",
-            estimate=tail,
-        )
-    return tail
-
-
-def _rescaled(f, lam: float):
-    def scaled(p: PhasePoint):
-        return f(PhasePoint(p.w / lam, p.z * lam))
-
-    return scaled
-
-
 @dataclass(frozen=True)
 class QuadraturePlan:
     """Resolved geometry for one integrand: scale, cutoff, and tail estimate."""
@@ -298,7 +274,9 @@ def plan_quadrature(f: Callable[[PhasePoint], complex], cfg: QuadratureConfig) -
         lam = 1.0
     else:
         lam = _anisotropy_scale(f)
-    scaled = _rescaled(f, lam)
+
+    def scaled(p: PhasePoint):
+        return f(PhasePoint(p.w / lam, p.z * lam))
 
     profile = _max_profile(scaled, _EIGHT_RAYS, _PROBE_RADII)
     c_est = _decay_rate(profile, _PROBE_RADII)
@@ -311,41 +289,15 @@ def plan_quadrature(f: Callable[[PhasePoint], complex], cfg: QuadratureConfig) -
         radius = float(cfg.cutoff_radius)
     else:
         radius = math.sqrt(_DECAY_TARGET / c_est)
-    tail = _certified_tail(scaled, radius, c_est, cfg)
+    # Eight rays at the cutoff and just inside it bound the Gaussian tail by pi max|f| / c.
+    m_tail = max(_max_profile(scaled, _EIGHT_RAYS, (radius, 0.97 * radius)))
+    tail = math.pi * m_tail / c_est if m_tail > _NEGLIGIBLE else 0.0
+    if tail > cfg.target_abs_tol:
+        raise AccuracyError(
+            f"estimated truncation error {tail:.3e} exceeds target {cfg.target_abs_tol:.3e}",
+            estimate=tail,
+        )
     return QuadraturePlan(scale=lam, radius=radius, decay_rate=c_est, tail_estimate=tail)
-
-
-def plan_polynomial_family(
-    base: Callable[[PhasePoint], complex],
-    terms: Sequence[Callable[[PhasePoint], complex]],
-    degree: int,
-    cfg: QuadratureConfig,
-) -> QuadraturePlan:
-    """One geometry for every integrand ``base(xi) * q(|xi|^2)``, ``deg q <= degree``.
-
-    ``base`` fixes the scale and the decay rate ``c`` through
-    :func:`plan_quadrature`.  The polynomial factor slows the decay, so an
-    automatic cutoff is widened until ``exp(-c R^2) (R^2)^degree`` meets the
-    same ``exp(-36.85) ~ 1e-16`` target.  The tail check of
-    :func:`plan_quadrature` then runs on each of ``terms`` (the actual
-    integrands) at that cutoff; the largest estimate is the plan's.
-    """
-    plan = plan_quadrature(base, cfg)
-    radius = plan.radius
-    if cfg.cutoff_radius == "auto":
-        c = plan.decay_rate
-        # Fixed point of c x = T + degree ln x for x = R^2; it contracts
-        # because c x >= T > degree.
-        x = radius * radius
-        for _ in range(8):
-            x = max(x, (_DECAY_TARGET + degree * math.log(x)) / c)
-        radius = math.sqrt(x)
-    tail = max(
-        _certified_tail(_rescaled(t, plan.scale), radius, plan.decay_rate, cfg) for t in terms
-    )
-    return QuadraturePlan(
-        scale=plan.scale, radius=radius, decay_rate=plan.decay_rate, tail_estimate=tail
-    )
 
 
 def integrate_plane(
@@ -376,52 +328,29 @@ def _laguerre_steps(n_max: int, u: np.ndarray, start):
             yield lk
 
 
-def _laguerre_stack(n_max: int, u, envelope: bool) -> np.ndarray:
-    if n_max < 0:
-        raise InvalidArgumentError("n_max must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    start = np.exp(-0.5 * u) if envelope else np.ones_like(u)
-    out = np.empty((n_max + 1,) + u.shape, dtype=float)
-    for k, row in enumerate(_laguerre_steps(n_max, u, start)):
-        out[k] = row
-    return out
-
-
-def _laguerre_last(n: int, u, envelope: bool):
-    if n < 0:
-        raise InvalidArgumentError("n must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    start = np.exp(-0.5 * u) if envelope else np.ones_like(u)
-    for last in _laguerre_steps(n, u, start):
-        pass
-    return last if last.shape else float(last)
-
-
-def laguerre_all(n_max: int, u) -> np.ndarray:
-    """Laguerre polynomials ``L_0(u) .. L_n_max(u)`` by the stable recurrence.
-
-    Returns an array of shape ``(n_max + 1, *u.shape)``.
-    """
-    return _laguerre_stack(n_max, u, envelope=False)
-
-
-def laguerre(n: int, u):
-    """Laguerre polynomial ``L_n(u)`` (scalar or ndarray ``u``)."""
-    return _laguerre_last(n, u, envelope=False)
-
-
 def laguerre_envelope_all(n_max: int, u) -> np.ndarray:
     """``exp(-u/2) L_k(u)`` for ``k = 0 .. n_max``.
 
     The recurrence is applied to the premultiplied values, which stay in
     [-1, 1] for all u >= 0, so neither factor can overflow on wide grids.
     """
-    return _laguerre_stack(n_max, u, envelope=True)
+    if n_max < 0:
+        raise InvalidArgumentError("n_max must be nonnegative")
+    u = np.asarray(u, dtype=float)
+    out = np.empty((n_max + 1,) + u.shape, dtype=float)
+    for k, row in enumerate(_laguerre_steps(n_max, u, np.exp(-0.5 * u))):
+        out[k] = row
+    return out
 
 
 def laguerre_envelope(n: int, u):
-    """``exp(-u/2) L_n(u)`` with the bounded product recurrence."""
-    return _laguerre_last(n, u, envelope=True)
+    """``exp(-u/2) L_n(u)`` (scalar or ndarray ``u``) with the bounded product recurrence."""
+    if n < 0:
+        raise InvalidArgumentError("n must be nonnegative")
+    u = np.asarray(u, dtype=float)
+    for last in _laguerre_steps(n, u, np.exp(-0.5 * u)):
+        pass
+    return last if last.shape else float(last)
 
 
 def laguerre_envelope_series(weights, u) -> np.ndarray:

@@ -62,12 +62,12 @@ Past ``M = 2^16`` the family raises :class:`~cvteleport.errors.CapacityError`
 over the shared Laguerre recurrence, in O(nodes) memory.
 
 Phase-sensitive overlaps.  For coherent and squeezed inputs the fidelity
-and Gram integrands are not phase invariant.  They stay on one 2-D grid:
-the shared factor ``exp(-e u) chi_in(g xi)`` (the Delta = 1 output) is
-planned with :func:`cvteleport.numerics.plan_polynomial_family` (cutoff
-widened until ``exp(-c R^2) (R^2)^4`` meets the 1e-16 target, tail check on
-each basis term), and the plain ``cfg`` node counts resolve the overlap
-integrands in its rescaled frame.
+and Gram integrands are not phase invariant, but they are Gaussians times
+polynomials in ``u``: their integrals are closed-form Gaussian moments
+(:func:`_gaussian_overlaps`), with no quadrature, cutoff or tail.  No
+family plans or fills a 2-D grid; :func:`output_photon_probs`,
+:func:`overlap` and :func:`purity` remain as the tests' independent
+reference.
 """
 
 from __future__ import annotations
@@ -86,23 +86,24 @@ from .numerics import (
     envelope_cutoff,
     envelope_tail,
     integrate_plane,
+    laguerre_envelope,
     laguerre_envelope_all,
     laguerre_envelope_series,
-    plan_polynomial_family,
     plan_quadrature,
     radial_rule,
 )
 from .phasespace import CharFn, PhasePoint
 from .states import (
     Channel,
+    CoherentInput,
     FockInput,
     FockMixtureInput,
     InputState,
     N_MAX_FOCK,
     SqueezedBellResource,
+    SqueezedVacuumInput,
     delta_weights,
     fock_charfn,
-    input_charfn,
     input_photon_cutoff,
     input_photon_probs,
     input_purity,
@@ -113,8 +114,6 @@ from .states import (
 _PROB_SLACK = 1e-8
 _SUM_SLACK = 1e-7
 D_N_UPPER = math.sqrt(2.0)
-# Degree in u of the Gram integrands tau_j tau_k: the 2-D family cutoff is sized for it.
-_GRAM_DEGREE = 4
 # Certified input photon mass left beyond the family's truncation M.
 _PHOTON_TAIL = 1e-16
 # Slack of the Fock-diagonal Frobenius / D_N cross-check.
@@ -439,37 +438,61 @@ def _radial_nodes(envelopes, arg_scale: float, cfg: QuadratureConfig):
     return radial_rule(nodes, cutoff)
 
 
-def _overlap_basis(chi_in: CharFn, rate: float, terms, gain: float, cfg: QuadratureConfig):
-    """Fidelity overlaps and Gram matrix of a phase-sensitive input, on a 2-D grid.
+def _gaussian_moments(P: float, Q: float, degree: int) -> np.ndarray:
+    """``m_j = (1/pi) ∫∫ exp(-P w^2 - Q z^2) (w^2 + z^2)^j dw dz`` for ``j <= degree``.
 
-    The shared factor ``exp(-e u) chi_in(g xi)`` is planned with
-    :func:`~cvteleport.numerics.plan_polynomial_family`.  Its anisotropy
-    scale equalizes the Gaussian decay of that factor, and in the rescaled
-    frame the overlap integrands are nearly isotropic Gaussians times
-    polynomials of degree <= 4 in ``u``, so the plain ``cfg`` node counts
-    resolve them (to ~1e-14 against closed-form Gaussian moments for
-    squeezed vacua up to |s| = 4).
+    ``m_j = pi^-1 sum_i C(j, i) Gamma(i + 1/2) Gamma(j - i + 1/2) / (P^(i + 1/2)
+    Q^(j - i + 1/2))``; for ``P = Q = c`` this is ``j! / c^(j + 1)``.
     """
+    return np.array([
+        sum(
+            math.comb(j, i) * math.gamma(i + 0.5) * math.gamma(j - i + 0.5)
+            / (P ** (i + 0.5) * Q ** (j - i + 0.5))
+            for i in range(j + 1)
+        ) / math.pi
+        for j in range(degree + 1)
+    ])
 
-    def chi_at(p: PhasePoint, scale: float):
-        return np.asarray(chi_in.fn(PhasePoint(scale * p.w, scale * p.z)), dtype=complex)
 
-    def base(p: PhasePoint):
-        return np.exp(-rate * p.abs_sq) * chi_at(p, gain)
+def _gaussian_overlaps(state: InputState, rate: float, terms, gain: float):
+    """Fidelity overlaps and Gram matrix of a coherent or squeezed input, in closed form.
 
-    def term(k: int):
-        return lambda p: base(p) * terms(p.abs_sq)[k]
+    With ``q_k`` the transfer polynomials, the fidelity integrand is
+    ``exp(-e u) q_k(u) chi_in(xi) chi_in(-g xi)`` and the Gram integrand
+    ``exp(-2 e u) q_j(u) q_k(u) |chi_in(g xi)|^2``: Gaussians times
+    polynomials in ``u``, so each is a combination of the moments ``m_j`` of
+    :func:`_gaussian_moments`.  A squeezed vacuum ``s`` has
+    ``|chi_in(xi)|^2 = exp(-e^{2s} w^2 - e^{-2s} z^2)``, and a coherent state
+    the modulus of the vacuum (``s = 0``).  So the fidelity Gaussian has
+    ``P, Q = e + (1 + g^2) e^{+-2s} / 2`` and the Gram Gaussian
+    ``P, Q = 2 e + g^2 e^{+-2s}``.
 
-    plan = plan_polynomial_family(base, [term(k) for k in range(3)], _GRAM_DEGREE, cfg)
-    W, Z, wt = plan.nodes(cfg)
-    pts = PhasePoint(W, Z)
-    tau_k = _transfer_terms(rate, terms, pts.abs_sq.ravel())
-    wt = wt.ravel() / math.pi
-    # chi(-xi) = conj(chi(xi)) for every state, so chi_in(-g xi) is conj(chi_g).
-    chi_g = chi_at(pts, gain).ravel()
-    chi_1 = chi_g if gain == 1.0 else chi_at(pts, 1.0).ravel()
-    fidelity_basis = tau_k @ ((chi_1 * chi_g.conj()).real * wt)
-    gram = (tau_k * ((chi_g.real ** 2 + chi_g.imag ** 2) * wt)) @ tau_k.T
+    The coherent fidelity integrand keeps the phase
+    ``exp(2i (1 - g) Im(xi conj(beta)))``, whose angular mean is
+    ``J0(2 (1 - g) |beta| sqrt(u))``; with ``c = e + (1 + g^2) / 2`` and
+    ``y = (1 - g)^2 |beta|^2 / c``,
+    ``∫ exp(-c u) u^j J0(2 sqrt(c y u)) du = j! c^(-j-1) exp(-y) L_j(y)``,
+    so ``m_j`` gains the factor ``exp(-y) L_j(y)``.  It is taken as
+    ``exp(-y/2)`` times :func:`~cvteleport.numerics.laguerre_envelope`, so it
+    does not underflow before the product does.
+    """
+    g2 = gain * gain
+    s = state.s if isinstance(state, SqueezedVacuumInput) else 0.0
+    wide, narrow = math.exp(2.0 * s), math.exp(-2.0 * s)
+    fid_m = _gaussian_moments(rate + 0.5 * (1.0 + g2) * wide, rate + 0.5 * (1.0 + g2) * narrow, 2)
+    gram_m = _gaussian_moments(2.0 * rate + g2 * wide, 2.0 * rate + g2 * narrow, 4)
+    if isinstance(state, CoherentInput):
+        y = (1.0 - gain) ** 2 * abs(state.beta) ** 2 / (rate + 0.5 * (1.0 + g2))
+        fid_m *= [math.exp(-0.5 * y) * laguerre_envelope(j, y) for j in range(3)]
+    # The transfer polynomials as coefficient arrays, from transfer_basis itself.
+    u = np.polynomial.Polynomial([0.0, 1.0])
+    q = [np.polynomial.Polynomial([0.0]) + term for term in terms(u)]
+
+    def integral(poly, moments):
+        return float(poly.coef @ moments[: poly.coef.size])
+
+    fidelity_basis = np.array([integral(qk, fid_m) for qk in q])
+    gram = np.array([[integral(qj * qk, gram_m) for qk in q] for qj in q])
     return fidelity_basis, gram
 
 
@@ -490,7 +513,7 @@ def delta_family(
 
     Raises like :func:`output_photon_probs` (bad cutoff), with
     :class:`~cvteleport.errors.AccuracyError` when an integrand's tail bound
-    fails the target or the 2-D tail check fails, with
+    fails the target, with
     :class:`~cvteleport.errors.CapacityError` when the input's photon tail
     cannot be certified below the cap, and like the resource constructors
     (bad r, theta or gain).
@@ -529,7 +552,7 @@ def delta_family(
         fidelity_basis = tau_k @ (chi_1 * chi_g * wt)
         gram = (tau_k * (chi_g * chi_g * wt)) @ tau_k.T
     else:
-        fidelity_basis, gram = _overlap_basis(input_charfn(state), rate, terms, gain, cfg)
+        fidelity_basis, gram = _gaussian_overlaps(state, rate, terms, gain)
     return DeltaFamily(
         state=state,
         r=r,

@@ -13,9 +13,13 @@ from cvteleport import (
     FockInput,
     FockMixtureInput,
     InvalidArgumentError,
+    QuadratureConfig,
     SqueezedBellResource,
     SqueezedVacuumInput,
     __version__,
+    delta_family,
+    output_photon_probs,
+    teleport,
 )
 from cvteleport.optimize import closed_form_delta
 from cvteleport.phasespace import PhasePoint
@@ -112,6 +116,24 @@ def test_photon_stats_channel(capsys):
     assert code == 0 and p_out[1] > 0.8 and abs(sum(p_out) - 1.0) <= 0.01
 
 
+@pytest.mark.parametrize("text", ["fock:1", "coherent:2.12928", "sqvac:1.5", "sqvac:-1.5"])
+def test_photon_stats_is_the_family_distribution(text, capsys):
+    """photon-stats prints the Delta family's P_out, the numbers compare uses,
+    and they agree with the direct 2-D path on a fine grid."""
+    state, r, delta = parse_state(text), 1.25, 0.9
+    code, out, _ = run_cli(
+        ["photon-stats", "--input", text, "--N", "24", "--delta", "0.9", "--r", "1.25"], capsys
+    )
+    assert code == 0
+    p_out = np.array([float(row["P_out"]) for row in read_csv(out)])
+    want = delta_family(state, r, N=24).photon_distribution(delta).probs
+    assert np.array_equal(p_out, want)
+    fine = QuadratureConfig(radial_nodes=256, angular_nodes=768)
+    ch = Channel(SqueezedBellResource(delta=delta, theta=0.0, r=r))
+    direct = output_photon_probs(teleport(state, ch), 24, fine).probs
+    assert np.abs(p_out - direct).max() <= 1e-10
+
+
 def test_compare_fock1_optima_differ(capsys):
     """D_N and (1 - F) reach their grid minima at different Delta."""
     code, out, _ = run_cli(
@@ -131,20 +153,6 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
-
-
-def test_jobs_flag_deterministic(capsys):
-    base = ["compare", "--input", "fock:0", "--r", "1.0", "--delta-grid", "0.8:1.0:5", "--N", "8"]
-    _, out1, _ = run_cli(base + ["--jobs", "1"], capsys)
-    _, out2, _ = run_cli(base + ["--jobs", "3"], capsys)
-    assert out1 == out2
-
-
-def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("CVTELEPORT_JOBS", "2")
-    base = ["compare", "--input", "fock:0", "--r", "1.0", "--delta-grid", "0.9:1.0:3", "--N", "6"]
-    code, out, _ = run_cli(base, capsys)
-    assert code == 0 and len(read_csv(out)) == 3
 
 
 def test_sweep_subcommand(capsys):
@@ -299,6 +307,13 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     code, out, err = run_cli(["optimize", "--config", str(cfg)], capsys)
     assert code == 1 and out == ""
     assert "unknown config key 'delta_grid' for optimize" in json.loads(err)["error"]["message"]
+
+    # Retired options are unknown keys too.
+    for key, value in (("jobs", 2), ("angular_nodes", 256)):
+        cfg.write_text(json.dumps({"input": "fock:1", "r": 1.25, "delta_grid": "0.9", key: value}))
+        code, out, err = run_cli(["compare", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert f"unknown config key '{key}' for compare" in json.loads(err)["error"]["message"]
 
 
 def test_error_record_and_exit_code(capsys):

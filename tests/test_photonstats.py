@@ -30,6 +30,7 @@ from cvteleport import (
     purity,
     teleport,
 )
+from cvteleport.cli import parse_state
 from conftest import DELTA2_OPT, case_study_inputs
 
 
@@ -452,21 +453,57 @@ def test_family_strong_squeezing_matches_fine_direct_reference(r):
     assert abs(fam.purity_out(delta) - purity(out.charfn, fine)) <= 1e-9
 
 
-def test_fock_diagonal_family_needs_no_plane_plan(monkeypatch):
+def test_fock_diagonal_family_needs_no_plane_plan(monkeypatch, capsys):
+    """No family, and no CLI command on it, plans or fills a 2-D grid.
+
+    Fock-diagonal inputs run on the 1-D rule only, and coherent and squeezed
+    inputs add closed-form Gaussian overlaps."""
+    import cvteleport.numerics as nm
     import cvteleport.photonstats as ps
+    from cvteleport.cli import main
 
     def no_plan(*args, **kwargs):
-        raise AssertionError("Fock-diagonal families run on the 1-D rule only")
+        raise AssertionError("the Delta family runs without plane quadrature")
 
-    states = (FockInput(0), FockInput(3), FockMixtureInput(((0, 0.5), (1, 0.5))))
+    texts = (
+        "fock:0", "fock:3", "mix:0@0.5,1@0.5",
+        "coherent:1,0.7", "coherent:2.12928", "sqvac:1.5", "sqvac:-1.5",
+    )
+    states = [parse_state(text) for text in texts]
+    cell = ["--r", "1.25", "--theta", "0.2", "--gain", "0.9"]
     with monkeypatch.context() as patched:
-        patched.setattr(ps, "plan_polynomial_family", no_plan)
-        patched.setattr(ps, "plan_quadrature", no_plan)
+        for holder in (nm, ps):
+            patched.setattr(holder, "plan_quadrature", no_plan)
+        patched.setattr(nm, "polar_grid", no_plan)
         families = [delta_family(state, 1.25, 0.2, 0.9, 24) for state in states]
+        for text in texts:
+            for argv in (
+                ["compare", "--input", text, "--delta-grid", "0.7:1.0:4"] + cell,
+                ["optimize", "--kind", "frobenius", "--input", text] + cell,
+                ["photon-stats", "--input", text, "--delta", "0.8"] + cell,
+                ["sweep", "--kinds", "one_minus_fidelity", "--r-grid", "1.25", "--input", text],
+            ):
+                assert main(argv) == 0, argv
+                out = capsys.readouterr().out
+                assert "error" not in out, argv
     fine = QuadratureConfig(radial_nodes=256, angular_nodes=768)
     for state, fam in zip(states, families):
         out = teleport(state, Channel(SqueezedBellResource(0.8, 0.2, 1.25), gain=0.9))
         assert abs(fam.fidelity(0.8) - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
+
+
+@pytest.mark.parametrize("gain", [0.8, 1.0, 1.3])
+@pytest.mark.parametrize("r", [0.4, 2.5])
+@pytest.mark.parametrize("beta", [2.12928, 1.0 + 0.7j])
+def test_coherent_overlaps_match_fine_direct_reference(beta, r, gain):
+    """The closed-form coherent overlaps against the 2-D quadratures."""
+    state = CoherentInput(beta)
+    fam = delta_family(state, r, 0.3, gain, 8)
+    fine = QuadratureConfig(radial_nodes=256, angular_nodes=768)
+    delta = 0.8
+    out = teleport(state, Channel(SqueezedBellResource(delta, 0.3, r), gain=gain))
+    assert abs(fam.fidelity(delta) - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
+    assert abs(fam.purity_out(delta) - purity(out.charfn, fine)) <= 1e-9
 
 
 def test_family_fixed_cutoff_radius_matches_auto():
