@@ -27,8 +27,6 @@ from .moments import (
     output_moment_binomial,
     output_normal_table,
     output_xp_table,
-    raw_moment_normal,
-    raw_moment_xp,
     resource_closed_forms,
     squeezing_ratio,
     squeezing_transmission,
@@ -37,12 +35,7 @@ from .moments import (
     transfer_normal_table,
     transfer_xp_table,
 )
-from .numerics import (
-    DiffConfig,
-    QuadratureConfig,
-    derivative_at_origin,
-    integrate_plane,
-)
+from .numerics import QuadratureConfig
 from .optimize import (
     Objective,
     OptimumRecord,
@@ -51,20 +44,15 @@ from .optimize import (
     objective_function,
     sweep_r,
 )
-from .phasespace import CharFn, ORIGIN, PhasePoint, convert_ordering, eval_at
+from .phasespace import CharFn, ORIGIN, PhasePoint, eval_at
 from .photonstats import (
     DeltaFamily,
     DistortionMeasures,
     PhotonDistribution,
     d_functional,
-    d_increment_estimate,
     delta_family,
     distortion_measures,
     input_distribution,
-    output_photon_prob,
-    output_photon_probs,
-    overlap,
-    purity,
 )
 from .states import (
     Channel,
@@ -79,7 +67,6 @@ from .states import (
     input_charfn,
     input_photon_probs,
     input_purity,
-    sbl_two_mode_value,
     state_from_descriptor,
     state_to_descriptor,
     transfer_fn,

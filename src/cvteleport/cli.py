@@ -34,7 +34,7 @@ from . import __version__
 from .channel import teleport
 from .errors import CVTeleportError, InvalidArgumentError
 from .moments import moment_set
-from .numerics import DiffConfig, QuadratureConfig
+from .numerics import QuadratureConfig
 from .optimize import (
     OBJECTIVE_KINDS,
     Objective,
@@ -122,16 +122,6 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _write(chunks, resolved: dict):
-    """Write the text ``chunks`` to ``--output`` or to standard output."""
-    out_path = resolved.get("output")
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
-
-
 def _csv_field(value) -> str:
     """``value`` as ``csv.writer`` writes it among the fields of a row."""
     if isinstance(value, float):
@@ -161,9 +151,10 @@ def _csv_fields(column) -> list[str]:
 def _emit(table: dict, resolved: dict):
     """Write a column table (name -> sequence, one entry per row) as CSV or JSON.
 
-    The CSV is what ``csv.writer`` writes for the same rows, built one column
-    at a time.  It is written line by line, so the whole text of a large
-    table is never held at once.
+    JSON is an array of row objects.  The CSV is what ``csv.writer`` writes
+    for the same rows, built one column at a time.  It is written line by
+    line, so the whole text of a large table is never held at once.  The
+    text goes to ``--output`` or to standard output.
     """
     columns = list(table)
     if resolved.get("format") == "json":
@@ -177,7 +168,12 @@ def _emit(table: dict, resolved: dict):
             lines = (line or '""' for line in lines)  # csv.writer quotes a lone empty field
         provenance = f"# cvteleport {__version__} config={_config_hash(resolved)}\n"
         chunks = itertools.chain([provenance], map("{}\n".format, lines))
-    _write(chunks, resolved)
+    out_path = resolved.get("output")
+    if out_path:
+        with open(out_path, "w", newline="") as fh:
+            fh.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
 
 
 _NOT_CONFIG_KEYS = ("command", "config", "func")
@@ -227,17 +223,7 @@ def _opt(resolved: dict, key: str, default, cast=float):
 
 
 def _quad_cfg(resolved: dict) -> QuadratureConfig:
-    return QuadratureConfig(
-        radial_nodes=_opt(resolved, "radial_nodes", 96, int),
-        target_abs_tol=_opt(resolved, "quad_tol", 1e-9),
-    )
-
-
-def _diff_cfg(resolved: dict) -> DiffConfig:
-    return DiffConfig(
-        step=_opt(resolved, "fd_step", 1e-3),
-        richardson_levels=_opt(resolved, "richardson_levels", 3, int),
-    )
+    return QuadratureConfig(radial_nodes=_opt(resolved, "radial_nodes", 96, int))
 
 
 def _channel_from(resolved: dict, delta=None) -> Channel:
@@ -276,11 +262,7 @@ def _cmd_moments(resolved):
         ms = moment_set(state)
     else:
         ms = moment_set(teleport(state, _channel_from(resolved)))
-    row = ms.to_dict()
-    if resolved.get("format") == "json":
-        _write([json.dumps(row, indent=2, default=float) + "\n"], resolved)
-    else:
-        _emit({k: [v] for k, v in row.items()}, resolved)
+    _emit({k: [v] for k, v in ms.to_dict().items()}, resolved)
 
 
 def _cmd_photon_stats(resolved):
@@ -337,8 +319,6 @@ def _cmd_optimize(resolved):
         gain=_opt(resolved, "gain", 1.0),
         n_photons=_opt(resolved, "N", 24, int),
         quad_cfg=_quad_cfg(resolved),
-        diff_cfg=_diff_cfg(resolved),
-        use_fd=bool(resolved.get("use_fd")),
     )
     rec = minimize_delta(obj)
     table = {
@@ -366,8 +346,7 @@ def _cmd_sweep(resolved):
     records = sweep_r(
         kinds, r_grid, input=state, theta=_opt(resolved, "theta", 0.0),
         gain=_opt(resolved, "gain", 1.0), n_photons=_opt(resolved, "N", 24, int),
-        quad_cfg=_quad_cfg(resolved), diff_cfg=_diff_cfg(resolved),
-        use_fd=bool(resolved.get("use_fd")),
+        quad_cfg=_quad_cfg(resolved),
     )
     table = {
         "kind": [rec.kind for rec in records],
@@ -433,9 +412,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--output", help="output file (default: stdout)")
     p.add_argument("--format", choices=_FORMATS, help="csv (default) or json")
     p.add_argument("--radial-nodes", dest="radial_nodes", type=int)
-    p.add_argument("--quad-tol", dest="quad_tol", type=float)
-    p.add_argument("--fd-step", dest="fd_step", type=float)
-    p.add_argument("--richardson-levels", dest="richardson_levels", type=int)
 
 
 def _add_resource(p: argparse.ArgumentParser):
@@ -479,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=OBJECTIVE_KINDS)
     p.add_argument("--input")
     p.add_argument("--N", type=int)
-    p.add_argument("--use-fd", dest="use_fd", action="store_true", default=None)
     _add_resource(p)
     _add_common(p)
     p.set_defaults(func=_cmd_optimize)
@@ -491,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int)
     p.add_argument("--theta", type=float)
     p.add_argument("--gain", type=float)
-    p.add_argument("--use-fd", dest="use_fd", action="store_true", default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 

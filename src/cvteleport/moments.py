@@ -33,9 +33,9 @@ value minus 1; both share the same minimizer in ``Delta``, which is the only
 property asserted across the two (their offset is a pure ordering-bookkeeping
 convention).
 
-Production moments come from the exact per-state tables below; the
-finite-difference engine of :mod:`cvteleport.numerics` is the independent
-oracle used by the tests, never the production path.
+All moments come from the exact per-state tables below.  The tests hold
+them against a finite-difference engine that differentiates the
+characteristic functions numerically (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ from .errors import (
     DegenerateStateError,
     InvalidArgumentError,
 )
-from .numerics import DiffConfig, derivative_at_origin
-from .phasespace import CharFn, convert_ordering
 from .states import (
     Channel,
     CoherentInput,
@@ -66,8 +64,6 @@ from .states import (
     transfer_coefficients,
 )
 
-XP_MAX_ORDER = 4
-_IMAG_RESIDUE_TOL = 1e-8
 _N_MEAN_FLOOR = 1e-12
 
 _XP_KEYS = tuple((i, j) for i in range(5) for j in range(5) if i + j <= 4)
@@ -251,48 +247,6 @@ def output_normal_table(state: InputState, ch: Channel) -> MomentTable:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference paths (the oracle route)
-# ---------------------------------------------------------------------------
-
-def raw_moment_xp(f: CharFn, n: int, m: int, cfg: DiffConfig | None = None) -> float:
-    """``<x^n p^m>`` of a Wigner-ordered characteristic function via FD."""
-    if f.ordering != 0:
-        raise InvalidArgumentError("raw_moment_xp requires a Wigner-ordered function")
-    if n < 0 or m < 0 or n + m > XP_MAX_ORDER:
-        raise InvalidArgumentError(f"xp moment order ({n}, {m}) outside n+m <= {XP_MAX_ORDER}")
-    val = derivative_at_origin(f.fn, nw=m, nz=n, cfg=cfg) / 1j ** (n + m)
-    if abs(val.imag) > _IMAG_RESIDUE_TOL:
-        raise ConsistencyError(
-            f"imaginary residue {val.imag:.3e} in <x^{n} p^{m}>: ordering misuse or "
-            "non-Hermitian input"
-        )
-    return float(val.real)
-
-
-def raw_moment_normal(f: CharFn, n: int, m: int, cfg: DiffConfig | None = None) -> complex:
-    """``<a^dag^n a^m>`` via FD and the Wirtinger chain rule.
-
-    State functions are first converted to normal ordering; transfer
-    functions are differentiated bare (see module docstring).
-    """
-    if n < 0 or m < 0 or n + m > XP_MAX_ORDER:
-        raise InvalidArgumentError(f"normal moment order ({n}, {m}) outside n+m <= {XP_MAX_ORDER}")
-    g = f if f.kind == "transfer" else convert_ordering(f, 1)
-    # d/dxi = (d/dw - i d/dz)/2, d/dxi* = (d/dw + i d/dz)/2
-    acc = 0.0 + 0.0j
-    for a in range(n + 1):
-        for b in range(m + 1):
-            coef = (
-                math.comb(n, a)
-                * math.comb(m, b)
-                * (-1j) ** a
-                * (1j) ** b
-            )
-            acc += coef * derivative_at_origin(g.fn, nw=n + m - a - b, nz=a + b, cfg=cfg)
-    return complex((-1.0) ** m * acc / 2 ** (n + m))
-
-
-# ---------------------------------------------------------------------------
 # Moment sets
 # ---------------------------------------------------------------------------
 
@@ -389,22 +343,10 @@ def moment_set_from_tables(xp: MomentTable, normal: MomentTable, label: str = ""
     )
 
 
-def _fd_tables(f: CharFn, cfg: DiffConfig | None):
-    xp_vals = {key: raw_moment_xp(f, *key, cfg=cfg) for key in _XP_KEYS}
-    normal_vals = {key: raw_moment_normal(f, *key, cfg=cfg) for key in _NORMAL_KEYS}
-    is_state = f.kind == "state"
-    return (
-        MomentTable(xp_vals, kind="xp", is_state=is_state, label=f"xp-fd[{f.label}]"),
-        MomentTable(normal_vals, kind="normal", is_state=is_state, label=f"normal-fd[{f.label}]"),
-    )
+def moment_set(source) -> MomentSet:
+    """Full :class:`MomentSet` of a catalog input state or a teleportation output.
 
-
-def moment_set(source, cfg: DiffConfig | None = None) -> MomentSet:
-    """Full :class:`MomentSet` of an input state, output state, or bare CharFn.
-
-    Catalog inputs and teleportation outputs use the exact closed-form
-    tables; a bare :class:`CharFn` falls back to the finite-difference
-    engine.
+    Both come from the exact closed-form tables.
     """
     if isinstance(source, OutputState):
         return moment_set_from_tables(
@@ -412,9 +354,6 @@ def moment_set(source, cfg: DiffConfig | None = None) -> MomentSet:
             output_normal_table(source.input, source.channel),
             label=source.charfn.label,
         )
-    if isinstance(source, CharFn):
-        xp, normal = _fd_tables(source, cfg)
-        return moment_set_from_tables(xp, normal, label=source.label)
     # catalog input state
     return moment_set_from_tables(
         state_xp_table(source), state_normal_table(source), label=f"{source!r}"
@@ -499,9 +438,9 @@ def distortion_covariance(state: InputState, ch: Channel) -> CovarianceDistortio
     )
 
 
-def squeezing_ratio(source, cfg: DiffConfig | None = None) -> float:
+def squeezing_ratio(source) -> float:
     """Squeezing ``S = <Dx^2> / <Dp^2>`` of a state (1 means unsqueezed)."""
-    ms = source if isinstance(source, MomentSet) else moment_set(source, cfg)
+    ms = source if isinstance(source, MomentSet) else moment_set(source)
     if ms.p2_central <= _N_MEAN_FLOOR:
         raise DegenerateStateError("squeezing undefined: vanishing momentum variance")
     return ms.x2_central / ms.p2_central

@@ -20,15 +20,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import EvaluationError, InvalidArgumentError
-from .moments import (
-    moment_set,
-    transfer_xp_table,
-    raw_moment_normal,
-    raw_moment_xp,
-)
-from .numerics import DiffConfig, QuadratureConfig
+from .moments import moment_set, transfer_xp_table
+from .numerics import QuadratureConfig
 from .photonstats import d_functional, delta_family
-from .states import Channel, InputState, SqueezedBellResource, transfer_fn
+from .states import Channel, InputState, SqueezedBellResource
 
 OBJECTIVE_KINDS = (
     "x2_transfer",
@@ -68,8 +63,6 @@ class Objective:
     gain: float = 1.0
     n_photons: int = 24
     quad_cfg: QuadratureConfig = field(default_factory=QuadratureConfig)
-    diff_cfg: DiffConfig = field(default_factory=DiffConfig)
-    use_fd: bool = False
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
@@ -98,20 +91,9 @@ def _channel(obj: Objective, delta: float) -> Channel:
 def objective_function(obj: Objective) -> Callable[[float], float]:
     """The scalar map Delta -> objective value for ``obj``."""
     if obj.kind == "x2_transfer":
-        if obj.use_fd:
-            return lambda d: raw_moment_xp(transfer_fn(_channel(obj, d)), 2, 0, obj.diff_cfg)
         return lambda d: float(transfer_xp_table(_channel(obj, d)).get(2, 0))
 
     if obj.kind == "kappa4_transfer":
-        if obj.use_fd:
-            def fd_kappa4(d: float) -> float:
-                tau = transfer_fn(_channel(obj, d))
-                mu2 = raw_moment_xp(tau, 2, 0, obj.diff_cfg)
-                mu4 = raw_moment_xp(tau, 4, 0, obj.diff_cfg)
-                return mu4 - 3.0 * mu2 * mu2
-
-            return fd_kappa4
-
         def table_kappa4(d: float) -> float:
             tab = transfer_xp_table(_channel(obj, d))
             mu2 = float(tab.get(2, 0))
@@ -120,10 +102,6 @@ def objective_function(obj: Objective) -> Callable[[float], float]:
         return table_kappa4
 
     if obj.kind == "n_transfer":
-        if obj.use_fd:
-            return lambda d: float(
-                raw_moment_normal(transfer_fn(_channel(obj, d)), 1, 1, obj.diff_cfg).real
-            )
         # Bare-derivative photon-number average; resource_closed_forms.n_ab
         # differs by a constant offset only, so the minimizer is shared.
         return lambda d: -float(_transfer_f1(obj, d))
@@ -278,8 +256,6 @@ def sweep_r(
     gain: float = 1.0,
     n_photons: int = 24,
     quad_cfg: QuadratureConfig | None = None,
-    diff_cfg: DiffConfig | None = None,
-    use_fd: bool = False,
 ) -> list[OptimumRecord]:
     """Minimize every (kind, r) cell; failures are recorded, the sweep continues."""
     if not kinds or len(r_grid) == 0:
@@ -296,8 +272,6 @@ def sweep_r(
                     gain=gain,
                     n_photons=n_photons,
                     quad_cfg=quad_cfg or QuadratureConfig(),
-                    diff_cfg=diff_cfg or DiffConfig(),
-                    use_fd=use_fd,
                 )
                 records.append(minimize_delta(obj))
             except Exception as exc:  # record the cell, keep sweeping

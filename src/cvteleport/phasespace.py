@@ -1,4 +1,4 @@
-"""Phase-space points, characteristic functions, and operator-ordering conversion.
+"""Phase-space points and characteristic functions.
 
 Conventions used throughout the package:
 
@@ -78,26 +78,6 @@ class CharFn:
 
     def __call__(self, p: PhasePoint):
         return self.fn(p)
-
-
-def convert_ordering(f: CharFn, target_s: int) -> CharFn:
-    """Reexpress ``f`` in ordering ``target_s``.
-
-    Returns ``g`` with ``g(xi) = exp((target_s - f.ordering) |xi|^2 / 2) * f(xi)``.
-    """
-    if target_s not in ORDERINGS:
-        raise InvalidArgumentError(
-            f"unsupported ordering {target_s!r}; expected one of {ORDERINGS}"
-        )
-    if target_s == f.ordering:
-        return f
-    shift = 0.5 * (target_s - f.ordering)
-    base = f.fn
-
-    def converted(p: PhasePoint):
-        return np.exp(shift * p.abs_sq) * base(p)
-
-    return CharFn(converted, ordering=target_s, label=f.label, kind=f.kind)
 
 
 def eval_at(f: CharFn, p: PhasePoint) -> complex:

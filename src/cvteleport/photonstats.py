@@ -5,12 +5,9 @@ formula
 
 ``P_n = (1/pi) ∫ d^2 xi  chi_out(xi) chi_n(-xi)``
 
-with ``chi_n`` the Fock-state characteristic function.  In
-:func:`output_photon_probs` one 2-D grid evaluation of ``chi_out(xi)
-exp(-|xi|^2/2)`` feeds every ``n`` through the Laguerre recurrence; the
-per-``n`` route through :func:`cvteleport.numerics.integrate_plane` is kept as
-:func:`output_photon_prob`.  Both are the direct path, which the tests use as
-the oracle of :func:`delta_family`.
+with ``chi_n`` the Fock-state characteristic function.  The tests hold
+:func:`delta_family` against this 2-D integral, evaluated directly on a polar
+grid in ``tests/oracles.py``.
 
 Fidelity, purity, and the Frobenius distance are overlap integrals
 ``Tr(rho_f rho_g) = (1/pi) ∫ d^2 xi f(xi) g(-xi)``.
@@ -44,9 +41,9 @@ The 1-D rule.  Gauss-Legendre in ``rho = sqrt(u)`` on ``[0, sqrt(U)]``
 envelopes, ``|q_k(u)| <= (1 + a^2 u)(1 + b^2 u)``,
 ``|L~_n(u)| <= exp(-u/2) (1 + u)^n`` and ``|A~| <= 1``: the tail integral of
 each envelope past ``U`` is bounded by :func:`cvteleport.numerics.envelope_tail`
-and ``U`` is where that bound meets 1e-16 (or the square of a fixed
-``cutoff_radius``, whose bound must then meet ``target_abs_tol``, else
-:class:`~cvteleport.errors.AccuracyError`).  The node count resolves the
+and ``U`` is where that bound meets 1e-16; when ``RADIAL_ARG_MAX`` caps ``U``
+below that, the bound must still meet 1e-9, else
+:class:`~cvteleport.errors.AccuracyError`.  The node count resolves the
 oscillation of ``L~_N`` and of the input (wavenumbers ``sqrt(4n + 6)``, with
 ``n`` the top photon number of a Fock-diagonal input and the mean photon
 number of a coherent or squeezed one) and is rounded to ``2^k`` or
@@ -65,9 +62,7 @@ Phase-sensitive overlaps.  For coherent and squeezed inputs the fidelity
 and Gram integrands are not phase invariant, but they are Gaussians times
 polynomials in ``u``: their integrals are closed-form Gaussian moments
 (:func:`_gaussian_overlaps`), with no quadrature, cutoff or tail.  No
-family plans or fills a 2-D grid; :func:`output_photon_probs`,
-:func:`overlap` and :func:`purity` remain as the tests' independent
-reference.
+family plans or fills a 2-D grid.
 """
 
 from __future__ import annotations
@@ -82,17 +77,13 @@ from .errors import AccuracyError, CapacityError, ConsistencyError, InvalidArgum
 from .numerics import (
     RADIAL_ARG_MAX,
     QuadratureConfig,
-    QuadraturePlan,
     envelope_cutoff,
     envelope_tail,
-    integrate_plane,
     laguerre_envelope,
     laguerre_envelope_all,
     laguerre_envelope_series,
-    plan_quadrature,
     radial_rule,
 )
-from .phasespace import CharFn, PhasePoint
 from .states import (
     Channel,
     CoherentInput,
@@ -103,7 +94,6 @@ from .states import (
     SqueezedBellResource,
     SqueezedVacuumInput,
     delta_weights,
-    fock_charfn,
     input_photon_cutoff,
     input_photon_probs,
     input_purity,
@@ -118,6 +108,9 @@ D_N_UPPER = math.sqrt(2.0)
 _PHOTON_TAIL = 1e-16
 # Slack of the Fock-diagonal Frobenius / D_N cross-check.
 _FROBENIUS_TOL = 1e-6
+# Largest tail bound the 1-D rule accepts; it binds only where RADIAL_ARG_MAX
+# caps the cutoff below the 1e-16 envelope cutoff.
+_TAIL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -192,18 +185,6 @@ def input_distribution(state: InputState, N: int) -> PhotonDistribution:
     return PhotonDistribution(probs, N, truncation_mass_bound=max(0.0, 1.0 - probs.sum()))
 
 
-def output_photon_prob(out: OutputState, n: int, cfg: QuadratureConfig | None = None) -> float:
-    """Single ``P_n`` through the generic plane integrator (reference path)."""
-    cfg = cfg or QuadratureConfig()
-    chi_out = out.charfn
-    chi_n = fock_charfn(n)
-
-    def integrand(p: PhasePoint):
-        return chi_out.fn(p) * chi_n.fn(-p)
-
-    return float((integrate_plane(integrand, cfg) / math.pi).real)
-
-
 def _check_cutoff(N: int):
     if N < 0:
         raise InvalidArgumentError("N must be nonnegative")
@@ -211,50 +192,8 @@ def _check_cutoff(N: int):
         raise CapacityError(f"photon cutoff {N} exceeds N_max={N_MAX_FOCK}")
 
 
-def _photon_nodes(plan: QuadraturePlan, N: int, cfg: QuadratureConfig):
-    """Nodes of ``plan`` enriched to resolve the Fock factors up to ``n = N``.
-
-    The Fock factor ``chi_n(-xi) = exp(-u/2) L_n(u)`` oscillates with radial
-    wavenumber at most ``sqrt(4N + 2)``.  A Legendre rule of n nodes resolves
-    e^{ikx} on [0, R] once n > kR/2.  The anisotropy map stretches one axis by
-    ``max(scale, 1/scale)``, which raises the wavenumber on the scaled disk
-    and sweeps the oscillation across the angular direction.
-    """
-    k_osc = max(plan.scale, 1.0 / plan.scale) * math.sqrt(4.0 * N + 6.0)
-    radial = max(cfg.radial_nodes, int(0.5 * k_osc * plan.radius) + 32)
-    angular = max(cfg.angular_nodes, 2 * (int(3.0 * k_osc) + 32))
-    return plan.nodes(
-        QuadratureConfig(
-            radial_nodes=radial,
-            angular_nodes=angular,
-            cutoff_radius=cfg.cutoff_radius,
-            target_abs_tol=cfg.target_abs_tol,
-        )
-    )
-
-
 def _distribution(probs: np.ndarray, N: int) -> PhotonDistribution:
     return PhotonDistribution(probs, N, truncation_mass_bound=max(0.0, 1.0 - probs.sum()))
-
-
-def output_photon_probs(
-    out: OutputState, N: int, cfg: QuadratureConfig | None = None
-) -> PhotonDistribution:
-    """``P_0 .. P_N`` of a teleportation output on one shared quadrature grid.
-
-    The Fock factor ``chi_n(-xi)`` is bounded by 1 but does not decay before
-    its turning point ``u ~ 4n + 2``, so the cutoff is sized from
-    ``|chi_out|`` alone and the node counts are enriched to resolve the
-    Laguerre oscillation.
-    """
-    _check_cutoff(N)
-    cfg = cfg or QuadratureConfig()
-    chi_out = out.charfn
-    W, Z, wt = _photon_nodes(plan_quadrature(chi_out.fn, cfg), N, cfg)
-    pts = PhasePoint(W, Z)
-    base = np.asarray(chi_out.fn(pts), dtype=complex) * wt
-    lag = laguerre_envelope_all(N, pts.abs_sq)
-    return _distribution((lag.reshape(N + 1, -1) @ base.ravel()).real / math.pi, N)
 
 
 def d_functional(p_in: PhotonDistribution, p_out: PhotonDistribution) -> float:
@@ -263,35 +202,6 @@ def d_functional(p_in: PhotonDistribution, p_out: PhotonDistribution) -> float:
         raise InvalidArgumentError(f"distribution lengths differ: {p_in.N} vs {p_out.N}")
     diff = p_out.clamped() - p_in.clamped()
     return float(math.sqrt(np.sum(diff * diff)))
-
-
-def d_increment_estimate(d_n: float, delta_next: float) -> float:
-    """First-order estimate of ``D_{N+1}`` from ``D_N`` and the next squared term.
-
-    Returns ``D_N + delta_next / (2 D_N)``; at ``D_N = 0`` the expansion
-    degenerates and the exact ``sqrt(delta_next)`` is returned instead.
-    """
-    if d_n < 0 or delta_next < 0:
-        raise InvalidArgumentError("d_n and delta_next must be nonnegative")
-    if d_n == 0.0:
-        return math.sqrt(delta_next)
-    return d_n + delta_next / (2.0 * d_n)
-
-
-def overlap(f: CharFn, g: CharFn, cfg: QuadratureConfig | None = None) -> float:
-    """``Tr(rho_f rho_g) = (1/pi) ∫ d^2 xi f(xi) g(-xi)``."""
-    if f.ordering != 0 or g.ordering != 0:
-        raise InvalidArgumentError("overlap requires Wigner-ordered characteristic functions")
-    cfg = cfg or QuadratureConfig()
-
-    def integrand(p: PhasePoint):
-        return f.fn(p) * g.fn(-p)
-
-    return float((integrate_plane(integrand, cfg) / math.pi).real)
-
-
-def purity(f: CharFn, cfg: QuadratureConfig | None = None) -> float:
-    return overlap(f, f, cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,25 +322,23 @@ def _radial_nodes(envelopes, arg_scale: float, cfg: QuadratureConfig):
     Each of ``envelopes`` is ``(rate, factors, k)``: an integrand bounded by
     ``exp(-rate u) prod (1 + s u)^d`` whose Laguerre factors oscillate with
     wavenumber at most ``k`` in ``rho = sqrt(u)``.  The cutoff ``U`` is the
-    largest :func:`~cvteleport.numerics.envelope_cutoff` (or the square of a
-    fixed ``cfg.cutoff_radius``), capped so that every Laguerre argument
-    ``arg_scale * u`` stays within ``RADIAL_ARG_MAX``; every integrand's
-    tail bound at ``U`` must then meet ``cfg.target_abs_tol``.  The node
-    count resolves the fastest oscillation (``n > k sqrt(U) / 2``, as in
-    :func:`_photon_nodes`), is at least ``cfg.radial_nodes`` and is rounded
-    by :func:`_rule_size`.
+    largest :func:`~cvteleport.numerics.envelope_cutoff`, capped so that
+    every Laguerre argument ``arg_scale * u`` stays within
+    ``RADIAL_ARG_MAX``; every integrand's tail bound at ``U`` must then meet
+    ``_TAIL_TOL``.  The node count resolves the fastest oscillation
+    (``n > k sqrt(U) / 2``: a Legendre rule of n nodes resolves e^{ikx} on
+    [0, R] once n > kR/2), is at least ``cfg.radial_nodes`` and is rounded by
+    :func:`_rule_size`.
     """
-    cap = RADIAL_ARG_MAX / arg_scale
-    if cfg.cutoff_radius == "auto":
-        cutoff = max(envelope_cutoff(rate, factors) for rate, factors, _ in envelopes)
-    else:
-        cutoff = float(cfg.cutoff_radius) ** 2
-    cutoff = min(cutoff, cap)
+    cutoff = min(
+        max(envelope_cutoff(rate, factors) for rate, factors, _ in envelopes),
+        RADIAL_ARG_MAX / arg_scale,
+    )
     tail = max(envelope_tail(rate, factors, cutoff) for rate, factors, _ in envelopes)
-    if tail > cfg.target_abs_tol:
+    if tail > _TAIL_TOL:
         raise AccuracyError(
             f"radial tail bound {tail:.3e} at u = {cutoff:.4g} exceeds target "
-            f"{cfg.target_abs_tol:.3e}",
+            f"{_TAIL_TOL:.3e}",
             estimate=tail,
         )
     k = max(k for _, _, k in envelopes)
@@ -511,7 +419,9 @@ def delta_family(
 ) -> DeltaFamily:
     """Build the :class:`DeltaFamily` of one cell on 1-D radial quadrature.
 
-    Raises like :func:`output_photon_probs` (bad cutoff), with
+    Raises :class:`~cvteleport.errors.InvalidArgumentError` or
+    :class:`~cvteleport.errors.CapacityError` for a photon cutoff ``N``
+    outside ``[0, N_MAX_FOCK]``, with
     :class:`~cvteleport.errors.AccuracyError` when an integrand's tail bound
     fails the target, with
     :class:`~cvteleport.errors.CapacityError` when the input's photon tail

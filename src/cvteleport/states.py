@@ -21,8 +21,8 @@ The two-mode resource is
 
 with ``xi'_{A/B} = cosh(r) xi_{A/B} - sinh(r) conj(xi_{B/A})``.  Its transfer
 function is the restriction to ``(g conj(xi), xi)``, which collapses to a
-function of ``u`` alone; the reduced one-mode form is the production path and
-the full two-mode form (:func:`sbl_two_mode_value`) is kept as a test oracle.
+function of ``u`` alone.  The package evaluates only that one-mode form; the
+tests check it against the full two-mode function above (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -258,22 +258,6 @@ def transfer_fn(ch: Channel) -> CharFn:
         label=f"transfer(delta={res.delta},theta={res.theta},r={res.r},g={ch.gain})",
         kind="transfer",
     )
-
-
-def sbl_two_mode_value(res: SqueezedBellResource, xi_a: complex, xi_b: complex) -> complex:
-    """Full two-mode characteristic function of the resource (test oracle)."""
-    chr_, shr = math.cosh(res.r), math.sinh(res.r)
-    xa = chr_ * xi_a - shr * np.conj(xi_b)
-    xb = chr_ * xi_b - shr * np.conj(xi_a)
-    na, nb = abs(xa) ** 2, abs(xb) ** 2
-    delta = res.delta
-    q = math.sqrt(max(1.0 - delta * delta, 0.0))
-    brace = (
-        delta * delta
-        + 2.0 * delta * q * (np.exp(1j * res.theta) * xa * xb).real
-        + (1.0 - delta * delta) * (1.0 - na) * (1.0 - nb)
-    )
-    return complex(np.exp(-0.5 * (na + nb)) * brace)
 
 
 def input_photon_probs(state: InputState, N: int) -> np.ndarray:

@@ -1,0 +1,548 @@
+"""Independent numerical oracles that the tests compare the package against.
+
+None of this runs on a production path: the package computes moments from
+closed-form tables and photon statistics and overlaps on the 1-D Delta family
+(:func:`cvteleport.photonstats.delta_family`).  Two model-free engines check
+them here:
+
+* :func:`derivative_at_origin` — central finite differences with a Richardson
+  table, the oracle of the closed-form moment tables of
+  :mod:`cvteleport.moments` (:func:`raw_moment_xp`, :func:`raw_moment_normal`,
+  :func:`fd_moment_set`, :func:`fd_objective_function`).
+* :func:`integrate_plane` — full-plane integrals in polar coordinates
+  (Gauss-Legendre radial nodes times a uniform angular grid), with the cutoff
+  radius chosen from a decay probe of the integrand itself.  It is the oracle
+  of the Delta family (:func:`output_photon_probs`, :func:`overlap`,
+  :func:`purity`).
+
+All catalog integrands decay at least as fast as ``exp(-|xi|^2 / 2)``; the
+probe also measures per-axis decay and applies an area-preserving diagonal
+rescaling ``(w, z) -> (w / lam, z * lam)`` so that strongly squeezed
+integrands stay well conditioned on the polar grid.
+
+Also here: :func:`convert_ordering`, which the normal-ordered FD moments
+need, and :func:`sbl_two_mode_value`, the full two-mode resource function
+whose restriction the one-mode transfer function must equal.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from cvteleport.channel import OutputState
+from cvteleport.errors import (
+    AccuracyError,
+    CapacityError,
+    ConsistencyError,
+    InvalidArgumentError,
+)
+from cvteleport.moments import (
+    _NORMAL_KEYS,
+    _XP_KEYS,
+    MomentSet,
+    MomentTable,
+    moment_set_from_tables,
+)
+from cvteleport.numerics import _DECAY_TARGET, _leggauss, laguerre_envelope_all
+from cvteleport.optimize import Objective, _channel, objective_function
+from cvteleport.phasespace import ORDERINGS, ORIGIN, CharFn, PhasePoint
+from cvteleport.photonstats import PhotonDistribution, _check_cutoff, _distribution
+from cvteleport.states import SqueezedBellResource, fock_charfn, transfer_fn
+
+# ---------------------------------------------------------------------------
+# Operator ordering and the two-mode resource
+# ---------------------------------------------------------------------------
+
+
+def convert_ordering(f: CharFn, target_s: int) -> CharFn:
+    """Reexpress ``f`` in ordering ``target_s``.
+
+    Returns ``g`` with ``g(xi) = exp((target_s - f.ordering) |xi|^2 / 2) * f(xi)``.
+    """
+    if target_s not in ORDERINGS:
+        raise InvalidArgumentError(
+            f"unsupported ordering {target_s!r}; expected one of {ORDERINGS}"
+        )
+    if target_s == f.ordering:
+        return f
+    shift = 0.5 * (target_s - f.ordering)
+    base = f.fn
+
+    def converted(p: PhasePoint):
+        return np.exp(shift * p.abs_sq) * base(p)
+
+    return CharFn(converted, ordering=target_s, label=f.label, kind=f.kind)
+
+
+def sbl_two_mode_value(res: SqueezedBellResource, xi_a: complex, xi_b: complex) -> complex:
+    """Full two-mode characteristic function of the resource."""
+    chr_, shr = math.cosh(res.r), math.sinh(res.r)
+    xa = chr_ * xi_a - shr * np.conj(xi_b)
+    xb = chr_ * xi_b - shr * np.conj(xi_a)
+    na, nb = abs(xa) ** 2, abs(xb) ** 2
+    delta = res.delta
+    q = math.sqrt(max(1.0 - delta * delta, 0.0))
+    brace = (
+        delta * delta
+        + 2.0 * delta * q * (np.exp(1j * res.theta) * xa * xb).real
+        + (1.0 - delta * delta) * (1.0 - na) * (1.0 - nb)
+    )
+    return complex(np.exp(-0.5 * (na + nb)) * brace)
+
+
+# ---------------------------------------------------------------------------
+# Finite differences at the origin
+# ---------------------------------------------------------------------------
+
+MAX_DERIVATIVE_ORDER = 6
+
+
+@dataclass(frozen=True)
+class DiffConfig:
+    """Knobs for :func:`derivative_at_origin`.
+
+    ``step`` is the base step unit; the engine scales it per derivative order
+    (see ``_STEP_SCALE``) so that truncation and roundoff stay balanced for
+    orders up to 6.  ``richardson_levels`` central-difference evaluations at
+    steps ``h, h/2, h/4, ...`` feed a Richardson table in powers of h^2.
+    """
+
+    step: float = 1e-3
+    richardson_levels: int = 3
+
+    def __post_init__(self):
+        if not self.step > 0:
+            raise InvalidArgumentError("step must be positive")
+        if self.richardson_levels < 1:
+            raise InvalidArgumentError("richardson_levels must be >= 1")
+
+
+# Second-order central stencils stored as (positive offsets, their
+# coefficients, center coefficient, parity sign of c_{-o} = sign * c_o);
+# Richardson removes the h^2, h^4, ... terms.  Evaluating the +-o pairs
+# together makes odd derivatives of even functions cancel bit-exactly.
+_STENCILS = {
+    0: ((), (), 1.0, 1.0),
+    1: ((1,), (0.5,), 0.0, -1.0),
+    2: ((1,), (1.0,), -2.0, 1.0),
+    3: ((1, 2), (-1.0, 0.5), 0.0, -1.0),
+    4: ((1, 2), (-4.0, 1.0), 6.0, 1.0),
+    5: ((1, 2, 3), (2.5, -2.0, 0.5), 0.0, -1.0),
+    6: ((1, 2, 3), (15.0, -6.0, 1.0), -20.0, 1.0),
+}
+
+# Base-step multiplier per total derivative order.  The literal 1e-3 base is
+# roundoff-dominated beyond second order (noise ~ eps / h^order), so higher
+# orders use wider stencils; Richardson keeps the truncation error small.
+_STEP_SCALE = {1: 25.0, 2: 25.0, 3: 40.0, 4: 60.0, 5: 80.0, 6: 100.0}
+
+
+def derivative_at_origin(
+    f: Callable[[PhasePoint], complex], nw: int, nz: int, cfg: DiffConfig | None = None
+) -> complex:
+    """Mixed partial ``d^(nw+nz) f / dw^nw dz^nz`` at the origin.
+
+    Central differences on a tensor-product stencil, Richardson-extrapolated
+    over ``cfg.richardson_levels`` halvings of the step.  Deterministic for a
+    fixed configuration.
+    """
+    if nw < 0 or nz < 0:
+        raise InvalidArgumentError("derivative orders must be nonnegative")
+    order = nw + nz
+    if order > MAX_DERIVATIVE_ORDER:
+        raise CapacityError(f"derivative order {order} exceeds cap {MAX_DERIVATIVE_ORDER}")
+    if order == 0:
+        return complex(f(ORIGIN))
+    cfg = cfg or DiffConfig()
+
+    pos_w, cw, cw0, sw = _STENCILS[nw]
+    pos_z, cz, cz0, sz = _STENCILS[nz]
+    h0 = cfg.step * _STEP_SCALE[order]
+
+    def z_line(ow: float, h: float) -> complex:
+        acc = cz0 * complex(f(PhasePoint(ow * h, 0.0))) if cz0 else 0.0 + 0.0j
+        for oz, b in zip(pos_z, cz):
+            acc += b * (
+                complex(f(PhasePoint(ow * h, oz * h)))
+                + sz * complex(f(PhasePoint(ow * h, -oz * h)))
+            )
+        return acc
+
+    def stencil_value(h: float) -> complex:
+        acc = cw0 * z_line(0.0, h) if cw0 else 0.0 + 0.0j
+        for ow, a in zip(pos_w, cw):
+            acc += a * (z_line(ow, h) + sw * z_line(-ow, h))
+        return acc / h**order
+
+    table = [stencil_value(h0)]
+    for k in range(1, cfg.richardson_levels):
+        row = [stencil_value(h0 / 2**k)]
+        for j in range(1, k + 1):
+            fac = 4.0**j
+            row.append((fac * row[j - 1] - table[j - 1]) / (fac - 1.0))
+        table = row
+    return table[-1]
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference moments and objectives
+# ---------------------------------------------------------------------------
+
+XP_MAX_ORDER = 4
+_IMAG_RESIDUE_TOL = 1e-8
+
+
+def raw_moment_xp(f: CharFn, n: int, m: int, cfg: DiffConfig | None = None) -> float:
+    """``<x^n p^m>`` of a Wigner-ordered characteristic function via FD."""
+    if f.ordering != 0:
+        raise InvalidArgumentError("raw_moment_xp requires a Wigner-ordered function")
+    if n < 0 or m < 0 or n + m > XP_MAX_ORDER:
+        raise InvalidArgumentError(f"xp moment order ({n}, {m}) outside n+m <= {XP_MAX_ORDER}")
+    val = derivative_at_origin(f.fn, nw=m, nz=n, cfg=cfg) / 1j ** (n + m)
+    if abs(val.imag) > _IMAG_RESIDUE_TOL:
+        raise ConsistencyError(
+            f"imaginary residue {val.imag:.3e} in <x^{n} p^{m}>: ordering misuse or "
+            "non-Hermitian input"
+        )
+    return float(val.real)
+
+
+def raw_moment_normal(f: CharFn, n: int, m: int, cfg: DiffConfig | None = None) -> complex:
+    """``<a^dag^n a^m>`` via FD and the Wirtinger chain rule.
+
+    State functions are first converted to normal ordering; transfer
+    functions are differentiated bare (see the :mod:`cvteleport.moments`
+    docstring).
+    """
+    if n < 0 or m < 0 or n + m > XP_MAX_ORDER:
+        raise InvalidArgumentError(f"normal moment order ({n}, {m}) outside n+m <= {XP_MAX_ORDER}")
+    g = f if f.kind == "transfer" else convert_ordering(f, 1)
+    # d/dxi = (d/dw - i d/dz)/2, d/dxi* = (d/dw + i d/dz)/2
+    acc = 0.0 + 0.0j
+    for a in range(n + 1):
+        for b in range(m + 1):
+            coef = (
+                math.comb(n, a)
+                * math.comb(m, b)
+                * (-1j) ** a
+                * (1j) ** b
+            )
+            acc += coef * derivative_at_origin(g.fn, nw=n + m - a - b, nz=a + b, cfg=cfg)
+    return complex((-1.0) ** m * acc / 2 ** (n + m))
+
+
+def fd_tables(f: CharFn, cfg: DiffConfig | None = None):
+    """The xp and normal :class:`MomentTable` of ``f``, every entry by FD."""
+    xp_vals = {key: raw_moment_xp(f, *key, cfg=cfg) for key in _XP_KEYS}
+    normal_vals = {key: raw_moment_normal(f, *key, cfg=cfg) for key in _NORMAL_KEYS}
+    is_state = f.kind == "state"
+    return (
+        MomentTable(xp_vals, kind="xp", is_state=is_state, label=f"xp-fd[{f.label}]"),
+        MomentTable(normal_vals, kind="normal", is_state=is_state, label=f"normal-fd[{f.label}]"),
+    )
+
+
+def fd_moment_set(f: CharFn, cfg: DiffConfig | None = None) -> MomentSet:
+    """The :class:`MomentSet` of a bare characteristic function, by FD."""
+    xp, normal = fd_tables(f, cfg)
+    return moment_set_from_tables(xp, normal, label=f.label)
+
+
+def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
+    """:func:`cvteleport.optimize.objective_function` with FD transfer moments.
+
+    ``x2_transfer``, ``kappa4_transfer`` and ``n_transfer`` differentiate the
+    transfer function numerically instead of reading the closed-form tables;
+    every other kind is the production objective.  Tests minimize it by
+    patching it over ``optimize.objective_function``.
+    """
+    if obj.kind == "x2_transfer":
+        return lambda d: raw_moment_xp(transfer_fn(_channel(obj, d)), 2, 0, cfg)
+
+    if obj.kind == "kappa4_transfer":
+        def fd_kappa4(d: float) -> float:
+            tau = transfer_fn(_channel(obj, d))
+            mu2 = raw_moment_xp(tau, 2, 0, cfg)
+            mu4 = raw_moment_xp(tau, 4, 0, cfg)
+            return mu4 - 3.0 * mu2 * mu2
+
+        return fd_kappa4
+
+    if obj.kind == "n_transfer":
+        return lambda d: float(
+            raw_moment_normal(transfer_fn(_channel(obj, d)), 1, 1, cfg).real
+        )
+
+    return objective_function(obj)
+
+
+# ---------------------------------------------------------------------------
+# Plane quadrature
+# ---------------------------------------------------------------------------
+
+_PROBE_RADII = (0.93, 1.91, 3.17, 4.57)
+# Down to 1e-6 of the probe radii: enough for the fastest axis that does not
+# underflow at the origin's scale.
+_PROBE_HALVINGS = 20
+_FLOOR = 1e-300
+_NEGLIGIBLE = 1e-250
+
+
+@dataclass(frozen=True)
+class PlaneConfig:
+    """Knobs for :func:`integrate_plane`."""
+
+    radial_nodes: int = 96
+    angular_nodes: int = 128
+    cutoff_radius: float | str = "auto"
+    target_abs_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.radial_nodes < 8 or self.angular_nodes < 8:
+            raise InvalidArgumentError("quadrature needs at least 8 nodes per direction")
+        if not self.target_abs_tol > 0:
+            raise InvalidArgumentError("target_abs_tol must be positive")
+        if self.cutoff_radius != "auto" and not float(self.cutoff_radius) > 0:
+            raise InvalidArgumentError("cutoff_radius must be positive or 'auto'")
+
+
+def polar_grid(radial_nodes: int, angular_nodes: int, radius: float):
+    """Quadrature nodes/weights for ``∫∫ f dw dz`` over the disk of ``radius``.
+
+    Returns ``(W, Z, weights)`` with shapes ``(radial_nodes, angular_nodes)``;
+    the weights already include the polar Jacobian ``rho``.
+    """
+    x, v = _leggauss(radial_nodes)
+    rho = 0.5 * radius * (x + 1.0)
+    wr = 0.5 * radius * v
+    phi = np.arange(angular_nodes) * (2.0 * np.pi / angular_nodes)
+    W = np.outer(rho, np.cos(phi))
+    Z = np.outer(rho, np.sin(phi))
+    weights = np.repeat(((wr * rho) * (2.0 * np.pi / angular_nodes))[:, None], angular_nodes, axis=1)
+    return W, Z, weights
+
+
+def _max_profile(f, directions, radii):
+    """Max |f| over the given (cos, sin) directions at each probe radius.
+
+    One call of ``f`` covers every probe point (radii x directions).
+    """
+    rays = np.asarray(directions, dtype=float)
+    rr = np.asarray(radii, dtype=float)[:, None]
+    vals = np.abs(_eval_grid(f, rr * rays[:, 0], rr * rays[:, 1]))
+    return np.maximum(vals.max(axis=1), _FLOOR).tolist()
+
+
+def _decay_rate(profile, radii):
+    """Gaussian decay rate ``|f| ~ exp(-c r^2)`` from the probe profile.
+
+    Candidate rates come from every consecutive radius pair plus the full
+    span; the slowest positive one wins, which keeps the estimate
+    conservative when polynomial factors (Laguerre nodes) locally break
+    monotonicity.  Returns None when nothing decays; pairs where both samples
+    underflowed are skipped.
+    """
+    pairs = [(k, k + 1) for k in range(len(radii) - 1)] + [(0, len(radii) - 1)]
+    rates = []
+    floored = 0
+    for i, j in pairs:
+        m0, m1 = profile[i], profile[j]
+        if m0 <= _NEGLIGIBLE and m1 <= _NEGLIGIBLE:
+            floored += 1
+            continue
+        rate = math.log(m0 / m1) / (radii[j] ** 2 - radii[i] ** 2)
+        if rate > 0.0:
+            rates.append(rate)
+    if not rates:
+        if profile[0] <= _NEGLIGIBLE or floored:
+            # Decayed below the floor before or inside the probed span.
+            return _DECAY_TARGET / radii[0] ** 2
+        return None
+    return min(rates)
+
+
+_AXIS_W = ((1.0, 0.0), (-1.0, 0.0))
+_AXIS_Z = ((0.0, 1.0), (0.0, -1.0))
+_EIGHT_RAYS = tuple(
+    (math.cos(k * math.pi / 4.0), math.sin(k * math.pi / 4.0)) for k in range(8)
+)
+
+
+def _axis_rate(f, axis):
+    """Gaussian decay rate of ``|f|`` along one axis.
+
+    A sample at the floor bounds the rate only from below, so only samples
+    above it enter.  When fewer than two of them remain (a strongly squeezed
+    axis decays past the floor inside the probe span), the probe radii are
+    halved until two do, at most ``_PROBE_HALVINGS`` times.
+    """
+    radii = _PROBE_RADII
+    for _ in range(_PROBE_HALVINGS):
+        profile = _max_profile(f, axis, radii)
+        kept = [(m, rr) for m, rr in zip(profile, radii) if m > _NEGLIGIBLE]
+        if len(kept) >= 2:
+            return _decay_rate(*zip(*kept))
+        radii = tuple(0.5 * rr for rr in radii)
+    return _decay_rate(_max_profile(f, axis, _PROBE_RADII), _PROBE_RADII)
+
+
+def _anisotropy_scale(f) -> float:
+    """Area-preserving scale lam equalizing per-axis Gaussian decay rates."""
+    cw = _axis_rate(f, _AXIS_W)
+    cz = _axis_rate(f, _AXIS_Z)
+    if cw is None or cz is None or cw <= 0 or cz <= 0:
+        return 1.0
+    return float(np.clip((cw / cz) ** 0.25, 1.0 / 32.0, 32.0))
+
+
+def _eval_grid(f, W, Z):
+    """Evaluate ``f`` on a node grid in one vectorized call.
+
+    A closure that returns a scalar (a constant) is broadcast to the grid;
+    anything the closure raises reaches the caller.
+    """
+    vals = np.asarray(f(PhasePoint(W, Z)), dtype=complex)
+    return np.broadcast_to(vals, W.shape)
+
+
+@dataclass(frozen=True)
+class QuadraturePlan:
+    """Resolved geometry for one integrand: scale, cutoff, and tail estimate."""
+
+    scale: float
+    radius: float
+    decay_rate: float
+    tail_estimate: float
+
+    def nodes(self, cfg: PlaneConfig):
+        Wp, Zp, wt = polar_grid(cfg.radial_nodes, cfg.angular_nodes, self.radius)
+        return Wp / self.scale, Zp * self.scale, wt
+
+
+def plan_quadrature(f: Callable[[PhasePoint], complex], cfg: PlaneConfig) -> QuadraturePlan:
+    """Probe ``f`` and fix the quadrature geometry for it.
+
+    Raises :class:`InvalidArgumentError` if the probe sees no decay and
+    :class:`AccuracyError` if the truncation-tail estimate exceeds
+    ``cfg.target_abs_tol``.
+    """
+    if cfg.cutoff_radius != "auto":
+        lam = 1.0
+    else:
+        lam = _anisotropy_scale(f)
+
+    def scaled(p: PhasePoint):
+        return f(PhasePoint(p.w / lam, p.z * lam))
+
+    profile = _max_profile(scaled, _EIGHT_RAYS, _PROBE_RADII)
+    c_est = _decay_rate(profile, _PROBE_RADII)
+    if c_est is None or c_est <= 0:
+        raise InvalidArgumentError(
+            "integrand does not decay along the probe rays; integrate_plane "
+            "requires at least Gaussian-enveloped decay"
+        )
+    if cfg.cutoff_radius != "auto":
+        radius = float(cfg.cutoff_radius)
+    else:
+        radius = math.sqrt(_DECAY_TARGET / c_est)
+    # Eight rays at the cutoff and just inside it bound the Gaussian tail by pi max|f| / c.
+    m_tail = max(_max_profile(scaled, _EIGHT_RAYS, (radius, 0.97 * radius)))
+    tail = math.pi * m_tail / c_est if m_tail > _NEGLIGIBLE else 0.0
+    if tail > cfg.target_abs_tol:
+        raise AccuracyError(
+            f"estimated truncation error {tail:.3e} exceeds target {cfg.target_abs_tol:.3e}",
+            estimate=tail,
+        )
+    return QuadraturePlan(scale=lam, radius=radius, decay_rate=c_est, tail_estimate=tail)
+
+
+def integrate_plane(
+    f: Callable[[PhasePoint], complex], cfg: PlaneConfig | None = None
+) -> complex:
+    """``∫∫ f(w, z) dw dz`` over the whole conjugate plane."""
+    cfg = cfg or PlaneConfig()
+    plan = plan_quadrature(f, cfg)
+    W, Z, wt = plan.nodes(cfg)
+    vals = _eval_grid(f, W, Z)
+    return complex(np.sum(wt * vals))
+
+
+# ---------------------------------------------------------------------------
+# Photon probabilities and overlaps on the plane
+# ---------------------------------------------------------------------------
+
+
+def output_photon_prob(out: OutputState, n: int, cfg: PlaneConfig | None = None) -> float:
+    """Single ``P_n`` through the generic plane integrator."""
+    cfg = cfg or PlaneConfig()
+    chi_out = out.charfn
+    chi_n = fock_charfn(n)
+
+    def integrand(p: PhasePoint):
+        return chi_out.fn(p) * chi_n.fn(-p)
+
+    return float((integrate_plane(integrand, cfg) / math.pi).real)
+
+
+def _photon_nodes(plan: QuadraturePlan, N: int, cfg: PlaneConfig):
+    """Nodes of ``plan`` enriched to resolve the Fock factors up to ``n = N``.
+
+    The Fock factor ``chi_n(-xi) = exp(-u/2) L_n(u)`` oscillates with radial
+    wavenumber at most ``sqrt(4N + 2)``.  A Legendre rule of n nodes resolves
+    e^{ikx} on [0, R] once n > kR/2.  The anisotropy map stretches one axis by
+    ``max(scale, 1/scale)``, which raises the wavenumber on the scaled disk
+    and sweeps the oscillation across the angular direction.
+    """
+    k_osc = max(plan.scale, 1.0 / plan.scale) * math.sqrt(4.0 * N + 6.0)
+    radial = max(cfg.radial_nodes, int(0.5 * k_osc * plan.radius) + 32)
+    angular = max(cfg.angular_nodes, 2 * (int(3.0 * k_osc) + 32))
+    return plan.nodes(
+        PlaneConfig(
+            radial_nodes=radial,
+            angular_nodes=angular,
+            cutoff_radius=cfg.cutoff_radius,
+            target_abs_tol=cfg.target_abs_tol,
+        )
+    )
+
+
+def output_photon_probs(
+    out: OutputState, N: int, cfg: PlaneConfig | None = None
+) -> PhotonDistribution:
+    """``P_0 .. P_N`` of a teleportation output on one shared quadrature grid.
+
+    ``P_n = (1/pi) ∫ d^2 xi chi_out(xi) chi_n(-xi)``: one grid evaluation of
+    ``chi_out`` feeds every ``n`` through the Laguerre recurrence.  The Fock
+    factor ``chi_n(-xi)`` is bounded by 1 but does not decay before its
+    turning point ``u ~ 4n + 2``, so the cutoff is sized from ``|chi_out|``
+    alone and the node counts are enriched to resolve the Laguerre
+    oscillation.
+    """
+    _check_cutoff(N)
+    cfg = cfg or PlaneConfig()
+    chi_out = out.charfn
+    W, Z, wt = _photon_nodes(plan_quadrature(chi_out.fn, cfg), N, cfg)
+    pts = PhasePoint(W, Z)
+    base = np.asarray(chi_out.fn(pts), dtype=complex) * wt
+    lag = laguerre_envelope_all(N, pts.abs_sq)
+    return _distribution((lag.reshape(N + 1, -1) @ base.ravel()).real / math.pi, N)
+
+
+def overlap(f: CharFn, g: CharFn, cfg: PlaneConfig | None = None) -> float:
+    """``Tr(rho_f rho_g) = (1/pi) ∫ d^2 xi f(xi) g(-xi)``."""
+    if f.ordering != 0 or g.ordering != 0:
+        raise InvalidArgumentError("overlap requires Wigner-ordered characteristic functions")
+    cfg = cfg or PlaneConfig()
+
+    def integrand(p: PhasePoint):
+        return f.fn(p) * g.fn(-p)
+
+    return float((integrate_plane(integrand, cfg) / math.pi).real)
+
+
+def purity(f: CharFn, cfg: PlaneConfig | None = None) -> float:
+    return overlap(f, f, cfg)

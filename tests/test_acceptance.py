@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
+import cvteleport.optimize as opt_mod
 from cvteleport import (
     Channel,
     CoherentInput,
-    DiffConfig,
     FockInput,
     FockMixtureInput,
     Objective,
@@ -28,10 +28,6 @@ from cvteleport import (
     input_photon_probs,
     minimize_delta,
     moment_set,
-    output_photon_probs,
-    overlap,
-    purity,
-    raw_moment_xp,
     resource_closed_forms,
     teleport,
     transfer_fn,
@@ -41,6 +37,14 @@ from cvteleport import (
 from cvteleport.moments import moment_set_from_tables
 from cvteleport.optimize import CLOSED_FORM_KINDS
 from conftest import DELTA2_OPT, case_study_inputs, random_resources
+from oracles import (
+    DiffConfig,
+    fd_objective_function,
+    output_photon_probs,
+    overlap,
+    purity,
+    raw_moment_xp,
+)
 
 DELTA4_OPT = 0.985294
 CASE_RS = (0.75, 1.0, 1.25, 2.5)
@@ -57,12 +61,15 @@ def report(criterion, elapsed, detail):
 # 1. second-moment optimum, closed-form and FD paths, r-independent
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_delta2_optimum():
+def test_criterion_1_delta2_optimum(monkeypatch):
     t0 = time.perf_counter()
     stars = {False: [], True: []}
     for use_fd in (False, True):
         for r in (0.5, 1.25, 2.5):
-            rec = minimize_delta(Objective(kind="x2_transfer", r=r, use_fd=use_fd))
+            with monkeypatch.context() as patched:
+                if use_fd:
+                    patched.setattr(opt_mod, "objective_function", fd_objective_function)
+                rec = minimize_delta(Objective(kind="x2_transfer", r=r))
             assert abs(rec.delta_star - 0.92388) <= 1e-4, (use_fd, r, rec.delta_star)
             stars[use_fd].append(rec.delta_star)
     for path, values in stars.items():

@@ -1,29 +1,31 @@
+import argparse
 import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvteleport.cli import _emit, main, parse_grid, parse_state
+from cvteleport.cli import _emit, build_parser, main, parse_grid, parse_state
 from cvteleport import (
     Channel,
     CoherentInput,
     FockInput,
     FockMixtureInput,
     InvalidArgumentError,
-    QuadratureConfig,
     SqueezedBellResource,
     SqueezedVacuumInput,
     __version__,
     delta_family,
-    output_photon_probs,
     teleport,
 )
 from cvteleport.optimize import closed_form_delta
 from cvteleport.phasespace import PhasePoint
 from cvteleport.states import transfer_fn
+from oracles import PlaneConfig, output_photon_probs
 
 
 def run_cli(args, capsys):
@@ -82,7 +84,9 @@ def test_moments_identity_channel(capsys):
         capsys,
     )
     assert code == 0
-    ms = json.loads(out)
+    rows = json.loads(out)
+    assert isinstance(rows, list) and len(rows) == 1
+    ms = rows[0]
     assert abs(ms["n_mean"] - 4.534) <= 1e-3
     assert ms["g2_zero"] == pytest.approx(1.0, abs=1e-9)
 
@@ -128,7 +132,7 @@ def test_photon_stats_is_the_family_distribution(text, capsys):
     p_out = np.array([float(row["P_out"]) for row in read_csv(out)])
     want = delta_family(state, r, N=24).photon_distribution(delta).probs
     assert np.array_equal(p_out, want)
-    fine = QuadratureConfig(radial_nodes=256, angular_nodes=768)
+    fine = PlaneConfig(radial_nodes=256, angular_nodes=768)
     ch = Channel(SqueezedBellResource(delta=delta, theta=0.0, r=r))
     direct = output_photon_probs(teleport(state, ch), 24, fine).probs
     assert np.abs(p_out - direct).max() <= 1e-10
@@ -309,7 +313,10 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key 'delta_grid' for optimize" in json.loads(err)["error"]["message"]
 
     # Retired options are unknown keys too.
-    for key, value in (("jobs", 2), ("angular_nodes", 256)):
+    for key, value in (
+        ("jobs", 2), ("angular_nodes", 256),
+        ("quad_tol", 1e-9), ("fd_step", 1e-3), ("richardson_levels", 3),
+    ):
         cfg.write_text(json.dumps({"input": "fock:1", "r": 1.25, "delta_grid": "0.9", key: value}))
         code, out, err = run_cli(["compare", "--config", str(cfg)], capsys)
         assert code == 1 and out == ""
@@ -388,3 +395,19 @@ def test_config_cutoff_radius_is_not_an_option(tmp_path, capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "InvalidArgumentError"
     assert "unknown config key 'cutoff_radius' for compare" in error["message"]
+
+
+def test_readme_names_every_option_the_parser_accepts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    accepted = {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    assert documented == accepted

@@ -7,21 +7,19 @@ from cvteleport import (
     AccuracyError,
     CapacityError,
     Channel,
-    DiffConfig,
     InvalidArgumentError,
     PhasePoint,
     QuadratureConfig,
     SqueezedBellResource,
-    derivative_at_origin,
     fock_charfn,
     input_charfn,
-    integrate_plane,
     state_xp_table,
     teleport,
     transfer_fn,
 )
-from cvteleport.numerics import _eval_grid, laguerre_envelope, laguerre_envelope_all
+from cvteleport.numerics import laguerre_envelope, laguerre_envelope_all
 from conftest import case_study_inputs, moderate_inputs
+from oracles import DiffConfig, PlaneConfig, _eval_grid, derivative_at_origin, integrate_plane
 
 
 def laguerre_series(n, u):
@@ -45,7 +43,7 @@ def test_laguerre_envelope_bounded_and_consistent():
 
 
 # ---------------------------------------------------------------------------
-# integrate_plane
+# integrate_plane (the plane-quadrature oracle)
 # ---------------------------------------------------------------------------
 
 def test_gaussian_integral_is_pi():
@@ -73,7 +71,7 @@ def test_non_decaying_integrand_rejected():
 
 
 def test_truncation_estimate_raises_accuracy_error():
-    cfg = QuadratureConfig(target_abs_tol=1e-14)
+    cfg = PlaneConfig(target_abs_tol=1e-14)
     with pytest.raises(AccuracyError) as err:
         integrate_plane(lambda p: np.exp(-1e-3 * p.abs_sq), cfg)
     assert err.value.estimate is not None and err.value.estimate > 1e-14
@@ -96,7 +94,7 @@ def test_scalar_closure_result_is_broadcast():
 
 
 def test_explicit_cutoff_radius():
-    cfg = QuadratureConfig(cutoff_radius=7.0)
+    cfg = PlaneConfig(cutoff_radius=7.0)
     val = integrate_plane(lambda p: np.exp(-p.abs_sq), cfg)
     assert abs(val - math.pi) <= 1e-10
 
@@ -111,13 +109,13 @@ def test_quadrature_convergence_on_case_study_integrands():
         def integrand(p):
             return out.charfn.fn(p) * fock10.fn(-p)
 
-        a = integrate_plane(integrand, QuadratureConfig(radial_nodes=192, angular_nodes=256))
-        b = integrate_plane(integrand, QuadratureConfig(radial_nodes=384, angular_nodes=256))
+        a = integrate_plane(integrand, PlaneConfig(radial_nodes=192, angular_nodes=256))
+        b = integrate_plane(integrand, PlaneConfig(radial_nodes=384, angular_nodes=256))
         assert abs(a - b) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
-# derivative_at_origin
+# derivative_at_origin (the finite-difference oracle)
 # ---------------------------------------------------------------------------
 
 def test_gaussian_second_derivative():
@@ -171,7 +169,9 @@ def test_diffconfig_validation():
     with pytest.raises(InvalidArgumentError):
         QuadratureConfig(radial_nodes=4)
     with pytest.raises(InvalidArgumentError):
-        QuadratureConfig(target_abs_tol=0.0)
+        PlaneConfig(angular_nodes=4)
+    with pytest.raises(InvalidArgumentError):
+        PlaneConfig(target_abs_tol=0.0)
 
 
 def test_derivative_levels_configurable():
@@ -185,15 +185,12 @@ def test_derivative_levels_configurable():
 # ---------------------------------------------------------------------------
 
 from cvteleport.numerics import (  # noqa: E402
-    _EIGHT_RAYS,
-    _PROBE_RADII,
-    _anisotropy_scale,
-    _max_profile,
     envelope_cutoff,
     envelope_tail,
     laguerre_envelope_series,
     radial_rule,
 )
+from oracles import _EIGHT_RAYS, _PROBE_RADII, _anisotropy_scale, _max_profile  # noqa: E402
 
 
 def _scalar_profile(f, directions, radii):

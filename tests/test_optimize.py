@@ -18,14 +18,18 @@ from cvteleport import (
 )
 from cvteleport.optimize import CLOSED_FORM_KINDS
 from conftest import DELTA2_OPT
+from oracles import fd_objective_function
 
 DELTA4_OPT = 0.985294
 
 
-def test_x2_transfer_optimum_both_paths():
+def test_x2_transfer_optimum_both_paths(monkeypatch):
     for r in (0.5, 1.25, 2.5):
         for use_fd in (False, True):
-            rec = minimize_delta(Objective(kind="x2_transfer", r=r, use_fd=use_fd))
+            with monkeypatch.context() as patched:
+                if use_fd:
+                    patched.setattr(opt_mod, "objective_function", fd_objective_function)
+                rec = minimize_delta(Objective(kind="x2_transfer", r=r))
             assert abs(rec.delta_star - DELTA2_OPT) <= 1e-4
 
 

@@ -8,11 +8,11 @@ from cvteleport import (
     InvalidArgumentError,
     ORIGIN,
     PhasePoint,
-    convert_ordering,
     eval_at,
     input_charfn,
 )
 from conftest import case_study_inputs, random_points
+from oracles import convert_ordering
 
 
 def test_phasepoint_derived_quantities():

@@ -17,21 +17,25 @@ from cvteleport import (
     SqueezedBellResource,
     SqueezedVacuumInput,
     d_functional,
-    d_increment_estimate,
     delta_family,
     distortion_measures,
     input_charfn,
     input_distribution,
     input_photon_probs,
     input_purity,
+    teleport,
+)
+from cvteleport.cli import parse_state
+from cvteleport.photonstats import _radial_nodes
+from conftest import DELTA2_OPT, case_study_inputs
+from oracles import (
+    PlaneConfig,
+    convert_ordering,
     output_photon_prob,
     output_photon_probs,
     overlap,
     purity,
-    teleport,
 )
-from cvteleport.cli import parse_state
-from conftest import DELTA2_OPT, case_study_inputs
 
 
 def thermal_probs(nbar, N):
@@ -40,7 +44,7 @@ def thermal_probs(nbar, N):
 
 
 # ---------------------------------------------------------------------------
-# output photon probabilities
+# output photon probabilities on the plane (the oracle of the Delta family)
 # ---------------------------------------------------------------------------
 
 def test_vacuum_through_tmsv_matches_thermal_oracle():
@@ -101,8 +105,8 @@ def test_quadrature_node_doubling_invariance():
     for state in case_study_inputs():
         out = teleport(state, ch)
         base = output_photon_probs(out, 24).probs
-        fine_r = output_photon_probs(out, 24, QuadratureConfig(radial_nodes=192)).probs
-        fine_a = output_photon_probs(out, 24, QuadratureConfig(angular_nodes=256)).probs
+        fine_r = output_photon_probs(out, 24, PlaneConfig(radial_nodes=192)).probs
+        fine_a = output_photon_probs(out, 24, PlaneConfig(angular_nodes=256)).probs
         assert np.abs(base - fine_r).max() <= 1e-9
         assert np.abs(base - fine_a).max() <= 1e-9
 
@@ -172,19 +176,8 @@ def test_d_functional_bounds(rng):
         assert 0.0 <= d <= math.sqrt(2.0) + 1e-12
 
 
-def test_d_increment_estimate():
-    assert d_increment_estimate(0.7, 0.0) == 0.7
-    assert d_increment_estimate(1.0, 0.01) == pytest.approx(1.005, abs=1e-15)
-    assert d_increment_estimate(0.0, 0.04) == pytest.approx(0.2, abs=1e-15)
-    # Taylor-remainder oracle: |estimate - exact| <= delta^2 / (2 D^3) for small delta
-    d, delta = 0.5, 1e-4
-    exact = math.sqrt(d * d + delta)
-    est = d_increment_estimate(d, delta)
-    assert abs(est - exact) <= delta**2 / (2.0 * d**3)
-
-
 # ---------------------------------------------------------------------------
-# overlaps
+# overlaps on the plane
 # ---------------------------------------------------------------------------
 
 def test_overlap_examples():
@@ -206,8 +199,6 @@ def test_overlap_symmetry(rng):
 
 
 def test_overlap_requires_wigner():
-    from cvteleport import convert_ordering
-
     vac = input_charfn(FockInput(0))
     with pytest.raises(InvalidArgumentError):
         overlap(convert_ordering(vac, 1), vac)
@@ -266,7 +257,7 @@ def test_frobenius_identity_and_bounds():
 
 @pytest.mark.parametrize("state", case_study_inputs() + [FockInput(3), FockMixtureInput(((0, 0.25), (2, 0.75)))])
 def test_input_purity_matches_quadrature(state):
-    fine = QuadratureConfig(radial_nodes=256, angular_nodes=256)
+    fine = PlaneConfig(radial_nodes=256, angular_nodes=256)
     assert input_purity(state) == pytest.approx(purity(input_charfn(state), fine), abs=1e-9)
 
 
@@ -303,7 +294,7 @@ def test_family_matches_direct_path_on_random_cells():
     up to 1e-4 on strongly anisotropic cells.
     """
     rng = np.random.default_rng(20261017)
-    fine = QuadratureConfig(radial_nodes=256, angular_nodes=768)
+    fine = PlaneConfig(radial_nodes=256, angular_nodes=768)
     compared = 0
     draws = 16
     for _ in range(draws):
@@ -349,8 +340,11 @@ def test_family_validates_each_delta():
 
 
 def test_family_tail_check_raises():
+    # The envelope cutoff of exp(-0.01 u) is about 3685, past the
+    # RADIAL_ARG_MAX cap; the tail bound at the cap (about 8e-5) fails the
+    # 1e-9 guard.
     with pytest.raises(AccuracyError):
-        delta_family(FockInput(1), 1.0, cfg=QuadratureConfig(cutoff_radius=3.0))
+        _radial_nodes([(0.01, (), 1.0)], 1.0, QuadratureConfig())
 
 
 def test_distortion_measures_rejects_foreign_output():
@@ -364,11 +358,16 @@ def test_distortion_measures_rejects_foreign_output():
 # ---------------------------------------------------------------------------
 
 import dataclasses  # noqa: E402
+import json  # noqa: E402
+import os  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 from cvteleport import CapacityError  # noqa: E402
-from cvteleport.states import input_photon_cutoff, transfer_basis, transfer_coefficients  # noqa: E402
+from cvteleport.states import input_photon_cutoff  # noqa: E402
 
 
 def _dephased(state):
@@ -393,39 +392,6 @@ def test_family_photon_basis_is_phase_covariant(state):
         assert np.abs(fam.photon_distribution(delta).probs - want).max() <= 1e-10
 
 
-def _gaussian_poly_integral(coef, P, Q):
-    """``(1/pi) ∫∫ exp(-P w^2 - Q z^2) sum_n coef[n] (w^2 + z^2)^n dw dz``."""
-    total = 0.0
-    for n, c in enumerate(coef):
-        for i in range(n + 1):
-            total += (
-                c * math.comb(n, i) * math.gamma(i + 0.5) * math.gamma(n - i + 0.5)
-                / (P ** (i + 0.5) * Q ** (n - i + 0.5))
-            )
-    return total / math.pi
-
-
-def _sqvac_overlap_oracle(s, r, gain):
-    """Closed-form fidelity basis and Gram matrix of a squeezed vacuum.
-
-    ``|chi_in(xi)| = exp(-(e^{2s} w^2 + e^{-2s} z^2) / 2)`` is real and even,
-    so every overlap integrand is a Gaussian times a polynomial in u.
-    """
-    ch = Channel(SqueezedBellResource(1.0, 0.0, r), gain=gain)
-    rate, _ = transfer_basis(ch)
-    a, b = transfer_coefficients(ch)
-    q = [np.array([1.0]), np.array([0.0, a * b]), np.array([1.0, -(a * a + b * b), (a * b) ** 2])]
-    A, B = math.exp(2.0 * s), math.exp(-2.0 * s)
-    g2 = gain * gain
-    P, Q = rate + 0.5 * (1.0 + g2) * A, rate + 0.5 * (1.0 + g2) * B
-    fid = np.array([_gaussian_poly_integral(qk, P, Q) for qk in q])
-    P, Q = 2.0 * rate + g2 * A, 2.0 * rate + g2 * B
-    gram = np.array(
-        [[_gaussian_poly_integral(np.convolve(qj, qk), P, Q) for qk in q] for qj in q]
-    )
-    return fid, gram
-
-
 _OVERLAP_CELLS = [
     (s, r, gain) for s in (1.5, 2.5, -2.5) for r in (0.4, 0.75, 2.5) for gain in (0.5, 1.0, 1.2)
 ] + [(3.5, 0.75, 1.0), (-3.5, 2.5, 0.8), (4.0, 0.75, 1.2), (4.0, 2.5, 1.0)]
@@ -433,61 +399,92 @@ _OVERLAP_CELLS = [
 
 @pytest.mark.parametrize("s,r,gain", _OVERLAP_CELLS)
 def test_family_overlaps_match_gaussian_moments(s, r, gain):
-    # sqvac:3.5 at r = 0.75 needs the decay probe to skip samples at the
-    # underflow floor; with them its anisotropy scale, and the fidelity basis,
-    # are off (by 3.7e-9 here).
-    fid, gram = _sqvac_overlap_oracle(s, r, gain)
-    fam = delta_family(SqueezedVacuumInput(s), r, 0.0, gain, 8)
-    assert np.abs(fam.fidelity_basis - fid).max() <= 1e-12 * max(1.0, np.abs(fid).max())
-    assert np.abs(fam.gram - gram).max() <= 1e-12 * max(1.0, np.abs(gram).max())
+    """The closed-form squeezed-vacuum overlaps against the 2-D quadratures.
+
+    At the default 96 x 128 nodes the plane oracle is itself off by 3.6e-8 at
+    (s, r, g) = (+-2.5, 0.4, 1.2), so it runs at 256 x 768.  sqvac:3.5 at
+    r = 0.75 needs the decay probe to skip samples at the underflow floor;
+    with them its anisotropy scale, and the fidelity, are off (by 3.7e-9).
+    """
+    state = SqueezedVacuumInput(s)
+    fam = delta_family(state, r, 0.0, gain, 8)
+    fine = PlaneConfig(radial_nodes=256, angular_nodes=768)
+    chi_in = input_charfn(state)
+    for delta in (0.0, 0.6, 1.0):
+        out = teleport(state, Channel(SqueezedBellResource(delta, 0.0, r), gain=gain))
+        assert abs(fam.fidelity(delta) - overlap(chi_in, out.charfn, fine)) <= 1e-12, delta
+        assert abs(fam.purity_out(delta) - purity(out.charfn, fine)) <= 1e-12, delta
 
 
 @pytest.mark.parametrize("r", [0.75, 2.5])
 def test_family_strong_squeezing_matches_fine_direct_reference(r):
     state = SqueezedVacuumInput(3.5)
     fam = delta_family(state, r)
-    fine = QuadratureConfig(radial_nodes=512, angular_nodes=2048)
+    fine = PlaneConfig(radial_nodes=512, angular_nodes=2048)
     delta = 0.6
     out = teleport(state, Channel(SqueezedBellResource(delta, 0.0, r)))
     assert abs(fam.fidelity(delta) - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
     assert abs(fam.purity_out(delta) - purity(out.charfn, fine)) <= 1e-9
 
 
-def test_fock_diagonal_family_needs_no_plane_plan(monkeypatch, capsys):
-    """No family, and no CLI command on it, plans or fills a 2-D grid.
+_FAMILY_TEXTS = (
+    "fock:0", "fock:3", "mix:0@0.5,1@0.5",
+    "coherent:1,0.7", "coherent:2.12928", "sqvac:1.5", "sqvac:-1.5",
+)
 
-    Fock-diagonal inputs run on the 1-D rule only, and coherent and squeezed
-    inputs add closed-form Gaussian overlaps."""
-    import cvteleport.numerics as nm
-    import cvteleport.photonstats as ps
-    from cvteleport.cli import main
+# Runs CLI commands (argv lists, JSON in argv[1]) in a fresh interpreter and
+# reports each exit code and output, plus every loaded module whose file lies
+# under the directory argv[2].
+_ISOLATED_RUN = """
+import contextlib, io, json, sys
+from cvteleport.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+loaded = sorted(
+    name for name, module in list(sys.modules.items())
+    if (getattr(module, "__file__", None) or "").startswith(sys.argv[2])
+)
+print(json.dumps({"results": results, "loaded": loaded}))
+"""
 
-    def no_plan(*args, **kwargs):
-        raise AssertionError("the Delta family runs without plane quadrature")
 
-    texts = (
-        "fock:0", "fock:3", "mix:0@0.5,1@0.5",
-        "coherent:1,0.7", "coherent:2.12928", "sqvac:1.5", "sqvac:-1.5",
-    )
-    states = [parse_state(text) for text in texts]
+def test_family_commands_run_on_src_alone(tmp_path):
+    """The family's CLI commands run with only ``src`` on the path.
+
+    compare, optimize (frobenius), photon-stats and sweep, over every catalog
+    kind, exit 0 in a fresh interpreter that loads no module of the test
+    suite: no production path reaches the plane or finite-difference oracles.
+    The families agree with the 2-D fidelity on a fine grid."""
+    tests_dir = Path(__file__).resolve().parent
     cell = ["--r", "1.25", "--theta", "0.2", "--gain", "0.9"]
-    with monkeypatch.context() as patched:
-        for holder in (nm, ps):
-            patched.setattr(holder, "plan_quadrature", no_plan)
-        patched.setattr(nm, "polar_grid", no_plan)
-        families = [delta_family(state, 1.25, 0.2, 0.9, 24) for state in states]
-        for text in texts:
-            for argv in (
-                ["compare", "--input", text, "--delta-grid", "0.7:1.0:4"] + cell,
-                ["optimize", "--kind", "frobenius", "--input", text] + cell,
-                ["photon-stats", "--input", text, "--delta", "0.8"] + cell,
-                ["sweep", "--kinds", "one_minus_fidelity", "--r-grid", "1.25", "--input", text],
-            ):
-                assert main(argv) == 0, argv
-                out = capsys.readouterr().out
-                assert "error" not in out, argv
-    fine = QuadratureConfig(radial_nodes=256, angular_nodes=768)
-    for state, fam in zip(states, families):
+    argvs = [
+        argv
+        for text in _FAMILY_TEXTS
+        for argv in (
+            ["compare", "--input", text, "--delta-grid", "0.7:1.0:4"] + cell,
+            ["optimize", "--kind", "frobenius", "--input", text] + cell,
+            ["photon-stats", "--input", text, "--delta", "0.8"] + cell,
+            ["sweep", "--kinds", "one_minus_fidelity", "--r-grid", "1.25", "--input", text],
+        )
+    ]
+    env = dict(os.environ, PYTHONPATH=str(tests_dir.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ISOLATED_RUN, json.dumps(argvs), str(tests_dir)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == []
+    for argv, (code, out, err) in zip(argvs, report["results"], strict=True):
+        assert code == 0 and err == "", (argv, err)
+        assert "error" not in out, argv
+    fine = PlaneConfig(radial_nodes=256, angular_nodes=768)
+    for state in map(parse_state, _FAMILY_TEXTS):
+        fam = delta_family(state, 1.25, 0.2, 0.9, 24)
         out = teleport(state, Channel(SqueezedBellResource(0.8, 0.2, 1.25), gain=0.9))
         assert abs(fam.fidelity(0.8) - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
 
@@ -499,18 +496,11 @@ def test_coherent_overlaps_match_fine_direct_reference(beta, r, gain):
     """The closed-form coherent overlaps against the 2-D quadratures."""
     state = CoherentInput(beta)
     fam = delta_family(state, r, 0.3, gain, 8)
-    fine = QuadratureConfig(radial_nodes=256, angular_nodes=768)
+    fine = PlaneConfig(radial_nodes=256, angular_nodes=768)
     delta = 0.8
     out = teleport(state, Channel(SqueezedBellResource(delta, 0.3, r), gain=gain))
     assert abs(fam.fidelity(delta) - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
     assert abs(fam.purity_out(delta) - purity(out.charfn, fine)) <= 1e-9
-
-
-def test_family_fixed_cutoff_radius_matches_auto():
-    auto = delta_family(FockInput(1), 1.0)
-    fixed = delta_family(FockInput(1), 1.0, cfg=QuadratureConfig(cutoff_radius=25.0))
-    assert np.abs(auto.photon_basis - fixed.photon_basis).max() <= 1e-13
-    assert np.abs(auto.gram - fixed.gram).max() <= 1e-13
 
 
 @pytest.mark.parametrize("state", case_study_inputs() + [FockInput(10)])

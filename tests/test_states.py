@@ -17,12 +17,12 @@ from cvteleport import (
     fock_charfn,
     input_charfn,
     input_photon_probs,
-    sbl_two_mode_value,
     state_from_descriptor,
     state_to_descriptor,
     transfer_fn,
 )
 from conftest import case_study_inputs, random_points
+from oracles import sbl_two_mode_value
 
 
 def laguerre_series(n, u):
