@@ -414,8 +414,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--radial-nodes", dest="radial_nodes", type=int)
 
 
-def _add_resource(p: argparse.ArgumentParser):
-    p.add_argument("--delta", type=float)
+def _add_resource(p: argparse.ArgumentParser, delta: bool = True):
+    if delta:
+        p.add_argument("--delta", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--r")
     p.add_argument("--gain", type=float)
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=OBJECTIVE_KINDS)
     p.add_argument("--input")
     p.add_argument("--N", type=int)
-    _add_resource(p)
+    _add_resource(p, delta=False)
     _add_common(p)
     p.set_defaults(func=_cmd_optimize)
 
@@ -472,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer-surface", help="(w, z) grid of the transfer function")
     p.add_argument("--presets")
     p.add_argument("--grid")
-    _add_resource(p)
+    _add_resource(p, delta=False)
     _add_common(p)
     p.set_defaults(func=_cmd_transfer_surface)
 

@@ -1,16 +1,18 @@
-"""Bounded one-dimensional optimization of the resource parameter Delta.
+"""Exact one-dimensional optimization of the resource parameter Delta.
 
-:func:`minimize_delta` scans a 41-point coarse grid, brackets the deepest
-interior dip (several objectives carry an interior maximum next to the
-minimum, and the fourth-order transfer cumulant pairs its stationary minimum
-with a lower boundary value; the stationary one is the optimum of record),
-golden-sections that bracket down to 1e-6, and finishes with a step-doubled
-parabolic fit that removes the noise floor of finite-difference objectives.
-Ties break toward smaller Delta, and boundary minima are returned only when
-the grid shows no interior dip.
+With ``Delta = cos(t/2)``, ``t`` in ``[0, pi]``, the weights of
+:func:`cvteleport.states.delta_weights` are linear in ``{1, cos t, sin t}``
+and every objective is linear or quadratic in them: it is ``outer(g(t))``,
+``g`` a trigonometric polynomial of degree 2 and ``outer`` the identity, a
+square root or ``|.|``.  :func:`minimize_delta` fits ``g`` at five Deltas,
+checks the fit at a sixth, and finds the stationary points (for ``|.|``
+also the zeros) of ``g`` as unit-circle roots of quartics in ``e^{it}``.  The
+deepest interior local minimum wins, even over a lower end (the fourth-order
+transfer cumulant's stationary minimum is the optimum of record); without
+one, the lower end.  Ties go to the smaller Delta.
 
 :func:`closed_form_delta` evaluates the six closed-form optimal-Delta
-expressions; the optimizer cross-validates them numerically in the test suite.
+expressions; the test suite holds the optimizer to them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .errors import EvaluationError, InvalidArgumentError
+import numpy as np
+
+from .errors import ConsistencyError, CVTeleportError, EvaluationError, InvalidArgumentError
 from .moments import moment_set, transfer_xp_table
 from .numerics import QuadratureConfig
 from .photonstats import d_functional, delta_family
@@ -46,10 +50,14 @@ CLOSED_FORM_KINDS = (
     "mu4_p_squeezed",
 )
 
-DELTA_TOL = 1e-6
-_COARSE_POINTS = 41
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_POLISH_STEP = 5e-3
+# Fit nodes at t = 0, pi/4, pi/2, 3pi/4, pi (exactly Delta = 1 and 0), check node at t = 3pi/8.
+_NODES = (1.0, math.cos(math.pi / 8), math.sqrt(0.5), math.sin(math.pi / 8), 0.0)
+_CHECK_NODE = math.cos(3 * math.pi / 16)
+_FIT_RTOL = 1e-9  # relative check mismatch; exact objectives stay near 1e-14
+# Sums of probabilities and overlaps (<= 1) that round on that scale, not relative to g.
+_FAMILY_KINDS = ("d_functional", "one_minus_fidelity", "frobenius")
+# A root this close to the unit circle is a real t, and a t this close to 0 or pi an end.
+_ROOT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -73,11 +81,12 @@ class Objective:
 
 @dataclass(frozen=True)
 class OptimumRecord:
+    """One optimized cell; ``iterations`` counts the objective evaluations spent."""
+
     delta_star: float
     objective_value: float
     r: float
     kind: str
-    bracket_used: tuple
     iterations: int
     error: Optional[str] = None
 
@@ -88,10 +97,13 @@ def _channel(obj: Objective, delta: float) -> Channel:
     )
 
 
-def objective_function(obj: Objective) -> Callable[[float], float]:
-    """The scalar map Delta -> objective value for ``obj``."""
-    if obj.kind == "x2_transfer":
-        return lambda d: float(transfer_xp_table(_channel(obj, d)).get(2, 0))
+def _objective_parts(obj: Objective):
+    """``(g, outer)`` with objective ``outer(g(Delta))`` and ``g`` trigonometric in t."""
+    if obj.kind in ("x2_transfer", "n_transfer"):
+        # n_transfer, the bare-derivative photon-number average, is x2 / 2;
+        # resource_closed_forms.n_ab differs by a constant, so the minimizer is shared.
+        half = 0.5 if obj.kind == "n_transfer" else 1.0
+        return (lambda d: half * float(transfer_xp_table(_channel(obj, d)).get(2, 0))), float
 
     if obj.kind == "kappa4_transfer":
         def table_kappa4(d: float) -> float:
@@ -99,12 +111,7 @@ def objective_function(obj: Objective) -> Callable[[float], float]:
             mu2 = float(tab.get(2, 0))
             return float(tab.get(4, 0)) - 3.0 * mu2 * mu2
 
-        return table_kappa4
-
-    if obj.kind == "n_transfer":
-        # Bare-derivative photon-number average; resource_closed_forms.n_ab
-        # differs by a constant offset only, so the minimizer is shared.
-        return lambda d: -float(_transfer_f1(obj, d))
+        return table_kappa4, float
 
     if obj.kind in ("mu4_x", "mu4_p"):
         ms_in = moment_set(obj.input)
@@ -114,104 +121,95 @@ def objective_function(obj: Objective) -> Callable[[float], float]:
 
         def mu4_distortion(d: float) -> float:
             tab = transfer_xp_table(_channel(obj, d))
-            return abs(float(tab.get(*key_mu4)) + 6.0 * g2 * in_var * float(tab.get(2, 0)))
+            return float(tab.get(*key_mu4)) + 6.0 * g2 * in_var * float(tab.get(2, 0))
 
-        return mu4_distortion
+        return mu4_distortion, abs
 
     family = delta_family(
         obj.input, obj.r, obj.theta, obj.gain, obj.n_photons, obj.quad_cfg
     )
 
     if obj.kind == "d_functional":
-        return lambda d: d_functional(family.p_in, family.photon_distribution(d))
+        return (lambda d: d_functional(family.p_in, family.photon_distribution(d)) ** 2), math.sqrt
 
     if obj.kind == "one_minus_fidelity":
-        return lambda d: 1.0 - family.fidelity(d)
+        return (lambda d: 1.0 - family.fidelity(d)), float
 
-    # frobenius
-    return family.frobenius
+    def frobenius_squared(d: float) -> float:
+        return family.purity_in + family.purity_out(d) - 2.0 * family.fidelity(d)
 
-
-def _transfer_f1(obj: Objective, delta: float) -> float:
-    tab = transfer_xp_table(_channel(obj, delta))
-    return -0.5 * float(tab.get(2, 0))
+    return frobenius_squared, lambda v: math.sqrt(max(v, 0.0))  # rounding can dip below 0
 
 
-def _parabola_vertex(F, x: float, d: float) -> Optional[float]:
-    fm, f0, fp = F(x - d), F(x), F(x + d)
-    curv = fm - 2.0 * f0 + fp
-    if not curv > 0.0:
-        return None
-    shift = 0.5 * d * (fm - fp) / curv
-    if abs(shift) > d:
-        return None
-    return x + shift
+def objective_function(obj: Objective) -> Callable[[float], float]:
+    """The scalar map Delta -> objective value for ``obj``."""
+    g, outer = _objective_parts(obj)
+    return lambda d: outer(g(d))
+
+
+def _basis(delta) -> np.ndarray:
+    """Rows ``(1, cos t, sin t, cos 2t, sin 2t)`` at ``t = 2 arccos(Delta)``."""
+    d2 = np.square(delta)
+    c, s = 2.0 * d2 - 1.0, 2.0 * np.multiply(delta, np.sqrt(np.maximum(1.0 - d2, 0.0)))
+    return np.stack([np.ones_like(c), c, s, 2.0 * c * c - 1.0, 2.0 * s * c], axis=-1)
+
+
+_FIT = np.linalg.inv(_basis(_NODES))
+
+
+def _interior_roots(quartic) -> list:
+    """Delta = cos(t/2) at each real t in (0, pi) with ``quartic(e^{it}) = 0``."""
+    z = np.roots(quartic).astype(complex)
+    # Newton steps on the quartic: a near-zero leading coefficient (g almost
+    # free of cos 2t, sin 2t) leaves np.roots inexact near the unit circle.
+    z = z[(np.abs(z) > 0.5) & (np.abs(z) < 2.0)]
+    for _ in range(3):
+        dz = np.polyval(np.polyder(quartic), z)
+        z = z - np.divide(np.polyval(quartic, z), dz, out=np.zeros_like(z), where=dz != 0)
+    t = np.angle(z[np.abs(np.abs(z) - 1.0) <= _ROOT_TOL])
+    return np.cos(0.5 * t[(t > _ROOT_TOL) & (t < math.pi - _ROOT_TOL)]).tolist()
 
 
 def minimize_delta(obj: Objective) -> OptimumRecord:
-    """Minimize ``obj`` over Delta in [0, 1]; deterministic, tie-break to smaller Delta."""
-    f = objective_function(obj)
-    cache: dict = {}
+    """Minimize ``obj`` over Delta in [0, 1]; deterministic, tie-break to smaller Delta.
 
-    def F(x: float) -> float:
-        if x not in cache:
-            v = float(f(x))
-            if not math.isfinite(v):
-                raise EvaluationError(f"objective {obj.kind!r} non-finite at delta={x!r}", delta=x)
-            cache[x] = v
-        return cache[x]
+    Raises ``EvaluationError`` for a non-finite objective, ``ConsistencyError`` for a failed fit.
+    """
+    g, outer = _objective_parts(obj)
 
-    grid = [i / (_COARSE_POINTS - 1) for i in range(_COARSE_POINTS)]
-    vals = [F(x) for x in grid]
-    # Prefer the deepest interior dip: some objectives (the fourth-order
-    # transfer cumulant) pair the sought stationary minimum with a lower
-    # boundary value, and the stationary one is the optimum of record.
-    interior = [
-        i
-        for i in range(1, _COARSE_POINTS - 1)
-        if vals[i] <= vals[i - 1]
-        and vals[i] <= vals[i + 1]
-        and (vals[i] < vals[i - 1] or vals[i] < vals[i + 1])
-    ]
-    candidates = interior or range(_COARSE_POINTS)
-    i0 = min(candidates, key=lambda i: (vals[i], grid[i]))
-    a0 = grid[max(i0 - 1, 0)]
-    b0 = grid[min(i0 + 1, _COARSE_POINTS - 1)]
+    def G(x: float) -> float:
+        v = float(g(x))
+        if not math.isfinite(v):
+            raise EvaluationError(f"objective {obj.kind!r} non-finite at delta={x!r}", delta=x)
+        return v
 
-    a, b = a0, b0
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = F(x1), F(x2)
-    iterations = 0
-    while b - a > DELTA_TOL:
-        iterations += 1
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = F(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = F(x2)
+    values = np.array([G(x) for x in _NODES + (_CHECK_NODE,)])
+    # Fitting offsets from the first sample keeps a constant g exactly flat.
+    coef = _FIT @ (values[:5] - values[0]) + [values[0], 0, 0, 0, 0]
+    mismatch = abs(_basis(_CHECK_NODE) @ coef - values[5])
+    scale = max(np.max(np.abs(values)), 1.0 if obj.kind in _FAMILY_KINDS else 0.0)
+    if mismatch > _FIT_RTOL * scale:
+        raise ConsistencyError(
+            f"objective {obj.kind!r} is no degree-2 trigonometric polynomial: "
+            f"fit mismatch {mismatch:.3e} at delta={_CHECK_NODE!r}"
+        )
 
-    in_basin = {x: v for x, v in cache.items() if a0 <= x <= b0}
-    best = min(in_basin.items(), key=lambda kv: (kv[1], kv[0]))[0]
-    delta_star = best
-    if _POLISH_STEP <= best <= 1.0 - _POLISH_STEP:
-        v1 = _parabola_vertex(F, best, _POLISH_STEP)
-        v2 = _parabola_vertex(F, best, 0.5 * _POLISH_STEP)
-        if v1 is not None and v2 is not None:
-            vertex = (4.0 * v2 - v1) / 3.0
-            if 0.0 <= vertex <= 1.0 and abs(vertex - best) <= _POLISH_STEP:
-                delta_star = vertex
-    return OptimumRecord(
-        delta_star=delta_star,
-        objective_value=F(delta_star),
-        r=obj.r,
-        kind=obj.kind,
-        bracket_used=(a0, b0),
-        iterations=iterations,
-    )
+    # g = a0 + Re(u1 z + u2 z^2) at z = e^{it}; z^2 g'(t) / i and z^2 g(t) are quartics in z.
+    a0, u1, u2 = coef[0], coef[1] - 1j * coef[2], coef[3] - 1j * coef[4]
+    stationary = np.array(_interior_roots([u2, u1 / 2, 0, -u1.conjugate() / 2, -u2.conjugate()]))
+    rows = _basis(stationary)
+    curvature = rows @ (coef * [0, -1, -1, -4, -4])  # g''(t)
+    if outer is abs:  # |g| also dips where g has a negative maximum, and at zeros of g
+        curvature *= np.sign(rows @ coef)
+    minima = stationary[curvature > 0].tolist()
+    if outer is abs:
+        minima += _interior_roots([u2 / 2, u1 / 2, a0, u1.conjugate() / 2, u2.conjugate() / 2])
+    if minima:
+        _, delta_star = min((outer(float(_basis(d) @ coef)), d) for d in minima)
+        value = outer(G(delta_star))
+    else:
+        value, delta_star = min((outer(values[4]), 0.0), (outer(values[0]), 1.0))
+    return OptimumRecord(delta_star, float(value), obj.r, obj.kind, iterations=7 if minima else 6)
 
 
 def closed_form_delta(kind: str, r: float, s: Optional[float] = None) -> float:
@@ -257,7 +255,8 @@ def sweep_r(
     n_photons: int = 24,
     quad_cfg: QuadratureConfig | None = None,
 ) -> list[OptimumRecord]:
-    """Minimize every (kind, r) cell; failures are recorded, the sweep continues."""
+    """Minimize every (kind, r) cell; a cell's ``CVTeleportError`` is recorded and
+    the sweep continues, any other exception is a fault and propagates."""
     if not kinds or len(r_grid) == 0:
         raise InvalidArgumentError("sweep needs nonempty kind and r grids")
     records = []
@@ -274,14 +273,13 @@ def sweep_r(
                     quad_cfg=quad_cfg or QuadratureConfig(),
                 )
                 records.append(minimize_delta(obj))
-            except Exception as exc:  # record the cell, keep sweeping
+            except CVTeleportError as exc:  # record the cell, keep sweeping
                 records.append(
                     OptimumRecord(
                         delta_star=float("nan"),
                         objective_value=float("nan"),
                         r=float(r),
                         kind=kind,
-                        bracket_used=(float("nan"), float("nan")),
                         iterations=0,
                         error=f"{type(exc).__name__}: {exc}",
                     )

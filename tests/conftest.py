@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,28 @@ from cvteleport import (
 )
 
 DELTA2_OPT = 0.9238795325112867  # sqrt(2 + sqrt(2)) / 2
+
+
+def bisect_root(h, lo: float, hi: float) -> float:
+    """A root of ``h`` in ``[lo, hi]``, where ``h`` changes sign, to rounding."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if h(lo) * h(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _kappa4_optimum() -> float:
+    """cos(t/2) at the smaller root in (0, pi) of 2 cos t - sin t - 2 cos 2t."""
+    def h(t):
+        return 2.0 * math.cos(t) - math.sin(t) - 2.0 * math.cos(2.0 * t)
+
+    return math.cos(0.5 * bisect_root(h, 0.1, 1.0))  # h(0.1) < 0 < h(1); t = 0 is a root too
+
+
+DELTA4_OPT = _kappa4_optimum()  # 0.98529408578433...
 
 
 def case_study_inputs():

@@ -323,6 +323,26 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
         assert f"unknown config key '{key}' for compare" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--kind", "x2_transfer", "--r", "2.5"],
+        ["transfer-surface", "--r", "1.25", "--grid=-2:2:3"],
+    ],
+)
+def test_commands_that_choose_delta_refuse_delta(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--delta", "0.3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --delta 0.3" in capsys.readouterr().err
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"delta": 0.3}))
+    code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert f"unknown config key 'delta' for {argv[0]}" in json.loads(err)["error"]["message"]
+
+
 def test_error_record_and_exit_code(capsys):
     code, out, err = run_cli(["moments", "--input", "cat:2"], capsys)
     assert code == 1 and out == ""

@@ -17,7 +17,6 @@ from cvteleport import (
     SqueezedVacuumInput,
     distortion_covariance,
     input_charfn,
-    minimize_delta,
     moment_set,
     output_moment_binomial,
     output_normal_table,
@@ -32,7 +31,6 @@ from cvteleport import (
     transfer_normal_table,
     transfer_xp_table,
 )
-import cvteleport.optimize as opt_mod
 from cvteleport.moments import moment_set_from_tables
 from cvteleport.optimize import Objective
 from conftest import DELTA2_OPT, case_study_inputs, moderate_inputs, random_resources
@@ -42,6 +40,7 @@ from oracles import (
     fd_objective_function,
     raw_moment_normal,
     raw_moment_xp,
+    reference_minimize,
 )
 
 
@@ -274,11 +273,10 @@ def test_closed_forms_match_tables(rng):
         assert cf.kappa4_ab == pytest.approx(kappa4, abs=1e-12)
 
 
-def test_photon_average_stationary_point_shared(monkeypatch):
+def test_photon_average_stationary_point_shared():
     """FD bare photon average and the closed form share their minimizer."""
     r = 1.25
-    monkeypatch.setattr(opt_mod, "objective_function", fd_objective_function)
-    rec_fd = minimize_delta(Objective(kind="n_transfer", r=r))
+    fd_star, _ = reference_minimize(fd_objective_function(Objective(kind="n_transfer", r=r)))
 
     deltas = np.linspace(0.0, 1.0, 100001)
     closed_vals = [
@@ -286,7 +284,7 @@ def test_photon_average_stationary_point_shared(monkeypatch):
         for d in deltas
     ]
     closed_min = deltas[int(np.argmin(closed_vals))]
-    assert abs(rec_fd.delta_star - closed_min) <= 1e-4
+    assert abs(fd_star - closed_min) <= 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -6,61 +6,102 @@ import pytest
 import cvteleport.optimize as opt_mod
 from cvteleport import (
     CoherentInput,
+    ConsistencyError,
     EvaluationError,
     FockInput,
     InvalidArgumentError,
     Objective,
     SqueezedVacuumInput,
     closed_form_delta,
+    delta_family,
     minimize_delta,
     objective_function,
     sweep_r,
 )
 from cvteleport.optimize import CLOSED_FORM_KINDS
-from conftest import DELTA2_OPT
-from oracles import fd_objective_function
+from conftest import DELTA2_OPT, DELTA4_OPT, bisect_root
+from oracles import fd_objective_function, reference_minimize
 
-DELTA4_OPT = 0.985294
+R_RANGE = np.linspace(0.25, 3.0, 12)
 
 
-def test_x2_transfer_optimum_both_paths(monkeypatch):
+def test_kappa4_optimum_value():
+    assert DELTA4_OPT == pytest.approx(0.98529408578433, abs=1e-13)
+
+
+def test_x2_transfer_optimum_both_paths():
     for r in (0.5, 1.25, 2.5):
-        for use_fd in (False, True):
-            with monkeypatch.context() as patched:
-                if use_fd:
-                    patched.setattr(opt_mod, "objective_function", fd_objective_function)
-                rec = minimize_delta(Objective(kind="x2_transfer", r=r))
-            assert abs(rec.delta_star - DELTA2_OPT) <= 1e-4
+        obj = Objective(kind="x2_transfer", r=r)
+        assert abs(minimize_delta(obj).delta_star - DELTA2_OPT) <= 1e-10
+        fd_star, _ = reference_minimize(fd_objective_function(obj))
+        assert abs(fd_star - DELTA2_OPT) <= 1e-4
+
+
+def _assert_r_independent_optimum(kind, target):
+    stars = [minimize_delta(Objective(kind=kind, r=float(r))).delta_star for r in R_RANGE]
+    assert max(abs(s - target) for s in stars) <= 1e-10
+    assert max(stars) - min(stars) <= 1e-10
 
 
 def test_x2_transfer_r_independent():
-    stars = [
-        minimize_delta(Objective(kind="x2_transfer", r=r)).delta_star
-        for r in (0.5, 1.25, 2.5)
-    ]
-    assert max(stars) - min(stars) <= 1e-5
-
-
-def test_kappa4_transfer_optimum():
-    for r in (0.5, 1.0, 2.5):
-        rec = minimize_delta(Objective(kind="kappa4_transfer", r=r))
-        assert abs(rec.delta_star - DELTA4_OPT) <= 1e-3
-    stars = [
-        minimize_delta(Objective(kind="kappa4_transfer", r=r)).delta_star
-        for r in np.linspace(0.3, 3.0, 7)
-    ]
-    # the kappa4 closed form factors as exp(-4r) * h(Delta): r-independent
-    assert max(stars) - min(stars) <= 1e-5
+    _assert_r_independent_optimum("x2_transfer", DELTA2_OPT)
 
 
 def test_n_transfer_optimum():
-    rec = minimize_delta(Objective(kind="n_transfer", r=1.25))
-    assert abs(rec.delta_star - DELTA2_OPT) <= 1e-4
+    _assert_r_independent_optimum("n_transfer", DELTA2_OPT)
+
+
+def test_kappa4_transfer_optimum():
+    # the kappa4 closed form factors as exp(-4r) * h(Delta): r-independent
+    _assert_r_independent_optimum("kappa4_transfer", DELTA4_OPT)
+
+
+def test_kappa4_prefers_the_interior_stationary_point():
+    """The documented rule: an interior local minimum wins over a lower boundary."""
+    obj = Objective(kind="kappa4_transfer", r=0.9, theta=0.0, gain=0.8)
+    rec = minimize_delta(obj)
+    f = objective_function(obj)
+    assert rec.delta_star == pytest.approx(0.99749, abs=1e-5)
+    assert f(0.0) < rec.objective_value
+    for side in (-1e-6, 1e-6):
+        assert rec.objective_value <= f(rec.delta_star + side)
+
+
+def test_frobenius_finds_the_deeper_dip():
+    """A dip between the last two points of a 41-point grid is still found."""
+    obj = Objective(
+        kind="frobenius", r=0.65, theta=0.64, gain=0.8, input=CoherentInput(1.0 + 0.7j)
+    )
+    rec = minimize_delta(obj)
+    # Independent minimizer: bisection on d/dDelta of purity_out - 2F, from
+    # the family's Gram matrix and fidelity overlaps.
+    family = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
+    cos_theta = math.cos(obj.theta)
+
+    def slope(d):
+        root = math.sqrt(1.0 - d * d)
+        w = np.array([d * d, 2.0 * d * root * cos_theta, root * root])
+        dw = np.array([2.0 * d, 2.0 * cos_theta * (root - d * d / root), -2.0 * d])
+        return float(2.0 * (family.gram @ w - family.fidelity_basis) @ dw)
+
+    assert slope(0.99) < 0.0 < slope(0.9999)
+    assert abs(rec.delta_star - bisect_root(slope, 0.99, 0.9999)) <= 1e-9
+    assert rec.objective_value == pytest.approx(0.330481, abs=1e-6)
+    grid_star, grid_value = reference_minimize(objective_function(obj))
+    assert grid_star == pytest.approx(0.85995, abs=1e-5)
+    assert rec.objective_value < grid_value
+
+
+@pytest.mark.parametrize("kind", ["d_functional", "one_minus_fidelity", "frobenius"])
+def test_family_objectives_pass_the_fit_check_at_large_r(kind):
+    """At r = 6 these objectives are ~1e-6 but round on the scale of their terms (~1)."""
+    rec = minimize_delta(Objective(kind=kind, r=6.0, input=CoherentInput(1.0)))
+    assert abs(rec.delta_star - DELTA2_OPT) <= 1e-5
 
 
 def test_constant_objective_tie_breaks_to_zero(monkeypatch):
     obj = Objective(kind="x2_transfer", r=1.0)
-    monkeypatch.setattr(opt_mod, "objective_function", lambda o: (lambda d: 3.25))
+    monkeypatch.setattr(opt_mod, "_objective_parts", lambda o: ((lambda d: 3.25), float))
     rec = opt_mod.minimize_delta(obj)
     assert rec.delta_star == 0.0
 
@@ -68,11 +109,22 @@ def test_constant_objective_tie_breaks_to_zero(monkeypatch):
 def test_non_finite_objective_raises(monkeypatch):
     obj = Objective(kind="x2_transfer", r=1.0)
     monkeypatch.setattr(
-        opt_mod, "objective_function", lambda o: (lambda d: float("nan") if d > 0.5 else 1.0)
+        opt_mod,
+        "_objective_parts",
+        lambda o: ((lambda d: float("nan") if d > 0.5 else 1.0), float),
     )
     with pytest.raises(EvaluationError) as err:
         opt_mod.minimize_delta(obj)
     assert err.value.delta is not None
+
+
+def test_noisy_objective_fails_the_fit_check(monkeypatch):
+    obj = Objective(kind="kappa4_transfer", r=1.0)
+    monkeypatch.setattr(
+        opt_mod, "_objective_parts", lambda o: (fd_objective_function(o), float)
+    )
+    with pytest.raises(ConsistencyError):
+        opt_mod.minimize_delta(obj)
 
 
 def test_local_minimum_certificate():
@@ -81,6 +133,7 @@ def test_local_minimum_certificate():
         rec = minimize_delta(obj)
         f = objective_function(obj)
         star = rec.delta_star
+        assert rec.iterations == 7  # six fit samples and the interior optimum
         for side in (-1e-3, 1e-3):
             probe = star + side
             if 0.0 <= probe <= 1.0:
@@ -137,27 +190,29 @@ def test_closed_form_requires_s_for_squeezed_kinds():
 
 
 def test_numeric_fidelity_matches_closed_form():
-    r = 1.0
-    rec = minimize_delta(Objective(kind="one_minus_fidelity", r=r, input=CoherentInput(2.12928)))
-    assert abs(rec.delta_star - closed_form_delta("fidelity_coherent", r)) <= 1e-3
+    for r in (0.5, 1.0, 2.5):
+        rec = minimize_delta(
+            Objective(kind="one_minus_fidelity", r=r, input=CoherentInput(2.12928))
+        )
+        assert abs(rec.delta_star - closed_form_delta("fidelity_coherent", r)) <= 1e-9
 
 
 def test_numeric_fidelity_fock1_matches_closed_form():
-    r = 1.0
-    rec = minimize_delta(Objective(kind="one_minus_fidelity", r=r, input=FockInput(1)))
-    assert abs(rec.delta_star - closed_form_delta("fidelity_fock1", r)) <= 1e-3
+    for r in (0.5, 1.0, 2.5):
+        rec = minimize_delta(Objective(kind="one_minus_fidelity", r=r, input=FockInput(1)))
+        assert abs(rec.delta_star - closed_form_delta("fidelity_fock1", r)) <= 1e-9
 
 
 def test_numeric_mu4_matches_closed_forms():
     for r in (0.75, 1.5):
         rec = minimize_delta(Objective(kind="mu4_x", r=r, input=CoherentInput(1.0)))
-        assert abs(rec.delta_star - closed_form_delta("mu4_x_coherent", r)) <= 1e-4
+        assert abs(rec.delta_star - closed_form_delta("mu4_x_coherent", r)) <= 1e-9
         rec = minimize_delta(Objective(kind="mu4_x", r=r, input=FockInput(1)))
-        assert abs(rec.delta_star - closed_form_delta("mu4_x_fock1", r)) <= 1e-4
+        assert abs(rec.delta_star - closed_form_delta("mu4_x_fock1", r)) <= 1e-9
         rec = minimize_delta(Objective(kind="mu4_x", r=r, input=SqueezedVacuumInput(0.8)))
-        assert abs(rec.delta_star - closed_form_delta("mu4_x_squeezed", r, 0.8)) <= 1e-4
+        assert abs(rec.delta_star - closed_form_delta("mu4_x_squeezed", r, 0.8)) <= 1e-9
         rec = minimize_delta(Objective(kind="mu4_p", r=r, input=SqueezedVacuumInput(0.8)))
-        assert abs(rec.delta_star - closed_form_delta("mu4_p_squeezed", r, 0.8)) <= 1e-4
+        assert abs(rec.delta_star - closed_form_delta("mu4_p_squeezed", r, 0.8)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +233,22 @@ def test_sweep_records_failures_and_continues():
     recs = sweep_r(["one_minus_fidelity", "x2_transfer"], [1.0])
     assert recs[0].error is not None and math.isnan(recs[0].delta_star)
     assert recs[1].error is None and abs(recs[1].delta_star - DELTA2_OPT) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "fault, recorded", [(ConsistencyError("bad fit"), True), (ZeroDivisionError("bug"), False)]
+)
+def test_sweep_records_only_package_errors(monkeypatch, fault, recorded):
+    def failing(obj):
+        raise fault
+
+    monkeypatch.setattr(opt_mod, "minimize_delta", failing)
+    if recorded:
+        (rec,) = sweep_r(["x2_transfer"], [1.0])
+        assert rec.error == f"{type(fault).__name__}: {fault}" and math.isnan(rec.delta_star)
+    else:
+        with pytest.raises(type(fault)):
+            sweep_r(["x2_transfer"], [1.0])
 
 
 def test_sweep_validates_grids():
