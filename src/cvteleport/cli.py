@@ -428,15 +428,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Observable statistics of continuous-variable teleportation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated options: "--delta" would otherwise pass for "--delta-grid".
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("moments", help="moment set of an input or teleported state")
+    p = add_parser("moments", help="moment set of an input or teleported state")
     p.add_argument("--input")
     p.add_argument("--identity-channel", dest="identity_channel", action="store_true", default=None)
     _add_resource(p)
     _add_common(p)
     p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("photon-stats", help="photon-number probabilities")
+    p = add_parser("photon-stats", help="photon-number probabilities")
     p.add_argument("--input")
     p.add_argument("--N", type=int)
     p.add_argument("--identity-channel", dest="identity_channel", action="store_true", default=None)
@@ -444,15 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_photon_stats)
 
-    p = sub.add_parser("compare", help="Delta sweep of distortion measures")
+    p = add_parser("compare", help="Delta sweep of distortion measures")
     p.add_argument("--input")
     p.add_argument("--N", type=int)
     p.add_argument("--delta-grid", dest="delta_grid")
-    _add_resource(p)
+    _add_resource(p, delta=False)
     _add_common(p)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("optimize", help="minimize one objective over Delta")
+    p = add_parser("optimize", help="minimize one objective over Delta")
     p.add_argument("--kind", choices=OBJECTIVE_KINDS)
     p.add_argument("--input")
     p.add_argument("--N", type=int)
@@ -460,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("sweep", help="optimize objectives over an r grid")
+    p = add_parser("sweep", help="optimize objectives over an r grid")
     p.add_argument("--kinds")
     p.add_argument("--r-grid", dest="r_grid")
     p.add_argument("--input")
@@ -470,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("transfer-surface", help="(w, z) grid of the transfer function")
+    p = add_parser("transfer-surface", help="(w, z) grid of the transfer function")
     p.add_argument("--presets")
     p.add_argument("--grid")
     _add_resource(p, delta=False)

@@ -26,9 +26,13 @@ product (:meth:`DeltaFamily.measure_columns`).
 Dephasing identity.  ``tau`` and the Fock factors depend on ``u = |xi|^2``
 only, so the channel is phase covariant: with ``(1/pi) d^2 xi = du dphi /
 2 pi`` the angle integral acts on ``chi_in(g xi)`` alone and gives
-``A~(g^2 u) = sum_m p_m L~_m(g^2 u)``, ``L~_m(v) = exp(-v/2) L_m(v)``, the
-characteristic function of the dephased input with the photon
-distribution ``p_m`` of :func:`cvteleport.states.input_photon_probs`.  Hence
+``A~(g^2 u)``, the characteristic function of the dephased input.  For Fock
+states, mixtures and coherent inputs it is the photon sum
+``A~(v) = sum_m p_m L~_m(v)``, ``L~_m(v) = exp(-v/2) L_m(v)``, with the photon
+distribution ``p_m`` of :func:`cvteleport.states.input_photon_probs`; for a
+squeezed vacuum it is the closed form
+``A~(v) = exp(-v e^{-2|s|} / 2) i0e(v sinh(2|s|) / 2)``
+(:func:`_dephased_squeezed_vacuum`), the same sum to all orders.  Hence
 
 ``photon_basis[n, k] = ∫_0^∞ du exp(-e u) q_k(u) L~_n(u) A~(g^2 u)``
 
@@ -46,17 +50,20 @@ below that, the bound must still meet 1e-9, else
 :class:`~cvteleport.errors.AccuracyError`.  The node count resolves the
 oscillation of ``L~_N`` and of the input (wavenumbers ``sqrt(4n + 6)``, with
 ``n`` the top photon number of a Fock-diagonal input and the mean photon
-number of a coherent or squeezed one) and is rounded to ``2^k`` or
-``3 * 2^(k-1)``, so few Legendre rules are built.
+number of a coherent or squeezed one, ``sinh^2 s`` for ``sqvac:s``) and is
+rounded to ``2^k`` or ``3 * 2^(k-1)``, so few Legendre rules are built.
 
-The tail certificate.  ``A~`` is summed to the cutoff ``M`` of
+The tail certificate.  The photon sum runs to the cutoff ``M`` of
 :func:`cvteleport.states.input_photon_cutoff`: exact for Fock states and
-mixtures, and for coherent and squeezed inputs the smallest ``M`` whose
-closed-form tail bound (``p_M mu / (M + 1 - mu)``, ``p_M sinh^2 s``, taken in
-log space) is at most 1e-16; every ``P_n`` then moves by at most that mass.
-Past ``M = 2^16`` the family raises :class:`~cvteleport.errors.CapacityError`
-(``sqvac:4`` needs about 51k; ``sqvac:6`` raises).  The sum is a running sum
-over the shared Laguerre recurrence, in O(nodes) memory.
+mixtures, and for coherent inputs the smallest ``M`` whose closed-form tail
+bound ``p_M mu / (M + 1 - mu)``, taken in log space, is at most 1e-16; every
+``P_n`` then moves by at most that mass.  It is a running sum over the
+shared Laguerre recurrence, in O(nodes) memory.  A squeezed vacuum needs no
+sum, but its cutoff (tail bound ``p_M sinh^2 s``) is still taken, as the
+guard of its domain: past ``M = 2^16``, about ``|s| = 4.1``, the family
+raises :class:`~cvteleport.errors.CapacityError`.  Beyond it the node rule,
+which grows like ``e^{|s|}``, would need 4096 nodes at ``|s| = 6`` and
+about 30k at ``|s| = 8``, and ``leggauss`` builds a rule in O(nodes^3).
 
 Phase-sensitive overlaps.  For coherent and squeezed inputs the fidelity
 and Gram integrands are not phase invariant, but they are Gaussians times
@@ -67,6 +74,7 @@ family plans or fills a 2-D grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -362,7 +370,7 @@ def _gaussian_moments(P: float, Q: float, degree: int) -> np.ndarray:
     ])
 
 
-def _gaussian_overlaps(state: InputState, rate: float, terms, gain: float):
+def _gaussian_overlaps(state: InputState, rate: float, coef: np.ndarray, gain: float):
     """Fidelity overlaps and Gram matrix of a coherent or squeezed input, in closed form.
 
     With ``q_k`` the transfer polynomials, the fidelity integrand is
@@ -373,7 +381,9 @@ def _gaussian_overlaps(state: InputState, rate: float, terms, gain: float):
     ``|chi_in(xi)|^2 = exp(-e^{2s} w^2 - e^{-2s} z^2)``, and a coherent state
     the modulus of the vacuum (``s = 0``).  So the fidelity Gaussian has
     ``P, Q = e + (1 + g^2) e^{+-2s} / 2`` and the Gram Gaussian
-    ``P, Q = 2 e + g^2 e^{+-2s}``.
+    ``P, Q = 2 e + g^2 e^{+-2s}``.  With ``coef`` the coefficients of ``q_k``
+    in ``u`` (:func:`~cvteleport.states.transfer_basis`), the overlaps are
+    ``coef @ m`` and ``coef @ H @ coef.T``, ``H[i, l] = m_{i + l}``.
 
     The coherent fidelity integrand keeps the phase
     ``exp(2i (1 - g) Im(xi conj(beta)))``, whose angular mean is
@@ -392,16 +402,45 @@ def _gaussian_overlaps(state: InputState, rate: float, terms, gain: float):
     if isinstance(state, CoherentInput):
         y = (1.0 - gain) ** 2 * abs(state.beta) ** 2 / (rate + 0.5 * (1.0 + g2))
         fid_m *= [math.exp(-0.5 * y) * laguerre_envelope(j, y) for j in range(3)]
-    # The transfer polynomials as coefficient arrays, from transfer_basis itself.
-    u = np.polynomial.Polynomial([0.0, 1.0])
-    q = [np.polynomial.Polynomial([0.0]) + term for term in terms(u)]
+    hankel = gram_m[np.add.outer(np.arange(3), np.arange(3))]
+    return coef @ fid_m, coef @ hankel @ coef.T
 
-    def integral(poly, moments):
-        return float(poly.coef @ moments[: poly.coef.size])
 
-    fidelity_basis = np.array([integral(qk, fid_m) for qk in q])
-    gram = np.array([[integral(qj * qk, gram_m) for qk in q] for qj in q])
-    return fidelity_basis, gram
+# numpy's i0 times exp(-x) up to here, where exp(x) I_0(x) is still finite.
+_I0_EXP_MAX = 700.0
+# Coefficients c_k = ((2k - 1)!!)^2 / (k! 8^k) of the asymptotic series of i0e.
+_I0E_SERIES = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in range(1, 30)])
+
+
+def _i0e(x) -> np.ndarray:
+    """``exp(-x) I_0(x)`` for ``x >= 0``, without overflow.
+
+    Up to ``x = 700`` it is ``numpy.i0(x) exp(-x)``; above, the asymptotic
+    series ``(2 pi x)^(-1/2) sum_k c_k x^(-k)``, whose 30th term there is
+    below 1e-62 of the first.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x <= _I0_EXP_MAX
+    lo, hi = x[small], x[~small]
+    out[small] = np.i0(lo) * np.exp(-lo)
+    series = np.polynomial.polynomial.polyval(1.0 / hi, _I0E_SERIES)
+    out[~small] = series / np.sqrt(2.0 * math.pi * hi)
+    return out
+
+
+def _dephased_squeezed_vacuum(s: float, v) -> np.ndarray:
+    """The angle mean of a squeezed vacuum's ``chi_in`` at ``|xi|^2 = v``, in closed form.
+
+    On ``|xi|^2 = v``, ``|xi'|^2 = v (cosh 2s + sinh 2s cos 2 phi)``, so the
+    mean of ``exp(-|xi'|^2 / 2)`` over ``phi`` is
+    ``exp(-v cosh(2s) / 2) I_0(v sinh(2|s|) / 2)
+    = exp(-v e^{-2|s|} / 2) i0e(v sinh(2|s|) / 2)``: the dephased input
+    ``sum_m p_m L~_m(v)`` summed to all orders.
+    """
+    two_s = 2.0 * abs(s)
+    v = np.asarray(v, dtype=float)
+    return np.exp(-0.5 * math.exp(-two_s) * v) * _i0e(0.5 * math.sinh(two_s) * v)
 
 
 def _transfer_terms(rate: float, terms, u: np.ndarray) -> np.ndarray:
@@ -431,16 +470,23 @@ def delta_family(
     _check_cutoff(N)
     cfg = cfg or QuadratureConfig()
     ch = Channel(SqueezedBellResource(delta=1.0, theta=theta, r=r), gain=gain)
-    rate, terms = transfer_basis(ch)
+    rate, terms, coef = transfer_basis(ch)
     a, b = transfer_coefficients(ch)
     g2 = gain * gain
+    # For a squeezed vacuum the cutoff only guards the domain (CapacityError
+    # past |s| ~ 4.1): its dephased input is summed in closed form.
     M = input_photon_cutoff(state, _PHOTON_TAIL)
-    p = input_photon_probs(state, M)
     fock_diagonal = isinstance(state, (FockInput, FockMixtureInput))
     # Wavenumber of chi_in in rho: sqrt(4 n + 6) bounds that of L~_n; a coherent
     # chi_in oscillates like J0(2 sqrt(<n>) rho) and a squeezed vacuum has a
     # narrow axis of width e^-|s| ~ 1 / (2 sqrt(<n>)), so <n> stands in for n.
-    n_in = M if fock_diagonal else float(np.arange(M + 1) @ p)
+    if isinstance(state, SqueezedVacuumInput):
+        n_in = math.sinh(state.s) ** 2
+        dephased = functools.partial(_dephased_squeezed_vacuum, state.s)
+    else:
+        p = input_photon_probs(state, M)
+        n_in = M if fock_diagonal else float(np.arange(M + 1) @ p)
+        dephased = functools.partial(laguerre_envelope_series, p)
     k_in = math.sqrt(4.0 * n_in + 6.0)
     # |q_k(u)| <= (1 + a^2 u)(1 + b^2 u) for all three terms, |L~_n(u)| <= exp(-u/2)(1 + u)^n
     # and |A~| <= 1: the envelopes of the photon, fidelity and Gram integrands.
@@ -454,15 +500,15 @@ def delta_family(
     u, wt = _radial_nodes(envelopes, max(1.0, g2), cfg)
 
     tau_k = _transfer_terms(rate, terms, u)
-    # The angular mean of chi_in(g xi): the dephased input sum_m p_m L~_m(g^2 u).
-    chi_g = laguerre_envelope_series(p, g2 * u)
+    # The angular mean of chi_in(g xi): the dephased input A~(g^2 u).
+    chi_g = dephased(g2 * u)
     photon_basis = laguerre_envelope_all(N, u) @ (tau_k * (chi_g * wt)).T
     if fock_diagonal:
-        chi_1 = chi_g if gain == 1.0 else laguerre_envelope_series(p, u)
+        chi_1 = chi_g if gain == 1.0 else dephased(u)
         fidelity_basis = tau_k @ (chi_1 * chi_g * wt)
         gram = (tau_k * (chi_g * chi_g * wt)) @ tau_k.T
     else:
-        fidelity_basis, gram = _gaussian_overlaps(state, rate, terms, gain)
+        fidelity_basis, gram = _gaussian_overlaps(state, rate, coef, gain)
     return DeltaFamily(
         state=state,
         r=r,

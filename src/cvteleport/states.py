@@ -218,12 +218,14 @@ def delta_weights(res: SqueezedBellResource) -> tuple[float, float, float]:
 def transfer_basis(ch: Channel):
     """The Delta-free split of the transfer function.
 
-    Returns ``(rate, terms)`` with
+    Returns ``(rate, terms, coef)`` with
     ``tau(xi) = exp(-rate u) * sum_k w_k terms(u)[k]`` for the weights ``w`` of
     :func:`delta_weights` and ``u = |xi|^2``.  The three polynomial terms are
     ``1``, ``a b u`` and ``(1 - a^2 u)(1 - b^2 u)`` with (a, b) from
-    :func:`transfer_coefficients`; ``rate = (a^2 + b^2) / 2``.  Only
-    ``ch.resource.r`` and ``ch.gain`` enter.
+    :func:`transfer_coefficients`; ``rate = (a^2 + b^2) / 2``.  ``coef`` is
+    the 3 x 3 matrix of their coefficients in ``u``:
+    ``terms(u)[k] = sum_i coef[k, i] u^i``.  Only ``ch.resource.r`` and
+    ``ch.gain`` enter.
     """
     a, b = transfer_coefficients(ch)
     a2, b2, ab = a * a, b * b, a * b
@@ -231,7 +233,8 @@ def transfer_basis(ch: Channel):
     def terms(u):
         return 1.0, ab * u, (1.0 - a2 * u) * (1.0 - b2 * u)
 
-    return 0.5 * (a2 + b2), terms
+    coef = np.array([[1.0, 0.0, 0.0], [0.0, ab, 0.0], [1.0, -(a2 + b2), a2 * b2]])
+    return 0.5 * (a2 + b2), terms, coef
 
 
 def transfer_fn(ch: Channel) -> CharFn:
@@ -245,7 +248,7 @@ def transfer_fn(ch: Channel) -> CharFn:
     """
     res = ch.resource
     d2, cross, comp = delta_weights(res)
-    rate, terms = transfer_basis(ch)
+    rate, terms, _ = transfer_basis(ch)
 
     def tau(p: PhasePoint):
         u = p.abs_sq
@@ -297,7 +300,9 @@ def input_photon_probs(state: InputState, N: int) -> np.ndarray:
     raise InvalidArgumentError(f"unknown input state {state!r}")
 
 
-# Largest photon cutoff input_photon_cutoff returns; sqvac:4 needs about 51k.
+# Largest photon cutoff input_photon_cutoff returns.  Coherent inputs sum their
+# photon distribution to the cutoff; for a squeezed vacuum, whose dephased input
+# is a closed form, the cap only bounds the domain (|s| up to about 4.1).
 PHOTON_CUTOFF_CAP = 2**16
 
 

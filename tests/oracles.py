@@ -24,6 +24,11 @@ probe also measures per-axis decay and applies an area-preserving diagonal
 rescaling ``(w, z) -> (w / lam, z * lam)`` so that strongly squeezed
 integrands stay well conditioned on the polar grid.
 
+:func:`polynomial_gaussian_overlaps` builds the closed-form Gaussian overlaps
+of coherent and squeezed inputs from ``numpy.polynomial`` products of the
+transfer terms, the oracle of the matrix form in
+:func:`cvteleport.photonstats._gaussian_overlaps`.
+
 Also here: :func:`convert_ordering`, which the normal-ordered FD moments
 need, and :func:`sbl_two_mode_value`, the full two-mode resource function
 whose restriction the one-mode transfer function must equal.
@@ -51,11 +56,28 @@ from cvteleport.moments import (
     MomentTable,
     moment_set_from_tables,
 )
-from cvteleport.numerics import _DECAY_TARGET, _leggauss, laguerre_envelope_all
+from cvteleport.numerics import (
+    _DECAY_TARGET,
+    _leggauss,
+    laguerre_envelope,
+    laguerre_envelope_all,
+)
 from cvteleport.optimize import Objective, _channel, objective_function
 from cvteleport.phasespace import ORDERINGS, ORIGIN, CharFn, PhasePoint
-from cvteleport.photonstats import PhotonDistribution, _check_cutoff, _distribution
-from cvteleport.states import SqueezedBellResource, fock_charfn, transfer_fn
+from cvteleport.photonstats import (
+    PhotonDistribution,
+    _check_cutoff,
+    _distribution,
+    _gaussian_moments,
+)
+from cvteleport.states import (
+    CoherentInput,
+    InputState,
+    SqueezedBellResource,
+    SqueezedVacuumInput,
+    fock_charfn,
+    transfer_fn,
+)
 
 # ---------------------------------------------------------------------------
 # Operator ordering and the two-mode resource
@@ -629,3 +651,34 @@ def overlap(f: CharFn, g: CharFn, cfg: PlaneConfig | None = None) -> float:
 
 def purity(f: CharFn, cfg: PlaneConfig | None = None) -> float:
     return overlap(f, f, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form Gaussian overlaps from polynomial products
+# ---------------------------------------------------------------------------
+
+def polynomial_gaussian_overlaps(state: InputState, rate: float, terms, gain: float):
+    """Fidelity overlaps and Gram matrix of a coherent or squeezed input.
+
+    The same Gaussian moments as :func:`cvteleport.photonstats._gaussian_overlaps`,
+    combined through ``numpy.polynomial.Polynomial`` products of the transfer
+    terms ``terms(u)`` instead of their coefficient matrix.
+    """
+    g2 = gain * gain
+    s = state.s if isinstance(state, SqueezedVacuumInput) else 0.0
+    wide, narrow = math.exp(2.0 * s), math.exp(-2.0 * s)
+    fid_m = _gaussian_moments(rate + 0.5 * (1.0 + g2) * wide, rate + 0.5 * (1.0 + g2) * narrow, 2)
+    gram_m = _gaussian_moments(2.0 * rate + g2 * wide, 2.0 * rate + g2 * narrow, 4)
+    if isinstance(state, CoherentInput):
+        y = (1.0 - gain) ** 2 * abs(state.beta) ** 2 / (rate + 0.5 * (1.0 + g2))
+        fid_m *= [math.exp(-0.5 * y) * laguerre_envelope(j, y) for j in range(3)]
+    # The transfer polynomials as coefficient arrays, from transfer_basis itself.
+    u = np.polynomial.Polynomial([0.0, 1.0])
+    q = [np.polynomial.Polynomial([0.0]) + term for term in terms(u)]
+
+    def integral(poly, moments):
+        return float(poly.coef @ moments[: poly.coef.size])
+
+    fidelity_basis = np.array([integral(qk, fid_m) for qk in q])
+    gram = np.array([[integral(qj * qk, gram_m) for qk in q] for qj in q])
+    return fidelity_basis, gram

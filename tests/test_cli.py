@@ -328,6 +328,8 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     [
         ["optimize", "--kind", "x2_transfer", "--r", "2.5"],
         ["transfer-surface", "--r", "1.25", "--grid=-2:2:3"],
+        # --delta must not pass as an abbreviation of --delta-grid either.
+        ["compare", "--input", "fock:1", "--r", "1.25", "--delta-grid", "0.9"],
     ],
 )
 def test_commands_that_choose_delta_refuse_delta(argv, tmp_path, capsys):

@@ -18,6 +18,7 @@ from cvteleport import (
     objective_function,
     sweep_r,
 )
+from cvteleport.cli import parse_state
 from cvteleport.optimize import CLOSED_FORM_KINDS
 from conftest import DELTA2_OPT, DELTA4_OPT, bisect_root
 from oracles import fd_objective_function, reference_minimize
@@ -296,3 +297,15 @@ def test_squeezed_input_converges_slowest():
         Objective(kind="d_functional", r=2.5, input=CoherentInput(2.12928))
     )
     assert abs(rec_sq.delta_star - DELTA2_OPT) > 5.0 * abs(rec_coh.delta_star - DELTA2_OPT)
+
+
+@pytest.mark.parametrize("text", ["fock:1", "coherent:1", "sqvac:1.5", "mix:0@0.5,1@0.5"])
+def test_photon_statistics_optimum_tends_to_delta2_optimum(text):
+    """The paper's claim: as r grows, the D_N optimum rises to Delta_(2)^opt = cos(pi/8)."""
+    state = parse_state(text)
+    stars = [
+        minimize_delta(Objective(kind="d_functional", r=r, input=state)).delta_star
+        for r in (1.0, 2.0, 3.0, 4.0)
+    ]
+    assert all(lo < hi for lo, hi in zip(stars, stars[1:])), stars
+    assert abs(stars[-1] - math.cos(math.pi / 8.0)) < 1e-3, stars

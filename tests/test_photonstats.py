@@ -366,8 +366,15 @@ import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from cvteleport import CapacityError  # noqa: E402
-from cvteleport.states import input_photon_cutoff  # noqa: E402
+from cvteleport import CapacityError, PhasePoint  # noqa: E402
+from cvteleport.numerics import laguerre_envelope_series  # noqa: E402
+from cvteleport.photonstats import (  # noqa: E402
+    _dephased_squeezed_vacuum,
+    _gaussian_overlaps,
+    _i0e,
+)
+from cvteleport.states import input_photon_cutoff, transfer_basis  # noqa: E402
+from oracles import polynomial_gaussian_overlaps  # noqa: E402
 
 
 def _dephased(state):
@@ -414,6 +421,78 @@ def test_family_overlaps_match_gaussian_moments(s, r, gain):
         out = teleport(state, Channel(SqueezedBellResource(delta, 0.0, r), gain=gain))
         assert abs(fam.fidelity(delta) - overlap(chi_in, out.charfn, fine)) <= 1e-12, delta
         assert abs(fam.purity_out(delta) - purity(out.charfn, fine)) <= 1e-12, delta
+
+
+@pytest.mark.parametrize("s", [-4.0, -1.5, 0.0, 0.3, 1.5, 3.0, 4.0])
+def test_dephased_squeezed_vacuum_matches_photon_sum(s):
+    """The closed-form angle mean of a squeezed vacuum against its photon sum
+    ``sum_m p_m L~_m(v)`` and against the mean of ``chi_in`` over the circle.
+
+    The running sum itself drifts by up to 2e-11 near v ~ 1e-5 at |s| = 4,
+    where its ~25k terms are all close to 1, so on the log grid down to
+    v = 1e-8 the reference is the trapezoid rule over phi: exact to rounding
+    for this smooth periodic integrand, whose peak at s = 4, v = 60 spans
+    about 3 grid steps.
+    """
+    state = SqueezedVacuumInput(s)
+    probs = input_photon_probs(state, input_photon_cutoff(state, 1e-16))
+    v = np.linspace(0.0, 60.0, 241)
+    want = laguerre_envelope_series(probs, v)
+    assert np.abs(_dephased_squeezed_vacuum(s, v) - want).max() <= 1e-13
+
+    v = np.geomspace(1e-8, 60.0, 81)
+    phi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    rho = np.sqrt(v)[:, None]
+    chi = input_charfn(state)(PhasePoint(rho * np.cos(phi), rho * np.sin(phi)))
+    want = chi.real.mean(axis=1)
+    assert np.abs(_dephased_squeezed_vacuum(s, v) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("r", [0.75, 2.5])
+@pytest.mark.parametrize("s", [-4.0, 4.0])
+def test_strong_squeezing_node_rule_is_resolved(s, r):
+    """The node rule reads the mean photon number sinh^2 s of the squeezed
+    input; without it the sqvac:4 photon basis is off by 1.8e-12 at r = 2.5."""
+    state = SqueezedVacuumInput(s)
+    fine = delta_family(state, r, cfg=QuadratureConfig(radial_nodes=1536)).photon_basis
+    assert np.abs(delta_family(state, r).photon_basis - fine).max() <= 1e-13
+
+
+def test_i0e_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate((
+        [0.0, 1e-300],
+        np.geomspace(1e-12, 1e8, 2001),
+        np.nextafter(700.0, [0.0, np.inf]),
+        [700.0, 700.5, 701.0],
+    ))
+    want = special.i0e(x)
+    assert np.abs(_i0e(x) / want - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("gain", [0.5, 1.0, 1.3])
+@pytest.mark.parametrize("r", [0.4, 1.25, 2.5])
+@pytest.mark.parametrize(
+    "state",
+    [CoherentInput(2.12928), CoherentInput(1.0 + 0.7j), SqueezedVacuumInput(1.5),
+     SqueezedVacuumInput(-2.5), SqueezedVacuumInput(4.0)],
+)
+def test_gaussian_overlaps_match_polynomial_products(state, r, gain):
+    rate, terms, coef = transfer_basis(Channel(SqueezedBellResource(1.0, 0.0, r), gain=gain))
+    fid, gram = _gaussian_overlaps(state, rate, coef, gain)
+    want_fid, want_gram = polynomial_gaussian_overlaps(state, rate, terms, gain)
+    assert np.abs(fid - want_fid).max() <= 1e-14
+    assert np.abs(gram - want_gram).max() <= 1e-14
+
+
+def test_transfer_basis_coefficients_reproduce_terms(rng):
+    for _ in range(20):
+        r, gain = rng.uniform(0.0, 3.0), rng.uniform(0.3, 2.0)
+        _, terms, coef = transfer_basis(Channel(SqueezedBellResource(1.0, 0.0, r), gain=gain))
+        u = rng.uniform(0.0, 50.0, 16)
+        want = np.stack(np.broadcast_arrays(*terms(u)))
+        got = coef @ np.stack((np.ones_like(u), u, u * u))
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("r", [0.75, 2.5])
