@@ -35,7 +35,6 @@ from .moments import (
     transfer_normal_table,
     transfer_xp_table,
 )
-from .numerics import QuadratureConfig
 from .optimize import (
     Objective,
     OptimumRecord,

@@ -34,7 +34,6 @@ from . import __version__
 from .channel import teleport
 from .errors import CVTeleportError, InvalidArgumentError
 from .moments import moment_set
-from .numerics import QuadratureConfig
 from .optimize import (
     OBJECTIVE_KINDS,
     Objective,
@@ -222,10 +221,6 @@ def _opt(resolved: dict, key: str, default, cast=float):
     return default if value is None else cast(value)
 
 
-def _quad_cfg(resolved: dict) -> QuadratureConfig:
-    return QuadratureConfig(radial_nodes=_opt(resolved, "radial_nodes", 96, int))
-
-
 def _channel_from(resolved: dict, delta=None) -> Channel:
     if delta is None:
         if resolved.get("delta") is None:
@@ -274,7 +269,7 @@ def _cmd_photon_stats(resolved):
     else:
         ch = _channel_from(resolved)
         res = ch.resource
-        family = delta_family(state, res.r, res.theta, ch.gain, n_photons, _quad_cfg(resolved))
+        family = delta_family(state, res.r, res.theta, ch.gain, n_photons)
         p_out = family.photon_distribution(res.delta)
     _emit({"n": range(n_photons + 1), "P_in": p_in.probs, "P_out": p_out.probs}, resolved)
 
@@ -292,7 +287,6 @@ def _cmd_compare(resolved):
         theta=_opt(resolved, "theta", 0.0),
         gain=_opt(resolved, "gain", 1.0),
         N=_opt(resolved, "N", 24, int),
-        cfg=_quad_cfg(resolved),
     )
 
     cols = family.measure_columns(deltas)
@@ -318,7 +312,6 @@ def _cmd_optimize(resolved):
         input=state,
         gain=_opt(resolved, "gain", 1.0),
         n_photons=_opt(resolved, "N", 24, int),
-        quad_cfg=_quad_cfg(resolved),
     )
     rec = minimize_delta(obj)
     table = {
@@ -346,7 +339,6 @@ def _cmd_sweep(resolved):
     records = sweep_r(
         kinds, r_grid, input=state, theta=_opt(resolved, "theta", 0.0),
         gain=_opt(resolved, "gain", 1.0), n_photons=_opt(resolved, "N", 24, int),
-        quad_cfg=_quad_cfg(resolved),
     )
     table = {
         "kind": [rec.kind for rec in records],
@@ -411,7 +403,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--output", help="output file (default: stdout)")
     p.add_argument("--format", choices=_FORMATS, help="csv (default) or json")
-    p.add_argument("--radial-nodes", dest="radial_nodes", type=int)
 
 
 def _add_resource(p: argparse.ArgumentParser, delta: bool = True):

@@ -33,11 +33,4 @@ class DegenerateStateError(CVTeleportError):
 
 
 class EvaluationError(CVTeleportError):
-    """An objective evaluation produced a non-finite value.
-
-    Carries the offending parameter value in ``delta``.
-    """
-
-    def __init__(self, message, delta=None):
-        super().__init__(message)
-        self.delta = delta
+    """An objective produced a non-finite value."""

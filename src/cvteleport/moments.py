@@ -122,16 +122,20 @@ def _radial_xp_values(f1: float, f2: float):
     return vals
 
 
-def _transfer_radial_derivs(ch: Channel):
-    """F'(0), F''(0) of the transfer function seen as F(|xi|^2)."""
+def transfer_derivative_forms(ch: Channel):
+    """``(d1, d2)`` with ``F'(0) = d1 @ w``, ``F''(0) = d2 @ w`` for the transfer
+    function seen as ``F(|xi|^2)`` and the weights ``w`` of :func:`delta_weights`
+    (``w0 + w2 = 1`` carries the constants).  Only r and the gain enter."""
     a, b = transfer_coefficients(ch)
-    e = 0.5 * (a * a + b * b)
-    _, cross, comp = delta_weights(ch.resource)
-    h1 = cross * a * b - 2.0 * e * comp
-    h2 = 2.0 * comp * a * a * b * b
-    f1 = -e + h1
-    f2 = e * e - 2.0 * e * h1 + h2
-    return f1, f2
+    e, ab = 0.5 * (a * a + b * b), a * b
+    d2 = np.array([e * e, -2.0 * e * ab, 5.0 * e * e + 2.0 * ab * ab])
+    return np.array([-e, ab, -3.0 * e]), d2
+
+
+def _transfer_radial_derivs(ch: Channel):
+    """F'(0), F''(0) of the transfer function at the resource's Delta and theta."""
+    w = np.array(delta_weights(ch.resource))
+    return tuple(float(d @ w) for d in transfer_derivative_forms(ch))
 
 
 def state_xp_table(state: InputState) -> MomentTable:

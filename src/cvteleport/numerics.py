@@ -12,7 +12,6 @@ against live in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,21 +20,6 @@ from .errors import InvalidArgumentError
 
 # ln(1e16): the automatic cutoff U satisfies a tail bound below exp(-36.85) ~ 1e-16.
 _DECAY_TARGET = 36.85
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for the 1-D radial rule of :func:`cvteleport.photonstats.delta_family`.
-
-    ``radial_nodes`` is the least node count; the rule grows it to resolve
-    the Laguerre oscillation.
-    """
-
-    radial_nodes: int = 96
-
-    def __post_init__(self):
-        if self.radial_nodes < 8:
-            raise InvalidArgumentError("quadrature needs at least 8 radial nodes")
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,16 @@
 """Exact one-dimensional optimization of the resource parameter Delta.
 
-With ``Delta = cos(t/2)``, ``t`` in ``[0, pi]``, the weights of
-:func:`cvteleport.states.delta_weights` are linear in ``{1, cos t, sin t}``
-and every objective is linear or quadratic in them: it is ``outer(g(t))``,
-``g`` a trigonometric polynomial of degree 2 and ``outer`` the identity, a
-square root or ``|.|``.  :func:`minimize_delta` fits ``g`` at five Deltas,
-checks the fit at a sixth, and finds the stationary points (for ``|.|``
-also the zeros) of ``g`` as unit-circle roots of quartics in ``e^{it}``.  The
-deepest interior local minimum wins, even over a lower end (the fourth-order
-transfer cumulant's stationary minimum is the optimum of record); without
-one, the lower end.  Ties go to the smaller Delta.
+Every objective is ``outer(w @ Q @ w)``: ``w`` the weights of
+:func:`cvteleport.states.delta_weights`, ``Q`` a Delta-free 3 x 3 matrix
+from the transfer-derivative forms or the Delta family, and ``outer`` the
+identity, a square root or ``|.|``.  With ``Delta = cos(t/2)``, ``t`` in
+``[0, pi]``, ``w`` is linear in ``{1, cos t, sin t}``, so ``w @ Q @ w`` is a
+trigonometric polynomial ``g(t)`` of degree 2 whose coefficients are a linear
+map of ``Q``.  :func:`minimize_delta` finds the stationary points (for
+``|.|`` also the zeros) of ``g`` as unit-circle roots of quartics in
+``e^{it}``.  The deepest interior local minimum wins, even over a lower end
+(the fourth-order transfer cumulant's stationary minimum is the optimum of
+record); without one, the lower end.  Ties go to the smaller Delta.
 
 :func:`closed_form_delta` evaluates the six closed-form optimal-Delta
 expressions; the test suite holds the optimizer to them.
@@ -18,15 +19,14 @@ expressions; the test suite holds the optimizer to them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, CVTeleportError, EvaluationError, InvalidArgumentError
-from .moments import moment_set, transfer_xp_table
-from .numerics import QuadratureConfig
-from .photonstats import d_functional, delta_family
+from .errors import AccuracyError, CVTeleportError, EvaluationError, InvalidArgumentError
+from .moments import moment_set, transfer_derivative_forms
+from .photonstats import delta_family
 from .states import Channel, InputState, SqueezedBellResource
 
 OBJECTIVE_KINDS = (
@@ -50,12 +50,13 @@ CLOSED_FORM_KINDS = (
     "mu4_p_squeezed",
 )
 
-# Fit nodes at t = 0, pi/4, pi/2, 3pi/4, pi (exactly Delta = 1 and 0), check node at t = 3pi/8.
-_NODES = (1.0, math.cos(math.pi / 8), math.sqrt(0.5), math.sin(math.pi / 8), 0.0)
-_CHECK_NODE = math.cos(3 * math.pi / 16)
-_FIT_RTOL = 1e-9  # relative check mismatch; exact objectives stay near 1e-14
-# Sums of probabilities and overlaps (<= 1) that round on that scale, not relative to g.
-_FAMILY_KINDS = ("d_functional", "one_minus_fidelity", "frobenius")
+# _ONE @ w = Delta^2 + (1 - Delta^2) = 1, so a linear objective l @ w is (l @ w)(_ONE @ w).
+_ONE = np.array([1.0, 0.0, 1.0])
+_UPPER = np.triu_indices(3)
+# A coefficient sums at most four entries of Q of at most four terms each,
+# every term rounded to about an ulp: 16 eps of the largest terms bounds
+# that rounding.
+_ROUNDING = 16.0 * np.finfo(float).eps
 # A root this close to the unit circle is a real t, and a t this close to 0 or pi an end.
 _ROOT_TOL = 1e-7
 
@@ -70,7 +71,6 @@ class Objective:
     input: Optional[InputState] = None
     gain: float = 1.0
     n_photons: int = 24
-    quad_cfg: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
@@ -97,54 +97,85 @@ def _channel(obj: Objective, delta: float) -> Channel:
     )
 
 
-def _objective_parts(obj: Objective):
-    """``(g, outer)`` with objective ``outer(g(Delta))`` and ``g`` trigonometric in t."""
-    if obj.kind in ("x2_transfer", "n_transfer"):
-        # n_transfer, the bare-derivative photon-number average, is x2 / 2;
-        # resource_closed_forms.n_ab differs by a constant, so the minimizer is shared.
-        half = 0.5 if obj.kind == "n_transfer" else 1.0
-        return (lambda d: half * float(transfer_xp_table(_channel(obj, d)).get(2, 0))), float
+def _sym(x, y) -> np.ndarray:
+    return 0.5 * (np.outer(x, y) + np.outer(y, x))
 
-    if obj.kind == "kappa4_transfer":
-        def table_kappa4(d: float) -> float:
-            tab = transfer_xp_table(_channel(obj, d))
-            mu2 = float(tab.get(2, 0))
-            return float(tab.get(4, 0)) - 3.0 * mu2 * mu2
 
-        return table_kappa4, float
+def _form(obj: Objective):
+    """``(Q, terms, outer, family)``: objective ``outer(w @ Q @ w)``, ``terms`` the
+    sums of the absolute values of the terms summed into ``Q``, and ``family`` the
+    :class:`DeltaFamily` that ``Q`` was read from, if any."""
+    if obj.kind in ("d_functional", "one_minus_fidelity", "frobenius"):
+        family = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
+        if obj.kind == "d_functional":
+            # P_out - P_in, P_in on the columns that sum to 1: no O(1) terms cancel in Q.
+            diff = family.photon_basis - np.outer(family.p_in.clamped(), _ONE)
+            return diff.T @ diff, np.abs(diff).T @ np.abs(diff), math.sqrt, family
+        f = family.fidelity_basis
+        if obj.kind == "frobenius":  # purity_in + purity_out - 2 F
+            ones = family.purity_in * np.outer(_ONE, _ONE)
+            Q = family.gram + ones - 2.0 * _sym(f, _ONE)
+            terms = np.abs(family.gram) + ones + 2.0 * _sym(np.abs(f), _ONE)
+            return Q, terms, (lambda v: math.sqrt(max(v, 0.0))), family  # rounding can dip below 0
+        return _sym(_ONE - f, _ONE), _sym(_ONE + np.abs(f), _ONE), float, family
 
-    if obj.kind in ("mu4_x", "mu4_p"):
+    d1, d2 = transfer_derivative_forms(_channel(obj, 1.0))
+    if obj.kind == "kappa4_transfer":  # mu4 - 3 mu2^2 = 12 F''(0) - 12 F'(0)^2
+        Q = 12.0 * (_sym(d2, _ONE) - np.outer(d1, d1))
+        terms = 12.0 * (_sym(np.abs(d2), _ONE) + np.outer(np.abs(d1), np.abs(d1)))
+        return Q, terms, float, None
+    if obj.kind in ("mu4_x", "mu4_p"):  # mu4 + 6 g^2 var mu2, mu4 = 12 F''(0), mu2 = -2 F'(0)
         ms_in = moment_set(obj.input)
-        in_var = ms_in.x2_central if obj.kind == "mu4_x" else ms_in.p2_central
-        key_mu4 = (4, 0) if obj.kind == "mu4_x" else (0, 4)
-        g2 = obj.gain * obj.gain
+        var = obj.gain * obj.gain * (ms_in.x2_central if obj.kind == "mu4_x" else ms_in.p2_central)
+        line, terms = 12.0 * d2 - 12.0 * var * d1, 12.0 * np.abs(d2) + 12.0 * abs(var) * np.abs(d1)
+        return _sym(line, _ONE), _sym(terms, _ONE), abs, None
+    # x2 = -2 F'(0); n_transfer, the bare-derivative photon-number average, is x2 / 2;
+    # resource_closed_forms.n_ab differs by a constant, so the minimizer is shared.
+    line = (-1.0 if obj.kind == "n_transfer" else -2.0) * d1
+    return _sym(line, _ONE), _sym(np.abs(line), _ONE), float, None
 
-        def mu4_distortion(d: float) -> float:
-            tab = transfer_xp_table(_channel(obj, d))
-            return float(tab.get(*key_mu4)) + 6.0 * g2 * in_var * float(tab.get(2, 0))
 
-        return mu4_distortion, abs
+def _trig_form(obj: Objective):
+    """``(coef, outer, family)`` with objective ``outer(_basis(Delta) @ coef)``.
 
-    family = delta_family(
-        obj.input, obj.r, obj.theta, obj.gain, obj.n_photons, obj.quad_cfg
-    )
-
-    if obj.kind == "d_functional":
-        return (lambda d: d_functional(family.p_in, family.photon_distribution(d)) ** 2), math.sqrt
-
-    if obj.kind == "one_minus_fidelity":
-        return (lambda d: 1.0 - family.fidelity(d)), float
-
-    def frobenius_squared(d: float) -> float:
-        return family.purity_in + family.purity_out(d) - 2.0 * family.fidelity(d)
-
-    return frobenius_squared, lambda v: math.sqrt(max(v, 0.0))  # rounding can dip below 0
+    ``trig`` maps ``Q[_UPPER]`` to ``coef`` through ``w = W (1, cos t, sin t)``,
+    ``W = [[1/2, 1/2, 0], [0, 0, cos theta], [1/2, -1/2, 0]]``.  Raises
+    ``EvaluationError`` for a non-finite form and ``AccuracyError`` when the
+    Delta-dependent coefficients lie within the rounding of their largest terms.
+    """
+    c = math.cos(obj.theta)
+    trig = np.array([
+        [0.375, 0.0, 0.25, 0.5 * c * c, 0.0, 0.375],
+        [0.5, 0.0, 0.0, 0.0, 0.0, -0.5],
+        [0.0, c, 0.0, 0.0, c, 0.0],
+        [0.125, 0.0, -0.25, -0.5 * c * c, 0.0, 0.125],
+        [0.0, 0.5 * c, 0.0, 0.0, -0.5 * c, 0.0],
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises below
+        Q, terms, outer, family = _form(obj)
+        coef = trig @ Q[_UPPER]
+        rounding = _ROUNDING * np.max(np.abs(trig[1:]) @ terms[_UPPER])
+    if not np.all(np.isfinite(coef)):
+        raise EvaluationError(f"objective {obj.kind!r} has non-finite coefficients {coef!r}")
+    variation = np.max(np.abs(coef[1:]))
+    if variation <= rounding:
+        raise AccuracyError(
+            f"objective {obj.kind!r} varies over Delta by {variation:.3e}, within the "
+            f"rounding {rounding:.3e} of its terms; no optimum can be certified",
+            estimate=variation,
+        )
+    return coef, outer, family
 
 
 def objective_function(obj: Objective) -> Callable[[float], float]:
-    """The scalar map Delta -> objective value for ``obj``."""
-    g, outer = _objective_parts(obj)
-    return lambda d: outer(g(d))
+    """The scalar map Delta -> objective value for ``obj``, from its trigonometric form."""
+    coef, outer, _ = _trig_form(obj)
+
+    def f(delta: float) -> float:
+        _channel(obj, delta)  # validates Delta
+        return outer(float(_basis(delta) @ coef))
+
+    return f
 
 
 def _basis(delta) -> np.ndarray:
@@ -152,9 +183,6 @@ def _basis(delta) -> np.ndarray:
     d2 = np.square(delta)
     c, s = 2.0 * d2 - 1.0, 2.0 * np.multiply(delta, np.sqrt(np.maximum(1.0 - d2, 0.0)))
     return np.stack([np.ones_like(c), c, s, 2.0 * c * c - 1.0, 2.0 * s * c], axis=-1)
-
-
-_FIT = np.linalg.inv(_basis(_NODES))
 
 
 def _interior_roots(quartic) -> list:
@@ -173,26 +201,14 @@ def _interior_roots(quartic) -> list:
 def minimize_delta(obj: Objective) -> OptimumRecord:
     """Minimize ``obj`` over Delta in [0, 1]; deterministic, tie-break to smaller Delta.
 
-    Raises ``EvaluationError`` for a non-finite objective, ``ConsistencyError`` for a failed fit.
+    The objective is evaluated once, at the optimum: for the family kinds
+    that is the :meth:`DeltaFamily.measures` value ``compare`` prints, with
+    its checks.  Raises like :func:`_trig_form`.
     """
-    g, outer = _objective_parts(obj)
+    coef, outer, family = _trig_form(obj)
 
-    def G(x: float) -> float:
-        v = float(g(x))
-        if not math.isfinite(v):
-            raise EvaluationError(f"objective {obj.kind!r} non-finite at delta={x!r}", delta=x)
-        return v
-
-    values = np.array([G(x) for x in _NODES + (_CHECK_NODE,)])
-    # Fitting offsets from the first sample keeps a constant g exactly flat.
-    coef = _FIT @ (values[:5] - values[0]) + [values[0], 0, 0, 0, 0]
-    mismatch = abs(_basis(_CHECK_NODE) @ coef - values[5])
-    scale = max(np.max(np.abs(values)), 1.0 if obj.kind in _FAMILY_KINDS else 0.0)
-    if mismatch > _FIT_RTOL * scale:
-        raise ConsistencyError(
-            f"objective {obj.kind!r} is no degree-2 trigonometric polynomial: "
-            f"fit mismatch {mismatch:.3e} at delta={_CHECK_NODE!r}"
-        )
+    def g(delta: float) -> float:
+        return float(_basis(delta) @ coef)
 
     # g = a0 + Re(u1 z + u2 z^2) at z = e^{it}; z^2 g'(t) / i and z^2 g(t) are quartics in z.
     a0, u1, u2 = coef[0], coef[1] - 1j * coef[2], coef[3] - 1j * coef[4]
@@ -204,12 +220,13 @@ def minimize_delta(obj: Objective) -> OptimumRecord:
     minima = stationary[curvature > 0].tolist()
     if outer is abs:
         minima += _interior_roots([u2 / 2, u1 / 2, a0, u1.conjugate() / 2, u2.conjugate() / 2])
-    if minima:
-        _, delta_star = min((outer(float(_basis(d) @ coef)), d) for d in minima)
-        value = outer(G(delta_star))
+    _, delta_star = min((outer(g(d)), d) for d in minima or [0.0, 1.0])
+    if family is None:
+        value = outer(g(delta_star))
     else:
-        value, delta_star = min((outer(values[4]), 0.0), (outer(values[0]), 1.0))
-    return OptimumRecord(delta_star, float(value), obj.r, obj.kind, iterations=7 if minima else 6)
+        m = family.measures(delta_star)
+        value = {"d_functional": m.d_n, "frobenius": m.frobenius}.get(obj.kind, 1.0 - m.fidelity)
+    return OptimumRecord(delta_star, float(value), obj.r, obj.kind, iterations=1)
 
 
 def closed_form_delta(kind: str, r: float, s: Optional[float] = None) -> float:
@@ -253,7 +270,6 @@ def sweep_r(
     theta: float = 0.0,
     gain: float = 1.0,
     n_photons: int = 24,
-    quad_cfg: QuadratureConfig | None = None,
 ) -> list[OptimumRecord]:
     """Minimize every (kind, r) cell; a cell's ``CVTeleportError`` is recorded and
     the sweep continues, any other exception is a fault and propagates."""
@@ -270,7 +286,6 @@ def sweep_r(
                     input=input,
                     gain=gain,
                     n_photons=n_photons,
-                    quad_cfg=quad_cfg or QuadratureConfig(),
                 )
                 records.append(minimize_delta(obj))
             except CVTeleportError as exc:  # record the cell, keep sweeping

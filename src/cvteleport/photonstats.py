@@ -19,9 +19,9 @@ polynomials ``q_k`` (:func:`cvteleport.states.transfer_basis`) and weights
 every ``P_n`` and the fidelity are linear in ``w`` and the output purity is
 the quadratic form ``w^T G w``.  :func:`delta_family` computes the
 ``(N+1) x 3`` photon basis, the three fidelity overlaps and the 3 x 3 Gram
-matrix ``G`` once per (input, r, theta, gain, N, quadrature config); each
-Delta then costs O(N) arithmetic, and a Delta grid is one ``(N+1) x D``
-product (:meth:`DeltaFamily.measure_columns`).
+matrix ``G`` once per (input, r, theta, gain, N); each Delta then costs O(N)
+arithmetic, and a Delta grid is one ``(N+1) x D`` product
+(:meth:`DeltaFamily.measure_columns`).
 
 Dephasing identity.  ``tau`` and the Fock factors depend on ``u = |xi|^2``
 only, so the channel is phase covariant: with ``(1/pi) d^2 xi = du dphi /
@@ -50,8 +50,9 @@ below that, the bound must still meet 1e-9, else
 :class:`~cvteleport.errors.AccuracyError`.  The node count resolves the
 oscillation of ``L~_N`` and of the input (wavenumbers ``sqrt(4n + 6)``, with
 ``n`` the top photon number of a Fock-diagonal input and the mean photon
-number of a coherent or squeezed one, ``sinh^2 s`` for ``sqvac:s``) and is
-rounded to ``2^k`` or ``3 * 2^(k-1)``, so few Legendre rules are built.
+number of a coherent or squeezed one, ``sinh^2 s`` for ``sqvac:s``), is at
+least 96 and is rounded to ``2^k`` or ``3 * 2^(k-1)``, so few Legendre rules
+are built.
 
 The tail certificate.  The photon sum runs to the cutoff ``M`` of
 :func:`cvteleport.states.input_photon_cutoff`: exact for Fock states and
@@ -84,7 +85,6 @@ from .channel import OutputState
 from .errors import AccuracyError, CapacityError, ConsistencyError, InvalidArgumentError
 from .numerics import (
     RADIAL_ARG_MAX,
-    QuadratureConfig,
     envelope_cutoff,
     envelope_tail,
     laguerre_envelope,
@@ -119,6 +119,8 @@ _FROBENIUS_TOL = 1e-6
 # Largest tail bound the 1-D rule accepts; it binds only where RADIAL_ARG_MAX
 # caps the cutoff below the 1e-16 envelope cutoff.
 _TAIL_TOL = 1e-9
+# Least node count of the 1-D rule; the rule grows it to resolve the oscillations.
+_RADIAL_NODE_FLOOR = 96
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ def d_functional(p_in: PhotonDistribution, p_out: PhotonDistribution) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DeltaFamily:
-    """The Delta-independent quadratures of one (input, r, theta, gain, N, cfg) cell.
+    """The Delta-independent quadratures of one (input, r, theta, gain, N) cell.
 
     With the weights ``w`` of :func:`cvteleport.states.delta_weights`,
     ``P_out = photon_basis @ w``, ``F = fidelity_basis @ w`` and
@@ -324,7 +326,7 @@ def _rule_size(nodes: int) -> int:
     return 3 * size // 4 if 3 * size // 4 >= nodes else size
 
 
-def _radial_nodes(envelopes, arg_scale: float, cfg: QuadratureConfig):
+def _radial_nodes(envelopes, arg_scale: float):
     """One certified 1-D rule in ``u`` for the radial integrands of a family.
 
     Each of ``envelopes`` is ``(rate, factors, k)``: an integrand bounded by
@@ -335,7 +337,7 @@ def _radial_nodes(envelopes, arg_scale: float, cfg: QuadratureConfig):
     ``RADIAL_ARG_MAX``; every integrand's tail bound at ``U`` must then meet
     ``_TAIL_TOL``.  The node count resolves the fastest oscillation
     (``n > k sqrt(U) / 2``: a Legendre rule of n nodes resolves e^{ikx} on
-    [0, R] once n > kR/2), is at least ``cfg.radial_nodes`` and is rounded by
+    [0, R] once n > kR/2), is at least ``_RADIAL_NODE_FLOOR`` and is rounded by
     :func:`_rule_size`.
     """
     cutoff = min(
@@ -350,7 +352,7 @@ def _radial_nodes(envelopes, arg_scale: float, cfg: QuadratureConfig):
             estimate=tail,
         )
     k = max(k for _, _, k in envelopes)
-    nodes = _rule_size(max(cfg.radial_nodes, int(0.5 * k * math.sqrt(cutoff)) + 32))
+    nodes = _rule_size(max(_RADIAL_NODE_FLOOR, int(0.5 * k * math.sqrt(cutoff)) + 32))
     return radial_rule(nodes, cutoff)
 
 
@@ -454,7 +456,6 @@ def delta_family(
     theta: float = 0.0,
     gain: float = 1.0,
     N: int = 24,
-    cfg: QuadratureConfig | None = None,
 ) -> DeltaFamily:
     """Build the :class:`DeltaFamily` of one cell on 1-D radial quadrature.
 
@@ -468,7 +469,6 @@ def delta_family(
     (bad r, theta or gain).
     """
     _check_cutoff(N)
-    cfg = cfg or QuadratureConfig()
     ch = Channel(SqueezedBellResource(delta=1.0, theta=theta, r=r), gain=gain)
     rate, terms, coef = transfer_basis(ch)
     a, b = transfer_coefficients(ch)
@@ -497,7 +497,7 @@ def delta_family(
             (rate + 0.5 * (1.0 + g2), poly + ((1.0, M), (g2, M)), (1.0 + gain) * k_in),
             (2.0 * rate + g2, ((a * a, 2), (b * b, 2), (g2, 2 * M)), 2.0 * gain * k_in),
         ]
-    u, wt = _radial_nodes(envelopes, max(1.0, g2), cfg)
+    u, wt = _radial_nodes(envelopes, max(1.0, g2))
 
     tau_k = _transfer_terms(rate, terms, u)
     # The angular mean of chi_in(g xi): the dephased input A~(g^2 u).
@@ -523,9 +523,7 @@ def delta_family(
     )
 
 
-def distortion_measures(
-    state: InputState, out: OutputState, N: int, cfg: QuadratureConfig | None = None
-) -> DistortionMeasures:
+def distortion_measures(state: InputState, out: OutputState, N: int) -> DistortionMeasures:
     """D_N, fidelity, Frobenius distance, and purities for one channel run.
 
     ``out`` must be ``state`` teleported through ``out.channel``; the numbers
@@ -536,4 +534,4 @@ def distortion_measures(
         raise InvalidArgumentError("distortion_measures needs the output of teleporting state")
     ch = out.channel
     res = ch.resource
-    return delta_family(state, res.r, res.theta, ch.gain, N, cfg).measures(res.delta)
+    return delta_family(state, res.r, res.theta, ch.gain, N).measures(res.delta)

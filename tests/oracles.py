@@ -13,6 +13,9 @@ them here:
   polish over any scalar ``f(Delta)``, the oracle of the exact optimizer
   :func:`cvteleport.optimize.minimize_delta`; unlike it, it asks nothing of
   ``f``'s form, so it also minimizes the finite-difference objectives.
+  :func:`objective_parts` evaluates each objective kind one Delta at a time
+  from the moment tables and the Delta family, the oracle of the
+  optimizer's quadratic forms.
 * :func:`integrate_plane` — full-plane integrals in polar coordinates
   (Gauss-Legendre radial nodes times a uniform angular grid), with the cutoff
   radius chosen from a decay probe of the integrand itself.  It is the oracle
@@ -54,7 +57,9 @@ from cvteleport.moments import (
     _XP_KEYS,
     MomentSet,
     MomentTable,
+    moment_set,
     moment_set_from_tables,
+    transfer_xp_table,
 )
 from cvteleport.numerics import (
     _DECAY_TARGET,
@@ -69,6 +74,8 @@ from cvteleport.photonstats import (
     _check_cutoff,
     _distribution,
     _gaussian_moments,
+    d_functional,
+    delta_family,
 )
 from cvteleport.states import (
     CoherentInput,
@@ -305,6 +312,58 @@ def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
         )
 
     return objective_function(obj)
+
+
+# ---------------------------------------------------------------------------
+# Objectives from the tables and the family, one Delta at a time
+# ---------------------------------------------------------------------------
+
+def objective_parts(obj: Objective):
+    """``(g, outer)`` with objective ``outer(g(Delta))``, evaluated per Delta.
+
+    ``g`` reads the transfer moment table or the Delta family at each Delta,
+    with no use of the quadratic form in the Delta weights that
+    :func:`cvteleport.optimize.objective_function` evaluates: the oracle of
+    that form.
+    """
+    if obj.kind in ("x2_transfer", "n_transfer"):
+        # n_transfer, the bare-derivative photon-number average, is x2 / 2;
+        # resource_closed_forms.n_ab differs by a constant, so the minimizer is shared.
+        half = 0.5 if obj.kind == "n_transfer" else 1.0
+        return (lambda d: half * float(transfer_xp_table(_channel(obj, d)).get(2, 0))), float
+
+    if obj.kind == "kappa4_transfer":
+        def table_kappa4(d: float) -> float:
+            tab = transfer_xp_table(_channel(obj, d))
+            mu2 = float(tab.get(2, 0))
+            return float(tab.get(4, 0)) - 3.0 * mu2 * mu2
+
+        return table_kappa4, float
+
+    if obj.kind in ("mu4_x", "mu4_p"):
+        ms_in = moment_set(obj.input)
+        in_var = ms_in.x2_central if obj.kind == "mu4_x" else ms_in.p2_central
+        key_mu4 = (4, 0) if obj.kind == "mu4_x" else (0, 4)
+        g2 = obj.gain * obj.gain
+
+        def mu4_distortion(d: float) -> float:
+            tab = transfer_xp_table(_channel(obj, d))
+            return float(tab.get(*key_mu4)) + 6.0 * g2 * in_var * float(tab.get(2, 0))
+
+        return mu4_distortion, abs
+
+    family = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
+
+    if obj.kind == "d_functional":
+        return (lambda d: d_functional(family.p_in, family.photon_distribution(d)) ** 2), math.sqrt
+
+    if obj.kind == "one_minus_fidelity":
+        return (lambda d: 1.0 - family.fidelity(d)), float
+
+    def frobenius_squared(d: float) -> float:
+        return family.purity_in + family.purity_out(d) - 2.0 * family.fidelity(d)
+
+    return frobenius_squared, lambda v: math.sqrt(max(v, 0.0))  # rounding can dip below 0
 
 
 # ---------------------------------------------------------------------------

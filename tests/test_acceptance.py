@@ -68,7 +68,7 @@ def test_criterion_1_delta2_optimum():
         exact_stars.append(minimize_delta(obj).delta_star)
         assert abs(exact_stars[-1] - DELTA2_OPT) <= 1e-10, (r, exact_stars[-1])
         # The FD objective carries differentiation noise: the grid-scan
-        # reference minimizer takes it, the exact solver's fit check would not.
+        # reference minimizer takes it; the exact solver reads exact forms only.
         fd_stars.append(reference_minimize(fd_objective_function(obj))[0])
         assert abs(fd_stars[-1] - 0.92388) <= 1e-4, (r, fd_stars[-1])
     assert max(exact_stars) - min(exact_stars) <= 1e-10, exact_stars

@@ -178,6 +178,21 @@ def test_sweep_flags_failed_cells(capsys):
     assert rows[0]["status"].startswith("error:")
 
 
+def test_uncertified_optimum_is_an_error_record(capsys):
+    """Past r ~ 8.5 the coherent-input Frobenius objective is flat to rounding."""
+    code, out, err = run_cli(
+        ["optimize", "--kind", "frobenius", "--input", "coherent:1", "--r", "10"], capsys
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "AccuracyError"
+    code, out, _ = run_cli(["sweep", "--kinds", "frobenius", "--input", "coherent:1",
+                            "--r-grid", "2,10,12"], capsys)
+    assert code == 0
+    statuses = [row["status"] for row in read_csv(out)]
+    assert statuses[0] == "ok"
+    assert all(s.startswith("error: AccuracyError") for s in statuses[1:]), statuses
+
+
 def test_transfer_surface(capsys):
     code, out, _ = run_cli(["transfer-surface", "--r", "1.25", "--grid=-2:2:5"], capsys)
     assert code == 0
@@ -314,7 +329,7 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 
     # Retired options are unknown keys too.
     for key, value in (
-        ("jobs", 2), ("angular_nodes", 256),
+        ("jobs", 2), ("angular_nodes", 256), ("radial_nodes", 96),
         ("quad_tol", 1e-9), ("fd_step", 1e-3), ("richardson_levels", 3),
     ):
         cfg.write_text(json.dumps({"input": "fock:1", "r": 1.25, "delta_grid": "0.9", key: value}))

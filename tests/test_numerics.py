@@ -9,7 +9,6 @@ from cvteleport import (
     Channel,
     InvalidArgumentError,
     PhasePoint,
-    QuadratureConfig,
     SqueezedBellResource,
     fock_charfn,
     input_charfn,
@@ -166,8 +165,6 @@ def test_diffconfig_validation():
         DiffConfig(step=0.0)
     with pytest.raises(InvalidArgumentError):
         DiffConfig(richardson_levels=0)
-    with pytest.raises(InvalidArgumentError):
-        QuadratureConfig(radial_nodes=4)
     with pytest.raises(InvalidArgumentError):
         PlaneConfig(angular_nodes=4)
     with pytest.raises(InvalidArgumentError):

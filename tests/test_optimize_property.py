@@ -1,14 +1,15 @@
 """Property test of the exact Delta optimizer over random cells.
 
-Every objective is ``outer(g(t))`` with ``g`` a degree-2 trigonometric
-polynomial in ``t = 2 arccos(Delta)``; the optimizer relies on that, so the
-test checks it with its own fit, then checks that the optimum is a local
-minimum and never worse than the grid-scan reference minimizer.
+The optimizer reads every objective as a degree-2 trigonometric polynomial
+in ``t = 2 arccos(Delta)``, built from a quadratic form in the Delta weights.
+The test holds that polynomial to the oracle, which evaluates each objective
+one Delta at a time from the moment tables and the Delta family, then checks
+that the optimum is a local minimum and never worse than the grid-scan
+reference minimizer.
 """
 
 import math
 
-import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -22,11 +23,12 @@ from cvteleport import (  # noqa: E402
     FockMixtureInput,
     Objective,
     SqueezedVacuumInput,
+    delta_family,
     minimize_delta,
     objective_function,
 )
 from cvteleport.optimize import OBJECTIVE_KINDS  # noqa: E402
-from oracles import reference_minimize  # noqa: E402
+from oracles import objective_parts, reference_minimize  # noqa: E402
 
 STATES = (
     FockInput(0),
@@ -38,15 +40,19 @@ STATES = (
     SqueezedVacuumInput(-0.8),
     FockMixtureInput(((0, 0.5), (3, 0.5))),
 )
-FIT_DELTAS = (0.0, 0.3, 0.6, 0.85, 1.0)
+SCALE_DELTAS = (0.0, 0.3, 0.6, 0.85, 1.0)
 # The Delta-family objectives combine probabilities and overlaps of size <= 1:
 # their g is rounded to about 1e-15 absolutely, and sqrt(g) magnifies that by
 # 1 / (2 sqrt(g)).  The transfer-table objectives round relative to g.
-FAMILY_KINDS = opt_mod._FAMILY_KINDS
+FAMILY_KINDS = ("d_functional", "one_minus_fidelity", "frobenius")
 
 
-def _trig_basis(t: float) -> np.ndarray:
-    return np.array([1.0, math.cos(t), math.sin(t), math.cos(2 * t), math.sin(2 * t)])
+def _family_value(obj: Objective, delta: float) -> float:
+    """The column that ``compare`` prints for ``obj``'s kind at ``delta``."""
+    m = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons).measures(delta)
+    return {"d_functional": m.d_n, "one_minus_fidelity": 1.0 - m.fidelity}.get(
+        obj.kind, m.frobenius
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -62,23 +68,30 @@ def test_exact_optimum_is_a_local_minimum_no_worse_than_the_grid(
     kind, state, delta, theta, r, gain
 ):
     obj = Objective(kind=kind, r=r, theta=theta, input=state, gain=gain)
-    g, _ = opt_mod._objective_parts(obj)
-    values = [g(d) for d in FIT_DELTAS]
-    coef = np.linalg.solve(
-        np.array([_trig_basis(2.0 * math.acos(d)) for d in FIT_DELTAS]), values
-    )
-    fitted = float(_trig_basis(2.0 * math.acos(delta)) @ coef)
+    g, _ = objective_parts(obj)
+    coef, _, _ = opt_mod._trig_form(obj)
+    polynomial = float(opt_mod._basis(delta) @ coef)
+    values = [g(d) for d in SCALE_DELTAS + (delta,)]
     scale = max(max(abs(v) for v in values), 1.0 if kind in FAMILY_KINDS else 0.0)
-    assert abs(fitted - g(delta)) <= 1e-12 * scale
+    assert abs(polynomial - values[-1]) <= 1e-12 * scale
 
     rec = minimize_delta(obj)
     f = objective_function(obj)
-    assert rec.objective_value == f(rec.delta_star)
     rounding = 0.0
     if kind == "one_minus_fidelity":
         rounding = 1e-15
     elif kind in FAMILY_KINDS and rec.objective_value > 0.0:
         rounding = 1e-15 / (2.0 * rec.objective_value)
+    if kind in FAMILY_KINDS:
+        # The optimizer prints the family's own column at the optimum; the
+        # form it minimized agrees with it to rounding.
+        assert rec.objective_value == _family_value(obj, rec.delta_star)
+        if kind == "one_minus_fidelity":
+            assert abs(rec.objective_value - f(rec.delta_star)) <= rounding
+        else:
+            assert abs(rec.objective_value**2 - f(rec.delta_star) ** 2) <= 1e-15
+    else:
+        assert rec.objective_value == f(rec.delta_star)
     # Probed in t: a fourth-cumulant dip next to Delta = 1 can be narrower
     # than 1e-4 in Delta, though several times wider than that in t.
     t_star = 2.0 * math.acos(rec.delta_star)

@@ -13,7 +13,6 @@ from cvteleport import (
     FockMixtureInput,
     InvalidArgumentError,
     PhotonDistribution,
-    QuadratureConfig,
     SqueezedBellResource,
     SqueezedVacuumInput,
     d_functional,
@@ -25,6 +24,7 @@ from cvteleport import (
     input_purity,
     teleport,
 )
+import cvteleport.photonstats as photonstats
 from cvteleport.cli import parse_state
 from cvteleport.photonstats import _radial_nodes
 from conftest import DELTA2_OPT, case_study_inputs
@@ -344,7 +344,7 @@ def test_family_tail_check_raises():
     # RADIAL_ARG_MAX cap; the tail bound at the cap (about 8e-5) fails the
     # 1e-9 guard.
     with pytest.raises(AccuracyError):
-        _radial_nodes([(0.01, (), 1.0)], 1.0, QuadratureConfig())
+        _radial_nodes([(0.01, (), 1.0)], 1.0)
 
 
 def test_distortion_measures_rejects_foreign_output():
@@ -450,12 +450,37 @@ def test_dephased_squeezed_vacuum_matches_photon_sum(s):
 
 @pytest.mark.parametrize("r", [0.75, 2.5])
 @pytest.mark.parametrize("s", [-4.0, 4.0])
-def test_strong_squeezing_node_rule_is_resolved(s, r):
+def test_strong_squeezing_node_rule_is_resolved(s, r, monkeypatch):
     """The node rule reads the mean photon number sinh^2 s of the squeezed
     input; without it the sqvac:4 photon basis is off by 1.8e-12 at r = 2.5."""
     state = SqueezedVacuumInput(s)
-    fine = delta_family(state, r, cfg=QuadratureConfig(radial_nodes=1536)).photon_basis
-    assert np.abs(delta_family(state, r).photon_basis - fine).max() <= 1e-13
+    got = delta_family(state, r).photon_basis
+    monkeypatch.setattr(photonstats, "_RADIAL_NODE_FLOOR", 1536)
+    fine = delta_family(state, r).photon_basis
+    assert np.abs(got - fine).max() <= 1e-13
+
+
+@pytest.mark.parametrize("gain", [1.0, 0.8])
+@pytest.mark.parametrize("r", [0.75, 2.5])
+@pytest.mark.parametrize("beta", [2.12928, 5.0, 10.0, 20.0, 40.0])
+def test_large_coherent_family_matches_the_bessel_closed_form(beta, r, gain, monkeypatch):
+    """A coherent input dephases to ``exp(-v/2) J0(2 |beta| sqrt(v))``.  The
+    family's running Laguerre sum over M ~ |beta|^2 photons must reproduce
+    the family built on that closed form."""
+    special = pytest.importorskip("scipy.special")
+    state = CoherentInput(beta)
+    family = delta_family(state, r, gain=gain)
+    monkeypatch.setattr(
+        photonstats,
+        "laguerre_envelope_series",
+        lambda probs, v: np.exp(-0.5 * v) * special.j0(2.0 * beta * np.sqrt(v)),
+    )
+    closed = delta_family(state, r, gain=gain)
+    assert np.abs(family.photon_basis - closed.photon_basis).max() <= 1e-13
+    for delta in (0.0, 0.5, 0.9, 1.0):
+        got = family.photon_distribution(delta).probs
+        want = closed.photon_distribution(delta).probs
+        assert np.abs(got - want).max() <= 1e-13, delta
 
 
 def test_i0e_matches_scipy():
