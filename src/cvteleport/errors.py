@@ -33,4 +33,4 @@ class DegenerateStateError(CVTeleportError):
 
 
 class EvaluationError(CVTeleportError):
-    """An objective produced a non-finite value."""
+    """An objective or an overlap produced a non-finite or unrepresentable value."""

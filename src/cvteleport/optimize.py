@@ -6,11 +6,18 @@ from the transfer-derivative forms or the Delta family, and ``outer`` the
 identity, a square root or ``|.|``.  With ``Delta = cos(t/2)``, ``t`` in
 ``[0, pi]``, ``w`` is linear in ``{1, cos t, sin t}``, so ``w @ Q @ w`` is a
 trigonometric polynomial ``g(t)`` of degree 2 whose coefficients are a linear
-map of ``Q``.  :func:`minimize_delta` finds the stationary points (for
-``|.|`` also the zeros) of ``g`` as unit-circle roots of quartics in
-``e^{it}``.  The deepest interior local minimum wins, even over a lower end
-(the fourth-order transfer cumulant's stationary minimum is the optimum of
-record); without one, the lower end.  Ties go to the smaller Delta.
+map of ``Q``.  The candidates are the stationary points (for ``|.|`` also the
+zeros) of ``g``: the unit-circle roots of quartics in ``e^{it}``.  The deepest
+interior local minimum wins, even over a lower end (the fourth-order transfer
+cumulant's stationary minimum is the optimum of record); without one, the
+lower end.  Ties go to the smaller Delta.
+
+:func:`sweep_r` solves all of its (kind, r) cells as one array problem.  It
+builds each cell's ``Q``, maps the stacked forms to coefficients in one
+product, finds every cell's roots in one stacked eigenvalue solve of
+companion matrices with Newton steps over the whole stack, and selects every
+optimum from one evaluation of all candidates.  :func:`minimize_delta` is
+the one-cell case of the same solve.
 
 :func:`closed_form_delta` evaluates the six closed-form optimal-Delta
 expressions; the test suite holds the optimizer to them.
@@ -18,6 +25,7 @@ expressions; the test suite holds the optimizer to them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -98,25 +106,34 @@ def _channel(obj: Objective, delta: float) -> Channel:
 
 
 def _sym(x, y) -> np.ndarray:
-    return 0.5 * (np.outer(x, y) + np.outer(y, x))
+    xy = np.multiply.outer(x, y)
+    return 0.5 * (xy + xy.T)
 
 
-def _form(obj: Objective):
+def _root(v):
+    """``sqrt(max(v, 0))``, elementwise: the norm of a square that rounding can dip below 0."""
+    return np.sqrt(np.maximum(v, 0.0))
+
+
+def _form(obj: Objective, input_moments=None):
     """``(Q, terms, outer, family)``: objective ``outer(w @ Q @ w)``, ``terms`` the
     sums of the absolute values of the terms summed into ``Q``, and ``family`` the
-    :class:`DeltaFamily` that ``Q`` was read from, if any."""
+    :class:`DeltaFamily` that ``Q`` was read from, if any.  ``outer`` is ``float``,
+    :func:`_root` or ``abs``.  ``input_moments`` maps the input to its
+    :class:`MomentSet` in place of :func:`moment_set`; a sweep passes one that
+    reads it once."""
     if obj.kind in ("d_functional", "one_minus_fidelity", "frobenius"):
         family = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
         if obj.kind == "d_functional":
             # P_out - P_in, P_in on the columns that sum to 1: no O(1) terms cancel in Q.
             diff = family.photon_basis - np.outer(family.p_in.clamped(), _ONE)
-            return diff.T @ diff, np.abs(diff).T @ np.abs(diff), math.sqrt, family
+            return diff.T @ diff, np.abs(diff).T @ np.abs(diff), _root, family
         f = family.fidelity_basis
         if obj.kind == "frobenius":  # purity_in + purity_out - 2 F
             ones = family.purity_in * np.outer(_ONE, _ONE)
             Q = family.gram + ones - 2.0 * _sym(f, _ONE)
             terms = np.abs(family.gram) + ones + 2.0 * _sym(np.abs(f), _ONE)
-            return Q, terms, (lambda v: math.sqrt(max(v, 0.0))), family  # rounding can dip below 0
+            return Q, terms, _root, family
         return _sym(_ONE - f, _ONE), _sym(_ONE + np.abs(f), _ONE), float, family
 
     d1, d2 = transfer_derivative_forms(_channel(obj, 1.0))
@@ -125,7 +142,7 @@ def _form(obj: Objective):
         terms = 12.0 * (_sym(np.abs(d2), _ONE) + np.outer(np.abs(d1), np.abs(d1)))
         return Q, terms, float, None
     if obj.kind in ("mu4_x", "mu4_p"):  # mu4 + 6 g^2 var mu2, mu4 = 12 F''(0), mu2 = -2 F'(0)
-        ms_in = moment_set(obj.input)
+        ms_in = (input_moments or moment_set)(obj.input)
         var = obj.gain * obj.gain * (ms_in.x2_central if obj.kind == "mu4_x" else ms_in.p2_central)
         line, terms = 12.0 * d2 - 12.0 * var * d1, 12.0 * np.abs(d2) + 12.0 * abs(var) * np.abs(d1)
         return _sym(line, _ONE), _sym(terms, _ONE), abs, None
@@ -135,36 +152,66 @@ def _form(obj: Objective):
     return _sym(line, _ONE), _sym(np.abs(line), _ONE), float, None
 
 
-def _trig_form(obj: Objective):
-    """``(coef, outer, family)`` with objective ``outer(_basis(Delta) @ coef)``.
+def _trig(theta: float) -> np.ndarray:
+    """The 5 x 6 map from ``Q[_UPPER]`` to the coefficients of ``g`` at phase ``theta``.
 
-    ``trig`` maps ``Q[_UPPER]`` to ``coef`` through ``w = W (1, cos t, sin t)``,
-    ``W = [[1/2, 1/2, 0], [0, 0, cos theta], [1/2, -1/2, 0]]``.  Raises
-    ``EvaluationError`` for a non-finite form and ``AccuracyError`` when the
-    Delta-dependent coefficients lie within the rounding of their largest terms.
+    It is ``w = W (1, cos t, sin t)``,
+    ``W = [[1/2, 1/2, 0], [0, 0, cos theta], [1/2, -1/2, 0]]``, substituted in
+    ``w @ Q @ w``.
     """
-    c = math.cos(obj.theta)
-    trig = np.array([
+    c = math.cos(theta)
+    return np.array([
         [0.375, 0.0, 0.25, 0.5 * c * c, 0.0, 0.375],
         [0.5, 0.0, 0.0, 0.0, 0.0, -0.5],
         [0.0, c, 0.0, 0.0, c, 0.0],
         [0.125, 0.0, -0.25, -0.5 * c * c, 0.0, 0.125],
         [0.0, 0.5 * c, 0.0, 0.0, -0.5 * c, 0.0],
     ])
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises below
-        Q, terms, outer, family = _form(obj)
-        coef = trig @ Q[_UPPER]
-        rounding = _ROUNDING * np.max(np.abs(trig[1:]) @ terms[_UPPER])
-    if not np.all(np.isfinite(coef)):
-        raise EvaluationError(f"objective {obj.kind!r} has non-finite coefficients {coef!r}")
-    variation = np.max(np.abs(coef[1:]))
-    if variation <= rounding:
-        raise AccuracyError(
-            f"objective {obj.kind!r} varies over Delta by {variation:.3e}, within the "
-            f"rounding {rounding:.3e} of its terms; no optimum can be certified",
-            estimate=variation,
+
+
+def _coefficients(kinds: Sequence[str], forms: Sequence[tuple], trig: np.ndarray):
+    """``(coef, errors)`` for the stacked ``forms`` of :func:`_form`.
+
+    ``coef[i] = trig @ Q_i[_UPPER]``, so the objective of cell ``i`` is
+    ``outer(_basis(Delta) @ coef[i])``.  ``errors[i]`` is ``None``, an
+    ``EvaluationError`` for a non-finite row, or an ``AccuracyError`` when the
+    row's Delta-dependent coefficients lie within the rounding of their
+    largest terms.
+    """
+    Q = np.array([form[0] for form in forms])[:, _UPPER[0], _UPPER[1], None]
+    terms = np.array([form[1] for form in forms])[:, _UPPER[0], _UPPER[1], None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is an error below
+        # One matrix-vector product per row: the sums do not depend on the stack.
+        coef = np.matmul(trig, Q)[:, :, 0]
+        rounding = _ROUNDING * np.max(np.matmul(np.abs(trig[1:]), terms)[:, :, 0], axis=1)
+    finite = np.isfinite(coef).all(axis=1)
+    variation = np.max(np.abs(coef[:, 1:]), axis=1)
+    flat = finite & (variation <= rounding)
+    errors = [None] * len(kinds)
+    for i in (~finite).nonzero()[0]:
+        errors[i] = EvaluationError(
+            f"objective {kinds[i]!r} has non-finite coefficients {coef[i]!r}"
         )
-    return coef, outer, family
+    for i in flat.nonzero()[0]:
+        errors[i] = AccuracyError(
+            f"objective {kinds[i]!r} varies over Delta by {variation[i]:.3e}, within the "
+            f"rounding {rounding[i]:.3e} of its terms; no optimum can be certified",
+            estimate=variation[i],
+        )
+    return coef, errors
+
+
+def _trig_form(obj: Objective):
+    """``(coef, outer, family)`` of one cell, with objective ``outer(_basis(Delta) @ coef)``.
+
+    Raises like :func:`_form` and with the errors of :func:`_coefficients`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises below
+        form = _form(obj)
+    coef, (error,) = _coefficients([obj.kind], [form], _trig(obj.theta))
+    if error is not None:
+        raise error
+    return coef[0], form[2], form[3]
 
 
 def objective_function(obj: Objective) -> Callable[[float], float]:
@@ -173,7 +220,7 @@ def objective_function(obj: Objective) -> Callable[[float], float]:
 
     def f(delta: float) -> float:
         _channel(obj, delta)  # validates Delta
-        return outer(float(_basis(delta) @ coef))
+        return float(outer(float(_basis(delta) @ coef)))
 
     return f
 
@@ -182,51 +229,134 @@ def _basis(delta) -> np.ndarray:
     """Rows ``(1, cos t, sin t, cos 2t, sin 2t)`` at ``t = 2 arccos(Delta)``."""
     d2 = np.square(delta)
     c, s = 2.0 * d2 - 1.0, 2.0 * np.multiply(delta, np.sqrt(np.maximum(1.0 - d2, 0.0)))
-    return np.stack([np.ones_like(c), c, s, 2.0 * c * c - 1.0, 2.0 * s * c], axis=-1)
+    rows = np.empty(np.shape(delta) + (5,))
+    rows[..., 0], rows[..., 1], rows[..., 2] = 1.0, c, s
+    rows[..., 3], rows[..., 4] = 2.0 * c * c - 1.0, 2.0 * s * c
+    return rows
 
 
-def _interior_roots(quartic) -> list:
-    """Delta = cos(t/2) at each real t in (0, pi) with ``quartic(e^{it}) = 0``."""
-    z = np.roots(quartic).astype(complex)
-    # Newton steps on the quartic: a near-zero leading coefficient (g almost
-    # free of cos 2t, sin 2t) leaves np.roots inexact near the unit circle.
-    z = z[(np.abs(z) > 0.5) & (np.abs(z) < 2.0)]
+def _dot(rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``(n, k)``: ``rows[i, j] @ coef[i]`` for ``rows`` ``(n, k, 5)``.
+
+    Each is its own dot product, as when one Delta is evaluated, so a value
+    does not depend on how many are taken together.
+    """
+    return np.matmul(rows[:, :, None, :], coef[:, None, :, None])[:, :, 0, 0]
+
+
+# The derivative's coefficients are the quartic's times these, as in np.polyder.
+_SLOPE = np.arange(4, 0, -1)
+
+
+def _interior_roots(quartics: np.ndarray) -> np.ndarray:
+    """``(n, 4)``: Delta = cos(t/2) at the real t in (0, pi) with
+    ``quartics[i](e^{it}) = 0``, NaN in the places left over.
+
+    As in ``np.roots``, a row's zero leading and trailing coefficients are
+    stripped (a zero trailing coefficient is a root at 0) and the remaining
+    roots are the eigenvalues of its companion matrix; the rows of one shape
+    take one stacked eigenvalue call.  Three Newton steps on the full quartic
+    then polish the roots with ``0.5 < |z| < 2``: a near-zero leading
+    coefficient (``g`` almost free of ``cos 2t, sin 2t``) leaves the
+    eigenvalues inexact near the unit circle.
+    """
+    n = len(quartics)
+    nonzero = np.ones((n, 6), dtype=bool)  # a zero row leads at 5: no roots
+    nonzero[:, :5] = quartics != 0
+    lead, trail = nonzero.argmax(axis=1), nonzero[:, 4::-1].argmax(axis=1)
+    z = np.zeros((n, 4), complex)  # stripped and trailing roots stay 0
+    for lo, hi in set(zip(lead.tolist(), trail.tolist())):
+        m = 4 - lo - hi
+        if m > 0:
+            rows = (lead == lo) & (trail == hi)
+            p = quartics[rows, lo:5 - hi]
+            companion = np.repeat(np.eye(m, k=-1, dtype=complex)[None], len(p), axis=0)
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            z[rows, :m] = np.linalg.eigvals(companion)
+    annulus = (np.abs(z) > 0.5) & (np.abs(z) < 2.0)
+    # Horner, as in np.polyval, on the quartic (rows :n) and its derivative (rows n:) at once.
+    columns = np.zeros((5, 2 * n, 1), complex)
+    columns[:, :n, 0] = quartics.T
+    columns[1:, n:, 0] = (quartics[:, :-1] * _SLOPE).T
     for _ in range(3):
-        dz = np.polyval(np.polyder(quartic), z)
-        z = z - np.divide(np.polyval(quartic, z), dz, out=np.zeros_like(z), where=dz != 0)
-    t = np.angle(z[np.abs(np.abs(z) - 1.0) <= _ROOT_TOL])
-    return np.cos(0.5 * t[(t > _ROOT_TOL) & (t < math.pi - _ROOT_TOL)]).tolist()
+        zz = np.concatenate([z, z])
+        y = np.zeros((2 * n, 4), complex)
+        for column in columns:
+            y = y * zz + column
+        value, dz = y[:n], y[n:]
+        z = z - np.divide(value, dz, out=np.zeros((n, 4), complex), where=annulus & (dz != 0))
+    t = np.angle(z)
+    interior = annulus & (np.abs(np.abs(z) - 1.0) <= _ROOT_TOL)
+    interior &= (t > _ROOT_TOL) & (t < math.pi - _ROOT_TOL)
+    return np.where(interior, np.cos(0.5 * t), np.nan)
+
+
+# g''(t) = _basis(Delta) @ (coef * _CURVATURE)
+_CURVATURE = np.array([0.0, -1.0, -1.0, -4.0, -4.0])
+_ENDS = np.array([0.0, 1.0])
+
+
+def _select(coef: np.ndarray, outers: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """``(delta_star, value)`` for every row of ``coef`` ``(n, 5)``, the objective
+    of row ``i`` being ``outers[i](_basis(Delta) @ coef[i])``.
+
+    The candidates are the interior local minima of ``g``, and for
+    ``outer = abs`` also its interior maxima below 0 and its zeros.  The
+    deepest candidate wins; without one, the lower end; ties go to the
+    smaller Delta.
+    """
+    n = len(coef)
+    # g = a0 + Re(u1 z + u2 z^2) at z = e^{it}; z^2 g'(t) / i and z^2 g(t) are quartics in z.
+    a0, u1, u2 = coef[:, 0], coef[:, 1] - 1j * coef[:, 2], coef[:, 3] - 1j * coef[:, 4]
+    dips = np.array([outer is abs for outer in outers], dtype=bool)
+    quartics = np.zeros((n, 5), complex)
+    quartics[:, 0], quartics[:, 1] = u2, u1 / 2
+    quartics[:, 3], quartics[:, 4] = -u1.conj() / 2, -u2.conj()
+    if dips.any():
+        zeros = np.stack([u2 / 2, u1 / 2, a0, u1.conj() / 2, u2.conj() / 2], axis=1)
+        quartics = np.concatenate([quartics, zeros[dips]])
+    roots = _interior_roots(quartics)
+    # Columns: the stationary points, the zeros of g (for |g|), the ends.
+    deltas = np.full((n, 10), np.nan)
+    deltas[:, :4], deltas[:, 8:] = roots[:n], _ENDS
+    deltas[dips, 4:8] = roots[n:]
+
+    taken = ~np.isnan(deltas)
+    rows = _basis(np.where(taken, deltas, 0.0))
+    g = _dot(rows, coef)
+    curvature = _dot(rows[:, :4], coef * _CURVATURE)
+    curvature[dips] *= np.sign(g[dips, :4])  # |g| has a minimum where g < 0 has a maximum
+    taken[:, :4] &= curvature > 0
+    taken[:, 8:] = ~taken[:, :8].any(axis=1, keepdims=True)
+    for outer in set(outers) - {float}:
+        same = np.array([o is outer for o in outers], dtype=bool)
+        g[same] = outer(g[same])
+    best = np.min(np.where(taken, g, np.inf), axis=1)
+    ties = taken & (g == best[:, None])
+    return np.min(np.where(ties, deltas, np.inf), axis=1), best
+
+
+def _record(obj: Objective, delta_star, value, family) -> OptimumRecord:
+    """The optimum of one cell.  For the family kinds the value is the
+    :meth:`DeltaFamily.measures` value ``compare`` prints, with its checks."""
+    delta_star = float(delta_star)
+    if family is not None:
+        m = family.measures(delta_star)
+        value = {"d_functional": m.d_n, "frobenius": m.frobenius}.get(obj.kind, 1.0 - m.fidelity)
+    return OptimumRecord(delta_star, float(value), obj.r, obj.kind, iterations=1)
 
 
 def minimize_delta(obj: Objective) -> OptimumRecord:
     """Minimize ``obj`` over Delta in [0, 1]; deterministic, tie-break to smaller Delta.
 
-    The objective is evaluated once, at the optimum: for the family kinds
-    that is the :meth:`DeltaFamily.measures` value ``compare`` prints, with
-    its checks.  Raises like :func:`_trig_form`.
+    The one-cell case of the solve of :func:`sweep_r`.  The objective is
+    evaluated once, at the optimum: for the family kinds that is the
+    :meth:`DeltaFamily.measures` value ``compare`` prints, with its checks.
+    Raises like :func:`_trig_form`.
     """
     coef, outer, family = _trig_form(obj)
-
-    def g(delta: float) -> float:
-        return float(_basis(delta) @ coef)
-
-    # g = a0 + Re(u1 z + u2 z^2) at z = e^{it}; z^2 g'(t) / i and z^2 g(t) are quartics in z.
-    a0, u1, u2 = coef[0], coef[1] - 1j * coef[2], coef[3] - 1j * coef[4]
-    stationary = np.array(_interior_roots([u2, u1 / 2, 0, -u1.conjugate() / 2, -u2.conjugate()]))
-    rows = _basis(stationary)
-    curvature = rows @ (coef * [0, -1, -1, -4, -4])  # g''(t)
-    if outer is abs:  # |g| also dips where g has a negative maximum, and at zeros of g
-        curvature *= np.sign(rows @ coef)
-    minima = stationary[curvature > 0].tolist()
-    if outer is abs:
-        minima += _interior_roots([u2 / 2, u1 / 2, a0, u1.conjugate() / 2, u2.conjugate() / 2])
-    _, delta_star = min((outer(g(d)), d) for d in minima or [0.0, 1.0])
-    if family is None:
-        value = outer(g(delta_star))
-    else:
-        m = family.measures(delta_star)
-        value = {"d_functional": m.d_n, "frobenius": m.frobenius}.get(obj.kind, 1.0 - m.fidelity)
-    return OptimumRecord(delta_star, float(value), obj.r, obj.kind, iterations=1)
+    (delta_star,), (value,) = _select(coef[None, :], [outer])
+    return _record(obj, delta_star, value, family)
 
 
 def closed_form_delta(kind: str, r: float, s: Optional[float] = None) -> float:
@@ -263,6 +393,17 @@ def closed_form_delta(kind: str, r: float, s: Optional[float] = None) -> float:
     return math.sqrt(1.0 + num / math.sqrt(num * (13.0 + 2.0 * e2rs * (5.0 + e2rs)))) / math.sqrt(2.0)
 
 
+def _failed(kind: str, r: float, exc: CVTeleportError) -> OptimumRecord:
+    return OptimumRecord(
+        delta_star=float("nan"),
+        objective_value=float("nan"),
+        r=r,
+        kind=kind,
+        iterations=0,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def sweep_r(
     kinds: Sequence[str],
     r_grid: Sequence[float],
@@ -271,32 +412,46 @@ def sweep_r(
     gain: float = 1.0,
     n_photons: int = 24,
 ) -> list[OptimumRecord]:
-    """Minimize every (kind, r) cell; a cell's ``CVTeleportError`` is recorded and
-    the sweep continues, any other exception is a fault and propagates."""
+    """Minimize every (kind, r) cell, kind-major, in one batched solve.
+
+    Each cell's form comes from :func:`_form`, with the input's moments read
+    once.  Then one product gives all coefficients, one stacked eigenvalue
+    solve all candidates, and one evaluation of them all every optimum; the
+    family kinds then take their value from :meth:`DeltaFamily.measures`.
+    Every cell gets the record :func:`minimize_delta` gives it.  A cell's
+    ``CVTeleportError`` is recorded in its place and the sweep continues; any
+    other exception is a fault and propagates.
+    """
     if not kinds or len(r_grid) == 0:
         raise InvalidArgumentError("sweep needs nonempty kind and r grids")
-    records = []
-    for kind in kinds:
-        for r in r_grid:
+    input_moments = functools.lru_cache(maxsize=1)(moment_set)
+    cells = [(kind, float(r)) for kind in kinds for r in r_grid]
+    outcomes: list = [None] * len(cells)  # a record or a CVTeleportError per cell
+    places, objs, forms = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is an error below
+        for place, (kind, r) in enumerate(cells):
             try:
                 obj = Objective(
-                    kind=kind,
-                    r=float(r),
-                    theta=theta,
-                    input=input,
-                    gain=gain,
-                    n_photons=n_photons,
+                    kind=kind, r=r, theta=theta, input=input, gain=gain, n_photons=n_photons
                 )
-                records.append(minimize_delta(obj))
+                forms.append(_form(obj, input_moments))
             except CVTeleportError as exc:  # record the cell, keep sweeping
-                records.append(
-                    OptimumRecord(
-                        delta_star=float("nan"),
-                        objective_value=float("nan"),
-                        r=float(r),
-                        kind=kind,
-                        iterations=0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-    return records
+                outcomes[place] = exc
+                continue
+            places.append(place)
+            objs.append(obj)
+    if objs:
+        coef, errors = _coefficients([obj.kind for obj in objs], forms, _trig(theta))
+        solved = [i for i, error in enumerate(errors) if error is None]
+        stars, values = _select(coef[solved], [forms[i][2] for i in solved])
+        for place, error in zip(places, errors):
+            outcomes[place] = error
+        for i, delta_star, value in zip(solved, stars, values):
+            try:
+                outcomes[places[i]] = _record(objs[i], delta_star, value, forms[i][3])
+            except CVTeleportError as exc:
+                outcomes[places[i]] = exc
+    return [
+        outcome if isinstance(outcome, OptimumRecord) else _failed(kind, r, outcome)
+        for outcome, (kind, r) in zip(outcomes, cells)
+    ]

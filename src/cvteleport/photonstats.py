@@ -82,7 +82,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import OutputState
-from .errors import AccuracyError, CapacityError, ConsistencyError, InvalidArgumentError
+from .errors import (
+    AccuracyError,
+    CapacityError,
+    ConsistencyError,
+    EvaluationError,
+    InvalidArgumentError,
+)
 from .numerics import (
     RADIAL_ARG_MAX,
     envelope_cutoff,
@@ -395,12 +401,23 @@ def _gaussian_overlaps(state: InputState, rate: float, coef: np.ndarray, gain: f
     so ``m_j`` gains the factor ``exp(-y) L_j(y)``.  It is taken as
     ``exp(-y/2)`` times :func:`~cvteleport.numerics.laguerre_envelope`, so it
     does not underflow before the product does.
+
+    Raises :class:`~cvteleport.errors.EvaluationError` when a moment's
+    ``P^(i + 1/2) Q^(j - i + 1/2)`` overflows, which a gain past about 1e34
+    brings about.
     """
     g2 = gain * gain
     s = state.s if isinstance(state, SqueezedVacuumInput) else 0.0
     wide, narrow = math.exp(2.0 * s), math.exp(-2.0 * s)
-    fid_m = _gaussian_moments(rate + 0.5 * (1.0 + g2) * wide, rate + 0.5 * (1.0 + g2) * narrow, 2)
-    gram_m = _gaussian_moments(2.0 * rate + g2 * wide, 2.0 * rate + g2 * narrow, 4)
+    try:
+        fid_m = _gaussian_moments(
+            rate + 0.5 * (1.0 + g2) * wide, rate + 0.5 * (1.0 + g2) * narrow, 2
+        )
+        gram_m = _gaussian_moments(2.0 * rate + g2 * wide, 2.0 * rate + g2 * narrow, 4)
+    except OverflowError:
+        raise EvaluationError(
+            f"the Gaussian overlap moments of {state!r} overflow at gain {gain!r}"
+        ) from None
     if isinstance(state, CoherentInput):
         y = (1.0 - gain) ** 2 * abs(state.beta) ** 2 / (rate + 0.5 * (1.0 + g2))
         fid_m *= [math.exp(-0.5 * y) * laguerre_envelope(j, y) for j in range(3)]

@@ -15,7 +15,9 @@ them here:
   ``f``'s form, so it also minimizes the finite-difference objectives.
   :func:`objective_parts` evaluates each objective kind one Delta at a time
   from the moment tables and the Delta family, the oracle of the
-  optimizer's quadratic forms.
+  optimizer's quadratic forms.  :func:`reference_interior_roots` finds one
+  quartic's unit-circle roots with ``np.roots`` and Newton steps through
+  ``np.polyval``, the oracle of the optimizer's batched root solve.
 * :func:`integrate_plane` — full-plane integrals in polar coordinates
   (Gauss-Legendre radial nodes times a uniform angular grid), with the cutoff
   radius chosen from a decay probe of the integrand itself.  It is the oracle
@@ -67,7 +69,7 @@ from cvteleport.numerics import (
     laguerre_envelope,
     laguerre_envelope_all,
 )
-from cvteleport.optimize import Objective, _channel, objective_function
+from cvteleport.optimize import _ROOT_TOL, Objective, _channel, objective_function
 from cvteleport.phasespace import ORDERINGS, ORIGIN, CharFn, PhasePoint
 from cvteleport.photonstats import (
     PhotonDistribution,
@@ -442,6 +444,19 @@ def reference_minimize(f: Callable[[float], float]) -> tuple[float, float]:
             if 0.0 <= vertex <= 1.0 and abs(vertex - best) <= _POLISH_STEP:
                 delta_star = vertex
     return delta_star, F(delta_star)
+
+
+def reference_interior_roots(quartic) -> list:
+    """Delta = cos(t/2) at each real t in (0, pi) with ``quartic(e^{it}) = 0``."""
+    z = np.roots(quartic).astype(complex)
+    # Newton steps on the quartic: a near-zero leading coefficient (g almost
+    # free of cos 2t, sin 2t) leaves np.roots inexact near the unit circle.
+    z = z[(np.abs(z) > 0.5) & (np.abs(z) < 2.0)]
+    for _ in range(3):
+        dz = np.polyval(np.polyder(quartic), z)
+        z = z - np.divide(np.polyval(quartic, z), dz, out=np.zeros_like(z), where=dz != 0)
+    t = np.angle(z[np.abs(np.abs(z) - 1.0) <= _ROOT_TOL])
+    return np.cos(0.5 * t[(t > _ROOT_TOL) & (t < math.pi - _ROOT_TOL)]).tolist()
 
 
 # ---------------------------------------------------------------------------

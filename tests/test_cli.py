@@ -390,6 +390,34 @@ def test_non_finite_and_overflowing_parameters_give_error_record(argv, capsys):
     assert json.loads(err)["error"]["type"] == "InvalidArgumentError"
 
 
+@pytest.mark.parametrize("gain", ["1e40", "1e150"])
+@pytest.mark.parametrize("text", ["coherent:1", "sqvac:0.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--r", "1", "--delta-grid", "0.9"],
+        ["photon-stats", "--r", "1", "--delta", "0.9"],
+        ["optimize", "--kind", "frobenius", "--r", "1"],
+    ],
+    ids=["compare", "photon-stats", "optimize"],
+)
+def test_overflowing_gaussian_overlaps_give_error_record(argv, text, gain, capsys):
+    """Past a gain of about 1e34 the closed-form Gaussian overlap moments overflow."""
+    code, out, err = run_cli(argv + ["--input", text, "--gain", gain], capsys)
+    assert code == 1 and out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "EvaluationError" and "overflow" in record["message"]
+
+
+@pytest.mark.parametrize("text", ["coherent:1", "sqvac:0.5"])
+def test_overflowing_gaussian_overlaps_are_recorded_sweep_cells(text, capsys):
+    code, out, _ = run_cli(["sweep", "--kinds", "frobenius,x2_transfer", "--input", text,
+                            "--r-grid", "1.0", "--gain", "1e150"], capsys)
+    assert code == 0
+    statuses = [row["status"] for row in read_csv(out)]
+    assert statuses[0].startswith("error: EvaluationError") and statuses[1] == "ok"
+
+
 def test_explicit_zero_gain_is_rejected(capsys):
     code, _, err = run_cli(
         ["compare", "--input", "fock:1", "--r", "1.0", "--gain", "0", "--delta-grid", "0.9"], capsys

@@ -8,6 +8,7 @@ from cvteleport import (
     AccuracyError,
     CoherentInput,
     ConsistencyError,
+    CVTeleportError,
     EvaluationError,
     FockInput,
     InvalidArgumentError,
@@ -20,9 +21,10 @@ from cvteleport import (
     sweep_r,
 )
 from cvteleport.cli import parse_state
-from cvteleport.optimize import CLOSED_FORM_KINDS
+from cvteleport.moments import moment_set
+from cvteleport.optimize import CLOSED_FORM_KINDS, OBJECTIVE_KINDS, OptimumRecord
 from conftest import DELTA2_OPT, DELTA4_OPT, bisect_root
-from oracles import fd_objective_function, reference_minimize
+from oracles import fd_objective_function, reference_interior_roots, reference_minimize
 
 R_RANGE = np.linspace(0.25, 3.0, 12)
 # Two ulp of a Delta near 1.
@@ -174,6 +176,71 @@ def test_input_dependent_kinds_require_input():
 
 
 # ---------------------------------------------------------------------------
+# batched root solve
+# ---------------------------------------------------------------------------
+
+def _quartics(coef):
+    """The stationary-point and zero quartics of the rows of ``coef``, built as the
+    optimizer builds them."""
+    a0, u1, u2 = coef[:, 0], coef[:, 1] - 1j * coef[:, 2], coef[:, 3] - 1j * coef[:, 4]
+    zero = np.zeros(len(coef))
+    stationary = np.stack([u2, u1 / 2, zero, -u1.conj() / 2, -u2.conj()], axis=1)
+    zeros = np.stack([u2 / 2, u1 / 2, a0, u1.conj() / 2, u2.conj() / 2], axis=1)
+    return np.concatenate([stationary, zeros])
+
+
+def _assert_roots_match_reference(quartics):
+    batched = opt_mod._interior_roots(quartics)
+    assert batched.shape == (len(quartics), 4)
+    for row, quartic in zip(batched, quartics):
+        assert sorted(row[~np.isnan(row)].tolist()) == sorted(reference_interior_roots(quartic))
+
+
+def test_batched_roots_match_reference_on_random_quartics():
+    rng = np.random.default_rng(7)
+    quartics = rng.standard_normal((400, 5)) + 1j * rng.standard_normal((400, 5))
+    quartics[::7, 2] = 0.0
+    _assert_roots_match_reference(quartics)
+    coef = rng.standard_normal((400, 5))
+    roots = opt_mod._interior_roots(_quartics(coef))
+    assert np.count_nonzero(~np.isnan(roots)) > 400  # the test sees many interior roots
+    _assert_roots_match_reference(_quartics(coef))
+
+
+def test_batched_roots_take_the_reduced_quadratic_on_a_zero_leading_coefficient():
+    """No cos 2t, sin 2t terms: np.roots strips the zero ends, and so must the stack."""
+    rng = np.random.default_rng(11)
+    coef = rng.standard_normal((200, 5))
+    coef[::2, 3:] = 0.0
+    coef[1::4, 4] = 0.0
+    quartics = _quartics(coef)
+    assert np.count_nonzero(quartics[:, 0] == 0) >= 200
+    with np.errstate(all="raise"):  # no division by the zero leading coefficient
+        _assert_roots_match_reference(quartics)
+    # Mixed with a row of one nonzero coefficient and a zero row: no roots there.
+    odd = np.zeros((2, 5), complex)
+    odd[0, 2] = 1.5
+    _assert_roots_match_reference(np.concatenate([quartics[:5], odd]))
+
+
+def test_batched_roots_polish_a_rounding_small_leading_coefficient():
+    rng = np.random.default_rng(13)
+    coef = rng.standard_normal((200, 5))
+    coef[:, 3:] *= 10.0 ** rng.uniform(-18.0, -14.0, (200, 1))
+    _assert_roots_match_reference(_quartics(coef))
+    # The same from the objectives: theta != 0 leaves mu4 and 1 - F with such rows.
+    rows = []
+    for kind, text in [("mu4_x", "coherent:2.12928"), ("mu4_p", "sqvac:1.5"),
+                       ("one_minus_fidelity", "fock:1")]:
+        for theta in (0.3, 1.0, 2.0):
+            obj = Objective(kind=kind, r=1.0, theta=theta, input=parse_state(text), gain=0.8)
+            rows.append(opt_mod._trig_form(obj)[0])
+    coef = np.array(rows)
+    assert np.any((coef[:, 3:] != 0).any(axis=1) & (np.abs(coef[:, 3:]).max(axis=1) < 1e-12))
+    _assert_roots_match_reference(_quartics(coef))
+
+
+# ---------------------------------------------------------------------------
 # closed-form optima
 # ---------------------------------------------------------------------------
 
@@ -265,16 +332,63 @@ def test_sweep_records_failures_and_continues():
     "fault, recorded", [(ConsistencyError("bad fit"), True), (ZeroDivisionError("bug"), False)]
 )
 def test_sweep_records_only_package_errors(monkeypatch, fault, recorded):
-    def failing(obj):
+    def failing(obj, *args):
         raise fault
 
-    monkeypatch.setattr(opt_mod, "minimize_delta", failing)
+    monkeypatch.setattr(opt_mod, "_form", failing)
     if recorded:
         (rec,) = sweep_r(["x2_transfer"], [1.0])
         assert rec.error == f"{type(fault).__name__}: {fault}" and math.isnan(rec.delta_star)
     else:
         with pytest.raises(type(fault)):
             sweep_r(["x2_transfer"], [1.0])
+
+
+SWEEP_INPUTS = (
+    "fock:0", "fock:1", "mix:0@0.5,1@0.5", "coherent:2.12928", "sqvac:1.5", "coherent:1"
+)
+
+
+@pytest.mark.parametrize("text", SWEEP_INPUTS)
+def test_sweep_equals_per_cell_minimize_delta(text):
+    """The batched sweep gives every cell the record of minimize_delta, bit for bit;
+    error cells (r = 800 overflows cosh, frobenius on coherent:1 at r = 10 is flat
+    to rounding) keep their place and message."""
+    state = parse_state(text)
+    r_grid = [0.25, 800.0, 1.0, 10.0, 2.5]
+    errors = 0
+    for theta in (0.0, 0.3, math.pi / 2, -math.pi / 2, math.pi):
+        for gain in (1.0, 0.8):
+            records = sweep_r(OBJECTIVE_KINDS, r_grid, input=state, theta=theta, gain=gain)
+            cells = [(kind, r) for kind in OBJECTIVE_KINDS for r in r_grid]
+            assert len(records) == len(cells)
+            for rec, (kind, r) in zip(records, cells):
+                obj = Objective(kind=kind, r=r, theta=theta, input=state, gain=gain)
+                try:
+                    expected = minimize_delta(obj)
+                except CVTeleportError as exc:
+                    expected = OptimumRecord(
+                        float("nan"), float("nan"), r, kind, 0, f"{type(exc).__name__}: {exc}"
+                    )
+                    errors += 1
+                assert repr(rec) == repr(expected)  # NaN-safe and bitwise
+            if text == "coherent:1" and theta == 0.0 and gain == 1.0:
+                rec = records[cells.index(("frobenius", 10.0))]
+                assert rec.error.startswith("AccuracyError")
+    assert errors >= 5 * 2 * len(OBJECTIVE_KINDS)  # the r = 800 column at least
+
+
+def test_sweep_reads_the_input_moments_once(monkeypatch):
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return moment_set(state)
+
+    monkeypatch.setattr(opt_mod, "moment_set", counting)
+    records = sweep_r(["mu4_x", "mu4_p", "x2_transfer"], [0.5, 1.0, 2.0], input=FockInput(1))
+    assert all(rec.error is None for rec in records)
+    assert calls == [FockInput(1)]
 
 
 def test_sweep_validates_grids():
