@@ -1,10 +1,11 @@
 """Shared numerical kernels: the Laguerre recurrence and the 1-D radial rule.
 
 Every production integral is one-dimensional in ``u = |xi|^2``: the Delta
-family integrates phase-invariant integrands over ``u`` with a Gauss-Legendre
-rule (:func:`radial_rule`) whose cutoff comes from closed-form envelope tails
-(:func:`envelope_cutoff`, :func:`envelope_tail`), and the Fock factors
-``exp(-u/2) L_n(u)`` come from one bounded recurrence.  The 2-D polar
+family of a Fock state or mixture integrates phase-invariant integrands over
+``u`` with a Gauss-Legendre rule (:func:`radial_rule`) whose cutoff comes
+from closed-form envelope tails (:func:`envelope_cutoff`,
+:func:`envelope_tail`), and the Fock factors ``exp(-u/2) L_n(u)`` come from
+one bounded recurrence.  The 2-D polar
 quadrature and the finite-difference engine that the tests hold these
 against live in ``tests/oracles.py``.
 """

@@ -115,15 +115,16 @@ def _root(v):
     return np.sqrt(np.maximum(v, 0.0))
 
 
-def _form(obj: Objective, input_moments=None):
+def _form(obj: Objective, input_moments=None, families=None):
     """``(Q, terms, outer, family)``: objective ``outer(w @ Q @ w)``, ``terms`` the
     sums of the absolute values of the terms summed into ``Q``, and ``family`` the
     :class:`DeltaFamily` that ``Q`` was read from, if any.  ``outer`` is ``float``,
     :func:`_root` or ``abs``.  ``input_moments`` maps the input to its
-    :class:`MomentSet` in place of :func:`moment_set`; a sweep passes one that
-    reads it once."""
+    :class:`MomentSet` in place of :func:`moment_set`, and ``families`` builds the
+    family in place of :func:`delta_family`; a sweep passes ones that build each
+    once."""
     if obj.kind in ("d_functional", "one_minus_fidelity", "frobenius"):
-        family = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
+        family = (families or delta_family)(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
         if obj.kind == "d_functional":
             # P_out - P_in, P_in on the columns that sum to 1: no O(1) terms cancel in Q.
             diff = family.photon_basis - np.outer(family.p_in.clamped(), _ONE)
@@ -415,9 +416,10 @@ def sweep_r(
     """Minimize every (kind, r) cell, kind-major, in one batched solve.
 
     Each cell's form comes from :func:`_form`, with the input's moments read
-    once.  Then one product gives all coefficients, one stacked eigenvalue
-    solve all candidates, and one evaluation of them all every optimum; the
-    family kinds then take their value from :meth:`DeltaFamily.measures`.
+    once and one :func:`delta_family` built per r for all family kinds.  Then
+    one product gives all coefficients, one stacked eigenvalue solve all
+    candidates, and one evaluation of them all every optimum; the family
+    kinds then take their value from :meth:`DeltaFamily.measures`.
     Every cell gets the record :func:`minimize_delta` gives it.  A cell's
     ``CVTeleportError`` is recorded in its place and the sweep continues; any
     other exception is a fault and propagates.
@@ -425,6 +427,7 @@ def sweep_r(
     if not kinds or len(r_grid) == 0:
         raise InvalidArgumentError("sweep needs nonempty kind and r grids")
     input_moments = functools.lru_cache(maxsize=1)(moment_set)
+    families = functools.lru_cache(maxsize=None)(delta_family)
     cells = [(kind, float(r)) for kind in kinds for r in r_grid]
     outcomes: list = [None] * len(cells)  # a record or a CVTeleportError per cell
     places, objs, forms = [], [], []
@@ -434,7 +437,7 @@ def sweep_r(
                 obj = Objective(
                     kind=kind, r=r, theta=theta, input=input, gain=gain, n_photons=n_photons
                 )
-                forms.append(_form(obj, input_moments))
+                forms.append(_form(obj, input_moments, families))
             except CVTeleportError as exc:  # record the cell, keep sweeping
                 outcomes[place] = exc
                 continue

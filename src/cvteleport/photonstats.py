@@ -26,21 +26,38 @@ arithmetic, and a Delta grid is one ``(N+1) x D`` product
 Dephasing identity.  ``tau`` and the Fock factors depend on ``u = |xi|^2``
 only, so the channel is phase covariant: with ``(1/pi) d^2 xi = du dphi /
 2 pi`` the angle integral acts on ``chi_in(g xi)`` alone and gives
-``A~(g^2 u)``, the characteristic function of the dephased input.  For Fock
-states, mixtures and coherent inputs it is the photon sum
-``A~(v) = sum_m p_m L~_m(v)``, ``L~_m(v) = exp(-v/2) L_m(v)``, with the photon
-distribution ``p_m`` of :func:`cvteleport.states.input_photon_probs`; for a
-squeezed vacuum it is the closed form
-``A~(v) = exp(-v e^{-2|s|} / 2) i0e(v sinh(2|s|) / 2)``
-(:func:`_dephased_squeezed_vacuum`), the same sum to all orders.  Hence
+``A~(g^2 u)``, the characteristic function of the dephased input.  Hence
 
-``photon_basis[n, k] = ∫_0^∞ du exp(-e u) q_k(u) L~_n(u) A~(g^2 u)``
+``photon_basis[n, k] = ∫_0^∞ du exp(-e u) q_k(u) L~_n(u) A~(g^2 u)``,
 
-for every input, and for Fock-diagonal inputs (``A~ = chi_in``) also
+``L~_n(u) = exp(-u/2) L_n(u)``, for every input.
+
+Coherent and squeezed inputs: Taylor coefficients.  With
+``sum_n t^n L~_n(u) = exp(-u (1 + t) / (2 (1 - t))) / (1 - t)``,
+``sum_n t^n photon_basis[n, k] = sum_j coef[k, j] M_j(t)``, where
+``M_j(t) = (1 - t)^-1 ∫ du exp(-c(t) u) u^j A~(g^2 u)`` and
+``c(t) = e + (1 + t) / (2 (1 - t))``.  The angle mean undone, ``M_j`` is a
+Gaussian moment: a squeezed vacuum has ``|chi_in(g xi)| = exp(-g^2 (e^{2s}
+w^2 + e^{-2s} z^2) / 2)``, so ``M_j`` is :func:`_gaussian_moments` at
+``P, Q = A + (1 + t) / (2 (1 - t)) = alpha (1 + rho t) / (1 - t)`` with
+``A = e + g^2 e^{+-2s} / 2``, ``alpha = A + 1/2`` and
+``rho = (1/2 - A) / alpha``; ``|rho| < 1``.  A coherent state has the
+modulus of the vacuum (``s = 0``) and the phase ``J0(2 g |beta| sqrt(u))``,
+whose moment ``j! C^(-j-1) exp(-y) L_j(y)``, ``C = P = Q``,
+``y = g^2 |beta|^2 / C``, adds the factor ``exp(-y(t)) L_j(y(t))``.  Every
+factor is a binomial series ``(1 + rho t)^-a``, a polynomial ``(1 - t)^j``
+or the exponential of a series, and products are convolutions
+(:func:`_photon_series`): O(N^2) arithmetic whatever ``s`` or ``beta``,
+with no quadrature, cutoff or photon sum, and exact up to rounding.
+Because ``e >= (1 - g^2) / 2`` for every channel, a coherent input has
+``rho <= 0``, so the series of ``exp(-y)`` has terms of one sign.
+
+Fock states and mixtures: the 1-D rule.  ``A~(v) = sum_m p_m L~_m(v)`` is a
+finite sum up to the top photon number ``M`` (``max_n``), with ``p_m`` from
+:func:`cvteleport.states.input_photon_probs`.  Here ``A~ = chi_in``, so also
 ``fidelity_basis[k] = ∫ tau_k A~(u) A~(g^2 u)`` and
-``gram[j, k] = ∫ tau_j tau_k A~(g^2 u)^2``: no plane quadrature at all.
-
-The 1-D rule.  Gauss-Legendre in ``rho = sqrt(u)`` on ``[0, sqrt(U)]``
+``gram[j, k] = ∫ tau_j tau_k A~(g^2 u)^2``.  The three integrals take one
+Gauss-Legendre rule in ``rho = sqrt(u)`` on ``[0, sqrt(U)]``
 (:func:`cvteleport.numerics.radial_rule`).  ``U`` comes from closed-form
 envelopes, ``|q_k(u)| <= (1 + a^2 u)(1 + b^2 u)``,
 ``|L~_n(u)| <= exp(-u/2) (1 + u)^n`` and ``|A~| <= 1``: the tail integral of
@@ -48,29 +65,15 @@ each envelope past ``U`` is bounded by :func:`cvteleport.numerics.envelope_tail`
 and ``U`` is where that bound meets 1e-16; when ``RADIAL_ARG_MAX`` caps ``U``
 below that, the bound must still meet 1e-9, else
 :class:`~cvteleport.errors.AccuracyError`.  The node count resolves the
-oscillation of ``L~_N`` and of the input (wavenumbers ``sqrt(4n + 6)``, with
-``n`` the top photon number of a Fock-diagonal input and the mean photon
-number of a coherent or squeezed one, ``sinh^2 s`` for ``sqvac:s``), is at
-least 96 and is rounded to ``2^k`` or ``3 * 2^(k-1)``, so few Legendre rules
-are built.
-
-The tail certificate.  The photon sum runs to the cutoff ``M`` of
-:func:`cvteleport.states.input_photon_cutoff`: exact for Fock states and
-mixtures, and for coherent inputs the smallest ``M`` whose closed-form tail
-bound ``p_M mu / (M + 1 - mu)``, taken in log space, is at most 1e-16; every
-``P_n`` then moves by at most that mass.  It is a running sum over the
-shared Laguerre recurrence, in O(nodes) memory.  A squeezed vacuum needs no
-sum, but its cutoff (tail bound ``p_M sinh^2 s``) is still taken, as the
-guard of its domain: past ``M = 2^16``, about ``|s| = 4.1``, the family
-raises :class:`~cvteleport.errors.CapacityError`.  Beyond it the node rule,
-which grows like ``e^{|s|}``, would need 4096 nodes at ``|s| = 6`` and
-about 30k at ``|s| = 8``, and ``leggauss`` builds a rule in O(nodes^3).
+oscillation of ``L~_N`` and of ``L~_M`` (wavenumbers ``sqrt(4n + 6)``), is
+at least 96 and is rounded to ``2^k`` or ``3 * 2^(k-1)``, so few Legendre
+rules are built.
 
 Phase-sensitive overlaps.  For coherent and squeezed inputs the fidelity
 and Gram integrands are not phase invariant, but they are Gaussians times
-polynomials in ``u``: their integrals are closed-form Gaussian moments
-(:func:`_gaussian_overlaps`), with no quadrature, cutoff or tail.  No
-family plans or fills a 2-D grid.
+polynomials in ``u``: their integrals are the same closed-form Gaussian
+moments at ``t = 0`` (:func:`_gaussian_overlaps`).  No family plans or
+fills a 2-D grid.
 """
 
 from __future__ import annotations
@@ -108,7 +111,6 @@ from .states import (
     SqueezedBellResource,
     SqueezedVacuumInput,
     delta_weights,
-    input_photon_cutoff,
     input_photon_probs,
     input_purity,
     transfer_basis,
@@ -118,8 +120,6 @@ from .states import (
 _PROB_SLACK = 1e-8
 _SUM_SLACK = 1e-7
 D_N_UPPER = math.sqrt(2.0)
-# Certified input photon mass left beyond the family's truncation M.
-_PHOTON_TAIL = 1e-16
 # Slack of the Fock-diagonal Frobenius / D_N cross-check.
 _FROBENIUS_TOL = 1e-6
 # Largest tail bound the 1-D rule accepts; it binds only where RADIAL_ARG_MAX
@@ -403,20 +403,20 @@ def _gaussian_overlaps(state: InputState, rate: float, coef: np.ndarray, gain: f
     does not underflow before the product does.
 
     Raises :class:`~cvteleport.errors.EvaluationError` when a moment's
-    ``P^(i + 1/2) Q^(j - i + 1/2)`` overflows, which a gain past about 1e34
-    brings about.
+    ``P^(i + 1/2) Q^(j - i + 1/2)`` or ``e^{2s}`` overflows, which a gain past
+    about 1e34 or a squeezing ``|s|`` past about 79 brings about.
     """
     g2 = gain * gain
     s = state.s if isinstance(state, SqueezedVacuumInput) else 0.0
-    wide, narrow = math.exp(2.0 * s), math.exp(-2.0 * s)
     try:
+        wide, narrow = math.exp(2.0 * s), math.exp(-2.0 * s)
         fid_m = _gaussian_moments(
             rate + 0.5 * (1.0 + g2) * wide, rate + 0.5 * (1.0 + g2) * narrow, 2
         )
         gram_m = _gaussian_moments(2.0 * rate + g2 * wide, 2.0 * rate + g2 * narrow, 4)
     except OverflowError:
         raise EvaluationError(
-            f"the Gaussian overlap moments of {state!r} overflow at gain {gain!r}"
+            f"the Gaussian overlap moments of {state!r} at gain {gain!r} overflow"
         ) from None
     if isinstance(state, CoherentInput):
         y = (1.0 - gain) ** 2 * abs(state.beta) ** 2 / (rate + 0.5 * (1.0 + g2))
@@ -425,46 +425,114 @@ def _gaussian_overlaps(state: InputState, rate: float, coef: np.ndarray, gain: f
     return coef @ fid_m, coef @ hankel @ coef.T
 
 
-# numpy's i0 times exp(-x) up to here, where exp(x) I_0(x) is still finite.
-_I0_EXP_MAX = 700.0
-# Coefficients c_k = ((2k - 1)!!)^2 / (k! 8^k) of the asymptotic series of i0e.
-_I0E_SERIES = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in range(1, 30)])
-
-
-def _i0e(x) -> np.ndarray:
-    """``exp(-x) I_0(x)`` for ``x >= 0``, without overflow.
-
-    Up to ``x = 700`` it is ``numpy.i0(x) exp(-x)``; above, the asymptotic
-    series ``(2 pi x)^(-1/2) sum_k c_k x^(-k)``, whose 30th term there is
-    below 1e-62 of the first.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x <= _I0_EXP_MAX
-    lo, hi = x[small], x[~small]
-    out[small] = np.i0(lo) * np.exp(-lo)
-    series = np.polynomial.polynomial.polyval(1.0 / hi, _I0E_SERIES)
-    out[~small] = series / np.sqrt(2.0 * math.pi * hi)
-    return out
-
-
-def _dephased_squeezed_vacuum(s: float, v) -> np.ndarray:
-    """The angle mean of a squeezed vacuum's ``chi_in`` at ``|xi|^2 = v``, in closed form.
-
-    On ``|xi|^2 = v``, ``|xi'|^2 = v (cosh 2s + sinh 2s cos 2 phi)``, so the
-    mean of ``exp(-|xi'|^2 / 2)`` over ``phi`` is
-    ``exp(-v cosh(2s) / 2) I_0(v sinh(2|s|) / 2)
-    = exp(-v e^{-2|s|} / 2) i0e(v sinh(2|s|) / 2)``: the dephased input
-    ``sum_m p_m L~_m(v)`` summed to all orders.
-    """
-    two_s = 2.0 * abs(s)
-    v = np.asarray(v, dtype=float)
-    return np.exp(-0.5 * math.exp(-two_s) * v) * _i0e(0.5 * math.sinh(two_s) * v)
-
-
 def _transfer_terms(rate: float, terms, u: np.ndarray) -> np.ndarray:
     """``(3, len(u))``: the transfer terms ``exp(-e u) q_k(u)``."""
     return np.stack(np.broadcast_arrays(*terms(u))) * np.exp(-rate * u)
+
+
+def _power_series(A, powers, N: int) -> np.ndarray:
+    """``A.shape + (len(powers), N + 1)``: the Taylor coefficients in ``t`` of
+    ``(alpha (1 + rho t))^-p`` for each ``p`` in ``powers``, with ``alpha = A + 1/2``
+    and ``rho = (1/2 - A) / alpha``.
+
+    The binomial series: the ratio of consecutive coefficients is
+    ``-rho (p + n - 1) / n``.
+    """
+    A = np.asarray(A)[..., None, None]
+    powers = np.asarray(powers)[:, None]
+    n = np.arange(1, N + 1)
+    series = np.empty(A.shape[:-2] + (len(powers), N + 1))
+    series[..., :1] = (A + 0.5) ** -powers
+    series[..., 1:] = (A - 0.5) / (A + 0.5) * (powers + (n - 1.0)) / n
+    return np.cumprod(series, axis=-1)
+
+
+def _times(x: np.ndarray, y) -> np.ndarray:
+    """The Taylor coefficients of the product of two series, to the length of ``x``."""
+    return np.convolve(x, y)[: len(x)]
+
+
+def _exp_series(x: np.ndarray) -> np.ndarray:
+    """The Taylor coefficients of ``exp(x(t))``: ``n f_n = sum_k k x_k f_{n-k}``."""
+    f = np.zeros_like(x)
+    f[0] = math.exp(x[0])
+    kx = np.arange(len(x)) * x
+    for n in range(1, len(x)):
+        f[n] = kx[1 : n + 1] @ f[n - 1 :: -1] / n
+    return f
+
+
+# C(j, i) Gamma(i + 1/2) Gamma(j - i + 1/2) / pi, the weights of _gaussian_moments.
+_GAUSS = ((1.0,), (0.5, 0.5), (0.75, 0.5, 0.75))
+# (1 - t)^j
+_FALLING = ((1.0,), (1.0, -1.0), (1.0, -2.0, 1.0))
+
+
+def _photon_series(state: InputState, rate: float, gain: float, N: int) -> np.ndarray:
+    """``(3, N + 1)``: the Taylor coefficients of ``M_j(t)``, ``j = 0, 1, 2``, for a
+    coherent or squeezed input; the photon basis is ``(coef @ M).T``.
+
+    With ``p_i`` and ``q_i`` the :func:`_power_series` of
+    ``(alpha (1 + rho t))^-(i + 1/2)`` on the two axes,
+    ``M_j = (1 - t)^j sum_i _GAUSS[j][i] p_i q_{j-i}``: :func:`_gaussian_moments`
+    at ``P, Q`` (module docstring), their factors ``(1 - t)^(i + 1/2)`` gathered.
+    A coherent input has ``P = Q = C``, so
+    ``M_j = (1 - t)^j j! (alpha (1 + rho t))^-(j+1) exp(-y) L_j(y)`` with
+    ``y = g^2 |beta|^2 / C = g^2 |beta|^2 (1 - t) M_0``.  When ``exp(-y(0))``
+    underflows, every ``P_n``, ``n <= N_MAX_FOCK``, is below 1e-210 and the
+    series is 0.
+    """
+    g2 = gain * gain
+    if isinstance(state, SqueezedVacuumInput):
+        wide, narrow = np.exp([2.0 * state.s, -2.0 * state.s])
+        p, q = _power_series([rate + 0.5 * g2 * wide, rate + 0.5 * g2 * narrow], (0.5, 1.5, 2.5), N)
+        moments = [
+            sum(w * _times(p[i], q[j - i]) for i, w in enumerate(_GAUSS[j])) for j in range(3)
+        ]
+    else:
+        # j! (alpha (1 + rho t))^-(j+1)
+        moments = np.array([[1.0], [1.0], [2.0]]) * _power_series(rate + 0.5 * g2, (1, 2, 3), N)
+        photons = g2 * abs(state.beta) ** 2
+        if math.exp(-photons * moments[0, 0]) == 0.0:  # before y, which may hold inf * 0
+            return np.zeros_like(moments)
+        y = photons * _times(moments[0], _FALLING[1])
+        decay = _exp_series(-y)
+        y_decay = _times(y, decay)
+        laguerre = (decay, decay - y_decay, decay - 2.0 * y_decay + 0.5 * _times(y, y_decay))
+        moments = [_times(m, l) for m, l in zip(moments, laguerre)]
+    return np.array([_times(m, falling) for m, falling in zip(moments, _FALLING)])
+
+
+def _radial_family(state: InputState, ch: Channel, N: int):
+    """``(photon_basis, fidelity_basis, gram)`` of a Fock state or mixture on the 1-D rule."""
+    rate, terms, _ = transfer_basis(ch)
+    a, b = transfer_coefficients(ch)
+    gain = ch.gain
+    g2 = gain * gain
+    M = state.max_n
+    dephased = functools.partial(laguerre_envelope_series, input_photon_probs(state, M))
+    # sqrt(4 n + 6) bounds the wavenumber of L~_n in rho.
+    k_in = math.sqrt(4.0 * M + 6.0)
+    # |q_k(u)| <= (1 + a^2 u)(1 + b^2 u) for all three terms, |L~_n(u)| <= exp(-u/2)(1 + u)^n
+    # and |A~| <= 1: the envelopes of the photon, fidelity and Gram integrands.
+    poly = ((a * a, 1), (b * b, 1))
+    u, wt = _radial_nodes(
+        [
+            (rate + 0.5, poly + ((1.0, N),), math.sqrt(4.0 * N + 6.0) + gain * k_in),
+            (rate + 0.5 * (1.0 + g2), poly + ((1.0, M), (g2, M)), (1.0 + gain) * k_in),
+            (2.0 * rate + g2, ((a * a, 2), (b * b, 2), (g2, 2 * M)), 2.0 * gain * k_in),
+        ],
+        max(1.0, g2),
+    )
+    tau_k = _transfer_terms(rate, terms, u)
+    # The angular mean of chi_in(g xi): the dephased input A~(g^2 u).
+    chi_g = dephased(g2 * u)
+    chi_1 = chi_g if gain == 1.0 else dephased(u)
+    return (
+        laguerre_envelope_all(N, u) @ (tau_k * (chi_g * wt)).T,
+        tau_k @ (chi_1 * chi_g * wt),
+        (tau_k * (chi_g * chi_g * wt)) @ tau_k.T,
+    )
 
 
 def delta_family(
@@ -474,58 +542,26 @@ def delta_family(
     gain: float = 1.0,
     N: int = 24,
 ) -> DeltaFamily:
-    """Build the :class:`DeltaFamily` of one cell on 1-D radial quadrature.
+    """Build the :class:`DeltaFamily` of one cell.
 
-    Raises :class:`~cvteleport.errors.InvalidArgumentError` or
+    Coherent and squeezed inputs take closed-form overlaps and the Taylor
+    coefficients of :func:`_photon_series`; Fock states and mixtures the 1-D
+    radial rule.  Raises :class:`~cvteleport.errors.InvalidArgumentError` or
     :class:`~cvteleport.errors.CapacityError` for a photon cutoff ``N``
-    outside ``[0, N_MAX_FOCK]``, with
-    :class:`~cvteleport.errors.AccuracyError` when an integrand's tail bound
-    fails the target, with
-    :class:`~cvteleport.errors.CapacityError` when the input's photon tail
-    cannot be certified below the cap, and like the resource constructors
-    (bad r, theta or gain).
+    outside ``[0, N_MAX_FOCK]``, :class:`~cvteleport.errors.AccuracyError`
+    when a radial integrand's tail bound fails the target,
+    :class:`~cvteleport.errors.EvaluationError` when the Gaussian overlap
+    moments overflow, and like the resource constructors (bad r, theta or
+    gain).
     """
     _check_cutoff(N)
     ch = Channel(SqueezedBellResource(delta=1.0, theta=theta, r=r), gain=gain)
-    rate, terms, coef = transfer_basis(ch)
-    a, b = transfer_coefficients(ch)
-    g2 = gain * gain
-    # For a squeezed vacuum the cutoff only guards the domain (CapacityError
-    # past |s| ~ 4.1): its dephased input is summed in closed form.
-    M = input_photon_cutoff(state, _PHOTON_TAIL)
-    fock_diagonal = isinstance(state, (FockInput, FockMixtureInput))
-    # Wavenumber of chi_in in rho: sqrt(4 n + 6) bounds that of L~_n; a coherent
-    # chi_in oscillates like J0(2 sqrt(<n>) rho) and a squeezed vacuum has a
-    # narrow axis of width e^-|s| ~ 1 / (2 sqrt(<n>)), so <n> stands in for n.
-    if isinstance(state, SqueezedVacuumInput):
-        n_in = math.sinh(state.s) ** 2
-        dephased = functools.partial(_dephased_squeezed_vacuum, state.s)
+    if isinstance(state, (FockInput, FockMixtureInput)):
+        photon_basis, fidelity_basis, gram = _radial_family(state, ch, N)
     else:
-        p = input_photon_probs(state, M)
-        n_in = M if fock_diagonal else float(np.arange(M + 1) @ p)
-        dephased = functools.partial(laguerre_envelope_series, p)
-    k_in = math.sqrt(4.0 * n_in + 6.0)
-    # |q_k(u)| <= (1 + a^2 u)(1 + b^2 u) for all three terms, |L~_n(u)| <= exp(-u/2)(1 + u)^n
-    # and |A~| <= 1: the envelopes of the photon, fidelity and Gram integrands.
-    poly = ((a * a, 1), (b * b, 1))
-    envelopes = [(rate + 0.5, poly + ((1.0, N),), math.sqrt(4.0 * N + 6.0) + gain * k_in)]
-    if fock_diagonal:
-        envelopes += [
-            (rate + 0.5 * (1.0 + g2), poly + ((1.0, M), (g2, M)), (1.0 + gain) * k_in),
-            (2.0 * rate + g2, ((a * a, 2), (b * b, 2), (g2, 2 * M)), 2.0 * gain * k_in),
-        ]
-    u, wt = _radial_nodes(envelopes, max(1.0, g2))
-
-    tau_k = _transfer_terms(rate, terms, u)
-    # The angular mean of chi_in(g xi): the dephased input A~(g^2 u).
-    chi_g = dephased(g2 * u)
-    photon_basis = laguerre_envelope_all(N, u) @ (tau_k * (chi_g * wt)).T
-    if fock_diagonal:
-        chi_1 = chi_g if gain == 1.0 else dephased(u)
-        fidelity_basis = tau_k @ (chi_1 * chi_g * wt)
-        gram = (tau_k * (chi_g * chi_g * wt)) @ tau_k.T
-    else:
+        rate, _, coef = transfer_basis(ch)
         fidelity_basis, gram = _gaussian_overlaps(state, rate, coef, gain)
+        photon_basis = (coef @ _photon_series(state, rate, gain, N)).T
     return DeltaFamily(
         state=state,
         r=r,

@@ -52,6 +52,10 @@ class FockInput:
         if int(self.n) != self.n or self.n < 0:
             raise InvalidArgumentError(f"Fock photon number must be a nonnegative integer, got {self.n!r}")
 
+    @property
+    def max_n(self) -> int:
+        return self.n
+
 
 @dataclass(frozen=True)
 class CoherentInput:
@@ -61,8 +65,11 @@ class CoherentInput:
 
     def __post_init__(self):
         beta = complex(self.beta)
-        if not cmath.isfinite(beta):
-            raise InvalidArgumentError(f"coherent displacement must be finite, got {beta!r}")
+        if not (cmath.isfinite(beta) and math.isfinite(abs(beta) * abs(beta))):
+            raise InvalidArgumentError(
+                f"coherent displacement and its mean photon number |beta|^2 must be finite, "
+                f"got {beta!r}"
+            )
         object.__setattr__(self, "beta", beta)
 
 
@@ -300,90 +307,6 @@ def input_photon_probs(state: InputState, N: int) -> np.ndarray:
     raise InvalidArgumentError(f"unknown input state {state!r}")
 
 
-# Largest photon cutoff input_photon_cutoff returns.  Coherent inputs sum their
-# photon distribution to the cutoff; for a squeezed vacuum, whose dephased input
-# is a closed form, the cap only bounds the domain (|s| up to about 4.1).
-PHOTON_CUTOFF_CAP = 2**16
-
-
-def _log_photon_tail(state: InputState, M: int) -> float:
-    """Log of a closed-form bound on ``sum_{m > M} p_m`` (-inf when exactly 0).
-
-    Coherent (``mu = |beta|^2``): the ratios ``p_{m+1} / p_m = mu / (m + 1)``
-    past M are at most ``mu / (M + 1)``, so the tail is at most
-    ``p_M mu / (M + 1 - mu)``.  Squeezed vacuum (M even): the ratios
-    ``p_{2k+2} / p_{2k}`` are below ``t^2 = tanh^2 s``, so the tail is at most
-    ``p_M t^2 / (1 - t^2) = p_M sinh^2 s``.  Both are taken in log space, so
-    no underflowed ``p_M`` can certify a tail.  Fock states and mixtures have
-    an exact, finite support.
-    """
-    if isinstance(state, (FockInput, FockMixtureInput)):
-        tail = math.fsum(p for n, p in _fock_weights(state) if n > M)
-        return math.log(tail) if tail > 0.0 else -math.inf
-    if isinstance(state, CoherentInput):
-        mu = abs(state.beta) ** 2
-        if mu == 0.0:
-            return -math.inf
-        if M + 1 <= mu:
-            return 0.0
-        return M * math.log(mu) - mu - math.lgamma(M + 1.0) + math.log(mu / (M + 1 - mu))
-    if isinstance(state, SqueezedVacuumInput):
-        if state.s == 0.0:
-            return -math.inf
-        k = M // 2
-        ch, sh = _cosh_sinh(state.s, "squeezing s")
-        log_p = (
-            math.lgamma(2.0 * k + 1.0) - 2.0 * math.lgamma(k + 1.0) - 2.0 * k * math.log(2.0)
-            + 2.0 * k * math.log(abs(math.tanh(state.s))) - math.log(ch)
-        )
-        return log_p + 2.0 * math.log(abs(sh))
-    raise InvalidArgumentError(f"unknown input state {state!r}")
-
-
-def _fock_weights(state) -> tuple:
-    return ((state.n, 1.0),) if isinstance(state, FockInput) else state.weights
-
-
-def _top_photon(state) -> int:
-    return max(n for n, _ in _fock_weights(state))
-
-
-def input_photon_tail(state: InputState, M: int) -> float:
-    """A closed-form bound on the photon mass ``sum_{m > M} p_m`` beyond ``M``."""
-    if M < 0:
-        raise InvalidArgumentError("M must be nonnegative")
-    return min(math.exp(_log_photon_tail(state, M)), 1.0)
-
-
-def input_photon_cutoff(state: InputState, tol: float) -> int:
-    """The smallest ``M`` whose :func:`input_photon_tail` bound is at most ``tol``.
-
-    Fock states and mixtures return their top photon number (no tail).  The
-    coherent and squeezed-vacuum bounds fall monotonically past the mode, so
-    the cutoff is found by bisection; past :data:`PHOTON_CUTOFF_CAP` the call
-    raises :class:`CapacityError` instead of returning an uncertified cutoff.
-    """
-    if isinstance(state, (FockInput, FockMixtureInput)):
-        return _top_photon(state)
-    log_tol = math.log(tol)
-    if isinstance(state, CoherentInput):
-        lo = math.floor(abs(state.beta) ** 2)  # the bound is trivial up to mu - 1
-    else:
-        lo = 0
-    hi = PHOTON_CUTOFF_CAP
-    if lo >= hi or _log_photon_tail(state, hi) > log_tol:
-        raise CapacityError(
-            f"{state!r} keeps photon mass above {tol:.1e} beyond the cutoff cap "
-            f"{PHOTON_CUTOFF_CAP}"
-        )
-    if _log_photon_tail(state, lo) <= log_tol:
-        return lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _log_photon_tail(state, mid) <= log_tol else (mid, hi)
-    return hi
-
-
 def input_purity(state: InputState) -> float:
     """Exact purity ``Tr(rho^2)`` of a catalog state.
 
@@ -443,9 +366,3 @@ def channel_to_descriptor(ch: Channel) -> dict:
     res = ch.resource
     return {"delta": res.delta, "theta": res.theta, "r": res.r, "gain": ch.gain}
 
-
-def channel_from_descriptor(d: dict) -> Channel:
-    res = SqueezedBellResource(
-        delta=float(d["delta"]), theta=float(d.get("theta", 0.0)), r=float(d["r"])
-    )
-    return Channel(res, gain=float(d.get("gain", 1.0)))

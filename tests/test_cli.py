@@ -381,8 +381,9 @@ def test_bad_delta_rejected(capsys):
         ["compare", "--input", "fock:1", "--r", "nan", "--delta-grid", "0.9"],
         ["compare", "--input", "coherent:nan", "--r", "1.0", "--delta-grid", "0.9"],
         ["compare", "--input", "fock:1", "--r", "800", "--delta-grid", "0.9"],
+        ["compare", "--input", "coherent:1e200", "--r", "1.0", "--delta-grid", "0.9"],
     ],
-    ids=["r-nan", "coherent-nan", "r-overflow"],
+    ids=["r-nan", "coherent-nan", "r-overflow", "coherent-overflow"],
 )
 def test_non_finite_and_overflowing_parameters_give_error_record(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -407,6 +408,37 @@ def test_overflowing_gaussian_overlaps_give_error_record(argv, text, gain, capsy
     assert code == 1 and out == ""
     record = json.loads(err)["error"]
     assert record["type"] == "EvaluationError" and "overflow" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--r", "1", "--delta-grid", "0.9"],
+        ["photon-stats", "--r", "1", "--delta", "0.9"],
+        ["optimize", "--kind", "d_functional", "--r", "1"],
+    ],
+    ids=["compare", "photon-stats", "optimize"],
+)
+def test_overflowing_squeezing_gives_error_record(argv, capsys):
+    """Past |s| of about 80 the closed-form Gaussian overlap moments overflow."""
+    code, out, err = run_cli(argv + ["--input", "sqvac:400"], capsys)
+    assert code == 1 and out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "EvaluationError" and "overflow" in record["message"]
+
+
+@pytest.mark.parametrize("text", ["sqvac:6", "sqvac:-8"])
+def test_strong_squeezing_gives_certified_rows(text, capsys):
+    """Squeezing far past |s| = 4 is summed in closed form: every command prints rows."""
+    code, out, _ = run_cli(
+        ["compare", "--input", text, "--r", "1", "--delta-grid", "0.5,0.9"], capsys
+    )
+    assert code == 0 and len(read_csv(out)) == 2
+    code, out, _ = run_cli(
+        ["sweep", "--kinds", "d_functional,one_minus_fidelity,frobenius", "--input", text,
+         "--r-grid", "0.5,2"], capsys
+    )
+    assert code == 0 and all(row["status"] == "ok" for row in read_csv(out))
 
 
 @pytest.mark.parametrize("text", ["coherent:1", "sqvac:0.5"])

@@ -391,6 +391,21 @@ def test_sweep_reads_the_input_moments_once(monkeypatch):
     assert calls == [FockInput(1)]
 
 
+def test_sweep_builds_one_family_per_r(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return delta_family(*args)
+
+    monkeypatch.setattr(opt_mod, "delta_family", counting)
+    state = CoherentInput(2.12928)
+    r_grid = [0.25, 1.0, 2.0, 2.5]
+    records = sweep_r(["d_functional", "one_minus_fidelity", "frobenius"], r_grid, input=state)
+    assert all(rec.error is None for rec in records)
+    assert calls == [(state, r, 0.0, 1.0, 24) for r in r_grid]
+
+
 def test_sweep_validates_grids():
     with pytest.raises(InvalidArgumentError):
         sweep_r([], [1.0])

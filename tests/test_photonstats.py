@@ -358,29 +358,53 @@ def test_distortion_measures_rejects_foreign_output():
 # ---------------------------------------------------------------------------
 
 import dataclasses  # noqa: E402
+import functools  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
-import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from cvteleport import CapacityError, PhasePoint  # noqa: E402
-from cvteleport.numerics import laguerre_envelope_series  # noqa: E402
-from cvteleport.photonstats import (  # noqa: E402
-    _dephased_squeezed_vacuum,
-    _gaussian_overlaps,
-    _i0e,
+from cvteleport.numerics import (  # noqa: E402
+    envelope_cutoff,
+    laguerre_envelope_all,
+    laguerre_envelope_series,
+    radial_rule,
 )
-from cvteleport.states import input_photon_cutoff, transfer_basis  # noqa: E402
+from cvteleport.photonstats import _gaussian_overlaps  # noqa: E402
+from cvteleport.states import (  # noqa: E402
+    N_MAX_FOCK,
+    delta_weights,
+    transfer_basis,
+    transfer_coefficients,
+)
 from oracles import polynomial_gaussian_overlaps  # noqa: E402
+
+
+def _photon_probs(state, tail=1e-16, top=60000):
+    """The photon distribution of ``state`` up to where the mass beyond falls below ``tail``."""
+    probs = input_photon_probs(state, top)
+    beyond = np.cumsum(probs[::-1])[::-1]  # beyond[m]: the mass at m and above
+    return probs[: int(np.argmax(beyond < tail))]
 
 
 def _dephased(state):
     """The Fock mixture with the photon distribution of ``state``."""
-    probs = input_photon_probs(state, input_photon_cutoff(state, 1e-16))
+    probs = _photon_probs(state)
     return FockMixtureInput(tuple((m, float(p)) for m, p in enumerate(probs) if p > 0.0))
+
+
+def _radial_photon_basis(dephased, r, gain, N, nodes):
+    """The photon basis ``∫ exp(-e u) q_k(u) L~_n(u) A~(g^2 u) du`` of the dephased
+    input ``A~`` on a Gauss-Legendre rule of ``nodes`` nodes in ``sqrt(u)``,
+    cut where the envelope of the integrand leaves 1e-16."""
+    ch = Channel(SqueezedBellResource(1.0, 0.0, r), gain=gain)
+    rate, terms, _ = transfer_basis(ch)
+    a, b = transfer_coefficients(ch)
+    u, wt = radial_rule(nodes, envelope_cutoff(rate + 0.5, ((a * a, 1), (b * b, 1), (1.0, N))))
+    tau = np.stack(np.broadcast_arrays(*terms(u))) * np.exp(-rate * u)
+    return laguerre_envelope_all(N, u) @ (tau * (dephased(gain * gain * u) * wt)).T
 
 
 @pytest.mark.parametrize(
@@ -425,74 +449,54 @@ def test_family_overlaps_match_gaussian_moments(s, r, gain):
 
 @pytest.mark.parametrize("s", [-4.0, -1.5, 0.0, 0.3, 1.5, 3.0, 4.0])
 def test_dephased_squeezed_vacuum_matches_photon_sum(s):
-    """The closed-form angle mean of a squeezed vacuum against its photon sum
-    ``sum_m p_m L~_m(v)`` and against the mean of ``chi_in`` over the circle.
-
-    The running sum itself drifts by up to 2e-11 near v ~ 1e-5 at |s| = 4,
-    where its ~25k terms are all close to 1, so on the log grid down to
-    v = 1e-8 the reference is the trapezoid rule over phi: exact to rounding
-    for this smooth periodic integrand, whose peak at s = 4, v = 60 spans
-    about 3 grid steps.
-    """
+    """The squeezed-vacuum photon basis, read off the Taylor series of its
+    generating function, against the 1-D integral of the photon sum
+    ``A~(v) = sum_m p_m L~_m(v)`` over every m whose mass is not below 1e-16
+    (about 51k terms at |s| = 4)."""
     state = SqueezedVacuumInput(s)
-    probs = input_photon_probs(state, input_photon_cutoff(state, 1e-16))
-    v = np.linspace(0.0, 60.0, 241)
-    want = laguerre_envelope_series(probs, v)
-    assert np.abs(_dephased_squeezed_vacuum(s, v) - want).max() <= 1e-13
-
-    v = np.geomspace(1e-8, 60.0, 81)
-    phi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    rho = np.sqrt(v)[:, None]
-    chi = input_charfn(state)(PhasePoint(rho * np.cos(phi), rho * np.sin(phi)))
-    want = chi.real.mean(axis=1)
-    assert np.abs(_dephased_squeezed_vacuum(s, v) - want).max() <= 1e-14
+    r, gain = 1.0, 0.9
+    got = delta_family(state, r, gain=gain).photon_basis
+    photon_sum = functools.partial(laguerre_envelope_series, _photon_probs(state))
+    want = _radial_photon_basis(photon_sum, r, gain, 24, 1024)
+    assert np.abs(got - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("r", [0.75, 2.5])
 @pytest.mark.parametrize("s", [-4.0, 4.0])
 def test_strong_squeezing_node_rule_is_resolved(s, r, monkeypatch):
-    """The node rule reads the mean photon number sinh^2 s of the squeezed
-    input; without it the sqvac:4 photon basis is off by 1.8e-12 at r = 2.5."""
-    state = SqueezedVacuumInput(s)
-    got = delta_family(state, r).photon_basis
+    """The node rule of a Fock-diagonal input reads its top photon number.
+    The input is the photon distribution of sqvac:s cut at N_MAX_FOCK and
+    renormalized, a mixture of 33 even photon numbers up to 64 (the same for
+    +-s); a rule with a floor of 1536 nodes gives the same family.  At gain
+    1.3 a rule blind to the top photon number is off by 1.4e-11 at r = 0.75."""
+    probs = input_photon_probs(SqueezedVacuumInput(s), N_MAX_FOCK)
+    state = FockMixtureInput(tuple((m, p / probs.sum()) for m, p in enumerate(probs) if p > 0.0))
+    got = delta_family(state, r, gain=1.3)
     monkeypatch.setattr(photonstats, "_RADIAL_NODE_FLOOR", 1536)
-    fine = delta_family(state, r).photon_basis
-    assert np.abs(got - fine).max() <= 1e-13
+    fine = delta_family(state, r, gain=1.3)
+    assert np.abs(got.photon_basis - fine.photon_basis).max() <= 1e-13
+    assert np.abs(got.fidelity_basis - fine.fidelity_basis).max() <= 1e-13
+    assert np.abs(got.gram - fine.gram).max() <= 1e-13
 
 
 @pytest.mark.parametrize("gain", [1.0, 0.8])
 @pytest.mark.parametrize("r", [0.75, 2.5])
 @pytest.mark.parametrize("beta", [2.12928, 5.0, 10.0, 20.0, 40.0])
-def test_large_coherent_family_matches_the_bessel_closed_form(beta, r, gain, monkeypatch):
+def test_large_coherent_family_matches_the_bessel_closed_form(beta, r, gain):
     """A coherent input dephases to ``exp(-v/2) J0(2 |beta| sqrt(v))``.  The
-    family's running Laguerre sum over M ~ |beta|^2 photons must reproduce
-    the family built on that closed form."""
+    family's Taylor series must reproduce the 1-D integral of that closed
+    form, with scipy's J0, on a rule that resolves its oscillation."""
     special = pytest.importorskip("scipy.special")
-    state = CoherentInput(beta)
-    family = delta_family(state, r, gain=gain)
-    monkeypatch.setattr(
-        photonstats,
-        "laguerre_envelope_series",
-        lambda probs, v: np.exp(-0.5 * v) * special.j0(2.0 * beta * np.sqrt(v)),
-    )
-    closed = delta_family(state, r, gain=gain)
-    assert np.abs(family.photon_basis - closed.photon_basis).max() <= 1e-13
+    family = delta_family(CoherentInput(beta), r, gain=gain)
+
+    def dephased(v):
+        return np.exp(-0.5 * v) * special.j0(2.0 * beta * np.sqrt(v))
+
+    want = _radial_photon_basis(dephased, r, gain, 24, 1536)
+    assert np.abs(family.photon_basis - want).max() <= 1e-13
     for delta in (0.0, 0.5, 0.9, 1.0):
-        got = family.photon_distribution(delta).probs
-        want = closed.photon_distribution(delta).probs
-        assert np.abs(got - want).max() <= 1e-13, delta
-
-
-def test_i0e_matches_scipy():
-    special = pytest.importorskip("scipy.special")
-    x = np.concatenate((
-        [0.0, 1e-300],
-        np.geomspace(1e-12, 1e8, 2001),
-        np.nextafter(700.0, [0.0, np.inf]),
-        [700.0, 700.5, 701.0],
-    ))
-    want = special.i0e(x)
-    assert np.abs(_i0e(x) / want - 1.0).max() <= 1e-14
+        w = np.array(delta_weights(SqueezedBellResource(delta, 0.0, r)))
+        assert np.abs(family.photon_distribution(delta).probs - want @ w).max() <= 1e-13, delta
 
 
 @pytest.mark.parametrize("gain", [0.5, 1.0, 1.3])
@@ -665,17 +669,42 @@ def test_fock_diagonal_check_allows_the_mass_beyond_cutoff(state, r, deltas):
     assert np.any(cols["frobenius"] - cols["d_n"] > 1e-6)
 
 
-def test_strong_squeezing_past_the_cap_raises_quickly():
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    try:
-        with pytest.raises(CapacityError):
-            delta_family(SqueezedVacuumInput(6.0), 1.0)
-        elapsed = time.perf_counter() - t0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 1.0 and peak < 10e6
+def test_strong_squeezing_matches_mpmath():
+    """sqvac:6 and sqvac:8, past where a node rule could resolve the input,
+    build fast and match the 1-D integral of their dephased input
+    ``exp(-v cosh(2s) / 2) I_0(v sinh(2|s|) / 2)`` at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        r, delta = 1.0, 0.6
+        rate, _, coef = transfer_basis(Channel(SqueezedBellResource(1.0, 0.0, r)))
+        w = np.array(delta_weights(SqueezedBellResource(delta, 0.0, r)))
+        e, c = mp.mpf(rate), [mp.mpf(x) for x in coef.T @ w]
+        # Breakpoints down to the input's narrow scale e^{-2|s|} near u = 0.
+        points = [0] + [mp.mpf(10) ** k for k in range(-10, 3)]
+        for s in (6.0, 8.0):
+            t0 = time.perf_counter()
+            fam = delta_family(SqueezedVacuumInput(s), r)
+            assert time.perf_counter() - t0 < 0.05
+            probs = fam.photon_distribution(delta).probs
+            cosh, sinh = mp.cosh(2 * s), mp.sinh(2 * s)
+            for n in (0, 1, 2, 5):
+                def integrand(u, n=n):
+                    dephased = mp.exp(-u * cosh / 2) * mp.besseli(0, u * sinh / 2)
+                    tau = mp.exp(-e * u) * (c[0] + c[1] * u + c[2] * u * u)
+                    return tau * mp.exp(-u / 2) * mp.laguerre(n, 0, u) * dephased
+                assert abs(probs[n] - float(mp.quad(integrand, points))) <= 1e-12, (s, n)
+
+
+def test_gaussian_inputs_never_reach_the_radial_rule(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a coherent or squeezed family built a radial rule")
+
+    monkeypatch.setattr(photonstats, "radial_rule", unreachable)
+    for state in (CoherentInput(2.12928), CoherentInput(30.0 + 1.0j), SqueezedVacuumInput(-8.0)):
+        for r, gain in ((0.25, 1.0), (2.5, 0.8)):
+            delta_family(state, r, 0.7, gain).measure_columns([0.0, 0.5, 1.0])
+    with pytest.raises(AssertionError):
+        delta_family(FockInput(1), 1.0)
 
 
 def test_large_coherent_input_is_certified():

@@ -255,14 +255,8 @@ def test_descriptor_rejects_unknown_kind():
 
 
 # ---------------------------------------------------------------------------
-# photon tails and the certified cutoff
+# photon distributions
 # ---------------------------------------------------------------------------
-
-from cvteleport.states import (  # noqa: E402
-    PHOTON_CUTOFF_CAP,
-    input_photon_cutoff,
-    input_photon_tail,
-)
 
 
 def test_coherent_probs_do_not_underflow():
@@ -273,42 +267,18 @@ def test_coherent_probs_do_not_underflow():
     assert np.all(probs >= 0.0)
 
 
-@pytest.mark.parametrize(
-    "state",
-    [
-        CoherentInput(2.12928),
-        CoherentInput(1.0 + 0.5j),
-        CoherentInput(6.0),
-        CoherentInput(40.0),
-        SqueezedVacuumInput(0.5),
-        SqueezedVacuumInput(1.5),
-        SqueezedVacuumInput(-1.5),
-        SqueezedVacuumInput(2.5),
-    ],
-)
-def test_photon_tail_bounds_dominate_the_summed_tail(state):
-    M_star = input_photon_cutoff(state, 1e-16)
-    big = 4 * M_star + 400
-    probs = input_photon_probs(state, big)
-    for M in sorted({M_star // 2, M_star - 1, M_star, M_star + 1, 2 * M_star}):
-        summed = math.fsum(probs[M + 1:])
-        assert input_photon_tail(state, M) >= summed, (M, summed)
-    assert input_photon_tail(state, M_star) <= 1e-16 < input_photon_tail(state, M_star - 1)
-
-
 def test_photon_cutoff_of_finite_support_is_exact():
-    assert input_photon_cutoff(FockInput(7), 1e-16) == 7
+    """A Fock state or mixture has all of its photon mass up to ``max_n``,
+    the cutoff of its radial family."""
+    assert FockInput(7).max_n == 7
     mix = FockMixtureInput(((0, 0.5), (12, 0.25), (3, 0.25)))
-    assert input_photon_cutoff(mix, 1e-16) == 12
-    assert input_photon_tail(mix, 12) == 0.0
-    assert input_photon_tail(mix, 5) == 0.25
-    assert input_photon_cutoff(CoherentInput(0.0), 1e-16) == 0
-    assert input_photon_cutoff(SqueezedVacuumInput(0.0), 1e-16) == 0
+    assert mix.max_n == 12
+    probs = input_photon_probs(mix, 12)
+    assert math.fsum(probs) == 1.0 and probs[12] == 0.25
+    assert math.fsum(probs[6:]) == 0.25
 
 
-def test_photon_cutoff_past_the_cap_raises():
-    # sqvac:4 needs about 51k photons; sqvac:6 would need about 1.5M.
-    assert input_photon_cutoff(SqueezedVacuumInput(4.0), 1e-16) < PHOTON_CUTOFF_CAP
-    for state in (SqueezedVacuumInput(6.0), SqueezedVacuumInput(20.0), CoherentInput(300.0)):
-        with pytest.raises(CapacityError):
-            input_photon_cutoff(state, 1e-16)
+@pytest.mark.parametrize("beta", [1e155, 1e155j, complex(1e200, 1.0)])
+def test_coherent_mean_photon_number_must_be_finite(beta):
+    with pytest.raises(InvalidArgumentError):
+        CoherentInput(beta)
