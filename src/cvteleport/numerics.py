@@ -1,32 +1,22 @@
-"""Shared numerical kernels: the Laguerre recurrence and the 1-D radial rule.
+"""Shared numerical kernels: the Laguerre recurrence and the exact Gauss-Laguerre rule.
 
 Every production integral is one-dimensional in ``u = |xi|^2``: the Delta
-family of a Fock state or mixture integrates phase-invariant integrands over
-``u`` with a Gauss-Legendre rule (:func:`radial_rule`) whose cutoff comes
-from closed-form envelope tails (:func:`envelope_cutoff`,
-:func:`envelope_tail`), and the Fock factors ``exp(-u/2) L_n(u)`` come from
-one bounded recurrence.  The 2-D polar
-quadrature and the finite-difference engine that the tests hold these
-against live in ``tests/oracles.py``.
+family of a Fock state or mixture integrates phase-invariant integrands,
+each ``exp(-c u)`` times a polynomial in ``u``, exactly with a Gauss-Laguerre
+rule (:func:`gauss_laguerre_rule`), and the Fock factors
+``exp(-u/2) L_n(u)`` come from one bounded recurrence.  The 2-D polar
+quadrature, the Gauss-Legendre radial rule with its envelope cutoff, and the
+finite-difference engine that the tests hold these against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-# ln(1e16): the automatic cutoff U satisfies a tail bound below exp(-36.85) ~ 1e-16.
-_DECAY_TARGET = 36.85
-
-
-@lru_cache(maxsize=None)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
 
 
 def _laguerre_steps(n_max: int, u: np.ndarray, start):
@@ -76,8 +66,9 @@ def laguerre_envelope_series(weights, u) -> np.ndarray:
 
     Memory stays O(u.size) however many weights there are; zero weights
     cost one recurrence step and nothing more.  Every ``u`` must keep
-    ``exp(-u/2)`` a normal float (``u <= RADIAL_ARG_MAX``), or the start of the
-    recurrence loses precision.
+    ``exp(-u/2)`` a normal float (``u`` below about 1400), or the start of the
+    recurrence loses precision; the exact rules of :func:`gauss_laguerre_rule`
+    keep every Laguerre argument of a Delta family below about 600.
     """
     weights = np.asarray(weights, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -89,64 +80,28 @@ def laguerre_envelope_series(weights, u) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional rules in u = |xi|^2 for phase-invariant integrands
+# Exact rules in u = |xi|^2 for exp(-rate u) times a polynomial
 # ---------------------------------------------------------------------------
 
-# exp(-u/2) at u = 1400 is ~1e-304, still a normal float.
-RADIAL_ARG_MAX = 1400.0
+@lru_cache(maxsize=None)
+def _laggauss(nodes: int):
+    """Gauss-Laguerre nodes ``x`` (numpy's) and weights ``w e^x`` of ``∫_0^∞ f(x) dx``.
 
-
-def _log_envelope_tail(rate: float, factors, cutoff: float) -> float:
-    kappa = rate - sum(d * s / (1.0 + s * cutoff) for s, d in factors)
-    if not kappa > 0.0:
-        return math.inf
-    log_f = -rate * cutoff + sum(d * math.log1p(s * cutoff) for s, d in factors)
-    return log_f - math.log(kappa)
-
-
-def envelope_tail(rate: float, factors, cutoff: float) -> float:
-    """Bound on ``∫_U^∞ exp(-rate u) prod (1 + s u)^d du`` at ``U = cutoff``.
-
-    ``factors`` holds the ``(s, d)`` pairs, ``s, d >= 0``.  The logarithm of
-    the integrand is concave with slope ``-kappa(u)``,
-    ``kappa = rate - sum d s / (1 + s u)``, so beyond ``U`` the integrand lies
-    below its tangent there and the tail is at most ``f(U) / kappa(U)``.
-    Before the envelope peaks (``kappa(U) <= 0``) the bound is infinite.
+    The weights are the Christoffel numbers ``1 / sum_{k < nodes} L~_k(x)^2``
+    of the bounded recurrence, accurate to about 1e-14 up to 67 nodes; numpy's
+    own are off by about 1e-12 at the small nodes, which carry the most weight.
     """
-    log_tail = _log_envelope_tail(rate, factors, cutoff)
-    return math.exp(log_tail) if log_tail < 700.0 else math.inf
+    x = np.polynomial.laguerre.laggauss(nodes)[0]
+    return x, 1.0 / np.sum(laguerre_envelope_all(nodes - 1, x) ** 2, axis=0)
 
 
-def envelope_cutoff(rate: float, factors) -> float:
-    """The cutoff ``U`` at which :func:`envelope_tail` meets ``exp(-36.85) ~ 1e-16``.
+def gauss_laguerre_rule(degree: int, rate: float):
+    """Nodes ``u`` and weights for ``∫_0^∞ f(u) du``, exact when ``f`` is
+    ``exp(-rate u)`` times a polynomial of degree at most ``degree``.
 
-    From ``U0 = max(36.85, 2 sum d) / rate`` on, ``kappa >= rate / 2`` and the
-    logarithm of the bound falls at least as fast as ``kappa(U0)``, so one
-    tangent step from ``U0`` certifies; bisection then tightens the cutoff
-    to within 0.1%.
+    The Gauss-Laguerre rule of ``degree // 2 + 1`` nodes ``x`` and weights
+    ``w`` at ``u = x / rate``, weights ``w e^x / rate``: no cutoff, tail bound
+    or node heuristic.
     """
-    def excess(cutoff):
-        return _log_envelope_tail(rate, factors, cutoff) + _DECAY_TARGET
-
-    lo = max(_DECAY_TARGET, 2.0 * sum(d for _, d in factors)) / rate
-    if excess(lo) <= 0.0:
-        return lo
-    kappa = rate - sum(d * s / (1.0 + s * lo) for s, d in factors)
-    hi = lo + excess(lo) / kappa
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if excess(mid) <= 0.0 else (mid, hi)
-    return hi
-
-
-def radial_rule(nodes: int, cutoff: float):
-    """Nodes ``u`` and weights for ``∫_0^U f(u) du`` at ``U = cutoff``.
-
-    Gauss-Legendre in ``rho = sqrt(u)`` on ``[0, sqrt(U)]`` (``du = 2 rho
-    drho``): the integrands are Gaussians in ``rho`` times polynomials and
-    Laguerre factors.
-    """
-    x, v = _leggauss(nodes)
-    radius = math.sqrt(cutoff)
-    rho = 0.5 * radius * (x + 1.0)
-    return rho * rho, radius * v * rho
+    x, w = _laggauss(degree // 2 + 1)
+    return x / rate, w / rate

@@ -20,8 +20,9 @@ every ``P_n`` and the fidelity are linear in ``w`` and the output purity is
 the quadratic form ``w^T G w``.  :func:`delta_family` computes the
 ``(N+1) x 3`` photon basis, the three fidelity overlaps and the 3 x 3 Gram
 matrix ``G`` once per (input, r, theta, gain, N); each Delta then costs O(N)
-arithmetic, and a Delta grid is one ``(N+1) x D`` product
-(:meth:`DeltaFamily.measure_columns`).
+arithmetic, and a Delta grid is one array pass with a row per Delta
+(:meth:`DeltaFamily.measure_columns`), whose digits at a Delta do not depend
+on the grid.
 
 Dephasing identity.  ``tau`` and the Fock factors depend on ``u = |xi|^2``
 only, so the channel is phase covariant: with ``(1/pi) d^2 xi = du dphi /
@@ -52,22 +53,22 @@ with no quadrature, cutoff or photon sum, and exact up to rounding.
 Because ``e >= (1 - g^2) / 2`` for every channel, a coherent input has
 ``rho <= 0``, so the series of ``exp(-y)`` has terms of one sign.
 
-Fock states and mixtures: the 1-D rule.  ``A~(v) = sum_m p_m L~_m(v)`` is a
-finite sum up to the top photon number ``M`` (``max_n``), with ``p_m`` from
+Fock states and mixtures: exact Gauss-Laguerre rules.
+``A~(v) = sum_m p_m L~_m(v)`` is a finite sum up to the top photon number
+``M`` (``max_n``), with ``p_m`` from
 :func:`cvteleport.states.input_photon_probs`.  Here ``A~ = chi_in``, so also
 ``fidelity_basis[k] = ∫ tau_k A~(u) A~(g^2 u)`` and
-``gram[j, k] = ∫ tau_j tau_k A~(g^2 u)^2``.  The three integrals take one
-Gauss-Legendre rule in ``rho = sqrt(u)`` on ``[0, sqrt(U)]``
-(:func:`cvteleport.numerics.radial_rule`).  ``U`` comes from closed-form
-envelopes, ``|q_k(u)| <= (1 + a^2 u)(1 + b^2 u)``,
-``|L~_n(u)| <= exp(-u/2) (1 + u)^n`` and ``|A~| <= 1``: the tail integral of
-each envelope past ``U`` is bounded by :func:`cvteleport.numerics.envelope_tail`
-and ``U`` is where that bound meets 1e-16; when ``RADIAL_ARG_MAX`` caps ``U``
-below that, the bound must still meet 1e-9, else
-:class:`~cvteleport.errors.AccuracyError`.  The node count resolves the
-oscillation of ``L~_N`` and of ``L~_M`` (wavenumbers ``sqrt(4n + 6)``), is
-at least 96 and is rounded to ``2^k`` or ``3 * 2^(k-1)``, so few Legendre
-rules are built.
+``gram[j, k] = ∫ tau_j tau_k A~(g^2 u)^2``.  Every integrand is
+``exp(-c u)`` times a polynomial in ``u`` (``q_k`` has degree 2): the photon
+and fidelity integrands have ``c = e + (1 + g^2) / 2`` and degree
+``max(N, M) + M + 2``, the Gram integrand ``c = 2 e + g^2`` and degree
+``2 M + 4``.  So each takes a Gauss-Laguerre rule that is exact
+(:func:`cvteleport.numerics.gauss_laguerre_rule`), with no cutoff, tail
+bound or node heuristic.  ``M`` is bounded by ``N_MAX_FOCK`` like ``N``, so a
+rule has at most 67 nodes.  Its nodes ``u = x / c`` keep every Laguerre
+argument below about ``2 x_max`` (under 600 for ``M, N <= 64``): ``c`` is at
+least ``(1 + g^2) / 2`` on the first rule and above ``g^2`` on the second,
+because ``a^2 + b^2 >= (1 + g^2) e^{-2r}``.
 
 Phase-sensitive overlaps.  For coherent and squeezed inputs the fidelity
 and Gram integrands are not phase invariant, but they are Gaussians times
@@ -85,22 +86,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import OutputState
-from .errors import (
-    AccuracyError,
-    CapacityError,
-    ConsistencyError,
-    EvaluationError,
-    InvalidArgumentError,
-)
-from .numerics import (
-    RADIAL_ARG_MAX,
-    envelope_cutoff,
-    envelope_tail,
-    laguerre_envelope,
-    laguerre_envelope_all,
-    laguerre_envelope_series,
-    radial_rule,
-)
+from .errors import CapacityError, ConsistencyError, EvaluationError, InvalidArgumentError
+from .numerics import gauss_laguerre_rule, laguerre_envelope_all, laguerre_envelope_series
 from .states import (
     Channel,
     CoherentInput,
@@ -110,11 +97,10 @@ from .states import (
     N_MAX_FOCK,
     SqueezedBellResource,
     SqueezedVacuumInput,
-    delta_weights,
+    delta_weight_rows,
     input_photon_probs,
     input_purity,
     transfer_basis,
-    transfer_coefficients,
 )
 
 _PROB_SLACK = 1e-8
@@ -122,11 +108,6 @@ _SUM_SLACK = 1e-7
 D_N_UPPER = math.sqrt(2.0)
 # Slack of the Fock-diagonal Frobenius / D_N cross-check.
 _FROBENIUS_TOL = 1e-6
-# Largest tail bound the 1-D rule accepts; it binds only where RADIAL_ARG_MAX
-# caps the cutoff below the 1e-16 envelope cutoff.
-_TAIL_TOL = 1e-9
-# Least node count of the 1-D rule; the rule grows it to resolve the oscillations.
-_RADIAL_NODE_FLOOR = 96
 
 
 @dataclass(frozen=True)
@@ -146,42 +127,41 @@ class PhotonDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (self.N + 1,):
             raise InvalidArgumentError(f"expected {self.N + 1} probabilities, got {probs.shape}")
-        _raise_first(_probability_checks(probs[:, None]))
+        _raise_first(_probability_checks(probs[None, :]))
         object.__setattr__(self, "probs", probs)
 
     def clamped(self) -> np.ndarray:
-        return np.clip(self.probs, 0.0, 1.0)
+        return np.minimum(np.maximum(self.probs, 0.0), 1.0)
 
     def mean(self) -> float:
         return float(np.arange(self.N + 1) @ self.clamped())
 
 
 def _probability_checks(probs: np.ndarray) -> list:
-    """The :class:`PhotonDistribution` checks on each column of ``probs``."""
-    sums = probs.sum(axis=0)
+    """The :class:`PhotonDistribution` checks on each row of ``probs``."""
+    sums = probs.sum(axis=1)
     return [
         (
-            np.any((probs < -_PROB_SLACK) | (probs > 1.0 + _PROB_SLACK), axis=0),
+            ((probs < -_PROB_SLACK) | (probs > 1.0 + _PROB_SLACK)).any(axis=1),
             lambda j: f"photon probabilities outside [-{_PROB_SLACK}, 1+{_PROB_SLACK}]: "
-            f"min={probs[:, j].min():.3e}, max={probs[:, j].max():.3e}",
+            f"min={probs[j].min():.3e}, max={probs[j].max():.3e}",
         ),
         (sums > 1.0 + _SUM_SLACK, lambda j: f"photon probabilities sum to {float(sums[j])!r} > 1"),
     ]
 
 
 def _raise_first(checks: list):
-    """Raise :class:`ConsistencyError` for the first column that fails a check.
+    """Raise :class:`ConsistencyError` for the first Delta that fails a check.
 
     ``checks`` is a list of ``(failed, message)`` pairs in the order one
-    column is checked: ``failed`` marks the failing columns and
-    ``message(j)`` describes the failure in column ``j``.  Columns are taken
-    in order, so the error is the one a column-by-column loop would raise
+    Delta is checked: ``failed`` marks the failing Deltas and
+    ``message(j)`` describes the failure at Delta ``j``.  Deltas are taken
+    in order, so the error is the one a Delta-by-Delta loop would raise
     first.
     """
     failed = np.array([mask for mask, _ in checks])
-    columns = np.flatnonzero(failed.any(axis=0))
-    if columns.size:
-        j = int(columns[0])
+    if failed.any():
+        j = int(np.flatnonzero(failed.any(axis=0))[0])
         raise ConsistencyError(checks[int(np.argmax(failed[:, j]))][1](j))
 
 
@@ -227,7 +207,7 @@ class DeltaFamily:
     With the weights ``w`` of :func:`cvteleport.states.delta_weights`,
     ``P_out = photon_basis @ w``, ``F = fidelity_basis @ w`` and
     ``purity_out = w @ gram @ w``.  Every Delta passes the
-    :class:`~cvteleport.states.SqueezedBellResource` validation, and photon
+    :class:`~cvteleport.states.SqueezedBellResource` range check, and photon
     distributions the :class:`PhotonDistribution` validation.
     """
 
@@ -242,19 +222,35 @@ class DeltaFamily:
     purity_in: float
     p_in: PhotonDistribution
 
-    def _weights(self, delta: float) -> np.ndarray:
-        res = SqueezedBellResource(delta=delta, theta=self.theta, r=self.r)
-        return np.array(delta_weights(res))
+    def _weights(self, deltas) -> np.ndarray:
+        """``(D, 3)``: the :func:`~cvteleport.states.delta_weight_rows` of the grid.
+
+        Every Delta must lie in [0, 1], as a
+        :class:`~cvteleport.states.SqueezedBellResource` of the family's theta
+        and r; the first that does not raises the resource's error.
+        """
+        for delta in deltas:
+            if not 0.0 <= delta <= 1.0:
+                SqueezedBellResource(delta=delta, theta=self.theta, r=self.r)  # raises
+        return delta_weight_rows(deltas, self.theta)
+
+    def _products(self, deltas):
+        """``(P_out, F, purity_out)`` over a Delta grid, one row per Delta.  Each
+        sum runs over the three weights of one row, so a Delta's digits do not
+        depend on the grid around it."""
+        w = self._weights(deltas)
+        probs = (w[:, :, None] * self.photon_basis.T).sum(axis=1)
+        wg = (w[:, :, None] * self.gram).sum(axis=1)
+        return probs, (w * self.fidelity_basis).sum(axis=1), (w * wg).sum(axis=1)
 
     def photon_distribution(self, delta: float) -> PhotonDistribution:
-        return _distribution(self.photon_basis @ self._weights(delta), self.N)
+        return _distribution(self._products([delta])[0][0], self.N)
 
     def fidelity(self, delta: float) -> float:
-        return float(self.fidelity_basis @ self._weights(delta))
+        return float(self._products([delta])[1][0])
 
     def purity_out(self, delta: float) -> float:
-        w = self._weights(delta)
-        return float(w @ self.gram @ w)
+        return float(self._products([delta])[2][0])
 
     def frobenius(self, delta: float) -> float:
         return _frobenius(self.purity_in, self.purity_out(delta), self.fidelity(delta))
@@ -262,7 +258,7 @@ class DeltaFamily:
     def measures(self, delta: float) -> DistortionMeasures:
         """D_N, fidelity, Frobenius distance, and purities at one Delta.
 
-        Checked as in :meth:`measure_columns`, a grid of one Delta.
+        :meth:`measure_columns` on a grid of one Delta: the same checks and digits.
         """
         cols = self.measure_columns([delta])
         return DistortionMeasures(**{name: float(col[0]) for name, col in cols.items()})
@@ -270,25 +266,23 @@ class DeltaFamily:
     def measure_columns(self, deltas) -> dict:
         """The :class:`DistortionMeasures` fields over a Delta grid, one array each.
 
-        The whole grid is one ``(N+1) x D`` product.  Each column then passes
-        the :class:`PhotonDistribution` checks, D_N against [0, sqrt(2)], the
+        The grid is weighted in one array pass, one Delta per row, and each
+        Delta's values do not depend on the grid around it (:meth:`_products`).
+        Each Delta then passes the :class:`PhotonDistribution` checks, D_N
+        against [0, sqrt(2)], the
         fidelity against the Cauchy-Schwarz bound, and, for Fock-diagonal
         inputs (Fock states and Fock mixtures), the Frobenius distance
         against D_N: the output is then Fock-diagonal too, so
         ``Frobenius^2 - D_N^2`` is the squared photon-number difference
         beyond N and lies in ``[0, (T_out + T_in)^2]`` up to 1e-6, with ``T``
         the mass beyond N.  This cross-checks the photon-probability and
-        overlap quadratures.  Every Delta is validated as a resource first;
-        then the first Delta that fails a check raises, with the error a
-        per-Delta loop would raise for it.
+        overlap integrals.  The first Delta that fails a check raises, with
+        the error a per-Delta loop would raise for it.
         """
-        w = np.array([self._weights(delta) for delta in deltas]).reshape(-1, 3).T
-        probs = self.photon_basis @ w
-        fid = self.fidelity_basis @ w
+        probs, fid, pur_out = self._products(deltas)
         pur_in = self.purity_in
-        pur_out = np.sum(w * (self.gram @ w), axis=0)
-        diff = np.clip(probs, 0.0, 1.0) - self.p_in.clamped()[:, None]
-        d_n = np.sqrt(np.sum(diff * diff, axis=0))
+        diff = np.minimum(np.maximum(probs, 0.0), 1.0) - self.p_in.clamped()
+        d_n = np.sqrt((diff * diff).sum(axis=1))
         frob = np.sqrt(np.maximum(pur_in + pur_out - 2.0 * fid, 0.0))
 
         checks = _probability_checks(probs) + [
@@ -304,7 +298,7 @@ class DeltaFamily:
             ),
         ]
         if isinstance(self.state, (FockInput, FockMixtureInput)):
-            beyond = np.maximum(1.0 - probs.sum(axis=0), 0.0) + self.p_in.truncation_mass_bound
+            beyond = np.maximum(1.0 - probs.sum(axis=1), 0.0) + self.p_in.truncation_mass_bound
             gap = frob * frob - d_n * d_n
             checks.append((
                 ~((-_FROBENIUS_TOL <= gap) & (gap <= beyond * beyond + _FROBENIUS_TOL)),
@@ -326,55 +320,22 @@ def _frobenius(pur_in: float, pur_out: float, fid: float) -> float:
     return math.sqrt(max(pur_in + pur_out - 2.0 * fid, 0.0))
 
 
-def _rule_size(nodes: int) -> int:
-    """``nodes`` rounded up to ``2^k`` or ``3 * 2^(k-1)``, so few rule sizes recur."""
-    size = 1 << (nodes - 1).bit_length()
-    return 3 * size // 4 if 3 * size // 4 >= nodes else size
-
-
-def _radial_nodes(envelopes, arg_scale: float):
-    """One certified 1-D rule in ``u`` for the radial integrands of a family.
-
-    Each of ``envelopes`` is ``(rate, factors, k)``: an integrand bounded by
-    ``exp(-rate u) prod (1 + s u)^d`` whose Laguerre factors oscillate with
-    wavenumber at most ``k`` in ``rho = sqrt(u)``.  The cutoff ``U`` is the
-    largest :func:`~cvteleport.numerics.envelope_cutoff`, capped so that
-    every Laguerre argument ``arg_scale * u`` stays within
-    ``RADIAL_ARG_MAX``; every integrand's tail bound at ``U`` must then meet
-    ``_TAIL_TOL``.  The node count resolves the fastest oscillation
-    (``n > k sqrt(U) / 2``: a Legendre rule of n nodes resolves e^{ikx} on
-    [0, R] once n > kR/2), is at least ``_RADIAL_NODE_FLOOR`` and is rounded by
-    :func:`_rule_size`.
-    """
-    cutoff = min(
-        max(envelope_cutoff(rate, factors) for rate, factors, _ in envelopes),
-        RADIAL_ARG_MAX / arg_scale,
-    )
-    tail = max(envelope_tail(rate, factors, cutoff) for rate, factors, _ in envelopes)
-    if tail > _TAIL_TOL:
-        raise AccuracyError(
-            f"radial tail bound {tail:.3e} at u = {cutoff:.4g} exceeds target "
-            f"{_TAIL_TOL:.3e}",
-            estimate=tail,
-        )
-    k = max(k for _, _, k in envelopes)
-    nodes = _rule_size(max(_RADIAL_NODE_FLOOR, int(0.5 * k * math.sqrt(cutoff)) + 32))
-    return radial_rule(nodes, cutoff)
+# C(j, i) Gamma(i + 1/2) Gamma(j - i + 1/2) / pi, the weights of _gaussian_moments.
+_GAUSS = ((1.0,), (0.5, 0.5), (0.75, 0.5, 0.75), (1.875, 1.125, 1.125, 1.875),
+          (6.5625, 3.75, 3.375, 3.75, 6.5625))
 
 
 def _gaussian_moments(P: float, Q: float, degree: int) -> np.ndarray:
-    """``m_j = (1/pi) ∫∫ exp(-P w^2 - Q z^2) (w^2 + z^2)^j dw dz`` for ``j <= degree``.
+    """``m_j = (1/pi) ∫∫ exp(-P w^2 - Q z^2) (w^2 + z^2)^j dw dz`` for ``j <= degree <= 4``.
 
-    ``m_j = pi^-1 sum_i C(j, i) Gamma(i + 1/2) Gamma(j - i + 1/2) / (P^(i + 1/2)
-    Q^(j - i + 1/2))``; for ``P = Q = c`` this is ``j! / c^(j + 1)``.
+    ``m_j = sum_i _GAUSS[j][i] / (P^(i + 1/2) Q^(j - i + 1/2))``; for
+    ``P = Q = c`` this is ``j! / c^(j + 1)``.  Raises ``OverflowError`` when a
+    power overflows.
     """
+    p = [P ** (i + 0.5) for i in range(degree + 1)]
+    q = [Q ** (i + 0.5) for i in range(degree + 1)]
     return np.array([
-        sum(
-            math.comb(j, i) * math.gamma(i + 0.5) * math.gamma(j - i + 0.5)
-            / (P ** (i + 0.5) * Q ** (j - i + 0.5))
-            for i in range(j + 1)
-        ) / math.pi
-        for j in range(degree + 1)
+        sum(w / (p[i] * q[j - i]) for i, w in enumerate(_GAUSS[j])) for j in range(degree + 1)
     ])
 
 
@@ -398,9 +359,10 @@ def _gaussian_overlaps(state: InputState, rate: float, coef: np.ndarray, gain: f
     ``J0(2 (1 - g) |beta| sqrt(u))``; with ``c = e + (1 + g^2) / 2`` and
     ``y = (1 - g)^2 |beta|^2 / c``,
     ``∫ exp(-c u) u^j J0(2 sqrt(c y u)) du = j! c^(-j-1) exp(-y) L_j(y)``,
-    so ``m_j`` gains the factor ``exp(-y) L_j(y)``.  It is taken as
-    ``exp(-y/2)`` times :func:`~cvteleport.numerics.laguerre_envelope`, so it
-    does not underflow before the product does.
+    so ``m_j`` gains the factor ``exp(-y) L_j(y)``, with ``L_0 = 1``,
+    ``L_1 = 1 - y`` and ``L_2 = 1 - 2 y + y^2 / 2``.  It is taken as
+    ``exp(-y/2) (exp(-y/2) L_j(y))``, so it does not underflow before the
+    product does.
 
     Raises :class:`~cvteleport.errors.EvaluationError` when a moment's
     ``P^(i + 1/2) Q^(j - i + 1/2)`` or ``e^{2s}`` overflows, which a gain past
@@ -420,7 +382,8 @@ def _gaussian_overlaps(state: InputState, rate: float, coef: np.ndarray, gain: f
         ) from None
     if isinstance(state, CoherentInput):
         y = (1.0 - gain) ** 2 * abs(state.beta) ** 2 / (rate + 0.5 * (1.0 + g2))
-        fid_m *= [math.exp(-0.5 * y) * laguerre_envelope(j, y) for j in range(3)]
+        half = math.exp(-0.5 * y)
+        fid_m *= [half * (half * l) for l in (1.0, 1.0 - y, 1.0 - 2.0 * y + 0.5 * y * y)]
     hankel = gram_m[np.add.outer(np.arange(3), np.arange(3))]
     return coef @ fid_m, coef @ hankel @ coef.T
 
@@ -462,8 +425,6 @@ def _exp_series(x: np.ndarray) -> np.ndarray:
     return f
 
 
-# C(j, i) Gamma(i + 1/2) Gamma(j - i + 1/2) / pi, the weights of _gaussian_moments.
-_GAUSS = ((1.0,), (0.5, 0.5), (0.75, 0.5, 0.75))
 # (1 - t)^j
 _FALLING = ((1.0,), (1.0, -1.0), (1.0, -2.0, 1.0))
 
@@ -503,36 +464,25 @@ def _photon_series(state: InputState, rate: float, gain: float, N: int) -> np.nd
     return np.array([_times(m, falling) for m, falling in zip(moments, _FALLING)])
 
 
-def _radial_family(state: InputState, ch: Channel, N: int):
-    """``(photon_basis, fidelity_basis, gram)`` of a Fock state or mixture on the 1-D rule."""
-    rate, terms, _ = transfer_basis(ch)
-    a, b = transfer_coefficients(ch)
-    gain = ch.gain
+def _radial_family(state: InputState, rate: float, terms, gain: float, N: int):
+    """``(photon_basis, fidelity_basis, gram)`` of a Fock state or mixture on the
+    two exact Gauss-Laguerre rules of the module docstring."""
     g2 = gain * gain
     M = state.max_n
+    if M > N_MAX_FOCK:
+        raise CapacityError(f"top photon number {M} exceeds N_max={N_MAX_FOCK}")
     dephased = functools.partial(laguerre_envelope_series, input_photon_probs(state, M))
-    # sqrt(4 n + 6) bounds the wavenumber of L~_n in rho.
-    k_in = math.sqrt(4.0 * M + 6.0)
-    # |q_k(u)| <= (1 + a^2 u)(1 + b^2 u) for all three terms, |L~_n(u)| <= exp(-u/2)(1 + u)^n
-    # and |A~| <= 1: the envelopes of the photon, fidelity and Gram integrands.
-    poly = ((a * a, 1), (b * b, 1))
-    u, wt = _radial_nodes(
-        [
-            (rate + 0.5, poly + ((1.0, N),), math.sqrt(4.0 * N + 6.0) + gain * k_in),
-            (rate + 0.5 * (1.0 + g2), poly + ((1.0, M), (g2, M)), (1.0 + gain) * k_in),
-            (2.0 * rate + g2, ((a * a, 2), (b * b, 2), (g2, 2 * M)), 2.0 * gain * k_in),
-        ],
-        max(1.0, g2),
-    )
+    u, wt = gauss_laguerre_rule(max(N, M) + M + 2, rate + 0.5 * (1.0 + g2))
     tau_k = _transfer_terms(rate, terms, u)
     # The angular mean of chi_in(g xi): the dephased input A~(g^2 u).
     chi_g = dephased(g2 * u)
     chi_1 = chi_g if gain == 1.0 else dephased(u)
-    return (
-        laguerre_envelope_all(N, u) @ (tau_k * (chi_g * wt)).T,
-        tau_k @ (chi_1 * chi_g * wt),
-        (tau_k * (chi_g * chi_g * wt)) @ tau_k.T,
-    )
+    photon_basis = laguerre_envelope_all(N, u) @ (tau_k * (chi_g * wt)).T
+    fidelity_basis = tau_k @ (chi_1 * chi_g * wt)
+    u, wt = gauss_laguerre_rule(2 * M + 4, 2.0 * rate + g2)
+    tau_k = _transfer_terms(rate, terms, u)
+    chi_g = dephased(g2 * u)
+    return photon_basis, fidelity_basis, (tau_k * (chi_g * chi_g * wt)) @ tau_k.T
 
 
 def delta_family(
@@ -545,21 +495,24 @@ def delta_family(
     """Build the :class:`DeltaFamily` of one cell.
 
     Coherent and squeezed inputs take closed-form overlaps and the Taylor
-    coefficients of :func:`_photon_series`; Fock states and mixtures the 1-D
-    radial rule.  Raises :class:`~cvteleport.errors.InvalidArgumentError` or
+    coefficients of :func:`_photon_series`; Fock states and mixtures two
+    exact Gauss-Laguerre rules.  Raises
+    :class:`~cvteleport.errors.InvalidArgumentError` or
     :class:`~cvteleport.errors.CapacityError` for a photon cutoff ``N``
-    outside ``[0, N_MAX_FOCK]``, :class:`~cvteleport.errors.AccuracyError`
-    when a radial integrand's tail bound fails the target,
-    :class:`~cvteleport.errors.EvaluationError` when the Gaussian overlap
-    moments overflow, and like the resource constructors (bad r, theta or
-    gain).
+    outside ``[0, N_MAX_FOCK]`` or a Fock-diagonal input whose top photon
+    number exceeds ``N_MAX_FOCK``,
+    :class:`~cvteleport.errors.EvaluationError` when the Gram rate
+    ``2 e + g^2`` or the Gaussian overlap moments overflow, and like the
+    resource constructors (bad r, theta or gain).
     """
     _check_cutoff(N)
     ch = Channel(SqueezedBellResource(delta=1.0, theta=theta, r=r), gain=gain)
+    rate, terms, coef = transfer_basis(ch)
+    if not math.isfinite(2.0 * rate + gain * gain):
+        raise EvaluationError(f"the transfer rate at r {r!r} and gain {gain!r} overflows")
     if isinstance(state, (FockInput, FockMixtureInput)):
-        photon_basis, fidelity_basis, gram = _radial_family(state, ch, N)
+        photon_basis, fidelity_basis, gram = _radial_family(state, rate, terms, gain, N)
     else:
-        rate, _, coef = transfer_basis(ch)
         fidelity_basis, gram = _gaussian_overlaps(state, rate, coef, gain)
         photon_basis = (coef @ _photon_series(state, rate, gain, N)).T
     return DeltaFamily(

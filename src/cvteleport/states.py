@@ -211,15 +211,26 @@ def transfer_coefficients(ch: Channel):
     return g * ch_r - sh_r, ch_r - g * sh_r
 
 
-def delta_weights(res: SqueezedBellResource) -> tuple[float, float, float]:
-    """Weights ``(Delta^2, 2 Delta sqrt(1 - Delta^2) cos(theta), 1 - Delta^2)``.
+def delta_weight_rows(deltas, theta: float) -> np.ndarray:
+    """``(D, 3)``: the weights ``(Delta^2, 2 Delta sqrt(1 - Delta^2) cos(theta),
+    1 - Delta^2)`` of each Delta in ``deltas``, a row each.
 
     They multiply the three Delta-free terms of :func:`transfer_basis`; every
-    other dependence of the channel on Delta and theta goes through them.
+    other dependence of the channel on Delta and theta goes through them.  Each
+    row depends on its own Delta only.  Every Delta must lie in [0, 1], as a
+    :class:`SqueezedBellResource` checks.
     """
-    delta = res.delta
-    comp = 1.0 - delta * delta
-    return delta * delta, 2.0 * delta * math.sqrt(max(comp, 0.0)) * math.cos(res.theta), comp
+    d = np.asarray(deltas, dtype=float).reshape(-1, 1)
+    d2 = d * d
+    comp = 1.0 - d2  # >= 0 on [0, 1]
+    cross = d * np.sqrt(comp) * (2.0 * math.cos(theta))
+    return np.concatenate((d2, cross, comp), axis=1)
+
+
+def delta_weights(res: SqueezedBellResource) -> tuple[float, float, float]:
+    """The :func:`delta_weight_rows` of the resource's Delta and theta."""
+    d2, cross, comp = delta_weight_rows(res.delta, res.theta)[0]
+    return float(d2), float(cross), float(comp)
 
 
 def transfer_basis(ch: Channel):

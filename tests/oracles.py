@@ -34,6 +34,12 @@ of coherent and squeezed inputs from ``numpy.polynomial`` products of the
 transfer terms, the oracle of the matrix form in
 :func:`cvteleport.photonstats._gaussian_overlaps`.
 
+:func:`radial_family` and :func:`radial_photon_basis` integrate the Delta
+family's 1-D integrands on Gauss-Legendre rules in ``sqrt(u)`` cut at
+certified envelope tails (:func:`radial_rule`, :func:`envelope_cutoff`,
+:func:`envelope_tail`), the oracle of the exact Gauss-Laguerre rules of the
+Fock-diagonal family.
+
 Also here: :func:`convert_ordering`, which the normal-ordered FD moments
 need, and :func:`sbl_two_mode_value`, the full two-mode resource function
 whose restriction the one-mode transfer function must equal.
@@ -41,6 +47,7 @@ whose restriction the one-mode transfer function must equal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -64,10 +71,9 @@ from cvteleport.moments import (
     transfer_xp_table,
 )
 from cvteleport.numerics import (
-    _DECAY_TARGET,
-    _leggauss,
     laguerre_envelope,
     laguerre_envelope_all,
+    laguerre_envelope_series,
 )
 from cvteleport.optimize import _ROOT_TOL, Objective, _channel, objective_function
 from cvteleport.phasespace import ORDERINGS, ORIGIN, CharFn, PhasePoint
@@ -75,16 +81,19 @@ from cvteleport.photonstats import (
     PhotonDistribution,
     _check_cutoff,
     _distribution,
-    _gaussian_moments,
     d_functional,
     delta_family,
 )
 from cvteleport.states import (
+    Channel,
     CoherentInput,
     InputState,
     SqueezedBellResource,
     SqueezedVacuumInput,
     fock_charfn,
+    input_photon_probs,
+    transfer_basis,
+    transfer_coefficients,
     transfer_fn,
 )
 
@@ -460,6 +469,130 @@ def reference_interior_roots(quartic) -> list:
 
 
 # ---------------------------------------------------------------------------
+# The Gauss-Legendre rule in sqrt(u) with certified envelope cutoffs
+# ---------------------------------------------------------------------------
+
+# ln(1e16): the automatic cutoff U satisfies a tail bound below exp(-36.85) ~ 1e-16.
+_DECAY_TARGET = 36.85
+# exp(-u/2) at u = 1400 is ~1e-304, still a normal float.
+_RADIAL_ARG_MAX = 1400.0
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _log_envelope_tail(rate: float, factors, cutoff: float) -> float:
+    kappa = rate - sum(d * s / (1.0 + s * cutoff) for s, d in factors)
+    if not kappa > 0.0:
+        return math.inf
+    log_f = -rate * cutoff + sum(d * math.log1p(s * cutoff) for s, d in factors)
+    return log_f - math.log(kappa)
+
+
+def envelope_tail(rate: float, factors, cutoff: float) -> float:
+    """Bound on ``∫_U^∞ exp(-rate u) prod (1 + s u)^d du`` at ``U = cutoff``.
+
+    ``factors`` holds the ``(s, d)`` pairs, ``s, d >= 0``.  The logarithm of
+    the integrand is concave with slope ``-kappa(u)``,
+    ``kappa = rate - sum d s / (1 + s u)``, so beyond ``U`` the integrand lies
+    below its tangent there and the tail is at most ``f(U) / kappa(U)``.
+    Before the envelope peaks (``kappa(U) <= 0``) the bound is infinite.
+    """
+    log_tail = _log_envelope_tail(rate, factors, cutoff)
+    return math.exp(log_tail) if log_tail < 700.0 else math.inf
+
+
+def envelope_cutoff(rate: float, factors) -> float:
+    """The cutoff ``U`` at which :func:`envelope_tail` meets ``exp(-36.85) ~ 1e-16``.
+
+    From ``U0 = max(36.85, 2 sum d) / rate`` on, ``kappa >= rate / 2`` and the
+    logarithm of the bound falls at least as fast as ``kappa(U0)``, so one
+    tangent step from ``U0`` certifies; bisection then tightens the cutoff
+    to within 0.1%.
+    """
+    def excess(cutoff):
+        return _log_envelope_tail(rate, factors, cutoff) + _DECAY_TARGET
+
+    lo = max(_DECAY_TARGET, 2.0 * sum(d for _, d in factors)) / rate
+    if excess(lo) <= 0.0:
+        return lo
+    kappa = rate - sum(d * s / (1.0 + s * lo) for s, d in factors)
+    hi = lo + excess(lo) / kappa
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if excess(mid) <= 0.0 else (mid, hi)
+    return hi
+
+
+def radial_rule(nodes: int, cutoff: float):
+    """Nodes ``u`` and weights for ``∫_0^U f(u) du`` at ``U = cutoff``.
+
+    Gauss-Legendre in ``rho = sqrt(u)`` on ``[0, sqrt(U)]`` (``du = 2 rho
+    drho``): the integrands are Gaussians in ``rho`` times polynomials and
+    Laguerre factors.
+    """
+    x, v = _leggauss(nodes)
+    radius = math.sqrt(cutoff)
+    rho = 0.5 * radius * (x + 1.0)
+    return rho * rho, radius * v * rho
+
+
+def _transfer(r: float, gain: float):
+    """``(rate, a, b, tau)`` of the channel at Delta = 1, ``tau(u)`` the ``(3, len(u))``
+    transfer terms ``exp(-e u) q_k(u)``."""
+    ch = Channel(SqueezedBellResource(1.0, 0.0, r), gain=gain)
+    rate, terms, _ = transfer_basis(ch)
+    a, b = transfer_coefficients(ch)
+
+    def tau(u):
+        return np.stack(np.broadcast_arrays(*terms(u))) * np.exp(-rate * u)
+
+    return rate, a, b, tau
+
+
+def radial_photon_basis(dephased, r, gain, N, nodes):
+    """The photon basis ``∫ exp(-e u) q_k(u) L~_n(u) A~(g^2 u) du`` of the dephased
+    input ``A~`` on a Gauss-Legendre rule of ``nodes`` nodes in ``sqrt(u)``,
+    cut where the envelope of the integrand leaves 1e-16."""
+    rate, a, b, tau = _transfer(r, gain)
+    u, wt = radial_rule(nodes, envelope_cutoff(rate + 0.5, ((a * a, 1), (b * b, 1), (1.0, N))))
+    return laguerre_envelope_all(N, u) @ (tau(u) * (dephased(gain * gain * u) * wt)).T
+
+
+def radial_family(state: InputState, r: float, gain: float, N: int, nodes: int):
+    """``(photon_basis, fidelity_basis, gram)`` of a Fock state or mixture on
+    Gauss-Legendre rules of ``nodes`` nodes in ``sqrt(u)``.
+
+    Each integrand is cut where its envelope leaves 1e-16
+    (``|q_k(u)| <= (1 + a^2 u)(1 + b^2 u)``,
+    ``|L~_n(u)| <= exp(-u/2) (1 + u)^n``, ``|A~| <= 1``), or where a Laguerre
+    argument reaches ``_RADIAL_ARG_MAX``; the tail bound there must stay
+    below 1e-9.  The oracle of the exact rules of
+    :func:`cvteleport.photonstats.delta_family`.
+    """
+    rate, a, b, tau = _transfer(r, gain)
+    g2 = gain * gain
+    M = state.max_n
+    dephased = functools.partial(laguerre_envelope_series, input_photon_probs(state, M))
+    poly = ((a * a, 1), (b * b, 1))
+
+    def rule(rate, factors):
+        cutoff = min(envelope_cutoff(rate, factors), _RADIAL_ARG_MAX / max(1.0, g2))
+        assert envelope_tail(rate, factors, cutoff) <= 1e-9, (state, r, gain)
+        return radial_rule(nodes, cutoff)
+
+    u, wt = rule(rate + 0.5, poly + ((1.0, N),))
+    photon_basis = laguerre_envelope_all(N, u) @ (tau(u) * (dephased(g2 * u) * wt)).T
+    u, wt = rule(rate + 0.5 * (1.0 + g2), poly + ((1.0, M), (g2, M)))
+    fidelity_basis = tau(u) @ (dephased(u) * dephased(g2 * u) * wt)
+    u, wt = rule(2.0 * rate + g2, ((a * a, 2), (b * b, 2), (g2, 2 * M)))
+    t = tau(u)
+    return photon_basis, fidelity_basis, (t * (dephased(g2 * u) ** 2 * wt)) @ t.T
+
+
+# ---------------------------------------------------------------------------
 # Plane quadrature
 # ---------------------------------------------------------------------------
 
@@ -731,18 +864,37 @@ def purity(f: CharFn, cfg: PlaneConfig | None = None) -> float:
 # Closed-form Gaussian overlaps from polynomial products
 # ---------------------------------------------------------------------------
 
+def gamma_gaussian_moments(P: float, Q: float, degree: int) -> np.ndarray:
+    """``m_j = (1/pi) ∫∫ exp(-P w^2 - Q z^2) (w^2 + z^2)^j dw dz`` for ``j <= degree``:
+    ``pi^-1 sum_i C(j, i) Gamma(i + 1/2) Gamma(j - i + 1/2) / (P^(i + 1/2)
+    Q^(j - i + 1/2))``, the oracle of the weight table of
+    :func:`cvteleport.photonstats._gaussian_moments`."""
+    return np.array([
+        sum(
+            math.comb(j, i) * math.gamma(i + 0.5) * math.gamma(j - i + 0.5)
+            / (P ** (i + 0.5) * Q ** (j - i + 0.5))
+            for i in range(j + 1)
+        ) / math.pi
+        for j in range(degree + 1)
+    ])
+
+
 def polynomial_gaussian_overlaps(state: InputState, rate: float, terms, gain: float):
     """Fidelity overlaps and Gram matrix of a coherent or squeezed input.
 
-    The same Gaussian moments as :func:`cvteleport.photonstats._gaussian_overlaps`,
-    combined through ``numpy.polynomial.Polynomial`` products of the transfer
-    terms ``terms(u)`` instead of their coefficient matrix.
+    The Gaussian moments of :func:`cvteleport.photonstats._gaussian_overlaps`
+    from their Gamma-function sums (:func:`gamma_gaussian_moments`), and the
+    coherent factor ``exp(-y) L_j(y)`` from the Laguerre recurrence, combined
+    through ``numpy.polynomial.Polynomial`` products of the transfer terms
+    ``terms(u)`` instead of their coefficient matrix.
     """
     g2 = gain * gain
     s = state.s if isinstance(state, SqueezedVacuumInput) else 0.0
     wide, narrow = math.exp(2.0 * s), math.exp(-2.0 * s)
-    fid_m = _gaussian_moments(rate + 0.5 * (1.0 + g2) * wide, rate + 0.5 * (1.0 + g2) * narrow, 2)
-    gram_m = _gaussian_moments(2.0 * rate + g2 * wide, 2.0 * rate + g2 * narrow, 4)
+    fid_m = gamma_gaussian_moments(
+        rate + 0.5 * (1.0 + g2) * wide, rate + 0.5 * (1.0 + g2) * narrow, 2
+    )
+    gram_m = gamma_gaussian_moments(2.0 * rate + g2 * wide, 2.0 * rate + g2 * narrow, 4)
     if isinstance(state, CoherentInput):
         y = (1.0 - gain) ** 2 * abs(state.beta) ** 2 / (rate + 0.5 * (1.0 + g2))
         fid_m *= [math.exp(-0.5 * y) * laguerre_envelope(j, y) for j in range(3)]
@@ -756,3 +908,77 @@ def polynomial_gaussian_overlaps(state: InputState, rate: float, terms, gain: fl
     fidelity_basis = np.array([integral(qk, fid_m) for qk in q])
     gram = np.array([[integral(qj * qk, gram_m) for qk in q] for qj in q])
     return fidelity_basis, gram
+
+
+# ---------------------------------------------------------------------------
+# Exact Fock-diagonal families in high precision
+# ---------------------------------------------------------------------------
+
+def exact_fock_family(state: InputState, r: float, gain: float, N: int, dps: int = 80):
+    """``(photon_basis, fidelity_basis, gram)`` of a Fock state or mixture, exactly.
+
+    Each integrand of the family is ``exp(-c u)`` times a polynomial in ``u``
+    (:mod:`cvteleport.photonstats`).  Here the polynomials are expanded into
+    powers of ``u`` with mpmath at ``dps`` digits, from ``L_n(s u) = sum_i
+    (-1)^i C(n, i) s^i u^i / i!`` and the transfer coefficients
+    ``a = g cosh r - sinh r``, ``b = cosh r - g sinh r``, and integrated term
+    by term with ``∫ u^j exp(-c u) du = j! / c^(j + 1)``.  The Laguerre sums
+    cancel to about 1e-51 of their terms at ``M, N = 64``, well within 80
+    digits.  Needs mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        r, g = mp.mpf(r), mp.mpf(gain)
+        a = g * mp.cosh(r) - mp.sinh(r)
+        b = mp.cosh(r) - g * mp.sinh(r)
+        rate = (a * a + b * b) / 2
+        q = [[mp.mpf(1)], [mp.mpf(0), a * b], [mp.mpf(1), -(a * a + b * b), a * a * b * b]]
+
+        def laguerre(n, scale):
+            return [(-1) ** i * mp.binomial(n, i) * scale**i / mp.factorial(i) for i in range(n + 1)]
+
+        def times(x, y):
+            out = [mp.mpf(0)] * (len(x) + len(y) - 1)
+            for i, xi in enumerate(x):
+                for j, yj in enumerate(y):
+                    out[i + j] += xi * yj
+            return out
+
+        def moments(c, degree):
+            return [mp.factorial(j) / c ** (j + 1) for j in range(degree + 1)]
+
+        def integral(poly, mu):
+            return mp.fsum(p * m for p, m in zip(poly, mu))
+
+        M = state.max_n
+        probs = [mp.mpf(float(p)) for p in input_photon_probs(state, M)]
+
+        def dephased(scale):
+            total = [mp.mpf(0)] * (M + 1)
+            for m, p in enumerate(probs):
+                if p:
+                    for i, c in enumerate(laguerre(m, scale)):
+                        total[i] += p * c
+            return total
+
+        chi_1, chi_g = dephased(mp.mpf(1)), dephased(g * g)
+        mu1 = moments(rate + (1 + g * g) / 2, max(N, M) + M + 2)
+        mu2 = moments(2 * rate + g * g, 2 * M + 4)
+        fock = [laguerre(n, mp.mpf(1)) for n in range(N + 1)]
+        photon = [[None] * 3 for _ in range(N + 1)]
+        fidelity = [None] * 3
+        for k in range(3):
+            poly = times(q[k], chi_g)
+            # v[i] = ∫ exp(-c u) u^i q_k(u) A(g^2 u) du
+            v = [integral(poly, mu1[i:]) for i in range(N + 1)]
+            for n in range(N + 1):
+                photon[n][k] = integral(fock[n], v)
+            fidelity[k] = integral(times(poly, chi_1), mu1)
+        chi_gg = times(chi_g, chi_g)
+        gram = [[integral(times(times(q[j], q[k]), chi_gg), mu2) for k in range(3)] for j in range(3)]
+        return (
+            np.array(photon, dtype=float),
+            np.array(fidelity, dtype=float),
+            np.array(gram, dtype=float),
+        )

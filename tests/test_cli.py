@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,26 @@ def test_compare_fock1_optima_differ(capsys):
     d = np.array([float(r["d_n"]) for r in rows])
     one_minus_f = np.array([float(r["one_minus_fidelity"]) for r in rows])
     assert int(np.argmin(d)) != int(np.argmin(one_minus_f))
+
+
+@pytest.mark.parametrize("kind,column", [("d_functional", "d_n"),
+                                         ("one_minus_fidelity", "one_minus_fidelity"),
+                                         ("frobenius", "frobenius")])
+@pytest.mark.parametrize("text,r", [("fock:1", "1.0"), ("coherent:2.12928", "1.25"),
+                                    ("mix:0@0.5,1@0.5", "0.75")])
+def test_optimize_and_compare_print_the_same_digits(text, r, kind, column, capsys):
+    """optimize's objective value is the value compare prints at Delta*, on any grid."""
+    code, out, _ = run_cli(["optimize", "--kind", kind, "--input", text, "--r", r], capsys)
+    assert code == 0
+    (optimum,) = read_csv(out)
+    star = optimum["delta_star"]
+    for grid in (star, f"{star},0.5,0.9", f"0.5,0.75,{star},0.9,1.0"):
+        code, out, _ = run_cli(
+            ["compare", "--input", text, "--r", r, "--delta-grid", grid], capsys
+        )
+        assert code == 0
+        (row,) = [row for row in read_csv(out) if row["delta"] == star]
+        assert row[column] == optimum["objective_value"], grid
 
 
 def test_byte_identical_reruns(capsys):
@@ -410,6 +431,22 @@ def test_overflowing_gaussian_overlaps_give_error_record(argv, text, gain, capsy
     assert record["type"] == "EvaluationError" and "overflow" in record["message"]
 
 
+@pytest.mark.parametrize("r,gain", [("1", "1e200"), ("30", "1e150")])
+@pytest.mark.parametrize("text", ["fock:1", "mix:0@0.5,1@0.5", "coherent:1", "sqvac:0.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "--delta-grid", "0.9"], ["optimize", "--kind", "frobenius"]],
+    ids=["compare", "optimize"],
+)
+def test_overflowing_transfer_rate_gives_error_record(argv, text, r, gain, capsys):
+    """Where the Gram rate 2 e + g^2 overflows, every input kind raises
+    EvaluationError (a Gauss-Laguerre rule or closed form there would be all NaN)."""
+    code, out, err = run_cli(argv + ["--input", text, "--r", r, "--gain", gain], capsys)
+    assert code == 1 and out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "EvaluationError" and "overflow" in record["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -425,6 +462,35 @@ def test_overflowing_squeezing_gives_error_record(argv, capsys):
     assert code == 1 and out == ""
     record = json.loads(err)["error"]
     assert record["type"] == "EvaluationError" and "overflow" in record["message"]
+
+
+@pytest.mark.parametrize("text", ["fock:65", "fock:400", "fock:1000000", "mix:0@0.5,1000000@0.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--r", "1", "--delta-grid", "0.9"],
+        ["photon-stats", "--r", "1", "--delta", "0.9"],
+        ["optimize", "--kind", "d_functional", "--r", "1"],
+    ],
+    ids=["compare", "photon-stats", "optimize"],
+)
+def test_top_photon_number_past_n_max_gives_error_record(argv, text, capsys):
+    """A Fock-diagonal input past N_max = 64 photons raises CapacityError before
+    any Gauss-Laguerre rule is built, so even a million photons fail at once."""
+    start = time.perf_counter()
+    code, out, err = run_cli(argv + ["--input", text], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "CapacityError" and "N_max=64" in record["message"]
+
+
+def test_top_photon_number_at_n_max_gives_rows(capsys):
+    code, out, _ = run_cli(
+        ["compare", "--input", "mix:0@0.5,64@0.5", "--r", "4", "--N", "64", "--delta-grid", "0.5,1"],
+        capsys,
+    )
+    assert code == 0 and len(read_csv(out)) == 2
 
 
 @pytest.mark.parametrize("text", ["sqvac:6", "sqvac:-8"])

@@ -178,16 +178,19 @@ def test_derivative_levels_configurable():
 
 
 # ---------------------------------------------------------------------------
-# vectorized probes, the shared recurrence and the 1-D radial rule
+# vectorized probes, the shared recurrence, the exact rule and the Legendre oracle rule
 # ---------------------------------------------------------------------------
 
-from cvteleport.numerics import (  # noqa: E402
+from cvteleport.numerics import gauss_laguerre_rule, laguerre_envelope_series  # noqa: E402
+from oracles import (  # noqa: E402
+    _EIGHT_RAYS,
+    _PROBE_RADII,
+    _anisotropy_scale,
+    _max_profile,
     envelope_cutoff,
     envelope_tail,
-    laguerre_envelope_series,
     radial_rule,
 )
-from oracles import _EIGHT_RAYS, _PROBE_RADII, _anisotropy_scale, _max_profile  # noqa: E402
 
 
 def _scalar_profile(f, directions, radii):
@@ -259,3 +262,14 @@ def test_envelope_tail_bounds_the_envelope_integral(rate, factors):
         assert envelope_tail(rate, factors, U) >= tail
     # Before the envelope's peak no finite bound exists.
     assert envelope_tail(rate, factors, 1e-3) == math.inf
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 30, 133])
+@pytest.mark.parametrize("c", [0.52, 1.7, 40.0])
+def test_gauss_laguerre_rule_is_exact_to_its_degree(degree, c):
+    # u^degree exp(-c u) integrates to degree! / c^(degree + 1).
+    u, wt = gauss_laguerre_rule(degree, c)
+    assert len(u) == degree // 2 + 1
+    want = math.lgamma(degree + 1.0) - (degree + 1.0) * math.log(c)
+    got = np.sum(wt * np.exp(degree * np.log(u) - c * u))
+    assert abs(got / math.exp(want) - 1.0) <= 1e-12

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cvteleport import (
-    AccuracyError,
     Channel,
     CoherentInput,
     ConsistencyError,
@@ -26,7 +25,6 @@ from cvteleport import (
 )
 import cvteleport.photonstats as photonstats
 from cvteleport.cli import parse_state
-from cvteleport.photonstats import _radial_nodes
 from conftest import DELTA2_OPT, case_study_inputs
 from oracles import (
     PlaneConfig,
@@ -339,14 +337,6 @@ def test_family_validates_each_delta():
         fam.fidelity(float("nan"))
 
 
-def test_family_tail_check_raises():
-    # The envelope cutoff of exp(-0.01 u) is about 3685, past the
-    # RADIAL_ARG_MAX cap; the tail bound at the cap (about 8e-5) fails the
-    # 1e-9 guard.
-    with pytest.raises(AccuracyError):
-        _radial_nodes([(0.01, (), 1.0)], 1.0)
-
-
 def test_distortion_measures_rejects_foreign_output():
     ch = Channel(SqueezedBellResource(delta=0.9, theta=0.0, r=1.0))
     with pytest.raises(InvalidArgumentError):
@@ -366,20 +356,16 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from cvteleport.numerics import (  # noqa: E402
-    envelope_cutoff,
-    laguerre_envelope_all,
-    laguerre_envelope_series,
-    radial_rule,
-)
+from cvteleport.numerics import gauss_laguerre_rule, laguerre_envelope_series  # noqa: E402
 from cvteleport.photonstats import _gaussian_overlaps  # noqa: E402
-from cvteleport.states import (  # noqa: E402
-    N_MAX_FOCK,
-    delta_weights,
-    transfer_basis,
-    transfer_coefficients,
+from cvteleport.states import N_MAX_FOCK, delta_weights, transfer_basis  # noqa: E402
+from oracles import (  # noqa: E402
+    exact_fock_family,
+    gamma_gaussian_moments,
+    polynomial_gaussian_overlaps,
+    radial_family,
+    radial_photon_basis,
 )
-from oracles import polynomial_gaussian_overlaps  # noqa: E402
 
 
 def _photon_probs(state, tail=1e-16, top=60000):
@@ -393,18 +379,6 @@ def _dephased(state):
     """The Fock mixture with the photon distribution of ``state``."""
     probs = _photon_probs(state)
     return FockMixtureInput(tuple((m, float(p)) for m, p in enumerate(probs) if p > 0.0))
-
-
-def _radial_photon_basis(dephased, r, gain, N, nodes):
-    """The photon basis ``∫ exp(-e u) q_k(u) L~_n(u) A~(g^2 u) du`` of the dephased
-    input ``A~`` on a Gauss-Legendre rule of ``nodes`` nodes in ``sqrt(u)``,
-    cut where the envelope of the integrand leaves 1e-16."""
-    ch = Channel(SqueezedBellResource(1.0, 0.0, r), gain=gain)
-    rate, terms, _ = transfer_basis(ch)
-    a, b = transfer_coefficients(ch)
-    u, wt = radial_rule(nodes, envelope_cutoff(rate + 0.5, ((a * a, 1), (b * b, 1), (1.0, N))))
-    tau = np.stack(np.broadcast_arrays(*terms(u))) * np.exp(-rate * u)
-    return laguerre_envelope_all(N, u) @ (tau * (dephased(gain * gain * u) * wt)).T
 
 
 @pytest.mark.parametrize(
@@ -457,26 +431,25 @@ def test_dephased_squeezed_vacuum_matches_photon_sum(s):
     r, gain = 1.0, 0.9
     got = delta_family(state, r, gain=gain).photon_basis
     photon_sum = functools.partial(laguerre_envelope_series, _photon_probs(state))
-    want = _radial_photon_basis(photon_sum, r, gain, 24, 1024)
+    want = radial_photon_basis(photon_sum, r, gain, 24, 1024)
     assert np.abs(got - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("r", [0.75, 2.5])
 @pytest.mark.parametrize("s", [-4.0, 4.0])
-def test_strong_squeezing_node_rule_is_resolved(s, r, monkeypatch):
-    """The node rule of a Fock-diagonal input reads its top photon number.
+def test_strong_squeezing_node_rule_is_resolved(s, r):
+    """The exact rules of a Fock-diagonal input read its top photon number.
     The input is the photon distribution of sqvac:s cut at N_MAX_FOCK and
     renormalized, a mixture of 33 even photon numbers up to 64 (the same for
-    +-s); a rule with a floor of 1536 nodes gives the same family.  At gain
-    1.3 a rule blind to the top photon number is off by 1.4e-11 at r = 0.75."""
+    +-s); Gauss-Legendre rules of 1536 nodes in sqrt(u), cut at certified
+    envelope tails, give the same family."""
     probs = input_photon_probs(SqueezedVacuumInput(s), N_MAX_FOCK)
     state = FockMixtureInput(tuple((m, p / probs.sum()) for m, p in enumerate(probs) if p > 0.0))
     got = delta_family(state, r, gain=1.3)
-    monkeypatch.setattr(photonstats, "_RADIAL_NODE_FLOOR", 1536)
-    fine = delta_family(state, r, gain=1.3)
-    assert np.abs(got.photon_basis - fine.photon_basis).max() <= 1e-13
-    assert np.abs(got.fidelity_basis - fine.fidelity_basis).max() <= 1e-13
-    assert np.abs(got.gram - fine.gram).max() <= 1e-13
+    photon_basis, fidelity_basis, gram = radial_family(state, r, 1.3, 24, 1536)
+    assert np.abs(got.photon_basis - photon_basis).max() <= 1e-13
+    assert np.abs(got.fidelity_basis - fidelity_basis).max() <= 1e-13
+    assert np.abs(got.gram - gram).max() <= 1e-13
 
 
 @pytest.mark.parametrize("gain", [1.0, 0.8])
@@ -492,7 +465,7 @@ def test_large_coherent_family_matches_the_bessel_closed_form(beta, r, gain):
     def dephased(v):
         return np.exp(-0.5 * v) * special.j0(2.0 * beta * np.sqrt(v))
 
-    want = _radial_photon_basis(dephased, r, gain, 24, 1536)
+    want = radial_photon_basis(dephased, r, gain, 24, 1536)
     assert np.abs(family.photon_basis - want).max() <= 1e-13
     for delta in (0.0, 0.5, 0.9, 1.0):
         w = np.array(delta_weights(SqueezedBellResource(delta, 0.0, r)))
@@ -512,6 +485,58 @@ def test_gaussian_overlaps_match_polynomial_products(state, r, gain):
     want_fid, want_gram = polynomial_gaussian_overlaps(state, rate, terms, gain)
     assert np.abs(fid - want_fid).max() <= 1e-14
     assert np.abs(gram - want_gram).max() <= 1e-14
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("P,Q", [(0.6, 0.6), (0.7, 3.1), (2.5e-3, 40.0), (1e30, 2.0)])
+def test_gaussian_moment_table_matches_gamma_sums(P, Q, degree):
+    got = photonstats._gaussian_moments(P, Q, degree)
+    want = gamma_gaussian_moments(P, Q, degree)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+_MIX64 = FockMixtureInput(((0, 0.2), (7, 0.2), (20, 0.2), (41, 0.2), (64, 0.2)))
+
+
+@pytest.mark.parametrize(
+    "state,r,gain,N",
+    [(FockInput(40), 4.0, 1.0, 64), (FockInput(60), 1.0, 0.3, 64), (_MIX64, 1.25, 1.3, 24)],
+    ids=["fock40", "fock60", "mix64"],
+)
+def test_fock_family_matches_the_exact_expansion(state, r, gain, N):
+    """The Gauss-Laguerre rules against the integrands expanded into powers of
+    u at 80 digits (mpmath), at M, N up to 64; on the mixture, with N = 24,
+    the fidelity's degree 2 M + 2 sets the size of the first rule."""
+    pytest.importorskip("mpmath")
+    fam = delta_family(state, r, 0.0, gain, N)
+    photon_basis, fidelity_basis, gram = exact_fock_family(state, r, gain, N)
+    assert np.abs(fam.photon_basis - photon_basis).max() <= 1e-13
+    assert np.abs(fam.fidelity_basis - fidelity_basis).max() <= 1e-13
+    assert np.abs(fam.gram - gram).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "state,r,gain,N",
+    [
+        (FockInput(1), 1.0, 1.0, 24),
+        (FockMixtureInput(((0, 0.5), (1, 0.5))), 2.5, 0.8, 8),
+        (FockInput(40), 4.0, 1.0, 64),
+        (FockInput(64), 0.25, 0.3, 64),
+        (_MIX64, 4.0, 1.3, 64),
+    ],
+)
+def test_fock_family_rule_is_exact(state, r, gain, N, monkeypatch):
+    """Eight more Gauss-Laguerre nodes change nothing beyond rounding: the rule
+    already integrates its polynomials exactly."""
+    fam = delta_family(state, r, 0.4, gain, N)
+    monkeypatch.setattr(
+        photonstats, "gauss_laguerre_rule",
+        lambda degree, rate: gauss_laguerre_rule(degree + 16, rate),
+    )
+    more = delta_family(state, r, 0.4, gain, N)
+    assert np.abs(fam.photon_basis - more.photon_basis).max() <= 1e-13
+    assert np.abs(fam.fidelity_basis - more.fidelity_basis).max() <= 1e-13
+    assert np.abs(fam.gram - more.gram).max() <= 1e-13
 
 
 def test_transfer_basis_coefficients_reproduce_terms(rng):
@@ -697,9 +722,9 @@ def test_strong_squeezing_matches_mpmath():
 
 def test_gaussian_inputs_never_reach_the_radial_rule(monkeypatch):
     def unreachable(*args):
-        raise AssertionError("a coherent or squeezed family built a radial rule")
+        raise AssertionError("a coherent or squeezed family built a Gauss-Laguerre rule")
 
-    monkeypatch.setattr(photonstats, "radial_rule", unreachable)
+    monkeypatch.setattr(photonstats, "gauss_laguerre_rule", unreachable)
     for state in (CoherentInput(2.12928), CoherentInput(30.0 + 1.0j), SqueezedVacuumInput(-8.0)):
         for r, gain in ((0.25, 1.0), (2.5, 0.8)):
             delta_family(state, r, 0.7, gain).measure_columns([0.0, 0.5, 1.0])
