@@ -25,14 +25,11 @@ from .moments import (
     distortion_covariance,
     moment_set,
     output_moment_binomial,
-    output_normal_table,
     output_xp_table,
     resource_closed_forms,
     squeezing_ratio,
     squeezing_transmission,
-    state_normal_table,
     state_xp_table,
-    transfer_normal_table,
     transfer_xp_table,
 )
 from .optimize import (

@@ -51,6 +51,8 @@ from .states import (
     InputState,
     SqueezedBellResource,
     SqueezedVacuumInput,
+    as_int,
+    as_real,
     state_from_descriptor,
     transfer_fn,
 )
@@ -90,12 +92,13 @@ def parse_state(text: str) -> InputState:
     )
 
 
-def parse_grid(text) -> list[float]:
-    """Parse ``start:stop:count``, a comma list, or a single number."""
-    if isinstance(text, (int, float)):
-        return [float(text)]
+def parse_grid(text, what: str = "grid") -> list[float]:
+    """Parse ``start:stop:count``, a comma list, a number or a list of numbers;
+    ``what`` names the option in the error of a value that is none of these."""
     if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
+        return [as_real(x, f"{what} value") for x in text]
+    if not isinstance(text, str):
+        return [as_real(text, what)]
     try:
         if ":" in text:
             start, stop, count = text.split(":")
@@ -211,21 +214,42 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _opt(resolved: dict, key: str, default, cast=float):
-    """Option ``key`` cast by ``cast``, or ``default`` when it was not given.
+def _opt(resolved: dict, key: str, default, check=as_real):
+    """Option ``key`` checked by ``check`` (:func:`as_real` or :func:`as_int`), or
+    ``default`` when it was not given.
 
     Only an absent value (None) takes the default, so an explicit zero
     reaches the validation of the object it configures.
     """
     value = resolved.get(key)
-    return default if value is None else cast(value)
+    return default if value is None else check(value, key)
+
+
+def _flag(resolved: dict, key: str) -> bool:
+    """Switch ``key``: off when absent; a config file must give a JSON boolean."""
+    value = resolved.get(key)
+    if value is None or isinstance(value, bool):
+        return bool(value)
+    raise InvalidArgumentError(f"{key} must be true or false, got {value!r}")
+
+
+def _names(resolved: dict, key: str, default=()) -> list:
+    """Option ``key``, a comma list or a list of strings, as a list; ``default`` when absent."""
+    value = resolved.get(key)
+    if value is None:
+        return list(default)
+    if isinstance(value, str):
+        return value.split(",")
+    if isinstance(value, list) and all(isinstance(name, str) for name in value):
+        return value
+    raise InvalidArgumentError(f"{key} must be a comma list or a list of names, got {value!r}")
 
 
 def _channel_from(resolved: dict, delta=None) -> Channel:
     if delta is None:
         if resolved.get("delta") is None:
             raise InvalidArgumentError("a resource needs --delta (or --identity-channel)")
-        delta = float(resolved["delta"])
+        delta = as_real(resolved["delta"], "delta")
     res = SqueezedBellResource(
         delta=delta, theta=_opt(resolved, "theta", 0.0), r=float(_single_r(resolved))
     )
@@ -235,7 +259,7 @@ def _channel_from(resolved: dict, delta=None) -> Channel:
 def _single_r(resolved: dict) -> float:
     if resolved.get("r") is None:
         raise InvalidArgumentError("missing --r")
-    grid = parse_grid(resolved["r"])
+    grid = parse_grid(resolved["r"], "r")
     if len(grid) != 1:
         raise InvalidArgumentError("this command takes a single --r value")
     return grid[0]
@@ -253,7 +277,7 @@ def _input_state(resolved: dict) -> InputState:
 
 def _cmd_moments(resolved):
     state = _input_state(resolved)
-    if resolved.get("identity_channel"):
+    if _flag(resolved, "identity_channel"):
         ms = moment_set(state)
     else:
         ms = moment_set(teleport(state, _channel_from(resolved)))
@@ -262,9 +286,9 @@ def _cmd_moments(resolved):
 
 def _cmd_photon_stats(resolved):
     state = _input_state(resolved)
-    n_photons = _opt(resolved, "N", 24, int)
+    n_photons = _opt(resolved, "N", 24, as_int)
     p_in = input_distribution(state, n_photons)
-    if resolved.get("identity_channel"):
+    if _flag(resolved, "identity_channel"):
         p_out = p_in
     else:
         ch = _channel_from(resolved)
@@ -278,7 +302,7 @@ def _cmd_compare(resolved):
     state = _input_state(resolved)
     if resolved.get("delta_grid") is None:
         raise InvalidArgumentError("compare needs --delta-grid")
-    deltas = parse_grid(resolved["delta_grid"])
+    deltas = parse_grid(resolved["delta_grid"], "delta_grid")
     if not deltas:
         raise InvalidArgumentError("empty --delta-grid")
     family = delta_family(
@@ -286,7 +310,7 @@ def _cmd_compare(resolved):
         _single_r(resolved),
         theta=_opt(resolved, "theta", 0.0),
         gain=_opt(resolved, "gain", 1.0),
-        N=_opt(resolved, "N", 24, int),
+        N=_opt(resolved, "N", 24, as_int),
     )
 
     cols = family.measure_columns(deltas)
@@ -311,7 +335,7 @@ def _cmd_optimize(resolved):
         theta=_opt(resolved, "theta", 0.0),
         input=state,
         gain=_opt(resolved, "gain", 1.0),
-        n_photons=_opt(resolved, "N", 24, int),
+        n_photons=_opt(resolved, "N", 24, as_int),
     )
     rec = minimize_delta(obj)
     table = {
@@ -325,20 +349,19 @@ def _cmd_optimize(resolved):
 
 
 def _cmd_sweep(resolved):
-    kinds_text = resolved.get("kinds")
-    if not kinds_text:
+    if not resolved.get("kinds"):
         raise InvalidArgumentError("sweep needs --kinds")
-    kinds = kinds_text.split(",") if isinstance(kinds_text, str) else list(kinds_text)
+    kinds = _names(resolved, "kinds")
     for kind in kinds:
         if kind not in OBJECTIVE_KINDS:
             raise InvalidArgumentError(f"unknown objective kind {kind!r}")
     if resolved.get("r_grid") is None:
         raise InvalidArgumentError("sweep needs --r-grid")
-    r_grid = parse_grid(resolved["r_grid"])
+    r_grid = parse_grid(resolved["r_grid"], "r_grid")
     state = parse_state(resolved["input"]) if resolved.get("input") is not None else None
     records = sweep_r(
         kinds, r_grid, input=state, theta=_opt(resolved, "theta", 0.0),
-        gain=_opt(resolved, "gain", 1.0), n_photons=_opt(resolved, "N", 24, int),
+        gain=_opt(resolved, "gain", 1.0), n_photons=_opt(resolved, "N", 24, as_int),
     )
     table = {
         "kind": [rec.kind for rec in records],
@@ -370,12 +393,8 @@ def _cmd_transfer_surface(resolved):
     r = _single_r(resolved)
     theta = _opt(resolved, "theta", 0.0)
     gain = _opt(resolved, "gain", 1.0)
-    presets_text = resolved.get("presets")
-    presets = (
-        presets_text.split(",") if isinstance(presets_text, str)
-        else list(presets_text or _SURFACE_PRESETS)
-    )
-    axis = parse_grid(resolved.get("grid") or "-2:2:41")
+    presets = _names(resolved, "presets", _SURFACE_PRESETS)
+    axis = parse_grid("-2:2:41" if resolved.get("grid") is None else resolved["grid"], "grid")
     # Rows run w-major, z-minor within each preset.
     w, z = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     deltas = [_preset_delta(preset, r) for preset in presets]
@@ -486,6 +505,8 @@ def main(argv=None) -> int:
         fmt = resolved.get("format") or "csv"
         if fmt not in _FORMATS:
             raise InvalidArgumentError(f"unknown output format {fmt!r}")
+        if not isinstance(resolved.get("output", ""), (str, type(None))):
+            raise InvalidArgumentError(f"output must be a file path, got {resolved['output']!r}")
         args.func(resolved)
         return 0
     except (CVTeleportError, ValueError, OSError, KeyError) as exc:

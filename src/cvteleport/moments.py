@@ -1,47 +1,48 @@
 """Raw moments, central moments, cumulants, and distortion records.
 
-Derivative conventions
-----------------------
+Derivative convention
+---------------------
 
 Texts in this area disagree on where ``1/i^(n+m)`` prefactors sit, so the
 package fixes one convention and validates it against every closed form in
-the catalog:
+the catalog.  The quadrature-sector ("xp") moments of any one-mode function
+``f`` are
 
-* Quadrature-sector ("xp") moments of any one-mode function ``f``:
+``M(n, m) = Re[ (1/i)^(n+m) d^(n+m) f / dz^n dw^m |_0 ]``
 
-  ``M(n, m) = Re[ (1/i)^(n+m) d^(n+m) f / dz^n dw^m |_0 ]``
+the symmetric-order moments ``<{x^n p^m}>``.  In this scale the vacuum has
+``<x^2> = 1`` and a coherent state with real displacement ``beta`` has
+``<x> = 2 beta``: the quadratures are ``x = a + a^dag`` and ``[x, p] = 2i``.
 
-  In this scale the vacuum has ``<x^2> = 1`` and a coherent state with real
-  displacement ``beta`` has ``<x> = 2 beta`` (the quadratures are measured in
-  units of ``a + a^dag``).
+Photon numbers.  ``x^2 + p^2 = 4 a^dag a + 2`` and
+``(x^2 + p^2)^2 = x^4 + p^4 + 2 {x^2 p^2} - 4`` give
+``<a^dag a> = (M(2,0) + M(0,2) - 2) / 4`` and
+``<a^dag^2 a^2> = (M(4,0) + M(0,4) + 2 M(2,2) - 8) / 16 - 2 <a^dag a>``
+(:func:`moment_set_from_tables`).  They subtract the vacuum's 2 and 8 from
+entries near 1, so near the vacuum they keep only absolute accuracy: the
+vacuum through a TMSV at r = 10 would get ``g2(0)`` 26, not 2.  So
+:func:`photon_moments` takes them in normal order, where no vacuum term is
+left: closed forms for the catalog, and for an output the product rule on
+``exp(u/2) chi_out = [exp((1 - g^2) u/2) tau] [exp(g^2 u/2) chi_in(g xi)]``,
+``u = |xi|^2``.  The first factor is ``exp(-a^2 u) sum_k w_k q_k(u)``
+(:func:`~cvteleport.states.transfer_basis`, and ``e - (1 - g^2)/2 = a^2``);
+with ``f1, f2`` its derivatives in ``u`` at 0, ``<n>_out = g^2 <n>_in - f1``
+and ``<a^dag^2 a^2>_out = g^4 <a^dag^2 a^2>_in - 4 g^2 <n>_in f1 + 2 f2``.
+The output xp table applies the same product rule to ``tau(xi) chi_in(g xi)``
+(:func:`output_moment_binomial`), so both hold at every gain.
 
-* Ladder-sector ("normal") moments:
-
-  ``A(n, m) = d^n/d xi^n (-d/d xi*)^m G |_0``
-
-  where ``G`` is the normal-ordered function ``exp(|xi|^2/2) chi`` for a
-  state, but the *bare* restriction ``chi_AB(g xi*, xi)`` for a transfer
-  function.  The bare choice is forced by the Leibniz/binomial expansion of
-  the output: the ordering factor of ``chi_out`` attaches entirely to the
-  input factor.  With it, ``A(1,1)`` is the physical photon number for states
-  (coherent: ``|beta|^2``, Fock-n: ``n``) and output-photon-number additivity
-  ``<n>_out = g^2 <n>_in + A_tilde(1,1)`` holds exactly.
-
-The closed-form transfer-function photon-number "average"
-(:func:`resource_closed_forms` field ``n_ab``) equals the bare-derivative
-value minus 1; both share the same minimizer in ``Delta``, which is the only
-property asserted across the two (their offset is a pure ordering-bookkeeping
-convention).
-
-All moments come from the exact per-state tables below.  The tests hold
-them against a finite-difference engine that differentiates the
-characteristic functions numerically (``tests/oracles.py``).
+The tests hold the tables against a finite-difference engine that
+differentiates the characteristic functions numerically
+(``tests/oracles.py``), and the photon moments against the identities on
+the tables, the normal-ordered finite differences and the photon
+distributions of the Delta family.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,20 +68,18 @@ from .states import (
 _N_MEAN_FLOOR = 1e-12
 
 _XP_KEYS = tuple((i, j) for i in range(5) for j in range(5) if i + j <= 4)
-_NORMAL_KEYS = tuple((i, j) for i in range(3) for j in range(3))
 
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Raw-moment lookup table for one state or transfer function.
+    """Quadrature-sector raw moments ``M(n, m)``, ``n + m <= 4``, of one state or
+    transfer function.
 
-    ``kind`` is ``"xp"`` (quadrature sector, real entries) or ``"normal"``
-    (ladder sector, complex entries).  ``is_state`` is False for transfer
-    functions, whose entries need not satisfy state inequalities.
+    ``is_state`` is False for transfer functions, whose entries need not
+    satisfy state inequalities.
     """
 
     values: dict
-    kind: str
     is_state: bool
     label: str = ""
 
@@ -132,10 +131,15 @@ def transfer_derivative_forms(ch: Channel):
     return np.array([-e, ab, -3.0 * e]), d2
 
 
-def _transfer_radial_derivs(ch: Channel):
-    """F'(0), F''(0) of the transfer function at the resource's Delta and theta."""
+def _normal_transfer_derivs(ch: Channel):
+    """``f1, f2`` of ``exp(-a^2 u) sum_k w_k q_k(u)``, the transfer factor of the
+    normal-ordered output (module docstring)."""
+    a, b = transfer_coefficients(ch)
+    a2, ab, b2 = a * a, a * b, b * b
     w = np.array(delta_weights(ch.resource))
-    return tuple(float(d @ w) for d in transfer_derivative_forms(ch))
+    d1 = np.array([-a2, ab, -2.0 * a2 - b2])
+    d2 = np.array([a2 * a2, -2.0 * a2 * ab, 3.0 * a2 * a2 + 4.0 * a2 * b2])
+    return float(d1 @ w), float(d2 @ w)
 
 
 def state_xp_table(state: InputState) -> MomentTable:
@@ -163,51 +167,16 @@ def state_xp_table(state: InputState) -> MomentTable:
                 vals[key] += p * sub[key]
     else:
         raise InvalidArgumentError(f"unknown input state {state!r}")
-    return MomentTable(vals, kind="xp", is_state=True, label=f"xp[{state!r}]")
-
-
-def state_normal_table(state: InputState) -> MomentTable:
-    """Closed-form ladder-sector moments ``A(n, m) = <a^dag^n a^m>``, n, m <= 2."""
-    vals = {key: 0.0 + 0.0j for key in _NORMAL_KEYS}
-    vals[(0, 0)] = 1.0 + 0.0j
-    if isinstance(state, FockInput):
-        n = state.n
-        vals[(1, 1)] = complex(n)
-        vals[(2, 2)] = complex(n * (n - 1))
-    elif isinstance(state, CoherentInput):
-        beta = state.beta
-        for i, j in _NORMAL_KEYS:
-            vals[(i, j)] = np.conj(beta) ** i * beta**j
-    elif isinstance(state, SqueezedVacuumInput):
-        sh, chs = math.sinh(state.s), math.cosh(state.s)
-        vals[(1, 1)] = complex(sh * sh)
-        vals[(2, 0)] = vals[(0, 2)] = complex(-sh * chs)
-        vals[(2, 2)] = complex((sh * chs) ** 2 + 2.0 * sh**4)
-    elif isinstance(state, FockMixtureInput):
-        for n, p in state.weights:
-            vals[(1, 1)] += p * n
-            vals[(2, 2)] += p * n * (n - 1)
-    else:
-        raise InvalidArgumentError(f"unknown input state {state!r}")
-    return MomentTable(vals, kind="normal", is_state=True, label=f"normal[{state!r}]")
+    return MomentTable(vals, is_state=True, label=f"xp[{state!r}]")
 
 
 def transfer_xp_table(ch: Channel) -> MomentTable:
     """Quadrature-sector "averages" of the transfer function (non-state)."""
-    f1, f2 = _transfer_radial_derivs(ch)
+    w = np.array(delta_weights(ch.resource))
+    f1, f2 = (float(d @ w) for d in transfer_derivative_forms(ch))
     return MomentTable(
-        _radial_xp_values(f1, f2), kind="xp", is_state=False, label=f"xp[transfer {ch!r}]"
+        _radial_xp_values(f1, f2), is_state=False, label=f"xp[transfer {ch!r}]"
     )
-
-
-def transfer_normal_table(ch: Channel) -> MomentTable:
-    """Ladder-sector "averages" of the bare transfer function (non-state)."""
-    f1, f2 = _transfer_radial_derivs(ch)
-    vals = {key: 0.0 + 0.0j for key in _NORMAL_KEYS}
-    vals[(0, 0)] = 1.0 + 0.0j
-    vals[(1, 1)] = complex(-f1)
-    vals[(2, 2)] = complex(2.0 * f2)
-    return MomentTable(vals, kind="normal", is_state=False, label=f"normal[transfer {ch!r}]")
 
 
 def output_moment_binomial(
@@ -217,9 +186,7 @@ def output_moment_binomial(
 
     ``sum_{i<=n, j<=m} C(n,i) C(m,j) g^(i+j) <.>_in(i,j) <.>_AB(n-i, m-j)``.
     """
-    if input_moms.kind != transfer_moms.kind:
-        raise InvalidArgumentError("input and transfer tables use different sectors")
-    acc = 0.0 if input_moms.kind == "xp" else 0.0 + 0.0j
+    acc = 0.0
     for i in range(n + 1):
         for j in range(m + 1):
             acc += (
@@ -238,16 +205,27 @@ def output_xp_table(state: InputState, ch: Channel) -> MomentTable:
     vals = {
         (n, m): output_moment_binomial(tin, tab, n, m, ch.gain) for n, m in _XP_KEYS
     }
-    return MomentTable(vals, kind="xp", is_state=True, label=f"xp[out {state!r}]")
+    return MomentTable(vals, is_state=True, label=f"xp[out {state!r}]")
 
 
-def output_normal_table(state: InputState, ch: Channel) -> MomentTable:
-    tin = state_normal_table(state)
-    tab = transfer_normal_table(ch)
-    vals = {
-        (n, m): output_moment_binomial(tin, tab, n, m, ch.gain) for n, m in _NORMAL_KEYS
-    }
-    return MomentTable(vals, kind="normal", is_state=True, label=f"normal[out {state!r}]")
+def photon_moments(source) -> tuple[float, float]:
+    """``(<a^dag a>, <a^dag^2 a^2>)`` of a catalog input state or a teleportation
+    output, in the closed forms of the module docstring."""
+    if isinstance(source, OutputState):
+        n, a22 = photon_moments(source.input)
+        f1, f2 = _normal_transfer_derivs(source.channel)
+        g2 = source.channel.gain ** 2
+        return g2 * n - f1, 2.0 * f2 - 4.0 * g2 * n * f1 + g2 * g2 * a22
+    if isinstance(source, (FockInput, FockMixtureInput)):
+        weights = ((source.n, 1.0),) if isinstance(source, FockInput) else source.weights
+        return sum(p * n for n, p in weights), sum(p * n * (n - 1) for n, p in weights)
+    if isinstance(source, CoherentInput):
+        n = abs(source.beta) ** 2
+        return n, n * n
+    if isinstance(source, SqueezedVacuumInput):
+        sh, ch = math.sinh(source.s), math.cosh(source.s)
+        return sh * sh, (sh * ch) ** 2 + 2.0 * sh**4
+    raise InvalidArgumentError(f"unknown input state {source!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +251,9 @@ class MomentSet:
     g2_zero: Optional[float]
     is_state: bool = True
     label: str = ""
-    notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "x_mean": self.x_mean,
-            "p_mean": self.p_mean,
-            "x2_central": self.x2_central,
-            "p2_central": self.p2_central,
-            "cov_xp": self.cov_xp,
-            "mu3_x": self.mu3_x,
-            "mu3_p": self.mu3_p,
-            "mu4_x": self.mu4_x,
-            "mu4_p": self.mu4_p,
-            "kappa4_x": self.kappa4_x,
-            "kappa4_p": self.kappa4_p,
-            "n_mean": self.n_mean,
-            "g2_zero": self.g2_zero,
-            "is_state": self.is_state,
-            "label": self.label,
-        }
+        return dataclasses.asdict(self)
 
 
 def _central_from_raw(m1, m2, m3, m4):
@@ -302,66 +263,55 @@ def _central_from_raw(m1, m2, m3, m4):
     return mu2, mu3, mu4
 
 
-def moment_set_from_tables(xp: MomentTable, normal: MomentTable, label: str = "") -> MomentSet:
-    x_mean = float(np.real(xp.get(1, 0)))
-    p_mean = float(np.real(xp.get(0, 1)))
-    x2c, mu3x, mu4x = _central_from_raw(
-        x_mean, np.real(xp.get(2, 0)), np.real(xp.get(3, 0)), np.real(xp.get(4, 0))
-    )
-    p2c, mu3p, mu4p = _central_from_raw(
-        p_mean, np.real(xp.get(0, 2)), np.real(xp.get(0, 3)), np.real(xp.get(0, 4))
-    )
-    cov = float(np.real(xp.get(1, 1))) - x_mean * p_mean
-    kappa4x = mu4x - 3.0 * x2c * x2c
-    kappa4p = mu4p - 3.0 * p2c * p2c
-    n_mean = float(np.real(normal.get(1, 1)))
-    a22 = float(np.real(normal.get(2, 2)))
-    is_state = xp.is_state and normal.is_state
-    if is_state and (x2c < -1e-10 or p2c < -1e-10):
+def _moment_set(xp: MomentTable, n_mean: float, a22: float, label: str) -> MomentSet:
+    """The :class:`MomentSet` of an xp table and the photon moments ``<a^dag a>``,
+    ``<a^dag^2 a^2>``; ``g2_zero`` is None when ``n_mean`` is below 1e-12."""
+    x_mean = float(xp.get(1, 0))
+    p_mean = float(xp.get(0, 1))
+    x2c, mu3x, mu4x = _central_from_raw(x_mean, xp.get(2, 0), xp.get(3, 0), xp.get(4, 0))
+    p2c, mu3p, mu4p = _central_from_raw(p_mean, xp.get(0, 2), xp.get(0, 3), xp.get(0, 4))
+    if xp.is_state and (x2c < -1e-10 or p2c < -1e-10):
         raise ConsistencyError(
             f"negative central second moment for a state ({x2c!r}, {p2c!r})"
         )
-    g2 = a22 / (n_mean * n_mean) if abs(n_mean) > _N_MEAN_FLOOR else None
-    notes = {
-        "xp": "derivative convention: <x^n p^m> = Re[(1/i)^(n+m) d^(n+m) chi / dz^n dw^m]_0",
-        "normal": "states: normal-ordered; transfer functions: bare derivatives",
-        "g2_zero": "absent (null) when n_mean is below 1e-12",
-    }
     return MomentSet(
         x_mean=x_mean,
         p_mean=p_mean,
         x2_central=float(x2c),
         p2_central=float(p2c),
-        cov_xp=cov,
+        cov_xp=float(xp.get(1, 1)) - x_mean * p_mean,
         mu3_x=float(mu3x),
         mu3_p=float(mu3p),
         mu4_x=float(mu4x),
         mu4_p=float(mu4p),
-        kappa4_x=float(kappa4x),
-        kappa4_p=float(kappa4p),
+        kappa4_x=float(mu4x - 3.0 * x2c * x2c),
+        kappa4_p=float(mu4p - 3.0 * p2c * p2c),
         n_mean=n_mean,
-        g2_zero=g2,
-        is_state=is_state,
+        g2_zero=a22 / (n_mean * n_mean) if abs(n_mean) > _N_MEAN_FLOOR else None,
+        is_state=xp.is_state,
         label=label,
-        notes=notes,
     )
+
+
+def moment_set_from_tables(xp: MomentTable, label: str = "") -> MomentSet:
+    """The :class:`MomentSet` of any xp table, its photon moments read off the
+    table by the identities of the module docstring (to absolute rounding only)."""
+    n_mean = float(xp.get(2, 0) + xp.get(0, 2) - 2.0) / 4.0
+    a22 = float(xp.get(4, 0) + xp.get(0, 4) + 2.0 * xp.get(2, 2) - 8.0) / 16.0 - 2.0 * n_mean
+    return _moment_set(xp, n_mean, a22, label)
 
 
 def moment_set(source) -> MomentSet:
     """Full :class:`MomentSet` of a catalog input state or a teleportation output.
 
-    Both come from the exact closed-form tables.
+    The quadrature fields come from the exact closed-form xp tables, the
+    photon numbers from :func:`photon_moments`.
     """
     if isinstance(source, OutputState):
-        return moment_set_from_tables(
-            output_xp_table(source.input, source.channel),
-            output_normal_table(source.input, source.channel),
-            label=source.charfn.label,
-        )
-    # catalog input state
-    return moment_set_from_tables(
-        state_xp_table(source), state_normal_table(source), label=f"{source!r}"
-    )
+        table, label = output_xp_table(source.input, source.channel), source.charfn.label
+    else:
+        table, label = state_xp_table(source), f"{source!r}"
+    return _moment_set(table, *photon_moments(source), label)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +322,10 @@ def moment_set(source) -> MomentSet:
 class ResourceClosedForms:
     """Closed-form transfer-function "averages" in Delta, theta, and r.
 
-    ``n_ab`` carries an ordering bookkeeping that sits exactly 1 below the
-    bare-derivative photon-number average; only its minimizer in Delta is
-    convention-independent.  ``kappa4_ab`` is
+    With ``F(|xi|^2)`` the transfer function, ``x2_ab = -2 F'(0)`` and
+    ``n_ab = -F'(0) - 1 = x2_ab / 2 - 1``, a bookkeeping quantity that shares
+    its minimizer in Delta with the ``n_transfer`` objective ``-F'(0)``.
+    ``kappa4_ab`` is
     ``24 e^{-4r} (1 - Delta^2) [1 - 2 (Delta cos(theta) - sqrt(1 - Delta^2))^2]``,
     the fourth x-cumulant of the transfer function at every theta.
     """

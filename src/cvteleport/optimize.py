@@ -147,8 +147,8 @@ def _form(obj: Objective, input_moments=None, families=None):
         var = obj.gain * obj.gain * (ms_in.x2_central if obj.kind == "mu4_x" else ms_in.p2_central)
         line, terms = 12.0 * d2 - 12.0 * var * d1, 12.0 * np.abs(d2) + 12.0 * abs(var) * np.abs(d1)
         return _sym(line, _ONE), _sym(terms, _ONE), abs, None
-    # x2 = -2 F'(0); n_transfer, the bare-derivative photon-number average, is x2 / 2;
-    # resource_closed_forms.n_ab differs by a constant, so the minimizer is shared.
+    # x2 = -2 F'(0); n_transfer = -F'(0) = x2 / 2, and resource_closed_forms.n_ab
+    # = -F'(0) - 1 differs by a constant, so the minimizer is shared.
     line = (-1.0 if obj.kind == "n_transfer" else -2.0) * d1
     return _sym(line, _ONE), _sym(np.abs(line), _ONE), float, None
 
@@ -373,25 +373,21 @@ def closed_form_delta(kind: str, r: float, s: Optional[float] = None) -> float:
         return math.cos(0.5 * math.atan(arg))
     if kind == "fidelity_coherent":
         return math.cos(0.5 * math.atan(1.0 + math.exp(-2.0 * r)))
-    if kind == "mu4_x_coherent":
-        e2r = math.exp(2.0 * r)
-        num = (3.0 + e2r) ** 2
-        return math.sqrt(1.0 + num / math.sqrt(num * (13.0 + 2.0 * e2r * (5.0 + e2r)))) / math.sqrt(2.0)
-    if kind == "mu4_x_squeezed":
-        e2r, e2s = math.exp(2.0 * r), math.exp(2.0 * s)
-        num = (e2r + 3.0 * e2s) ** 2
-        den = math.sqrt(num * (2.0 * e2r**2 + 13.0 * e2s**2 + 10.0 * e2r * e2s))
-        return math.sqrt(1.0 + num / den) / math.sqrt(2.0)
     if kind == "mu4_x_fock1":
         e2r = math.exp(2.0 * r)
         sq = (1.0 + e2r) ** 2
         return math.sqrt(
             1.0 + 3.0 * sq / math.sqrt(sq * (13.0 + 30.0 * e2r + 18.0 * e2r * e2r))
         ) / math.sqrt(2.0)
-    # mu4_p_squeezed: the x-form of the coherent case with r -> r + s
-    e2rs = math.exp(2.0 * (r + s))
-    num = (3.0 + e2rs) ** 2
-    return math.sqrt(1.0 + num / math.sqrt(num * (13.0 + 2.0 * e2rs * (5.0 + e2rs)))) / math.sqrt(2.0)
+    # The Gaussian mu4 optima are the coherent one at an effective squeezing: the
+    # input squeezing s lowers it to r - s for x and raises it to r + s for p.
+    if kind == "mu4_x_squeezed":
+        r -= s
+    elif kind == "mu4_p_squeezed":
+        r += s
+    e2r = math.exp(2.0 * r)
+    num = (3.0 + e2r) ** 2
+    return math.sqrt(1.0 + num / math.sqrt(num * (13.0 + 2.0 * e2r * (5.0 + e2r)))) / math.sqrt(2.0)
 
 
 def _failed(kind: str, r: float, exc: CVTeleportError) -> OptimumRecord:

@@ -9,7 +9,7 @@ Conventions used throughout the package:
   ``chi_s(xi) = exp(s |xi|^2 / 2) * chi_0(xi)``.
 * ``kind`` distinguishes characteristic functions of genuine states from
   transfer functions (restrictions of a two-mode resource), whose derivative
-  "averages" follow different bookkeeping in :mod:`cvteleport.moments`.
+  "averages" are bookkeeping quantities, not moments of a state.
 
 Evaluation closures are written with numpy scalar/array semantics, so a
 ``PhasePoint`` may carry either floats or broadcastable ndarrays; the

@@ -133,9 +133,6 @@ class PhotonDistribution:
     def clamped(self) -> np.ndarray:
         return np.minimum(np.maximum(self.probs, 0.0), 1.0)
 
-    def mean(self) -> float:
-        return float(np.arange(self.N + 1) @ self.clamped())
-
 
 def _probability_checks(probs: np.ndarray) -> list:
     """The :class:`PhotonDistribution` checks on each row of ``probs``."""
@@ -214,7 +211,6 @@ class DeltaFamily:
     state: InputState
     r: float
     theta: float
-    gain: float
     N: int
     photon_basis: np.ndarray
     fidelity_basis: np.ndarray
@@ -245,15 +241,6 @@ class DeltaFamily:
 
     def photon_distribution(self, delta: float) -> PhotonDistribution:
         return _distribution(self._products([delta])[0][0], self.N)
-
-    def fidelity(self, delta: float) -> float:
-        return float(self._products([delta])[1][0])
-
-    def purity_out(self, delta: float) -> float:
-        return float(self._products([delta])[2][0])
-
-    def frobenius(self, delta: float) -> float:
-        return _frobenius(self.purity_in, self.purity_out(delta), self.fidelity(delta))
 
     def measures(self, delta: float) -> DistortionMeasures:
         """D_N, fidelity, Frobenius distance, and purities at one Delta.
@@ -314,10 +301,6 @@ class DeltaFamily:
             "purity_in": np.full(fid.shape, pur_in),
             "purity_out": pur_out,
         }
-
-
-def _frobenius(pur_in: float, pur_out: float, fid: float) -> float:
-    return math.sqrt(max(pur_in + pur_out - 2.0 * fid, 0.0))
 
 
 # C(j, i) Gamma(i + 1/2) Gamma(j - i + 1/2) / pi, the weights of _gaussian_moments.
@@ -519,7 +502,6 @@ def delta_family(
         state=state,
         r=r,
         theta=theta,
-        gain=gain,
         N=N,
         photon_basis=photon_basis,
         fidelity_basis=fidelity_basis,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -42,6 +43,29 @@ N_MAX_FOCK = 64
 _WEIGHT_SUM_TOL = 1e-12
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an ``int``; InvalidArgumentError unless it is an integer (a bool
+    or a float such as 2.0 is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, what: str) -> float:
+    """``value`` as a ``float``; InvalidArgumentError unless it is a real number (a
+    bool or a string is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _photon_number(value, what: str) -> int:
+    n = as_int(value, what)
+    if n < 0:
+        raise InvalidArgumentError(f"{what} must be nonnegative, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class FockInput:
     """Fock state |n>."""
@@ -49,8 +73,7 @@ class FockInput:
     n: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 0:
-            raise InvalidArgumentError(f"Fock photon number must be a nonnegative integer, got {self.n!r}")
+        object.__setattr__(self, "n", _photon_number(self.n, "Fock photon number"))
 
     @property
     def max_n(self) -> int:
@@ -90,12 +113,12 @@ class FockMixtureInput:
     weights: tuple
 
     def __post_init__(self):
-        weights = tuple((int(n), float(p)) for n, p in self.weights)
+        weights = tuple(
+            (_photon_number(n, "mixture photon number"), float(p)) for n, p in self.weights
+        )
         if not weights:
             raise InvalidArgumentError("mixture needs at least one component")
-        for n, p in weights:
-            if n < 0:
-                raise InvalidArgumentError("mixture photon numbers must be nonnegative")
+        for _, p in weights:
             if not 0.0 <= p <= 1.0:
                 raise InvalidArgumentError(f"mixture probabilities must lie in [0, 1], got {p!r}")
         total = math.fsum(p for _, p in weights)
@@ -351,13 +374,15 @@ def state_from_descriptor(d: dict) -> InputState:
     except (TypeError, KeyError):
         raise InvalidArgumentError(f"state descriptor needs a 'kind' field: {d!r}") from None
     if kind == "fock":
-        return FockInput(int(d["n"]))
+        return FockInput(d["n"])
     if kind == "coherent":
-        return CoherentInput(complex(float(d["beta_re"]), float(d.get("beta_im", 0.0))))
+        return CoherentInput(
+            complex(as_real(d["beta_re"], "beta_re"), as_real(d.get("beta_im", 0.0), "beta_im"))
+        )
     if kind == "squeezed_vacuum":
-        return SqueezedVacuumInput(float(d["s"]))
+        return SqueezedVacuumInput(as_real(d["s"], "s"))
     if kind == "fock_mixture":
-        return FockMixtureInput(tuple((int(n), float(p)) for n, p in d["weights"]))
+        return FockMixtureInput(tuple((n, as_real(p, "mixture probability")) for n, p in d["weights"]))
     raise InvalidArgumentError(f"unknown state kind {kind!r}")
 
 

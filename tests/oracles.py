@@ -7,8 +7,9 @@ them here:
 
 * :func:`derivative_at_origin` — central finite differences with a Richardson
   table, the oracle of the closed-form moment tables of
-  :mod:`cvteleport.moments` (:func:`raw_moment_xp`, :func:`raw_moment_normal`,
-  :func:`fd_moment_set`, :func:`fd_objective_function`).
+  :mod:`cvteleport.moments` (:func:`raw_moment_xp`, :func:`fd_moment_set`,
+  :func:`fd_objective_function`), and through :func:`raw_moment_normal` of
+  the photon numbers the package reads off the quadrature tables.
 * :func:`reference_minimize` — a grid scan, golden section and parabola
   polish over any scalar ``f(Delta)``, the oracle of the exact optimizer
   :func:`cvteleport.optimize.minimize_delta`; unlike it, it asks nothing of
@@ -47,6 +48,7 @@ whose restriction the one-mode transfer function must equal.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -62,7 +64,7 @@ from cvteleport.errors import (
     InvalidArgumentError,
 )
 from cvteleport.moments import (
-    _NORMAL_KEYS,
+    _N_MEAN_FLOOR,
     _XP_KEYS,
     MomentSet,
     MomentTable,
@@ -258,9 +260,9 @@ def raw_moment_xp(f: CharFn, n: int, m: int, cfg: DiffConfig | None = None) -> f
 def raw_moment_normal(f: CharFn, n: int, m: int, cfg: DiffConfig | None = None) -> complex:
     """``<a^dag^n a^m>`` via FD and the Wirtinger chain rule.
 
-    State functions are first converted to normal ordering; transfer
-    functions are differentiated bare (see the :mod:`cvteleport.moments`
-    docstring).
+    State functions are first converted to normal ordering.  Transfer
+    functions are differentiated bare: for ``tau = F(|xi|^2)`` that gives
+    ``(1, 1) -> -F'(0)``, the ``n_transfer`` objective.
     """
     if n < 0 or m < 0 or n + m > XP_MAX_ORDER:
         raise InvalidArgumentError(f"normal moment order ({n}, {m}) outside n+m <= {XP_MAX_ORDER}")
@@ -279,21 +281,31 @@ def raw_moment_normal(f: CharFn, n: int, m: int, cfg: DiffConfig | None = None) 
     return complex((-1.0) ** m * acc / 2 ** (n + m))
 
 
+# <a^dag a> and <a^dag^2 a^2>, the photon-number moments of a MomentSet.
+_PHOTON_KEYS = ((1, 1), (2, 2))
+
+
 def fd_tables(f: CharFn, cfg: DiffConfig | None = None):
-    """The xp and normal :class:`MomentTable` of ``f``, every entry by FD."""
+    """``(xp, photon)``: the xp :class:`MomentTable` of ``f`` and its normal-ordered
+    moments ``{(n, m): <a^dag^n a^m>}`` at ``_PHOTON_KEYS``, every entry by FD."""
     xp_vals = {key: raw_moment_xp(f, *key, cfg=cfg) for key in _XP_KEYS}
-    normal_vals = {key: raw_moment_normal(f, *key, cfg=cfg) for key in _NORMAL_KEYS}
-    is_state = f.kind == "state"
-    return (
-        MomentTable(xp_vals, kind="xp", is_state=is_state, label=f"xp-fd[{f.label}]"),
-        MomentTable(normal_vals, kind="normal", is_state=is_state, label=f"normal-fd[{f.label}]"),
-    )
+    photon = {key: raw_moment_normal(f, *key, cfg=cfg) for key in _PHOTON_KEYS}
+    return MomentTable(xp_vals, is_state=f.kind == "state", label=f"xp-fd[{f.label}]"), photon
 
 
 def fd_moment_set(f: CharFn, cfg: DiffConfig | None = None) -> MomentSet:
-    """The :class:`MomentSet` of a bare characteristic function, by FD."""
-    xp, normal = fd_tables(f, cfg)
-    return moment_set_from_tables(xp, normal, label=f.label)
+    """The :class:`MomentSet` of a bare characteristic function, by FD.
+
+    The quadrature fields come from the FD xp table; ``n_mean`` and
+    ``g2_zero`` from the normal-ordered FD moments, not from the xp
+    identities that :func:`cvteleport.moments.moment_set_from_tables` applies.
+    """
+    xp, photon = fd_tables(f, cfg)
+    n_mean = photon[(1, 1)].real
+    g2 = photon[(2, 2)].real / (n_mean * n_mean) if abs(n_mean) > _N_MEAN_FLOOR else None
+    return dataclasses.replace(
+        moment_set_from_tables(xp, label=f.label), n_mean=n_mean, g2_zero=g2
+    )
 
 
 def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
@@ -338,8 +350,8 @@ def objective_parts(obj: Objective):
     that form.
     """
     if obj.kind in ("x2_transfer", "n_transfer"):
-        # n_transfer, the bare-derivative photon-number average, is x2 / 2;
-        # resource_closed_forms.n_ab differs by a constant, so the minimizer is shared.
+        # n_transfer, the bare-derivative photon-number average -F'(0), is x2 / 2;
+        # resource_closed_forms.n_ab = -F'(0) - 1, so the minimizer is shared.
         half = 0.5 if obj.kind == "n_transfer" else 1.0
         return (lambda d: half * float(transfer_xp_table(_channel(obj, d)).get(2, 0))), float
 
@@ -369,10 +381,11 @@ def objective_parts(obj: Objective):
         return (lambda d: d_functional(family.p_in, family.photon_distribution(d)) ** 2), math.sqrt
 
     if obj.kind == "one_minus_fidelity":
-        return (lambda d: 1.0 - family.fidelity(d)), float
+        return (lambda d: 1.0 - family.measures(d).fidelity), float
 
     def frobenius_squared(d: float) -> float:
-        return family.purity_in + family.purity_out(d) - 2.0 * family.fidelity(d)
+        m = family.measures(d)
+        return m.purity_in + m.purity_out - 2.0 * m.fidelity
 
     return frobenius_squared, lambda v: math.sqrt(max(v, 0.0))  # rounding can dip below 0
 

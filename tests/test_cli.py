@@ -388,6 +388,60 @@ def test_error_record_and_exit_code(capsys):
     assert record["error"]["type"] == "InvalidArgumentError"
 
 
+_FOCK1 = {"input": "fock:1", "delta": 0.9, "r": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command,cfg,message",
+    [
+        ("moments", {**_FOCK1, "input": {"kind": "fock", "n": 2.7}},
+         "Fock photon number must be an integer, got 2.7"),
+        ("moments", {**_FOCK1, "input": {"kind": "fock_mixture", "weights": [[1.5, 0.5], [0, 0.5]]}},
+         "mixture photon number must be an integer, got 1.5"),
+        ("photon-stats", {**_FOCK1, "N": 2.7}, "N must be an integer, got 2.7"),
+        ("photon-stats", {**_FOCK1, "N": True}, "N must be an integer, got True"),
+        ("moments", {"input": "fock:1", "identity_channel": "no"},
+         "identity_channel must be true or false, got 'no'"),
+        ("photon-stats", {"input": "fock:1", "identity_channel": 1},
+         "identity_channel must be true or false, got 1"),
+        ("moments", {**_FOCK1, "r": True}, "r must be a number, got True"),
+        ("moments", {**_FOCK1, "delta": True}, "delta must be a number, got True"),
+        ("moments", {**_FOCK1, "gain": False}, "gain must be a number, got False"),
+        ("moments", {**_FOCK1, "theta": "0.3"}, "theta must be a number, got '0.3'"),
+        ("compare", {"input": "fock:1", "r": 1.0, "delta_grid": [0.9, True]},
+         "delta_grid value must be a number, got True"),
+        ("sweep", {"kinds": "x2_transfer", "r_grid": [1.0, True]},
+         "r_grid value must be a number, got True"),
+        ("moments", {**_FOCK1, "output": 1}, "output must be a file path, got 1"),
+        ("sweep", {"kinds": 5, "r_grid": 1.0}, "kinds must be a comma list or a list of names, got 5"),
+        ("transfer-surface", {"r": 1.0, "presets": 0},
+         "presets must be a comma list or a list of names, got 0"),
+        ("transfer-surface", {"r": 1.0, "grid": [0.0, False]}, "grid value must be a number, got False"),
+    ],
+)
+def test_config_values_of_the_wrong_type_give_error_records(command, cfg, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error == {"type": "InvalidArgumentError", "message": message}
+
+
+def test_config_booleans_and_numbers_of_the_right_type_are_accepted(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"input": "fock:1", "identity_channel": True, "N": 4}))
+    code, out, _ = run_cli(["photon-stats", "--config", str(path)], capsys)
+    assert code == 0 and [row["P_out"] for row in read_csv(out)] == ["0.0", "1.0", "0.0", "0.0", "0.0"]
+    path.write_text(json.dumps({"input": "fock:1", "r": 1, "delta_grid": [0.9, 1]}))
+    code, out, _ = run_cli(["compare", "--config", str(path)], capsys)
+    assert code == 0 and [row["delta"] for row in read_csv(out)] == ["0.9", "1.0"]
+    # A grid of one number is that number, not the default grid.
+    path.write_text(json.dumps({"r": 1.0, "presets": ["tmsv"], "grid": 0}))
+    code, out, _ = run_cli(["transfer-surface", "--config", str(path)], capsys)
+    assert code == 0 and [(row["w"], row["z"], row["tau"]) for row in read_csv(out)] == [("0.0", "0.0", "1.0")]
+
+
 def test_bad_delta_rejected(capsys):
     code, _, err = run_cli(
         ["photon-stats", "--input", "fock:0", "--delta", "1.5", "--r", "1.0"], capsys
@@ -574,3 +628,12 @@ def test_readme_names_every_option_the_parser_accepts():
         for option in action.option_strings
     } - {"-h", "--help"}
     assert documented == accepted
+
+
+def test_readme_python_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

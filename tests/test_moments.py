@@ -19,19 +19,17 @@ from cvteleport import (
     input_charfn,
     moment_set,
     output_moment_binomial,
-    output_normal_table,
     output_xp_table,
     resource_closed_forms,
     squeezing_ratio,
     squeezing_transmission,
-    state_normal_table,
     state_xp_table,
     teleport,
     transfer_fn,
-    transfer_normal_table,
     transfer_xp_table,
 )
-from cvteleport.moments import moment_set_from_tables
+from cvteleport.moments import moment_set_from_tables, photon_moments
+from cvteleport.states import transfer_coefficients
 from cvteleport.optimize import Objective
 from conftest import DELTA2_OPT, case_study_inputs, moderate_inputs, random_resources
 from oracles import (
@@ -101,12 +99,52 @@ def test_state_tables_match_fd():
             assert abs(raw_moment_xp(f, n, m) - float(xp.get(n, m))) <= 1e-6, (state, n, m)
 
 
-def test_state_normal_tables_match_fd():
+def test_state_photon_numbers_match_normal_fd():
+    """n_mean and <a^dag^2 a^2>, read off the xp table, against normal-ordered FD."""
     for state in moderate_inputs():
         f = input_charfn(state)
-        tab = state_normal_table(state)
-        for key in [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)]:
-            assert abs(raw_moment_normal(f, *key) - complex(tab.get(*key))) <= 1e-6, (state, key)
+        ms = moment_set(state)
+        assert abs(raw_moment_normal(f, 1, 1) - ms.n_mean) <= 1e-6, state
+        a22 = ms.g2_zero * ms.n_mean**2 if ms.g2_zero is not None else 0.0
+        assert abs(raw_moment_normal(f, 2, 2) - a22) <= 1e-6, state
+
+
+def test_photon_identities_on_the_tables_match_the_closed_forms(rng):
+    """The quadrature identities on the exact xp tables, the oracle of
+    photon_moments, on states and outputs whose photon numbers are not small."""
+    states = case_study_inputs() + [CoherentInput(0.8 + 0.2j), SqueezedVacuumInput(-0.4), FockInput(7)]
+    for gain in (0.7, 1.0, 1.3):
+        for res in random_resources(rng, 3):
+            ch = Channel(res, gain=gain)
+            for state in states:
+                out = teleport(state, ch)
+                for source, table in ((state, state_xp_table(state)), (out, output_xp_table(state, ch))):
+                    ms = moment_set_from_tables(table)
+                    n, a22 = photon_moments(source)
+                    assert ms.n_mean == pytest.approx(n, rel=1e-12, abs=1e-12), source
+                    got = 0.0 if ms.g2_zero is None else ms.g2_zero * ms.n_mean**2
+                    assert got == pytest.approx(a22, rel=1e-11, abs=1e-11), source
+
+
+@pytest.mark.parametrize("r", [3.0, 6.0, 10.0, 12.0])
+def test_near_vacuum_photon_moments_keep_relative_accuracy(r):
+    """The identities on a table of entries near 1 keep only absolute accuracy;
+    the closed forms keep relative accuracy near the vacuum.  Vacuum through a
+    TMSV is thermal with <n> = a^2 and g2(0) = 2 (from the output table the
+    identities give g2(0) = 26 at r = 10), and a weak coherent input is a
+    displaced thermal state."""
+    ch = Channel(SqueezedBellResource(delta=1.0, theta=0.0, r=r))
+    th = (math.cosh(r) - math.sinh(r)) ** 2
+    vac = moment_set(teleport(FockInput(0), ch))
+    assert vac.n_mean == pytest.approx(th, rel=1e-13)
+    assert vac.g2_zero == pytest.approx(2.0, rel=1e-13)
+    mu = 1e-8  # coherent:0.0001
+    coh = moment_set(teleport(CoherentInput(1e-4), ch))
+    assert coh.n_mean == pytest.approx(mu + th, rel=1e-13)
+    assert coh.g2_zero * coh.n_mean**2 == pytest.approx(mu * mu + 4 * mu * th + 2 * th * th, rel=1e-13)
+    assert moment_set(CoherentInput(1e-4)).g2_zero == pytest.approx(1.0, rel=1e-13)
+    s = 1e-4
+    assert moment_set(SqueezedVacuumInput(s)).g2_zero == pytest.approx(3.0 + math.sinh(s) ** -2, rel=1e-13)
 
 
 @pytest.mark.parametrize("gain", [1.0, 1.3])
@@ -117,13 +155,9 @@ def test_transfer_tables_match_fd(gain, rng):
         ch = Channel(res, gain=gain)
         tau = transfer_fn(ch)
         xp = transfer_xp_table(ch)
-        nt = transfer_normal_table(ch)
         for (n, m) in [(2, 0), (0, 2), (1, 1), (4, 0), (2, 2), (0, 4)]:
             want = float(xp.get(n, m))
             assert abs(raw_moment_xp(tau, n, m) - want) <= 1e-6 + 1e-7 * abs(want)
-        assert abs(raw_moment_normal(tau, 1, 1) - complex(nt.get(1, 1))) <= 1e-6
-        want22 = complex(nt.get(2, 2))
-        assert abs(raw_moment_normal(tau, 2, 2) - want22) <= 1e-6 + 1e-7 * abs(want22)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +167,7 @@ def test_transfer_tables_match_fd(gain, rng):
 def test_binomial_identity_transfer_returns_input_moment():
     keys = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
     identity = MomentTable(
-        {k: (1.0 if k == (0, 0) else 0.0) for k in keys}, kind="xp", is_state=False
+        {k: (1.0 if k == (0, 0) else 0.0) for k in keys}, is_state=False
     )
     for state in moderate_inputs():
         xp = state_xp_table(state)
@@ -156,29 +190,22 @@ def test_binomial_matches_direct_differentiation(rng):
 
 
 def test_binomial_photon_number_structure(rng):
-    """<n>_out = g^2 <n>_in + <a^dag a>_AB for the bare transfer table."""
+    """<n>_out = g^2 <n>_in - F'(0) - (1 - g^2) / 2, F'(0) = -x2_AB / 2."""
     for res in random_resources(rng, 5):
-        for gain in (1.0, 1.3):
+        for gain in (0.7, 1.0, 1.3):
             ch = Channel(res, gain=gain)
-            nt_ab = transfer_normal_table(ch)
+            f1 = -0.5 * float(transfer_xp_table(ch).get(2, 0))
             for state in case_study_inputs():
-                n_out = output_normal_table(state, ch).get(1, 1)
-                n_in = state_normal_table(state).get(1, 1)
-                want = gain**2 * n_in + nt_ab.get(1, 1)
-                assert abs(n_out - want) <= 1e-12
+                n_out = moment_set(teleport(state, ch)).n_mean
+                n_in = moment_set(state).n_mean
+                want = gain**2 * n_in - f1 - 0.5 * (1.0 - gain**2)
+                assert abs(n_out - want) <= 1e-12, (state, res, gain)
 
 
 def test_binomial_rejects_missing_entries():
-    small = MomentTable({(0, 0): 1.0}, kind="xp", is_state=True)
+    small = MomentTable({(0, 0): 1.0}, is_state=True)
     with pytest.raises(InvalidArgumentError):
         output_moment_binomial(small, small, 1, 0, 1.0)
-
-
-def test_binomial_rejects_mixed_sectors():
-    a = MomentTable({(0, 0): 1.0}, kind="xp", is_state=True)
-    b = MomentTable({(0, 0): 1.0 + 0j}, kind="normal", is_state=True)
-    with pytest.raises(InvalidArgumentError):
-        output_moment_binomial(a, b, 0, 0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +249,15 @@ def test_non_state_tables_exempt_from_variance_check():
     vals = {k: 0.0 for k in keys}
     vals[(0, 0)] = 1.0
     vals[(2, 0)] = vals[(0, 2)] = -0.5  # negative pseudo-variance
-    nvals = {k: 0.0 + 0.0j for k in [(i, j) for i in range(3) for j in range(3)]}
-    nvals[(0, 0)] = 1.0 + 0.0j
-    pseudo_xp = MomentTable(vals, kind="xp", is_state=False)
-    pseudo_normal = MomentTable(nvals, kind="normal", is_state=False)
-    ms = moment_set_from_tables(pseudo_xp, pseudo_normal)
+    ms = moment_set_from_tables(MomentTable(vals, is_state=False))
     assert not ms.is_state and ms.x2_central == -0.5
     with pytest.raises(ConsistencyError):
-        moment_set_from_tables(
-            MomentTable(vals, kind="xp", is_state=True),
-            MomentTable(nvals, kind="normal", is_state=True),
-        )
+        moment_set_from_tables(MomentTable(vals, is_state=True))
 
 
 def test_real_transfer_tables_are_flagged_non_state():
     ch = Channel(SqueezedBellResource(delta=1.0, theta=0.0, r=2.0), gain=1.5)
-    ms = moment_set_from_tables(transfer_xp_table(ch), transfer_normal_table(ch))
+    ms = moment_set_from_tables(transfer_xp_table(ch))
     assert not ms.is_state
 
 
@@ -264,10 +284,9 @@ def test_closed_forms_match_tables(rng):
         ch = Channel(res)
         cf = resource_closed_forms(res)
         xp = transfer_xp_table(ch)
-        nt = transfer_normal_table(ch)
         assert cf.x2_ab == pytest.approx(float(xp.get(2, 0)), abs=1e-12)
-        # closed-form photon-number average = bare-derivative average minus one
-        assert cf.n_ab == pytest.approx(float(nt.get(1, 1).real) - 1.0, abs=1e-12)
+        # n_ab = -F'(0) - 1 with F'(0) = -x2_AB / 2
+        assert cf.n_ab == pytest.approx(0.5 * float(xp.get(2, 0)) - 1.0, abs=1e-12)
         mu2 = float(xp.get(2, 0))
         kappa4 = float(xp.get(4, 0)) - 3.0 * mu2 * mu2
         assert cf.kappa4_ab == pytest.approx(kappa4, abs=1e-12)
@@ -299,9 +318,7 @@ def test_cumulant_additivity_suite(rng):
             for gain in (1.0, 1.3):
                 ch = Channel(res, gain=gain)
                 ms_out = moment_set(teleport(state, ch))
-                ms_ab = moment_set_from_tables(
-                    transfer_xp_table(ch), transfer_normal_table(ch)
-                )
+                ms_ab = moment_set_from_tables(transfer_xp_table(ch))
                 g2, g3, g4 = gain**2, gain**3, gain**4
                 assert ms_out.x2_central == pytest.approx(
                     g2 * ms_in.x2_central + ms_ab.x2_central, abs=1e-6
@@ -324,7 +341,7 @@ def test_cumulant_additivity_suite(rng):
 def test_resource_isotropy_and_mixed_thirds(rng):
     for res in random_resources(rng, 8):
         ch = Channel(res)
-        ms_ab = moment_set_from_tables(transfer_xp_table(ch), transfer_normal_table(ch))
+        ms_ab = moment_set_from_tables(transfer_xp_table(ch))
         assert abs(ms_ab.kappa4_x - ms_ab.kappa4_p) <= 1e-7
         tau = transfer_fn(ch)
         assert abs(raw_moment_xp(tau, 2, 1)) <= 1e-7
@@ -333,19 +350,24 @@ def test_resource_isotropy_and_mixed_thirds(rng):
 
 
 def test_additivity_via_fd_output_path(rng):
-    """Same identities with the output moments measured by FD on chi_out."""
-    for res in random_resources(rng, 3):
-        ch = Channel(res, gain=1.3)
-        ms_ab = moment_set_from_tables(transfer_xp_table(ch), transfer_normal_table(ch))
-        for state in (CoherentInput(0.8 + 0.2j), SqueezedVacuumInput(0.4)):
-            ms_in = moment_set(state)
-            out = teleport(state, ch)
-            ms_out_fd = fd_moment_set(out.charfn)
-            want_k4 = 1.3**4 * ms_in.kappa4_x + ms_ab.kappa4_x
-            assert ms_out_fd.kappa4_x == pytest.approx(want_k4, abs=1e-5, rel=1e-5)
-            assert ms_out_fd.x2_central == pytest.approx(
-                1.3**2 * ms_in.x2_central + ms_ab.x2_central, abs=1e-6, rel=1e-7
-            )
+    """Same identities with the output moments measured by FD on chi_out, and
+    the photon numbers against the normal-ordered FD oracle."""
+    for gain in (1.3, 0.7):
+        for res in random_resources(rng, 3):
+            ch = Channel(res, gain=gain)
+            ms_ab = moment_set_from_tables(transfer_xp_table(ch))
+            for state in (CoherentInput(0.8 + 0.2j), SqueezedVacuumInput(0.4)):
+                ms_in = moment_set(state)
+                out = teleport(state, ch)
+                ms_out_fd = fd_moment_set(out.charfn)
+                want_k4 = gain**4 * ms_in.kappa4_x + ms_ab.kappa4_x
+                assert ms_out_fd.kappa4_x == pytest.approx(want_k4, abs=1e-5, rel=1e-5)
+                assert ms_out_fd.x2_central == pytest.approx(
+                    gain**2 * ms_in.x2_central + ms_ab.x2_central, abs=1e-6, rel=1e-7
+                )
+                ms_out = moment_set(out)
+                assert ms_out.n_mean == pytest.approx(ms_out_fd.n_mean, abs=1e-6)
+                assert ms_out.g2_zero == pytest.approx(ms_out_fd.g2_zero, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +402,6 @@ def test_squeezing_examples():
 
 def test_squeezing_degenerate_error():
     ms = moment_set(FockInput(0))
-    broken = type(ms)(**{**ms.to_dict(), "p2_central": 0.0, "notes": {}})
+    broken = type(ms)(**{**ms.to_dict(), "p2_central": 0.0})
     with pytest.raises(DegenerateStateError):
         squeezing_ratio(broken)

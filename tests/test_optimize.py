@@ -267,6 +267,26 @@ def test_squeezed_form_reduces_to_coherent_at_s0():
         )
 
 
+def test_squeezed_forms_are_the_coherent_form_at_shifted_r():
+    """The input squeezing s shifts the coherent mu4 optimum's r: to r - s for x,
+    to r + s for p.  Held against the two-variable form of the x optimum."""
+    def mu4_x_squeezed(r, s):
+        e2r, e2s = math.exp(2.0 * r), math.exp(2.0 * s)
+        num = (e2r + 3.0 * e2s) ** 2
+        den = math.sqrt(num * (2.0 * e2r**2 + 13.0 * e2s**2 + 10.0 * e2r * e2s))
+        return math.sqrt(1.0 + num / den) / math.sqrt(2.0)
+
+    for r in np.linspace(0.25, 3.0, 5):
+        for s in np.linspace(-1.0, 1.5, 5):
+            r, s = float(r), float(s)
+            coherent_x = closed_form_delta("mu4_x_coherent", r - s)
+            assert closed_form_delta("mu4_x_squeezed", r, s) == pytest.approx(coherent_x, abs=1e-15)
+            assert mu4_x_squeezed(r, s) == pytest.approx(coherent_x, abs=1e-15)
+            assert closed_form_delta("mu4_p_squeezed", r, s) == pytest.approx(
+                closed_form_delta("mu4_x_coherent", r + s), abs=1e-15
+            )
+
+
 def test_closed_forms_stay_in_unit_interval():
     for kind in CLOSED_FORM_KINDS:
         for r in np.linspace(0.1, 30.0, 12):

@@ -13,7 +13,10 @@ Delta:
   difference beyond N, so it lies in ``[0, beyond^2]`` with ``beyond`` the
   output and input mass past N;
 * :meth:`DeltaFamily.measure_columns` gives every Delta of a grid the digits
-  it has on a grid of its own.
+  it has on a grid of its own;
+* the photon numbers that :func:`moment_set` gives a teleported state,
+  ``n_mean`` and ``g2_zero n_mean^2``, are the sums of ``n`` and
+  ``n (n - 1)`` over the family's photon distribution.
 
 Only rounding is allowed as slack: 1e-15 for the closed-form Gaussian
 families, and 1e-12 for the Fock-diagonal ones.  There each of up to 65
@@ -30,20 +33,25 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cvteleport import (  # noqa: E402
+    Channel,
     CoherentInput,
     FockInput,
     FockMixtureInput,
+    SqueezedBellResource,
     SqueezedVacuumInput,
     delta_family,
+    moment_set,
+    teleport,
 )
 from cvteleport.states import N_MAX_FOCK  # noqa: E402
 
 _ROUNDING = 1e-15
 _RULE_ROUNDING = 1e-12
+_PHOTON_ROUNDING = 1e-14
 
 gaussian_states = st.one_of(
     st.floats(-8.0, 8.0).map(SqueezedVacuumInput),
@@ -84,8 +92,8 @@ def _assert_physical(family, deltas, slack):
         probs = family.photon_distribution(delta).probs
         assert np.all(probs >= -slack) and np.all(probs <= 1.0 + slack)
         assert probs.sum() <= 1.0 + slack
-        bound = math.sqrt(family.purity_in * max(family.purity_out(delta), 0.0))
-        assert family.fidelity(delta) <= bound + slack
+        m = family.measures(delta)
+        assert m.fidelity <= math.sqrt(m.purity_in * max(m.purity_out, 0.0)) + slack
 
 
 @settings(max_examples=300, deadline=None)
@@ -125,3 +133,47 @@ def test_measure_columns_do_not_depend_on_the_grid(state, r, gain, theta, deltas
         one = family.measure_columns([delta])
         for name, col in grid.items():
             assert col[j] == one[name][0], (name, delta)
+
+
+photon_inputs = st.one_of(
+    st.integers(0, 10).map(FockInput),
+    st.builds(
+        _mixture,
+        st.lists(st.integers(0, 10), min_size=1, max_size=4, unique=True),
+        st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+    ),
+    st.builds(
+        lambda modulus, phase: CoherentInput(cmath.rect(modulus, phase)),
+        st.floats(0.0, 2.0),
+        st.floats(-math.pi, math.pi),
+    ),
+    st.floats(-0.5, 0.5).map(SqueezedVacuumInput),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state=photon_inputs,
+    r=st.floats(0.2, 2.0),
+    theta=st.floats(-math.pi, math.pi),
+    delta=st.floats(0.0, 1.0),
+    gain=st.floats(0.3, 1.4),
+)
+def test_photon_numbers_match_the_photon_distribution(state, r, theta, delta, gain):
+    """n_mean and <a^dag^2 a^2> = g2_zero n_mean^2 of a teleported state against
+    the sums of n and n (n - 1) over the Delta family's photon distribution at
+    N = 64, on cells with less than 1e-12 of mass past N.
+
+    Past a gain of about 1.5, or r of about 2 away from gain 1, most cells
+    put more mass than that past N (all of them from a gain of 1.8), so the
+    ranges stop there; about 15% of the cells inside them are skipped.
+    """
+    probs = delta_family(state, r, theta, gain, N_MAX_FOCK).photon_distribution(delta).probs
+    assume(1.0 - probs.sum() < 1e-12)
+    ms = moment_set(teleport(state, Channel(SqueezedBellResource(delta, theta, r), gain=gain)))
+    a22 = 0.0 if ms.g2_zero is None else ms.g2_zero * ms.n_mean**2
+    n = np.arange(N_MAX_FOCK + 1)
+    for weights, got, rel in ((n, ms.n_mean, 1e-9), (n * (n - 1), a22, 1e-7)):
+        want = weights @ probs
+        # Each P_n carries up to about 1e-14 of rounding, which the weights carry into the sum.
+        assert abs(got - want) <= rel * abs(want) + _PHOTON_ROUNDING * weights.sum(), rel

@@ -303,12 +303,8 @@ def test_family_matches_direct_path_on_random_cells():
         gain = float(rng.uniform(0.8, 1.2))
         try:
             fam = delta_family(state, r, theta, gain, 24)
-            got = (
-                fam.photon_distribution(delta).probs,
-                fam.fidelity(delta),
-                fam.purity_out(delta),
-                fam.frobenius(delta),
-            )
+            m = fam.measures(delta)
+            got = (fam.photon_distribution(delta).probs, m.fidelity, m.purity_out, m.frobenius)
         except CVTeleportError:
             continue
         out = teleport(state, Channel(SqueezedBellResource(delta, theta, r), gain=gain))
@@ -334,7 +330,7 @@ def test_family_validates_each_delta():
     with pytest.raises(InvalidArgumentError):
         fam.measures(1.5)
     with pytest.raises(InvalidArgumentError):
-        fam.fidelity(float("nan"))
+        fam.measures(float("nan"))
 
 
 def test_distortion_measures_rejects_foreign_output():
@@ -417,8 +413,9 @@ def test_family_overlaps_match_gaussian_moments(s, r, gain):
     chi_in = input_charfn(state)
     for delta in (0.0, 0.6, 1.0):
         out = teleport(state, Channel(SqueezedBellResource(delta, 0.0, r), gain=gain))
-        assert abs(fam.fidelity(delta) - overlap(chi_in, out.charfn, fine)) <= 1e-12, delta
-        assert abs(fam.purity_out(delta) - purity(out.charfn, fine)) <= 1e-12, delta
+        m = fam.measures(delta)
+        assert abs(m.fidelity - overlap(chi_in, out.charfn, fine)) <= 1e-12, delta
+        assert abs(m.purity_out - purity(out.charfn, fine)) <= 1e-12, delta
 
 
 @pytest.mark.parametrize("s", [-4.0, -1.5, 0.0, 0.3, 1.5, 3.0, 4.0])
@@ -556,8 +553,9 @@ def test_family_strong_squeezing_matches_fine_direct_reference(r):
     fine = PlaneConfig(radial_nodes=512, angular_nodes=2048)
     delta = 0.6
     out = teleport(state, Channel(SqueezedBellResource(delta, 0.0, r)))
-    assert abs(fam.fidelity(delta) - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
-    assert abs(fam.purity_out(delta) - purity(out.charfn, fine)) <= 1e-9
+    m = fam.measures(delta)
+    assert abs(m.fidelity - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
+    assert abs(m.purity_out - purity(out.charfn, fine)) <= 1e-9
 
 
 _FAMILY_TEXTS = (
@@ -619,7 +617,8 @@ def test_family_commands_run_on_src_alone(tmp_path):
     for state in map(parse_state, _FAMILY_TEXTS):
         fam = delta_family(state, 1.25, 0.2, 0.9, 24)
         out = teleport(state, Channel(SqueezedBellResource(0.8, 0.2, 1.25), gain=0.9))
-        assert abs(fam.fidelity(0.8) - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
+        fid = fam.measures(0.8).fidelity
+        assert abs(fid - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
 
 
 @pytest.mark.parametrize("gain", [0.8, 1.0, 1.3])
@@ -632,8 +631,9 @@ def test_coherent_overlaps_match_fine_direct_reference(beta, r, gain):
     fine = PlaneConfig(radial_nodes=256, angular_nodes=768)
     delta = 0.8
     out = teleport(state, Channel(SqueezedBellResource(delta, 0.3, r), gain=gain))
-    assert abs(fam.fidelity(delta) - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
-    assert abs(fam.purity_out(delta) - purity(out.charfn, fine)) <= 1e-9
+    m = fam.measures(delta)
+    assert abs(m.fidelity - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
+    assert abs(m.purity_out - purity(out.charfn, fine)) <= 1e-9
 
 
 @pytest.mark.parametrize("state", case_study_inputs() + [FockInput(10)])
@@ -643,12 +643,9 @@ def test_measure_columns_match_per_delta_measures(state):
     cols = fam.measure_columns(deltas)
     for j, delta in enumerate(deltas):
         assert abs(cols["d_n"][j] - d_functional(fam.p_in, fam.photon_distribution(delta))) <= 1e-15
-        assert abs(cols["fidelity"][j] - fam.fidelity(delta)) <= 1e-15
-        assert abs(cols["purity_out"][j] - fam.purity_out(delta)) <= 1e-15
-        assert abs(cols["frobenius"][j] - fam.frobenius(delta)) <= 1e-15
         one = fam.measures(delta)
-        assert abs(one.d_n - cols["d_n"][j]) <= 1e-15
-        assert abs(one.frobenius - cols["frobenius"][j]) <= 1e-15
+        for name in ("d_n", "fidelity", "purity_out", "frobenius"):
+            assert abs(getattr(one, name) - cols[name][j]) <= 1e-15, name
 
 
 def test_measure_columns_raise_the_first_failure_in_grid_order():
@@ -741,5 +738,5 @@ def test_large_coherent_input_is_certified():
     for delta in (0.5, 0.9, 1.0):
         m = fam.measures(delta)
         assert m.d_n == pytest.approx(0.0, abs=1e-12)
-        assert m.fidelity == pytest.approx(vac.fidelity(delta), abs=1e-9)
-        assert m.purity_out == pytest.approx(vac.purity_out(delta), abs=1e-9)
+        assert m.fidelity == pytest.approx(vac.measures(delta).fidelity, abs=1e-9)
+        assert m.purity_out == pytest.approx(vac.measures(delta).purity_out, abs=1e-9)

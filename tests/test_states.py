@@ -254,6 +254,36 @@ def test_descriptor_rejects_unknown_kind():
         state_from_descriptor({"kind": "cat", "alpha": 2.0})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FockInput(2.0),
+        lambda: FockInput(True),
+        lambda: FockInput("2"),
+        lambda: FockMixtureInput(((1.5, 0.5), (0, 0.5))),
+        lambda: FockMixtureInput(((True, 0.5), (0, 0.5))),
+        lambda: state_from_descriptor({"kind": "fock", "n": 2.7}),
+        lambda: state_from_descriptor({"kind": "fock", "n": True}),
+        lambda: state_from_descriptor({"kind": "fock_mixture", "weights": [[1.5, 0.5], [0, 0.5]]}),
+        lambda: state_from_descriptor({"kind": "fock_mixture", "weights": [[1, True]]}),
+        lambda: state_from_descriptor({"kind": "coherent", "beta_re": True}),
+        lambda: state_from_descriptor({"kind": "squeezed_vacuum", "s": "0.5"}),
+    ],
+    ids=["fock-float", "fock-bool", "fock-str", "mix-float", "mix-bool", "desc-fock-float",
+         "desc-fock-bool", "desc-mix-float", "desc-mix-bool-p", "desc-beta-bool", "desc-s-str"],
+)
+def test_photon_numbers_and_descriptor_numbers_are_checked_not_cast(make):
+    with pytest.raises(InvalidArgumentError):
+        make()
+
+
+def test_photon_numbers_are_stored_as_int():
+    assert type(FockInput(np.int64(3)).n) is int
+    mix = FockMixtureInput(((np.int64(2), 0.5), (0, 0.5)))
+    assert [type(n) for n, _ in mix.weights] == [int, int]
+    assert input_photon_probs(FockInput(np.int64(3)), 4).tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # photon distributions
 # ---------------------------------------------------------------------------
