@@ -20,17 +20,14 @@ from .errors import (
 )
 from .moments import (
     MomentSet,
-    MomentTable,
     ResourceClosedForms,
     distortion_covariance,
     moment_set,
-    output_moment_binomial,
-    output_xp_table,
     resource_closed_forms,
     squeezing_ratio,
     squeezing_transmission,
-    state_xp_table,
-    transfer_xp_table,
+    state_cumulants,
+    transfer_cumulants,
 )
 from .optimize import (
     Objective,

@@ -1,41 +1,55 @@
-"""Raw moments, central moments, cumulants, and distortion records.
+"""Cumulant tables, moment sets and distortion records.
 
 Derivative convention
 ---------------------
 
 Texts in this area disagree on where ``1/i^(n+m)`` prefactors sit, so the
 package fixes one convention and validates it against every closed form in
-the catalog.  The quadrature-sector ("xp") moments of any one-mode function
-``f`` are
+the catalog.  The cumulant table of a one-mode function ``f`` holds
 
-``M(n, m) = Re[ (1/i)^(n+m) d^(n+m) f / dz^n dw^m |_0 ]``
+``K(n, m) = Re[ (1/i)^(n+m) d^(n+m) log f / dz^n dw^m |_0 ]``,
+``1 <= n + m <= 4``,
 
-the symmetric-order moments ``<{x^n p^m}>``.  In this scale the vacuum has
-``<x^2> = 1`` and a coherent state with real displacement ``beta`` has
-``<x> = 2 beta``: the quadratures are ``x = a + a^dag`` and ``[x, p] = 2i``.
+the joint cumulants of the symmetric-order quadratures: ``K(1, 0) = <x>``,
+``K(2, 0) = <Dx^2>``, ``K(1, 1) = <{Dx Dp}>``, ``K(3, 0)`` the third central
+moment and ``K(4, 0)`` the fourth cumulant, with ``mu4 = K(4, 0) + 3 K(2, 0)^2``.
+In this scale the vacuum has ``<x^2> = 1`` and a coherent state with real
+displacement ``beta`` has ``<x> = 2 beta``: the quadratures are
+``x = a + a^dag`` and ``[x, p] = 2i``.
 
-Photon numbers.  ``x^2 + p^2 = 4 a^dag a + 2`` and
-``(x^2 + p^2)^2 = x^4 + p^4 + 2 {x^2 p^2} - 4`` give
-``<a^dag a> = (M(2,0) + M(0,2) - 2) / 4`` and
-``<a^dag^2 a^2> = (M(4,0) + M(0,4) + 2 M(2,2) - 8) / 16 - 2 <a^dag a>``
-(:func:`moment_set_from_tables`).  They subtract the vacuum's 2 and 8 from
-entries near 1, so near the vacuum they keep only absolute accuracy: the
-vacuum through a TMSV at r = 10 would get ``g2(0)`` 26, not 2.  So
-:func:`photon_moments` takes them in normal order, where no vacuum term is
+Additivity.  ``log chi_out(xi) = log tau(xi) + log chi_in(g xi)``, so an
+output's table is ``K_out(n, m) = g^(n+m) K_in(n, m) + K_tau(n, m)``
+(:func:`moment_set`): the distortion of the cumulants depends on the resource
+alone.  Coherent states and squeezed vacuum have only means and variances,
+so their outputs' fourth cumulants are the resource's, exactly.
+
+Radial functions.  Fock states, their mixtures and the transfer function are
+functions ``F(u)`` of ``u = |xi|^2``.  With ``F(0) = 1``, ``F'(0) = f1`` and
+``F''(0) = f2``, ``log F = f1 u + (f2 - f1^2) u^2 / 2 + ...``, so
+``K(2, 0) = K(0, 2) = -2 f1``, ``K(4, 0) = K(0, 4) = 12 (f2 - f1^2)``,
+``K(2, 2) = 4 (f2 - f1^2)`` and every other entry is 0.  The transfer
+function's ``f1, f2`` are linear in the Delta weights
+(:func:`transfer_derivative_forms`).
+
+Photon numbers.  ``x^2 + p^2 = 4 a^dag a + 2`` turns the raw quadrature
+moments into ``<a^dag a>`` and ``<a^dag^2 a^2>``, but subtracts the vacuum's
+2 and 8 from entries near 1, so near the vacuum it keeps only absolute
+accuracy: the vacuum through a TMSV at r = 10 would get ``g2(0)`` 26, not 2.
+So :func:`photon_moments` takes them in normal order, where no vacuum term is
 left: closed forms for the catalog, and for an output the product rule on
-``exp(u/2) chi_out = [exp((1 - g^2) u/2) tau] [exp(g^2 u/2) chi_in(g xi)]``,
-``u = |xi|^2``.  The first factor is ``exp(-a^2 u) sum_k w_k q_k(u)``
+``exp(u/2) chi_out = [exp((1 - g^2) u/2) tau] [exp(g^2 u/2) chi_in(g xi)]``.
+The first factor is ``exp(-a^2 u) sum_k w_k q_k(u)``
 (:func:`~cvteleport.states.transfer_basis`, and ``e - (1 - g^2)/2 = a^2``);
 with ``f1, f2`` its derivatives in ``u`` at 0, ``<n>_out = g^2 <n>_in - f1``
-and ``<a^dag^2 a^2>_out = g^4 <a^dag^2 a^2>_in - 4 g^2 <n>_in f1 + 2 f2``.
-The output xp table applies the same product rule to ``tau(xi) chi_in(g xi)``
-(:func:`output_moment_binomial`), so both hold at every gain.
+and ``<a^dag^2 a^2>_out = g^4 <a^dag^2 a^2>_in - 4 g^2 <n>_in f1 + 2 f2``,
+at every gain.
 
 The tests hold the tables against a finite-difference engine that
-differentiates the characteristic functions numerically
-(``tests/oracles.py``), and the photon moments against the identities on
-the tables, the normal-ordered finite differences and the photon
-distributions of the Delta family.
+differentiates the characteristic functions numerically and converts raw
+moments to central ones on its own (``tests/oracles.py``), and against a
+symbolic expansion of the two-mode resource (``tests/test_symbolic.py``); the
+photon moments against the quadrature identities, the normal-ordered finite
+differences and the photon distributions of the Delta family.
 """
 
 from __future__ import annotations
@@ -62,159 +76,78 @@ from .states import (
     SqueezedBellResource,
     SqueezedVacuumInput,
     delta_weights,
+    transfer_basis,
     transfer_coefficients,
 )
 
 _N_MEAN_FLOOR = 1e-12
 
-_XP_KEYS = tuple((i, j) for i in range(5) for j in range(5) if i + j <= 4)
+_KEYS = tuple((n, m) for n in range(5) for m in range(5) if 1 <= n + m <= 4)
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Quadrature-sector raw moments ``M(n, m)``, ``n + m <= 4``, of one state or
-    transfer function.
-
-    ``is_state`` is False for transfer functions, whose entries need not
-    satisfy state inequalities.
-    """
-
-    values: dict
-    is_state: bool
-    label: str = ""
-
-    def get(self, n: int, m: int):
-        try:
-            return self.values[(n, m)]
-        except KeyError:
-            raise InvalidArgumentError(
-                f"moment table {self.label!r} has no entry ({n}, {m})"
-            ) from None
+def _radial_cumulants(f1: float, f2: float) -> dict:
+    """The table of ``F(|xi|^2)`` with ``F(0) = 1``, ``F'(0) = f1``, ``F''(0) = f2``."""
+    k = dict.fromkeys(_KEYS, 0.0)
+    k[(2, 0)] = k[(0, 2)] = -2.0 * f1
+    k[(4, 0)] = k[(0, 4)] = 12.0 * (f2 - f1 * f1)
+    k[(2, 2)] = 4.0 * (f2 - f1 * f1)
+    return k
 
 
-def _gauss_raw_moments(mean: float, var: float):
-    """Raw moments m_0..m_4 of a 1-D normal distribution."""
-    return (
-        1.0,
-        mean,
-        mean**2 + var,
-        mean**3 + 3.0 * mean * var,
-        mean**4 + 6.0 * mean**2 * var + 3.0 * var**2,
-    )
+def transfer_derivative_forms(ch: Channel, rate: Optional[float] = None):
+    """The rows ``(d1, d2)`` with ``F'(0) = d1 @ w`` and ``F''(0) = d2 @ w`` for
+    ``F(u) = exp(-rate u) sum_k w_k q_k(u)``, the polynomials ``q_k`` of
+    :func:`~cvteleport.states.transfer_basis` and the weights ``w`` of
+    :func:`delta_weights` (``w0 + w2 = 1`` carries the constants).  The
+    default rate is the transfer function's own, so that ``F(|xi|^2)`` is the
+    transfer function.  Only r and the gain enter."""
+    own, _, coef = transfer_basis(ch)
+    c = own if rate is None else rate
+    # The u and u^2 coefficients of (1 - c u + c^2 u^2 / 2) q_k(u), times 1! and 2!,
+    # in Python floats: numpy's per-call overhead would dominate three-entry rows.
+    rows = coef.tolist()
+    return np.array([[q1 - c * q0 for q0, q1, _ in rows],
+                     [2.0 * q2 - 2.0 * c * q1 + c * c * q0 for q0, q1, q2 in rows]])
 
 
-def _product_xp_values(mx, mp):
-    return {(i, j): mx[i] * mp[j] for i, j in _XP_KEYS}
-
-
-def _radial_xp_values(f1: float, f2: float):
-    """xp table of a radial function ``F(u)``: F(0)=1 with F'(0)=f1, F''(0)=f2.
-
-    Nonzero only when both orders are even:
-    ``M(2a, 2b) = (-1)^(a+b) (2a)! (2b)! / (a! b!) F^(a+b)(0)``.
-    """
-    vals = {key: 0.0 for key in _XP_KEYS}
-    vals[(0, 0)] = 1.0
-    vals[(2, 0)] = vals[(0, 2)] = -2.0 * f1
-    vals[(2, 2)] = 4.0 * f2
-    vals[(4, 0)] = vals[(0, 4)] = 12.0 * f2
-    return vals
-
-
-def transfer_derivative_forms(ch: Channel):
-    """``(d1, d2)`` with ``F'(0) = d1 @ w``, ``F''(0) = d2 @ w`` for the transfer
-    function seen as ``F(|xi|^2)`` and the weights ``w`` of :func:`delta_weights`
-    (``w0 + w2 = 1`` carries the constants).  Only r and the gain enter."""
-    a, b = transfer_coefficients(ch)
-    e, ab = 0.5 * (a * a + b * b), a * b
-    d2 = np.array([e * e, -2.0 * e * ab, 5.0 * e * e + 2.0 * ab * ab])
-    return np.array([-e, ab, -3.0 * e]), d2
-
-
-def _normal_transfer_derivs(ch: Channel):
-    """``f1, f2`` of ``exp(-a^2 u) sum_k w_k q_k(u)``, the transfer factor of the
-    normal-ordered output (module docstring)."""
-    a, b = transfer_coefficients(ch)
-    a2, ab, b2 = a * a, a * b, b * b
-    w = np.array(delta_weights(ch.resource))
-    d1 = np.array([-a2, ab, -2.0 * a2 - b2])
-    d2 = np.array([a2 * a2, -2.0 * a2 * ab, 3.0 * a2 * a2 + 4.0 * a2 * b2])
-    return float(d1 @ w), float(d2 @ w)
-
-
-def state_xp_table(state: InputState) -> MomentTable:
-    """Closed-form quadrature-sector raw moments of a catalog state."""
-    if isinstance(state, FockInput):
-        n = state.n
-        f1 = -(n + 0.5)
-        f2 = 0.5 * n * (n - 1) + n + 0.25
-        vals = _radial_xp_values(f1, f2)
-    elif isinstance(state, CoherentInput):
-        mx = _gauss_raw_moments(2.0 * state.beta.real, 1.0)
+def state_cumulants(state: InputState) -> dict:
+    """Closed-form cumulant table ``{(n, m): K(n, m)}`` of a catalog state."""
+    if isinstance(state, (FockInput, FockMixtureInput)):
+        # exp(-u/2) sum_n p_n L_n(u) = 1 - (<n> + 1/2) u + (<n(n-1)>/2 + <n> + 1/4) u^2/2 + ...
+        n, a22 = photon_moments(state)
+        return _radial_cumulants(-(n + 0.5), 0.5 * a22 + n + 0.25)
+    k = dict.fromkeys(_KEYS, 0.0)
+    if isinstance(state, CoherentInput):
         # The derivative convention maps <p> to -2 Im(beta); sign only
         # matters for complex displacements, which the catalog never uses.
-        mp = _gauss_raw_moments(-2.0 * state.beta.imag, 1.0)
-        vals = _product_xp_values(mx, mp)
+        k[(1, 0)], k[(0, 1)] = 2.0 * state.beta.real, -2.0 * state.beta.imag
+        k[(2, 0)] = k[(0, 2)] = 1.0
     elif isinstance(state, SqueezedVacuumInput):
-        mx = _gauss_raw_moments(0.0, math.exp(-2.0 * state.s))
-        mp = _gauss_raw_moments(0.0, math.exp(2.0 * state.s))
-        vals = _product_xp_values(mx, mp)
-    elif isinstance(state, FockMixtureInput):
-        vals = {key: 0.0 for key in _XP_KEYS}
-        for n, p in state.weights:
-            sub = state_xp_table(FockInput(n)).values
-            for key in _XP_KEYS:
-                vals[key] += p * sub[key]
+        k[(2, 0)], k[(0, 2)] = math.exp(-2.0 * state.s), math.exp(2.0 * state.s)
     else:
         raise InvalidArgumentError(f"unknown input state {state!r}")
-    return MomentTable(vals, is_state=True, label=f"xp[{state!r}]")
+    return k
 
 
-def transfer_xp_table(ch: Channel) -> MomentTable:
-    """Quadrature-sector "averages" of the transfer function (non-state)."""
+def transfer_cumulants(ch: Channel) -> dict:
+    """Cumulant table of the transfer function, a radial non-state function."""
     w = np.array(delta_weights(ch.resource))
     f1, f2 = (float(d @ w) for d in transfer_derivative_forms(ch))
-    return MomentTable(
-        _radial_xp_values(f1, f2), is_state=False, label=f"xp[transfer {ch!r}]"
-    )
-
-
-def output_moment_binomial(
-    input_moms: MomentTable, transfer_moms: MomentTable, n: int, m: int, g: float
-):
-    """Output raw moment from the double binomial sum over input/transfer tables.
-
-    ``sum_{i<=n, j<=m} C(n,i) C(m,j) g^(i+j) <.>_in(i,j) <.>_AB(n-i, m-j)``.
-    """
-    acc = 0.0
-    for i in range(n + 1):
-        for j in range(m + 1):
-            acc += (
-                math.comb(n, i)
-                * math.comb(m, j)
-                * g ** (i + j)
-                * input_moms.get(i, j)
-                * transfer_moms.get(n - i, m - j)
-            )
-    return acc
-
-
-def output_xp_table(state: InputState, ch: Channel) -> MomentTable:
-    tin = state_xp_table(state)
-    tab = transfer_xp_table(ch)
-    vals = {
-        (n, m): output_moment_binomial(tin, tab, n, m, ch.gain) for n, m in _XP_KEYS
-    }
-    return MomentTable(vals, is_state=True, label=f"xp[out {state!r}]")
+    return _radial_cumulants(f1, f2)
 
 
 def photon_moments(source) -> tuple[float, float]:
     """``(<a^dag a>, <a^dag^2 a^2>)`` of a catalog input state or a teleportation
-    output, in the closed forms of the module docstring."""
+    output, in the closed forms of the module docstring: for an output, the
+    normal-ordered product rule with the transfer factor's derivatives from
+    :func:`transfer_derivative_forms` at rate ``a^2``."""
     if isinstance(source, OutputState):
+        ch = source.channel
         n, a22 = photon_moments(source.input)
-        f1, f2 = _normal_transfer_derivs(source.channel)
-        g2 = source.channel.gain ** 2
+        a, _ = transfer_coefficients(ch)
+        w = np.array(delta_weights(ch.resource))
+        f1, f2 = (float(d @ w) for d in transfer_derivative_forms(ch, a * a))
+        g2 = ch.gain ** 2
         return g2 * n - f1, 2.0 * f2 - 4.0 * g2 * n * f1 + g2 * g2 * a22
     if isinstance(source, (FockInput, FockMixtureInput)):
         weights = ((source.n, 1.0),) if isinstance(source, FockInput) else source.weights
@@ -256,62 +189,39 @@ class MomentSet:
         return dataclasses.asdict(self)
 
 
-def _central_from_raw(m1, m2, m3, m4):
-    mu2 = m2 - m1 * m1
-    mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
-    mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1**4
-    return mu2, mu3, mu4
-
-
-def _moment_set(xp: MomentTable, n_mean: float, a22: float, label: str) -> MomentSet:
-    """The :class:`MomentSet` of an xp table and the photon moments ``<a^dag a>``,
-    ``<a^dag^2 a^2>``; ``g2_zero`` is None when ``n_mean`` is below 1e-12."""
-    x_mean = float(xp.get(1, 0))
-    p_mean = float(xp.get(0, 1))
-    x2c, mu3x, mu4x = _central_from_raw(x_mean, xp.get(2, 0), xp.get(3, 0), xp.get(4, 0))
-    p2c, mu3p, mu4p = _central_from_raw(p_mean, xp.get(0, 2), xp.get(0, 3), xp.get(0, 4))
-    if xp.is_state and (x2c < -1e-10 or p2c < -1e-10):
-        raise ConsistencyError(
-            f"negative central second moment for a state ({x2c!r}, {p2c!r})"
-        )
-    return MomentSet(
-        x_mean=x_mean,
-        p_mean=p_mean,
-        x2_central=float(x2c),
-        p2_central=float(p2c),
-        cov_xp=float(xp.get(1, 1)) - x_mean * p_mean,
-        mu3_x=float(mu3x),
-        mu3_p=float(mu3p),
-        mu4_x=float(mu4x),
-        mu4_p=float(mu4p),
-        kappa4_x=float(mu4x - 3.0 * x2c * x2c),
-        kappa4_p=float(mu4p - 3.0 * p2c * p2c),
-        n_mean=n_mean,
-        g2_zero=a22 / (n_mean * n_mean) if abs(n_mean) > _N_MEAN_FLOOR else None,
-        is_state=xp.is_state,
-        label=label,
-    )
-
-
-def moment_set_from_tables(xp: MomentTable, label: str = "") -> MomentSet:
-    """The :class:`MomentSet` of any xp table, its photon moments read off the
-    table by the identities of the module docstring (to absolute rounding only)."""
-    n_mean = float(xp.get(2, 0) + xp.get(0, 2) - 2.0) / 4.0
-    a22 = float(xp.get(4, 0) + xp.get(0, 4) + 2.0 * xp.get(2, 2) - 8.0) / 16.0 - 2.0 * n_mean
-    return _moment_set(xp, n_mean, a22, label)
-
-
 def moment_set(source) -> MomentSet:
     """Full :class:`MomentSet` of a catalog input state or a teleportation output.
 
-    The quadrature fields come from the exact closed-form xp tables, the
-    photon numbers from :func:`photon_moments`.
+    The quadrature fields are entries of the cumulant table, for an output
+    ``g^(n+m) K_in + K_tau``; the photon numbers come from
+    :func:`photon_moments`.  ``g2_zero`` is None when ``n_mean`` is below 1e-12.
     """
     if isinstance(source, OutputState):
-        table, label = output_xp_table(source.input, source.channel), source.charfn.label
+        g, k_tau = source.channel.gain, transfer_cumulants(source.channel)
+        k = {key: g ** sum(key) * v + k_tau[key] for key, v in state_cumulants(source.input).items()}
+        label = source.charfn.label
     else:
-        table, label = state_xp_table(source), f"{source!r}"
-    return _moment_set(table, *photon_moments(source), label)
+        k, label = state_cumulants(source), f"{source!r}"
+    x2, p2 = k[(2, 0)], k[(0, 2)]
+    if x2 < -1e-10 or p2 < -1e-10:
+        raise ConsistencyError(f"negative central second moment for a state ({x2!r}, {p2!r})")
+    n_mean, a22 = photon_moments(source)
+    return MomentSet(
+        x_mean=k[(1, 0)],
+        p_mean=k[(0, 1)],
+        x2_central=x2,
+        p2_central=p2,
+        cov_xp=k[(1, 1)],
+        mu3_x=k[(3, 0)],
+        mu3_p=k[(0, 3)],
+        mu4_x=k[(4, 0)] + 3.0 * x2 * x2,
+        mu4_p=k[(0, 4)] + 3.0 * p2 * p2,
+        kappa4_x=k[(4, 0)],
+        kappa4_p=k[(0, 4)],
+        n_mean=n_mean,
+        g2_zero=a22 / (n_mean * n_mean) if abs(n_mean) > _N_MEAN_FLOOR else None,
+        label=label,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +283,10 @@ def distortion_covariance(state: InputState, ch: Channel) -> CovarianceDistortio
     d_x2 = ms_out.x2_central - g2 * ms_in.x2_central
     d_p2 = ms_out.p2_central - g2 * ms_in.p2_central
     d_cov = ms_out.cov_xp - g2 * ms_in.cov_xp
-    tab = transfer_xp_table(ch)
-    expected = float(tab.get(2, 0))
+    expected = transfer_cumulants(ch)[(2, 0)]
     if abs(d_x2 - expected) > 1e-9 or abs(d_p2 - expected) > 1e-9:
         raise ConsistencyError(
-            "covariance distortion depends on the input; moment tables are inconsistent"
+            "covariance distortion depends on the input; cumulant tables are inconsistent"
         )
     return CovarianceDistortion(
         x2_in=ms_in.x2_central,

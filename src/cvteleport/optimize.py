@@ -115,14 +115,15 @@ def _root(v):
     return np.sqrt(np.maximum(v, 0.0))
 
 
-def _form(obj: Objective, input_moments=None, families=None):
+def _form(obj: Objective, input_moments=None, families=None, derivative_forms=None):
     """``(Q, terms, outer, family)``: objective ``outer(w @ Q @ w)``, ``terms`` the
     sums of the absolute values of the terms summed into ``Q``, and ``family`` the
     :class:`DeltaFamily` that ``Q`` was read from, if any.  ``outer`` is ``float``,
     :func:`_root` or ``abs``.  ``input_moments`` maps the input to its
-    :class:`MomentSet` in place of :func:`moment_set`, and ``families`` builds the
-    family in place of :func:`delta_family`; a sweep passes ones that build each
-    once."""
+    :class:`MomentSet` in place of :func:`moment_set`, ``families`` builds the
+    family in place of :func:`delta_family`, and ``derivative_forms`` the forms in
+    place of :func:`transfer_derivative_forms`; a sweep passes ones that build
+    each once."""
     if obj.kind in ("d_functional", "one_minus_fidelity", "frobenius"):
         family = (families or delta_family)(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
         if obj.kind == "d_functional":
@@ -137,7 +138,7 @@ def _form(obj: Objective, input_moments=None, families=None):
             return Q, terms, _root, family
         return _sym(_ONE - f, _ONE), _sym(_ONE + np.abs(f), _ONE), float, family
 
-    d1, d2 = transfer_derivative_forms(_channel(obj, 1.0))
+    d1, d2 = (derivative_forms or transfer_derivative_forms)(_channel(obj, 1.0))
     if obj.kind == "kappa4_transfer":  # mu4 - 3 mu2^2 = 12 F''(0) - 12 F'(0)^2
         Q = 12.0 * (_sym(d2, _ONE) - np.outer(d1, d1))
         terms = 12.0 * (_sym(np.abs(d2), _ONE) + np.outer(np.abs(d1), np.abs(d1)))
@@ -412,7 +413,8 @@ def sweep_r(
     """Minimize every (kind, r) cell, kind-major, in one batched solve.
 
     Each cell's form comes from :func:`_form`, with the input's moments read
-    once and one :func:`delta_family` built per r for all family kinds.  Then
+    once, and one :func:`delta_family` per r for all family kinds and one set of
+    transfer-derivative forms per r for all transfer-table kinds built.  Then
     one product gives all coefficients, one stacked eigenvalue solve all
     candidates, and one evaluation of them all every optimum; the family
     kinds then take their value from :meth:`DeltaFamily.measures`.
@@ -424,6 +426,7 @@ def sweep_r(
         raise InvalidArgumentError("sweep needs nonempty kind and r grids")
     input_moments = functools.lru_cache(maxsize=1)(moment_set)
     families = functools.lru_cache(maxsize=None)(delta_family)
+    derivative_forms = functools.lru_cache(maxsize=None)(transfer_derivative_forms)
     cells = [(kind, float(r)) for kind in kinds for r in r_grid]
     outcomes: list = [None] * len(cells)  # a record or a CVTeleportError per cell
     places, objs, forms = [], [], []
@@ -433,7 +436,7 @@ def sweep_r(
                 obj = Objective(
                     kind=kind, r=r, theta=theta, input=input, gain=gain, n_photons=n_photons
                 )
-                forms.append(_form(obj, input_moments, families))
+                forms.append(_form(obj, input_moments, families, derivative_forms))
             except CVTeleportError as exc:  # record the cell, keep sweeping
                 outcomes[place] = exc
                 continue

@@ -2,7 +2,7 @@
 
 Every catalog state exposes its Wigner characteristic function as a pure
 closure; closed-form photon statistics live in :func:`input_photon_probs` and
-closed-form origin derivatives in :mod:`cvteleport.moments`.
+closed-form cumulant tables in :mod:`cvteleport.moments`.
 
 Characteristic functions (Wigner ordering, ``u = |xi|^2``):
 
@@ -22,7 +22,9 @@ The two-mode resource is
 with ``xi'_{A/B} = cosh(r) xi_{A/B} - sinh(r) conj(xi_{B/A})``.  Its transfer
 function is the restriction to ``(g conj(xi), xi)``, which collapses to a
 function of ``u`` alone.  The package evaluates only that one-mode form; the
-tests check it against the full two-mode function above (``tests/oracles.py``).
+tests check it against the full two-mode function above (``tests/oracles.py``)
+and its cumulants against a sympy expansion of that function's log
+(``tests/test_symbolic.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CapacityError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .numerics import laguerre_envelope, laguerre_envelope_series
 from .phasespace import CharFn, PhasePoint
 
@@ -163,12 +165,10 @@ class Channel:
             raise InvalidArgumentError(f"gain must be positive and finite, got {self.gain!r}")
 
 
-def fock_charfn(n: int, n_max: int = N_MAX_FOCK) -> CharFn:
+def fock_charfn(n: int) -> CharFn:
     """Wigner characteristic function of the Fock state |n>."""
     if n < 0:
         raise InvalidArgumentError("n must be nonnegative")
-    if n > n_max:
-        raise CapacityError(f"Fock cutoff exceeded: n={n} > n_max={n_max}")
 
     def chi(p: PhasePoint):
         return laguerre_envelope(n, p.abs_sq) + 0.0j

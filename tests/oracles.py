@@ -1,21 +1,24 @@
 """Independent numerical oracles that the tests compare the package against.
 
 None of this runs on a production path: the package computes moments from
-closed-form tables and photon statistics and overlaps on the 1-D Delta family
+closed-form cumulant tables and photon statistics and overlaps on the 1-D Delta family
 (:func:`cvteleport.photonstats.delta_family`).  Two model-free engines check
 them here:
 
 * :func:`derivative_at_origin` — central finite differences with a Richardson
-  table, the oracle of the closed-form moment tables of
+  table, the oracle of the closed-form cumulant tables of
   :mod:`cvteleport.moments` (:func:`raw_moment_xp`, :func:`fd_moment_set`,
   :func:`fd_objective_function`), and through :func:`raw_moment_normal` of
-  the photon numbers the package reads off the quadrature tables.
+  the package's photon numbers.  It takes raw moments, so the tests compare
+  them with :func:`raw_from_cumulants` of the package's tables, and it
+  converts them to central moments itself (:func:`central_from_raw`,
+  :func:`moment_set_from_tables`).
 * :func:`reference_minimize` — a grid scan, golden section and parabola
   polish over any scalar ``f(Delta)``, the oracle of the exact optimizer
   :func:`cvteleport.optimize.minimize_delta`; unlike it, it asks nothing of
   ``f``'s form, so it also minimizes the finite-difference objectives.
   :func:`objective_parts` evaluates each objective kind one Delta at a time
-  from the moment tables and the Delta family, the oracle of the
+  from the cumulant tables and the Delta family, the oracle of the
   optimizer's quadratic forms.  :func:`reference_interior_roots` finds one
   quartic's unit-circle roots with ``np.roots`` and Newton steps through
   ``np.polyval``, the oracle of the optimizer's batched root solve.
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -65,12 +69,10 @@ from cvteleport.errors import (
 )
 from cvteleport.moments import (
     _N_MEAN_FLOOR,
-    _XP_KEYS,
     MomentSet,
-    MomentTable,
     moment_set,
-    moment_set_from_tables,
-    transfer_xp_table,
+    state_cumulants,
+    transfer_cumulants,
 )
 from cvteleport.numerics import (
     laguerre_envelope,
@@ -283,28 +285,108 @@ def raw_moment_normal(f: CharFn, n: int, m: int, cfg: DiffConfig | None = None) 
 
 # <a^dag a> and <a^dag^2 a^2>, the photon-number moments of a MomentSet.
 _PHOTON_KEYS = ((1, 1), (2, 2))
+# The raw quadrature moments M(n, m) = <{x^n p^m}>, n + m <= 4.
+XP_KEYS = tuple((n, m) for n in range(5) for m in range(5) if n + m <= 4)
+
+
+def raw_from_cumulants(k: dict) -> dict:
+    """The raw moments ``{(n, m): M(n, m)}`` at ``XP_KEYS`` of a cumulant table
+    ``{(n, m): K(n, m)}``: ``M(n, m) / (n! m!)`` are the Taylor coefficients of
+    ``exp(sum K(n, m) s^n t^m / (n! m!))``, the moment generating function."""
+    fact = np.array([[math.factorial(n) * math.factorial(m) for m in range(5)] for n in range(5)])
+    log_mgf = np.zeros((5, 5))
+    for key, value in k.items():
+        log_mgf[key] = value / fact[key]
+    term = np.zeros((5, 5))
+    term[0, 0] = 1.0
+    mgf = term.copy()
+    for j in range(1, 5):  # log_mgf has no constant term: four powers reach order 4
+        product = np.zeros((5, 5))
+        for (a, b), (c, d) in itertools.product(XP_KEYS, repeat=2):
+            if a + b + c + d <= 4:
+                product[a + c, b + d] += term[a, b] * log_mgf[c, d]
+        term = product / j
+        mgf += term
+    return {key: float(mgf[key] * fact[key]) for key in XP_KEYS}
+
+
+def central_from_raw(m1, m2, m3, m4):
+    """The central moments ``(mu2, mu3, mu4)`` of raw moments ``m1 .. m4``."""
+    mu2 = m2 - m1 * m1
+    mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
+    mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1**4
+    return mu2, mu3, mu4
+
+
+def moment_set_from_tables(xp: dict, is_state: bool = True, label: str = "") -> MomentSet:
+    """The :class:`MomentSet` of a raw-moment table ``{(n, m): M(n, m)}``: the
+    quadrature fields by the raw-to-central conversion, the photon numbers by
+    the identities ``<a^dag a> = (M(2,0) + M(0,2) - 2) / 4`` and
+    ``<a^dag^2 a^2> = (M(4,0) + M(0,4) + 2 M(2,2) - 8) / 16 - 2 <a^dag a>``
+    (to absolute rounding only)."""
+    x_mean, p_mean = xp[(1, 0)], xp[(0, 1)]
+    x2c, mu3x, mu4x = central_from_raw(x_mean, xp[(2, 0)], xp[(3, 0)], xp[(4, 0)])
+    p2c, mu3p, mu4p = central_from_raw(p_mean, xp[(0, 2)], xp[(0, 3)], xp[(0, 4)])
+    n_mean = (xp[(2, 0)] + xp[(0, 2)] - 2.0) / 4.0
+    a22 = (xp[(4, 0)] + xp[(0, 4)] + 2.0 * xp[(2, 2)] - 8.0) / 16.0 - 2.0 * n_mean
+    return MomentSet(
+        x_mean=x_mean,
+        p_mean=p_mean,
+        x2_central=x2c,
+        p2_central=p2c,
+        cov_xp=xp[(1, 1)] - x_mean * p_mean,
+        mu3_x=mu3x,
+        mu3_p=mu3p,
+        mu4_x=mu4x,
+        mu4_p=mu4p,
+        kappa4_x=mu4x - 3.0 * x2c * x2c,
+        kappa4_p=mu4p - 3.0 * p2c * p2c,
+        n_mean=n_mean,
+        g2_zero=a22 / (n_mean * n_mean) if abs(n_mean) > _N_MEAN_FLOOR else None,
+        is_state=is_state,
+        label=label,
+    )
+
+
+def output_cumulants(state: InputState, ch: Channel) -> dict:
+    """The output's cumulant table by the additivity law
+    ``K_out(n, m) = g^(n+m) K_in(n, m) + K_tau(n, m)`` on the package's two
+    tables; the tests hold it against finite differences of ``chi_out``."""
+    k_tau = transfer_cumulants(ch)
+    return {key: ch.gain ** sum(key) * v + k_tau[key] for key, v in state_cumulants(state).items()}
+
+
+def transfer_moment_set(ch: Channel) -> MomentSet:
+    """The :class:`MomentSet` of the transfer function's cumulant table, taken
+    the raw-moment route: the resource's side of the additivity law."""
+    raw = raw_from_cumulants(transfer_cumulants(ch))
+    return moment_set_from_tables(raw, is_state=False, label=f"transfer {ch!r}")
 
 
 def fd_tables(f: CharFn, cfg: DiffConfig | None = None):
-    """``(xp, photon)``: the xp :class:`MomentTable` of ``f`` and its normal-ordered
-    moments ``{(n, m): <a^dag^n a^m>}`` at ``_PHOTON_KEYS``, every entry by FD."""
-    xp_vals = {key: raw_moment_xp(f, *key, cfg=cfg) for key in _XP_KEYS}
+    """``(xp, photon)``: the raw moments ``{(n, m): M(n, m)}`` of ``f`` at
+    ``XP_KEYS`` and its normal-ordered moments ``{(n, m): <a^dag^n a^m>}`` at
+    ``_PHOTON_KEYS``, every entry by FD."""
+    xp = {key: raw_moment_xp(f, *key, cfg=cfg) for key in XP_KEYS}
     photon = {key: raw_moment_normal(f, *key, cfg=cfg) for key in _PHOTON_KEYS}
-    return MomentTable(xp_vals, is_state=f.kind == "state", label=f"xp-fd[{f.label}]"), photon
+    return xp, photon
 
 
 def fd_moment_set(f: CharFn, cfg: DiffConfig | None = None) -> MomentSet:
     """The :class:`MomentSet` of a bare characteristic function, by FD.
 
-    The quadrature fields come from the FD xp table; ``n_mean`` and
-    ``g2_zero`` from the normal-ordered FD moments, not from the xp
-    identities that :func:`cvteleport.moments.moment_set_from_tables` applies.
+    The quadrature fields come from the FD raw moments by
+    :func:`central_from_raw`, not from the cumulant tables of the package;
+    ``n_mean`` and ``g2_zero`` from the normal-ordered FD moments, not from
+    the quadrature identities of :func:`moment_set_from_tables`.
     """
     xp, photon = fd_tables(f, cfg)
     n_mean = photon[(1, 1)].real
     g2 = photon[(2, 2)].real / (n_mean * n_mean) if abs(n_mean) > _N_MEAN_FLOOR else None
     return dataclasses.replace(
-        moment_set_from_tables(xp, label=f.label), n_mean=n_mean, g2_zero=g2
+        moment_set_from_tables(xp, is_state=f.kind == "state", label=f.label),
+        n_mean=n_mean,
+        g2_zero=g2,
     )
 
 
@@ -344,7 +426,7 @@ def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
 def objective_parts(obj: Objective):
     """``(g, outer)`` with objective ``outer(g(Delta))``, evaluated per Delta.
 
-    ``g`` reads the transfer moment table or the Delta family at each Delta,
+    ``g`` reads the transfer cumulant table or the Delta family at each Delta,
     with no use of the quadratic form in the Delta weights that
     :func:`cvteleport.optimize.objective_function` evaluates: the oracle of
     that form.
@@ -353,25 +435,22 @@ def objective_parts(obj: Objective):
         # n_transfer, the bare-derivative photon-number average -F'(0), is x2 / 2;
         # resource_closed_forms.n_ab = -F'(0) - 1, so the minimizer is shared.
         half = 0.5 if obj.kind == "n_transfer" else 1.0
-        return (lambda d: half * float(transfer_xp_table(_channel(obj, d)).get(2, 0))), float
+        return (lambda d: half * transfer_cumulants(_channel(obj, d))[(2, 0)]), float
 
     if obj.kind == "kappa4_transfer":
-        def table_kappa4(d: float) -> float:
-            tab = transfer_xp_table(_channel(obj, d))
-            mu2 = float(tab.get(2, 0))
-            return float(tab.get(4, 0)) - 3.0 * mu2 * mu2
-
-        return table_kappa4, float
+        return (lambda d: transfer_cumulants(_channel(obj, d))[(4, 0)]), float
 
     if obj.kind in ("mu4_x", "mu4_p"):
         ms_in = moment_set(obj.input)
         in_var = ms_in.x2_central if obj.kind == "mu4_x" else ms_in.p2_central
-        key_mu4 = (4, 0) if obj.kind == "mu4_x" else (0, 4)
+        key = (4, 0) if obj.kind == "mu4_x" else (0, 4)
         g2 = obj.gain * obj.gain
 
         def mu4_distortion(d: float) -> float:
-            tab = transfer_xp_table(_channel(obj, d))
-            return float(tab.get(*key_mu4)) + 6.0 * g2 * in_var * float(tab.get(2, 0))
+            # The transfer's mu4 = K(4, 0) + 3 K(2, 0)^2, plus the cross term.
+            k = transfer_cumulants(_channel(obj, d))
+            x2 = k[(2, 0)]
+            return k[key] + 3.0 * x2 * x2 + 6.0 * g2 * in_var * x2
 
         return mu4_distortion, abs
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import shlex
 import time
 from pathlib import Path
 
@@ -539,6 +540,30 @@ def test_top_photon_number_past_n_max_gives_error_record(argv, text, capsys):
     assert record["type"] == "CapacityError" and "N_max=64" in record["message"]
 
 
+def test_moments_of_a_fock_state_past_n_max(capsys):
+    """moments reads closed forms and evaluates no characteristic function, so
+    a Fock state past N_max = 64 photons has the moments of the mixture of it
+    alone."""
+    rows = []
+    for text in ("fock:70", "mix:70@1.0"):
+        code, out, err = run_cli(["moments", "--input", text, "--delta", "0.9", "--r", "1"], capsys)
+        assert code == 0 and err == ""
+        rows.append(read_csv(out)[0])
+    assert rows[0].pop("label") != rows[1].pop("label")
+    assert rows[0] == rows[1]
+
+
+def test_gaussian_moments_print_exact_fourth_cumulants(capsys):
+    """A Gaussian state through a Gaussian channel has kappa4 = 0 exactly."""
+    code, out, _ = run_cli(["moments", "--input", "coherent:2.12928", "--identity-channel"], capsys)
+    row = read_csv(out)[0]
+    assert code == 0 and row["mu4_x"] == "3.0" and row["kappa4_x"] == "0.0"
+    code, out, _ = run_cli(
+        ["moments", "--input", "sqvac:1.5", "--delta", "1", "--r", "3", "--gain", "1.3"], capsys
+    )
+    assert code == 0 and read_csv(out)[0]["kappa4_p"] == "0.0"
+
+
 def test_top_photon_number_at_n_max_gives_rows(capsys):
     code, out, _ = run_cli(
         ["compare", "--input", "mix:0@0.5,64@0.5", "--r", "4", "--N", "64", "--delta-grid", "0.5,1"],
@@ -637,3 +662,19 @@ def test_readme_python_examples_run(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_command_lines_run(capsys):
+    """Every README line that starts with ``cvteleport `` exits 0 and prints a
+    JSON document or a CSV table whose rows match its header."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("cvteleport ")]
+    assert lines
+    for line in lines:
+        code, out, err = run_cli(shlex.split(line)[1:], capsys)
+        assert code == 0 and err == "", line
+        if out.startswith(("[", "{")):
+            assert json.loads(out), line
+        else:
+            rows = read_csv(out)
+            assert rows and all(None not in row and None not in row.values() for row in rows), line

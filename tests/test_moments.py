@@ -12,23 +12,21 @@ from cvteleport import (
     DegenerateStateError,
     FockInput,
     InvalidArgumentError,
-    MomentTable,
     SqueezedBellResource,
     SqueezedVacuumInput,
     distortion_covariance,
     input_charfn,
     moment_set,
-    output_moment_binomial,
-    output_xp_table,
     resource_closed_forms,
     squeezing_ratio,
     squeezing_transmission,
-    state_xp_table,
+    state_cumulants,
     teleport,
+    transfer_cumulants,
     transfer_fn,
-    transfer_xp_table,
 )
-from cvteleport.moments import moment_set_from_tables, photon_moments
+from cvteleport import moments
+from cvteleport.moments import photon_moments
 from cvteleport.states import transfer_coefficients
 from cvteleport.optimize import Objective
 from conftest import DELTA2_OPT, case_study_inputs, moderate_inputs, random_resources
@@ -36,9 +34,13 @@ from oracles import (
     convert_ordering,
     fd_moment_set,
     fd_objective_function,
+    moment_set_from_tables,
+    output_cumulants,
+    raw_from_cumulants,
     raw_moment_normal,
     raw_moment_xp,
     reference_minimize,
+    transfer_moment_set,
 )
 
 
@@ -91,16 +93,17 @@ def test_normal_moment_examples():
 # ---------------------------------------------------------------------------
 
 def test_state_tables_match_fd():
+    """Raw moments rebuilt from the cumulant tables against FD raw moments."""
     for state in moderate_inputs():
         f = input_charfn(state)
-        xp = state_xp_table(state)
+        xp = raw_from_cumulants(state_cumulants(state))
         for (n, m) in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (0, 3),
                        (2, 1), (1, 2), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]:
-            assert abs(raw_moment_xp(f, n, m) - float(xp.get(n, m))) <= 1e-6, (state, n, m)
+            assert abs(raw_moment_xp(f, n, m) - xp[(n, m)]) <= 1e-6, (state, n, m)
 
 
 def test_state_photon_numbers_match_normal_fd():
-    """n_mean and <a^dag^2 a^2>, read off the xp table, against normal-ordered FD."""
+    """n_mean and <a^dag^2 a^2> of the closed forms against normal-ordered FD."""
     for state in moderate_inputs():
         f = input_charfn(state)
         ms = moment_set(state)
@@ -110,16 +113,17 @@ def test_state_photon_numbers_match_normal_fd():
 
 
 def test_photon_identities_on_the_tables_match_the_closed_forms(rng):
-    """The quadrature identities on the exact xp tables, the oracle of
-    photon_moments, on states and outputs whose photon numbers are not small."""
+    """The quadrature identities on the raw moments of the exact cumulant
+    tables, the oracle of photon_moments, on states and outputs whose photon
+    numbers are not small."""
     states = case_study_inputs() + [CoherentInput(0.8 + 0.2j), SqueezedVacuumInput(-0.4), FockInput(7)]
     for gain in (0.7, 1.0, 1.3):
         for res in random_resources(rng, 3):
             ch = Channel(res, gain=gain)
             for state in states:
                 out = teleport(state, ch)
-                for source, table in ((state, state_xp_table(state)), (out, output_xp_table(state, ch))):
-                    ms = moment_set_from_tables(table)
+                for source, k in ((state, state_cumulants(state)), (out, output_cumulants(state, ch))):
+                    ms = moment_set_from_tables(raw_from_cumulants(k))
                     n, a22 = photon_moments(source)
                     assert ms.n_mean == pytest.approx(n, rel=1e-12, abs=1e-12), source
                     got = 0.0 if ms.g2_zero is None else ms.g2_zero * ms.n_mean**2
@@ -154,39 +158,32 @@ def test_transfer_tables_match_fd(gain, rng):
     for res in random_resources(rng, 6):
         ch = Channel(res, gain=gain)
         tau = transfer_fn(ch)
-        xp = transfer_xp_table(ch)
+        xp = raw_from_cumulants(transfer_cumulants(ch))
         for (n, m) in [(2, 0), (0, 2), (1, 1), (4, 0), (2, 2), (0, 4)]:
-            want = float(xp.get(n, m))
+            want = xp[(n, m)]
             assert abs(raw_moment_xp(tau, n, m) - want) <= 1e-6 + 1e-7 * abs(want)
 
 
 # ---------------------------------------------------------------------------
-# binomial output expansion
+# the output's table: additivity against the actual product chi_out
 # ---------------------------------------------------------------------------
 
-def test_binomial_identity_transfer_returns_input_moment():
-    keys = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
-    identity = MomentTable(
-        {k: (1.0 if k == (0, 0) else 0.0) for k in keys}, is_state=False
-    )
-    for state in moderate_inputs():
-        xp = state_xp_table(state)
-        for n, m in [(1, 0), (2, 0), (2, 2), (0, 4)]:
-            got = output_moment_binomial(xp, identity, n, m, 1.0)
-            assert got == pytest.approx(float(xp.get(n, m)), abs=1e-15)
-
-
 def test_binomial_matches_direct_differentiation(rng):
-    """Output tables vs FD applied to the actual product chi_out."""
+    """The additive output table, taken to raw moments, and every field of the
+    output's MomentSet against FD applied to the actual product chi_out."""
     for gain in (1.0, 1.3):
         for res in random_resources(rng, 3):
             ch = Channel(res, gain=gain)
             for state in (FockInput(1), CoherentInput(0.6 - 0.2j), SqueezedVacuumInput(0.3)):
                 out = teleport(state, ch)
-                xp = output_xp_table(state, ch)
+                xp = raw_from_cumulants(output_cumulants(state, ch))
                 for (n, m) in [(1, 0), (2, 0), (1, 1), (3, 0), (4, 0), (2, 2)]:
                     fd = raw_moment_xp(out.charfn, n, m)
-                    assert abs(fd - float(xp.get(n, m))) <= 1e-6, (state, res, gain, n, m)
+                    assert abs(fd - xp[(n, m)]) <= 1e-6, (state, res, gain, n, m)
+                ms, fd_ms = moment_set(out).to_dict(), fd_moment_set(out.charfn).to_dict()
+                for field in ("x_mean", "p_mean", "x2_central", "p2_central", "cov_xp",
+                              "mu3_x", "mu3_p", "mu4_x", "mu4_p", "kappa4_x", "kappa4_p"):
+                    assert ms[field] == pytest.approx(fd_ms[field], abs=1e-5, rel=1e-6), field
 
 
 def test_binomial_photon_number_structure(rng):
@@ -194,18 +191,12 @@ def test_binomial_photon_number_structure(rng):
     for res in random_resources(rng, 5):
         for gain in (0.7, 1.0, 1.3):
             ch = Channel(res, gain=gain)
-            f1 = -0.5 * float(transfer_xp_table(ch).get(2, 0))
+            f1 = -0.5 * transfer_cumulants(ch)[(2, 0)]
             for state in case_study_inputs():
                 n_out = moment_set(teleport(state, ch)).n_mean
                 n_in = moment_set(state).n_mean
                 want = gain**2 * n_in - f1 - 0.5 * (1.0 - gain**2)
                 assert abs(n_out - want) <= 1e-12, (state, res, gain)
-
-
-def test_binomial_rejects_missing_entries():
-    small = MomentTable({(0, 0): 1.0}, is_state=True)
-    with pytest.raises(InvalidArgumentError):
-        output_moment_binomial(small, small, 1, 0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +233,30 @@ def test_moment_set_serializes_to_json():
     }
 
 
-def test_non_state_tables_exempt_from_variance_check():
-    # Transfer-function "averages" need not obey state inequalities; the
-    # non-state flag must bypass the guard that protects genuine states.
-    keys = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
-    vals = {k: 0.0 for k in keys}
-    vals[(0, 0)] = 1.0
+def test_non_state_tables_exempt_from_variance_check(monkeypatch):
+    # Only states go through the guard: a state's table with a negative
+    # variance raises, while the FD oracle's table of a transfer function,
+    # which is no state, is flagged and left unchecked.
+    vals = dict.fromkeys(state_cumulants(FockInput(0)), 0.0)
     vals[(2, 0)] = vals[(0, 2)] = -0.5  # negative pseudo-variance
-    ms = moment_set_from_tables(MomentTable(vals, is_state=False))
-    assert not ms.is_state and ms.x2_central == -0.5
+    monkeypatch.setattr(moments, "state_cumulants", lambda state: dict(vals))
     with pytest.raises(ConsistencyError):
-        moment_set_from_tables(MomentTable(vals, is_state=True))
+        moment_set(FockInput(0))
+    monkeypatch.undo()
+    tau = transfer_fn(Channel(SqueezedBellResource(delta=1.0, theta=0.0, r=2.0), gain=1.5))
+    assert not fd_moment_set(tau).is_state
 
 
 def test_real_transfer_tables_are_flagged_non_state():
-    ch = Channel(SqueezedBellResource(delta=1.0, theta=0.0, r=2.0), gain=1.5)
-    ms = moment_set_from_tables(transfer_xp_table(ch))
-    assert not ms.is_state
+    """The transfer's table breaks the uncertainty relation <Dx^2><Dp^2> >= 1
+    that every state meets, so it is never read as a state's moments; the
+    output's table, which adds the input's, meets it."""
+    ch = Channel(SqueezedBellResource(delta=1.0, theta=0.0, r=2.0))
+    k = transfer_cumulants(ch)
+    assert k[(2, 0)] * k[(0, 2)] < 1.0
+    assert not transfer_moment_set(ch).is_state
+    out = moment_set(teleport(FockInput(0), ch))
+    assert out.is_state and out.x2_central * out.p2_central >= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +281,11 @@ def test_closed_forms_match_tables(rng):
     for res in random_resources(rng, 10):
         ch = Channel(res)
         cf = resource_closed_forms(res)
-        xp = transfer_xp_table(ch)
-        assert cf.x2_ab == pytest.approx(float(xp.get(2, 0)), abs=1e-12)
+        k = transfer_cumulants(ch)
+        assert cf.x2_ab == pytest.approx(k[(2, 0)], abs=1e-12)
         # n_ab = -F'(0) - 1 with F'(0) = -x2_AB / 2
-        assert cf.n_ab == pytest.approx(0.5 * float(xp.get(2, 0)) - 1.0, abs=1e-12)
-        mu2 = float(xp.get(2, 0))
-        kappa4 = float(xp.get(4, 0)) - 3.0 * mu2 * mu2
-        assert cf.kappa4_ab == pytest.approx(kappa4, abs=1e-12)
+        assert cf.n_ab == pytest.approx(0.5 * k[(2, 0)] - 1.0, abs=1e-12)
+        assert cf.kappa4_ab == pytest.approx(k[(4, 0)], abs=1e-12)
 
 
 def test_photon_average_stationary_point_shared():
@@ -318,7 +314,7 @@ def test_cumulant_additivity_suite(rng):
             for gain in (1.0, 1.3):
                 ch = Channel(res, gain=gain)
                 ms_out = moment_set(teleport(state, ch))
-                ms_ab = moment_set_from_tables(transfer_xp_table(ch))
+                ms_ab = transfer_moment_set(ch)
                 g2, g3, g4 = gain**2, gain**3, gain**4
                 assert ms_out.x2_central == pytest.approx(
                     g2 * ms_in.x2_central + ms_ab.x2_central, abs=1e-6
@@ -338,10 +334,29 @@ def test_cumulant_additivity_suite(rng):
                 )
 
 
+def test_gaussian_outputs_carry_the_resource_fourth_cumulant_exactly(rng):
+    """Coherent states and squeezed vacuum have no cumulant past the second, so
+    an output's fourth cumulants are the resource's bit for bit: the distortion
+    of the cumulants depends on the resource alone.  At Delta = 1 the resource
+    is Gaussian too, and all three are 0.0."""
+    states = (CoherentInput(2.12928), CoherentInput(0.8 + 0.2j),
+              SqueezedVacuumInput(1.5), SqueezedVacuumInput(-0.4))
+    resources = random_resources(rng, 6) + [SqueezedBellResource(delta=1.0, theta=0.3, r=3.0)]
+    for gain in (0.7, 1.0, 1.3):
+        for res in resources:
+            k4 = transfer_cumulants(Channel(res, gain=gain))[(4, 0)]
+            assert k4 != 0.0 or res.delta == 1.0
+            for state in states:
+                ms = moment_set(teleport(state, Channel(res, gain=gain)))
+                assert ms.kappa4_x == ms.kappa4_p == k4, (state, res, gain)
+                if res.delta == 1.0:
+                    assert ms.kappa4_x == 0.0
+
+
 def test_resource_isotropy_and_mixed_thirds(rng):
     for res in random_resources(rng, 8):
         ch = Channel(res)
-        ms_ab = moment_set_from_tables(transfer_xp_table(ch))
+        ms_ab = transfer_moment_set(ch)
         assert abs(ms_ab.kappa4_x - ms_ab.kappa4_p) <= 1e-7
         tau = transfer_fn(ch)
         assert abs(raw_moment_xp(tau, 2, 1)) <= 1e-7
@@ -355,7 +370,7 @@ def test_additivity_via_fd_output_path(rng):
     for gain in (1.3, 0.7):
         for res in random_resources(rng, 3):
             ch = Channel(res, gain=gain)
-            ms_ab = moment_set_from_tables(transfer_xp_table(ch))
+            ms_ab = transfer_moment_set(ch)
             for state in (CoherentInput(0.8 + 0.2j), SqueezedVacuumInput(0.4)):
                 ms_in = moment_set(state)
                 out = teleport(state, ch)

@@ -1,10 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cvteleport import (
-    CapacityError,
     Channel,
     CoherentInput,
     FockInput,
@@ -56,9 +56,12 @@ def test_fock5_matches_series_oracle():
 
 
 def test_fock_capacity():
-    with pytest.raises(CapacityError):
-        fock_charfn(65)
-    fock_charfn(70, n_max=80)  # the cap is configurable
+    """The closure has no photon cap (the Delta families bound the top photon
+    number by N_MAX_FOCK): |70> evaluates its Laguerre envelope."""
+    w = 0.8
+    u = w * w
+    want = math.exp(-0.5 * u) * float(laguerre_series(70, Fraction(u)))
+    assert abs(eval_at(fock_charfn(70), PhasePoint(w, 0.0)) - want) <= 1e-12
 
 
 def test_coherent_zero_displacement_is_vacuum(rng):
