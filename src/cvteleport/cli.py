@@ -32,15 +32,9 @@ import numpy as np
 
 from . import __version__
 from .channel import teleport
-from .errors import CVTeleportError, InvalidArgumentError
+from .errors import CVTeleportError, EvaluationError, InvalidArgumentError
 from .moments import moment_set
-from .optimize import (
-    OBJECTIVE_KINDS,
-    Objective,
-    closed_form_delta,
-    minimize_delta,
-    sweep_r,
-)
+from .optimize import OBJECTIVE_KINDS, Objective, closed_form_delta, minimize_delta, sweep_r
 from .phasespace import PhasePoint
 from .photonstats import delta_family, input_distribution
 from .states import (
@@ -214,222 +208,213 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _opt(resolved: dict, key: str, default, check=as_real):
-    """Option ``key`` checked by ``check`` (:func:`as_real` or :func:`as_int`), or
-    ``default`` when it was not given.
-
-    Only an absent value (None) takes the default, so an explicit zero
-    reaches the validation of the object it configures.
-    """
-    value = resolved.get(key)
-    return default if value is None else check(value, key)
+def _flag(value, name: str) -> bool:
+    """A switch; a config file must give a JSON boolean."""
+    if isinstance(value, bool):
+        return value
+    raise InvalidArgumentError(f"{name} must be true or false, got {value!r}")
 
 
-def _flag(resolved: dict, key: str) -> bool:
-    """Switch ``key``: off when absent; a config file must give a JSON boolean."""
-    value = resolved.get(key)
-    if value is None or isinstance(value, bool):
-        return bool(value)
-    raise InvalidArgumentError(f"{key} must be true or false, got {value!r}")
-
-
-def _names(resolved: dict, key: str, default=()) -> list:
-    """Option ``key``, a comma list or a list of strings, as a list; ``default`` when absent."""
-    value = resolved.get(key)
-    if value is None:
-        return list(default)
+def _names(value, name: str) -> list:
+    """A comma list or a list of strings, as a list."""
     if isinstance(value, str):
         return value.split(",")
-    if isinstance(value, list) and all(isinstance(name, str) for name in value):
+    if isinstance(value, list) and all(isinstance(item, str) for item in value):
         return value
-    raise InvalidArgumentError(f"{key} must be a comma list or a list of names, got {value!r}")
+    raise InvalidArgumentError(f"{name} must be a comma list or a list of names, got {value!r}")
 
 
-def _channel_from(resolved: dict, delta=None) -> Channel:
-    if delta is None:
-        if resolved.get("delta") is None:
-            raise InvalidArgumentError("a resource needs --delta (or --identity-channel)")
-        delta = as_real(resolved["delta"], "delta")
-    res = SqueezedBellResource(
-        delta=delta, theta=_opt(resolved, "theta", 0.0), r=float(_single_r(resolved))
-    )
-    return Channel(res, gain=_opt(resolved, "gain", 1.0))
-
-
-def _single_r(resolved: dict) -> float:
-    if resolved.get("r") is None:
-        raise InvalidArgumentError("missing --r")
-    grid = parse_grid(resolved["r"], "r")
+def _single_r(value, name: str) -> float:
+    grid = parse_grid(value, name)
     if len(grid) != 1:
         raise InvalidArgumentError("this command takes a single --r value")
     return grid[0]
 
 
-def _input_state(resolved: dict) -> InputState:
-    if resolved.get("input") is None:
-        raise InvalidArgumentError("missing --input")
-    return parse_state(resolved["input"])
+def _finite_grid(value, name: str) -> list[float]:
+    grid = parse_grid(value, name)
+    if not all(map(math.isfinite, grid)):
+        raise InvalidArgumentError(f"{name} values must be finite, got {value!r}")
+    return grid
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
+# The Delta value that realizes each figure preset inside the Bell-like family.
+_SURFACE_PRESETS = {
+    "tmsv": lambda r: 1.0,
+    "photon_subtracted": lambda r: math.cos(math.atan(math.tanh(r))),
+    "photon_added": lambda r: math.cos(math.atan(1.0 / math.tanh(r))),
+    "coherent_optimal": lambda r: closed_form_delta("fidelity_coherent", r),
+}
+_REQUIRED = object()
+
+# Every option once: its argparse keywords, the check that turns a flag string or
+# a config-file value into the command's value, and its value when absent.  The
+# parser's own default stays None, so absent options stay out of the provenance hash.
+_OPTIONS = {
+    "input": ({}, lambda text, _: parse_state(text), _REQUIRED),
+    "identity_channel": ({"action": "store_true"}, _flag, False),
+    "delta": ({"type": float}, as_real, _REQUIRED),
+    "theta": ({"type": float}, as_real, 0.0),
+    "r": ({}, _single_r, _REQUIRED),
+    "gain": ({"type": float}, as_real, 1.0),
+    "N": ({"type": int}, as_int, 24),
+    "delta_grid": ({}, parse_grid, _REQUIRED),
+    "kind": ({"choices": OBJECTIVE_KINDS}, lambda kind, _: kind, _REQUIRED),
+    "kinds": ({}, _names, _REQUIRED),
+    "r_grid": ({}, parse_grid, _REQUIRED),
+    "presets": ({}, _names, tuple(_SURFACE_PRESETS)),
+    "grid": ({}, _finite_grid, parse_grid("-2:2:41")),
+    # Read by _resolve and main, never by a handler.
+    "config": ({"help": "JSON config file; explicit flags override it"}, None, None),
+    "output": ({"help": "output file (default: stdout)"}, None, None),
+    "format": ({"choices": _FORMATS, "help": "csv (default) or json"}, None, None),
+}
+
+
+def _flag_name(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _get(resolved: dict, name: str, optional: bool = False):
+    """Option ``name`` through its check, or its table value when absent (None; an
+    explicit zero is checked).  An absent required option raises ``missing
+    --<flag>``, or is None where the command passes ``optional``."""
+    _, check, absent = _OPTIONS[name]
+    value = resolved.get(name)
+    if value is not None:
+        return check(value, name)
+    if absent is not _REQUIRED:
+        return absent
+    if optional:
+        return None
+    raise InvalidArgumentError(f"missing {_flag_name(name)}")
+
+
+def _channel_from(resolved: dict) -> Channel | None:
+    """The resource channel, or None under ``--identity-channel``, which refuses
+    the resource options it would ignore."""
+    if _get(resolved, "identity_channel"):
+        for name in ("delta", "theta", "r", "gain"):
+            if resolved.get(name) is not None:
+                raise InvalidArgumentError(f"--identity-channel takes no {_flag_name(name)}")
+        return None
+    res = SqueezedBellResource(
+        delta=_get(resolved, "delta"), theta=_get(resolved, "theta"), r=_get(resolved, "r")
+    )
+    return Channel(res, gain=_get(resolved, "gain"))
+
 
 def _cmd_moments(resolved):
-    state = _input_state(resolved)
-    if _flag(resolved, "identity_channel"):
-        ms = moment_set(state)
-    else:
-        ms = moment_set(teleport(state, _channel_from(resolved)))
+    state = _get(resolved, "input")
+    ch = _channel_from(resolved)
+    ms = moment_set(state if ch is None else teleport(state, ch))
     _emit({k: [v] for k, v in ms.to_dict().items()}, resolved)
 
 
 def _cmd_photon_stats(resolved):
-    state = _input_state(resolved)
-    n_photons = _opt(resolved, "N", 24, as_int)
+    state = _get(resolved, "input")
+    n_photons = _get(resolved, "N")
     p_in = input_distribution(state, n_photons)
-    if _flag(resolved, "identity_channel"):
+    ch = _channel_from(resolved)
+    if ch is None:
         p_out = p_in
     else:
-        ch = _channel_from(resolved)
-        res = ch.resource
-        family = delta_family(state, res.r, res.theta, ch.gain, n_photons)
-        p_out = family.photon_distribution(res.delta)
+        family = delta_family(state, ch.resource.r, ch.resource.theta, ch.gain, n_photons)
+        p_out = family.photon_distribution(ch.resource.delta)
     _emit({"n": range(n_photons + 1), "P_in": p_in.probs, "P_out": p_out.probs}, resolved)
 
 
 def _cmd_compare(resolved):
-    state = _input_state(resolved)
-    if resolved.get("delta_grid") is None:
-        raise InvalidArgumentError("compare needs --delta-grid")
-    deltas = parse_grid(resolved["delta_grid"], "delta_grid")
+    state = _get(resolved, "input")
+    deltas = _get(resolved, "delta_grid")
     if not deltas:
         raise InvalidArgumentError("empty --delta-grid")
-    family = delta_family(
-        state,
-        _single_r(resolved),
-        theta=_opt(resolved, "theta", 0.0),
-        gain=_opt(resolved, "gain", 1.0),
-        N=_opt(resolved, "N", 24, as_int),
-    )
-
+    family = delta_family(state, _get(resolved, "r"), theta=_get(resolved, "theta"),
+                          gain=_get(resolved, "gain"), N=_get(resolved, "N"))
     cols = family.measure_columns(deltas)
-    table = {
+    _emit({
         "delta": deltas,
         "d_n": cols["d_n"],
         "fidelity": cols["fidelity"],
         "one_minus_fidelity": 1.0 - cols["fidelity"],
         "frobenius": cols["frobenius"],
-    }
-    _emit(table, resolved)
+    }, resolved)
+
+
+def _optimum_columns(records) -> dict:
+    """The columns that optimize and sweep share, one row per record."""
+    names = ("kind", "r", "delta_star", "objective_value")
+    return {name: [getattr(rec, name) for rec in records] for name in names}
 
 
 def _cmd_optimize(resolved):
-    kind = resolved.get("kind")
-    if kind is None:
-        raise InvalidArgumentError("optimize needs --kind")
-    state = parse_state(resolved["input"]) if resolved.get("input") is not None else None
-    obj = Objective(
-        kind=kind,
-        r=_single_r(resolved),
-        theta=_opt(resolved, "theta", 0.0),
-        input=state,
-        gain=_opt(resolved, "gain", 1.0),
-        n_photons=_opt(resolved, "N", 24, as_int),
-    )
-    rec = minimize_delta(obj)
-    table = {
-        "kind": [rec.kind],
-        "r": [rec.r],
-        "delta_star": [rec.delta_star],
-        "objective_value": [rec.objective_value],
-        "iterations": [rec.iterations],
-    }
-    _emit(table, resolved)
+    rec = minimize_delta(Objective(
+        kind=_get(resolved, "kind"), input=_get(resolved, "input", optional=True),
+        r=_get(resolved, "r"), theta=_get(resolved, "theta"), gain=_get(resolved, "gain"),
+        n_photons=_get(resolved, "N"),
+    ))
+    _emit({**_optimum_columns([rec]), "iterations": [rec.iterations]}, resolved)
 
 
 def _cmd_sweep(resolved):
-    if not resolved.get("kinds"):
-        raise InvalidArgumentError("sweep needs --kinds")
-    kinds = _names(resolved, "kinds")
+    kinds = _get(resolved, "kinds")
     for kind in kinds:
         if kind not in OBJECTIVE_KINDS:
             raise InvalidArgumentError(f"unknown objective kind {kind!r}")
-    if resolved.get("r_grid") is None:
-        raise InvalidArgumentError("sweep needs --r-grid")
-    r_grid = parse_grid(resolved["r_grid"], "r_grid")
-    state = parse_state(resolved["input"]) if resolved.get("input") is not None else None
     records = sweep_r(
-        kinds, r_grid, input=state, theta=_opt(resolved, "theta", 0.0),
-        gain=_opt(resolved, "gain", 1.0), n_photons=_opt(resolved, "N", 24, as_int),
+        kinds, _get(resolved, "r_grid"), input=_get(resolved, "input", optional=True),
+        theta=_get(resolved, "theta"), gain=_get(resolved, "gain"), n_photons=_get(resolved, "N"),
     )
-    table = {
-        "kind": [rec.kind for rec in records],
-        "r": [rec.r for rec in records],
-        "delta_star": [rec.delta_star for rec in records],
-        "objective_value": [rec.objective_value for rec in records],
-        "status": ["ok" if rec.error is None else f"error: {rec.error}" for rec in records],
-    }
-    _emit(table, resolved)
-
-
-_SURFACE_PRESETS = ("tmsv", "photon_subtracted", "photon_added", "coherent_optimal")
-
-
-def _preset_delta(preset: str, r: float) -> float:
-    """Delta value realizing each figure preset inside the Bell-like family."""
-    if preset == "tmsv":
-        return 1.0
-    if preset == "photon_subtracted":
-        return math.cos(math.atan(math.tanh(r)))
-    if preset == "photon_added":
-        return math.cos(math.atan(1.0 / math.tanh(r)))
-    if preset == "coherent_optimal":
-        return closed_form_delta("fidelity_coherent", r)
-    raise InvalidArgumentError(f"unknown preset {preset!r}; expected one of {_SURFACE_PRESETS}")
+    status = ["ok" if rec.error is None else f"error: {rec.error}" for rec in records]
+    _emit({**_optimum_columns(records), "status": status}, resolved)
 
 
 def _cmd_transfer_surface(resolved):
-    r = _single_r(resolved)
-    theta = _opt(resolved, "theta", 0.0)
-    gain = _opt(resolved, "gain", 1.0)
-    presets = _names(resolved, "presets", _SURFACE_PRESETS)
-    axis = parse_grid("-2:2:41" if resolved.get("grid") is None else resolved["grid"], "grid")
+    r, theta, gain = _get(resolved, "r"), _get(resolved, "theta"), _get(resolved, "gain")
+    presets = _get(resolved, "presets")
+    axis = _get(resolved, "grid")
     # Rows run w-major, z-minor within each preset.
     w, z = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
-    deltas = [_preset_delta(preset, r) for preset in presets]
-    taus = [
-        transfer_fn(
-            Channel(SqueezedBellResource(delta=delta, theta=theta, r=r), gain=gain)
-        ).fn(PhasePoint(w, z)).real
-        for delta in deltas
-    ]
-    table = {
+    deltas = []
+    for preset in presets:
+        if preset not in _SURFACE_PRESETS:
+            expected = tuple(_SURFACE_PRESETS)
+            raise InvalidArgumentError(f"unknown preset {preset!r}; expected one of {expected}")
+        deltas.append(_SURFACE_PRESETS[preset](r))
+    point = PhasePoint(w, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # w^2 + z^2 may overflow: see below
+        tau = np.concatenate([
+            transfer_fn(Channel(SqueezedBellResource(delta, theta, r), gain)).fn(point).real
+            for delta in deltas
+        ])
+    if not np.isfinite(tau).all():
+        i = np.flatnonzero(~np.isfinite(tau))[0] % w.size
+        raise EvaluationError(f"transfer function not finite at (w, z) = ({w[i]}, {z[i]})")
+    _emit({
         "preset": [preset for preset in presets for _ in range(w.size)],
         "delta": np.repeat(deltas, w.size),
         "w": np.tile(w, len(presets)),
         "z": np.tile(z, len(presets)),
-        "tau": np.concatenate(taus),
-    }
-    _emit(table, resolved)
+        "tau": tau,
+    }, resolved)
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--output", help="output file (default: stdout)")
-    p.add_argument("--format", choices=_FORMATS, help="csv (default) or json")
-
-
-def _add_resource(p: argparse.ArgumentParser, delta: bool = True):
-    if delta:
-        p.add_argument("--delta", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--r")
-    p.add_argument("--gain", type=float)
+# Every subcommand: its handler, its help text and its options besides _COMMON.
+_COMMANDS = {
+    "moments": (_cmd_moments, "moment set of an input or teleported state",
+                ("input", "identity_channel", "delta", "theta", "r", "gain")),
+    "photon-stats": (_cmd_photon_stats, "photon-number probabilities",
+                     ("input", "N", "identity_channel", "delta", "theta", "r", "gain")),
+    "compare": (_cmd_compare, "Delta sweep of distortion measures",
+                ("input", "N", "delta_grid", "theta", "r", "gain")),
+    "optimize": (_cmd_optimize, "minimize one objective over Delta",
+                 ("kind", "input", "N", "theta", "r", "gain")),
+    "sweep": (_cmd_sweep, "optimize objectives over an r grid",
+              ("kinds", "r_grid", "input", "N", "theta", "gain")),
+    "transfer-surface": (_cmd_transfer_surface, "(w, z) grid of the transfer function",
+                         ("presets", "grid", "theta", "r", "gain")),
+}
+_COMMON = ("config", "output", "format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,57 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Observable statistics of continuous-variable teleportation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # No abbreviated options: "--delta" would otherwise pass for "--delta-grid".
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p = add_parser("moments", help="moment set of an input or teleported state")
-    p.add_argument("--input")
-    p.add_argument("--identity-channel", dest="identity_channel", action="store_true", default=None)
-    _add_resource(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_moments)
-
-    p = add_parser("photon-stats", help="photon-number probabilities")
-    p.add_argument("--input")
-    p.add_argument("--N", type=int)
-    p.add_argument("--identity-channel", dest="identity_channel", action="store_true", default=None)
-    _add_resource(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_photon_stats)
-
-    p = add_parser("compare", help="Delta sweep of distortion measures")
-    p.add_argument("--input")
-    p.add_argument("--N", type=int)
-    p.add_argument("--delta-grid", dest="delta_grid")
-    _add_resource(p, delta=False)
-    _add_common(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = add_parser("optimize", help="minimize one objective over Delta")
-    p.add_argument("--kind", choices=OBJECTIVE_KINDS)
-    p.add_argument("--input")
-    p.add_argument("--N", type=int)
-    _add_resource(p, delta=False)
-    _add_common(p)
-    p.set_defaults(func=_cmd_optimize)
-
-    p = add_parser("sweep", help="optimize objectives over an r grid")
-    p.add_argument("--kinds")
-    p.add_argument("--r-grid", dest="r_grid")
-    p.add_argument("--input")
-    p.add_argument("--N", type=int)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--gain", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = add_parser("transfer-surface", help="(w, z) grid of the transfer function")
-    p.add_argument("--presets")
-    p.add_argument("--grid")
-    _add_resource(p, delta=False)
-    _add_common(p)
-    p.set_defaults(func=_cmd_transfer_surface)
-
+    for command, (handler, help_text, names) in _COMMANDS.items():
+        # No abbreviated options: "--delta" would otherwise pass for "--delta-grid".
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name in names + _COMMON:
+            p.add_argument(_flag_name(name), default=None, **_OPTIONS[name][0])
+        p.set_defaults(func=handler)
     return parser
 
 

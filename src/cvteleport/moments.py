@@ -276,28 +276,22 @@ class CovarianceDistortion:
 
 
 def distortion_covariance(state: InputState, ch: Channel) -> CovarianceDistortion:
-    """In/out second central moments and their (input-independent) differences."""
-    ms_in = moment_set(state)
-    ms_out = moment_set(teleport(state, ch))
-    g2 = ch.gain * ch.gain
-    d_x2 = ms_out.x2_central - g2 * ms_in.x2_central
-    d_p2 = ms_out.p2_central - g2 * ms_in.p2_central
-    d_cov = ms_out.cov_xp - g2 * ms_in.cov_xp
-    expected = transfer_cumulants(ch)[(2, 0)]
-    if abs(d_x2 - expected) > 1e-9 or abs(d_p2 - expected) > 1e-9:
-        raise ConsistencyError(
-            "covariance distortion depends on the input; cumulant tables are inconsistent"
-        )
+    """In/out second central moments and their differences, read off the
+    cumulant tables: the output's is ``g^2 K_in + K_tau``, so each difference
+    is the transfer function's entry alone, whatever the input."""
+    k_in, k_tau = state_cumulants(state), transfer_cumulants(ch)
+    g2 = ch.gain ** 2
+    x2, p2, cov = (2, 0), (0, 2), (1, 1)
     return CovarianceDistortion(
-        x2_in=ms_in.x2_central,
-        x2_out=ms_out.x2_central,
-        p2_in=ms_in.p2_central,
-        p2_out=ms_out.p2_central,
-        cov_in=ms_in.cov_xp,
-        cov_out=ms_out.cov_xp,
-        d_x2=d_x2,
-        d_p2=d_p2,
-        d_cov=d_cov,
+        x2_in=k_in[x2],
+        x2_out=g2 * k_in[x2] + k_tau[x2],
+        p2_in=k_in[p2],
+        p2_out=g2 * k_in[p2] + k_tau[p2],
+        cov_in=k_in[cov],
+        cov_out=g2 * k_in[cov] + k_tau[cov],
+        d_x2=k_tau[x2],
+        d_p2=k_tau[p2],
+        d_cov=k_tau[cov],
         gain=ch.gain,
     )
 

@@ -97,6 +97,7 @@ from .states import (
     N_MAX_FOCK,
     SqueezedBellResource,
     SqueezedVacuumInput,
+    as_int,
     delta_weight_rows,
     input_photon_probs,
     input_purity,
@@ -178,11 +179,13 @@ def input_distribution(state: InputState, N: int) -> PhotonDistribution:
     return PhotonDistribution(probs, N, truncation_mass_bound=max(0.0, 1.0 - probs.sum()))
 
 
-def _check_cutoff(N: int):
+def _check_cutoff(N) -> int:
+    N = as_int(N, "N")
     if N < 0:
         raise InvalidArgumentError("N must be nonnegative")
     if N > N_MAX_FOCK:
         raise CapacityError(f"photon cutoff {N} exceeds N_max={N_MAX_FOCK}")
+    return N
 
 
 def _distribution(probs: np.ndarray, N: int) -> PhotonDistribution:
@@ -481,14 +484,14 @@ def delta_family(
     coefficients of :func:`_photon_series`; Fock states and mixtures two
     exact Gauss-Laguerre rules.  Raises
     :class:`~cvteleport.errors.InvalidArgumentError` or
-    :class:`~cvteleport.errors.CapacityError` for a photon cutoff ``N``
-    outside ``[0, N_MAX_FOCK]`` or a Fock-diagonal input whose top photon
-    number exceeds ``N_MAX_FOCK``,
+    :class:`~cvteleport.errors.CapacityError` for a photon cutoff ``N`` that
+    is not an integer or lies outside ``[0, N_MAX_FOCK]``, or a Fock-diagonal
+    input whose top photon number exceeds ``N_MAX_FOCK``,
     :class:`~cvteleport.errors.EvaluationError` when the Gram rate
     ``2 e + g^2`` or the Gaussian overlap moments overflow, and like the
     resource constructors (bad r, theta or gain).
     """
-    _check_cutoff(N)
+    N = _check_cutoff(N)
     ch = Channel(SqueezedBellResource(delta=1.0, theta=theta, r=r), gain=gain)
     rate, terms, coef = transfer_basis(ch)
     if not math.isfinite(2.0 * rate + gain * gain):

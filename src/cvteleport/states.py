@@ -306,6 +306,7 @@ def transfer_fn(ch: Channel) -> CharFn:
 
 def input_photon_probs(state: InputState, N: int) -> np.ndarray:
     """Exact photon-number probabilities ``P_0 .. P_N`` of a catalog state."""
+    N = as_int(N, "N")
     if N < 0:
         raise InvalidArgumentError("N must be nonnegative")
     probs = np.zeros(N + 1)

@@ -3,8 +3,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -110,6 +113,42 @@ def test_photon_stats_identity(capsys):
     rows = read_csv(out)
     assert [float(r["P_in"]) for r in rows] == [0.0, 1.0, 0.0, 0.0]
     assert [float(r["P_out"]) for r in rows] == [0.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("command", ["moments", "photon-stats"])
+@pytest.mark.parametrize("name", ["delta", "theta", "r", "gain"])
+def test_identity_channel_refuses_resource_options(command, name, tmp_path, capsys):
+    """The identity channel has no resource, so a resource option given with it
+    would be ignored (and still enter the provenance hash); it is an error."""
+    flag = "--" + name
+    argv = [command, "--input", "fock:1", "--identity-channel", flag, "0.5"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": "fock:1", "identity_channel": True, name: 0.5}))
+    for args in (argv, [command, "--config", str(cfg)]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "InvalidArgumentError", "message": f"--identity-channel takes no {flag}"
+        }
+    # Switched off in the config file, the same options build the channel.
+    cfg.write_text(json.dumps({"identity_channel": False, "delta": 0.9, "r": 1.0, name: 0.5}))
+    code, out, _ = run_cli([command, "--input", "fock:1", "--config", str(cfg)], capsys)
+    assert code == 0 and read_csv(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--input", "fock:1", "--identity-channel", "--delta", "7", "--r", "-3",
+         "--gain", "0", "--theta", "nan"],
+        ["photon-stats", "--input", "fock:1", "--identity-channel", "--delta", "7", "--r", "1,2,3"],
+    ],
+    ids=["moments", "photon-stats"],
+)
+def test_identity_channel_with_invalid_resource_options_is_an_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["message"] == "--identity-channel takes no --delta"
 
 
 def test_photon_stats_channel(capsys):
@@ -228,6 +267,47 @@ def test_transfer_surface(capsys):
     assert float(tmsv_origin[0]["tau"]) == 1.0
 
 
+@pytest.mark.parametrize(
+    "grid", ["nan", "inf", "-inf,1e200"], ids=["nan", "inf", "minus-inf-and-1e200"]
+)
+def test_transfer_surface_rejects_non_finite_grid_values(grid, capsys):
+    code, out, err = run_cli(
+        ["transfer-surface", "--r", "1", f"--grid={grid}", "--presets", "tmsv"], capsys
+    )
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == {
+        "type": "InvalidArgumentError", "message": f"grid values must be finite, got {grid!r}"
+    }
+
+
+@pytest.mark.parametrize(
+    "grid,point", [("1e200", "(1e+200, 1e+200)"), ("-1e200,1", "(-1e+200, -1e+200)")]
+)
+def test_transfer_surface_overflow_is_an_evaluation_error(grid, point, capsys):
+    """Far out on the grid w^2 + z^2 overflows and tau is no number: an error
+    naming the first such point, not a NaN row or a warning."""
+    code, out, err = run_cli(
+        ["transfer-surface", "--r", "1", f"--grid={grid}", "--presets", "tmsv"], capsys
+    )
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == {
+        "type": "EvaluationError", "message": f"transfer function not finite at (w, z) = {point}"
+    }
+
+
+@pytest.mark.parametrize("grid", ["-inf,1e200", "1e200"])
+def test_transfer_surface_bad_grid_warns_nothing_under_dev_mode(grid):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "cvteleport", "transfer-surface",
+         "--r", "1", f"--grid={grid}", "--presets", "tmsv"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "error" in json.loads(proc.stderr) and "Warning" not in proc.stderr
+
+
 def _surface_rows_per_point(r, theta, gain, axis):
     """The transfer-surface rows as one scalar transfer call per point builds them."""
     deltas = {
@@ -306,6 +386,25 @@ def test_parser_reuse_keeps_no_state_between_calls(capsys):
     assert json.loads(err)["error"]["message"] == "missing --r"
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["moments", "--delta", "0.9", "--r", "1"], "--input"),
+        (["moments", "--input", "fock:1", "--r", "1"], "--delta"),
+        (["photon-stats", "--input", "fock:1", "--delta", "0.9"], "--r"),
+        (["compare", "--input", "fock:1", "--r", "1"], "--delta-grid"),
+        (["optimize", "--r", "1"], "--kind"),
+        (["sweep", "--r-grid", "1"], "--kinds"),
+        (["sweep", "--kinds", "x2_transfer"], "--r-grid"),
+        (["transfer-surface"], "--r"),
+    ],
+)
+def test_missing_required_option_is_named(argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {"type": "InvalidArgumentError", "message": f"missing {flag}"}
+
+
 def test_json_output_is_row_array(capsys):
     code, out, _ = run_cli(
         ["optimize", "--kind", "x2_transfer", "--r", "1.0", "--format", "json"], capsys
@@ -333,6 +432,67 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert abs(float(read_csv(out)[0]["r"]) - 1.0) == 0.0
     code, out, _ = run_cli(["optimize", "--config", str(cfg), "--r", "2.0"], capsys)
     assert float(read_csv(out)[0]["r"]) == 2.0
+
+
+# One valid configuration per subcommand (two where --identity-channel excludes
+# the resource options), every value away from its default.
+_EVERY_OPTION = [
+    ("moments", {"input": "fock:1", "delta": 0.9, "theta": 0.2, "r": 1.25, "gain": 1.1}),
+    ("moments", {"input": "coherent:1", "identity_channel": True}),
+    ("photon-stats",
+     {"input": "sqvac:0.5", "N": 6, "delta": 0.9, "theta": 0.2, "r": 1.25, "gain": 1.1}),
+    ("photon-stats", {"input": "sqvac:0.5", "N": 6, "identity_channel": True}),
+    ("compare",
+     {"input": "fock:1", "N": 8, "delta_grid": [0.8, 0.9], "theta": 0.2, "r": 1.25, "gain": 1.1}),
+    ("optimize",
+     {"kind": "frobenius", "input": "coherent:1", "N": 8, "theta": 0.2, "r": 1.25, "gain": 1.1}),
+    ("sweep", {"kinds": ["x2_transfer", "d_functional"], "r_grid": [0.5, 1.0], "input": "fock:1",
+               "N": 8, "theta": 0.2, "gain": 1.1}),
+    ("transfer-surface", {"presets": ["tmsv", "photon_added"], "grid": [-1.0, 0.0, 1.0],
+                          "theta": 0.2, "r": 1.25, "gain": 1.1}),
+]
+
+
+def _as_flags(options: dict) -> list:
+    argv = []
+    for name, value in options.items():
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            argv.append(f"{flag}={','.join(map(str, value)) if isinstance(value, list) else value}")
+    return argv
+
+
+def test_every_option_means_the_same_from_a_flag_and_from_a_config_file(tmp_path, capsys):
+    """For every option of every subcommand, moving it from the command line into
+    a --config file leaves the table unchanged."""
+    path, cfg = tmp_path / "out.csv", tmp_path / "cfg.json"
+
+    def table(argv):
+        path.unlink(missing_ok=True)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and out == "" and err == "", (argv, err)
+        return path.read_text().split("\n", 1)[1]  # everything after the provenance line
+
+    covered = {}
+    for command, options in _EVERY_OPTION:
+        options = {**options, "format": "csv", "output": str(path)}
+        want = table([command, *_as_flags(options)])
+        for name, value in options.items():
+            cfg.write_text(json.dumps({name: value}))
+            rest = {key: v for key, v in options.items() if key != name}
+            assert table([command, *_as_flags(rest), "--config", str(cfg)]) == want, (command, name)
+        covered.setdefault(command, set()).update(options)
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    accepted = {
+        command: {action.dest for action in sub._actions} - {"help", "config"}
+        for command, sub in subparsers.choices.items()
+    }
+    assert covered == accepted
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

@@ -398,6 +398,19 @@ def test_covariance_distortion_input_independent():
         assert abs(rec.d_cov) <= 1e-8
 
 
+@pytest.mark.parametrize("s", [8.0, 10.0])
+def test_covariance_distortion_of_strong_squeezing_is_the_transfer_table(s):
+    """The differences are the transfer function's cumulants exactly; taken
+    from two moment sets of size e^{2s} they would lose digits (and at s = 10
+    fail an absolute consistency check)."""
+    ch = Channel(SqueezedBellResource(0.9, 0.3, 1.0))
+    rec = distortion_covariance(SqueezedVacuumInput(s), ch)
+    k_tau = transfer_cumulants(ch)
+    assert (rec.d_x2, rec.d_p2, rec.d_cov) == (k_tau[(2, 0)], k_tau[(0, 2)], k_tau[(1, 1)])
+    out = moment_set(teleport(SqueezedVacuumInput(s), ch))
+    assert (rec.x2_out, rec.p2_out, rec.cov_out) == (out.x2_central, out.p2_central, out.cov_xp)
+
+
 def test_covariance_distortion_tmsv_value():
     r = 1.25
     rec = distortion_covariance(FockInput(0), Channel(SqueezedBellResource(delta=1.0, theta=0.0, r=r)))

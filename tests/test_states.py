@@ -13,6 +13,7 @@ from cvteleport import (
     PhasePoint,
     SqueezedBellResource,
     SqueezedVacuumInput,
+    delta_family,
     eval_at,
     fock_charfn,
     input_charfn,
@@ -21,6 +22,7 @@ from cvteleport import (
     state_to_descriptor,
     transfer_fn,
 )
+from cvteleport.optimize import Objective, minimize_delta
 from conftest import case_study_inputs, random_points
 from oracles import sbl_two_mode_value
 
@@ -271,9 +273,16 @@ def test_descriptor_rejects_unknown_kind():
         lambda: state_from_descriptor({"kind": "fock_mixture", "weights": [[1, True]]}),
         lambda: state_from_descriptor({"kind": "coherent", "beta_re": True}),
         lambda: state_from_descriptor({"kind": "squeezed_vacuum", "s": "0.5"}),
+        # The photon cutoff N is checked the same way.
+        lambda: delta_family(FockInput(1), 1.0, N=24.0),
+        lambda: delta_family(FockInput(1), 1.0, N=True),
+        lambda: minimize_delta(Objective("d_functional", 1.0, input=FockInput(1), n_photons=3.5)),
+        lambda: input_photon_probs(FockInput(1), 2.5),
     ],
     ids=["fock-float", "fock-bool", "fock-str", "mix-float", "mix-bool", "desc-fock-float",
-         "desc-fock-bool", "desc-mix-float", "desc-mix-bool-p", "desc-beta-bool", "desc-s-str"],
+         "desc-fock-bool", "desc-mix-float", "desc-mix-bool-p", "desc-beta-bool", "desc-s-str",
+         "family-cutoff-float", "family-cutoff-bool", "objective-cutoff-float",
+         "probs-cutoff-float"],
 )
 def test_photon_numbers_and_descriptor_numbers_are_checked_not_cast(make):
     with pytest.raises(InvalidArgumentError):
