@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import sys
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,52 +119,75 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _csv_field(value) -> str:
-    """``value`` as ``csv.writer`` writes it among the fields of a row."""
+def _csv_field(value, end: str = "", empty: str = "") -> str:
+    """``value`` as ``csv.writer`` writes it among the fields of a row, then
+    ``end``; an empty field is written as ``empty``."""
     if isinstance(value, float):
-        return float.__repr__(value)  # csv.writer's spelling of a float, never quoted
+        return float.__repr__(value) + end  # csv.writer's spelling of a float, never quoted
     buf = io.StringIO()
     # A second, empty field keeps an empty first field from being quoted.
     csv.writer(buf, lineterminator="\n").writerow((value, None))
-    return buf.getvalue()[:-2]
+    return (buf.getvalue()[:-2] or empty) + end
 
 
-def _csv_fields(column) -> list[str]:
-    """The column's CSV fields, each distinct value spelled once.
+class Factor(NamedTuple):
+    """A column given by its distinct values and, for each row, the position in
+    ``values`` of the value the row takes (an integer array)."""
 
-    A float64 array's values are told apart by bit pattern, so 0.0 and -0.0
-    keep their own spelling; any other column repeats a value by repeating
-    the object, and each object is spelled once.
+    values: Sequence
+    index: np.ndarray
+
+    def tolist(self) -> list:
+        return [self.values[k] for k in self.index.tolist()]
+
+
+def _csv_fields(column, end: str = "", empty: str = ""):
+    """The column's CSV fields, one per row, each followed by ``end``.
+
+    Each distinct value is spelled once.  A ``Factor`` names its distinct
+    values itself.  A float64 array's values are told apart by bit pattern,
+    so 0.0 and -0.0 keep their own spelling; any other column repeats a value
+    by repeating the object, and each object is spelled once.
     """
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+    if isinstance(column, Factor):
+        values, index = column
+    elif isinstance(column, np.ndarray) and column.dtype == np.float64:
         bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        spelled = [_csv_field(v) for v in bits.view(np.float64).tolist()]
-        return np.array(spelled, dtype=object)[index].tolist()
-    values = list(column)  # holds every object, so no two share an id meanwhile
-    spelled = {id(v): _csv_field(v) for v in {id(v): v for v in values}.values()}
-    return [spelled[id(v)] for v in values]
+        values = bits.view(np.float64).tolist()
+    else:
+        rows = list(column)  # holds every object, so no two share an id meanwhile
+        distinct = {id(v): v for v in rows}
+        spelled = {key: _csv_field(v, end, empty) for key, v in distinct.items()}
+        return map(spelled.__getitem__, map(id, rows))
+    spelled = [_csv_field(v, end, empty) for v in values]
+    return np.array(spelled, dtype=object)[index].tolist()
 
 
 def _emit(table: dict, resolved: dict):
-    """Write a column table (name -> sequence, one entry per row) as CSV or JSON.
+    """Write a column table (name -> column, one entry per row) as CSV or JSON.
 
-    JSON is an array of row objects.  The CSV is what ``csv.writer`` writes
-    for the same rows, built one column at a time.  It is written line by
-    line, so the whole text of a large table is never held at once.  The
-    text goes to ``--output`` or to standard output.
+    A column is a sequence, a numpy array or a ``Factor``.  JSON is an array of
+    row objects.  The CSV is what ``csv.writer`` writes for the same rows.  It
+    is built from factored columns: each distinct value of a column is spelled
+    once, and each row joins the spellings its values already have.  The line
+    end is folded into the spellings of the last column (and of the last
+    header name), with csv.writer's ``""`` for the empty field of a
+    one-column table.  The text is written line by line, so the whole text of
+    a large table is never held at once; it goes to ``--output`` or to
+    standard output.
     """
     columns = list(table)
     if resolved.get("format") == "json":
-        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+        values = [c.tolist() if isinstance(c, (np.ndarray, Factor)) else c for c in table.values()]
         payload = [dict(zip(columns, row)) for row in zip(*values)]
         chunks = [json.dumps(payload, indent=2, default=float) + "\n"]
     else:
-        rows = itertools.chain([_csv_fields(columns)], zip(*map(_csv_fields, table.values())))
-        lines = map(",".join, rows)
-        if len(columns) == 1:
-            lines = (line or '""' for line in lines)  # csv.writer quotes a lone empty field
+        *heads, last = table.values()
+        empty = "" if heads else '""'  # csv.writer quotes a row that is one empty field
+        fields = [_csv_fields(c) for c in heads] + [_csv_fields(last, "\n", empty)]
+        names = [_csv_field(name) for name in columns[:-1]] + [_csv_field(columns[-1], "\n", empty)]
         provenance = f"# cvteleport {__version__} config={_config_hash(resolved)}\n"
-        chunks = itertools.chain([provenance], map("{}\n".format, lines))
+        chunks = itertools.chain([provenance, ",".join(names)], map(",".join, zip(*fields)))
     out_path = resolved.get("output")
     if out_path:
         with open(out_path, "w", newline="") as fh:
@@ -372,7 +396,11 @@ def _cmd_sweep(resolved):
 def _cmd_transfer_surface(resolved):
     r, theta, gain = _get(resolved, "r"), _get(resolved, "theta"), _get(resolved, "gain")
     presets = _get(resolved, "presets")
+    if not presets:
+        raise InvalidArgumentError("empty --presets")
     axis = _get(resolved, "grid")
+    if not axis:
+        raise InvalidArgumentError("empty --grid")
     # Rows run w-major, z-minor within each preset.
     w, z = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     deltas = []
@@ -390,11 +418,12 @@ def _cmd_transfer_surface(resolved):
     if not np.isfinite(tau).all():
         i = np.flatnonzero(~np.isfinite(tau))[0] % w.size
         raise EvaluationError(f"transfer function not finite at (w, z) = ({w[i]}, {z[i]})")
+    row, n = np.arange(tau.size), len(axis)
     _emit({
-        "preset": [preset for preset in presets for _ in range(w.size)],
-        "delta": np.repeat(deltas, w.size),
-        "w": np.tile(w, len(presets)),
-        "z": np.tile(z, len(presets)),
+        "preset": Factor(presets, row // w.size),
+        "delta": Factor(deltas, row // w.size),
+        "w": Factor(axis, row // n % n),
+        "z": Factor(axis, row % n),
         "tau": tau,
     }, resolved)
 
@@ -442,9 +471,8 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         resolved = _resolve(args)
-        fmt = resolved.get("format") or "csv"
-        if fmt not in _FORMATS:
-            raise InvalidArgumentError(f"unknown output format {fmt!r}")
+        if resolved["format"] not in _FORMATS:
+            raise InvalidArgumentError(f"unknown output format {resolved['format']!r}")
         if not isinstance(resolved.get("output", ""), (str, type(None))):
             raise InvalidArgumentError(f"output must be a file path, got {resolved['output']!r}")
         args.func(resolved)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvteleport.cli import _emit, build_parser, main, parse_grid, parse_state
+from cvteleport import cli
+from cvteleport.cli import Factor, _emit, build_parser, main, parse_grid, parse_state
 from cvteleport import (
     Channel,
     CoherentInput,
@@ -378,6 +379,71 @@ def test_emit_writes_what_csv_writer_writes(capsys):
     assert capsys.readouterr().out.split("\n", 1)[1] == 'lone\n""\n""\n0.5\n'
 
 
+def test_factor_columns_write_the_bytes_of_their_expanded_rows(tmp_path, capsys):
+    """A Factor column writes what the same column written out row by row writes,
+    as CSV to stdout or to --output, and as JSON."""
+    values = [0.0, -0.0, float("nan"), 'say "hi", twice', "", None, 2.5]
+    tables = [
+        {
+            "f": Factor(values, np.array([1, 0, 0, 2, 3, 4, 5, 6, 1, 3])),
+            "a": np.linspace(-1.0, 1.0, 10),
+            "g": Factor(["x,y", -0.0], np.array([1, 1, 0, 0, 1, 0, 1, 0, 0, 1])),
+        },
+        {"lone": Factor(["", None, -0.0], np.array([0, 1, 2, 2, 0]))},
+    ]
+    for table in tables:
+        expanded = {
+            name: [c.values[k] for k in c.index] if isinstance(c, Factor) else c
+            for name, c in table.items()
+        }
+        written = {}
+        for fmt in ("csv", "json"):
+            _emit(expanded, {"format": fmt})
+            expected = written[fmt] = capsys.readouterr().out
+            _emit(table, {"format": fmt})
+            assert capsys.readouterr().out == expected
+            path = tmp_path / f"out.{fmt}"
+            _emit(table, {"format": fmt, "output": str(path)})
+            assert path.read_bytes() == expected.encode()
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([list(expanded), *zip(*expanded.values())])
+        assert written["csv"].split("\n", 1)[1] == buf.getvalue()
+    assert buf.getvalue() == 'lone\n""\n""\n-0.0\n-0.0\n""\n'
+
+
+def test_transfer_surface_spells_each_distinct_value_once(monkeypatch, capsys):
+    """The preset, delta, w and z columns are spelled once per distinct value, not
+    once per row, and tau once per distinct value."""
+    calls = []
+    spell = cli._csv_field
+    monkeypatch.setattr(
+        cli, "_csv_field", lambda value, *args: calls.append(value) or spell(value, *args)
+    )
+    presets = ["tmsv", "photon_added", "coherent_optimal"]
+    code, out, _ = run_cli(["transfer-surface", "--r", "1.25", "--grid=-2:2:201",
+                            "--presets", ",".join(presets)], capsys)
+    assert code == 0
+    rows = read_csv(out)
+    assert len(rows) == len(presets) * 201 * 201
+    distinct_tau = len({row["tau"] for row in rows})
+    assert len(calls) <= 2 * len(presets) + 2 * 201 + distinct_tau + len(rows[0])
+
+
+def test_transfer_surface_config_grid_of_integers_prints_the_flag_bytes(tmp_path, capsys):
+    argv = ["transfer-surface", "--r", "1.25", "--presets", "tmsv,photon_added"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": [-1, 0, 1]}))
+    for fmt in ("csv", "json"):
+        code, from_flag, _ = run_cli(argv + ["--grid=-1,0,1", "--format", fmt], capsys)
+        assert code == 0
+        code, from_config, _ = run_cli(argv + ["--config", str(path), "--format", fmt], capsys)
+        assert code == 0 and "-1.0" in from_config
+        if fmt == "csv":
+            # The provenance line hashes the options as given, so it may differ.
+            from_flag, from_config = (text.split("\n", 1)[1] for text in (from_flag, from_config))
+        assert from_config == from_flag
+
+
 def test_parser_reuse_keeps_no_state_between_calls(capsys):
     code, _, _ = run_cli(["optimize", "--kind", "x2_transfer", "--r", "1.0"], capsys)
     assert code == 0
@@ -578,6 +644,10 @@ _FOCK1 = {"input": "fock:1", "delta": 0.9, "r": 1.0}
         ("transfer-surface", {"r": 1.0, "presets": 0},
          "presets must be a comma list or a list of names, got 0"),
         ("transfer-surface", {"r": 1.0, "grid": [0.0, False]}, "grid value must be a number, got False"),
+        ("transfer-surface", {"r": 1.0, "presets": []}, "empty --presets"),
+        ("transfer-surface", {"r": 1.0, "grid": []}, "empty --grid"),
+        *(("optimize", {"format": fmt, "kind": "x2_transfer", "r": 1},
+           f"unknown output format {fmt!r}") for fmt in (False, "", 0, None)),
     ],
 )
 def test_config_values_of_the_wrong_type_give_error_records(command, cfg, message, tmp_path, capsys):
