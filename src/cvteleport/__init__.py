@@ -1,9 +1,10 @@
 """Continuous-variable teleportation observables in the characteristic-function picture.
 
 The package models one-mode teleportation through Squeezed Bell-like
-resources: output characteristic functions, moment/cumulant extraction,
-photon-number statistics, distortion measures (D_N, fidelity, Frobenius
-distance), and optimization of the resource parameter Delta.
+resources.  From the closed forms of the input and transfer characteristic
+functions it computes moments and cumulants, photon-number statistics,
+distortion measures (D_N, fidelity, Frobenius distance), and the optimum of
+the resource parameter Delta.
 """
 
 __version__ = "1.0.0"
@@ -37,7 +38,6 @@ from .optimize import (
     objective_function,
     sweep_r,
 )
-from .phasespace import CharFn, ORIGIN, PhasePoint, eval_at
 from .photonstats import (
     DeltaFamily,
     DistortionMeasures,
@@ -56,11 +56,8 @@ from .states import (
     N_MAX_FOCK,
     SqueezedBellResource,
     SqueezedVacuumInput,
-    fock_charfn,
-    input_charfn,
     input_photon_probs,
     input_purity,
     state_from_descriptor,
     state_to_descriptor,
-    transfer_fn,
 )

@@ -36,7 +36,6 @@ from .channel import teleport
 from .errors import CVTeleportError, EvaluationError, InvalidArgumentError
 from .moments import moment_set
 from .optimize import OBJECTIVE_KINDS, Objective, closed_form_delta, minimize_delta, sweep_r
-from .phasespace import PhasePoint
 from .photonstats import delta_family, input_distribution
 from .states import (
     Channel,
@@ -48,8 +47,9 @@ from .states import (
     SqueezedVacuumInput,
     as_int,
     as_real,
+    delta_weights,
     state_from_descriptor,
-    transfer_fn,
+    transfer_basis,
 )
 
 _FORMATS = ("csv", "json")
@@ -200,10 +200,13 @@ _NOT_CONFIG_KEYS = ("command", "config", "func")
 
 
 def _check_config_keys(file_cfg: dict, args: argparse.Namespace):
-    """Reject config-file keys that are not option names of the subcommand."""
+    """Reject config-file keys that are not option names of the subcommand, and
+    null values: a key is given a value or left out."""
     known = set(vars(args)).difference(_NOT_CONFIG_KEYS)
-    for key in file_cfg:
+    for key, value in file_cfg.items():
         if key in known:
+            if value is None:
+                raise InvalidArgumentError(f"config key {key!r} is null; give a value or leave it out")
             continue
         spelling = key.lstrip("-").replace("-", "_")
         hint = (
@@ -393,6 +396,17 @@ def _cmd_sweep(resolved):
     _emit({**_optimum_columns(records), "status": status}, resolved)
 
 
+def _surface_values(ch: Channel, u: np.ndarray) -> np.ndarray:
+    """The transfer function of ``ch`` at ``u = w^2 + z^2``: the
+    :func:`~cvteleport.states.transfer_basis` terms times the Delta weights,
+    summed in one fixed order, so a value does not depend on the grid."""
+    d2, cross, comp = delta_weights(ch.resource)
+    rate, terms, _ = transfer_basis(ch)
+    one, mixed, paired = terms(u)
+    # + 0.0 spells an underflowed product of a negative sum as 0.0, not -0.0.
+    return np.exp(-rate * u) * (d2 * one + cross * mixed + comp * paired) + 0.0
+
+
 def _cmd_transfer_surface(resolved):
     r, theta, gain = _get(resolved, "r"), _get(resolved, "theta"), _get(resolved, "gain")
     presets = _get(resolved, "presets")
@@ -409,10 +423,10 @@ def _cmd_transfer_surface(resolved):
             expected = tuple(_SURFACE_PRESETS)
             raise InvalidArgumentError(f"unknown preset {preset!r}; expected one of {expected}")
         deltas.append(_SURFACE_PRESETS[preset](r))
-    point = PhasePoint(w, z)
     with np.errstate(over="ignore", invalid="ignore"):  # w^2 + z^2 may overflow: see below
+        u = w * w + z * z
         tau = np.concatenate([
-            transfer_fn(Channel(SqueezedBellResource(delta, theta, r), gain)).fn(point).real
+            _surface_values(Channel(SqueezedBellResource(delta, theta, r), gain), u)
             for delta in deltas
         ])
     if not np.isfinite(tau).all():

@@ -199,7 +199,7 @@ def moment_set(source) -> MomentSet:
     if isinstance(source, OutputState):
         g, k_tau = source.channel.gain, transfer_cumulants(source.channel)
         k = {key: g ** sum(key) * v + k_tau[key] for key, v in state_cumulants(source.input).items()}
-        label = source.charfn.label
+        label = source.label
     else:
         k, label = state_cumulants(source), f"{source!r}"
     x2, p2 = k[(2, 0)], k[(0, 2)]

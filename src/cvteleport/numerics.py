@@ -51,16 +51,6 @@ def laguerre_envelope_all(n_max: int, u) -> np.ndarray:
     return out
 
 
-def laguerre_envelope(n: int, u):
-    """``exp(-u/2) L_n(u)`` (scalar or ndarray ``u``) with the bounded product recurrence."""
-    if n < 0:
-        raise InvalidArgumentError("n must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    for last in _laguerre_steps(n, u, np.exp(-0.5 * u)):
-        pass
-    return last if last.shape else float(last)
-
-
 def laguerre_envelope_series(weights, u) -> np.ndarray:
     """``sum_k weights[k] exp(-u/2) L_k(u)`` as a running sum.
 

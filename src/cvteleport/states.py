@@ -1,10 +1,10 @@
 """Input-state catalog and the Squeezed Bell-like resource family.
 
-Every catalog state exposes its Wigner characteristic function as a pure
-closure; closed-form photon statistics live in :func:`input_photon_probs` and
-closed-form cumulant tables in :mod:`cvteleport.moments`.
-
-Characteristic functions (Wigner ordering, ``u = |xi|^2``):
+A catalog state is its parameters.  Closed-form photon statistics live in
+:func:`input_photon_probs`, closed-form cumulant tables in
+:mod:`cvteleport.moments` and the Delta family's photon basis in
+:mod:`cvteleport.photonstats`, all read off the Wigner characteristic
+functions (``u = |xi|^2``):
 
 * Fock ``n``:            ``exp(-u/2) L_n(u)``
 * coherent ``beta``:     ``exp(-u/2 + xi conj(beta) - conj(xi) beta)``
@@ -21,10 +21,13 @@ The two-mode resource is
 
 with ``xi'_{A/B} = cosh(r) xi_{A/B} - sinh(r) conj(xi_{B/A})``.  Its transfer
 function is the restriction to ``(g conj(xi), xi)``, which collapses to a
-function of ``u`` alone.  The package evaluates only that one-mode form; the
-tests check it against the full two-mode function above (``tests/oracles.py``)
-and its cumulants against a sympy expansion of that function's log
-(``tests/test_symbolic.py``).
+function of ``u`` alone.  The package uses only that one-mode form, through
+its Delta-free split (:func:`transfer_basis` times the weights of
+:func:`delta_weight_rows`).  No production path evaluates a characteristic
+function at points: the pointwise closures are test oracles
+(``tests/oracles.py``), which check the split against the full two-mode
+function above, and ``tests/test_symbolic.py`` checks its cumulants against
+a sympy expansion of that function's log.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .numerics import laguerre_envelope, laguerre_envelope_series
-from .phasespace import CharFn, PhasePoint
 
 N_MAX_FOCK = 64
 _WEIGHT_SUM_TOL = 1e-12
@@ -165,51 +166,6 @@ class Channel:
             raise InvalidArgumentError(f"gain must be positive and finite, got {self.gain!r}")
 
 
-def fock_charfn(n: int) -> CharFn:
-    """Wigner characteristic function of the Fock state |n>."""
-    if n < 0:
-        raise InvalidArgumentError("n must be nonnegative")
-
-    def chi(p: PhasePoint):
-        return laguerre_envelope(n, p.abs_sq) + 0.0j
-
-    return CharFn(chi, ordering=0, label=f"fock:{n}")
-
-
-def input_charfn(state: InputState) -> CharFn:
-    """Wigner characteristic function of a catalog input state."""
-    if isinstance(state, FockInput):
-        return fock_charfn(state.n)
-
-    if isinstance(state, CoherentInput):
-        beta = state.beta
-
-        def chi(p: PhasePoint):
-            return np.exp(-0.5 * p.abs_sq + p.xi * np.conj(beta) - p.xi_conj * beta)
-
-        return CharFn(chi, ordering=0, label=f"coherent:{beta}")
-
-    if isinstance(state, SqueezedVacuumInput):
-        ch, sh = math.cosh(state.s), math.sinh(state.s)
-
-        def chi(p: PhasePoint):
-            xi_p = p.xi * ch + p.xi_conj * sh
-            return np.exp(-0.5 * (xi_p * np.conj(xi_p)).real) + 0.0j
-
-        return CharFn(chi, ordering=0, label=f"sqvac:{state.s}")
-
-    if isinstance(state, FockMixtureInput):
-        probs = input_photon_probs(state, state.max_n)
-
-        def chi(p: PhasePoint):
-            return laguerre_envelope_series(probs, p.abs_sq) + 0.0j
-
-        label = "mix:" + ",".join(f"{n}@{p}" for n, p in state.weights)
-        return CharFn(chi, ordering=0, label=label)
-
-    raise InvalidArgumentError(f"unknown input state {state!r}")
-
-
 def _cosh_sinh(x: float, what: str) -> tuple[float, float]:
     """``(cosh x, sinh x)``, or InvalidArgumentError when x is non-finite or they overflow."""
     try:
@@ -278,32 +234,6 @@ def transfer_basis(ch: Channel):
     return 0.5 * (a2 + b2), terms, coef
 
 
-def transfer_fn(ch: Channel) -> CharFn:
-    """One-mode transfer function ``tau(xi) = chi_AB(g conj(xi), xi)``.
-
-    For the Squeezed Bell-like family this reduces to a function of
-    ``u = |xi|^2`` alone; at g = 1 it is
-    ``exp(-gamma) [Delta^2 + 2 Delta sqrt(1-Delta^2) cos(theta) gamma
-    + (1-Delta^2)(1-gamma)^2]`` with ``gamma = u exp(-2r)``, i.e. the
-    :func:`delta_weights` combination of the :func:`transfer_basis` terms.
-    """
-    res = ch.resource
-    d2, cross, comp = delta_weights(res)
-    rate, terms, _ = transfer_basis(ch)
-
-    def tau(p: PhasePoint):
-        u = p.abs_sq
-        one, mixed, paired = terms(u)
-        return np.exp(-rate * u) * (d2 * one + cross * mixed + comp * paired) + 0.0j
-
-    return CharFn(
-        tau,
-        ordering=0,
-        label=f"transfer(delta={res.delta},theta={res.theta},r={res.r},g={ch.gain})",
-        kind="transfer",
-    )
-
-
 def input_photon_probs(state: InputState, N: int) -> np.ndarray:
     """Exact photon-number probabilities ``P_0 .. P_N`` of a catalog state."""
     N = as_int(N, "N")
@@ -358,6 +288,26 @@ def input_purity(state: InputState) -> float:
     raise InvalidArgumentError(f"unknown input state {state!r}")
 
 
+def state_label(state: InputState) -> str:
+    """The state's spelling in a moment-set label: ``fock:1``,
+    ``coherent:(2+0.5j)``, ``sqvac:-0.5`` or ``mix:0@0.25,3@0.75``."""
+    if isinstance(state, FockInput):
+        return f"fock:{state.n}"
+    if isinstance(state, CoherentInput):
+        return f"coherent:{state.beta}"
+    if isinstance(state, SqueezedVacuumInput):
+        return f"sqvac:{state.s}"
+    if isinstance(state, FockMixtureInput):
+        return "mix:" + ",".join(f"{n}@{p}" for n, p in state.weights)
+    raise InvalidArgumentError(f"unknown input state {state!r}")
+
+
+def transfer_label(ch: Channel) -> str:
+    """The channel's spelling in a moment-set label."""
+    res = ch.resource
+    return f"transfer(delta={res.delta},theta={res.theta},r={res.r},g={ch.gain})"
+
+
 # ---------------------------------------------------------------------------
 # JSON descriptors (the CLI-facing state/channel grammar)
 # ---------------------------------------------------------------------------
@@ -397,9 +347,3 @@ def state_to_descriptor(state: InputState) -> dict:
     if isinstance(state, FockMixtureInput):
         return {"kind": "fock_mixture", "weights": [[n, p] for n, p in state.weights]}
     raise InvalidArgumentError(f"unknown input state {state!r}")
-
-
-def channel_to_descriptor(ch: Channel) -> dict:
-    res = ch.resource
-    return {"delta": res.delta, "theta": res.theta, "r": res.r, "gain": ch.gain}
-

@@ -2,8 +2,11 @@
 
 None of this runs on a production path: the package computes moments from
 closed-form cumulant tables and photon statistics and overlaps on the 1-D Delta family
-(:func:`cvteleport.photonstats.delta_family`).  Two model-free engines check
-them here:
+(:func:`cvteleport.photonstats.delta_family`).  The channel's pointwise form
+lives here: :class:`PhasePoint`, :class:`CharFn` and the closures
+:func:`input_charfn`, :func:`transfer_fn` and :func:`output_charfn`, which
+evaluate ``chi_out(xi) = tau(xi) chi_in(g xi)`` at points.  Two model-free
+engines read them:
 
 * :func:`derivative_at_origin` — central finite differences with a Richardson
   table, the oracle of the closed-form cumulant tables of
@@ -55,7 +58,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -75,12 +78,11 @@ from cvteleport.moments import (
     transfer_cumulants,
 )
 from cvteleport.numerics import (
-    laguerre_envelope,
+    _laguerre_steps,
     laguerre_envelope_all,
     laguerre_envelope_series,
 )
 from cvteleport.optimize import _ROOT_TOL, Objective, _channel, objective_function
-from cvteleport.phasespace import ORDERINGS, ORIGIN, CharFn, PhasePoint
 from cvteleport.photonstats import (
     PhotonDistribution,
     _check_cutoff,
@@ -91,15 +93,181 @@ from cvteleport.photonstats import (
 from cvteleport.states import (
     Channel,
     CoherentInput,
+    FockInput,
+    FockMixtureInput,
     InputState,
     SqueezedBellResource,
     SqueezedVacuumInput,
-    fock_charfn,
+    delta_weights,
     input_photon_probs,
+    state_label,
     transfer_basis,
     transfer_coefficients,
-    transfer_fn,
+    transfer_label,
 )
+
+# ---------------------------------------------------------------------------
+# Phase-space points and pointwise characteristic functions
+# ---------------------------------------------------------------------------
+#
+# The conjugate phase-space coordinate is ``xi = w + i z`` with real ``w``,
+# ``z``.  A characteristic function carries an ordering index ``s`` in
+# ``{-1, 0, 1}``: ``s = 0`` is the symmetric (Wigner) ordering, ``s = 1`` the
+# normal ordering, ``s = -1`` the antinormal ordering, related by
+# ``chi_s(xi) = exp(s |xi|^2 / 2) * chi_0(xi)``.  ``kind`` tells the
+# characteristic functions of states from transfer functions (restrictions of
+# a two-mode resource), whose derivative "averages" are bookkeeping
+# quantities, not moments of a state.  The closures follow numpy's
+# scalar/array semantics, so a ``PhasePoint`` may carry floats or
+# broadcastable arrays; the plane quadrature relies on this.
+
+ORDERINGS = (-1, 0, 1)
+KINDS = ("state", "transfer")
+
+
+@dataclass(frozen=True)
+class PhasePoint:
+    """A point ``xi = w + i z`` of one-mode conjugate phase space."""
+
+    w: float
+    z: float
+
+    @property
+    def xi(self):
+        return self.w + 1j * self.z
+
+    @property
+    def xi_conj(self):
+        return self.w - 1j * self.z
+
+    @property
+    def abs_sq(self):
+        """|xi|^2 = w^2 + z^2; nonnegative exactly."""
+        return self.w * self.w + self.z * self.z
+
+    def conjugate(self) -> "PhasePoint":
+        return PhasePoint(self.w, -self.z)
+
+    def __neg__(self) -> "PhasePoint":
+        return PhasePoint(-self.w, -self.z)
+
+
+ORIGIN = PhasePoint(0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class CharFn:
+    """An evaluatable one-mode characteristic function with declared ordering."""
+
+    fn: Callable[[PhasePoint], complex]
+    ordering: int = 0
+    label: str = ""
+    kind: str = field(default="state")
+
+    def __post_init__(self):
+        if self.ordering not in ORDERINGS:
+            raise InvalidArgumentError(
+                f"unsupported ordering {self.ordering!r}; expected one of {ORDERINGS}"
+            )
+        if self.kind not in KINDS:
+            raise InvalidArgumentError(f"unsupported kind {self.kind!r}; expected one of {KINDS}")
+
+    def __call__(self, p: PhasePoint):
+        return self.fn(p)
+
+
+def eval_at(f: CharFn, p: PhasePoint) -> complex:
+    """Evaluate ``f`` at the single finite point ``p``."""
+    if not (np.all(np.isfinite(p.w)) and np.all(np.isfinite(p.z))):
+        raise InvalidArgumentError(f"non-finite phase-space point (w={p.w!r}, z={p.z!r})")
+    return complex(f.fn(p))
+
+
+def laguerre_envelope(n: int, u):
+    """``exp(-u/2) L_n(u)`` (scalar or ndarray ``u``) with the package's bounded
+    recurrence, in O(u.size) memory."""
+    if n < 0:
+        raise InvalidArgumentError("n must be nonnegative")
+    u = np.asarray(u, dtype=float)
+    for last in _laguerre_steps(n, u, np.exp(-0.5 * u)):
+        pass
+    return last if last.shape else float(last)
+
+
+def fock_charfn(n: int) -> CharFn:
+    """Wigner characteristic function of the Fock state |n>."""
+    if n < 0:
+        raise InvalidArgumentError("n must be nonnegative")
+
+    def chi(p: PhasePoint):
+        return laguerre_envelope(n, p.abs_sq) + 0.0j
+
+    return CharFn(chi, ordering=0, label=f"fock:{n}")
+
+
+def input_charfn(state: InputState) -> CharFn:
+    """Wigner characteristic function of a catalog input state."""
+    if isinstance(state, FockInput):
+        return fock_charfn(state.n)
+
+    if isinstance(state, CoherentInput):
+        beta = state.beta
+
+        def chi(p: PhasePoint):
+            return np.exp(-0.5 * p.abs_sq + p.xi * np.conj(beta) - p.xi_conj * beta)
+
+    elif isinstance(state, SqueezedVacuumInput):
+        ch, sh = math.cosh(state.s), math.sinh(state.s)
+
+        def chi(p: PhasePoint):
+            xi_p = p.xi * ch + p.xi_conj * sh
+            return np.exp(-0.5 * (xi_p * np.conj(xi_p)).real) + 0.0j
+
+    elif isinstance(state, FockMixtureInput):
+        probs = input_photon_probs(state, state.max_n)
+
+        def chi(p: PhasePoint):
+            return laguerre_envelope_series(probs, p.abs_sq) + 0.0j
+
+    else:
+        raise InvalidArgumentError(f"unknown input state {state!r}")
+    return CharFn(chi, ordering=0, label=state_label(state))
+
+
+def transfer_fn(ch: Channel) -> CharFn:
+    """One-mode transfer function ``tau(xi) = chi_AB(g conj(xi), xi)``.
+
+    For the Squeezed Bell-like family this reduces to a function of
+    ``u = |xi|^2`` alone; at g = 1 it is
+    ``exp(-gamma) [Delta^2 + 2 Delta sqrt(1-Delta^2) cos(theta) gamma
+    + (1-Delta^2)(1-gamma)^2]`` with ``gamma = u exp(-2r)``, i.e. the
+    :func:`~cvteleport.states.delta_weights` combination of the
+    :func:`~cvteleport.states.transfer_basis` terms, in the sum order of the
+    ``transfer-surface`` command.
+    """
+    d2, cross, comp = delta_weights(ch.resource)
+    rate, terms, _ = transfer_basis(ch)
+
+    def tau(p: PhasePoint):
+        u = p.abs_sq
+        one, mixed, paired = terms(u)
+        return np.exp(-rate * u) * (d2 * one + cross * mixed + comp * paired) + 0.0j
+
+    return CharFn(tau, ordering=0, label=transfer_label(ch), kind="transfer")
+
+
+def output_charfn(out: OutputState) -> CharFn:
+    """``chi_out(xi) = tau(xi) chi_in(g xi)``, the output's characteristic
+    function as the pointwise product of its two factors."""
+    tau = transfer_fn(out.channel)
+    chi_in = input_charfn(out.input)
+    g = out.channel.gain
+
+    def chi_out(p: PhasePoint):
+        return tau.fn(p) * chi_in.fn(PhasePoint(g * p.w, g * p.z))
+
+    return CharFn(chi_out, ordering=0, label=out.label)
+
 
 # ---------------------------------------------------------------------------
 # Operator ordering and the two-mode resource
@@ -883,7 +1051,7 @@ def integrate_plane(
 def output_photon_prob(out: OutputState, n: int, cfg: PlaneConfig | None = None) -> float:
     """Single ``P_n`` through the generic plane integrator."""
     cfg = cfg or PlaneConfig()
-    chi_out = out.charfn
+    chi_out = output_charfn(out)
     chi_n = fock_charfn(n)
 
     def integrand(p: PhasePoint):
@@ -928,7 +1096,7 @@ def output_photon_probs(
     """
     _check_cutoff(N)
     cfg = cfg or PlaneConfig()
-    chi_out = out.charfn
+    chi_out = output_charfn(out)
     W, Z, wt = _photon_nodes(plan_quadrature(chi_out.fn, cfg), N, cfg)
     pts = PhasePoint(W, Z)
     base = np.asarray(chi_out.fn(pts), dtype=complex) * wt

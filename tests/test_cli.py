@@ -29,9 +29,12 @@ from cvteleport import (
     teleport,
 )
 from cvteleport.optimize import closed_form_delta
-from cvteleport.phasespace import PhasePoint
-from cvteleport.states import transfer_fn
-from oracles import PlaneConfig, output_photon_probs
+from oracles import (
+    PhasePoint,
+    PlaneConfig,
+    output_photon_probs,
+    transfer_fn,
+)
 
 
 def run_cli(args, capsys):
@@ -104,6 +107,25 @@ def test_moments_with_channel_csv(capsys):
     assert code == 0
     rows = read_csv(out)
     assert float(rows[0]["n_mean"]) > 1.0  # teleportation adds photons
+
+
+@pytest.mark.parametrize("text,spelled", [
+    ("fock:1", "fock:1"),
+    ("coherent:2.12928,0.5", "coherent:(2.12928+0.5j)"),
+    ("sqvac:-0.5", "sqvac:-0.5"),
+    ("mix:0@0.25,3@0.75", "mix:0@0.25,3@0.75"),
+])
+def test_moments_label_names_the_input_and_the_channel(text, spelled, capsys):
+    """The label column, pinned byte for byte, equals the output's label."""
+    label = f"out[{spelled} | transfer(delta=0.3,theta=0.4,r=2.0,g=1.3)]"
+    argv = ["moments", "--input", text, "--delta", "0.3", "--theta", "0.4", "--r", "2",
+            "--gain", "1.3"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.splitlines()[-1].endswith(f',"{label}"')
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0 and json.loads(out)[0]["label"] == label
+    ch = Channel(SqueezedBellResource(delta=0.3, theta=0.4, r=2.0), gain=1.3)
+    assert teleport(parse_state(text), ch).label == label
 
 
 def test_photon_stats_identity(capsys):
@@ -647,7 +669,15 @@ _FOCK1 = {"input": "fock:1", "delta": 0.9, "r": 1.0}
         ("transfer-surface", {"r": 1.0, "presets": []}, "empty --presets"),
         ("transfer-surface", {"r": 1.0, "grid": []}, "empty --grid"),
         *(("optimize", {"format": fmt, "kind": "x2_transfer", "r": 1},
-           f"unknown output format {fmt!r}") for fmt in (False, "", 0, None)),
+           f"unknown output format {fmt!r}") for fmt in (False, "", 0)),
+        # A null is no value: it neither selects a default nor enters the hash.
+        *((command, {**cfg, key: None}, f"config key {key!r} is null; give a value or leave it out")
+          for command, cfg, key in (
+              ("optimize", {"kind": "x2_transfer", "r": 1}, "format"),
+              ("optimize", {"kind": "x2_transfer", "r": 1}, "theta"),
+              ("photon-stats", _FOCK1, "N"),
+              ("moments", _FOCK1, "output"),
+          )),
     ],
 )
 def test_config_values_of_the_wrong_type_give_error_records(command, cfg, message, tmp_path, capsys):

@@ -8,23 +8,25 @@ from cvteleport import (
     CapacityError,
     Channel,
     InvalidArgumentError,
-    PhasePoint,
     SqueezedBellResource,
-    fock_charfn,
-    input_charfn,
     state_cumulants,
     teleport,
-    transfer_fn,
 )
-from cvteleport.numerics import laguerre_envelope, laguerre_envelope_all
+from cvteleport.numerics import laguerre_envelope_all
 from conftest import case_study_inputs, moderate_inputs
 from oracles import (
     DiffConfig,
+    PhasePoint,
     PlaneConfig,
     _eval_grid,
     derivative_at_origin,
+    fock_charfn,
+    input_charfn,
     integrate_plane,
+    laguerre_envelope,
+    output_charfn,
     raw_from_cumulants,
+    transfer_fn,
 )
 
 
@@ -110,10 +112,10 @@ def test_quadrature_convergence_on_case_study_integrands():
     ch = Channel(SqueezedBellResource(delta=0.9, theta=0.0, r=0.75))
     fock10 = fock_charfn(10)
     for state in case_study_inputs():
-        out = teleport(state, ch)
+        chi_out = output_charfn(teleport(state, ch))
 
         def integrand(p):
-            return out.charfn.fn(p) * fock10.fn(-p)
+            return chi_out.fn(p) * fock10.fn(-p)
 
         a = integrate_plane(integrand, PlaneConfig(radial_nodes=192, angular_nodes=256))
         b = integrate_plane(integrand, PlaneConfig(radial_nodes=384, angular_nodes=256))
@@ -212,7 +214,7 @@ def _scalar_profile(f, directions, radii):
 def test_probe_profile_on_arrays_equals_scalar_probing(state):
     chi = input_charfn(state)
     out = teleport(state, Channel(SqueezedBellResource(delta=0.8, theta=0.4, r=1.1), gain=0.9))
-    for f in (chi.fn, out.charfn.fn):
+    for f in (chi.fn, output_charfn(out).fn):
         got = _max_profile(f, _EIGHT_RAYS, _PROBE_RADII)
         want = _scalar_profile(f, _EIGHT_RAYS, _PROBE_RADII)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from cvteleport import (
+from cvteleport import InvalidArgumentError
+from conftest import case_study_inputs, random_points
+from oracles import (
     CharFn,
-    InvalidArgumentError,
     ORIGIN,
     PhasePoint,
+    convert_ordering,
     eval_at,
     input_charfn,
 )
-from conftest import case_study_inputs, random_points
-from oracles import convert_ordering
 
 
 def test_phasepoint_derived_quantities():

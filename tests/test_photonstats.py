@@ -17,7 +17,6 @@ from cvteleport import (
     d_functional,
     delta_family,
     distortion_measures,
-    input_charfn,
     input_distribution,
     input_photon_probs,
     input_purity,
@@ -29,6 +28,8 @@ from conftest import DELTA2_OPT, case_study_inputs
 from oracles import (
     PlaneConfig,
     convert_ordering,
+    input_charfn,
+    output_charfn,
     output_photon_prob,
     output_photon_probs,
     overlap,
@@ -192,7 +193,7 @@ def test_overlap_symmetry(rng):
     ch = Channel(SqueezedBellResource(delta=0.85, theta=0.0, r=1.0))
     for state in states:
         f = input_charfn(state)
-        g = teleport(state, ch).charfn
+        g = output_charfn(teleport(state, ch))
         assert abs(overlap(f, g) - overlap(g, f)) <= 1e-9
 
 
@@ -207,7 +208,7 @@ def test_fidelity_against_fock_diagonal_oracle():
     ch = Channel(SqueezedBellResource(delta=0.9, theta=0.0, r=1.0))
     for state in (FockInput(0), FockInput(1), FockMixtureInput(((0, 0.5), (1, 0.5)))):
         out = teleport(state, ch)
-        fid = overlap(input_charfn(state), out.charfn)
+        fid = overlap(input_charfn(state), output_charfn(out))
         p_in = input_photon_probs(state, 40)
         p_out = output_photon_probs(out, 40).probs
         assert fid == pytest.approx(float(p_in @ p_out), abs=1e-7)
@@ -311,8 +312,8 @@ def test_family_matches_direct_path_on_random_cells():
         chi_in = input_charfn(state)
         try:
             probs = output_photon_probs(out, 24, fine).probs
-            fid = overlap(chi_in, out.charfn, fine)
-            pur_out = purity(out.charfn, fine)
+            fid = overlap(chi_in, output_charfn(out), fine)
+            pur_out = purity(output_charfn(out), fine)
             frob = math.sqrt(max(purity(chi_in, fine) + pur_out - 2.0 * fid, 0.0))
         except CVTeleportError:
             continue
@@ -414,8 +415,8 @@ def test_family_overlaps_match_gaussian_moments(s, r, gain):
     for delta in (0.0, 0.6, 1.0):
         out = teleport(state, Channel(SqueezedBellResource(delta, 0.0, r), gain=gain))
         m = fam.measures(delta)
-        assert abs(m.fidelity - overlap(chi_in, out.charfn, fine)) <= 1e-12, delta
-        assert abs(m.purity_out - purity(out.charfn, fine)) <= 1e-12, delta
+        assert abs(m.fidelity - overlap(chi_in, output_charfn(out), fine)) <= 1e-12, delta
+        assert abs(m.purity_out - purity(output_charfn(out), fine)) <= 1e-12, delta
 
 
 @pytest.mark.parametrize("s", [-4.0, -1.5, 0.0, 0.3, 1.5, 3.0, 4.0])
@@ -554,8 +555,8 @@ def test_family_strong_squeezing_matches_fine_direct_reference(r):
     delta = 0.6
     out = teleport(state, Channel(SqueezedBellResource(delta, 0.0, r)))
     m = fam.measures(delta)
-    assert abs(m.fidelity - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
-    assert abs(m.purity_out - purity(out.charfn, fine)) <= 1e-9
+    assert abs(m.fidelity - overlap(input_charfn(state), output_charfn(out), fine)) <= 1e-9
+    assert abs(m.purity_out - purity(output_charfn(out), fine)) <= 1e-9
 
 
 _FAMILY_TEXTS = (
@@ -618,7 +619,7 @@ def test_family_commands_run_on_src_alone(tmp_path):
         fam = delta_family(state, 1.25, 0.2, 0.9, 24)
         out = teleport(state, Channel(SqueezedBellResource(0.8, 0.2, 1.25), gain=0.9))
         fid = fam.measures(0.8).fidelity
-        assert abs(fid - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
+        assert abs(fid - overlap(input_charfn(state), output_charfn(out), fine)) <= 1e-9
 
 
 @pytest.mark.parametrize("gain", [0.8, 1.0, 1.3])
@@ -632,8 +633,8 @@ def test_coherent_overlaps_match_fine_direct_reference(beta, r, gain):
     delta = 0.8
     out = teleport(state, Channel(SqueezedBellResource(delta, 0.3, r), gain=gain))
     m = fam.measures(delta)
-    assert abs(m.fidelity - overlap(input_charfn(state), out.charfn, fine)) <= 1e-9
-    assert abs(m.purity_out - purity(out.charfn, fine)) <= 1e-9
+    assert abs(m.fidelity - overlap(input_charfn(state), output_charfn(out), fine)) <= 1e-9
+    assert abs(m.purity_out - purity(output_charfn(out), fine)) <= 1e-9
 
 
 @pytest.mark.parametrize("state", case_study_inputs() + [FockInput(10)])

@@ -10,21 +10,23 @@ from cvteleport import (
     FockInput,
     FockMixtureInput,
     InvalidArgumentError,
-    PhasePoint,
     SqueezedBellResource,
     SqueezedVacuumInput,
     delta_family,
-    eval_at,
-    fock_charfn,
-    input_charfn,
     input_photon_probs,
     state_from_descriptor,
     state_to_descriptor,
-    transfer_fn,
 )
 from cvteleport.optimize import Objective, minimize_delta
 from conftest import case_study_inputs, random_points
-from oracles import sbl_two_mode_value
+from oracles import (
+    PhasePoint,
+    eval_at,
+    fock_charfn,
+    input_charfn,
+    sbl_two_mode_value,
+    transfer_fn,
+)
 
 
 def laguerre_series(n, u):
