@@ -35,7 +35,6 @@ from .optimize import (
     OptimumRecord,
     closed_form_delta,
     minimize_delta,
-    objective_function,
     sweep_r,
 )
 from .photonstats import (

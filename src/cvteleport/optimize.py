@@ -12,12 +12,13 @@ interior local minimum wins, even over a lower end (the fourth-order transfer
 cumulant's stationary minimum is the optimum of record); without one, the
 lower end.  Ties go to the smaller Delta.
 
-:func:`sweep_r` solves all of its (kind, r) cells as one array problem.  It
-builds each cell's ``Q``, maps the stacked forms to coefficients in one
-product, finds every cell's roots in one stacked eigenvalue solve of
-companion matrices with Newton steps over the whole stack, and selects every
-optimum from one evaluation of all candidates.  :func:`minimize_delta` is
-the one-cell case of the same solve.
+One solve, :func:`_solve`, handles a list of (kind, r) cells as one array
+problem.  It builds each cell's ``Q``, maps the stacked forms to
+coefficients in one product, finds every cell's roots in one stacked
+eigenvalue solve of companion matrices with Newton steps over the whole
+stack, and selects every optimum from one evaluation of all candidates.
+:func:`minimize_delta` is its one-cell call, which raises the cell's error;
+:func:`sweep_r` its grid call, which records each cell's error.
 
 :func:`closed_form_delta` evaluates the six closed-form optimal-Delta
 expressions; the test suite holds the optimizer to them.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,14 +90,18 @@ class Objective:
 
 @dataclass(frozen=True)
 class OptimumRecord:
-    """One optimized cell; ``iterations`` counts the objective evaluations spent."""
+    """One optimized cell, or a failed one: ``error`` names its ``CVTeleportError``."""
 
     delta_star: float
     objective_value: float
     r: float
     kind: str
-    iterations: int
     error: Optional[str] = None
+
+    @property
+    def iterations(self) -> int:
+        """The objective evaluations spent: one, at the optimum; none for a failed cell."""
+        return 0 if self.error else 1
 
 
 def _channel(obj: Objective, delta: float) -> Channel:
@@ -115,17 +120,16 @@ def _root(v):
     return np.sqrt(np.maximum(v, 0.0))
 
 
-def _form(obj: Objective, input_moments=None, families=None, derivative_forms=None):
+def _form(obj: Objective, input_moments, families, derivative_forms):
     """``(Q, terms, outer, family)``: objective ``outer(w @ Q @ w)``, ``terms`` the
     sums of the absolute values of the terms summed into ``Q``, and ``family`` the
     :class:`DeltaFamily` that ``Q`` was read from, if any.  ``outer`` is ``float``,
-    :func:`_root` or ``abs``.  ``input_moments`` maps the input to its
-    :class:`MomentSet` in place of :func:`moment_set`, ``families`` builds the
-    family in place of :func:`delta_family`, and ``derivative_forms`` the forms in
-    place of :func:`transfer_derivative_forms`; a sweep passes ones that build
+    :func:`_root` or ``abs``.  ``input_moments``, ``families`` and
+    ``derivative_forms`` stand for :func:`moment_set`, :func:`delta_family` and
+    :func:`transfer_derivative_forms`; :func:`_solve` passes ones that build
     each once."""
     if obj.kind in ("d_functional", "one_minus_fidelity", "frobenius"):
-        family = (families or delta_family)(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
+        family = families(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
         if obj.kind == "d_functional":
             # P_out - P_in, P_in on the columns that sum to 1: no O(1) terms cancel in Q.
             diff = family.photon_basis - np.outer(family.p_in.clamped(), _ONE)
@@ -138,13 +142,13 @@ def _form(obj: Objective, input_moments=None, families=None, derivative_forms=No
             return Q, terms, _root, family
         return _sym(_ONE - f, _ONE), _sym(_ONE + np.abs(f), _ONE), float, family
 
-    d1, d2 = (derivative_forms or transfer_derivative_forms)(_channel(obj, 1.0))
+    d1, d2 = derivative_forms(_channel(obj, 1.0))
     if obj.kind == "kappa4_transfer":  # mu4 - 3 mu2^2 = 12 F''(0) - 12 F'(0)^2
         Q = 12.0 * (_sym(d2, _ONE) - np.outer(d1, d1))
         terms = 12.0 * (_sym(np.abs(d2), _ONE) + np.outer(np.abs(d1), np.abs(d1)))
         return Q, terms, float, None
     if obj.kind in ("mu4_x", "mu4_p"):  # mu4 + 6 g^2 var mu2, mu4 = 12 F''(0), mu2 = -2 F'(0)
-        ms_in = (input_moments or moment_set)(obj.input)
+        ms_in = input_moments(obj.input)
         var = obj.gain * obj.gain * (ms_in.x2_central if obj.kind == "mu4_x" else ms_in.p2_central)
         line, terms = 12.0 * d2 - 12.0 * var * d1, 12.0 * np.abs(d2) + 12.0 * abs(var) * np.abs(d1)
         return _sym(line, _ONE), _sym(terms, _ONE), abs, None
@@ -201,30 +205,6 @@ def _coefficients(kinds: Sequence[str], forms: Sequence[tuple], trig: np.ndarray
             estimate=variation[i],
         )
     return coef, errors
-
-
-def _trig_form(obj: Objective):
-    """``(coef, outer, family)`` of one cell, with objective ``outer(_basis(Delta) @ coef)``.
-
-    Raises like :func:`_form` and with the errors of :func:`_coefficients`.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises below
-        form = _form(obj)
-    coef, (error,) = _coefficients([obj.kind], [form], _trig(obj.theta))
-    if error is not None:
-        raise error
-    return coef[0], form[2], form[3]
-
-
-def objective_function(obj: Objective) -> Callable[[float], float]:
-    """The scalar map Delta -> objective value for ``obj``, from its trigonometric form."""
-    coef, outer, _ = _trig_form(obj)
-
-    def f(delta: float) -> float:
-        _channel(obj, delta)  # validates Delta
-        return float(outer(float(_basis(delta) @ coef)))
-
-    return f
 
 
 def _basis(delta) -> np.ndarray:
@@ -345,20 +325,64 @@ def _record(obj: Objective, delta_star, value, family) -> OptimumRecord:
     if family is not None:
         m = family.measures(delta_star)
         value = {"d_functional": m.d_n, "frobenius": m.frobenius}.get(obj.kind, 1.0 - m.fidelity)
-    return OptimumRecord(delta_star, float(value), obj.r, obj.kind, iterations=1)
+    return OptimumRecord(delta_star, float(value), obj.r, obj.kind)
+
+
+def _solve(cells: Sequence[tuple], input, theta, gain, n_photons) -> list:
+    """For every ``(kind, r)`` cell, its :class:`OptimumRecord` or the
+    ``CVTeleportError`` it raised, from one batched solve.
+
+    Each cell's form comes from :func:`_form`, with the input's moments read
+    once, and one :func:`delta_family` per r for all family kinds and one set of
+    transfer-derivative forms per r for all transfer-table kinds built.  Then
+    one product gives all coefficients, one stacked eigenvalue solve all
+    candidates, and one evaluation of them all every optimum; the family
+    kinds then take their value from :meth:`DeltaFamily.measures`.  Any
+    exception other than a ``CVTeleportError`` is a fault and propagates.
+    """
+    input_moments = functools.lru_cache(maxsize=1)(moment_set)
+    families = functools.lru_cache(maxsize=None)(delta_family)
+    derivative_forms = functools.lru_cache(maxsize=None)(transfer_derivative_forms)
+    outcomes: list = [None] * len(cells)
+    places, objs, forms = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is an error below
+        for place, (kind, r) in enumerate(cells):
+            try:
+                obj = Objective(
+                    kind=kind, r=r, theta=theta, input=input, gain=gain, n_photons=n_photons
+                )
+                forms.append(_form(obj, input_moments, families, derivative_forms))
+            except CVTeleportError as exc:
+                outcomes[place] = exc
+                continue
+            places.append(place)
+            objs.append(obj)
+    if objs:
+        coef, errors = _coefficients([obj.kind for obj in objs], forms, _trig(theta))
+        solved = [i for i, error in enumerate(errors) if error is None]
+        stars, values = _select(coef[solved], [forms[i][2] for i in solved])
+        for place, error in zip(places, errors):
+            outcomes[place] = error
+        for i, delta_star, value in zip(solved, stars, values):
+            try:
+                outcomes[places[i]] = _record(objs[i], delta_star, value, forms[i][3])
+            except CVTeleportError as exc:
+                outcomes[places[i]] = exc
+    return outcomes
 
 
 def minimize_delta(obj: Objective) -> OptimumRecord:
     """Minimize ``obj`` over Delta in [0, 1]; deterministic, tie-break to smaller Delta.
 
-    The one-cell case of the solve of :func:`sweep_r`.  The objective is
-    evaluated once, at the optimum: for the family kinds that is the
-    :meth:`DeltaFamily.measures` value ``compare`` prints, with its checks.
-    Raises like :func:`_trig_form`.
+    The one-cell :func:`_solve`, which :func:`sweep_r` runs over a grid.  The
+    objective is evaluated once, at the optimum: for the family kinds that is
+    the :meth:`DeltaFamily.measures` value ``compare`` prints, with its checks.
+    Raises the cell's ``CVTeleportError``.
     """
-    coef, outer, family = _trig_form(obj)
-    (delta_star,), (value,) = _select(coef[None, :], [outer])
-    return _record(obj, delta_star, value, family)
+    (outcome,) = _solve([(obj.kind, obj.r)], obj.input, obj.theta, obj.gain, obj.n_photons)
+    if isinstance(outcome, CVTeleportError):
+        raise outcome
+    return outcome
 
 
 def closed_form_delta(kind: str, r: float, s: Optional[float] = None) -> float:
@@ -391,17 +415,6 @@ def closed_form_delta(kind: str, r: float, s: Optional[float] = None) -> float:
     return math.sqrt(1.0 + num / math.sqrt(num * (13.0 + 2.0 * e2r * (5.0 + e2r)))) / math.sqrt(2.0)
 
 
-def _failed(kind: str, r: float, exc: CVTeleportError) -> OptimumRecord:
-    return OptimumRecord(
-        delta_star=float("nan"),
-        objective_value=float("nan"),
-        r=r,
-        kind=kind,
-        iterations=0,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
 def sweep_r(
     kinds: Sequence[str],
     r_grid: Sequence[float],
@@ -410,50 +423,19 @@ def sweep_r(
     gain: float = 1.0,
     n_photons: int = 24,
 ) -> list[OptimumRecord]:
-    """Minimize every (kind, r) cell, kind-major, in one batched solve.
+    """Minimize every (kind, r) cell, kind-major, in one batched :func:`_solve`.
 
-    Each cell's form comes from :func:`_form`, with the input's moments read
-    once, and one :func:`delta_family` per r for all family kinds and one set of
-    transfer-derivative forms per r for all transfer-table kinds built.  Then
-    one product gives all coefficients, one stacked eigenvalue solve all
-    candidates, and one evaluation of them all every optimum; the family
-    kinds then take their value from :meth:`DeltaFamily.measures`.
-    Every cell gets the record :func:`minimize_delta` gives it.  A cell's
-    ``CVTeleportError`` is recorded in its place and the sweep continues; any
-    other exception is a fault and propagates.
+    Every cell gets the record :func:`minimize_delta` gives it, from the same
+    code.  A cell's ``CVTeleportError`` is recorded in its place and the sweep
+    continues; any other exception is a fault and propagates.
     """
     if not kinds or len(r_grid) == 0:
         raise InvalidArgumentError("sweep needs nonempty kind and r grids")
-    input_moments = functools.lru_cache(maxsize=1)(moment_set)
-    families = functools.lru_cache(maxsize=None)(delta_family)
-    derivative_forms = functools.lru_cache(maxsize=None)(transfer_derivative_forms)
     cells = [(kind, float(r)) for kind in kinds for r in r_grid]
-    outcomes: list = [None] * len(cells)  # a record or a CVTeleportError per cell
-    places, objs, forms = [], [], []
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is an error below
-        for place, (kind, r) in enumerate(cells):
-            try:
-                obj = Objective(
-                    kind=kind, r=r, theta=theta, input=input, gain=gain, n_photons=n_photons
-                )
-                forms.append(_form(obj, input_moments, families, derivative_forms))
-            except CVTeleportError as exc:  # record the cell, keep sweeping
-                outcomes[place] = exc
-                continue
-            places.append(place)
-            objs.append(obj)
-    if objs:
-        coef, errors = _coefficients([obj.kind for obj in objs], forms, _trig(theta))
-        solved = [i for i, error in enumerate(errors) if error is None]
-        stars, values = _select(coef[solved], [forms[i][2] for i in solved])
-        for place, error in zip(places, errors):
-            outcomes[place] = error
-        for i, delta_star, value in zip(solved, stars, values):
-            try:
-                outcomes[places[i]] = _record(objs[i], delta_star, value, forms[i][3])
-            except CVTeleportError as exc:
-                outcomes[places[i]] = exc
+    outcomes = _solve(cells, input, theta, gain, n_photons)
     return [
-        outcome if isinstance(outcome, OptimumRecord) else _failed(kind, r, outcome)
+        outcome if isinstance(outcome, OptimumRecord) else OptimumRecord(
+            float("nan"), float("nan"), r, kind, error=f"{type(outcome).__name__}: {outcome}"
+        )
         for outcome, (kind, r) in zip(outcomes, cells)
     ]

@@ -22,7 +22,9 @@ engines read them:
   ``f``'s form, so it also minimizes the finite-difference objectives.
   :func:`objective_parts` evaluates each objective kind one Delta at a time
   from the cumulant tables and the Delta family, the oracle of the
-  optimizer's quadratic forms.  :func:`reference_interior_roots` finds one
+  optimizer's quadratic forms, which :func:`trig_form` and
+  :func:`trig_objective` read out of the optimizer for the tests that need
+  them.  :func:`reference_interior_roots` finds one
   quartic's unit-circle roots with ``np.roots`` and Newton steps through
   ``np.polyval``, the oracle of the optimizer's batched root solve.
 * :func:`integrate_plane` — full-plane integrals in polar coordinates
@@ -76,13 +78,22 @@ from cvteleport.moments import (
     moment_set,
     state_cumulants,
     transfer_cumulants,
+    transfer_derivative_forms,
 )
 from cvteleport.numerics import (
     _laguerre_steps,
     laguerre_envelope_all,
     laguerre_envelope_series,
 )
-from cvteleport.optimize import _ROOT_TOL, Objective, _channel, objective_function
+from cvteleport.optimize import (
+    _ROOT_TOL,
+    Objective,
+    _basis,
+    _channel,
+    _coefficients,
+    _form,
+    _trig,
+)
 from cvteleport.photonstats import (
     PhotonDistribution,
     _check_cutoff,
@@ -559,7 +570,7 @@ def fd_moment_set(f: CharFn, cfg: DiffConfig | None = None) -> MomentSet:
 
 
 def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
-    """:func:`cvteleport.optimize.objective_function` with FD transfer moments.
+    """:func:`trig_objective` with FD transfer moments.
 
     ``x2_transfer``, ``kappa4_transfer`` and ``n_transfer`` differentiate the
     transfer function numerically instead of reading the closed-form tables;
@@ -584,20 +595,44 @@ def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
             raw_moment_normal(transfer_fn(_channel(obj, d)), 1, 1, cfg).real
         )
 
-    return objective_function(obj)
+    return trig_objective(obj)
 
 
 # ---------------------------------------------------------------------------
 # Objectives from the tables and the family, one Delta at a time
 # ---------------------------------------------------------------------------
 
+def trig_form(obj: Objective):
+    """``(coef, outer)``: the optimizer minimizes ``outer(_basis(Delta) @ coef)``
+    for ``obj``.  Its quadratic form from ``cvteleport.optimize._form``, with
+    the uncached builders, mapped to coefficients by ``_coefficients``; raises
+    the errors of the two."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises below
+        form = _form(obj, moment_set, delta_family, transfer_derivative_forms)
+    coef, (error,) = _coefficients([obj.kind], [form], _trig(obj.theta))
+    if error is not None:
+        raise error
+    return coef[0], form[2]
+
+
+def trig_objective(obj: Objective) -> Callable[[float], float]:
+    """The scalar map Delta -> objective value of :func:`trig_form`, one Delta at
+    a time, as the optimizer evaluates its candidates."""
+    coef, outer = trig_form(obj)
+
+    def f(delta: float) -> float:
+        _channel(obj, delta)  # validates Delta
+        return float(outer(float(_basis(delta) @ coef)))
+
+    return f
+
+
 def objective_parts(obj: Objective):
     """``(g, outer)`` with objective ``outer(g(Delta))``, evaluated per Delta.
 
     ``g`` reads the transfer cumulant table or the Delta family at each Delta,
     with no use of the quadratic form in the Delta weights that
-    :func:`cvteleport.optimize.objective_function` evaluates: the oracle of
-    that form.
+    :func:`trig_objective` evaluates: the oracle of that form.
     """
     if obj.kind in ("x2_transfer", "n_transfer"):
         # n_transfer, the bare-derivative photon-number average -F'(0), is x2 / 2;

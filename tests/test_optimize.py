@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,14 +18,19 @@ from cvteleport import (
     closed_form_delta,
     delta_family,
     minimize_delta,
-    objective_function,
     sweep_r,
 )
 from cvteleport.cli import parse_state
 from cvteleport.moments import moment_set
 from cvteleport.optimize import CLOSED_FORM_KINDS, OBJECTIVE_KINDS, OptimumRecord
 from conftest import DELTA2_OPT, DELTA4_OPT, bisect_root
-from oracles import fd_objective_function, reference_interior_roots, reference_minimize
+from oracles import (
+    fd_objective_function,
+    objective_parts,
+    reference_interior_roots,
+    reference_minimize,
+    trig_form,
+)
 
 R_RANGE = np.linspace(0.25, 3.0, 12)
 # Two ulp of a Delta near 1.
@@ -66,7 +72,7 @@ def test_kappa4_prefers_the_interior_stationary_point():
     """The documented rule: an interior local minimum wins over a lower boundary."""
     obj = Objective(kind="kappa4_transfer", r=0.9, theta=0.0, gain=0.8)
     rec = minimize_delta(obj)
-    f = objective_function(obj)
+    f, _ = objective_parts(obj)
     assert rec.delta_star == pytest.approx(0.99749, abs=1e-5)
     assert f(0.0) < rec.objective_value
     for side in (-1e-6, 1e-6):
@@ -93,7 +99,8 @@ def test_frobenius_finds_the_deeper_dip():
     assert slope(0.99) < 0.0 < slope(0.9999)
     assert abs(rec.delta_star - bisect_root(slope, 0.99, 0.9999)) <= 1e-9
     assert rec.objective_value == pytest.approx(0.330481, abs=1e-6)
-    grid_star, grid_value = reference_minimize(objective_function(obj))
+    g, outer = objective_parts(obj)
+    grid_star, grid_value = reference_minimize(lambda d: outer(g(d)))
     assert grid_star == pytest.approx(0.85995, abs=1e-5)
     assert rec.objective_value < grid_value
 
@@ -131,7 +138,7 @@ def test_family_objectives_stay_certified_at_very_large_r(kind, r):
 def test_flat_objective_raises(monkeypatch):
     one = np.array([1.0, 0.0, 1.0])
     flat = 3.25 * np.outer(one, one)  # w @ flat @ w = 3.25 at every Delta
-    monkeypatch.setattr(opt_mod, "_form", lambda o: (flat, flat, float, None))
+    monkeypatch.setattr(opt_mod, "_form", lambda o, *builders: (flat, flat, float, None))
     with pytest.raises(AccuracyError):
         opt_mod.minimize_delta(Objective(kind="x2_transfer", r=1.0))
 
@@ -139,8 +146,12 @@ def test_flat_objective_raises(monkeypatch):
 def test_constant_objective_tie_breaks_to_zero(monkeypatch):
     """Two equal ends and no interior minimum: g = -cos 2t is -1 at Delta = 0 and 1."""
     obj = Objective(kind="x2_transfer", r=1.0)
-    coef = np.array([0.0, 0.0, 0.0, -1.0, 0.0])
-    monkeypatch.setattr(opt_mod, "_trig_form", lambda o: (coef, float, None))
+    # w @ Q @ w = -Delta^4 + 6 Delta^2 (1 - Delta^2) - (1 - Delta^2)^2 = -cos 2t
+    Q = np.array([[-1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, -1.0]])
+    form = (Q, np.abs(Q), float, None)
+    coef, _ = opt_mod._coefficients([obj.kind], [form], opt_mod._trig(obj.theta))
+    assert coef.tolist() == [[0.0, 0.0, 0.0, -1.0, 0.0]]
+    monkeypatch.setattr(opt_mod, "_form", lambda o, *builders: form)
     rec = opt_mod.minimize_delta(obj)
     assert rec.delta_star == 0.0
     assert rec.objective_value == -1.0
@@ -150,7 +161,7 @@ def test_non_finite_objective_raises(monkeypatch):
     obj = Objective(kind="x2_transfer", r=1.0)
     form = np.eye(3)
     form[0, 2] = form[2, 0] = float("nan")
-    monkeypatch.setattr(opt_mod, "_form", lambda o: (form, np.abs(form), float, None))
+    monkeypatch.setattr(opt_mod, "_form", lambda o, *builders: (form, np.abs(form), float, None))
     with pytest.raises(EvaluationError, match="non-finite"):
         opt_mod.minimize_delta(obj)
 
@@ -159,7 +170,7 @@ def test_local_minimum_certificate():
     for kind, r in [("x2_transfer", 1.0), ("kappa4_transfer", 1.0), ("n_transfer", 0.75)]:
         obj = Objective(kind=kind, r=r)
         rec = minimize_delta(obj)
-        f = objective_function(obj)
+        f, _ = objective_parts(obj)
         star = rec.delta_star
         assert rec.iterations == 1  # the objective is evaluated once, at the optimum
         for side in (-1e-3, 1e-3):
@@ -234,7 +245,7 @@ def test_batched_roots_polish_a_rounding_small_leading_coefficient():
                        ("one_minus_fidelity", "mix:1@0.5,2@0.5")]:
         for theta in (0.3, 1.0, 2.0):
             obj = Objective(kind=kind, r=1.0, theta=theta, input=parse_state(text), gain=0.8)
-            rows.append(opt_mod._trig_form(obj)[0])
+            rows.append(trig_form(obj)[0])
     coef = np.array(rows)
     assert np.any((coef[:, 3:] != 0).any(axis=1) & (np.abs(coef[:, 3:]).max(axis=1) < 1e-12))
     _assert_roots_match_reference(_quartics(coef))
@@ -371,7 +382,8 @@ SWEEP_INPUTS = (
 
 @pytest.mark.parametrize("text", SWEEP_INPUTS)
 def test_sweep_equals_per_cell_minimize_delta(text):
-    """The batched sweep gives every cell the record of minimize_delta, bit for bit;
+    """A cell's record does not depend on the cells solved with it: the sweep's
+    stacked solve gives every cell minimize_delta's one-cell record, bit for bit;
     error cells (r = 800 overflows cosh, frobenius on coherent:1 at r = 10 is flat
     to rounding) keep their place and message."""
     state = parse_state(text)
@@ -388,7 +400,7 @@ def test_sweep_equals_per_cell_minimize_delta(text):
                     expected = minimize_delta(obj)
                 except CVTeleportError as exc:
                     expected = OptimumRecord(
-                        float("nan"), float("nan"), r, kind, 0, f"{type(exc).__name__}: {exc}"
+                        float("nan"), float("nan"), r, kind, f"{type(exc).__name__}: {exc}"
                     )
                     errors += 1
                 assert repr(rec) == repr(expected)  # NaN-safe and bitwise
@@ -396,6 +408,31 @@ def test_sweep_equals_per_cell_minimize_delta(text):
                 rec = records[cells.index(("frobenius", 10.0))]
                 assert rec.error.startswith("AccuracyError")
     assert errors >= 5 * 2 * len(OBJECTIVE_KINDS)  # the r = 800 column at least
+
+
+def test_minimize_delta_and_sweep_r_run_the_one_solve(monkeypatch):
+    calls = []
+    solve = opt_mod._solve
+
+    def counting(cells, *shared):
+        calls.append(list(cells))
+        return solve(cells, *shared)
+
+    monkeypatch.setattr(opt_mod, "_solve", counting)
+    minimize_delta(Objective(kind="x2_transfer", r=1.0))
+    sweep_r(["x2_transfer", "n_transfer"], [0.5, 1])
+    assert calls == [
+        [("x2_transfer", 1.0)],
+        [("x2_transfer", 0.5), ("x2_transfer", 1.0), ("n_transfer", 0.5), ("n_transfer", 1.0)],
+    ]
+
+
+def test_iterations_is_read_off_the_error():
+    """One objective evaluation per solved cell, none for a failed one; not a stored field."""
+    assert "iterations" not in {field.name for field in dataclasses.fields(OptimumRecord)}
+    solved, failed = sweep_r(["x2_transfer", "one_minus_fidelity"], [1.0])
+    assert (solved.error, solved.iterations) == (None, 1)
+    assert failed.error.startswith("InvalidArgumentError") and failed.iterations == 0
 
 
 def test_sweep_reads_the_input_moments_once(monkeypatch):

@@ -25,10 +25,9 @@ from cvteleport import (  # noqa: E402
     SqueezedVacuumInput,
     delta_family,
     minimize_delta,
-    objective_function,
 )
 from cvteleport.optimize import OBJECTIVE_KINDS  # noqa: E402
-from oracles import objective_parts, reference_minimize  # noqa: E402
+from oracles import objective_parts, reference_minimize, trig_form, trig_objective  # noqa: E402
 
 STATES = (
     FockInput(0),
@@ -69,14 +68,14 @@ def test_exact_optimum_is_a_local_minimum_no_worse_than_the_grid(
 ):
     obj = Objective(kind=kind, r=r, theta=theta, input=state, gain=gain)
     g, _ = objective_parts(obj)
-    coef, _, _ = opt_mod._trig_form(obj)
+    coef, _ = trig_form(obj)
     polynomial = float(opt_mod._basis(delta) @ coef)
     values = [g(d) for d in SCALE_DELTAS + (delta,)]
     scale = max(max(abs(v) for v in values), 1.0 if kind in FAMILY_KINDS else 0.0)
     assert abs(polynomial - values[-1]) <= 1e-12 * scale
 
     rec = minimize_delta(obj)
-    f = objective_function(obj)
+    f = trig_objective(obj)
     rounding = 0.0
     if kind == "one_minus_fidelity":
         rounding = 1e-15
