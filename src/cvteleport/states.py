@@ -182,12 +182,16 @@ def transfer_coefficients(ch: Channel):
 
     With gain g, ``xi'_A = a conj(xi)`` and ``xi'_B = b xi`` where
     ``a = g cosh(r) - sinh(r)`` and ``b = cosh(r) - g sinh(r)``; at g = 1 both
-    reduce to ``exp(-r)``.  Raises InvalidArgumentError when ``cosh(r)``
-    overflows.
+    reduce to ``exp(-r)``.  They are evaluated as ``(g - 1) cosh(r) + exp(-r)``
+    and ``(1 - g) sinh(r) + exp(-r)``: the difference of two terms of size
+    ``e^r`` would keep only ``eps e^{2r}`` of ``exp(-r)`` at g = 1 (the wrong
+    sign at r = 19, zero from r = 20).  Raises InvalidArgumentError when
+    ``cosh(r)`` overflows.
     """
     r, g = ch.resource.r, ch.gain
     ch_r, sh_r = _cosh_sinh(r, "two-mode squeezing r")
-    return g * ch_r - sh_r, ch_r - g * sh_r
+    e = math.exp(-r)
+    return (g - 1.0) * ch_r + e, (1.0 - g) * sh_r + e
 
 
 def delta_weight_rows(deltas, theta: float) -> np.ndarray:

@@ -139,17 +139,21 @@ def test_near_vacuum_photon_moments_keep_relative_accuracy(r):
     identities give g2(0) = 26 at r = 10), and a weak coherent input is a
     displaced thermal state."""
     ch = Channel(SqueezedBellResource(delta=1.0, theta=0.0, r=r))
-    th = (math.cosh(r) - math.sinh(r)) ** 2
+    th = math.exp(-2.0 * r)  # (cosh r - sinh r)^2 would keep only eps e^{4r} of it
     vac = moment_set(teleport(FockInput(0), ch))
-    assert vac.n_mean == pytest.approx(th, rel=1e-13)
-    assert vac.g2_zero == pytest.approx(2.0, rel=1e-13)
+    assert vac.n_mean == pytest.approx(th, rel=1e-13, abs=0.0)
+    assert vac.g2_zero == pytest.approx(2.0, rel=1e-13, abs=0.0)
     mu = 1e-8  # coherent:0.0001
     coh = moment_set(teleport(CoherentInput(1e-4), ch))
-    assert coh.n_mean == pytest.approx(mu + th, rel=1e-13)
-    assert coh.g2_zero * coh.n_mean**2 == pytest.approx(mu * mu + 4 * mu * th + 2 * th * th, rel=1e-13)
-    assert moment_set(CoherentInput(1e-4)).g2_zero == pytest.approx(1.0, rel=1e-13)
+    assert coh.n_mean == pytest.approx(mu + th, rel=1e-13, abs=0.0)
+    assert coh.g2_zero * coh.n_mean**2 == pytest.approx(
+        mu * mu + 4 * mu * th + 2 * th * th, rel=1e-13, abs=0.0
+    )
+    assert moment_set(CoherentInput(1e-4)).g2_zero == pytest.approx(1.0, rel=1e-13, abs=0.0)
     s = 1e-4
-    assert moment_set(SqueezedVacuumInput(s)).g2_zero == pytest.approx(3.0 + math.sinh(s) ** -2, rel=1e-13)
+    assert moment_set(SqueezedVacuumInput(s)).g2_zero == pytest.approx(
+        3.0 + math.sinh(s) ** -2, rel=1e-13, abs=0.0
+    )
 
 
 @pytest.mark.parametrize("gain", [1.0, 1.3])

@@ -14,10 +14,12 @@ from cvteleport import (
     FockInput,
     InvalidArgumentError,
     Objective,
+    SqueezedBellResource,
     SqueezedVacuumInput,
     closed_form_delta,
     delta_family,
     minimize_delta,
+    resource_closed_forms,
     sweep_r,
 )
 from cvteleport.cli import parse_state
@@ -133,6 +135,17 @@ def test_family_objectives_stay_certified_at_very_large_r(kind, r):
     """P_out - P_in and 1 - F vary like e^{-2r}, far above the rounding of their terms."""
     rec = minimize_delta(Objective(kind=kind, r=r, input=CoherentInput(1.0)))
     assert abs(rec.delta_star - DELTA2_OPT) <= 1e-6
+
+
+@pytest.mark.parametrize("r", [10.0, 14.0, 16.0, 20.0, 30.0])
+@pytest.mark.parametrize("kind, closed", [("x2_transfer", "x2_ab"), ("kappa4_transfer", "kappa4_ab")])
+def test_transfer_optima_keep_relative_accuracy_at_large_r(kind, closed, r):
+    """The transfer objectives fall like e^{-2r} and e^{-4r}; their printed values
+    keep relative accuracy against the closed forms at the same Delta."""
+    for theta in (0.0, 0.4):
+        rec = minimize_delta(Objective(kind=kind, r=r, theta=theta))
+        forms = resource_closed_forms(SqueezedBellResource(rec.delta_star, theta, r))
+        assert rec.objective_value == pytest.approx(getattr(forms, closed), rel=1e-13, abs=0.0)
 
 
 def test_flat_objective_raises(monkeypatch):

@@ -18,6 +18,7 @@ from cvteleport import (
     state_to_descriptor,
 )
 from cvteleport.optimize import Objective, minimize_delta
+from cvteleport.states import transfer_coefficients
 from conftest import case_study_inputs, random_points
 from oracles import (
     PhasePoint,
@@ -243,6 +244,22 @@ def test_constructor_validation():
 def test_non_finite_parameters_rejected(make):
     with pytest.raises(InvalidArgumentError):
         make()
+
+
+def test_transfer_coefficients_keep_their_digits_at_large_r():
+    """(a, b) against 50-digit values.  The error bound is a few eps of the terms
+    ``|g - 1| cosh r`` and ``exp(-r)``: at g = 1 that is eps exp(-r), where the
+    difference ``g cosh r - sinh r`` keeps only eps e^{2r} of exp(-r)."""
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for g in (1e-3, 0.5, 1.0, 1.3, 10.0):
+            for r in np.linspace(0.0, 30.0, 121).tolist():
+                a, b = transfer_coefficients(Channel(SqueezedBellResource(1.0, 0.0, r), g))
+                ch_r, sh_r = mpmath.cosh(r), mpmath.sinh(r)
+                e = math.exp(-r)
+                assert abs(a - (g * ch_r - sh_r)) <= 4 * eps * (abs(g - 1) * math.cosh(r) + e), (g, r)
+                assert abs(b - (ch_r - g * sh_r)) <= 4 * eps * (abs(1 - g) * math.sinh(r) + e), (g, r)
 
 
 def test_transfer_overflow_is_typed():
