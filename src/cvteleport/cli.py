@@ -269,7 +269,8 @@ def _finite_grid(value, name: str) -> list[float]:
 _SURFACE_PRESETS = {
     "tmsv": lambda r: 1.0,
     "photon_subtracted": lambda r: math.cos(math.atan(math.tanh(r))),
-    "photon_added": lambda r: math.cos(math.atan(1.0 / math.tanh(r))),
+    # At r = 0, where 1 / tanh(r) divides by zero, its r -> 0 limit: Delta = 0, |1,1>.
+    "photon_added": lambda r: math.cos(math.atan(1.0 / math.tanh(r))) if r else 0.0,
     "coherent_optimal": lambda r: closed_form_delta("fidelity_coherent", r),
 }
 _REQUIRED = object()

@@ -65,6 +65,7 @@ from .channel import OutputState, teleport
 from .errors import (
     ConsistencyError,
     DegenerateStateError,
+    EvaluationError,
     InvalidArgumentError,
 )
 from .states import (
@@ -189,19 +190,39 @@ class MomentSet:
         return dataclasses.asdict(self)
 
 
+_FIELDS = tuple(
+    field.name for field in dataclasses.fields(MomentSet) if field.name not in ("is_state", "label")
+)
+
+
 def moment_set(source) -> MomentSet:
     """Full :class:`MomentSet` of a catalog input state or a teleportation output.
 
     The quadrature fields are entries of the cumulant table, for an output
     ``g^(n+m) K_in + K_tau``; the photon numbers come from
     :func:`photon_moments`.  ``g2_zero`` is None when ``n_mean`` is below 1e-12.
+    Raises :class:`~cvteleport.errors.EvaluationError` when a field overflows
+    or is not finite.
     """
+    label = source.label if isinstance(source, OutputState) else f"{source!r}"
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite field raises below
+            ms = _moment_set(source, label)
+    except OverflowError:
+        raise EvaluationError(f"the moments of {label} overflow") from None
+    for field in _FIELDS:
+        value = getattr(ms, field)
+        if value is not None and not math.isfinite(value):
+            raise EvaluationError(f"the moment {field} of {label} is not finite: {value!r}")
+    return ms
+
+
+def _moment_set(source, label: str) -> MomentSet:
     if isinstance(source, OutputState):
         g, k_tau = source.channel.gain, transfer_cumulants(source.channel)
         k = {key: g ** sum(key) * v + k_tau[key] for key, v in state_cumulants(source.input).items()}
-        label = source.label
     else:
-        k, label = state_cumulants(source), f"{source!r}"
+        k = state_cumulants(source)
     x2, p2 = k[(2, 0)], k[(0, 2)]
     if x2 < -1e-10 or p2 < -1e-10:
         raise ConsistencyError(f"negative central second moment for a state ({x2!r}, {p2!r})")

@@ -139,12 +139,12 @@ def _probability_checks(probs: np.ndarray) -> list:
     """The :class:`PhotonDistribution` checks on each row of ``probs``."""
     sums = probs.sum(axis=1)
     return [
-        (
-            ((probs < -_PROB_SLACK) | (probs > 1.0 + _PROB_SLACK)).any(axis=1),
+        (  # written as "not in range", so that NaN fails
+            ~((-_PROB_SLACK <= probs) & (probs <= 1.0 + _PROB_SLACK)).all(axis=1),
             lambda j: f"photon probabilities outside [-{_PROB_SLACK}, 1+{_PROB_SLACK}]: "
             f"min={probs[j].min():.3e}, max={probs[j].max():.3e}",
         ),
-        (sums > 1.0 + _SUM_SLACK, lambda j: f"photon probabilities sum to {float(sums[j])!r} > 1"),
+        (~(sums <= 1.0 + _SUM_SLACK), lambda j: f"photon probabilities sum to {float(sums[j])!r} > 1"),
     ]
 
 
@@ -282,7 +282,7 @@ class DeltaFamily:
             ),
             # Cauchy-Schwarz bound; implies the purest-state upper bound on fidelity.
             (
-                fid > np.sqrt(np.maximum(pur_in * pur_out, 0.0)) + 1e-7,
+                ~(fid <= np.sqrt(np.maximum(pur_in * pur_out, 0.0)) + 1e-7),
                 lambda j: f"fidelity {float(fid[j])!r} exceeds sqrt(purity_in * purity_out); "
                 "quadrature fault",
             ),
@@ -488,8 +488,9 @@ def delta_family(
     is not an integer or lies outside ``[0, N_MAX_FOCK]``, or a Fock-diagonal
     input whose top photon number exceeds ``N_MAX_FOCK``,
     :class:`~cvteleport.errors.EvaluationError` when the Gram rate
-    ``2 e + g^2`` or the Gaussian overlap moments overflow, and like the
-    resource constructors (bad r, theta or gain).
+    ``2 e + g^2`` or the Gaussian overlap moments overflow or a basis has an
+    entry that is not finite, and like the resource constructors (bad r,
+    theta or gain).
     """
     N = _check_cutoff(N)
     ch = Channel(SqueezedBellResource(delta=1.0, theta=theta, r=r), gain=gain)
@@ -501,6 +502,12 @@ def delta_family(
     else:
         fidelity_basis, gram = _gaussian_overlaps(state, rate, coef, gain)
         photon_basis = (coef @ _photon_series(state, rate, gain, N)).T
+    bases = {"photon": photon_basis, "fidelity": fidelity_basis, "Gram": gram}
+    for name, basis in bases.items():
+        if not np.isfinite(basis).all():
+            raise EvaluationError(
+                f"the {name} basis of {state!r} at r {r!r} and gain {gain!r} is not finite"
+            )
     return DeltaFamily(
         state=state,
         r=r,

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,16 @@ from cvteleport import (
     SqueezedBellResource,
     SqueezedVacuumInput,
 )
+
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci runs the properties on a fixed sequence of examples,
+    # and a failure prints a blob that reproduces it; local runs stay random.
+    settings.register_profile("ci", derandomize=True, print_blob=True)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 DELTA2_OPT = 0.9238795325112867  # sqrt(2 + sqrt(2)) / 2
 

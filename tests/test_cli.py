@@ -855,6 +855,58 @@ def test_overflowing_gaussian_overlaps_are_recorded_sweep_cells(text, capsys):
     assert statuses[0].startswith("error: EvaluationError") and statuses[1] == "ok"
 
 
+NON_FINITE_CELL = ["--input", "coherent:1e100,709", "--r", "0.5", "--theta", "3", "--gain", "1.3",
+                   "--N", "5"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moments", "--input", "sqvac:179", "--identity-channel"], "overflow"),
+        (["moments", "--input", "fock:1", "--delta", "0.5", "--r", "1", "--gain", "1e100"], "overflow"),
+        (["optimize", "--kind", "mu4_x", "--input", "sqvac:360", "--r", "1"], "overflow"),
+        (["moments", "--input", "sqvac:178", "--identity-channel"], "mu4_p"),
+        (["moments", "--input", "coherent:1e100", "--identity-channel"], "g2_zero"),
+        (["moments", "--input", "fock:1", "--delta", "0.3", "--r", "300", "--theta", "3",
+          "--gain", "1000"], "not finite"),
+        (["moments", "--input", "fock:1", "--delta", "1e-300", "--r", "300", "--theta", "3",
+          "--gain", "1000"], "not finite"),
+        (["compare", "--delta-grid", "0.92388"] + NON_FINITE_CELL, "fidelity basis"),
+        (["optimize", "--kind", "one_minus_fidelity"] + NON_FINITE_CELL, "fidelity basis"),
+    ],
+)
+def test_results_that_are_not_finite_numbers_are_evaluation_errors(argv, message, fmt, capsys):
+    """An overflow or a result that is not a finite number is an EvaluationError
+    record, never a traceback, inf or NaN (in JSON, Infinity and NaN are not even
+    valid); compare and optimize give the same record on the same cell."""
+    code, out, err = run_cli(argv + ["--format", fmt], capsys)
+    assert code == 1 and out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "EvaluationError" and message in record["message"]
+
+
+def test_overflowing_input_moments_are_recorded_sweep_cells(capsys):
+    code, out, _ = run_cli(["sweep", "--kinds", "mu4_x,x2_transfer", "--input", "sqvac:360",
+                            "--r-grid", "1"], capsys)
+    assert code == 0
+    statuses = [row["status"] for row in read_csv(out)]
+    assert statuses[0].startswith("error: EvaluationError") and statuses[1] == "ok"
+
+
+@pytest.mark.parametrize("r", ["0", "-0.0"])
+def test_transfer_surface_at_r_zero_prints_the_photon_added_limit(r, capsys):
+    """At r = 0 the photon_added preset's 1 / tanh(r) divides by zero; its r -> 0
+    limit is Delta = 0, the state |1,1>."""
+    code, out, err = run_cli(["transfer-surface", f"--r={r}"], capsys)
+    assert code == 0 and err == ""
+    rows = read_csv(out)
+    assert {row["preset"] for row in rows} == set(cli._SURFACE_PRESETS)
+    assert {row["delta"] for row in rows if row["preset"] == "photon_added"} == {"0.0"}
+    for r in (1e-300, 1e-8, 0.5, 1.25, 30.0):  # elsewhere the same bits as before
+        assert cli._SURFACE_PRESETS["photon_added"](r) == math.cos(math.atan(1.0 / math.tanh(r)))
+
+
 def test_explicit_zero_gain_is_rejected(capsys):
     code, _, err = run_cli(
         ["compare", "--input", "fock:1", "--r", "1.0", "--gain", "0", "--delta-grid", "0.9"], capsys

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from cvteleport import (
     CoherentInput,
     ConsistencyError,
     CVTeleportError,
+    EvaluationError,
     FockInput,
     FockMixtureInput,
     InvalidArgumentError,
@@ -135,6 +137,26 @@ def test_distribution_validation():
         PhotonDistribution(np.array([0.9, 0.9]), 1, 0.0)
     with pytest.raises(InvalidArgumentError):
         PhotonDistribution(np.array([1.0]), 3, 0.0)
+
+
+@pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, math.nan], [math.inf, 0.0]])
+def test_distribution_validation_fails_nan(probs):
+    """The range checks are "not in range", so NaN, which compares False, fails them."""
+    with pytest.raises(ConsistencyError, match="outside"):
+        PhotonDistribution(np.array(probs), 1, 0.0)
+
+
+def test_fidelity_bound_fails_nan():
+    family = delta_family(CoherentInput(1.0), 1.0)
+    broken = dataclasses.replace(family, fidelity_basis=np.full(3, math.nan))
+    with pytest.raises(ConsistencyError, match="fidelity nan exceeds"):
+        broken.measure_columns([0.5])
+
+
+def test_family_with_a_basis_that_is_not_finite_is_an_evaluation_error():
+    """exp(-y/2) underflows to 0 where L_2(y) overflows: their product is NaN."""
+    with pytest.raises(EvaluationError, match="fidelity basis"):
+        delta_family(CoherentInput(1e100 + 709j), 0.5, theta=3.0, gain=1.3, N=5)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +366,6 @@ def test_distortion_measures_rejects_foreign_output():
 # the radial family
 # ---------------------------------------------------------------------------
 
-import dataclasses  # noqa: E402
 import functools  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
