@@ -130,6 +130,11 @@ def _csv_field(value, end: str = "", empty: str = "") -> str:
     return (buf.getvalue()[:-2] or empty) + end
 
 
+def _json_value(value):
+    """``value`` for a JSON table: ``None`` (``null``) where the CSV spells ``nan``."""
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 class Factor(NamedTuple):
     """A column given by its distinct values and, for each row, the position in
     ``values`` of the value the row takes (an integer array)."""
@@ -167,20 +172,21 @@ def _emit(table: dict, resolved: dict):
     """Write a column table (name -> column, one entry per row) as CSV or JSON.
 
     A column is a sequence, a numpy array or a ``Factor``.  JSON is an array of
-    row objects.  The CSV is what ``csv.writer`` writes for the same rows.  It
-    is built from factored columns: each distinct value of a column is spelled
-    once, and each row joins the spellings its values already have.  The line
-    end is folded into the spellings of the last column (and of the last
-    header name), with csv.writer's ``""`` for the empty field of a
-    one-column table.  The text is written line by line, so the whole text of
-    a large table is never held at once; it goes to ``--output`` or to
-    standard output.
+    row objects, with ``null`` for a NaN (the CSV's ``nan``, as in a flagged
+    sweep cell); it holds no other number that is not finite.  The CSV is what
+    ``csv.writer`` writes for the same rows.  It is built from factored
+    columns: each distinct value of a column is spelled once, and each row
+    joins the spellings its values already have.  The line end is folded
+    into the spellings of the last column (and of the last header name), with
+    csv.writer's ``""`` for the empty field of a one-column table.  The text
+    is written line by line, so the whole text of a large table is never held
+    at once; it goes to ``--output`` or to standard output.
     """
     columns = list(table)
     if resolved.get("format") == "json":
         values = [c.tolist() if isinstance(c, (np.ndarray, Factor)) else c for c in table.values()]
-        payload = [dict(zip(columns, row)) for row in zip(*values)]
-        chunks = [json.dumps(payload, indent=2, default=float) + "\n"]
+        payload = [dict(zip(columns, map(_json_value, row))) for row in zip(*values)]
+        chunks = [json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n"]
     else:
         *heads, last = table.values()
         empty = "" if heads else '""'  # csv.writer quotes a row that is one empty field
@@ -221,7 +227,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     file_cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+                raise InvalidArgumentError(f"config file {args.config!r} is not JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise InvalidArgumentError("config file must hold a JSON object")
         _check_config_keys(file_cfg, args)

@@ -282,7 +282,8 @@ def resource_closed_forms(res: SqueezedBellResource) -> ResourceClosedForms:
 
 @dataclass(frozen=True)
 class CovarianceDistortion:
-    """Second-moment distortion record; differences depend only on the resource."""
+    """Second-moment distortion record; ``d_x2``, ``d_p2`` and ``d_cov`` are the
+    transfer table's entries ``out - g^2 in``, which is ``out - in`` only at g = 1."""
 
     x2_in: float
     x2_out: float
@@ -297,9 +298,9 @@ class CovarianceDistortion:
 
 
 def distortion_covariance(state: InputState, ch: Channel) -> CovarianceDistortion:
-    """In/out second central moments and their differences, read off the
-    cumulant tables: the output's is ``g^2 K_in + K_tau``, so each difference
-    is the transfer function's entry alone, whatever the input."""
+    """In/out second central moments and the transfer table's entries, read off
+    the cumulant tables: the output's is ``g^2 K_in + K_tau``, so
+    ``d = out - g^2 in`` is ``K_tau`` alone, whatever the input."""
     k_in, k_tau = state_cumulants(state), transfer_cumulants(ch)
     g2 = ch.gain ** 2
     x2, p2, cov = (2, 0), (0, 2), (1, 1)

@@ -56,13 +56,16 @@ Because ``e >= (1 - g^2) / 2`` for every channel, a coherent input has
 Fock states and mixtures: exact Gauss-Laguerre rules.
 ``A~(v) = sum_m p_m L~_m(v)`` is a finite sum up to the top photon number
 ``M`` (``max_n``), with ``p_m`` from
-:func:`cvteleport.states.input_photon_probs`.  Here ``A~ = chi_in``, so also
-``fidelity_basis[k] = ∫ tau_k A~(u) A~(g^2 u)`` and
-``gram[j, k] = ∫ tau_j tau_k A~(g^2 u)^2``.  Every integrand is
-``exp(-c u)`` times a polynomial in ``u`` (``q_k`` has degree 2): the photon
-and fidelity integrands have ``c = e + (1 + g^2) / 2`` and degree
-``max(N, M) + M + 2``, the Gram integrand ``c = 2 e + g^2`` and degree
-``2 M + 4``.  So each takes a Gauss-Laguerre rule that is exact
+:func:`cvteleport.states.input_photon_probs`.  Input and output are
+Fock-diagonal, so the fidelity is ``sum_m p_m P_out(m)``: ``fidelity_basis =
+p @ photon_basis[:M+1]``.  One table ``L~_n(u)``, ``n <= K = max(N, M)``,
+gives the photon rows; ``A~(g^2 u)`` is ``p @`` a table of ``L~_m(g^2 u)``.
+The Gram matrix ``gram[j, k] = ∫ tau_j tau_k A~(g^2 u)^2`` (Parseval's
+identity, a sum over every photon number) takes its own rule.  Every
+integrand is ``exp(-c u)`` times a polynomial in ``u`` (``q_k`` has degree
+2): the photon integrand has ``c = e + (1 + g^2) / 2`` and degree
+``K + M + 2``, the Gram integrand ``c = 2 e + g^2`` and degree ``2 M + 4``.
+So each takes a Gauss-Laguerre rule that is exact
 (:func:`cvteleport.numerics.gauss_laguerre_rule`), with no cutoff, tail
 bound or node heuristic.  ``M`` is bounded by ``N_MAX_FOCK`` like ``N``, so a
 rule has at most 67 nodes.  Its nodes ``u = x / c`` keep every Laguerre
@@ -79,7 +82,6 @@ fills a 2-D grid.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -87,7 +89,7 @@ import numpy as np
 
 from .channel import OutputState
 from .errors import CapacityError, ConsistencyError, EvaluationError, InvalidArgumentError
-from .numerics import gauss_laguerre_rule, laguerre_envelope_all, laguerre_envelope_series
+from .numerics import gauss_laguerre_rule, laguerre_envelope_all
 from .states import (
     Channel,
     CoherentInput,
@@ -113,7 +115,7 @@ _FROBENIUS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PhotonDistribution:
-    """Photon probabilities ``P_0 .. P_N`` plus a truncation-mass bound.
+    """Photon probabilities ``P_0 .. P_N``, a 1-D array of at least one entry.
 
     ``probs`` keeps the raw quadrature values (small negative residues
     allowed for diagnostics); :meth:`clamped` is the [0, 1]-clipped copy used
@@ -121,15 +123,24 @@ class PhotonDistribution:
     """
 
     probs: np.ndarray
-    N: int
-    truncation_mass_bound: float
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (self.N + 1,):
-            raise InvalidArgumentError(f"expected {self.N + 1} probabilities, got {probs.shape}")
+        if probs.ndim != 1 or probs.size == 0:
+            raise InvalidArgumentError(
+                f"photon probabilities must be a nonempty 1-D array, got shape {probs.shape}"
+            )
         _raise_first(_probability_checks(probs[None, :]))
         object.__setattr__(self, "probs", probs)
+
+    @property
+    def N(self) -> int:
+        return self.probs.size - 1
+
+    @property
+    def truncation_mass_bound(self) -> float:
+        """The mass beyond ``N``: ``max(0, 1 - sum P_n)``."""
+        return max(0.0, 1.0 - self.probs.sum())
 
     def clamped(self) -> np.ndarray:
         return np.minimum(np.maximum(self.probs, 0.0), 1.0)
@@ -175,8 +186,7 @@ class DistortionMeasures:
 
 
 def input_distribution(state: InputState, N: int) -> PhotonDistribution:
-    probs = input_photon_probs(state, N)
-    return PhotonDistribution(probs, N, truncation_mass_bound=max(0.0, 1.0 - probs.sum()))
+    return PhotonDistribution(input_photon_probs(state, N))
 
 
 def _check_cutoff(N) -> int:
@@ -186,10 +196,6 @@ def _check_cutoff(N) -> int:
     if N > N_MAX_FOCK:
         raise CapacityError(f"photon cutoff {N} exceeds N_max={N_MAX_FOCK}")
     return N
-
-
-def _distribution(probs: np.ndarray, N: int) -> PhotonDistribution:
-    return PhotonDistribution(probs, N, truncation_mass_bound=max(0.0, 1.0 - probs.sum()))
 
 
 def d_functional(p_in: PhotonDistribution, p_out: PhotonDistribution) -> float:
@@ -243,7 +249,7 @@ class DeltaFamily:
         return probs, (w * self.fidelity_basis).sum(axis=1), (w * wg).sum(axis=1)
 
     def photon_distribution(self, delta: float) -> PhotonDistribution:
-        return _distribution(self._products([delta])[0][0], self.N)
+        return PhotonDistribution(self._products([delta])[0][0])
 
     def measures(self, delta: float) -> DistortionMeasures:
         """D_N, fidelity, Frobenius distance, and purities at one Delta.
@@ -265,9 +271,10 @@ class DeltaFamily:
         against D_N: the output is then Fock-diagonal too, so
         ``Frobenius^2 - D_N^2`` is the squared photon-number difference
         beyond N and lies in ``[0, (T_out + T_in)^2]`` up to 1e-6, with ``T``
-        the mass beyond N.  This cross-checks the photon-probability and
-        overlap integrals.  The first Delta that fails a check raises, with
-        the error a per-Delta loop would raise for it.
+        the mass beyond N.  Its fidelity is read off the photon basis, so
+        this holds the photon basis to the Gram rule.  The first Delta that
+        fails a check raises, with the error a per-Delta loop would raise for
+        it.
         """
         probs, fid, pur_out = self._products(deltas)
         pur_in = self.purity_in
@@ -457,18 +464,16 @@ def _radial_family(state: InputState, rate: float, terms, gain: float, N: int):
     M = state.max_n
     if M > N_MAX_FOCK:
         raise CapacityError(f"top photon number {M} exceeds N_max={N_MAX_FOCK}")
-    dephased = functools.partial(laguerre_envelope_series, input_photon_probs(state, M))
-    u, wt = gauss_laguerre_rule(max(N, M) + M + 2, rate + 0.5 * (1.0 + g2))
-    tau_k = _transfer_terms(rate, terms, u)
+    p = input_photon_probs(state, M)
+    K = max(N, M)
+    u, wt = gauss_laguerre_rule(K + M + 2, rate + 0.5 * (1.0 + g2))
     # The angular mean of chi_in(g xi): the dephased input A~(g^2 u).
-    chi_g = dephased(g2 * u)
-    chi_1 = chi_g if gain == 1.0 else dephased(u)
-    photon_basis = laguerre_envelope_all(N, u) @ (tau_k * (chi_g * wt)).T
-    fidelity_basis = tau_k @ (chi_1 * chi_g * wt)
+    chi_g = p @ laguerre_envelope_all(M, g2 * u)
+    rows = laguerre_envelope_all(K, u) @ (_transfer_terms(rate, terms, u) * (chi_g * wt)).T
     u, wt = gauss_laguerre_rule(2 * M + 4, 2.0 * rate + g2)
     tau_k = _transfer_terms(rate, terms, u)
-    chi_g = dephased(g2 * u)
-    return photon_basis, fidelity_basis, (tau_k * (chi_g * chi_g * wt)) @ tau_k.T
+    chi_g = p @ laguerre_envelope_all(M, g2 * u)
+    return rows[: N + 1], p @ rows[: M + 1], (tau_k * (chi_g * chi_g * wt)) @ tau_k.T
 
 
 def delta_family(
@@ -521,15 +526,13 @@ def delta_family(
     )
 
 
-def distortion_measures(state: InputState, out: OutputState, N: int) -> DistortionMeasures:
-    """D_N, fidelity, Frobenius distance, and purities for one channel run.
+def distortion_measures(out: OutputState, N: int) -> DistortionMeasures:
+    """D_N, fidelity, Frobenius distance, and purities of ``out`` against its input.
 
-    ``out`` must be ``state`` teleported through ``out.channel``; the numbers
-    come from that channel's :func:`delta_family` (see
-    :meth:`DeltaFamily.measures` for the consistency checks).
+    The numbers come from the :func:`delta_family` of ``out.input`` and
+    ``out.channel`` (see :meth:`DeltaFamily.measures` for the consistency
+    checks).
     """
-    if out.input != state:
-        raise InvalidArgumentError("distortion_measures needs the output of teleporting state")
     ch = out.channel
     res = ch.resource
-    return delta_family(state, res.r, res.theta, ch.gain, N).measures(res.delta)
+    return delta_family(out.input, res.r, res.theta, ch.gain, N).measures(res.delta)

@@ -322,22 +322,34 @@ def state_from_descriptor(d: dict) -> InputState:
     Kinds: ``{"kind": "fock", "n": int}``,
     ``{"kind": "coherent", "beta_re": float, "beta_im": float}``,
     ``{"kind": "squeezed_vacuum", "s": float}``,
-    ``{"kind": "fock_mixture", "weights": [[n, p], ...]}``.
+    ``{"kind": "fock_mixture", "weights": [[n, p], ...]}``.  A missing or
+    malformed field raises :class:`~cvteleport.errors.InvalidArgumentError`
+    naming the kind and the field.
     """
     try:
         kind = d["kind"]
     except (TypeError, KeyError):
         raise InvalidArgumentError(f"state descriptor needs a 'kind' field: {d!r}") from None
+
+    def field(name):
+        if name not in d:
+            raise InvalidArgumentError(f"{kind} state descriptor needs the field {name!r}: {d!r}")
+        return d[name]
+
     if kind == "fock":
-        return FockInput(d["n"])
+        return FockInput(field("n"))
     if kind == "coherent":
         return CoherentInput(
-            complex(as_real(d["beta_re"], "beta_re"), as_real(d.get("beta_im", 0.0), "beta_im"))
+            complex(as_real(field("beta_re"), "beta_re"), as_real(d.get("beta_im", 0.0), "beta_im"))
         )
     if kind == "squeezed_vacuum":
-        return SqueezedVacuumInput(as_real(d["s"], "s"))
+        return SqueezedVacuumInput(as_real(field("s"), "s"))
     if kind == "fock_mixture":
-        return FockMixtureInput(tuple((n, as_real(p, "mixture probability")) for n, p in d["weights"]))
+        weights, pairs = field("weights"), (list, tuple)
+        if not (isinstance(weights, pairs)
+                and all(isinstance(w, pairs) and len(w) == 2 for w in weights)):
+            raise InvalidArgumentError(f"fock_mixture 'weights' must be [n, p] pairs, got {weights!r}")
+        return FockMixtureInput(tuple((n, as_real(p, "mixture probability")) for n, p in weights))
     raise InvalidArgumentError(f"unknown state kind {kind!r}")
 
 

@@ -80,11 +80,7 @@ from cvteleport.moments import (
     transfer_cumulants,
     transfer_derivative_forms,
 )
-from cvteleport.numerics import (
-    _laguerre_steps,
-    laguerre_envelope_all,
-    laguerre_envelope_series,
-)
+from cvteleport.numerics import laguerre_envelope_all
 from cvteleport.optimize import (
     _ROOT_TOL,
     Objective,
@@ -97,7 +93,6 @@ from cvteleport.optimize import (
 from cvteleport.photonstats import (
     PhotonDistribution,
     _check_cutoff,
-    _distribution,
     d_functional,
     delta_family,
 )
@@ -194,6 +189,23 @@ def eval_at(f: CharFn, p: PhasePoint) -> complex:
     return complex(f.fn(p))
 
 
+def _laguerre_steps(n_max: int, u: np.ndarray, start):
+    """Yield ``start * L_k(u)`` for ``k = 0 .. n_max`` by the three-term recurrence
+    of :func:`cvteleport.numerics.laguerre_envelope_all`, one degree at a time.
+
+    The recurrence is linear, so a premultiplied start carries through every
+    degree.  It reads the yielded arrays again: callers must not modify them.
+    """
+    lkm1 = start
+    yield lkm1
+    if n_max >= 1:
+        lk = (1.0 - u) * start
+        yield lk
+        for k in range(1, n_max):
+            lk, lkm1 = ((2.0 * k + 1.0 - u) * lk - k * lkm1) / (k + 1.0), lk
+            yield lk
+
+
 def laguerre_envelope(n: int, u):
     """``exp(-u/2) L_n(u)`` (scalar or ndarray ``u``) with the package's bounded
     recurrence, in O(u.size) memory."""
@@ -203,6 +215,25 @@ def laguerre_envelope(n: int, u):
     for last in _laguerre_steps(n, u, np.exp(-0.5 * u)):
         pass
     return last if last.shape else float(last)
+
+
+def laguerre_envelope_series(weights, u) -> np.ndarray:
+    """``sum_k weights[k] exp(-u/2) L_k(u)`` as a running sum of the package's
+    bounded recurrence (:func:`_laguerre_steps`).
+
+    Memory stays O(u.size) however many weights there are, which the 2-D
+    mixture characteristic function needs on plane grids; zero weights cost
+    one recurrence step and nothing more.  Every ``u`` must keep
+    ``exp(-u/2)`` a normal float (``u`` below about 1400), or the start of the
+    recurrence loses precision.
+    """
+    weights = np.asarray(weights, dtype=float)
+    u = np.asarray(u, dtype=float)
+    total = np.zeros_like(u)
+    for w, term in zip(weights, _laguerre_steps(weights.size - 1, u, np.exp(-0.5 * u))):
+        if w != 0.0:
+            total += w * term
+    return total
 
 
 def fock_charfn(n: int) -> CharFn:
@@ -1136,7 +1167,7 @@ def output_photon_probs(
     pts = PhasePoint(W, Z)
     base = np.asarray(chi_out.fn(pts), dtype=complex) * wt
     lag = laguerre_envelope_all(N, pts.abs_sq)
-    return _distribution((lag.reshape(N + 1, -1) @ base.ravel()).real / math.pi, N)
+    return PhotonDistribution((lag.reshape(N + 1, -1) @ base.ravel()).real / math.pi)
 
 
 def overlap(f: CharFn, g: CharFn, cfg: PlaneConfig | None = None) -> float:

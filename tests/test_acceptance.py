@@ -312,8 +312,8 @@ def test_criterion_8_d_functional_bounds():
     assert d02 == math.sqrt(2.0)
     from cvteleport import PhotonDistribution
 
-    plus = PhotonDistribution(np.array([0.5, 0.5]), 1, 0.0)
-    minus = PhotonDistribution(np.array([0.5, 0.5]), 1, 0.0)
+    plus = PhotonDistribution(np.array([0.5, 0.5]))
+    minus = PhotonDistribution(np.array([0.5, 0.5]))
     assert d_functional(plus, minus) == 0.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

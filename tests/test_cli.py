@@ -262,6 +262,31 @@ def test_sweep_flags_failed_cells(capsys):
     assert rows[0]["status"].startswith("error:")
 
 
+def _strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_sweep_json_writes_null_where_the_csv_writes_nan(capsys):
+    argv = ["sweep", "--kinds", "one_minus_fidelity,x2_transfer,frobenius", "--r-grid", "1,10"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    csv_rows = read_csv(out)
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    json_rows = _strict_json(out)
+    assert [row["status"] for row in json_rows] == [row["status"] for row in csv_rows]
+    assert sum(row["status"].startswith("error:") for row in csv_rows) == 4
+    for got, want in zip(json_rows, csv_rows):
+        for name in ("delta_star", "objective_value"):
+            flagged = want["status"].startswith("error:")
+            assert (want[name] == "nan") == flagged and (got[name] is None) == flagged, (want, got)
+            if not flagged:
+                assert repr(got[name]) == want[name]
+
+
 def test_uncertified_optimum_is_an_error_record(capsys):
     """Past r ~ 8.5 the coherent-input Frobenius objective is flat to rounding."""
     code, out, err = run_cli(
@@ -392,7 +417,16 @@ def test_emit_writes_what_csv_writer_writes(capsys):
     writer.writerows(zip(*table.values()))
     assert lines[1] == expected.getvalue()
 
-    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    # JSON has no inf: the table raises, and nothing is written.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _emit(table, {"format": "json"})
+    assert capsys.readouterr().out == ""
+    # Without it, each NaN is null, where the CSV writes nan.
+    table["array"] = np.where(np.isinf(table["array"]), 1.0, table["array"])
+    rows = [
+        {name: None if isinstance(v, float) and math.isnan(v) else v for name, v in zip(table, row)}
+        for row in zip(*table.values())
+    ]
     _emit(table, {"format": "json"})
     assert capsys.readouterr().out == json.dumps(rows, indent=2, default=float) + "\n"
 
@@ -687,6 +721,34 @@ def test_config_values_of_the_wrong_type_give_error_records(command, cfg, messag
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error == {"type": "InvalidArgumentError", "message": message}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"input": {"kind": "fock_mixture", "weights": 5}, "r": 1, "delta": 0.5}',
+         "fock_mixture 'weights' must be [n, p] pairs, got 5"),
+        ('{"input": {"kind": "fock"}, "r": 1, "delta": 0.5}',
+         "fock state descriptor needs the field 'n'"),
+        ('{"input": {"kind": "coherent"}, "r": 1, "delta": 0.5}',
+         "coherent state descriptor needs the field 'beta_re'"),
+        ('{"input": {"kind": "fock_mixture", "weights": [[1]]}, "r": 1, "delta": 0.5}',
+         "fock_mixture 'weights' must be [n, p] pairs, got [[1]]"),
+        ('{"input": ', "is not JSON"),
+        (b'{"input": "fock:1", "r": 1, "delta": 0.5, "theta": "\xff"}', "is not JSON"),
+    ],
+)
+def test_malformed_state_descriptors_and_config_files_give_one_error_record(
+    text, message, fmt, tmp_path, capsys
+):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, out, err = run_cli(["moments", "--config", str(path), "--format", fmt], capsys)
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "InvalidArgumentError" and message in error["message"]
 
 
 def test_config_booleans_and_numbers_of_the_right_type_are_accepted(tmp_path, capsys):

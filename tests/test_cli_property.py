@@ -98,9 +98,13 @@ def command_lines(draw):
     return [command] + argv + _flags(format=draw(st.sampled_from(["csv", "json"])))
 
 
+def _reject(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _rows(text: str, fmt: str) -> list[dict]:
     if fmt == "json":
-        return json.loads(text, parse_constant=float)
+        return json.loads(text, parse_constant=_reject)  # strict: no NaN or Infinity
     lines = text.splitlines()
     assert lines[0].startswith("# cvteleport ")
     return list(csv.DictReader(lines[1:]))

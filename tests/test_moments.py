@@ -416,6 +416,18 @@ def test_covariance_distortion_of_strong_squeezing_is_the_transfer_table(s):
     assert (rec.x2_out, rec.p2_out, rec.cov_out) == (out.x2_central, out.p2_central, out.cov_xp)
 
 
+def test_covariance_distortion_at_gain_is_out_minus_g2_in():
+    """Away from unit gain the d fields are out - g^2 in, not out - in."""
+    ch = Channel(SqueezedBellResource(delta=0.9, theta=0.0, r=1.0), gain=1.3)
+    rec = distortion_covariance(SqueezedVacuumInput(0.5), ch)
+    g2 = 1.3 ** 2
+    assert rec.d_x2 == pytest.approx(rec.x2_out - g2 * rec.x2_in, abs=1e-14)
+    assert rec.d_p2 == pytest.approx(rec.p2_out - g2 * rec.p2_in, abs=1e-14)
+    assert rec.d_cov == pytest.approx(rec.cov_out - g2 * rec.cov_in, abs=1e-14)
+    assert rec.d_x2 == pytest.approx(0.9329, abs=1e-4)
+    assert rec.x2_out - rec.x2_in == pytest.approx(1.1867, abs=1e-4)
+
+
 def test_covariance_distortion_tmsv_value():
     r = 1.25
     rec = distortion_covariance(FockInput(0), Channel(SqueezedBellResource(delta=1.0, theta=0.0, r=r)))

@@ -190,7 +190,7 @@ def test_derivative_levels_configurable():
 # vectorized probes, the shared recurrence, the exact rule and the Legendre oracle rule
 # ---------------------------------------------------------------------------
 
-from cvteleport.numerics import gauss_laguerre_rule, laguerre_envelope_series  # noqa: E402
+from cvteleport.numerics import gauss_laguerre_rule  # noqa: E402
 from oracles import (  # noqa: E402
     _EIGHT_RAYS,
     _PROBE_RADII,
@@ -198,6 +198,7 @@ from oracles import (  # noqa: E402
     _max_profile,
     envelope_cutoff,
     envelope_tail,
+    laguerre_envelope_series,
     radial_rule,
 )
 

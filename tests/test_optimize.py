@@ -255,7 +255,8 @@ def test_batched_roots_polish_a_rounding_small_leading_coefficient():
     # The same from the objectives: theta != 0 leaves mu4 and 1 - F with such rows.
     rows = []
     for kind, text in [("mu4_x", "coherent:2.12928"), ("mu4_p", "sqvac:1.5"),
-                       ("one_minus_fidelity", "mix:1@0.5,2@0.5")]:
+                       ("one_minus_fidelity", "mix:1@0.5,2@0.5"),
+                       ("one_minus_fidelity", "sqvac:1.5")]:
         for theta in (0.3, 1.0, 2.0):
             obj = Objective(kind=kind, r=1.0, theta=theta, input=parse_state(text), gain=0.8)
             rows.append(trig_form(obj)[0])

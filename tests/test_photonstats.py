@@ -25,7 +25,7 @@ from cvteleport import (
     teleport,
 )
 import cvteleport.photonstats as photonstats
-from cvteleport.cli import parse_state
+from cvteleport.cli import _COMMANDS, parse_state
 from conftest import DELTA2_OPT, case_study_inputs
 from oracles import (
     PlaneConfig,
@@ -132,13 +132,21 @@ def test_negative_squeezing_distribution_is_consistent():
 
 def test_distribution_validation():
     with pytest.raises(ConsistencyError):
-        PhotonDistribution(np.array([0.5, -0.1]), 1, 0.0)
+        PhotonDistribution(np.array([0.5, -0.1]))
     with pytest.raises(ConsistencyError):
-        PhotonDistribution(np.array([0.9, 0.9]), 1, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        PhotonDistribution(np.array([1.0]), 3, 0.0)
+        PhotonDistribution(np.array([0.9, 0.9]))
     with pytest.raises(ConsistencyError, match="outside"):  # NaN fails "not in range"
-        PhotonDistribution(np.array([math.nan, 0.5]), 1, 0.0)
+        PhotonDistribution(np.array([math.nan, 0.5]))
+    for probs in ([], [[0.5, 0.5]], 0.5):
+        with pytest.raises(InvalidArgumentError, match="nonempty 1-D"):
+            PhotonDistribution(probs)
+
+
+def test_distribution_derives_its_cutoff_and_truncation_mass():
+    pd = PhotonDistribution([0.25, 0.5])
+    assert pd.N == 1 and pd.truncation_mass_bound == 0.25
+    assert PhotonDistribution([0.5, 0.5 + 1e-9]).truncation_mass_bound == 0.0
+    assert PhotonDistribution([1.0]).N == 0
 
 
 def test_fidelity_bound_fails_nan():
@@ -171,7 +179,7 @@ def test_d_functional_orthogonal_fock_states_sqrt_two():
 
 def test_d_functional_plus_minus_superpositions():
     # |0> +- |1> superpositions share P_0 = P_1 = 1/2.
-    half = PhotonDistribution(np.array([0.5, 0.5, 0.0]), 2, 0.0)
+    half = PhotonDistribution(np.array([0.5, 0.5, 0.0]))
     assert d_functional(half, half) == 0.0
 
 
@@ -186,9 +194,7 @@ def test_d_functional_bounds(rng):
         a /= a.sum()
         b = rng.uniform(0, 1, 9)
         b /= b.sum()
-        d = d_functional(
-            PhotonDistribution(a, 8, 0.0), PhotonDistribution(b, 8, 0.0)
-        )
+        d = d_functional(PhotonDistribution(a), PhotonDistribution(b))
         assert 0.0 <= d <= math.sqrt(2.0) + 1e-12
 
 
@@ -237,7 +243,7 @@ def test_fidelity_against_fock_diagonal_oracle():
 
 def test_epr_vacuum_measures(epr_channel):
     out = teleport(FockInput(0), epr_channel)
-    m = distortion_measures(FockInput(0), out, 24)
+    m = distortion_measures(out, 24)
     assert m.fidelity >= 0.99
     assert m.d_n <= 0.02
 
@@ -247,21 +253,21 @@ def test_fock_diagonal_inputs_match_frobenius():
         for delta in (0.75, 0.9, 1.0):
             ch = Channel(SqueezedBellResource(delta=delta, theta=0.0, r=r))
             for state in (FockInput(0), FockInput(1), FockMixtureInput(((0, 0.5), (1, 0.5)))):
-                m = distortion_measures(state, teleport(state, ch), 24)
+                m = distortion_measures(teleport(state, ch), 24)
                 assert abs(m.d_n - m.frobenius) <= 1e-6
 
 
 def test_squeezed_input_breaks_frobenius_equality():
     ch = Channel(SqueezedBellResource(delta=0.9, theta=0.0, r=0.75))
     state = SqueezedVacuumInput(1.5)
-    m = distortion_measures(state, teleport(state, ch), 24)
+    m = distortion_measures(teleport(state, ch), 24)
     assert abs(m.d_n - m.frobenius) > 1e-3
 
 
 def test_frobenius_identity_and_bounds():
     ch = Channel(SqueezedBellResource(delta=0.85, theta=0.0, r=1.0))
     for state in case_study_inputs():
-        m = distortion_measures(state, teleport(state, ch), 24)
+        m = distortion_measures(teleport(state, ch), 24)
         assert m.frobenius**2 + 2.0 * m.fidelity == pytest.approx(
             m.purity_in + m.purity_out, abs=1e-7
         )
@@ -351,12 +357,6 @@ def test_family_validates_each_delta():
         fam.measures(float("nan"))
 
 
-def test_distortion_measures_rejects_foreign_output():
-    ch = Channel(SqueezedBellResource(delta=0.9, theta=0.0, r=1.0))
-    with pytest.raises(InvalidArgumentError):
-        distortion_measures(FockInput(0), teleport(FockInput(1), ch), 24)
-
-
 # ---------------------------------------------------------------------------
 # the radial family
 # ---------------------------------------------------------------------------
@@ -369,12 +369,13 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from cvteleport.numerics import gauss_laguerre_rule, laguerre_envelope_series  # noqa: E402
+from cvteleport.numerics import gauss_laguerre_rule  # noqa: E402
 from cvteleport.photonstats import _gaussian_overlaps  # noqa: E402
 from cvteleport.states import N_MAX_FOCK, delta_weights, transfer_basis  # noqa: E402
 from oracles import (  # noqa: E402
     exact_fock_family,
     gamma_gaussian_moments,
+    laguerre_envelope_series,
     polynomial_gaussian_overlaps,
     radial_family,
     radial_photon_basis,
@@ -581,8 +582,8 @@ _FAMILY_TEXTS = (
 )
 
 # Runs CLI commands (argv lists, JSON in argv[1]) in a fresh interpreter and
-# reports each exit code and output, plus every loaded module whose file lies
-# under the directory argv[2].
+# reports each exit code and output, every loaded module whose file lies under
+# the directory argv[2], and every loaded module of a test-only package.
 _ISOLATED_RUN = """
 import contextlib, io, json, sys
 from cvteleport.cli import main
@@ -596,17 +597,23 @@ loaded = sorted(
     name for name, module in list(sys.modules.items())
     if (getattr(module, "__file__", None) or "").startswith(sys.argv[2])
 )
-print(json.dumps({"results": results, "loaded": loaded}))
+test_only = sorted(
+    name for name in sys.modules
+    if name.partition(".")[0] in ("scipy", "sympy", "mpmath", "hypothesis")
+)
+print(json.dumps({"results": results, "loaded": loaded, "test_only": test_only}))
 """
 
 
 def test_family_commands_run_on_src_alone(tmp_path):
-    """The family's CLI commands run with only ``src`` on the path.
+    """The CLI commands run with only ``src`` on the path.
 
-    compare, optimize (frobenius), photon-stats and sweep, over every catalog
-    kind, exit 0 in a fresh interpreter that loads no module of the test
-    suite: no production path reaches the plane or finite-difference oracles.
-    The families agree with the 2-D fidelity on a fine grid."""
+    All six subcommands (compare, optimize on frobenius, photon-stats, sweep
+    and moments over every catalog kind, and transfer-surface) exit 0 in a
+    fresh interpreter that loads no module of the test suite and none of
+    scipy, sympy, mpmath or hypothesis: no production path reaches the plane
+    or finite-difference oracles or a test-only package.  The families agree
+    with the 2-D fidelity on a fine grid."""
     tests_dir = Path(__file__).resolve().parent
     cell = ["--r", "1.25", "--theta", "0.2", "--gain", "0.9"]
     argvs = [
@@ -617,8 +624,9 @@ def test_family_commands_run_on_src_alone(tmp_path):
             ["optimize", "--kind", "frobenius", "--input", text] + cell,
             ["photon-stats", "--input", text, "--delta", "0.8"] + cell,
             ["sweep", "--kinds", "one_minus_fidelity", "--r-grid", "1.25", "--input", text],
+            ["moments", "--input", text, "--delta", "0.8"] + cell,
         )
-    ]
+    ] + [["transfer-surface", "--grid=-1:1:5"] + cell]
     env = dict(os.environ, PYTHONPATH=str(tests_dir.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _ISOLATED_RUN, json.dumps(argvs), str(tests_dir)],
@@ -626,7 +634,8 @@ def test_family_commands_run_on_src_alone(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["loaded"] == []
+    assert report["loaded"] == [] and report["test_only"] == []
+    assert {argv[0] for argv in argvs} == set(_COMMANDS)
     for argv, (code, out, err) in zip(argvs, report["results"], strict=True):
         assert code == 0 and err == "", (argv, err)
         assert "error" not in out, argv

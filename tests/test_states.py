@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -276,6 +277,29 @@ def test_descriptor_roundtrip(state):
 def test_descriptor_rejects_unknown_kind():
     with pytest.raises(InvalidArgumentError):
         state_from_descriptor({"kind": "cat", "alpha": 2.0})
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ({"kind": "fock"}, "fock state descriptor needs the field 'n'"),
+        ({"kind": "coherent", "beta_im": 1.0}, "coherent state descriptor needs the field 'beta_re'"),
+        ({"kind": "squeezed_vacuum"}, "squeezed_vacuum state descriptor needs the field 's'"),
+        ({"kind": "fock_mixture"}, "fock_mixture state descriptor needs the field 'weights'"),
+        ({"kind": "fock_mixture", "weights": 5}, "must be [n, p] pairs, got 5"),
+        ({"kind": "fock_mixture", "weights": "01"}, "must be [n, p] pairs, got '01'"),
+        ({"kind": "fock_mixture", "weights": [[1]]}, "must be [n, p] pairs, got [[1]]"),
+        ({"kind": "fock_mixture", "weights": [[1, 0.5, 0]]}, "must be [n, p] pairs"),
+    ],
+)
+def test_descriptor_names_the_kind_and_the_missing_or_malformed_field(d, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        state_from_descriptor(d)
+
+
+def test_descriptor_takes_weight_pairs_as_lists_or_tuples():
+    state = FockMixtureInput(((0, 0.5), (2, 0.5)))
+    assert state_from_descriptor({"kind": "fock_mixture", "weights": ((0, 0.5), (2, 0.5))}) == state
 
 
 @pytest.mark.parametrize(
