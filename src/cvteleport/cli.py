@@ -231,6 +231,10 @@ def _resolve(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
             except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
                 raise InvalidArgumentError(f"config file {args.config!r} is not JSON: {exc}") from None
+            except RecursionError:
+                raise InvalidArgumentError(
+                    f"config file {args.config!r} nests arrays or objects too deeply to parse"
+                ) from None
         if not isinstance(file_cfg, dict):
             raise InvalidArgumentError("config file must hold a JSON object")
         _check_config_keys(file_cfg, args)

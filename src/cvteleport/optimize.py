@@ -13,12 +13,14 @@ cumulant's stationary minimum is the optimum of record); without one, the
 lower end.  Ties go to the smaller Delta.
 
 One solve, :func:`_solve`, handles a list of (kind, r) cells as one array
-problem.  It builds each cell's ``Q``, maps the stacked forms to
-coefficients in one product, finds every cell's roots in one stacked
-eigenvalue solve of companion matrices with Newton steps over the whole
-stack, and selects every optimum from one evaluation of all candidates.
-:func:`minimize_delta` is its one-cell call, which raises the cell's error;
-:func:`sweep_r` its grid call, which records each cell's error.
+problem.  It builds each r's transfer-derivative forms and Delta family once,
+and each kind's ``Q`` for all of its r values in one stacked pass,
+:func:`_forms`; maps the stacked forms to coefficients in one product, finds
+every cell's roots in one stacked eigenvalue solve of companion matrices with
+Newton steps over the whole stack, and selects every optimum from one
+evaluation of all candidates.  :func:`minimize_delta` is its one-cell call,
+which raises the cell's error; :func:`sweep_r` its grid call, which records
+each cell's error.
 
 :func:`closed_form_delta` evaluates the six closed-form optimal-Delta
 expressions; the test suite holds the optimizer to them.
@@ -26,7 +28,6 @@ expressions; the test suite holds the optimizer to them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -49,6 +50,8 @@ OBJECTIVE_KINDS = (
     "frobenius",
 )
 INPUT_DEPENDENT_KINDS = ("mu4_x", "mu4_p", "d_functional", "one_minus_fidelity", "frobenius")
+# The kinds whose forms come from the Delta family; the rest from the transfer-derivative forms.
+_FAMILY_KINDS = ("d_functional", "one_minus_fidelity", "frobenius")
 
 CLOSED_FORM_KINDS = (
     "fidelity_fock1",
@@ -70,6 +73,14 @@ _ROUNDING = 16.0 * np.finfo(float).eps
 _ROOT_TOL = 1e-7
 
 
+def _check_kind(kind: str, input: Optional[InputState]) -> None:
+    """InvalidArgumentError unless ``kind`` is an objective kind and has the input it needs."""
+    if kind not in OBJECTIVE_KINDS:
+        raise InvalidArgumentError(f"unknown objective kind {kind!r}")
+    if kind in INPUT_DEPENDENT_KINDS and input is None:
+        raise InvalidArgumentError(f"objective {kind!r} requires an input state")
+
+
 @dataclass(frozen=True)
 class Objective:
     """A distortion measure seen as a function of Delta at fixed (theta, r)."""
@@ -82,10 +93,7 @@ class Objective:
     n_photons: int = 24
 
     def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
-            raise InvalidArgumentError(f"unknown objective kind {self.kind!r}")
-        if self.kind in INPUT_DEPENDENT_KINDS and self.input is None:
-            raise InvalidArgumentError(f"objective {self.kind!r} requires an input state")
+        _check_kind(self.kind, self.input)
 
 
 @dataclass(frozen=True)
@@ -104,15 +112,14 @@ class OptimumRecord:
         return 0 if self.error else 1
 
 
-def _channel(obj: Objective, delta: float) -> Channel:
-    return Channel(
-        SqueezedBellResource(delta=delta, theta=obj.theta, r=obj.r), gain=obj.gain
-    )
+def _outer(x, y) -> np.ndarray:
+    """``outer(x, y)`` of each row of stacked ``x`` and ``y`` (``(..., 3)``)."""
+    return x[..., :, None] * y[..., None, :]
 
 
 def _sym(x, y) -> np.ndarray:
-    xy = np.multiply.outer(x, y)
-    return 0.5 * (xy + xy.T)
+    xy = _outer(x, y)
+    return 0.5 * (xy + xy.swapaxes(-1, -2))
 
 
 def _root(v):
@@ -120,42 +127,49 @@ def _root(v):
     return np.sqrt(np.maximum(v, 0.0))
 
 
-def _form(obj: Objective, input_moments, families, derivative_forms):
-    """``(Q, terms, outer, family)``: objective ``outer(w @ Q @ w)``, ``terms`` the
-    sums of the absolute values of the terms summed into ``Q``, and ``family`` the
-    :class:`DeltaFamily` that ``Q`` was read from, if any.  ``outer`` is ``float``,
-    :func:`_root` or ``abs``.  ``input_moments``, ``families`` and
-    ``derivative_forms`` stand for :func:`moment_set`, :func:`delta_family` and
-    :func:`transfer_derivative_forms`; :func:`_solve` passes ones that build
-    each once."""
-    if obj.kind in ("d_functional", "one_minus_fidelity", "frobenius"):
-        family = families(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
-        if obj.kind == "d_functional":
-            # P_out - P_in, P_in on the columns that sum to 1: no O(1) terms cancel in Q.
-            diff = family.photon_basis - np.outer(family.p_in.clamped(), _ONE)
-            return diff.T @ diff, np.abs(diff).T @ np.abs(diff), _root, family
-        f = family.fidelity_basis
-        if obj.kind == "frobenius":  # purity_in + purity_out - 2 F
-            ones = family.purity_in * np.outer(_ONE, _ONE)
-            Q = family.gram + ones - 2.0 * _sym(f, _ONE)
-            terms = np.abs(family.gram) + ones + 2.0 * _sym(np.abs(f), _ONE)
-            return Q, terms, _root, family
-        return _sym(_ONE - f, _ONE), _sym(_ONE + np.abs(f), _ONE), float, family
+def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
+    """``(Q, terms, outer)`` for ``m`` cells of one kind, ``Q`` and ``terms``
+    ``(m, 3, 3)``: cell ``i`` has objective ``outer(w @ Q[i] @ w)``, and
+    ``terms[i]`` holds the sums of the absolute values of the terms summed
+    into ``Q[i]``.  ``outer`` is ``float``, :func:`_root` or ``abs``.
+    ``sources[i]`` is cell ``i``'s :class:`DeltaFamily` for the family kinds,
+    else its rows ``(d1, d2)`` of :func:`transfer_derivative_forms`;
+    ``input_moments`` is the input's :func:`moment_set` for ``mu4_x`` and
+    ``mu4_p``.  Each row is the elementwise arithmetic of its own cell, so
+    its bits do not depend on the cells built with it.
+    """
+    if kind == "d_functional":
+        # P_out - P_in, P_in on the columns that sum to 1: no O(1) terms cancel in Q.
+        # One 2-D product per cell: a stacked matmul may round differently.
+        diffs = [family.photon_basis - np.outer(family.p_in.clamped(), _ONE) for family in sources]
+        Q = np.array([diff.T @ diff for diff in diffs])
+        return Q, np.array([np.abs(diff).T @ np.abs(diff) for diff in diffs]), _root
+    if kind in _FAMILY_KINDS:
+        f = np.array([family.fidelity_basis for family in sources])
+        if kind == "frobenius":  # purity_in + purity_out - 2 F
+            gram = np.array([family.gram for family in sources])
+            purity_in = np.array([family.purity_in for family in sources])
+            ones = purity_in[:, None, None] * np.outer(_ONE, _ONE)
+            Q = gram + ones - 2.0 * _sym(f, _ONE)
+            terms = np.abs(gram) + ones + 2.0 * _sym(np.abs(f), _ONE)
+            return Q, terms, _root
+        return _sym(_ONE - f, _ONE), _sym(_ONE + np.abs(f), _ONE), float
 
-    d1, d2 = derivative_forms(_channel(obj, 1.0))
-    if obj.kind == "kappa4_transfer":  # mu4 - 3 mu2^2 = 12 F''(0) - 12 F'(0)^2
-        Q = 12.0 * (_sym(d2, _ONE) - np.outer(d1, d1))
-        terms = 12.0 * (_sym(np.abs(d2), _ONE) + np.outer(np.abs(d1), np.abs(d1)))
-        return Q, terms, float, None
-    if obj.kind in ("mu4_x", "mu4_p"):  # mu4 + 6 g^2 var mu2, mu4 = 12 F''(0), mu2 = -2 F'(0)
-        ms_in = input_moments(obj.input)
-        var = obj.gain * obj.gain * (ms_in.x2_central if obj.kind == "mu4_x" else ms_in.p2_central)
+    d1, d2 = np.array(sources).swapaxes(0, 1)
+    if kind == "kappa4_transfer":  # mu4 - 3 mu2^2 = 12 F''(0) - 12 F'(0)^2
+        Q = 12.0 * (_sym(d2, _ONE) - _outer(d1, d1))
+        terms = 12.0 * (_sym(np.abs(d2), _ONE) + _outer(np.abs(d1), np.abs(d1)))
+        return Q, terms, float
+    if kind in ("mu4_x", "mu4_p"):  # mu4 + 6 g^2 var mu2, mu4 = 12 F''(0), mu2 = -2 F'(0)
+        var = gain * gain * (
+            input_moments.x2_central if kind == "mu4_x" else input_moments.p2_central
+        )
         line, terms = 12.0 * d2 - 12.0 * var * d1, 12.0 * np.abs(d2) + 12.0 * abs(var) * np.abs(d1)
-        return _sym(line, _ONE), _sym(terms, _ONE), abs, None
+        return _sym(line, _ONE), _sym(terms, _ONE), abs
     # x2 = -2 F'(0); n_transfer = -F'(0) = x2 / 2, and resource_closed_forms.n_ab
     # = -F'(0) - 1 differs by a constant, so the minimizer is shared.
-    line = (-1.0 if obj.kind == "n_transfer" else -2.0) * d1
-    return _sym(line, _ONE), _sym(np.abs(line), _ONE), float, None
+    line = (-1.0 if kind == "n_transfer" else -2.0) * d1
+    return _sym(line, _ONE), _sym(np.abs(line), _ONE), float
 
 
 def _trig(theta: float) -> np.ndarray:
@@ -175,17 +189,17 @@ def _trig(theta: float) -> np.ndarray:
     ])
 
 
-def _coefficients(kinds: Sequence[str], forms: Sequence[tuple], trig: np.ndarray):
-    """``(coef, errors)`` for the stacked ``forms`` of :func:`_form`.
+def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: np.ndarray):
+    """``(coef, errors)`` for the stacked ``Q`` and ``terms`` of :func:`_forms`.
 
-    ``coef[i] = trig @ Q_i[_UPPER]``, so the objective of cell ``i`` is
+    ``coef[i] = trig @ Q[i][_UPPER]``, so the objective of cell ``i`` is
     ``outer(_basis(Delta) @ coef[i])``.  ``errors[i]`` is ``None``, an
     ``EvaluationError`` for a non-finite row, or an ``AccuracyError`` when the
     row's Delta-dependent coefficients lie within the rounding of their
     largest terms.
     """
-    Q = np.array([form[0] for form in forms])[:, _UPPER[0], _UPPER[1], None]
-    terms = np.array([form[1] for form in forms])[:, _UPPER[0], _UPPER[1], None]
+    Q = Q[:, _UPPER[0], _UPPER[1], None]
+    terms = terms[:, _UPPER[0], _UPPER[1], None]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is an error below
         # One matrix-vector product per row: the sums do not depend on the stack.
         coef = np.matmul(trig, Q)[:, :, 0]
@@ -318,54 +332,92 @@ def _select(coef: np.ndarray, outers: Sequence) -> tuple[np.ndarray, np.ndarray]
     return np.min(np.where(ties, deltas, np.inf), axis=1), best
 
 
-def _record(obj: Objective, delta_star, value, family) -> OptimumRecord:
+def _record(kind: str, r: float, delta_star, value, family) -> OptimumRecord:
     """The optimum of one cell.  For the family kinds the value is the
     :meth:`DeltaFamily.measures` value ``compare`` prints, with its checks."""
     delta_star = float(delta_star)
     if family is not None:
         m = family.measures(delta_star)
-        value = {"d_functional": m.d_n, "frobenius": m.frobenius}.get(obj.kind, 1.0 - m.fidelity)
-    return OptimumRecord(delta_star, float(value), obj.r, obj.kind)
+        value = {"d_functional": m.d_n, "frobenius": m.frobenius}.get(kind, 1.0 - m.fidelity)
+    return OptimumRecord(delta_star, float(value), r, kind)
 
 
 def _solve(cells: Sequence[tuple], input, theta, gain, n_photons) -> list:
     """For every ``(kind, r)`` cell, its :class:`OptimumRecord` or the
     ``CVTeleportError`` it raised, from one batched solve.
 
-    Each cell's form comes from :func:`_form`, with the input's moments read
-    once, and one :func:`delta_family` per r for all family kinds and one set of
-    transfer-derivative forms per r for all transfer-table kinds built.  Then
-    one product gives all coefficients, one stacked eigenvalue solve all
-    candidates, and one evaluation of them all every optimum; the family
-    kinds then take their value from :meth:`DeltaFamily.measures`.  Any
-    exception other than a ``CVTeleportError`` is a fault and propagates.
+    Each distinct r gets one set of transfer-derivative forms, shared by the
+    transfer-table kinds, and one :func:`delta_family`, shared by the family
+    kinds; the input's moments are read once.  Each kind is checked once and
+    its cells' forms are built in one :func:`_forms` pass.  Then one product
+    gives all coefficients, one stacked eigenvalue solve all candidates, and
+    one evaluation of them all every optimum; the family kinds then take
+    their value from :meth:`DeltaFamily.measures`.  A cell's error is the
+    first of: its kind or input, its r (the channel, or the family), the
+    input's moments (``mu4_x``, ``mu4_p``), its form.  Any exception other
+    than a ``CVTeleportError`` is a fault and propagates.
     """
-    input_moments = functools.lru_cache(maxsize=1)(moment_set)
-    families = functools.lru_cache(maxsize=None)(delta_family)
-    derivative_forms = functools.lru_cache(maxsize=None)(transfer_derivative_forms)
     outcomes: list = [None] * len(cells)
-    places, objs, forms = [], [], []
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is an error below
-        for place, (kind, r) in enumerate(cells):
+    groups: dict = {}
+    for place, (kind, _) in enumerate(cells):
+        # A kind that is not a string is unknown: it fails below, in a group of its own.
+        groups.setdefault(kind if isinstance(kind, str) else place, []).append(place)
+    built: dict = {}
+
+    def shared(build, arg):
+        """``build(arg)``, once per solve; its ``CVTeleportError`` stands in for the value."""
+        if (build, arg) not in built:
             try:
-                obj = Objective(
-                    kind=kind, r=r, theta=theta, input=input, gain=gain, n_photons=n_photons
-                )
-                forms.append(_form(obj, input_moments, families, derivative_forms))
+                built[build, arg] = build(arg)
             except CVTeleportError as exc:
-                outcomes[place] = exc
+                built[build, arg] = exc
+        return built[build, arg]
+
+    def transfer_rows(r):
+        resource = SqueezedBellResource(delta=1.0, theta=theta, r=r)
+        return transfer_derivative_forms(Channel(resource, gain=gain))
+
+    def family(r):
+        return delta_family(input, r, theta, gain, n_photons)
+
+    kinds, places, outers, families, Qs, terms = [], [], [], [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is an error below
+        for group in groups.values():
+            kind, rows = cells[group[0]][0], dict.fromkeys(group)  # place -> its source
+            try:
+                _check_kind(kind, input)
+                build = family if kind in _FAMILY_KINDS else transfer_rows
+                for place in group:
+                    rows[place] = shared(build, cells[place][1])
+                    if isinstance(rows[place], CVTeleportError):
+                        outcomes[place] = rows.pop(place)
+                if not rows:
+                    continue
+                moments = shared(moment_set, input) if kind in ("mu4_x", "mu4_p") else None
+                if isinstance(moments, CVTeleportError):
+                    raise moments
+                Q, T, outer = _forms(kind, list(rows.values()), gain, moments)
+            except CVTeleportError as exc:
+                for place in rows:
+                    outcomes[place] = exc
                 continue
-            places.append(place)
-            objs.append(obj)
-    if objs:
-        coef, errors = _coefficients([obj.kind for obj in objs], forms, _trig(theta))
+            kinds += [kind] * len(rows)
+            places += rows
+            outers += [outer] * len(rows)
+            families += rows.values() if kind in _FAMILY_KINDS else [None] * len(rows)
+            Qs.append(Q)
+            terms.append(T)
+    if places:
+        coef, errors = _coefficients(kinds, np.concatenate(Qs), np.concatenate(terms), _trig(theta))
         solved = [i for i, error in enumerate(errors) if error is None]
-        stars, values = _select(coef[solved], [forms[i][2] for i in solved])
+        stars, values = _select(coef[solved], [outers[i] for i in solved])
         for place, error in zip(places, errors):
             outcomes[place] = error
         for i, delta_star, value in zip(solved, stars, values):
             try:
-                outcomes[places[i]] = _record(objs[i], delta_star, value, forms[i][3])
+                outcomes[places[i]] = _record(
+                    kinds[i], cells[places[i]][1], delta_star, value, families[i]
+                )
             except CVTeleportError as exc:
                 outcomes[places[i]] = exc
     return outcomes

@@ -316,20 +316,38 @@ def transfer_label(ch: Channel) -> str:
 # JSON descriptors (the CLI-facing state/channel grammar)
 # ---------------------------------------------------------------------------
 
+# The fields of each descriptor kind besides "kind".
+_DESCRIPTOR_FIELDS = {
+    "fock": ("n",),
+    "coherent": ("beta_re", "beta_im"),
+    "squeezed_vacuum": ("s",),
+    "fock_mixture": ("weights",),
+}
+
+
 def state_from_descriptor(d: dict) -> InputState:
     """Build an input state from its JSON descriptor.
 
     Kinds: ``{"kind": "fock", "n": int}``,
     ``{"kind": "coherent", "beta_re": float, "beta_im": float}``,
     ``{"kind": "squeezed_vacuum", "s": float}``,
-    ``{"kind": "fock_mixture", "weights": [[n, p], ...]}``.  A missing or
-    malformed field raises :class:`~cvteleport.errors.InvalidArgumentError`
-    naming the kind and the field.
+    ``{"kind": "fock_mixture", "weights": [[n, p], ...]}``.  A missing,
+    malformed or unknown field raises
+    :class:`~cvteleport.errors.InvalidArgumentError` naming the kind and the
+    field.
     """
     try:
         kind = d["kind"]
     except (TypeError, KeyError):
         raise InvalidArgumentError(f"state descriptor needs a 'kind' field: {d!r}") from None
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_FIELDS:
+        raise InvalidArgumentError(f"unknown state kind {kind!r}")
+    for name in d:
+        if name != "kind" and name not in _DESCRIPTOR_FIELDS[kind]:
+            raise InvalidArgumentError(
+                f"{kind} state descriptor has the unknown field {name!r}; "
+                f"its fields are {list(_DESCRIPTOR_FIELDS[kind])}: {d!r}"
+            )
 
     def field(name):
         if name not in d:
@@ -350,7 +368,6 @@ def state_from_descriptor(d: dict) -> InputState:
                 and all(isinstance(w, pairs) and len(w) == 2 for w in weights)):
             raise InvalidArgumentError(f"fock_mixture 'weights' must be [n, p] pairs, got {weights!r}")
         return FockMixtureInput(tuple((n, as_real(p, "mixture probability")) for n, p in weights))
-    raise InvalidArgumentError(f"unknown state kind {kind!r}")
 
 
 def state_to_descriptor(state: InputState) -> dict:

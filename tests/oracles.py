@@ -82,12 +82,12 @@ from cvteleport.moments import (
 )
 from cvteleport.numerics import laguerre_envelope_all
 from cvteleport.optimize import (
+    _FAMILY_KINDS,
     _ROOT_TOL,
     Objective,
     _basis,
-    _channel,
     _coefficients,
-    _form,
+    _forms,
     _trig,
 )
 from cvteleport.photonstats import (
@@ -600,6 +600,11 @@ def fd_moment_set(f: CharFn, cfg: DiffConfig | None = None) -> MomentSet:
     )
 
 
+def _channel(obj: Objective, delta: float) -> Channel:
+    """The channel of ``obj``'s cell at ``delta``."""
+    return Channel(SqueezedBellResource(delta=delta, theta=obj.theta, r=obj.r), gain=obj.gain)
+
+
 def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
     """:func:`trig_objective` with FD transfer moments.
 
@@ -635,15 +640,20 @@ def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
 
 def trig_form(obj: Objective):
     """``(coef, outer)``: the optimizer minimizes ``outer(_basis(Delta) @ coef)``
-    for ``obj``.  Its quadratic form from ``cvteleport.optimize._form``, with
-    the uncached builders, mapped to coefficients by ``_coefficients``; raises
-    the errors of the two."""
+    for ``obj``.  Its quadratic form from ``cvteleport.optimize._forms`` for
+    the one cell, mapped to coefficients by ``_coefficients``; raises the
+    errors of the builders and of the two."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises below
-        form = _form(obj, moment_set, delta_family, transfer_derivative_forms)
-    coef, (error,) = _coefficients([obj.kind], [form], _trig(obj.theta))
+        if obj.kind in _FAMILY_KINDS:
+            source = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
+        else:
+            source = transfer_derivative_forms(_channel(obj, 1.0))
+        moments = moment_set(obj.input) if obj.kind in ("mu4_x", "mu4_p") else None
+        Q, terms, outer = _forms(obj.kind, [source], obj.gain, moments)
+    coef, (error,) = _coefficients([obj.kind], Q, terms, _trig(obj.theta))
     if error is not None:
         raise error
-    return coef[0], form[2]
+    return coef[0], outer
 
 
 def trig_objective(obj: Objective) -> Callable[[float], float]:

@@ -735,7 +735,12 @@ def test_config_values_of_the_wrong_type_give_error_records(command, cfg, messag
          "coherent state descriptor needs the field 'beta_re'"),
         ('{"input": {"kind": "fock_mixture", "weights": [[1]]}, "r": 1, "delta": 0.5}',
          "fock_mixture 'weights' must be [n, p] pairs, got [[1]]"),
+        ('{"input": {"kind": "coherent", "beta_re": 1, "beta_img": 2}, "r": 1, "delta": 0.5}',
+         "coherent state descriptor has the unknown field 'beta_img'"),
+        ('{"input": {"kind": "fock_mixture", "weights": [[0, 1]], "extra": 1}, "r": 1, "delta": 0.5}',
+         "fock_mixture state descriptor has the unknown field 'extra'"),
         ('{"input": ', "is not JSON"),
+        ("[" * 100_000, "nests arrays or objects too deeply to parse"),
         (b'{"input": "fock:1", "r": 1, "delta": 0.5, "theta": "\xff"}', "is not JSON"),
     ],
 )

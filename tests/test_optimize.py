@@ -23,7 +23,7 @@ from cvteleport import (
     sweep_r,
 )
 from cvteleport.cli import parse_state
-from cvteleport.moments import moment_set
+from cvteleport.moments import moment_set, transfer_derivative_forms
 from cvteleport.optimize import CLOSED_FORM_KINDS, OBJECTIVE_KINDS, OptimumRecord
 from conftest import DELTA2_OPT, DELTA4_OPT, bisect_root
 from oracles import (
@@ -151,7 +151,7 @@ def test_transfer_optima_keep_relative_accuracy_at_large_r(kind, closed, r):
 def test_flat_objective_raises(monkeypatch):
     one = np.array([1.0, 0.0, 1.0])
     flat = 3.25 * np.outer(one, one)  # w @ flat @ w = 3.25 at every Delta
-    monkeypatch.setattr(opt_mod, "_form", lambda o, *builders: (flat, flat, float, None))
+    monkeypatch.setattr(opt_mod, "_forms", lambda kind, *parts: (flat[None], flat[None], float))
     with pytest.raises(AccuracyError):
         opt_mod.minimize_delta(Objective(kind="x2_transfer", r=1.0))
 
@@ -161,10 +161,10 @@ def test_constant_objective_tie_breaks_to_zero(monkeypatch):
     obj = Objective(kind="x2_transfer", r=1.0)
     # w @ Q @ w = -Delta^4 + 6 Delta^2 (1 - Delta^2) - (1 - Delta^2)^2 = -cos 2t
     Q = np.array([[-1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, -1.0]])
-    form = (Q, np.abs(Q), float, None)
-    coef, _ = opt_mod._coefficients([obj.kind], [form], opt_mod._trig(obj.theta))
+    form = (Q[None], np.abs(Q)[None], float)
+    coef, _ = opt_mod._coefficients([obj.kind], *form[:2], opt_mod._trig(obj.theta))
     assert coef.tolist() == [[0.0, 0.0, 0.0, -1.0, 0.0]]
-    monkeypatch.setattr(opt_mod, "_form", lambda o, *builders: form)
+    monkeypatch.setattr(opt_mod, "_forms", lambda kind, *parts: form)
     rec = opt_mod.minimize_delta(obj)
     assert rec.delta_star == 0.0
     assert rec.objective_value == -1.0
@@ -174,7 +174,8 @@ def test_non_finite_objective_raises(monkeypatch):
     obj = Objective(kind="x2_transfer", r=1.0)
     form = np.eye(3)
     form[0, 2] = form[2, 0] = float("nan")
-    monkeypatch.setattr(opt_mod, "_form", lambda o, *builders: (form, np.abs(form), float, None))
+    stacked = (form[None], np.abs(form)[None], float)
+    monkeypatch.setattr(opt_mod, "_forms", lambda kind, *parts: stacked)
     with pytest.raises(EvaluationError, match="non-finite"):
         opt_mod.minimize_delta(obj)
 
@@ -377,10 +378,10 @@ def test_sweep_records_failures_and_continues():
     "fault, recorded", [(ConsistencyError("bad fit"), True), (ZeroDivisionError("bug"), False)]
 )
 def test_sweep_records_only_package_errors(monkeypatch, fault, recorded):
-    def failing(obj, *args):
+    def failing(kind, *parts):
         raise fault
 
-    monkeypatch.setattr(opt_mod, "_form", failing)
+    monkeypatch.setattr(opt_mod, "_forms", failing)
     if recorded:
         (rec,) = sweep_r(["x2_transfer"], [1.0])
         assert rec.error == f"{type(fault).__name__}: {fault}" and math.isnan(rec.delta_star)
@@ -392,6 +393,14 @@ def test_sweep_records_only_package_errors(monkeypatch, fault, recorded):
 SWEEP_INPUTS = (
     "fock:0", "fock:1", "mix:0@0.5,1@0.5", "coherent:2.12928", "sqvac:1.5", "coherent:1"
 )
+
+
+def _per_cell(kind, r, **cell):
+    """The record minimize_delta gives the cell, or the one sweep_r records for its error."""
+    try:
+        return minimize_delta(Objective(kind=kind, r=r, **cell))
+    except CVTeleportError as exc:
+        return OptimumRecord(float("nan"), float("nan"), r, kind, f"{type(exc).__name__}: {exc}")
 
 
 @pytest.mark.parametrize("text", SWEEP_INPUTS)
@@ -409,19 +418,36 @@ def test_sweep_equals_per_cell_minimize_delta(text):
             cells = [(kind, r) for kind in OBJECTIVE_KINDS for r in r_grid]
             assert len(records) == len(cells)
             for rec, (kind, r) in zip(records, cells):
-                obj = Objective(kind=kind, r=r, theta=theta, input=state, gain=gain)
-                try:
-                    expected = minimize_delta(obj)
-                except CVTeleportError as exc:
-                    expected = OptimumRecord(
-                        float("nan"), float("nan"), r, kind, f"{type(exc).__name__}: {exc}"
-                    )
-                    errors += 1
+                expected = _per_cell(kind, r, theta=theta, input=state, gain=gain)
+                errors += expected.error is not None
                 assert repr(rec) == repr(expected)  # NaN-safe and bitwise
             if text == "coherent:1" and theta == 0.0 and gain == 1.0:
                 rec = records[cells.index(("frobenius", 10.0))]
                 assert rec.error.startswith("AccuracyError")
     assert errors >= 5 * 2 * len(OBJECTIVE_KINDS)  # the r = 800 column at least
+
+
+@pytest.mark.parametrize("gain", [1.0, 1.3])
+def test_sweep_keeps_each_cells_error_precedence(gain):
+    """On sqvac:360 the input's moments overflow, and r = -1 and r = 800 fail too:
+    a cell reports its kind's error first, then its r's, then the moments', then
+    its family's, in the stacked solve as in the one-cell one."""
+    state = parse_state("sqvac:360")
+    r_grid = [-1.0, 0.5, 800.0, 1e-300]
+    records = sweep_r(OBJECTIVE_KINDS, r_grid, input=state, gain=gain)
+    cells = [(kind, r) for kind in OBJECTIVE_KINDS for r in r_grid]
+    for rec, (kind, r) in zip(records, cells):
+        assert repr(rec) == repr(_per_cell(kind, r, input=state, gain=gain))
+    error = {cell: rec.error for cell, rec in zip(cells, records)}
+    for kind in OBJECTIVE_KINDS:
+        assert error[kind, -1.0].startswith("InvalidArgumentError: two-mode squeezing r must be")
+        assert error[kind, 800.0].startswith("InvalidArgumentError: two-mode squeezing r=800.0")
+    for kind in ("mu4_x", "mu4_p"):
+        assert error[kind, 0.5].startswith("EvaluationError: the moments of SqueezedVacuumInput")
+    assert error["x2_transfer", 0.5] is None
+    # Without an input the kind's own error comes first, also at r = -1.
+    (rec,) = sweep_r(["mu4_x"], [-1.0])
+    assert rec.error == "InvalidArgumentError: objective 'mu4_x' requires an input state"
 
 
 def test_minimize_delta_and_sweep_r_run_the_one_solve(monkeypatch):
@@ -460,6 +486,20 @@ def test_sweep_reads_the_input_moments_once(monkeypatch):
     records = sweep_r(["mu4_x", "mu4_p", "x2_transfer"], [0.5, 1.0, 2.0], input=FockInput(1))
     assert all(rec.error is None for rec in records)
     assert calls == [FockInput(1)]
+
+
+def test_sweep_reads_each_rs_transfer_derivative_forms_once(monkeypatch):
+    calls = []
+
+    def counting(ch, *args):
+        calls.append(ch.resource.r)
+        return transfer_derivative_forms(ch, *args)
+
+    monkeypatch.setattr(opt_mod, "transfer_derivative_forms", counting)
+    kinds = ["x2_transfer", "kappa4_transfer", "n_transfer", "mu4_x", "mu4_p"]
+    records = sweep_r(kinds, [0.5, 1.0, 2.0], input=FockInput(1))
+    assert all(rec.error is None for rec in records)
+    assert calls == [0.5, 1.0, 2.0]
 
 
 def test_sweep_builds_one_family_per_r(monkeypatch):

@@ -290,6 +290,11 @@ def test_descriptor_rejects_unknown_kind():
         ({"kind": "fock_mixture", "weights": "01"}, "must be [n, p] pairs, got '01'"),
         ({"kind": "fock_mixture", "weights": [[1]]}, "must be [n, p] pairs, got [[1]]"),
         ({"kind": "fock_mixture", "weights": [[1, 0.5, 0]]}, "must be [n, p] pairs"),
+        ({"kind": "coherent", "beta_re": 1, "beta_img": 2},
+         "coherent state descriptor has the unknown field 'beta_img'"),
+        ({"kind": "fock_mixture", "weights": [[0, 1]], "extra": 1},
+         "fock_mixture state descriptor has the unknown field 'extra'"),
+        ({"kind": "fock", "n": 1, "s": 0.5}, "fock state descriptor has the unknown field 's'"),
     ],
 )
 def test_descriptor_names_the_kind_and_the_missing_or_malformed_field(d, message):
