@@ -119,15 +119,18 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _csv_field(value, end: str = "", empty: str = "") -> str:
-    """``value`` as ``csv.writer`` writes it among the fields of a row, then
-    ``end``; an empty field is written as ``empty``."""
+# csv.writer's spelling of a float, never quoted.
+_float_text = float.__repr__
+
+
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it among the fields of a row."""
     if isinstance(value, float):
-        return float.__repr__(value) + end  # csv.writer's spelling of a float, never quoted
+        return _float_text(value)
     buf = io.StringIO()
     # A second, empty field keeps an empty first field from being quoted.
     csv.writer(buf, lineterminator="\n").writerow((value, None))
-    return (buf.getvalue()[:-2] or empty) + end
+    return buf.getvalue()[:-2]
 
 
 def _json_value(value):
@@ -146,26 +149,48 @@ class Factor(NamedTuple):
         return [self.values[k] for k in self.index.tolist()]
 
 
-def _csv_fields(column, end: str = "", empty: str = ""):
-    """The column's CSV fields, one per row, each followed by ``end``.
+# Lines joined into one string and written at a time.
+_BLOCK_LINES = 8192
 
-    Each distinct value is spelled once.  A ``Factor`` names its distinct
-    values itself.  A float64 array's values are told apart by bit pattern,
-    so 0.0 and -0.0 keep their own spelling; any other column repeats a value
-    by repeating the object, and each object is spelled once.
+
+def _spelled(column, end: str, empty: str):
+    """The column as ``(spellings, index)``: an object array of its distinct
+    values as CSV fields, each followed by ``end`` (an empty field spelled
+    ``empty``), and each row's position in it.
+
+    A ``Factor`` names its distinct values itself.  A float64 array's values
+    are told apart by bit pattern, so 0.0 and -0.0 keep their own spelling;
+    any other column repeats a value by repeating the object.
     """
     if isinstance(column, Factor):
         values, index = column
+        texts = map(_csv_field, values)
     elif isinstance(column, np.ndarray) and column.dtype == np.float64:
         bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        values = bits.view(np.float64).tolist()
+        texts = map(_float_text, bits.view(np.float64).tolist())
     else:
         rows = list(column)  # holds every object, so no two share an id meanwhile
-        distinct = {id(v): v for v in rows}
-        spelled = {key: _csv_field(v, end, empty) for key, v in distinct.items()}
-        return map(spelled.__getitem__, map(id, rows))
-    spelled = [_csv_field(v, end, empty) for v in values]
-    return np.array(spelled, dtype=object)[index].tolist()
+        distinct = dict(zip(map(id, rows), rows))
+        position = dict(zip(distinct, itertools.count()))
+        index = np.fromiter(map(position.__getitem__, map(id, rows)), np.intp, len(rows))
+        texts = map(_csv_field, distinct.values())
+    return np.array([(text or empty) + end for text in texts], dtype=object), index
+
+
+def _csv_blocks(table: dict):
+    """The CSV text of ``table``: its header line, then one string per block of
+    ``_BLOCK_LINES`` rows."""
+    ends = [","] * (len(table) - 1) + ["\n"]
+    empty = '""' if len(table) == 1 else ""  # csv.writer quotes a row that is one empty field
+    yield "".join((_csv_field(name) or empty) + end for name, end in zip(table, ends))
+    spelled = [_spelled(column, end, empty) for column, end in zip(table.values(), ends)]
+    n_rows = min(len(index) for _, index in spelled)
+    grid = np.empty((min(n_rows, _BLOCK_LINES), len(spelled)), dtype=object)
+    for start in range(0, n_rows, _BLOCK_LINES):
+        block = grid[:n_rows - start]
+        for j, (spellings, index) in enumerate(spelled):
+            block[:, j] = spellings[index[start:start + _BLOCK_LINES]]
+        yield "".join(block.ravel().tolist())
 
 
 def _emit(table: dict, resolved: dict):
@@ -174,26 +199,21 @@ def _emit(table: dict, resolved: dict):
     A column is a sequence, a numpy array or a ``Factor``.  JSON is an array of
     row objects, with ``null`` for a NaN (the CSV's ``nan``, as in a flagged
     sweep cell); it holds no other number that is not finite.  The CSV is what
-    ``csv.writer`` writes for the same rows.  It is built from factored
-    columns: each distinct value of a column is spelled once, and each row
-    joins the spellings its values already have.  The line end is folded
-    into the spellings of the last column (and of the last header name), with
-    csv.writer's ``""`` for the empty field of a one-column table.  The text
-    is written line by line, so the whole text of a large table is never held
-    at once; it goes to ``--output`` or to standard output.
+    ``csv.writer`` writes for the same rows.  Each column is turned into its
+    distinct values, each spelled once with the ``,`` or line end that follows
+    it, and an index of those spellings by row.  A block of lines is then one
+    grid of spellings picked by the indexes, joined into one string and
+    written at once, so the whole text of a large table is never held at once.
+    It goes to ``--output`` or to standard output.
     """
-    columns = list(table)
     if resolved.get("format") == "json":
+        columns = list(table)
         values = [c.tolist() if isinstance(c, (np.ndarray, Factor)) else c for c in table.values()]
         payload = [dict(zip(columns, map(_json_value, row))) for row in zip(*values)]
         chunks = [json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n"]
     else:
-        *heads, last = table.values()
-        empty = "" if heads else '""'  # csv.writer quotes a row that is one empty field
-        fields = [_csv_fields(c) for c in heads] + [_csv_fields(last, "\n", empty)]
-        names = [_csv_field(name) for name in columns[:-1]] + [_csv_field(columns[-1], "\n", empty)]
         provenance = f"# cvteleport {__version__} config={_config_hash(resolved)}\n"
-        chunks = itertools.chain([provenance, ",".join(names)], map(",".join, zip(*fields)))
+        chunks = itertools.chain([provenance], _csv_blocks(table))
     out_path = resolved.get("output")
     if out_path:
         with open(out_path, "w", newline="") as fh:

@@ -190,35 +190,44 @@ def _trig(theta: float) -> np.ndarray:
 
 
 def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: np.ndarray):
-    """``(coef, errors)`` for the stacked ``Q`` and ``terms`` of :func:`_forms`.
+    """``(coef, scale, errors)`` for the stacked ``Q`` and ``terms`` of :func:`_forms`.
 
-    ``coef[i] = trig @ Q[i][_UPPER]``, so the objective of cell ``i`` is
-    ``outer(_basis(Delta) @ coef[i])``.  ``errors[i]`` is ``None``, an
-    ``EvaluationError`` for a non-finite row, or an ``AccuracyError`` when the
-    row's Delta-dependent coefficients lie within the rounding of their
-    largest terms.
+    ``coef[i] = 2^-scale[i] trig @ Q[i][_UPPER]``, so the objective of cell
+    ``i`` is ``outer(_basis(Delta) @ coef[i])`` times ``2^scale[i]`` (times
+    ``2^(scale[i] / 2)`` for ``outer = _root``).  The even ``scale[i]`` brings
+    the row's largest term near 1.  A power of two scales exactly and moves no
+    optimum, and a row of subnormal forms (r past about 354) keeps the digits
+    the root finder needs.  ``errors[i]`` is ``None``, an ``EvaluationError``
+    for a row whose unscaled coefficients are not all finite, or an
+    ``AccuracyError`` when the row's Delta-dependent coefficients lie within
+    the rounding of their largest terms.
     """
     Q = Q[:, _UPPER[0], _UPPER[1], None]
     terms = terms[:, _UPPER[0], _UPPER[1], None]
+    scale = 2 * (np.frexp(terms[:, :, 0].max(axis=1))[1] // 2)  # 0 for a row that is 0 or not finite
+    down = -scale[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is an error below
         # One matrix-vector product per row: the sums do not depend on the stack.
-        coef = np.matmul(trig, Q)[:, :, 0]
-        rounding = _ROUNDING * np.max(np.matmul(np.abs(trig[1:]), terms)[:, :, 0], axis=1)
-    finite = np.isfinite(coef).all(axis=1)
+        coef = np.matmul(trig, np.ldexp(Q, down))[:, :, 0]
+        rounding = _ROUNDING * np.max(np.matmul(np.abs(trig[1:]), np.ldexp(terms, down))[:, :, 0], axis=1)
+        unscaled = np.ldexp(coef, scale[:, None])
+    finite = np.isfinite(unscaled).all(axis=1)
     variation = np.max(np.abs(coef[:, 1:]), axis=1)
     flat = finite & (variation <= rounding)
     errors = [None] * len(kinds)
     for i in (~finite).nonzero()[0]:
         errors[i] = EvaluationError(
-            f"objective {kinds[i]!r} has non-finite coefficients {coef[i]!r}"
+            f"objective {kinds[i]!r} has non-finite coefficients {unscaled[i]!r}"
         )
     for i in flat.nonzero()[0]:
+        varies = math.ldexp(variation[i], int(scale[i]))
+        rounds = math.ldexp(rounding[i], int(scale[i]))
         errors[i] = AccuracyError(
-            f"objective {kinds[i]!r} varies over Delta by {variation[i]:.3e}, within the "
-            f"rounding {rounding[i]:.3e} of its terms; no optimum can be certified",
-            estimate=variation[i],
+            f"objective {kinds[i]!r} varies over Delta by {varies:.3e}, within the "
+            f"rounding {rounds:.3e} of its terms; no optimum can be certified",
+            estimate=varies,
         )
-    return coef, errors
+    return coef, scale, errors
 
 
 def _basis(delta) -> np.ndarray:
@@ -408,9 +417,13 @@ def _solve(cells: Sequence[tuple], input, theta, gain, n_photons) -> list:
             Qs.append(Q)
             terms.append(T)
     if places:
-        coef, errors = _coefficients(kinds, np.concatenate(Qs), np.concatenate(terms), _trig(theta))
+        coef, scale, errors = _coefficients(
+            kinds, np.concatenate(Qs), np.concatenate(terms), _trig(theta)
+        )
         solved = [i for i, error in enumerate(errors) if error is None]
         stars, values = _select(coef[solved], [outers[i] for i in solved])
+        roots = np.array([outer is _root for outer in outers], dtype=bool)
+        values = np.ldexp(values, np.where(roots, scale // 2, scale)[solved])
         for place, error in zip(places, errors):
             outcomes[place] = error
         for i, delta_star, value in zip(solved, stars, values):

@@ -641,8 +641,9 @@ def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
 def trig_form(obj: Objective):
     """``(coef, outer)``: the optimizer minimizes ``outer(_basis(Delta) @ coef)``
     for ``obj``.  Its quadratic form from ``cvteleport.optimize._forms`` for
-    the one cell, mapped to coefficients by ``_coefficients``; raises the
-    errors of the builders and of the two."""
+    the one cell, mapped to coefficients by ``_coefficients`` and unscaled;
+    raises the errors of the form's source, of ``_forms`` and of
+    ``_coefficients``."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises below
         if obj.kind in _FAMILY_KINDS:
             source = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
@@ -650,10 +651,10 @@ def trig_form(obj: Objective):
             source = transfer_derivative_forms(_channel(obj, 1.0))
         moments = moment_set(obj.input) if obj.kind in ("mu4_x", "mu4_p") else None
         Q, terms, outer = _forms(obj.kind, [source], obj.gain, moments)
-    coef, (error,) = _coefficients([obj.kind], Q, terms, _trig(obj.theta))
+    coef, (scale,), (error,) = _coefficients([obj.kind], Q, terms, _trig(obj.theta))
     if error is not None:
         raise error
-    return coef[0], outer
+    return np.ldexp(coef[0], scale), outer
 
 
 def trig_objective(obj: Objective) -> Callable[[float], float]:

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from cvteleport import (
     teleport,
 )
 from cvteleport.optimize import closed_form_delta
+from conftest import DELTA2_OPT
 from oracles import (
     PhasePoint,
     PlaneConfig,
@@ -302,6 +304,27 @@ def test_uncertified_optimum_is_an_error_record(capsys):
     assert all(s.startswith("error: AccuracyError") for s in statuses[1:]), statuses
 
 
+def test_subnormal_transfer_forms_print_their_optimum(capsys):
+    """At r = 355 the transfer forms are subnormal: the optimum is printed, with
+    no warning; the whole run used to end in one LinAlgError record."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["sweep", "--kinds", "x2_transfer,n_transfer",
+                                  "--r-grid", "1,355"], capsys)
+        assert code == 0 and err == ""
+        rows = read_csv(out)
+        assert [row["status"] for row in rows] == ["ok"] * 4
+        for row in rows:
+            assert float(row["delta_star"]) == pytest.approx(DELTA2_OPT, abs=4.5e-16)
+        code, out, err = run_cli(["optimize", "--kind", "n_transfer", "--r", "355"], capsys)
+        assert code == 0 and err == ""
+        assert float(read_csv(out)[0]["delta_star"]) == pytest.approx(DELTA2_OPT, abs=4.5e-16)
+        code, out, _ = run_cli(["sweep", "--kinds", "x2_transfer,n_transfer",
+                                "--r-grid", "400"], capsys)
+        assert code == 0
+        assert all(row["status"].startswith("error: AccuracyError") for row in read_csv(out))
+
+
 def test_transfer_surface(capsys):
     code, out, _ = run_cli(["transfer-surface", "--r", "1.25", "--grid=-2:2:5"], capsys)
     assert code == 0
@@ -469,12 +492,18 @@ def test_factor_columns_write_the_bytes_of_their_expanded_rows(tmp_path, capsys)
 
 def test_transfer_surface_spells_each_distinct_value_once(monkeypatch, capsys):
     """The preset, delta, w and z columns are spelled once per distinct value, not
-    once per row, and tau once per distinct value."""
-    calls = []
-    spell = cli._csv_field
-    monkeypatch.setattr(
-        cli, "_csv_field", lambda value, *args: calls.append(value) or spell(value, *args)
-    )
+    once per row, and tau once per distinct value: every float, of a column or
+    of a Factor, is spelled by ``_float_text``, everything else by ``_csv_field``."""
+    floats, others = [], []
+    spell_float, spell = cli._float_text, cli._csv_field
+
+    def counted(value):
+        if not isinstance(value, float):
+            others.append(value)
+        return spell(value)
+
+    monkeypatch.setattr(cli, "_float_text", lambda value: floats.append(value) or spell_float(value))
+    monkeypatch.setattr(cli, "_csv_field", counted)
     presets = ["tmsv", "photon_added", "coherent_optimal"]
     code, out, _ = run_cli(["transfer-surface", "--r", "1.25", "--grid=-2:2:201",
                             "--presets", ",".join(presets)], capsys)
@@ -482,7 +511,8 @@ def test_transfer_surface_spells_each_distinct_value_once(monkeypatch, capsys):
     rows = read_csv(out)
     assert len(rows) == len(presets) * 201 * 201
     distinct_tau = len({row["tau"] for row in rows})
-    assert len(calls) <= 2 * len(presets) + 2 * 201 + distinct_tau + len(rows[0])
+    assert len(floats) <= len(presets) + 2 * 201 + distinct_tau
+    assert len(others) <= len(presets) + len(rows[0])
 
 
 def test_transfer_surface_config_grid_of_integers_prints_the_flag_bytes(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 import cvteleport.optimize as opt_mod
 from cvteleport import (
     AccuracyError,
+    Channel,
     CoherentInput,
     ConsistencyError,
     CVTeleportError,
@@ -156,14 +157,60 @@ def test_flat_objective_raises(monkeypatch):
         opt_mod.minimize_delta(Objective(kind="x2_transfer", r=1.0))
 
 
+def test_subnormal_forms_give_an_optimum_or_a_flagged_cell():
+    """Past r = 354 the transfer forms are subnormal; scaled by a power of two
+    they keep the digits of Delta*.  By r = 400 they are 0: a flagged cell."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        recs = sweep_r(["x2_transfer", "n_transfer", "kappa4_transfer"], [354.0, 355.0, 400.0])
+    cells = {(rec.kind, rec.r): rec for rec in recs}
+    for kind in ("x2_transfer", "n_transfer"):
+        low, high = cells[kind, 354.0], cells[kind, 355.0]
+        assert low.error is None and high.error is None
+        assert high.delta_star == pytest.approx(DELTA2_OPT, abs=TWO_ULP)
+        assert 0.0 < high.objective_value < 1e-308
+        # The objective falls like e^{-2r} at a fixed Delta*.
+        assert high.objective_value / low.objective_value == pytest.approx(math.exp(-2.0), rel=1e-9)
+    for rec in recs:
+        if rec.r == 400.0 or rec.kind == "kappa4_transfer":
+            assert rec.error.startswith("AccuracyError") and math.isnan(rec.delta_star)
+
+
+@pytest.mark.parametrize("power", [-1070, -600, 600])
+def test_coefficients_and_their_errors_do_not_depend_on_a_power_of_two(power):
+    """Forms scaled by 2^power give the same coefficients, up to a scale that
+    is 2^power more, and AccuracyError messages with the unscaled numbers."""
+    one = np.array([1.0, 0.0, 1.0])
+    flat = 3.25 * np.outer(one, one)
+    flat[0, 0] += 1e-15  # varies, but within the rounding of its terms
+    channel = Channel(SqueezedBellResource(1.0, 0.4, 1.0), gain=1.0)
+    Q, terms, _ = opt_mod._forms("x2_transfer", [transfer_derivative_forms(channel)], 1.0, None)
+    Q, terms = np.concatenate([flat[None], Q]), np.concatenate([flat[None], terms])
+    kinds, trig = ["x2_transfer"] * 2, opt_mod._trig(0.4)
+    coef, scale, errors = opt_mod._coefficients(kinds, Q, terms, trig)
+    with np.errstate(under="ignore"):  # 2^-1070 leaves the forms subnormal
+        scaled = np.ldexp(Q, power), np.ldexp(terms, power)
+    coef2, scale2, errors2 = opt_mod._coefficients(kinds, *scaled, trig)
+    if power > -1000:  # the subnormal forms lost digits
+        assert (coef2 == coef).all() and (scale2 == scale + power).all()
+    assert errors[1] is None and errors2[1] is None
+    flat_error, flat_error2 = errors[0], errors2[0]
+    assert isinstance(flat_error2, AccuracyError)
+    rounding = opt_mod._ROUNDING * np.max(np.abs(trig[1:]) @ flat[np.triu_indices(3)])
+    assert f"by {flat_error.estimate:.3e}, within the rounding {rounding:.3e}" in str(flat_error)
+    assert f"by {flat_error2.estimate:.3e}, within the rounding " \
+        f"{math.ldexp(rounding, power):.3e}" in str(flat_error2)
+    if power > -1000:
+        assert flat_error2.estimate == math.ldexp(flat_error.estimate, power)
+
+
 def test_constant_objective_tie_breaks_to_zero(monkeypatch):
     """Two equal ends and no interior minimum: g = -cos 2t is -1 at Delta = 0 and 1."""
     obj = Objective(kind="x2_transfer", r=1.0)
     # w @ Q @ w = -Delta^4 + 6 Delta^2 (1 - Delta^2) - (1 - Delta^2)^2 = -cos 2t
     Q = np.array([[-1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, -1.0]])
     form = (Q[None], np.abs(Q)[None], float)
-    coef, _ = opt_mod._coefficients([obj.kind], *form[:2], opt_mod._trig(obj.theta))
-    assert coef.tolist() == [[0.0, 0.0, 0.0, -1.0, 0.0]]
+    coef, scale, _ = opt_mod._coefficients([obj.kind], *form[:2], opt_mod._trig(obj.theta))
+    assert np.ldexp(coef, scale[:, None]).tolist() == [[0.0, 0.0, 0.0, -1.0, 0.0]]
     monkeypatch.setattr(opt_mod, "_forms", lambda kind, *parts: form)
     rec = opt_mod.minimize_delta(obj)
     assert rec.delta_star == 0.0
