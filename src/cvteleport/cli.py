@@ -140,12 +140,19 @@ def _json_value(value):
 
 class Factor(NamedTuple):
     """A column given by its distinct values and, for each row, the position in
-    ``values`` of the value the row takes (an integer array)."""
+    ``values`` of the value the row takes (an integer array).
+
+    The CSV writer spells each of ``values`` once; every other column is
+    spelled row by row.  A command passes a ``Factor`` where it knows why its
+    rows repeat.
+    """
 
     values: Sequence
     index: np.ndarray
 
     def tolist(self) -> list:
+        if isinstance(self.values, np.ndarray):
+            return self.values[self.index].tolist()
         return [self.values[k] for k in self.index.tolist()]
 
 
@@ -154,42 +161,38 @@ _BLOCK_LINES = 8192
 
 
 def _spelled(column, end: str, empty: str):
-    """The column as ``(spellings, index)``: an object array of its distinct
-    values as CSV fields, each followed by ``end`` (an empty field spelled
-    ``empty``), and each row's position in it.
+    """The column as ``(spellings, index)``: each value as a CSV field followed
+    by ``end`` (an empty field spelled ``empty``), a float64 array's by
+    ``_float_text`` and any other's by ``_csv_field``.
 
-    A ``Factor`` names its distinct values itself.  A float64 array's values
-    are told apart by bit pattern, so 0.0 and -0.0 keep their own spelling;
-    any other column repeats a value by repeating the object.
+    A ``Factor`` spells each of its distinct values once, into an object
+    array, and its index gives each row's position there.  Any other column is
+    spelled row by row, into a list, and its index is None.
     """
-    if isinstance(column, Factor):
-        values, index = column
-        texts = map(_csv_field, values)
-    elif isinstance(column, np.ndarray) and column.dtype == np.float64:
-        bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        texts = map(_float_text, bits.view(np.float64).tolist())
+    values, index = column if isinstance(column, Factor) else (column, None)
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        spellings = [text + end for text in map(_float_text, values.tolist())]
     else:
-        rows = list(column)  # holds every object, so no two share an id meanwhile
-        distinct = dict(zip(map(id, rows), rows))
-        position = dict(zip(distinct, itertools.count()))
-        index = np.fromiter(map(position.__getitem__, map(id, rows)), np.intp, len(rows))
-        texts = map(_csv_field, distinct.values())
-    return np.array([(text or empty) + end for text in texts], dtype=object), index
+        spellings = [(_csv_field(value) or empty) + end for value in values]
+    return (spellings, None) if index is None else (np.array(spellings, dtype=object), index)
 
 
 def _csv_blocks(table: dict):
     """The CSV text of ``table``: its header line, then one string per block of
     ``_BLOCK_LINES`` rows."""
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(table)
+    yield header.getvalue()
     ends = [","] * (len(table) - 1) + ["\n"]
     empty = '""' if len(table) == 1 else ""  # csv.writer quotes a row that is one empty field
-    yield "".join((_csv_field(name) or empty) + end for name, end in zip(table, ends))
     spelled = [_spelled(column, end, empty) for column, end in zip(table.values(), ends)]
-    n_rows = min(len(index) for _, index in spelled)
+    n_rows = min(len(spellings if index is None else index) for spellings, index in spelled)
     grid = np.empty((min(n_rows, _BLOCK_LINES), len(spelled)), dtype=object)
     for start in range(0, n_rows, _BLOCK_LINES):
         block = grid[:n_rows - start]
+        stop = start + len(block)
         for j, (spellings, index) in enumerate(spelled):
-            block[:, j] = spellings[index[start:start + _BLOCK_LINES]]
+            block[:, j] = spellings[start:stop] if index is None else spellings[index[start:stop]]
         yield "".join(block.ravel().tolist())
 
 
@@ -199,12 +202,12 @@ def _emit(table: dict, resolved: dict):
     A column is a sequence, a numpy array or a ``Factor``.  JSON is an array of
     row objects, with ``null`` for a NaN (the CSV's ``nan``, as in a flagged
     sweep cell); it holds no other number that is not finite.  The CSV is what
-    ``csv.writer`` writes for the same rows.  Each column is turned into its
-    distinct values, each spelled once with the ``,`` or line end that follows
-    it, and an index of those spellings by row.  A block of lines is then one
-    grid of spellings picked by the indexes, joined into one string and
-    written at once, so the whole text of a large table is never held at once.
-    It goes to ``--output`` or to standard output.
+    ``csv.writer`` writes for the same rows.  Each value is spelled with the
+    ``,`` or line end that follows it: a ``Factor`` once per distinct value,
+    any other column once per row, so the writer dedups nothing a command
+    did not ask for.  A block of lines is then one grid of spellings, joined
+    into one string and written at once, so the whole text of a large table
+    is never held at once.  It goes to ``--output`` or to standard output.
     """
     if resolved.get("format") == "json":
         columns = list(table)
@@ -402,19 +405,14 @@ def _cmd_compare(resolved):
     }, resolved)
 
 
-def _optimum_columns(records) -> dict:
-    """The columns that optimize and sweep share, one row per record."""
-    names = ("kind", "r", "delta_star", "objective_value")
-    return {name: [getattr(rec, name) for rec in records] for name in names}
-
-
 def _cmd_optimize(resolved):
     rec = minimize_delta(Objective(
         kind=_get(resolved, "kind"), input=_get(resolved, "input", optional=True),
         r=_get(resolved, "r"), theta=_get(resolved, "theta"), gain=_get(resolved, "gain"),
         n_photons=_get(resolved, "N"),
     ))
-    _emit({**_optimum_columns([rec]), "iterations": [rec.iterations]}, resolved)
+    names = ("kind", "r", "delta_star", "objective_value", "iterations")
+    _emit({name: [getattr(rec, name)] for name in names}, resolved)
 
 
 def _cmd_sweep(resolved):
@@ -422,12 +420,24 @@ def _cmd_sweep(resolved):
     for kind in kinds:
         if kind not in OBJECTIVE_KINDS:
             raise InvalidArgumentError(f"unknown objective kind {kind!r}")
+    r_grid = _get(resolved, "r_grid")
     records = sweep_r(
-        kinds, _get(resolved, "r_grid"), input=_get(resolved, "input", optional=True),
+        kinds, r_grid, input=_get(resolved, "input", optional=True),
         theta=_get(resolved, "theta"), gain=_get(resolved, "gain"), n_photons=_get(resolved, "N"),
     )
+    # Rows run kind-major over the (kind, r) grid, so kind, r and (mostly "ok")
+    # status repeat: each is spelled once per distinct value.
+    row, n = np.arange(len(records)), len(r_grid)
     status = ["ok" if rec.error is None else f"error: {rec.error}" for rec in records]
-    _emit({**_optimum_columns(records), "status": status}, resolved)
+    position = {text: k for k, text in enumerate(dict.fromkeys(status))}
+    status_index = np.array([position[text] for text in status], dtype=np.intp)
+    _emit({
+        "kind": Factor(kinds, row // n),
+        "r": Factor([rec.r for rec in records[:n]], row % n),
+        "delta_star": [rec.delta_star for rec in records],
+        "objective_value": [rec.objective_value for rec in records],
+        "status": Factor(list(position), status_index),
+    }, resolved)
 
 
 def _surface_values(ch: Channel, u: np.ndarray) -> np.ndarray:
@@ -466,13 +476,16 @@ def _cmd_transfer_surface(resolved):
     if not np.isfinite(tau).all():
         i = np.flatnonzero(~np.isfinite(tau))[0] % w.size
         raise EvaluationError(f"transfer function not finite at (w, z) = ({w[i]}, {z[i]})")
+    # tau depends on (w, z) through u = w^2 + z^2 only, so its values repeat:
+    # each distinct bit pattern is spelled once.
+    bits, tau_index = np.unique(tau.view(np.int64), return_inverse=True)
     row, n = np.arange(tau.size), len(axis)
     _emit({
         "preset": Factor(presets, row // w.size),
         "delta": Factor(deltas, row // w.size),
         "w": Factor(axis, row // n % n),
         "z": Factor(axis, row % n),
-        "tau": tau,
+        "tau": Factor(bits.view(np.float64), tau_index),
     }, resolved)
 
 

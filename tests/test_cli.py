@@ -29,7 +29,7 @@ from cvteleport import (
     delta_family,
     teleport,
 )
-from cvteleport.optimize import closed_form_delta
+from cvteleport.optimize import closed_form_delta, sweep_r
 from conftest import DELTA2_OPT
 from oracles import (
     PhasePoint,
@@ -264,6 +264,47 @@ def test_sweep_flags_failed_cells(capsys):
     assert rows[0]["status"].startswith("error:")
 
 
+def test_sweep_with_flagged_cells_writes_its_records_rows(monkeypatch, capsys):
+    """The kind, r and status Factors of a sweep write csv.writer's text of the
+    records' rows, spelling each distinct kind and status once; its JSON is the
+    same rows, with null where the CSV writes nan."""
+    kinds, r_grid = ["x2_transfer", "one_minus_fidelity"], [1.0, 400.0]
+    records = sweep_r(kinds, r_grid, input=CoherentInput(1.0))
+    rows = [
+        [rec.kind, rec.r, rec.delta_star, rec.objective_value,
+         "ok" if rec.error is None else f"error: {rec.error}"]
+        for rec in records
+    ]
+    assert [row[4].startswith("error: AccuracyError") for row in rows] == [False, True] * 2
+    names = ["kind", "r", "delta_star", "objective_value", "status"]
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([names, *rows])
+
+    others = []
+    spell = cli._csv_field
+
+    def counted(value):
+        if not isinstance(value, float):
+            others.append(value)
+        return spell(value)
+
+    monkeypatch.setattr(cli, "_csv_field", counted)
+    argv = ["sweep", "--kinds", ",".join(kinds), "--input", "coherent:1", "--r-grid", "1,400"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.split("\n", 1)[1] == expected.getvalue()
+    assert '"error: AccuracyError' in out
+    body = [value for value in others if value not in names]  # the header may pass too
+    assert len(body) <= len(set(kinds)) + len({row[4] for row in rows})
+
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert _strict_json(out) == [
+        {name: None if isinstance(v, float) and math.isnan(v) else v for name, v in zip(names, row)}
+        for row in rows
+    ]
+
+
 def _strict_json(text):
     """``json.loads`` that rejects NaN and Infinity, which are not JSON."""
     def reject(name):
@@ -467,6 +508,7 @@ def test_factor_columns_write_the_bytes_of_their_expanded_rows(tmp_path, capsys)
             "f": Factor(values, np.array([1, 0, 0, 2, 3, 4, 5, 6, 1, 3])),
             "a": np.linspace(-1.0, 1.0, 10),
             "g": Factor(["x,y", -0.0], np.array([1, 1, 0, 0, 1, 0, 1, 0, 0, 1])),
+            "t": Factor(np.array([0.5, -0.0, np.nan]), np.array([2, 0, 1, 1, 0, 2, 0, 0, 1, 2])),
         },
         {"lone": Factor(["", None, -0.0], np.array([0, 1, 2, 2, 0]))},
     ]
@@ -513,6 +555,24 @@ def test_transfer_surface_spells_each_distinct_value_once(monkeypatch, capsys):
     distinct_tau = len({row["tau"] for row in rows})
     assert len(floats) <= len(presets) + 2 * 201 + distinct_tau
     assert len(others) <= len(presets) + len(rows[0])
+
+
+def test_only_a_factor_is_spelled_once_per_distinct_value(monkeypatch, capsys):
+    """The writer dedups nothing: a plain float64 column is spelled once per row,
+    repeats and all, and a Factor once per distinct value."""
+    spelled = []
+    spell_float = cli._float_text
+    monkeypatch.setattr(cli, "_float_text", lambda value: spelled.append(value) or spell_float(value))
+    values = np.array([0.25, -0.0, 0.0, 0.25])
+    index = np.array([0, 1, 2, 3, 0, 0, 1, 2, 3, 3, 3, 0])
+    column = values[index]
+    _emit({"x": column}, {"format": "csv"})
+    plain = capsys.readouterr().out
+    assert len(spelled) == len(column)
+    spelled.clear()
+    _emit({"x": Factor(values, index)}, {"format": "csv"})
+    assert capsys.readouterr().out == plain
+    assert len(spelled) == len(values)
 
 
 def test_transfer_surface_config_grid_of_integers_prints_the_flag_bytes(tmp_path, capsys):

@@ -3,9 +3,9 @@
 Tables are drawn with row counts at the edges of the writer's blocks of
 lines (none, one, one block less one, one block, one more, two blocks and
 one), one to four columns of every kind the writer takes (float64 arrays,
-``Factor`` columns, sequences that repeat objects and sequences of fresh
-objects), values among them ``-0.0``, ``nan``, ``inf``, empty fields and
-strings that need quoting.  Each is written to standard output and to an
+``Factor`` columns over a list or a float64 array of values, sequences that
+repeat objects and sequences of fresh objects), values among them ``-0.0``,
+``nan``, ``inf``, empty fields and strings that need quoting.  Each is written to standard output and to an
 ``--output`` file, and both must be the provenance line and then
 ``csv.writer``'s text of the same rows.
 """
@@ -42,7 +42,7 @@ TEXTS = st.one_of(
             max_size=6),
 )
 OBJECTS = st.one_of(FLOATS, TEXTS, st.none(), st.integers(), st.booleans())
-KINDS = ("array", "factor", "repeated", "fresh")
+KINDS = ("array", "factor", "array_factor", "repeated", "fresh")
 
 
 @st.composite
@@ -54,7 +54,8 @@ def tables(draw, n_rows):
     table, expanded = {}, []
     for name in names:
         kind = draw(st.sampled_from(KINDS))
-        pool = draw(st.lists(FLOATS if kind in ("array", "fresh") else OBJECTS,
+        floats = kind in ("array", "array_factor", "fresh")
+        pool = draw(st.lists(FLOATS if floats else OBJECTS,
                              min_size=1, max_size=6))
         index = rng.integers(len(pool), size=n_rows)
         if kind == "array":
@@ -62,6 +63,9 @@ def tables(draw, n_rows):
             values = column.tolist()
         elif kind == "factor":
             column = Factor(pool, index)
+            values = [pool[k] for k in index]
+        elif kind == "array_factor":
+            column = Factor(np.array(pool), index)
             values = [pool[k] for k in index]
         elif kind == "repeated":  # each value one object, repeated
             column = values = [pool[k] for k in index]
