@@ -1,67 +1,72 @@
-"""Shared numerical kernels: the Laguerre table and the exact Gauss-Laguerre rule.
+"""Taylor-series arithmetic shared by every Delta family.
 
-Every production integral is one-dimensional in ``u = |xi|^2``: the Delta
-family of a Fock state or mixture integrates phase-invariant integrands,
-each ``exp(-c u)`` times a polynomial in ``u``, exactly with a Gauss-Laguerre
-rule (:func:`gauss_laguerre_rule`), and the Fock factors
-``exp(-u/2) L_n(u)`` come from one table of a bounded recurrence
-(:func:`laguerre_envelope_all`).  The 2-D polar quadrature, the
-Gauss-Legendre radial rule with its envelope cutoff, the running Laguerre
-sum of the 2-D mixture oracle, and the finite-difference engine that the
-tests hold these against live in ``tests/oracles.py``.
+Every family's photon basis, and a Fock-diagonal input's Gram moments, are
+read off the Taylor coefficients of a generating function
+(:mod:`cvteleport.photonstats`): binomial series
+(:func:`_power_series`), their products (:func:`_times`), the exponential
+of a series (:func:`_exp_series`), the polynomials ``(1 - t)^j``
+(``_FALLING``), and the Taylor coefficients of a Fock state's or mixture's
+probability generating function at a series (:func:`_pgf_taylor`).  The
+exact Gauss-Laguerre rules and the Laguerre table that the tests hold these
+against, with the 2-D polar quadrature and the finite-difference engine,
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+# (1 - t)^j
+_FALLING = ((1.0,), (1.0, -1.0), (1.0, -2.0, 1.0))
 
 
-def laguerre_envelope_all(n_max: int, u) -> np.ndarray:
-    """``exp(-u/2) L_k(u)`` for ``k = 0 .. n_max``.
+def _power_series(A, powers, N: int) -> np.ndarray:
+    """``A.shape + (len(powers), N + 1)``: the Taylor coefficients in ``t`` of
+    ``(alpha (1 + rho t))^-p`` for each ``p`` in ``powers``, with ``alpha = A + 1/2``
+    and ``rho = (1/2 - A) / alpha``.
 
-    The three-term recurrence ``L_{k+1} = ((2k + 1 - u) L_k - k L_{k-1}) /
-    (k + 1)`` is linear, so it is applied to the premultiplied values, which
-    stay in [-1, 1] for all u >= 0: neither factor can overflow on wide grids.
+    The binomial series: the ratio of consecutive coefficients is
+    ``-rho (p + n - 1) / n``.
     """
-    if n_max < 0:
-        raise InvalidArgumentError("n_max must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    out = np.empty((n_max + 1,) + u.shape, dtype=float)
-    out[0] = np.exp(-0.5 * u)
-    if n_max >= 1:
-        out[1] = (1.0 - u) * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = ((2.0 * k + 1.0 - u) * out[k] - k * out[k - 1]) / (k + 1.0)
-    return out
+    A = np.asarray(A)[..., None, None]
+    powers = np.asarray(powers)[:, None]
+    n = np.arange(1, N + 1)
+    series = np.empty(A.shape[:-2] + (len(powers), N + 1))
+    series[..., :1] = (A + 0.5) ** -powers
+    series[..., 1:] = (A - 0.5) / (A + 0.5) * (powers + (n - 1.0)) / n
+    return np.cumprod(series, axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# Exact rules in u = |xi|^2 for exp(-rate u) times a polynomial
-# ---------------------------------------------------------------------------
+def _times(x: np.ndarray, y) -> np.ndarray:
+    """The Taylor coefficients of the product of two series, to the length of ``x``."""
+    return np.convolve(x, y)[: len(x)]
 
-@lru_cache(maxsize=None)
-def _laggauss(nodes: int):
-    """Gauss-Laguerre nodes ``x`` (numpy's) and weights ``w e^x`` of ``∫_0^∞ f(x) dx``.
 
-    The weights are the Christoffel numbers ``1 / sum_{k < nodes} L~_k(x)^2``
-    of the bounded recurrence, accurate to about 1e-14 up to 67 nodes; numpy's
-    own are off by about 1e-12 at the small nodes, which carry the most weight.
+def _exp_series(x: np.ndarray) -> np.ndarray:
+    """The Taylor coefficients of ``exp(x(t))``: ``n f_n = sum_k k x_k f_{n-k}``."""
+    f = np.zeros_like(x)
+    f[0] = math.exp(x[0])
+    kx = np.arange(len(x)) * x
+    for n in range(1, len(x)):
+        f[n] = kx[1 : n + 1] @ f[n - 1 :: -1] / n
+    return f
+
+
+def _pgf_taylor(beta: np.ndarray, p: np.ndarray, order: int) -> np.ndarray:
+    """``(order + 1, len(beta))``: the Taylor coefficients of
+    ``P_i(beta) = [y^i] P(beta + y) = sum_k C(k + i, i) p_{k+i} beta^k`` for
+    ``i <= order``, with ``P(z) = sum_m p_m z^m`` the probability generating
+    function of the photon probabilities ``p_0 .. p_M`` and ``beta`` a series
+    (a number is a series of length 1): the nonnegative ``C(k + i, i) p_{k+i}``
+    times the powers ``beta^k``, ``k <= M``, in one matrix product.
     """
-    x = np.polynomial.laguerre.laggauss(nodes)[0]
-    return x, 1.0 / np.sum(laguerre_envelope_all(nodes - 1, x) ** 2, axis=0)
-
-
-def gauss_laguerre_rule(degree: int, rate: float):
-    """Nodes ``u`` and weights for ``∫_0^∞ f(u) du``, exact when ``f`` is
-    ``exp(-rate u)`` times a polynomial of degree at most ``degree``.
-
-    The Gauss-Laguerre rule of ``degree // 2 + 1`` nodes ``x`` and weights
-    ``w`` at ``u = x / rate``, weights ``w e^x / rate``: no cutoff, tail bound
-    or node heuristic.
-    """
-    x, w = _laggauss(degree // 2 + 1)
-    return x / rate, w / rate
+    M = len(p) - 1
+    powers = np.zeros((M + 1, len(beta)))
+    powers[0, 0] = 1.0
+    for k in range(M):
+        powers[k + 1] = _times(powers[k], beta)
+    i, k = np.arange(order + 1)[:, None], np.arange(M + 1)
+    binomial = np.cumprod(np.vstack([np.ones(M + 1), (k + i[1:]) / i[1:]]), axis=0)
+    return (binomial * np.append(p, np.zeros(order))[i + k]) @ powers

@@ -53,25 +53,26 @@ with no quadrature, cutoff or photon sum, and exact up to rounding.
 Because ``e >= (1 - g^2) / 2`` for every channel, a coherent input has
 ``rho <= 0``, so the series of ``exp(-y)`` has terms of one sign.
 
-Fock states and mixtures: exact Gauss-Laguerre rules.
-``A~(v) = sum_m p_m L~_m(v)`` is a finite sum up to the top photon number
-``M`` (``max_n``), with ``p_m`` from
-:func:`cvteleport.states.input_photon_probs`.  Input and output are
-Fock-diagonal, so the fidelity is ``sum_m p_m P_out(m)``: ``fidelity_basis =
-p @ photon_basis[:M+1]``.  One table ``L~_n(u)``, ``n <= K = max(N, M)``,
-gives the photon rows; ``A~(g^2 u)`` is ``p @`` a table of ``L~_m(g^2 u)``.
-The Gram matrix ``gram[j, k] = ∫ tau_j tau_k A~(g^2 u)^2`` (Parseval's
-identity, a sum over every photon number) takes its own rule.  Every
-integrand is ``exp(-c u)`` times a polynomial in ``u`` (``q_k`` has degree
-2): the photon integrand has ``c = e + (1 + g^2) / 2`` and degree
-``K + M + 2``, the Gram integrand ``c = 2 e + g^2`` and degree ``2 M + 4``.
-So each takes a Gauss-Laguerre rule that is exact
-(:func:`cvteleport.numerics.gauss_laguerre_rule`), with no cutoff, tail
-bound or node heuristic.  ``M`` is bounded by ``N_MAX_FOCK`` like ``N``, so a
-rule has at most 67 nodes.  Its nodes ``u = x / c`` keep every Laguerre
-argument below about ``2 x_max`` (under 600 for ``M, N <= 64``): ``c`` is at
-least ``(1 + g^2) / 2`` on the first rule and above ``g^2`` on the second,
-because ``a^2 + b^2 >= (1 + g^2) e^{-2r}``.
+Fock states and mixtures: the same series.  ``A~(v) = sum_m p_m L~_m(v)``
+is a finite sum up to the top photon number ``M`` (``max_n``, at most
+``N_MAX_FOCK``), so with ``sum_m s^m L~_m(g^2 u)`` too,
+``∫ e^{-e u} u^j L~_n(u) L~_m(g^2 u) du = [t^n s^m] j! (1 - t)^j (1 - s)^j / D^{j+1}``
+with ``D = alpha (1 + rho t) (1 - beta s)``, the vacuum's ``alpha (1 + rho t)``
+(``A = e + g^2 / 2``) and ``beta - 1 = -g^2 (1 - t) / (alpha (1 + rho t))``.
+As ``1 - s = (1 - beta s) + (beta - 1) s``, the sum over ``m`` makes ``M_j``
+the vacuum's times ``sum_{i <= j} C(j, i) (beta - 1)^i P_i(beta)``, where
+``P_i(z) = sum_k C(k + i, i) p_{k+i} z^k`` are the Taylor coefficients of
+the input's generating function ``sum_m p_m z^m``
+(:func:`cvteleport.numerics._pgf_taylor`).  Every coefficient of ``beta`` is
+nonnegative (``e >= |1 - g^2| / 2``), so ``P_i(beta)`` sums terms of one
+sign and a small photon probability keeps its relative accuracy.  Input and
+output are Fock-diagonal, so ``fidelity_basis = p @ photon_basis[:M+1]``.
+The Gram matrix (Parseval's identity, a sum over every photon number) is
+``coef @ H[i + l] @ coef.T`` with ``H_q = ∫ e^{-2 e u} u^q A~(g^2 u)^2 du``,
+whose generating function has ``D' = h (1 - (1 - x) s) (1 - (1 - x) t) -
+h x^2 s t``, ``h = 2 e + g^2``, ``x = g^2 / h``.  Expanded in ``s t`` it
+factors, so ``H_q`` is a sum of squares with positive weights
+(:func:`_fock_gram_moments`).  No quadrature, cutoff or tail bound enters.
 
 Phase-sensitive overlaps.  For coherent and squeezed inputs the fidelity
 and Gram integrands are not phase invariant, but they are Gaussians times
@@ -89,7 +90,7 @@ import numpy as np
 
 from .channel import OutputState
 from .errors import CapacityError, ConsistencyError, EvaluationError, InvalidArgumentError
-from .numerics import gauss_laguerre_rule, laguerre_envelope_all
+from .numerics import _FALLING, _exp_series, _pgf_taylor, _power_series, _times
 from .states import (
     Channel,
     CoherentInput,
@@ -117,9 +118,9 @@ _FROBENIUS_TOL = 1e-6
 class PhotonDistribution:
     """Photon probabilities ``P_0 .. P_N``, a 1-D array of at least one entry.
 
-    ``probs`` keeps the raw quadrature values (small negative residues
-    allowed for diagnostics); :meth:`clamped` is the [0, 1]-clipped copy used
-    by the distortion functional.
+    ``probs`` keeps the values as computed, rounding included (a residue
+    down to ``-1e-8`` passes the checks); :meth:`clamped` is the
+    [0, 1]-clipped copy used by the distortion functional.
     """
 
     probs: np.ndarray
@@ -272,7 +273,7 @@ class DeltaFamily:
         ``Frobenius^2 - D_N^2`` is the squared photon-number difference
         beyond N and lies in ``[0, (T_out + T_in)^2]`` up to 1e-6, with ``T``
         the mass beyond N.  Its fidelity is read off the photon basis, so
-        this holds the photon basis to the Gram rule.  The first Delta that
+        this holds the photon basis to the Gram moments.  The first Delta that
         fails a check raises, with the error a per-Delta loop would raise for
         it.
         """
@@ -377,64 +378,30 @@ def _gaussian_overlaps(state: InputState, rate: float, coef: np.ndarray, gain: f
         y = (1.0 - gain) ** 2 * abs(state.beta) ** 2 / (rate + 0.5 * (1.0 + g2))
         half = math.exp(-0.5 * y)
         fid_m *= [half * (half * l) for l in (1.0, 1.0 - y, 1.0 - 2.0 * y + 0.5 * y * y)]
-    hankel = gram_m[np.add.outer(np.arange(3), np.arange(3))]
-    return coef @ fid_m, coef @ hankel @ coef.T
+    return coef @ fid_m, coef @ gram_m[_HANKEL] @ coef.T
 
 
-def _transfer_terms(rate: float, terms, u: np.ndarray) -> np.ndarray:
-    """``(3, len(u))``: the transfer terms ``exp(-e u) q_k(u)``."""
-    return np.stack(np.broadcast_arrays(*terms(u))) * np.exp(-rate * u)
-
-
-def _power_series(A, powers, N: int) -> np.ndarray:
-    """``A.shape + (len(powers), N + 1)``: the Taylor coefficients in ``t`` of
-    ``(alpha (1 + rho t))^-p`` for each ``p`` in ``powers``, with ``alpha = A + 1/2``
-    and ``rho = (1/2 - A) / alpha``.
-
-    The binomial series: the ratio of consecutive coefficients is
-    ``-rho (p + n - 1) / n``.
-    """
-    A = np.asarray(A)[..., None, None]
-    powers = np.asarray(powers)[:, None]
-    n = np.arange(1, N + 1)
-    series = np.empty(A.shape[:-2] + (len(powers), N + 1))
-    series[..., :1] = (A + 0.5) ** -powers
-    series[..., 1:] = (A - 0.5) / (A + 0.5) * (powers + (n - 1.0)) / n
-    return np.cumprod(series, axis=-1)
-
-
-def _times(x: np.ndarray, y) -> np.ndarray:
-    """The Taylor coefficients of the product of two series, to the length of ``x``."""
-    return np.convolve(x, y)[: len(x)]
-
-
-def _exp_series(x: np.ndarray) -> np.ndarray:
-    """The Taylor coefficients of ``exp(x(t))``: ``n f_n = sum_k k x_k f_{n-k}``."""
-    f = np.zeros_like(x)
-    f[0] = math.exp(x[0])
-    kx = np.arange(len(x)) * x
-    for n in range(1, len(x)):
-        f[n] = kx[1 : n + 1] @ f[n - 1 :: -1] / n
-    return f
-
-
-# (1 - t)^j
-_FALLING = ((1.0,), (1.0, -1.0), (1.0, -2.0, 1.0))
+_FACTORIAL = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
+_HANKEL = np.add.outer(np.arange(3), np.arange(3))
+# C(q, l), q, l <= 4
+_BINOMIAL = np.array([[math.comb(q, l) for l in range(5)] for q in range(5)], dtype=float)
 
 
 def _photon_series(state: InputState, rate: float, gain: float, N: int) -> np.ndarray:
-    """``(3, N + 1)``: the Taylor coefficients of ``M_j(t)``, ``j = 0, 1, 2``, for a
-    coherent or squeezed input; the photon basis is ``(coef @ M).T``.
+    """``(3, N + 1)``: the Taylor coefficients of ``M_j(t)``, ``j = 0, 1, 2``; the
+    photon basis is ``(coef @ M).T``.
 
     With ``p_i`` and ``q_i`` the :func:`_power_series` of
-    ``(alpha (1 + rho t))^-(i + 1/2)`` on the two axes,
+    ``(alpha (1 + rho t))^-(i + 1/2)`` on the two axes, a squeezed vacuum has
     ``M_j = (1 - t)^j sum_i _GAUSS[j][i] p_i q_{j-i}``: :func:`_gaussian_moments`
     at ``P, Q`` (module docstring), their factors ``(1 - t)^(i + 1/2)`` gathered.
-    A coherent input has ``P = Q = C``, so
-    ``M_j = (1 - t)^j j! (alpha (1 + rho t))^-(j+1) exp(-y) L_j(y)`` with
-    ``y = g^2 |beta|^2 / C = g^2 |beta|^2 (1 - t) M_0``.  When ``exp(-y(0))``
-    underflows, every ``P_n``, ``n <= N_MAX_FOCK``, is below 1e-210 and the
-    series is 0.
+    Every other input has the vacuum's ``M_j = (1 - t)^j j! (alpha (1 + rho t))^-(j+1)``
+    times an input factor.  A coherent input has ``P = Q = C`` and the factor
+    ``exp(-y) L_j(y)`` with ``y = g^2 |beta|^2 / C = g^2 |beta|^2 (1 - t) M_0``;
+    when ``exp(-y(0))`` underflows, every ``P_n``, ``n <= N_MAX_FOCK``, is
+    below 1e-210 and the series is 0.  A Fock state or mixture has the factor
+    ``sum_i C(j, i) (beta - 1)^i P_i(beta)`` of the module docstring
+    (:func:`~cvteleport.numerics._pgf_taylor`).
     """
     g2 = gain * gain
     if isinstance(state, SqueezedVacuumInput):
@@ -443,37 +410,59 @@ def _photon_series(state: InputState, rate: float, gain: float, N: int) -> np.nd
         moments = [
             sum(w * _times(p[i], q[j - i]) for i, w in enumerate(_GAUSS[j])) for j in range(3)
         ]
-    else:
-        # j! (alpha (1 + rho t))^-(j+1)
-        moments = np.array([[1.0], [1.0], [2.0]]) * _power_series(rate + 0.5 * g2, (1, 2, 3), N)
+        return np.array([_times(m, falling) for m, falling in zip(moments, _FALLING)])
+    # j! (alpha (1 + rho t))^-(j+1)
+    moments = _FACTORIAL[:3, None] * _power_series(rate + 0.5 * g2, (1, 2, 3), N)
+    if isinstance(state, CoherentInput):
         photons = g2 * abs(state.beta) ** 2
         if math.exp(-photons * moments[0, 0]) == 0.0:  # before y, which may hold inf * 0
             return np.zeros_like(moments)
         y = photons * _times(moments[0], _FALLING[1])
         decay = _exp_series(-y)
         y_decay = _times(y, decay)
-        laguerre = (decay, decay - y_decay, decay - 2.0 * y_decay + 0.5 * _times(y, y_decay))
-        moments = [_times(m, l) for m, l in zip(moments, laguerre)]
-    return np.array([_times(m, falling) for m, falling in zip(moments, _FALLING)])
+        factor = (decay, decay - y_decay, decay - 2.0 * y_decay + 0.5 * _times(y, y_decay))
+    else:
+        beta = _times(moments[0], (rate + 0.5 * (1.0 - g2), 0.5 * (1.0 + g2) - rate))
+        pgf = _pgf_taylor(beta, input_photon_probs(state, state.max_n), 2)
+        shift = -g2 * _times(moments[0], _FALLING[1])  # beta - 1
+        once = _times(shift, pgf[1])
+        factor = (pgf[0], pgf[0] + once, pgf[0] + 2.0 * once + _times(shift, _times(shift, pgf[2])))
+    return np.array([
+        _times(_times(m, f), falling) for m, f, falling in zip(moments, factor, _FALLING)
+    ])
 
 
-def _radial_family(state: InputState, rate: float, terms, gain: float, N: int):
-    """``(photon_basis, fidelity_basis, gram)`` of a Fock state or mixture on the
-    two exact Gauss-Laguerre rules of the module docstring."""
-    g2 = gain * gain
+def _fock_gram_moments(p: np.ndarray, rate: float, g2: float) -> np.ndarray:
+    """``H_q = ∫ exp(-2 e u) u^q A~(g^2 u)^2 du``, ``q <= 4``, for the photon
+    probabilities ``p``: with ``h``, ``x`` and ``D'`` of the module docstring,
+    ``H_q = q! h^-(q+1) sum_k C(q + k, k) x^(2k) v_{q,k}^2``, where
+    ``v_{q,k} = sum_{l <= q} C(q, l) (-x)^l P_{k+l}(1 - x)``, from
+    ``1 - s = (1 - (1 - x) s) - x s``."""
+    M = len(p) - 1
+    h = 2.0 * rate + g2
+    x = g2 / h
+    q, k = np.arange(5)[:, None], np.arange(M + 1)
+    pgf = _pgf_taylor(np.array([2.0 * rate / h]), p, M)[:, 0]
+    v = (_BINOMIAL * (-x) ** q.T) @ np.append(pgf, np.zeros(4))[q + k]
+    weight = np.cumprod(np.vstack([x ** (2.0 * k), (q[1:] + k) / q[1:]]), axis=0)
+    return _FACTORIAL * h ** -(q[:, 0] + 1.0) * np.sum(weight * v * v, axis=1)
+
+
+def _fock_family(state: InputState, rate: float, coef: np.ndarray, gain: float, N: int):
+    """``(photon_basis, fidelity_basis, gram)`` of a Fock state or mixture.  Raises
+    :class:`~cvteleport.errors.EvaluationError` where ``(2 e + g^2)^5``
+    overflows: ``H_4`` would underflow and ``coef`` overflow."""
     M = state.max_n
     if M > N_MAX_FOCK:
         raise CapacityError(f"top photon number {M} exceeds N_max={N_MAX_FOCK}")
+    try:
+        (2.0 * rate + gain * gain) ** 5
+    except OverflowError:
+        raise EvaluationError(f"the Gram moments of {state!r} at gain {gain!r} overflow") from None
     p = input_photon_probs(state, M)
-    K = max(N, M)
-    u, wt = gauss_laguerre_rule(K + M + 2, rate + 0.5 * (1.0 + g2))
-    # The angular mean of chi_in(g xi): the dephased input A~(g^2 u).
-    chi_g = p @ laguerre_envelope_all(M, g2 * u)
-    rows = laguerre_envelope_all(K, u) @ (_transfer_terms(rate, terms, u) * (chi_g * wt)).T
-    u, wt = gauss_laguerre_rule(2 * M + 4, 2.0 * rate + g2)
-    tau_k = _transfer_terms(rate, terms, u)
-    chi_g = p @ laguerre_envelope_all(M, g2 * u)
-    return rows[: N + 1], p @ rows[: M + 1], (tau_k * (chi_g * chi_g * wt)) @ tau_k.T
+    rows = (coef @ _photon_series(state, rate, gain, max(N, M))).T
+    gram_m = _fock_gram_moments(p, rate, gain * gain)
+    return rows[: N + 1], p @ rows[: M + 1], coef @ gram_m[_HANKEL] @ coef.T
 
 
 def delta_family(
@@ -485,25 +474,26 @@ def delta_family(
 ) -> DeltaFamily:
     """Build the :class:`DeltaFamily` of one cell.
 
-    Coherent and squeezed inputs take closed-form overlaps and the Taylor
-    coefficients of :func:`_photon_series`; Fock states and mixtures two
-    exact Gauss-Laguerre rules.  Raises
+    Every input takes the Taylor coefficients of :func:`_photon_series`;
+    coherent and squeezed inputs take closed-form overlaps, Fock states and
+    mixtures the fidelity off their photon rows and the Gram moments of
+    :func:`_fock_gram_moments`.  Raises
     :class:`~cvteleport.errors.InvalidArgumentError` or
     :class:`~cvteleport.errors.CapacityError` for a photon cutoff ``N`` that
     is not an integer or lies outside ``[0, N_MAX_FOCK]``, or a Fock-diagonal
     input whose top photon number exceeds ``N_MAX_FOCK``,
     :class:`~cvteleport.errors.EvaluationError` when the Gram rate
-    ``2 e + g^2`` or the Gaussian overlap moments overflow or a basis has an
-    entry that is not finite, and like the resource constructors (bad r,
-    theta or gain).
+    ``2 e + g^2``, its fifth power (Fock-diagonal inputs) or the Gaussian
+    overlap moments overflow or a basis has an entry that is not finite, and
+    like the resource constructors (bad r, theta or gain).
     """
     N = _check_cutoff(N)
     ch = Channel(SqueezedBellResource(delta=1.0, theta=theta, r=r), gain=gain)
-    rate, terms, coef = transfer_basis(ch)
+    rate, _, coef = transfer_basis(ch)
     if not math.isfinite(2.0 * rate + gain * gain):
         raise EvaluationError(f"the transfer rate at r {r!r} and gain {gain!r} overflows")
     if isinstance(state, (FockInput, FockMixtureInput)):
-        photon_basis, fidelity_basis, gram = _radial_family(state, rate, terms, gain, N)
+        photon_basis, fidelity_basis, gram = _fock_family(state, rate, coef, gain, N)
     else:
         fidelity_basis, gram = _gaussian_overlaps(state, rate, coef, gain)
         photon_basis = (coef @ _photon_series(state, rate, gain, N)).T

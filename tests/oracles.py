@@ -46,8 +46,11 @@ transfer terms, the oracle of the matrix form in
 :func:`radial_family` and :func:`radial_photon_basis` integrate the Delta
 family's 1-D integrands on Gauss-Legendre rules in ``sqrt(u)`` cut at
 certified envelope tails (:func:`radial_rule`, :func:`envelope_cutoff`,
-:func:`envelope_tail`), the oracle of the exact Gauss-Laguerre rules of the
-Fock-diagonal family.
+:func:`envelope_tail`), and :func:`gauss_laguerre_family` on exact
+Gauss-Laguerre rules (:func:`gauss_laguerre_rule`) over the Laguerre table
+:func:`laguerre_envelope_all`: the oracles of the Taylor series of the
+Fock-diagonal family, with :func:`exact_fock_family` and
+:func:`exact_gram_moments`, its 80-digit expansions.
 
 Also here: :func:`convert_ordering`, which the normal-ordered FD moments
 need, and :func:`sbl_two_mode_value`, the full two-mode resource function
@@ -80,7 +83,6 @@ from cvteleport.moments import (
     transfer_cumulants,
     transfer_derivative_forms,
 )
-from cvteleport.numerics import laguerre_envelope_all
 from cvteleport.optimize import (
     _FAMILY_KINDS,
     _ROOT_TOL,
@@ -189,9 +191,28 @@ def eval_at(f: CharFn, p: PhasePoint) -> complex:
     return complex(f.fn(p))
 
 
+def laguerre_envelope_all(n_max: int, u) -> np.ndarray:
+    """``exp(-u/2) L_k(u)`` for ``k = 0 .. n_max``.
+
+    The three-term recurrence ``L_{k+1} = ((2k + 1 - u) L_k - k L_{k-1}) /
+    (k + 1)`` is linear, so it is applied to the premultiplied values, which
+    stay in [-1, 1] for all u >= 0: neither factor can overflow on wide grids.
+    """
+    if n_max < 0:
+        raise InvalidArgumentError("n_max must be nonnegative")
+    u = np.asarray(u, dtype=float)
+    out = np.empty((n_max + 1,) + u.shape, dtype=float)
+    out[0] = np.exp(-0.5 * u)
+    if n_max >= 1:
+        out[1] = (1.0 - u) * out[0]
+    for k in range(1, n_max):
+        out[k + 1] = ((2.0 * k + 1.0 - u) * out[k] - k * out[k - 1]) / (k + 1.0)
+    return out
+
+
 def _laguerre_steps(n_max: int, u: np.ndarray, start):
     """Yield ``start * L_k(u)`` for ``k = 0 .. n_max`` by the three-term recurrence
-    of :func:`cvteleport.numerics.laguerre_envelope_all`, one degree at a time.
+    of :func:`laguerre_envelope_all`, one degree at a time.
 
     The recurrence is linear, so a premultiplied start carries through every
     degree.  It reads the yielded arrays again: callers must not modify them.
@@ -906,7 +927,7 @@ def radial_family(state: InputState, r: float, gain: float, N: int, nodes: int):
     (``|q_k(u)| <= (1 + a^2 u)(1 + b^2 u)``,
     ``|L~_n(u)| <= exp(-u/2) (1 + u)^n``, ``|A~| <= 1``), or where a Laguerre
     argument reaches ``_RADIAL_ARG_MAX``; the tail bound there must stay
-    below 1e-9.  The oracle of the exact rules of
+    below 1e-9.  An oracle of the Fock-diagonal series of
     :func:`cvteleport.photonstats.delta_family`.
     """
     rate, a, b, tau = _transfer(r, gain)
@@ -927,6 +948,54 @@ def radial_family(state: InputState, r: float, gain: float, N: int, nodes: int):
     u, wt = rule(2.0 * rate + g2, ((a * a, 2), (b * b, 2), (g2, 2 * M)))
     t = tau(u)
     return photon_basis, fidelity_basis, (t * (dephased(g2 * u) ** 2 * wt)) @ t.T
+
+
+@functools.lru_cache(maxsize=None)
+def _laggauss(nodes: int):
+    """Gauss-Laguerre nodes ``x`` (numpy's) and weights ``w e^x`` of ``∫_0^∞ f(x) dx``.
+
+    The weights are the Christoffel numbers ``1 / sum_{k < nodes} L~_k(x)^2``
+    of the bounded recurrence, accurate to about 1e-14 up to 67 nodes; numpy's
+    own are off by about 1e-12 at the small nodes, which carry the most weight.
+    """
+    x = np.polynomial.laguerre.laggauss(nodes)[0]
+    return x, 1.0 / np.sum(laguerre_envelope_all(nodes - 1, x) ** 2, axis=0)
+
+
+def gauss_laguerre_rule(degree: int, rate: float):
+    """Nodes ``u`` and weights for ``∫_0^∞ f(u) du``, exact when ``f`` is
+    ``exp(-rate u)`` times a polynomial of degree at most ``degree``.
+
+    The Gauss-Laguerre rule of ``degree // 2 + 1`` nodes ``x`` and weights
+    ``w`` at ``u = x / rate``, weights ``w e^x / rate``: no cutoff, tail bound
+    or node heuristic.
+    """
+    x, w = _laggauss(degree // 2 + 1)
+    return x / rate, w / rate
+
+
+def gauss_laguerre_family(state: InputState, r: float, gain: float, N: int):
+    """``(photon_basis, fidelity_basis, gram)`` of a Fock state or mixture on exact
+    Gauss-Laguerre rules, the oracle of the Taylor series of
+    :func:`cvteleport.photonstats.delta_family`.
+
+    Every integrand is ``exp(-c u)`` times a polynomial in ``u``: the photon
+    and fidelity integrands ``exp(-e u) q_k(u) L~_n(u) A~(g^2 u)`` have
+    ``c = e + (1 + g^2) / 2`` and degree ``max(N, M) + M + 2``, the Gram
+    integrand ``c = 2 e + g^2`` and degree ``2 M + 4``, so
+    :func:`gauss_laguerre_rule` integrates each exactly, on at most 67 nodes
+    for ``M, N <= 64``.  The fidelity is ``p @`` the photon rows up to ``M``.
+    """
+    rate, _, _, tau = _transfer(r, gain)
+    g2 = gain * gain
+    M = state.max_n
+    p = input_photon_probs(state, M)
+    K = max(N, M)
+    u, wt = gauss_laguerre_rule(K + M + 2, rate + 0.5 * (1.0 + g2))
+    rows = laguerre_envelope_all(K, u) @ (tau(u) * (p @ laguerre_envelope_all(M, g2 * u) * wt)).T
+    u, wt = gauss_laguerre_rule(2 * M + 4, 2.0 * rate + g2)
+    t, chi_g = tau(u), p @ laguerre_envelope_all(M, g2 * u)
+    return rows[: N + 1], p @ rows[: M + 1], (t * (chi_g * chi_g * wt)) @ t.T
 
 
 # ---------------------------------------------------------------------------
@@ -1252,7 +1321,21 @@ def polynomial_gaussian_overlaps(state: InputState, rate: float, terms, gain: fl
 # ---------------------------------------------------------------------------
 
 def exact_fock_family(state: InputState, r: float, gain: float, N: int, dps: int = 80):
-    """``(photon_basis, fidelity_basis, gram)`` of a Fock state or mixture, exactly.
+    """``(photon_basis, fidelity_basis, gram)`` of a Fock state or mixture, exactly
+    (:func:`_exact_fock`)."""
+    return _exact_fock(state, r, gain, N, dps)[:3]
+
+
+def exact_gram_moments(state: InputState, r: float, gain: float, dps: int = 80) -> np.ndarray:
+    """``H_q = ∫ exp(-2 e u) u^q A~(g^2 u)^2 du``, ``q <= 4``, of a Fock state or
+    mixture, exactly (:func:`_exact_fock`): the Gram matrix is
+    ``coef @ H[i + l] @ coef.T``."""
+    return _exact_fock(state, r, gain, 0, dps)[3]
+
+
+def _exact_fock(state: InputState, r: float, gain: float, N: int, dps: int):
+    """``(photon_basis, fidelity_basis, gram, gram_moments)`` of a Fock state or
+    mixture, exactly.
 
     Each integrand of the family is ``exp(-c u)`` times a polynomial in ``u``
     (:mod:`cvteleport.photonstats`).  Here the polynomials are expanded into
@@ -1314,8 +1397,7 @@ def exact_fock_family(state: InputState, r: float, gain: float, N: int, dps: int
             fidelity[k] = integral(times(poly, chi_1), mu1)
         chi_gg = times(chi_g, chi_g)
         gram = [[integral(times(times(q[j], q[k]), chi_gg), mu2) for k in range(3)] for j in range(3)]
-        return (
-            np.array(photon, dtype=float),
-            np.array(fidelity, dtype=float),
-            np.array(gram, dtype=float),
+        gram_moments = [integral(chi_gg, mu2[j:]) for j in range(5)]
+        return tuple(
+            np.array(x, dtype=float) for x in (photon, fidelity, gram, gram_moments)
         )

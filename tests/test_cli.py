@@ -912,7 +912,7 @@ def test_overflowing_gaussian_overlaps_give_error_record(argv, text, gain, capsy
 )
 def test_overflowing_transfer_rate_gives_error_record(argv, text, r, gain, capsys):
     """Where the Gram rate 2 e + g^2 overflows, every input kind raises
-    EvaluationError (a Gauss-Laguerre rule or closed form there would be all NaN)."""
+    EvaluationError (a series or closed form there would be all NaN)."""
     code, out, err = run_cli(argv + ["--input", text, "--r", r, "--gain", gain], capsys)
     assert code == 1 and out == ""
     record = json.loads(err)["error"]
@@ -948,7 +948,7 @@ def test_overflowing_squeezing_gives_error_record(argv, capsys):
 )
 def test_top_photon_number_past_n_max_gives_error_record(argv, text, capsys):
     """A Fock-diagonal input past N_max = 64 photons raises CapacityError before
-    any Gauss-Laguerre rule is built, so even a million photons fail at once."""
+    any series is built, so even a million photons fail at once."""
     start = time.perf_counter()
     code, out, err = run_cli(argv + ["--input", text], capsys)
     assert time.perf_counter() - start < 5.0

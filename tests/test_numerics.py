@@ -12,7 +12,6 @@ from cvteleport import (
     state_cumulants,
     teleport,
 )
-from cvteleport.numerics import laguerre_envelope_all
 from conftest import case_study_inputs, moderate_inputs
 from oracles import (
     DiffConfig,
@@ -24,6 +23,7 @@ from oracles import (
     input_charfn,
     integrate_plane,
     laguerre_envelope,
+    laguerre_envelope_all,
     output_charfn,
     raw_from_cumulants,
     transfer_fn,
@@ -187,10 +187,9 @@ def test_derivative_levels_configurable():
 
 
 # ---------------------------------------------------------------------------
-# vectorized probes, the shared recurrence, the exact rule and the Legendre oracle rule
+# vectorized probes, the Laguerre recurrence, and the Gauss-Laguerre and Legendre oracle rules
 # ---------------------------------------------------------------------------
 
-from cvteleport.numerics import gauss_laguerre_rule  # noqa: E402
 from oracles import (  # noqa: E402
     _EIGHT_RAYS,
     _PROBE_RADII,
@@ -198,6 +197,7 @@ from oracles import (  # noqa: E402
     _max_profile,
     envelope_cutoff,
     envelope_tail,
+    gauss_laguerre_rule,
     laguerre_envelope_series,
     radial_rule,
 )
@@ -283,3 +283,32 @@ def test_gauss_laguerre_rule_is_exact_to_its_degree(degree, c):
     want = math.lgamma(degree + 1.0) - (degree + 1.0) * math.log(c)
     got = np.sum(wt * np.exp(degree * np.log(u) - c * u))
     assert abs(got / math.exp(want) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the Taylor-series arithmetic of the Delta families
+# ---------------------------------------------------------------------------
+
+from cvteleport.numerics import _pgf_taylor  # noqa: E402
+
+
+@pytest.mark.parametrize(
+    "p", [[1.0], [0.0, 1.0], [0.5, 0.5], [0.3, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.4]]
+)
+def test_pgf_taylor_is_the_shifted_generating_function(p):
+    """``P_i(beta) = [y^i] sum_m p_m (beta + y)^m`` at a number, and at a series
+    against the coefficients of the composed polynomial."""
+    p = np.array(p)
+    pgf = np.polynomial.Polynomial(p)
+    shifted = pgf(np.polynomial.Polynomial([0.37, 1.0])).coef
+    got = _pgf_taylor(np.array([0.37]), p, len(p) - 1)[:, 0]
+    assert np.abs(got - shifted).max() <= 1e-15
+    beta = np.array([0.2, 0.3, 0.1, 0.05, 0.0, 0.01])
+    composed = [
+        np.polynomial.polynomial.polyder(p, i) / math.factorial(i) for i in range(3)
+    ]
+    got = _pgf_taylor(beta, p, 2)
+    for i, coef in enumerate(composed):
+        want = np.polynomial.Polynomial(coef)(np.polynomial.Polynomial(beta)).coef
+        want = np.append(want, np.zeros(len(beta)))[: len(beta)]
+        assert np.abs(got[i] - want).max() <= 1e-15, i

@@ -369,12 +369,13 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from cvteleport.numerics import gauss_laguerre_rule  # noqa: E402
-from cvteleport.photonstats import _gaussian_overlaps  # noqa: E402
+from cvteleport.photonstats import _fock_gram_moments, _gaussian_overlaps  # noqa: E402
 from cvteleport.states import N_MAX_FOCK, delta_weights, transfer_basis  # noqa: E402
 from oracles import (  # noqa: E402
     exact_fock_family,
+    exact_gram_moments,
     gamma_gaussian_moments,
+    gauss_laguerre_family,
     laguerre_envelope_series,
     polynomial_gaussian_overlaps,
     radial_family,
@@ -453,7 +454,7 @@ def test_dephased_squeezed_vacuum_matches_photon_sum(s):
 @pytest.mark.parametrize("r", [0.75, 2.5])
 @pytest.mark.parametrize("s", [-4.0, 4.0])
 def test_strong_squeezing_node_rule_is_resolved(s, r):
-    """The exact rules of a Fock-diagonal input read its top photon number.
+    """The series of a Fock-diagonal input read its top photon number.
     The input is the photon distribution of sqvac:s cut at N_MAX_FOCK and
     renormalized, a mixture of 33 even photon numbers up to 64 (the same for
     +-s); Gauss-Legendre rules of 1536 nodes in sqrt(u), cut at certified
@@ -519,9 +520,9 @@ _MIX64 = FockMixtureInput(((0, 0.2), (7, 0.2), (20, 0.2), (41, 0.2), (64, 0.2)))
     ids=["fock40", "fock60", "mix64"],
 )
 def test_fock_family_matches_the_exact_expansion(state, r, gain, N):
-    """The Gauss-Laguerre rules against the integrands expanded into powers of
-    u at 80 digits (mpmath), at M, N up to 64; on the mixture, with N = 24,
-    the fidelity's degree 2 M + 2 sets the size of the first rule."""
+    """The Taylor series against the integrands expanded into powers of u at
+    80 digits (mpmath), at M, N up to 64; on the mixture, with N = 24, the
+    fidelity reads photon rows past N."""
     pytest.importorskip("mpmath")
     fam = delta_family(state, r, 0.0, gain, N)
     photon_basis, fidelity_basis, gram = exact_fock_family(state, r, gain, N)
@@ -531,27 +532,98 @@ def test_fock_family_matches_the_exact_expansion(state, r, gain, N):
 
 
 @pytest.mark.parametrize(
-    "state,r,gain,N",
-    [
-        (FockInput(1), 1.0, 1.0, 24),
-        (FockMixtureInput(((0, 0.5), (1, 0.5))), 2.5, 0.8, 8),
-        (FockInput(40), 4.0, 1.0, 64),
-        (FockInput(64), 0.25, 0.3, 64),
-        (_MIX64, 4.0, 1.3, 64),
-    ],
+    "text",
+    ["fock:0", "fock:1", "fock:20", "fock:64", "mix:0@0.5,1@0.5", "mix:0@0.3,3@0.3,7@0.4"],
 )
-def test_fock_family_rule_is_exact(state, r, gain, N, monkeypatch):
-    """Eight more Gauss-Laguerre nodes change nothing beyond rounding: the rule
-    already integrates its polynomials exactly."""
-    fam = delta_family(state, r, 0.4, gain, N)
-    monkeypatch.setattr(
-        photonstats, "gauss_laguerre_rule",
-        lambda degree, rate: gauss_laguerre_rule(degree + 16, rate),
-    )
-    more = delta_family(state, r, 0.4, gain, N)
-    assert np.abs(fam.photon_basis - more.photon_basis).max() <= 1e-13
-    assert np.abs(fam.fidelity_basis - more.fidelity_basis).max() <= 1e-13
-    assert np.abs(fam.gram - more.gram).max() <= 1e-13
+def test_fock_family_matches_the_gauss_laguerre_oracle(text):
+    """The Taylor series against exact Gauss-Laguerre rules of the same
+    integrands, photon and fidelity bases and Gram matrix to 1e-13 absolute,
+    at N = 64 over g in {0.25, 0.7, 1, 1.3} and r from 0.1 to 8 (the largest
+    gap is about 1e-14)."""
+    state = parse_state(text)
+    for gain in (0.25, 0.7, 1.0, 1.3):
+        for r in (0.1, 0.25, 0.75, 1.0, 2.5, 8.0):
+            fam = delta_family(state, r, 0.4, gain, 64)
+            photon_basis, fidelity_basis, gram = gauss_laguerre_family(state, r, gain, 64)
+            assert np.abs(fam.photon_basis - photon_basis).max() <= 1e-13, (gain, r)
+            assert np.abs(fam.fidelity_basis - fidelity_basis).max() <= 1e-13, (gain, r)
+            assert np.abs(fam.gram - gram).max() <= 1e-13, (gain, r)
+
+
+@pytest.mark.parametrize(
+    "gain,r",
+    # At g = 1, 2 e = g^2 at r = ln(2) / 2 = 0.3466: the cells lie on both sides.
+    [(1.0, 0.1), (1.0, 0.3), (1.0, 0.4), (1.0, 2.5), (0.25, 0.1), (0.25, 1.0), (0.25, 2.5),
+     (1.3, 0.25), (1.3, 1.0), (1.3, 4.0)],
+)
+def test_fock_gram_moments_match_the_exact_expansion(gain, r):
+    """``H_q = ∫ exp(-2 e u) u^q A~(g^2 u)^2 du``, q <= 4, as sums of squares,
+    against 80-digit expansions, to 1e-13 relative for every Fock state and
+    a mixture up to M = 8."""
+    pytest.importorskip("mpmath")
+    rate, _, _ = transfer_basis(Channel(SqueezedBellResource(1.0, 0.0, r), gain=gain))
+    states = [FockInput(n) for n in range(9)] + [FockMixtureInput(((0, 0.3), (3, 0.3), (8, 0.4)))]
+    for state in states:
+        got = _fock_gram_moments(input_photon_probs(state, state.max_n), rate, gain * gain)
+        want = exact_gram_moments(state, r, gain)
+        assert np.abs(got / want - 1.0).max() <= 1e-13, state
+
+
+def test_fock_family_tail_matches_the_exact_expansion():
+    """Tail entries keep relative accuracy: fock:20 at r = 1 has photon rows
+    n = 24 and n = 60 within 1e-12 relative of 80 digits.  The row n = 60 is
+    (3.1e-24, -9.5e-23, 3.0e-21), far below the 1e-16 rounding of a sum of
+    terms of order 1."""
+    pytest.importorskip("mpmath")
+    state = FockInput(20)
+    fam = delta_family(state, 1.0, 0.0, 1.0, 64)
+    want = exact_fock_family(state, 1.0, 1.0, 64)[0]
+    for n in (24, 60):
+        assert np.abs(fam.photon_basis[n] / want[n] - 1.0).max() <= 1e-12, n
+    assert 0.0 < fam.photon_distribution(0.0).probs[60] < 1e-20
+
+
+def test_vacuum_family_equals_the_coherent_vacuum():
+    """fock:0 and coherent:0 are one state on two paths: the photon basis agrees
+    to 1e-13 relative on every entry down to 1e-299, and the fidelity basis
+    and Gram matrix to 1e-13 of their largest entry."""
+    for gain in (0.25, 0.7, 1.0, 1.3, 3.0):
+        for r in (0.1, 0.5, 1.0, 2.5, 5.0, 8.0):
+            fock = delta_family(FockInput(0), r, 0.2, gain, 64)
+            coherent = delta_family(CoherentInput(0.0), r, 0.2, gain, 64)
+            big = np.abs(coherent.photon_basis) >= 1e-299
+            rel = np.abs(fock.photon_basis - coherent.photon_basis)[big] / np.abs(
+                coherent.photon_basis
+            )[big]
+            assert rel.max() <= 1e-13, (gain, r)
+            for name in ("fidelity_basis", "gram"):
+                got, want = getattr(fock, name), getattr(coherent, name)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, gain, r)
+
+
+@pytest.mark.parametrize("text", ["fock:0", "fock:1", "mix:0@0.5,1@0.5"])
+@pytest.mark.parametrize("cell", [("0.25", "0.25"), ("1", "1")])
+def test_fock_photon_probabilities_have_no_rounding_floor(text, cell, capsys):
+    """At Delta = 0 the output photon probabilities past n of about 20 are far
+    below 1e-16; none of the 65 prints negative, as a rounding floor of about
+    1e-16 under every entry would make about 40 of them."""
+    from cvteleport.cli import main
+
+    r, gain = cell
+    argv = ["photon-stats", "--input", text, "--delta", "0", "--r", r, "--gain", gain, "--N", "64"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "n,P_in,P_out" and len(lines) == 67
+    assert not [line for line in lines[2:] if line.split(",")[2].startswith("-")]
+
+
+@pytest.mark.parametrize("gain", [1e31, 1e100, 1e150])
+@pytest.mark.parametrize("state", [FockInput(1), FockMixtureInput(((0, 0.5), (64, 0.5)))])
+def test_fock_family_raises_where_its_gram_moments_overflow(state, gain):
+    """Past a gain of about 1e30, (2 e + g^2)^5 overflows, H_4 underflows and
+    the transfer coefficients overflow: a typed error, with no numpy warning."""
+    with np.errstate(all="raise"), pytest.raises(EvaluationError, match="Gram moments"):
+        delta_family(state, 1.0, gain=gain)
 
 
 def test_transfer_basis_coefficients_reproduce_terms(rng):
@@ -741,18 +813,6 @@ def test_strong_squeezing_matches_mpmath():
                     tau = mp.exp(-e * u) * (c[0] + c[1] * u + c[2] * u * u)
                     return tau * mp.exp(-u / 2) * mp.laguerre(n, 0, u) * dephased
                 assert abs(probs[n] - float(mp.quad(integrand, points))) <= 1e-12, (s, n)
-
-
-def test_gaussian_inputs_never_reach_the_radial_rule(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("a coherent or squeezed family built a Gauss-Laguerre rule")
-
-    monkeypatch.setattr(photonstats, "gauss_laguerre_rule", unreachable)
-    for state in (CoherentInput(2.12928), CoherentInput(30.0 + 1.0j), SqueezedVacuumInput(-8.0)):
-        for r, gain in ((0.25, 1.0), (2.5, 0.8)):
-            delta_family(state, r, 0.7, gain).measure_columns([0.0, 0.5, 1.0])
-    with pytest.raises(AssertionError):
-        delta_family(FockInput(1), 1.0)
 
 
 def test_large_coherent_input_is_certified():
