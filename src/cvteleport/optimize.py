@@ -351,14 +351,16 @@ def _record(kind: str, r: float, delta_star, value, family) -> OptimumRecord:
     return OptimumRecord(delta_star, float(value), r, kind)
 
 
-def _solve(cells: Sequence[tuple], input, theta, gain, n_photons) -> list:
-    """For every ``(kind, r)`` cell, its :class:`OptimumRecord` or the
-    ``CVTeleportError`` it raised, from one batched solve.
+def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photons) -> list:
+    """For every cell of the ``kinds`` x ``r_grid`` grid, kind-major, its
+    :class:`OptimumRecord` or the ``CVTeleportError`` it raised, from one
+    batched solve.
 
-    Each distinct r gets one set of transfer-derivative forms, shared by the
-    transfer-table kinds, and one :func:`delta_family`, shared by the family
-    kinds; the input's moments are read once.  Each kind is checked once and
-    its cells' forms are built in one :func:`_forms` pass.  Then one product
+    Each kind is checked once.  Each build that the valid kinds need, the
+    transfer-derivative forms or the :func:`delta_family`, is made once per
+    distinct r, up front, a failed build's error standing in for its value;
+    the input's moments are read once, when a ``mu4`` kind has a built r.
+    Each kind's forms are built in one :func:`_forms` pass.  Then one product
     gives all coefficients, one stacked eigenvalue solve all candidates, and
     one evaluation of them all every optimum; the family kinds then take
     their value from :meth:`DeltaFamily.measures`.  A cell's error is the
@@ -366,59 +368,56 @@ def _solve(cells: Sequence[tuple], input, theta, gain, n_photons) -> list:
     input's moments (``mu4_x``, ``mu4_p``), its form.  Any exception other
     than a ``CVTeleportError`` is a fault and propagates.
     """
-    outcomes: list = [None] * len(cells)
-    groups: dict = {}
-    for place, (kind, _) in enumerate(cells):
-        # A kind that is not a string is unknown: it fails below, in a group of its own.
-        groups.setdefault(kind if isinstance(kind, str) else place, []).append(place)
-    built: dict = {}
+    def attempt(f, *args):
+        """``f(*args)``, or the ``CVTeleportError`` it raised."""
+        try:
+            return f(*args)
+        except CVTeleportError as exc:
+            return exc
 
-    def shared(build, arg):
-        """``build(arg)``, once per solve; its ``CVTeleportError`` stands in for the value."""
-        if (build, arg) not in built:
-            try:
-                built[build, arg] = build(arg)
-            except CVTeleportError as exc:
-                built[build, arg] = exc
-        return built[build, arg]
+    def build(family: bool, r):
+        if family:
+            return delta_family(input, r, theta, gain, n_photons)
+        return transfer_derivative_forms(Channel(SqueezedBellResource(1.0, theta, r), gain=gain))
 
-    def transfer_rows(r):
-        resource = SqueezedBellResource(delta=1.0, theta=theta, r=r)
-        return transfer_derivative_forms(Channel(resource, gain=gain))
-
-    def family(r):
-        return delta_family(input, r, theta, gain, n_photons)
-
-    kinds, places, outers, families, Qs, terms = [], [], [], [], [], []
+    checks = [attempt(_check_kind, kind, input) for kind in kinds]  # None, or the kind's error
+    valid = [kind for kind, check in zip(kinds, checks) if check is None]
+    built = {family: {r: attempt(build, family, r) for r in dict.fromkeys(r_grid)}
+             for family in {kind in _FAMILY_KINDS for kind in valid}}
+    moments = None
+    if {"mu4_x", "mu4_p"}.intersection(valid) and not all(
+            isinstance(source, CVTeleportError) for source in built[False].values()):
+        moments = attempt(moment_set, input)
+    outcomes, row_kinds, places, outers, families, Qs, terms = [], [], [], [], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is an error below
-        for group in groups.values():
-            kind, rows = cells[group[0]][0], dict.fromkeys(group)  # place -> its source
+        for kind, check in zip(kinds, checks):
+            if check is not None:
+                outcomes += [check] * len(r_grid)
+                continue
+            family = kind in _FAMILY_KINDS
+            kept = [len(outcomes) + j for j, r in enumerate(r_grid)
+                    if not isinstance(built[family][r], CVTeleportError)]
+            outcomes += [built[family][r] for r in r_grid]
+            if not kept:
+                continue
+            sources = [outcomes[place] for place in kept]
             try:
-                _check_kind(kind, input)
-                build = family if kind in _FAMILY_KINDS else transfer_rows
-                for place in group:
-                    rows[place] = shared(build, cells[place][1])
-                    if isinstance(rows[place], CVTeleportError):
-                        outcomes[place] = rows.pop(place)
-                if not rows:
-                    continue
-                moments = shared(moment_set, input) if kind in ("mu4_x", "mu4_p") else None
-                if isinstance(moments, CVTeleportError):
+                if kind in ("mu4_x", "mu4_p") and isinstance(moments, CVTeleportError):
                     raise moments
-                Q, T, outer = _forms(kind, list(rows.values()), gain, moments)
+                Q, T, outer = _forms(kind, sources, gain, moments)
             except CVTeleportError as exc:
-                for place in rows:
+                for place in kept:
                     outcomes[place] = exc
                 continue
-            kinds += [kind] * len(rows)
-            places += rows
-            outers += [outer] * len(rows)
-            families += rows.values() if kind in _FAMILY_KINDS else [None] * len(rows)
+            row_kinds += [kind] * len(kept)
+            places += kept
+            outers += [outer] * len(kept)
+            families += sources if family else [None] * len(kept)
             Qs.append(Q)
             terms.append(T)
     if places:
         coef, scale, errors = _coefficients(
-            kinds, np.concatenate(Qs), np.concatenate(terms), _trig(theta)
+            row_kinds, np.concatenate(Qs), np.concatenate(terms), _trig(theta)
         )
         solved = [i for i, error in enumerate(errors) if error is None]
         stars, values = _select(coef[solved], [outers[i] for i in solved])
@@ -427,12 +426,8 @@ def _solve(cells: Sequence[tuple], input, theta, gain, n_photons) -> list:
         for place, error in zip(places, errors):
             outcomes[place] = error
         for i, delta_star, value in zip(solved, stars, values):
-            try:
-                outcomes[places[i]] = _record(
-                    kinds[i], cells[places[i]][1], delta_star, value, families[i]
-                )
-            except CVTeleportError as exc:
-                outcomes[places[i]] = exc
+            r = r_grid[places[i] % len(r_grid)]
+            outcomes[places[i]] = attempt(_record, row_kinds[i], r, delta_star, value, families[i])
     return outcomes
 
 
@@ -444,7 +439,7 @@ def minimize_delta(obj: Objective) -> OptimumRecord:
     the :meth:`DeltaFamily.measures` value ``compare`` prints, with its checks.
     Raises the cell's ``CVTeleportError``.
     """
-    (outcome,) = _solve([(obj.kind, obj.r)], obj.input, obj.theta, obj.gain, obj.n_photons)
+    (outcome,) = _solve([obj.kind], [obj.r], obj.input, obj.theta, obj.gain, obj.n_photons)
     if isinstance(outcome, CVTeleportError):
         raise outcome
     return outcome
@@ -496,11 +491,12 @@ def sweep_r(
     """
     if not kinds or len(r_grid) == 0:
         raise InvalidArgumentError("sweep needs nonempty kind and r grids")
-    cells = [(kind, float(r)) for kind in kinds for r in r_grid]
-    outcomes = _solve(cells, input, theta, gain, n_photons)
+    r_grid = [float(r) for r in r_grid]
+    outcomes = _solve(kinds, r_grid, input, theta, gain, n_photons)
     return [
         outcome if isinstance(outcome, OptimumRecord) else OptimumRecord(
-            float("nan"), float("nan"), r, kind, error=f"{type(outcome).__name__}: {outcome}"
+            float("nan"), float("nan"), r_grid[i % len(r_grid)], kinds[i // len(r_grid)],
+            error=f"{type(outcome).__name__}: {outcome}",
         )
-        for outcome, (kind, r) in zip(outcomes, cells)
+        for i, outcome in enumerate(outcomes)
     ]

@@ -474,6 +474,22 @@ def test_sweep_equals_per_cell_minimize_delta(text):
     assert errors >= 5 * 2 * len(OBJECTIVE_KINDS)  # the r = 800 column at least
 
 
+def test_sweep_records_kinds_that_are_not_names():
+    """A kind that is not an objective name, hashable or not, fails in its own
+    cells; every other cell gets minimize_delta's record."""
+    state = FockInput(1)
+    kinds = ["x2_transfer", None, "one_minus_fidelity", ["x2_transfer"], "mu4_x"]
+    r_grid = [0.5, 1.0]
+    records = sweep_r(kinds, r_grid, input=state)
+    assert len(records) == len(kinds) * len(r_grid)
+    for rec, (kind, r) in zip(records, [(kind, r) for kind in kinds for r in r_grid]):
+        if isinstance(kind, str):
+            assert repr(rec) == repr(_per_cell(kind, r, input=state))
+        else:
+            assert (rec.kind, rec.r) == (kind, r) and math.isnan(rec.delta_star)
+            assert rec.error == f"InvalidArgumentError: unknown objective kind {kind!r}"
+
+
 @pytest.mark.parametrize("gain", [1.0, 1.3])
 def test_sweep_keeps_each_cells_error_precedence(gain):
     """On sqvac:360 the input's moments overflow, and r = -1 and r = 800 fail too:
@@ -501,17 +517,14 @@ def test_minimize_delta_and_sweep_r_run_the_one_solve(monkeypatch):
     calls = []
     solve = opt_mod._solve
 
-    def counting(cells, *shared):
-        calls.append(list(cells))
-        return solve(cells, *shared)
+    def counting(kinds, r_grid, *shared):
+        calls.append((list(kinds), list(r_grid)))
+        return solve(kinds, r_grid, *shared)
 
     monkeypatch.setattr(opt_mod, "_solve", counting)
     minimize_delta(Objective(kind="x2_transfer", r=1.0))
     sweep_r(["x2_transfer", "n_transfer"], [0.5, 1])
-    assert calls == [
-        [("x2_transfer", 1.0)],
-        [("x2_transfer", 0.5), ("x2_transfer", 1.0), ("n_transfer", 0.5), ("n_transfer", 1.0)],
-    ]
+    assert calls == [(["x2_transfer"], [1.0]), (["x2_transfer", "n_transfer"], [0.5, 1.0])]
 
 
 def test_iterations_is_read_off_the_error():
