@@ -10,7 +10,8 @@ class InvalidArgumentError(CVTeleportError, ValueError):
 
 
 class CapacityError(CVTeleportError):
-    """A configurable capacity limit (photon cutoff, derivative order) was exceeded."""
+    """A configurable capacity limit was exceeded: a photon cutoff or top photon
+    number past ``N_MAX_FOCK``."""
 
 
 class AccuracyError(CVTeleportError):

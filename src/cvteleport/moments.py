@@ -24,12 +24,17 @@ alone.  Coherent states and squeezed vacuum have only means and variances,
 so their outputs' fourth cumulants are the resource's, exactly.
 
 Radial functions.  Fock states, their mixtures and the transfer function are
-functions ``F(u)`` of ``u = |xi|^2``.  With ``F(0) = 1``, ``F'(0) = f1`` and
-``F''(0) = f2``, ``log F = f1 u + (f2 - f1^2) u^2 / 2 + ...``, so
-``K(2, 0) = K(0, 2) = -2 f1``, ``K(4, 0) = K(0, 4) = 12 (f2 - f1^2)``,
-``K(2, 2) = 4 (f2 - f1^2)`` and every other entry is 0.  The transfer
-function's ``f1, f2`` are linear in the Delta weights
-(:func:`transfer_derivative_forms`).
+functions ``F(u) = exp(-c u) P(u)`` of ``u = |xi|^2``, with
+``P(u) = 1 + p1 u + p2 u^2 + ...``.  With ``F'(0) = f1``,
+``log F = f1 u + (2 p2 - p1^2) u^2 / 2 + ...``: the envelope ``exp(-c u)``
+is linear in ``u``, so it enters ``K(2, 0) = K(0, 2) = -2 f1`` only, and
+``K(4, 0) = K(0, 4) = 12 (2 p2 - p1^2)``, ``K(2, 2) = 4 (2 p2 - p1^2)``;
+every other entry is 0.  For Fock states and mixtures ``p1 = -<n>`` and
+``p2 = <n(n-1)>/4``, so ``K(4, 0) = 6 <n(n-1)> - 12 <n>^2``.  The transfer
+function's ``f1`` and its ``p1, 2 p2`` are linear in the Delta weights
+(:func:`transfer_derivative_forms` at its own rate and at rate 0).  Read off
+``P``, the fourth cumulants keep relative accuracy near their zeros, where
+``12 (F''(0) - F'(0)^2)`` would cancel terms of the size of ``c^2``.
 
 Photon numbers.  ``x^2 + p^2 = 4 a^dag a + 2`` turns the raw quadrature
 moments into ``<a^dag a>`` and ``<a^dag^2 a^2>``, but subtracts the vacuum's
@@ -86,12 +91,13 @@ _N_MEAN_FLOOR = 1e-12
 _KEYS = tuple((n, m) for n in range(5) for m in range(5) if 1 <= n + m <= 4)
 
 
-def _radial_cumulants(f1: float, f2: float) -> dict:
-    """The table of ``F(|xi|^2)`` with ``F(0) = 1``, ``F'(0) = f1``, ``F''(0) = f2``."""
+def _radial_cumulants(f1: float, p1: float, p2: float) -> dict:
+    """The table of ``F(|xi|^2)``, ``F(u) = exp(-c u) P(u)`` with ``F'(0) = f1``
+    and ``P(u) = 1 + p1 u + p2 u^2 + ...``."""
     k = dict.fromkeys(_KEYS, 0.0)
     k[(2, 0)] = k[(0, 2)] = -2.0 * f1
-    k[(4, 0)] = k[(0, 4)] = 12.0 * (f2 - f1 * f1)
-    k[(2, 2)] = 4.0 * (f2 - f1 * f1)
+    k[(4, 0)] = k[(0, 4)] = 12.0 * (2.0 * p2 - p1 * p1)
+    k[(2, 2)] = 4.0 * (2.0 * p2 - p1 * p1)
     return k
 
 
@@ -114,9 +120,9 @@ def transfer_derivative_forms(ch: Channel, rate: Optional[float] = None):
 def state_cumulants(state: InputState) -> dict:
     """Closed-form cumulant table ``{(n, m): K(n, m)}`` of a catalog state."""
     if isinstance(state, (FockInput, FockMixtureInput)):
-        # exp(-u/2) sum_n p_n L_n(u) = 1 - (<n> + 1/2) u + (<n(n-1)>/2 + <n> + 1/4) u^2/2 + ...
+        # exp(-u/2) sum_n p_n L_n(u), and sum_n p_n L_n(u) = 1 - <n> u + <n(n-1)>/4 u^2 - ...
         n, a22 = photon_moments(state)
-        return _radial_cumulants(-(n + 0.5), 0.5 * a22 + n + 0.25)
+        return _radial_cumulants(-(n + 0.5), -n, 0.25 * a22)
     k = dict.fromkeys(_KEYS, 0.0)
     if isinstance(state, CoherentInput):
         # The derivative convention maps <p> to -2 Im(beta); sign only
@@ -133,8 +139,9 @@ def state_cumulants(state: InputState) -> dict:
 def transfer_cumulants(ch: Channel) -> dict:
     """Cumulant table of the transfer function, a radial non-state function."""
     w = np.array(delta_weights(ch.resource))
-    f1, f2 = (float(d @ w) for d in transfer_derivative_forms(ch))
-    return _radial_cumulants(f1, f2)
+    f1 = float(transfer_derivative_forms(ch)[0] @ w)
+    p1, p2 = (float(d @ w) for d in transfer_derivative_forms(ch, 0.0))
+    return _radial_cumulants(f1, p1, 0.5 * p2)
 
 
 def photon_moments(source) -> tuple[float, float]:

@@ -12,15 +12,16 @@ interior local minimum wins, even over a lower end (the fourth-order transfer
 cumulant's stationary minimum is the optimum of record); without one, the
 lower end.  Ties go to the smaller Delta.
 
-One solve, :func:`_solve`, handles a list of (kind, r) cells as one array
-problem.  It builds each r's transfer-derivative forms and Delta family once,
-and each kind's ``Q`` for all of its r values in one stacked pass,
-:func:`_forms`; maps the stacked forms to coefficients in one product, finds
-every cell's roots in one stacked eigenvalue solve of companion matrices with
-Newton steps over the whole stack, and selects every optimum from one
-evaluation of all candidates.  :func:`minimize_delta` is its one-cell call,
-which raises the cell's error; :func:`sweep_r` its grid call, which records
-each cell's error.
+One solve, :func:`_solve`, takes a kinds x r grid as one array problem.  It
+builds each r's transfer-derivative forms and Delta family once, up front,
+and each kind's ``Q`` for all r in one stacked pass, :func:`_forms`; maps
+them to coefficients in one product, finds every cell's roots in one stacked
+eigenvalue solve of companion matrices with Newton steps, and selects every
+optimum from one evaluation of all candidates.  The value it prints is
+``outer(w @ Q @ w)`` at the optimum's weights, not ``g``, whose coefficients
+of size 1 cancel near a transfer kind's zero.  :func:`minimize_delta` is its
+one-cell call, which raises the cell's error; :func:`sweep_r` its grid call,
+which records each cell's error.
 
 :func:`closed_form_delta` evaluates the six closed-form optimal-Delta
 expressions; the test suite holds the optimizer to them.
@@ -28,6 +29,7 @@ expressions; the test suite holds the optimizer to them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,7 +39,7 @@ import numpy as np
 from .errors import AccuracyError, CVTeleportError, EvaluationError, InvalidArgumentError
 from .moments import moment_set, transfer_derivative_forms
 from .photonstats import delta_family
-from .states import Channel, InputState, SqueezedBellResource
+from .states import Channel, InputState, SqueezedBellResource, delta_weight_rows
 
 OBJECTIVE_KINDS = (
     "x2_transfer",
@@ -127,13 +129,20 @@ def _root(v):
     return np.sqrt(np.maximum(v, 0.0))
 
 
+def _transfer_rows(ch: Channel) -> np.ndarray:
+    """``(4, 3)``: the rows :func:`transfer_derivative_forms` of ``ch`` at its
+    own rate, ``F'(0)`` and ``F''(0)`` of the transfer function ``F``, then at
+    rate 0, ``P'(0)`` and ``P''(0)`` of its polynomial factor ``P``."""
+    return np.concatenate((transfer_derivative_forms(ch), transfer_derivative_forms(ch, 0.0)))
+
+
 def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
     """``(Q, terms, outer)`` for ``m`` cells of one kind, ``Q`` and ``terms``
     ``(m, 3, 3)``: cell ``i`` has objective ``outer(w @ Q[i] @ w)``, and
     ``terms[i]`` holds the sums of the absolute values of the terms summed
     into ``Q[i]``.  ``outer`` is ``float``, :func:`_root` or ``abs``.
     ``sources[i]`` is cell ``i``'s :class:`DeltaFamily` for the family kinds,
-    else its rows ``(d1, d2)`` of :func:`transfer_derivative_forms`;
+    else its :func:`_transfer_rows`;
     ``input_moments`` is the input's :func:`moment_set` for ``mu4_x`` and
     ``mu4_p``.  Each row is the elementwise arithmetic of its own cell, so
     its bits do not depend on the cells built with it.
@@ -155,10 +164,10 @@ def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
             return Q, terms, _root
         return _sym(_ONE - f, _ONE), _sym(_ONE + np.abs(f), _ONE), float
 
-    d1, d2 = np.array(sources).swapaxes(0, 1)
-    if kind == "kappa4_transfer":  # mu4 - 3 mu2^2 = 12 F''(0) - 12 F'(0)^2
-        Q = 12.0 * (_sym(d2, _ONE) - _outer(d1, d1))
-        terms = 12.0 * (_sym(np.abs(d2), _ONE) + _outer(np.abs(d1), np.abs(d1)))
+    d1, d2, dp1, dp2 = np.array(sources).swapaxes(0, 1)
+    if kind == "kappa4_transfer":  # 12 (P''(0) - P'(0)^2): exp(-e u) leaves log F past u^1
+        Q = 12.0 * (_sym(dp2, _ONE) - _outer(dp1, dp1))
+        terms = 12.0 * (_sym(np.abs(dp2), _ONE) + _outer(np.abs(dp1), np.abs(dp1)))
         return Q, terms, float
     if kind in ("mu4_x", "mu4_p"):  # mu4 + 6 g^2 var mu2, mu4 = 12 F''(0), mu2 = -2 F'(0)
         var = gain * gain * (
@@ -192,12 +201,10 @@ def _trig(theta: float) -> np.ndarray:
 def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: np.ndarray):
     """``(coef, scale, errors)`` for the stacked ``Q`` and ``terms`` of :func:`_forms`.
 
-    ``coef[i] = 2^-scale[i] trig @ Q[i][_UPPER]``, so the objective of cell
-    ``i`` is ``outer(_basis(Delta) @ coef[i])`` times ``2^scale[i]`` (times
-    ``2^(scale[i] / 2)`` for ``outer = _root``).  The even ``scale[i]`` brings
-    the row's largest term near 1.  A power of two scales exactly and moves no
-    optimum, and a row of subnormal forms (r past about 354) keeps the digits
-    the root finder needs.  ``errors[i]`` is ``None``, an ``EvaluationError``
+    ``coef[i] = 2^-scale[i] trig @ Q[i][_UPPER]``, the even ``scale[i]``
+    bringing the row's largest term near 1: a power of two scales exactly and
+    moves no optimum, and a row of subnormal forms (r past about 354) keeps
+    the digits the root finder needs.  ``errors[i]`` is ``None``, an ``EvaluationError``
     for a row whose unscaled coefficients are not all finite, or an
     ``AccuracyError`` when the row's Delta-dependent coefficients lie within
     the rounding of their largest terms.
@@ -301,9 +308,9 @@ _CURVATURE = np.array([0.0, -1.0, -1.0, -4.0, -4.0])
 _ENDS = np.array([0.0, 1.0])
 
 
-def _select(coef: np.ndarray, outers: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """``(delta_star, value)`` for every row of ``coef`` ``(n, 5)``, the objective
-    of row ``i`` being ``outers[i](_basis(Delta) @ coef[i])``.
+def _select(coef: np.ndarray, outers: Sequence) -> np.ndarray:
+    """``delta_star`` for every row of ``coef`` ``(n, 5)``, the objective of
+    row ``i`` being ``outers[i](_basis(Delta) @ coef[i])``.
 
     The candidates are the interior local minima of ``g``, and for
     ``outer = abs`` also its interior maxima below 0 and its zeros.  The
@@ -338,35 +345,33 @@ def _select(coef: np.ndarray, outers: Sequence) -> tuple[np.ndarray, np.ndarray]
         g[same] = outer(g[same])
     best = np.min(np.where(taken, g, np.inf), axis=1)
     ties = taken & (g == best[:, None])
-    return np.min(np.where(ties, deltas, np.inf), axis=1), best
+    return np.min(np.where(ties, deltas, np.inf), axis=1)
 
 
 def _record(kind: str, r: float, delta_star, value, family) -> OptimumRecord:
-    """The optimum of one cell.  For the family kinds the value is the
-    :meth:`DeltaFamily.measures` value ``compare`` prints, with its checks."""
+    """The optimum of one cell, ``value`` its objective at ``delta_star``; for the
+    family kinds the :meth:`DeltaFamily.measures` value ``compare`` prints,
+    with its checks.  EvaluationError for a value that is not finite."""
     delta_star = float(delta_star)
     if family is not None:
         m = family.measures(delta_star)
         value = {"d_functional": m.d_n, "frobenius": m.frobenius}.get(kind, 1.0 - m.fidelity)
+    if not math.isfinite(value):
+        raise EvaluationError(f"objective {kind!r} is not finite at Delta={delta_star!r}: {value!r}")
     return OptimumRecord(delta_star, float(value), r, kind)
 
 
 def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photons) -> list:
     """For every cell of the ``kinds`` x ``r_grid`` grid, kind-major, its
-    :class:`OptimumRecord` or the ``CVTeleportError`` it raised, from one
-    batched solve.
+    :class:`OptimumRecord` or the ``CVTeleportError`` it raised.
 
-    Each kind is checked once.  Each build that the valid kinds need, the
-    transfer-derivative forms or the :func:`delta_family`, is made once per
-    distinct r, up front, a failed build's error standing in for its value;
-    the input's moments are read once, when a ``mu4`` kind has a built r.
-    Each kind's forms are built in one :func:`_forms` pass.  Then one product
-    gives all coefficients, one stacked eigenvalue solve all candidates, and
-    one evaluation of them all every optimum; the family kinds then take
-    their value from :meth:`DeltaFamily.measures`.  A cell's error is the
-    first of: its kind or input, its r (the channel, or the family), the
-    input's moments (``mu4_x``, ``mu4_p``), its form.  Any exception other
-    than a ``CVTeleportError`` is a fault and propagates.
+    Each kind is checked once.  Each build that the valid kinds need,
+    :func:`_transfer_rows` or :func:`delta_family`, is made once per distinct
+    r, up front, a failed build's error standing in for its value; the
+    input's moments are read once, when a ``mu4`` kind has a built r.  A
+    cell's error is the first of: its kind or input, its r (the channel, or
+    the family), the input's moments (``mu4_x``, ``mu4_p``), its form, its
+    value.  Any other exception than a ``CVTeleportError`` propagates.
     """
     def attempt(f, *args):
         """``f(*args)``, or the ``CVTeleportError`` it raised."""
@@ -378,17 +383,16 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
     def build(family: bool, r):
         if family:
             return delta_family(input, r, theta, gain, n_photons)
-        return transfer_derivative_forms(Channel(SqueezedBellResource(1.0, theta, r), gain=gain))
+        return _transfer_rows(Channel(SqueezedBellResource(1.0, theta, r), gain=gain))
 
     checks = [attempt(_check_kind, kind, input) for kind in kinds]  # None, or the kind's error
     valid = [kind for kind, check in zip(kinds, checks) if check is None]
     built = {family: {r: attempt(build, family, r) for r in dict.fromkeys(r_grid)}
              for family in {kind in _FAMILY_KINDS for kind in valid}}
-    moments = None
-    if {"mu4_x", "mu4_p"}.intersection(valid) and not all(
-            isinstance(source, CVTeleportError) for source in built[False].values()):
-        moments = attempt(moment_set, input)
-    outcomes, row_kinds, places, outers, families, Qs, terms = [], [], [], [], [], [], []
+    read = {"mu4_x", "mu4_p"}.intersection(valid) and any(
+        not isinstance(rows, CVTeleportError) for rows in built[False].values())
+    moments = attempt(moment_set, input) if read else None
+    outcomes, rows, Qs, terms = [], [], [], []  # rows: (kind, place, outer, family) per form
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is an error below
         for kind, check in zip(kinds, checks):
             if check is not None:
@@ -400,34 +404,33 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
             outcomes += [built[family][r] for r in r_grid]
             if not kept:
                 continue
-            sources = [outcomes[place] for place in kept]
             try:
                 if kind in ("mu4_x", "mu4_p") and isinstance(moments, CVTeleportError):
                     raise moments
-                Q, T, outer = _forms(kind, sources, gain, moments)
+                Q, T, outer = _forms(kind, [outcomes[place] for place in kept], gain, moments)
             except CVTeleportError as exc:
                 for place in kept:
                     outcomes[place] = exc
                 continue
-            row_kinds += [kind] * len(kept)
-            places += kept
-            outers += [outer] * len(kept)
-            families += sources if family else [None] * len(kept)
+            rows += [(kind, place, outer, outcomes[place] if family else None) for place in kept]
             Qs.append(Q)
             terms.append(T)
-    if places:
-        coef, scale, errors = _coefficients(
-            row_kinds, np.concatenate(Qs), np.concatenate(terms), _trig(theta)
-        )
-        solved = [i for i, error in enumerate(errors) if error is None]
-        stars, values = _select(coef[solved], [outers[i] for i in solved])
-        roots = np.array([outer is _root for outer in outers], dtype=bool)
-        values = np.ldexp(values, np.where(roots, scale // 2, scale)[solved])
-        for place, error in zip(places, errors):
-            outcomes[place] = error
-        for i, delta_star, value in zip(solved, stars, values):
-            r = r_grid[places[i] % len(r_grid)]
-            outcomes[places[i]] = attempt(_record, row_kinds[i], r, delta_star, value, families[i])
+    if not rows:
+        return outcomes
+    Q = np.concatenate(Qs)
+    coef, _, errors = _coefficients([row[0] for row in rows], Q, np.concatenate(terms), _trig(theta))
+    solved = [i for i, error in enumerate(errors) if error is None]
+    stars = _select(coef[solved], [rows[i][2] for i in solved])
+    w = delta_weight_rows(stars, theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is an error
+        # Each row summed on its own, as in DeltaFamily._products: the stack moves no value.
+        values = (w * (w[:, :, None] * Q[solved]).sum(axis=1)).sum(axis=1)
+    for (_, place, _, _), error in zip(rows, errors):
+        outcomes[place] = error
+    for i, delta_star, value in zip(solved, stars, values):
+        kind, place, outer, family = rows[i]
+        r = r_grid[place % len(r_grid)]
+        outcomes[place] = attempt(_record, kind, r, delta_star, outer(value), family)
     return outcomes
 
 
@@ -495,8 +498,7 @@ def sweep_r(
     outcomes = _solve(kinds, r_grid, input, theta, gain, n_photons)
     return [
         outcome if isinstance(outcome, OptimumRecord) else OptimumRecord(
-            float("nan"), float("nan"), r_grid[i % len(r_grid)], kinds[i // len(r_grid)],
-            error=f"{type(outcome).__name__}: {outcome}",
+            float("nan"), float("nan"), r, kind, error=f"{type(outcome).__name__}: {outcome}"
         )
-        for i, outcome in enumerate(outcomes)
+        for outcome, (kind, r) in zip(outcomes, itertools.product(kinds, r_grid))
     ]

@@ -81,7 +81,6 @@ from cvteleport.moments import (
     moment_set,
     state_cumulants,
     transfer_cumulants,
-    transfer_derivative_forms,
 )
 from cvteleport.optimize import (
     _FAMILY_KINDS,
@@ -90,6 +89,7 @@ from cvteleport.optimize import (
     _basis,
     _coefficients,
     _forms,
+    _transfer_rows,
     _trig,
 )
 from cvteleport.photonstats import (
@@ -106,6 +106,7 @@ from cvteleport.states import (
     InputState,
     SqueezedBellResource,
     SqueezedVacuumInput,
+    delta_weight_rows,
     delta_weights,
     input_photon_probs,
     state_label,
@@ -371,6 +372,32 @@ def sbl_two_mode_value(res: SqueezedBellResource, xi_a: complex, xi_b: complex) 
         + (1.0 - delta * delta) * (1.0 - na) * (1.0 - nb)
     )
     return complex(np.exp(-0.5 * (na + nb)) * brace)
+
+
+def exact_transfer_cumulants(delta, theta, r, gain, dps: int = 50) -> tuple:
+    """``(K(2, 0), K(4, 0))`` of the transfer function at ``dps`` digits.
+
+    The two-mode resource of :func:`sbl_two_mode_value` is restricted to
+    ``(g t, t)`` on the real axis in mpmath, and ``log tau(t)`` is expanded by
+    ``mpmath.taylor``: ``K(2, 0) = -2 c_2`` and ``K(4, 0) = 24 c_4``.  None of
+    the package's one-mode reduction enters.  The arguments are taken as
+    exact binary numbers.  Needs mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        delta, theta, r, g = (mp.mpf(x) for x in (delta, theta, r, gain))
+        ch, sh = mp.cosh(r), mp.sinh(r)
+        cross = 2 * delta * mp.sqrt(1 - delta * delta) * mp.cos(theta)
+
+        def log_tau(t):
+            xa, xb = (ch * g - sh) * t, (ch - sh * g) * t
+            na, nb = xa * xa, xb * xb
+            brace = delta * delta + cross * xa * xb + (1 - delta * delta) * (1 - na) * (1 - nb)
+            return mp.log(brace) - (na + nb) / 2
+
+        c = mp.taylor(log_tau, 0, 4)
+        return -2 * c[2], 24 * c[4]
 
 
 # ---------------------------------------------------------------------------
@@ -659,19 +686,24 @@ def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
 # Objectives from the tables and the family, one Delta at a time
 # ---------------------------------------------------------------------------
 
-def trig_form(obj: Objective):
-    """``(coef, outer)``: the optimizer minimizes ``outer(_basis(Delta) @ coef)``
-    for ``obj``.  Its quadratic form from ``cvteleport.optimize._forms`` for
-    the one cell, mapped to coefficients by ``_coefficients`` and unscaled;
-    raises the errors of the form's source, of ``_forms`` and of
-    ``_coefficients``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises below
+def _form(obj: Objective):
+    """``(Q, terms, outer)`` of ``cvteleport.optimize._forms`` for the one cell
+    ``obj``; raises the errors of the form's source and of ``_forms``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises later
         if obj.kind in _FAMILY_KINDS:
             source = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
         else:
-            source = transfer_derivative_forms(_channel(obj, 1.0))
+            source = _transfer_rows(_channel(obj, 1.0))
         moments = moment_set(obj.input) if obj.kind in ("mu4_x", "mu4_p") else None
-        Q, terms, outer = _forms(obj.kind, [source], obj.gain, moments)
+        return _forms(obj.kind, [source], obj.gain, moments)
+
+
+def trig_form(obj: Objective):
+    """``(coef, outer)``: the optimizer minimizes ``outer(_basis(Delta) @ coef)``
+    for ``obj``.  Its quadratic form from :func:`_form`, mapped to coefficients
+    by ``_coefficients`` and unscaled; raises the errors of :func:`_form` and
+    of ``_coefficients``."""
+    Q, terms, outer = _form(obj)
     coef, (scale,), (error,) = _coefficients([obj.kind], Q, terms, _trig(obj.theta))
     if error is not None:
         raise error
@@ -686,6 +718,23 @@ def trig_objective(obj: Objective) -> Callable[[float], float]:
     def f(delta: float) -> float:
         _channel(obj, delta)  # validates Delta
         return float(outer(float(_basis(delta) @ coef)))
+
+    return f
+
+
+def weighted_objective(obj: Objective) -> Callable[[float], float]:
+    """The scalar map Delta -> ``outer(w @ Q @ w)``, ``Q`` the quadratic form of
+    :func:`_form` and ``w`` the Delta weights, in Python floats and in the
+    order the optimizer sums each row: the value it prints at the optimum of
+    a transfer kind, bit for bit."""
+    (Q,), _, outer = _form(obj)
+    Q = Q.tolist()
+
+    def f(delta: float) -> float:
+        _channel(obj, delta)  # validates Delta
+        w = delta_weight_rows([delta], obj.theta)[0].tolist()
+        wq = [w[0] * Q[0][j] + w[1] * Q[1][j] + w[2] * Q[2][j] for j in range(3)]
+        return float(outer(w[0] * wq[0] + w[1] * wq[1] + w[2] * wq[2]))
 
     return f
 

@@ -30,6 +30,7 @@ from conftest import DELTA2_OPT, case_study_inputs, moderate_inputs, random_reso
 from oracles import (
     CharFn,
     convert_ordering,
+    exact_transfer_cumulants,
     fd_moment_set,
     fd_objective_function,
     input_charfn,
@@ -280,6 +281,29 @@ def test_resource_closed_form_examples():
         for d in deltas
     ]
     assert abs(deltas[int(np.argmin(vals))] - DELTA2_OPT) <= 1e-3
+
+
+# Delta*, theta, r, g of kappa4_transfer's optimum for fock:1 at r = 1, gain 1.3.
+NEAR_ZERO_CELL = (0.9999752232201582, 0.0, 1.0, 1.3)
+
+
+def test_fourth_cumulant_keeps_relative_accuracy_near_its_zeros():
+    """Against 50 digits.  ``12 (F''(0) - F'(0)^2)`` cancels terms of the size
+    of the envelope rate squared and kept 2e-9 of K(4, 0) near its zeros; read
+    off the polynomial factor, it keeps 1e-12.  K(2, 0) keeps 1e-15."""
+    pytest.importorskip("mpmath")
+    cells = [NEAR_ZERO_CELL] + [
+        (delta, theta, r, g)
+        for g in (0.7, 1.0, 1.3, 2.0)
+        for r in (0.5, 1.0, 2.0, 4.0)
+        for delta in (0.1, 0.5, 0.9, 0.99, 0.99998)
+        for theta in (0.0, 0.4)
+    ]
+    for delta, theta, r, g in cells:
+        k2, k4 = exact_transfer_cumulants(delta, theta, r, g)
+        got = transfer_cumulants(Channel(SqueezedBellResource(delta, theta, r), gain=g))
+        assert abs(got[(4, 0)] - k4) <= 1e-11 * abs(k4), (delta, theta, r, g, got[(4, 0)], k4)
+        assert abs(got[(2, 0)] - k2) <= 1e-14 * abs(k2), (delta, theta, r, g, got[(2, 0)], k2)
 
 
 def test_closed_forms_match_tables(rng):

@@ -28,6 +28,7 @@ from cvteleport.moments import moment_set, transfer_derivative_forms
 from cvteleport.optimize import CLOSED_FORM_KINDS, OBJECTIVE_KINDS, OptimumRecord
 from conftest import DELTA2_OPT, DELTA4_OPT, bisect_root
 from oracles import (
+    exact_transfer_cumulants,
     fd_objective_function,
     objective_parts,
     reference_interior_roots,
@@ -149,6 +150,26 @@ def test_transfer_optima_keep_relative_accuracy_at_large_r(kind, closed, r):
         assert rec.objective_value == pytest.approx(getattr(forms, closed), rel=1e-13, abs=0.0)
 
 
+def test_transfer_optima_print_their_value_to_rounding_near_a_zero():
+    """Against 50 digits at each optimum's Delta.  kappa4_transfer on fock:1 at
+    r = 1, gain 1.3 has its optimum at -6e-8, where the trigonometric
+    polynomial's O(1) coefficients cancel: evaluated there it kept 3.5e-9;
+    evaluated at the Delta weights it keeps 1e-14."""
+    pytest.importorskip("mpmath")
+    (rec,) = sweep_r(["kappa4_transfer"], [1.0], input=FockInput(1), gain=1.3)
+    assert rec.delta_star == 0.9999752232201582
+    _, want = exact_transfer_cumulants(rec.delta_star, 0.0, 1.0, 1.3)
+    assert abs(rec.objective_value - want) <= 1e-13 * abs(want)
+    for gain in (0.7, 1.0, 1.3, 2.0):
+        for theta in (0.0, 0.4):
+            kinds = ["x2_transfer", "n_transfer", "kappa4_transfer"]
+            for rec in sweep_r(kinds, [0.5, 1.0, 2.0, 4.0], theta=theta, gain=gain):
+                k2, k4 = exact_transfer_cumulants(rec.delta_star, theta, rec.r, gain)
+                want = {"x2_transfer": k2, "n_transfer": k2 / 2}.get(rec.kind, k4)
+                rel = 1e-13 if rec.kind == "kappa4_transfer" else 1e-15
+                assert abs(rec.objective_value - want) <= rel * abs(want), (rec, gain, theta)
+
+
 def test_flat_objective_raises(monkeypatch):
     one = np.array([1.0, 0.0, 1.0])
     flat = 3.25 * np.outer(one, one)  # w @ flat @ w = 3.25 at every Delta
@@ -183,7 +204,7 @@ def test_coefficients_and_their_errors_do_not_depend_on_a_power_of_two(power):
     flat = 3.25 * np.outer(one, one)
     flat[0, 0] += 1e-15  # varies, but within the rounding of its terms
     channel = Channel(SqueezedBellResource(1.0, 0.4, 1.0), gain=1.0)
-    Q, terms, _ = opt_mod._forms("x2_transfer", [transfer_derivative_forms(channel)], 1.0, None)
+    Q, terms, _ = opt_mod._forms("x2_transfer", [opt_mod._transfer_rows(channel)], 1.0, None)
     Q, terms = np.concatenate([flat[None], Q]), np.concatenate([flat[None], terms])
     kinds, trig = ["x2_transfer"] * 2, opt_mod._trig(0.4)
     coef, scale, errors = opt_mod._coefficients(kinds, Q, terms, trig)
@@ -549,17 +570,18 @@ def test_sweep_reads_the_input_moments_once(monkeypatch):
 
 
 def test_sweep_reads_each_rs_transfer_derivative_forms_once(monkeypatch):
+    """Once per r and per rate: the transfer function's own, and 0."""
     calls = []
 
     def counting(ch, *args):
-        calls.append(ch.resource.r)
+        calls.append((ch.resource.r, *args))
         return transfer_derivative_forms(ch, *args)
 
     monkeypatch.setattr(opt_mod, "transfer_derivative_forms", counting)
     kinds = ["x2_transfer", "kappa4_transfer", "n_transfer", "mu4_x", "mu4_p"]
     records = sweep_r(kinds, [0.5, 1.0, 2.0], input=FockInput(1))
     assert all(rec.error is None for rec in records)
-    assert calls == [0.5, 1.0, 2.0]
+    assert calls == [(r, *rate) for r in (0.5, 1.0, 2.0) for rate in ((), (0.0,))]
 
 
 def test_sweep_builds_one_family_per_r(monkeypatch):

@@ -27,7 +27,13 @@ from cvteleport import (  # noqa: E402
     minimize_delta,
 )
 from cvteleport.optimize import OBJECTIVE_KINDS  # noqa: E402
-from oracles import objective_parts, reference_minimize, trig_form, trig_objective  # noqa: E402
+from oracles import (  # noqa: E402
+    objective_parts,
+    reference_minimize,
+    trig_form,
+    trig_objective,
+    weighted_objective,
+)
 
 STATES = (
     FockInput(0),
@@ -75,7 +81,8 @@ def test_exact_optimum_is_a_local_minimum_no_worse_than_the_grid(
     assert abs(polynomial - values[-1]) <= 1e-12 * scale
 
     rec = minimize_delta(obj)
-    f = trig_objective(obj)
+    # A transfer kind's printed value is its form at the optimum's Delta weights.
+    f = trig_objective(obj) if kind in FAMILY_KINDS else weighted_objective(obj)
     rounding = 0.0
     if kind == "one_minus_fidelity":
         rounding = 1e-15

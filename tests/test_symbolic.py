@@ -1,4 +1,5 @@
-"""Symbolic oracle of the transfer function's cumulant table and derivative forms.
+"""Symbolic oracle of the transfer function's cumulant table and derivative forms,
+and of the r-independence of the second- and fourth-order optima.
 
 The two-mode resource of the :mod:`cvteleport.states` docstring is built in
 sympy, restricted to ``(g conj(xi), xi)`` with ``xi = w + i z``, and its log
@@ -8,7 +9,8 @@ one-mode reduction (``transfer_coefficients``, ``transfer_basis``): the
 restriction, its collapse to a function of ``|xi|^2`` and the derivatives
 are sympy's.  At Delta = 1 the resource is a two-mode squeezed vacuum, a
 Gaussian, so the expected fourth cumulants are 0 and the package's must be
-0.0 exactly.
+0.0 exactly.  Near a zero of K(4, 0) the package must keep its relative
+accuracy.
 """
 
 import functools
@@ -16,19 +18,22 @@ import functools
 import numpy as np
 import pytest
 
-from cvteleport import Channel, SqueezedBellResource, transfer_cumulants
+from cvteleport import Channel, SqueezedBellResource, resource_closed_forms, transfer_cumulants
 from cvteleport.moments import transfer_derivative_forms
 from cvteleport.states import delta_weights, transfer_coefficients
 
 sp = pytest.importorskip("sympy")
 
 _DIGITS = 30
-# (Delta, theta, r, g): both gains off 1 and Delta = 1, where kappa4 vanishes.
+# (Delta, theta, r, g): both gains off 1, Delta = 1, where kappa4 vanishes, and
+# the optimum of kappa4_transfer on fock:1 at r = 1, gain 1.3, where K(4, 0)
+# is -6e-8 among terms of size 1e-8 to 1.
 CELLS = [
     (0.92388, 0.0, 1.25, 1.0),
     (0.8, 1.2, 1.5, 1.3),
     (0.3, 2.5, 0.4, 0.7),
     (1.0, 0.0, 2.0, 1.5),
+    (0.9999752232201582, 0.0, 1.0, 1.3),
 ]
 
 
@@ -40,7 +45,8 @@ def _exact(x: float):
 @functools.lru_cache(maxsize=None)
 def _symbolic(cell):
     """``(K, forms)``: the cumulant table of the restricted resource, and
-    ``(F'(0), F''(0))`` of it and of ``exp((1 - g^2) u / 2)`` times it, seen as
+    ``(F'(0), F''(0))`` of it, of ``exp((1 - g^2) u / 2)`` times it and of
+    ``exp((|x_a|^2 + |x_b|^2) / 2)`` times it, its polynomial factor, seen as
     functions ``F(u)``, ``u = |xi|^2``."""
     delta, theta, r, g = (_exact(x) for x in cell)
     w, z = sp.symbols("w z", real=True)
@@ -72,7 +78,8 @@ def _symbolic(cell):
                 float(sp.N(sp.diff(d2, w, 2).subs(w, 0) / 12, _DIGITS)))
 
     normal = sp.exp((1 - g**2) * (w**2 + z**2) / 2) * tau
-    return k, (derivatives(tau), derivatives(normal))
+    free = sp.exp((na + nb) / 2) * tau
+    return k, (derivatives(tau), derivatives(normal), derivatives(free))
 
 
 def _close(got, want, rel=1e-12):
@@ -95,13 +102,42 @@ def test_transfer_cumulants_match_the_symbolic_log_derivatives(cell):
 
 @pytest.mark.parametrize("cell", CELLS)
 def test_derivative_forms_match_the_symbolic_expansion(cell):
-    """The transfer function's ``F'(0), F''(0)`` (rate e) and those of the
-    normal-ordered transfer factor (rate a^2), each as ``d @ w``."""
-    _, (plain, normal) = _symbolic(cell)
+    """The transfer function's ``F'(0), F''(0)`` (rate e), those of the
+    normal-ordered transfer factor (rate a^2) and those of its polynomial
+    factor ``exp(e u) tau`` (rate 0), each as ``d @ w``."""
+    _, (plain, normal, free) = _symbolic(cell)
     ch = _channel(cell)
     w = np.array(delta_weights(ch.resource))
     a, _ = transfer_coefficients(ch)
-    for rate, want in ((None, plain), (a * a, normal)):
+    for rate, want in ((None, plain), (a * a, normal), (0.0, free)):
         got = [float(d @ w) for d in transfer_derivative_forms(ch, rate)]
         assert _close(got[0], want[0]) and _close(got[1], want[1]), (cell, rate, got, want)
 
+
+
+# (Delta, theta) with a rational sqrt(1 - Delta^2); cos(theta) is 1, 1/2 and cos(1).
+R_FREE_CELLS = [
+    (sp.Rational(3, 5), sp.Integer(0)),
+    (sp.Rational(12, 13), sp.pi / 3),
+    (sp.Rational(4, 5), sp.Integer(1)),
+]
+
+
+@pytest.mark.parametrize("delta, theta", R_FREE_CELLS)
+def test_second_and_fourth_order_optima_do_not_depend_on_r(delta, theta):
+    """The abstract's r-independent optima Delta_(2)^opt and Delta_(4)^opt.  At
+    g = 1, with r a symbol, ``K(2, 0) e^{2r}`` and ``K(4, 0) e^{4r}`` of the
+    resource restricted to the real axis are free of r: the squeezing scales
+    both objectives and moves neither minimizer.  They are
+    ``resource_closed_forms``' ``x2_ab`` and ``kappa4_ab`` at r = 0."""
+    r, t = sp.symbols("r t", positive=True)
+    ch, sh = sp.cosh(r), sp.sinh(r)
+    xa = xb = ch * t - sh * t  # (g conj(xi), xi) at g = 1 and xi = t
+    na, nb = xa * xa, xb * xb
+    cross = 2 * delta * sp.sqrt(1 - delta**2) * sp.cos(theta) * xa * xb
+    log_tau = sp.log(sp.exp(-(na + nb) / 2) * (delta**2 + cross + (1 - delta**2) * (1 - na) * (1 - nb)))
+    x2 = sp.simplify((-sp.diff(log_tau, t, 2).subs(t, 0) * sp.exp(2 * r)).rewrite(sp.exp))
+    kappa4 = sp.simplify((sp.diff(log_tau, t, 4).subs(t, 0) * sp.exp(4 * r)).rewrite(sp.exp))
+    assert r not in x2.free_symbols | kappa4.free_symbols, (x2, kappa4)
+    forms = resource_closed_forms(SqueezedBellResource(float(delta), float(theta), 0.0))
+    assert _close(forms.x2_ab, float(x2)) and _close(forms.kappa4_ab, float(kappa4)), (x2, kappa4)
