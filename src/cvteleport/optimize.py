@@ -204,10 +204,10 @@ def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: 
     ``coef[i] = 2^-scale[i] trig @ Q[i][_UPPER]``, the even ``scale[i]``
     bringing the row's largest term near 1: a power of two scales exactly and
     moves no optimum, and a row of subnormal forms (r past about 354) keeps
-    the digits the root finder needs.  ``errors[i]`` is ``None``, an ``EvaluationError``
-    for a row whose unscaled coefficients are not all finite, or an
-    ``AccuracyError`` when the row's Delta-dependent coefficients lie within
-    the rounding of their largest terms.
+    the digits the root finder needs.  ``errors[i]`` is ``None``, an
+    ``EvaluationError`` for a row whose unscaled coefficients are not all
+    finite, or an ``AccuracyError`` when the row's Delta-dependent
+    coefficients lie within the rounding of their largest terms.
     """
     Q = Q[:, _UPPER[0], _UPPER[1], None]
     terms = terms[:, _UPPER[0], _UPPER[1], None]
@@ -438,8 +438,9 @@ def minimize_delta(obj: Objective) -> OptimumRecord:
     """Minimize ``obj`` over Delta in [0, 1]; deterministic, tie-break to smaller Delta.
 
     The one-cell :func:`_solve`, which :func:`sweep_r` runs over a grid.  The
-    objective is evaluated once, at the optimum: for the family kinds that is
-    the :meth:`DeltaFamily.measures` value ``compare`` prints, with its checks.
+    objective is evaluated once, at the optimum: for the transfer kinds as
+    ``outer(w @ Q @ w)`` at its Delta weights, for the family kinds as the
+    :meth:`DeltaFamily.measures` value ``compare`` prints, with its checks.
     Raises the cell's ``CVTeleportError``.
     """
     (outcome,) = _solve([obj.kind], [obj.r], obj.input, obj.theta, obj.gain, obj.n_photons)

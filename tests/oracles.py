@@ -24,7 +24,9 @@ engines read them:
   from the cumulant tables and the Delta family, the oracle of the
   optimizer's quadratic forms, which :func:`trig_form` and
   :func:`trig_objective` read out of the optimizer for the tests that need
-  them.  :func:`reference_interior_roots` finds one
+  them; :func:`weighted_objective` evaluates a form in the Delta weights as
+  the optimizer values its optimum.  :func:`exact_transfer_cumulants` gives
+  the transfer function's K(2, 0) and K(4, 0) at 50 digits.  :func:`reference_interior_roots` finds one
   quartic's unit-circle roots with ``np.roots`` and Newton steps through
   ``np.polyval``, the oracle of the optimizer's batched root solve.
 * :func:`integrate_plane` — full-plane integrals in polar coordinates
