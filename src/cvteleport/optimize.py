@@ -16,12 +16,12 @@ One solve, :func:`_solve`, takes a kinds x r grid as one array problem.  It
 builds each r's transfer-derivative forms and Delta family once, up front,
 and each kind's ``Q`` for all r in one stacked pass, :func:`_forms`; maps
 them to coefficients in one product, finds every cell's roots in one stacked
-eigenvalue solve of companion matrices with Newton steps, and selects every
-optimum from one evaluation of all candidates.  The value it prints is
-``outer(w @ Q @ w)`` at the optimum's weights, not ``g``, whose coefficients
-of size 1 cancel near a transfer kind's zero.  :func:`minimize_delta` is its
-one-cell call, which raises the cell's error; :func:`sweep_r` its grid call,
-which records each cell's error.
+eigenvalue solve of companion matrices with Newton steps, and scores every
+candidate once, as ``outer(w @ Q @ w)`` at its Delta weights, not as ``g``,
+whose coefficients of size 1 cancel near a transfer kind's zero.  The
+winner's score is the value printed for a transfer kind.
+:func:`minimize_delta` is its one-cell call, which raises the cell's error;
+:func:`sweep_r` its grid call, which records each cell's error.
 
 :func:`closed_form_delta` evaluates the six closed-form optimal-Delta
 expressions; the test suite holds the optimizer to them.
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import AccuracyError, CVTeleportError, EvaluationError, InvalidArgumentError
 from .moments import moment_set, transfer_derivative_forms
 from .photonstats import delta_family
-from .states import Channel, InputState, SqueezedBellResource, delta_weight_rows
+from .states import Channel, InputState, SqueezedBellResource, delta_weight_rows, weighted_forms
 
 OBJECTIVE_KINDS = (
     "x2_transfer",
@@ -110,7 +110,7 @@ class OptimumRecord:
 
     @property
     def iterations(self) -> int:
-        """The objective evaluations spent: one, at the optimum; none for a failed cell."""
+        """1 for a solved cell, 0 for a failed one; not a count of objective evaluations."""
         return 0 if self.error else 1
 
 
@@ -199,15 +199,15 @@ def _trig(theta: float) -> np.ndarray:
 
 
 def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: np.ndarray):
-    """``(coef, scale, errors)`` for the stacked ``Q`` and ``terms`` of :func:`_forms`.
+    """``(coef, errors)`` for the stacked ``Q`` and ``terms`` of :func:`_forms`.
 
-    ``coef[i] = 2^-scale[i] trig @ Q[i][_UPPER]``, the even ``scale[i]``
-    bringing the row's largest term near 1: a power of two scales exactly and
-    moves no optimum, and a row of subnormal forms (r past about 354) keeps
-    the digits the root finder needs.  ``errors[i]`` is ``None``, an
-    ``EvaluationError`` for a row whose unscaled coefficients are not all
-    finite, or an ``AccuracyError`` when the row's Delta-dependent
-    coefficients lie within the rounding of their largest terms.
+    ``coef[i] = 2^-scale trig @ Q[i][_UPPER]``, the even ``scale`` bringing
+    the row's largest term near 1: a power of two scales exactly and moves no
+    root, and a row of subnormal forms (r past about 354) keeps the digits
+    the root finder needs.  ``errors[i]`` is ``None``, an ``EvaluationError``
+    for a row whose unscaled coefficients are not all finite, or an
+    ``AccuracyError`` when the row's Delta-dependent coefficients lie within
+    the rounding of their largest terms.
     """
     Q = Q[:, _UPPER[0], _UPPER[1], None]
     terms = terms[:, _UPPER[0], _UPPER[1], None]
@@ -234,35 +234,18 @@ def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: 
             f"rounding {rounds:.3e} of its terms; no optimum can be certified",
             estimate=varies,
         )
-    return coef, scale, errors
-
-
-def _basis(delta) -> np.ndarray:
-    """Rows ``(1, cos t, sin t, cos 2t, sin 2t)`` at ``t = 2 arccos(Delta)``."""
-    d2 = np.square(delta)
-    c, s = 2.0 * d2 - 1.0, 2.0 * np.multiply(delta, np.sqrt(np.maximum(1.0 - d2, 0.0)))
-    rows = np.empty(np.shape(delta) + (5,))
-    rows[..., 0], rows[..., 1], rows[..., 2] = 1.0, c, s
-    rows[..., 3], rows[..., 4] = 2.0 * c * c - 1.0, 2.0 * s * c
-    return rows
-
-
-def _dot(rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """``(n, k)``: ``rows[i, j] @ coef[i]`` for ``rows`` ``(n, k, 5)``.
-
-    Each is its own dot product, as when one Delta is evaluated, so a value
-    does not depend on how many are taken together.
-    """
-    return np.matmul(rows[:, :, None, :], coef[:, None, :, None])[:, :, 0, 0]
+    return coef, errors
 
 
 # The derivative's coefficients are the quartic's times these, as in np.polyder.
 _SLOPE = np.arange(4, 0, -1)
 
 
-def _interior_roots(quartics: np.ndarray) -> np.ndarray:
-    """``(n, 4)``: Delta = cos(t/2) at the real t in (0, pi) with
-    ``quartics[i](e^{it}) = 0``, NaN in the places left over.
+def _interior_roots(quartics: np.ndarray) -> tuple:
+    """``(deltas, curvature)``, each ``(n, 4)``: Delta = cos(t/2) at the real
+    t in (0, pi) with ``quartics[i](e^{it}) = 0``, and ``-Re(P'(z) / z)`` there
+    for ``P = quartics[i]``; NaN in the places left over.  For
+    ``P(z) = z^2 g'(t) / i`` that is ``g''(t)``.
 
     As in ``np.roots``, a row's zero leading and trailing coefficients are
     stripped (a zero trailing coefficient is a root at 0) and the remaining
@@ -270,7 +253,8 @@ def _interior_roots(quartics: np.ndarray) -> np.ndarray:
     take one stacked eigenvalue call.  Three Newton steps on the full quartic
     then polish the roots with ``0.5 < |z| < 2``: a near-zero leading
     coefficient (``g`` almost free of ``cos 2t, sin 2t``) leaves the
-    eigenvalues inexact near the unit circle.
+    eigenvalues inexact near the unit circle.  ``P'`` is the derivative the
+    last step evaluated.
     """
     n = len(quartics)
     nonzero = np.ones((n, 6), dtype=bool)  # a zero row leads at 5: no roots
@@ -300,21 +284,23 @@ def _interior_roots(quartics: np.ndarray) -> np.ndarray:
     t = np.angle(z)
     interior = annulus & (np.abs(np.abs(z) - 1.0) <= _ROOT_TOL)
     interior &= (t > _ROOT_TOL) & (t < math.pi - _ROOT_TOL)
-    return np.where(interior, np.cos(0.5 * t), np.nan)
+    curvature = np.divide(dz, zz[:n], out=np.full((n, 4), np.nan, complex), where=interior)
+    return np.where(interior, np.cos(0.5 * t), np.nan), -curvature.real
 
 
-# g''(t) = _basis(Delta) @ (coef * _CURVATURE)
-_CURVATURE = np.array([0.0, -1.0, -1.0, -4.0, -4.0])
 _ENDS = np.array([0.0, 1.0])
 
 
-def _select(coef: np.ndarray, outers: Sequence) -> np.ndarray:
-    """``delta_star`` for every row of ``coef`` ``(n, 5)``, the objective of
-    row ``i`` being ``outers[i](_basis(Delta) @ coef[i])``.
+def _select(coef: np.ndarray, Q: np.ndarray, theta: float, outers: Sequence) -> tuple:
+    """``(delta_star, value)`` for every row of ``coef`` ``(n, 5)``, row ``i``
+    the coefficients of ``g = w @ Q[i] @ w`` and its objective
+    ``outers[i](g)``.
 
-    The candidates are the interior local minima of ``g``, and for
-    ``outer = abs`` also its interior maxima below 0 and its zeros.  The
-    deepest candidate wins; without one, the lower end; ties go to the
+    The candidates come from the coefficients: the interior local minima of
+    ``g``, for ``outer = abs`` also its interior maxima below 0 and its
+    zeros, and without any of these the two ends.  Each candidate is scored
+    as ``outer(w @ Q[i] @ w)`` at its :func:`delta_weight_rows`, the value
+    printed for a transfer kind.  The lowest score wins; ties go to the
     smaller Delta.
     """
     n = len(coef)
@@ -327,16 +313,17 @@ def _select(coef: np.ndarray, outers: Sequence) -> np.ndarray:
     if dips.any():
         zeros = np.stack([u2 / 2, u1 / 2, a0, u1.conj() / 2, u2.conj() / 2], axis=1)
         quartics = np.concatenate([quartics, zeros[dips]])
-    roots = _interior_roots(quartics)
+    roots, curvature = _interior_roots(quartics)
     # Columns: the stationary points, the zeros of g (for |g|), the ends.
     deltas = np.full((n, 10), np.nan)
     deltas[:, :4], deltas[:, 8:] = roots[:n], _ENDS
     deltas[dips, 4:8] = roots[n:]
 
     taken = ~np.isnan(deltas)
-    rows = _basis(np.where(taken, deltas, 0.0))
-    g = _dot(rows, coef)
-    curvature = _dot(rows[:, :4], coef * _CURVATURE)
+    w = delta_weight_rows(np.where(taken, deltas, 0.0), theta).reshape(n, 10, 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is an error
+        g = weighted_forms(w, Q[:, None])
+    curvature = curvature[:n]
     curvature[dips] *= np.sign(g[dips, :4])  # |g| has a minimum where g < 0 has a maximum
     taken[:, :4] &= curvature > 0
     taken[:, 8:] = ~taken[:, :8].any(axis=1, keepdims=True)
@@ -345,7 +332,7 @@ def _select(coef: np.ndarray, outers: Sequence) -> np.ndarray:
         g[same] = outer(g[same])
     best = np.min(np.where(taken, g, np.inf), axis=1)
     ties = taken & (g == best[:, None])
-    return np.min(np.where(ties, deltas, np.inf), axis=1)
+    return np.min(np.where(ties, deltas, np.inf), axis=1), best
 
 
 def _record(kind: str, r: float, delta_star, value, family) -> OptimumRecord:
@@ -368,9 +355,11 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
     Each kind is checked once.  Each build that the valid kinds need,
     :func:`_transfer_rows` or :func:`delta_family`, is made once per distinct
     r, up front, a failed build's error standing in for its value; the
-    input's moments are read once, when a ``mu4`` kind has a built r.  A
-    cell's error is the first of: its kind or input, its r (the channel, or
-    the family), the input's moments (``mu4_x``, ``mu4_p``), its form, its
+    input's moments are read once, when a ``mu4`` kind has a built r.  The
+    cells' forms then go through :func:`_coefficients` and :func:`_select`,
+    whose winning score is the value :func:`_record` records.  A cell's
+    error is the first of: its kind or input, its r (the channel, or the
+    family), the input's moments (``mu4_x``, ``mu4_p``), its form, its
     value.  Any other exception than a ``CVTeleportError`` propagates.
     """
     def attempt(f, *args):
@@ -418,30 +407,26 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
     if not rows:
         return outcomes
     Q = np.concatenate(Qs)
-    coef, _, errors = _coefficients([row[0] for row in rows], Q, np.concatenate(terms), _trig(theta))
+    coef, errors = _coefficients([row[0] for row in rows], Q, np.concatenate(terms), _trig(theta))
     solved = [i for i, error in enumerate(errors) if error is None]
-    stars = _select(coef[solved], [rows[i][2] for i in solved])
-    w = delta_weight_rows(stars, theta)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is an error
-        # Each row summed on its own, as in DeltaFamily._products: the stack moves no value.
-        values = (w * (w[:, :, None] * Q[solved]).sum(axis=1)).sum(axis=1)
+    stars, values = _select(coef[solved], Q[solved], theta, [rows[i][2] for i in solved])
     for (_, place, _, _), error in zip(rows, errors):
         outcomes[place] = error
     for i, delta_star, value in zip(solved, stars, values):
-        kind, place, outer, family = rows[i]
+        kind, place, _, family = rows[i]
         r = r_grid[place % len(r_grid)]
-        outcomes[place] = attempt(_record, kind, r, delta_star, outer(value), family)
+        outcomes[place] = attempt(_record, kind, r, delta_star, value, family)
     return outcomes
 
 
 def minimize_delta(obj: Objective) -> OptimumRecord:
     """Minimize ``obj`` over Delta in [0, 1]; deterministic, tie-break to smaller Delta.
 
-    The one-cell :func:`_solve`, which :func:`sweep_r` runs over a grid.  The
-    objective is evaluated once, at the optimum: for the transfer kinds as
-    ``outer(w @ Q @ w)`` at its Delta weights, for the family kinds as the
-    :meth:`DeltaFamily.measures` value ``compare`` prints, with its checks.
-    Raises the cell's ``CVTeleportError``.
+    The one-cell :func:`_solve`, which :func:`sweep_r` runs over a grid.  Each
+    candidate is scored once, as ``outer(w @ Q @ w)`` at its Delta weights;
+    the winner's score is the value of a transfer kind, and a family kind's
+    value is the :meth:`DeltaFamily.measures` value ``compare`` prints, with
+    its checks.  Raises the cell's ``CVTeleportError``.
     """
     (outcome,) = _solve([obj.kind], [obj.r], obj.input, obj.theta, obj.gain, obj.n_photons)
     if isinstance(outcome, CVTeleportError):

@@ -105,6 +105,7 @@ from .states import (
     input_photon_probs,
     input_purity,
     transfer_basis,
+    weighted_forms,
 )
 
 _PROB_SLACK = 1e-8
@@ -246,8 +247,7 @@ class DeltaFamily:
         depend on the grid around it."""
         w = self._weights(deltas)
         probs = (w[:, :, None] * self.photon_basis.T).sum(axis=1)
-        wg = (w[:, :, None] * self.gram).sum(axis=1)
-        return probs, (w * self.fidelity_basis).sum(axis=1), (w * wg).sum(axis=1)
+        return probs, (w * self.fidelity_basis).sum(axis=1), weighted_forms(w, self.gram)
 
     def photon_distribution(self, delta: float) -> PhotonDistribution:
         return PhotonDistribution(self._products([delta])[0][0])

@@ -210,6 +210,15 @@ def delta_weight_rows(deltas, theta: float) -> np.ndarray:
     return np.concatenate((d2, cross, comp), axis=1)
 
 
+def weighted_forms(w, Q) -> np.ndarray:
+    """``w @ Q @ w`` for each row of weights ``w`` ``(..., 3)`` and its
+    ``Q`` ``(..., 3, 3)``, broadcast.  Each sum runs over the three weights
+    of one row, left to right from 0 as ``np.sum`` adds three terms, so a
+    row's digits do not depend on the rows stacked with it."""
+    wq = sum(w[..., i, None] * Q[..., i, :] for i in range(3))
+    return sum(w[..., i] * wq[..., i] for i in range(3))
+
+
 def delta_weights(res: SqueezedBellResource) -> tuple[float, float, float]:
     """The :func:`delta_weight_rows` of the resource's Delta and theta."""
     d2, cross, comp = delta_weight_rows(res.delta, res.theta)[0]

@@ -23,9 +23,10 @@ engines read them:
   :func:`objective_parts` evaluates each objective kind one Delta at a time
   from the cumulant tables and the Delta family, the oracle of the
   optimizer's quadratic forms, which :func:`trig_form` and
-  :func:`trig_objective` read out of the optimizer for the tests that need
-  them; :func:`weighted_objective` evaluates a form in the Delta weights as
-  the optimizer values its optimum.  :func:`exact_transfer_cumulants` gives
+  :func:`trig_objective` read as the trigonometric polynomial :func:`_basis`
+  whose stationary points and zeros the optimizer finds, for the tests that
+  need them; :func:`weighted_objective` evaluates a form in the Delta weights
+  as the optimizer scores its candidates.  :func:`exact_transfer_cumulants` gives
   the transfer function's K(2, 0) and K(4, 0) at 50 digits.  :func:`reference_interior_roots` finds one
   quartic's unit-circle roots with ``np.roots`` and Newton steps through
   ``np.polyval``, the oracle of the optimizer's batched root solve.
@@ -87,8 +88,8 @@ from cvteleport.moments import (
 from cvteleport.optimize import (
     _FAMILY_KINDS,
     _ROOT_TOL,
+    _UPPER,
     Objective,
-    _basis,
     _coefficients,
     _forms,
     _transfer_rows,
@@ -700,21 +701,34 @@ def _form(obj: Objective):
         return _forms(obj.kind, [source], obj.gain, moments)
 
 
+def _basis(delta) -> np.ndarray:
+    """Rows ``(1, cos t, sin t, cos 2t, sin 2t)`` at ``t = 2 arccos(Delta)``: with
+    the coefficients of :func:`trig_form`, the trigonometric polynomial ``g``
+    whose stationary points and zeros the optimizer finds."""
+    d2 = np.square(delta)
+    c, s = 2.0 * d2 - 1.0, 2.0 * np.multiply(delta, np.sqrt(np.maximum(1.0 - d2, 0.0)))
+    rows = np.empty(np.shape(delta) + (5,))
+    rows[..., 0], rows[..., 1], rows[..., 2] = 1.0, c, s
+    rows[..., 3], rows[..., 4] = 2.0 * c * c - 1.0, 2.0 * s * c
+    return rows
+
+
 def trig_form(obj: Objective):
-    """``(coef, outer)``: the optimizer minimizes ``outer(_basis(Delta) @ coef)``
-    for ``obj``.  Its quadratic form from :func:`_form`, mapped to coefficients
-    by ``_coefficients`` and unscaled; raises the errors of :func:`_form` and
-    of ``_coefficients``."""
+    """``(coef, outer)``: ``outer(_basis(Delta) @ coef)`` is the objective whose
+    candidates the optimizer finds for ``obj``.  ``coef = _trig(theta) @
+    Q[_UPPER]`` for the quadratic form of :func:`_form`, unscaled; raises the
+    errors of :func:`_form` and of ``_coefficients``."""
     Q, terms, outer = _form(obj)
-    coef, (scale,), (error,) = _coefficients([obj.kind], Q, terms, _trig(obj.theta))
+    trig = _trig(obj.theta)
+    _, (error,) = _coefficients([obj.kind], Q, terms, trig)
     if error is not None:
         raise error
-    return np.ldexp(coef[0], scale), outer
+    return trig @ Q[0][_UPPER], outer
 
 
 def trig_objective(obj: Objective) -> Callable[[float], float]:
     """The scalar map Delta -> objective value of :func:`trig_form`, one Delta at
-    a time, as the optimizer evaluates its candidates."""
+    a time: the polynomial the optimizer finds its candidates on."""
     coef, outer = trig_form(obj)
 
     def f(delta: float) -> float:
@@ -727,8 +741,8 @@ def trig_objective(obj: Objective) -> Callable[[float], float]:
 def weighted_objective(obj: Objective) -> Callable[[float], float]:
     """The scalar map Delta -> ``outer(w @ Q @ w)``, ``Q`` the quadratic form of
     :func:`_form` and ``w`` the Delta weights, in Python floats and in the
-    order the optimizer sums each row: the value it prints at the optimum of
-    a transfer kind, bit for bit."""
+    order the optimizer sums each row: the score it ranks each candidate by,
+    and the value it prints at the optimum of a transfer kind, bit for bit."""
     (Q,), _, outer = _form(obj)
     Q = Q.tolist()
 

@@ -28,12 +28,14 @@ from cvteleport.moments import moment_set, transfer_derivative_forms
 from cvteleport.optimize import CLOSED_FORM_KINDS, OBJECTIVE_KINDS, OptimumRecord
 from conftest import DELTA2_OPT, DELTA4_OPT, bisect_root
 from oracles import (
+    _basis,
     exact_transfer_cumulants,
     fd_objective_function,
     objective_parts,
     reference_interior_roots,
     reference_minimize,
     trig_form,
+    weighted_objective,
 )
 
 R_RANGE = np.linspace(0.25, 3.0, 12)
@@ -198,8 +200,8 @@ def test_subnormal_forms_give_an_optimum_or_a_flagged_cell():
 
 @pytest.mark.parametrize("power", [-1070, -600, 600])
 def test_coefficients_and_their_errors_do_not_depend_on_a_power_of_two(power):
-    """Forms scaled by 2^power give the same coefficients, up to a scale that
-    is 2^power more, and AccuracyError messages with the unscaled numbers."""
+    """Forms scaled by 2^power give the same coefficients, the power taken
+    into their scale, and AccuracyError messages with the unscaled numbers."""
     one = np.array([1.0, 0.0, 1.0])
     flat = 3.25 * np.outer(one, one)
     flat[0, 0] += 1e-15  # varies, but within the rounding of its terms
@@ -207,12 +209,12 @@ def test_coefficients_and_their_errors_do_not_depend_on_a_power_of_two(power):
     Q, terms, _ = opt_mod._forms("x2_transfer", [opt_mod._transfer_rows(channel)], 1.0, None)
     Q, terms = np.concatenate([flat[None], Q]), np.concatenate([flat[None], terms])
     kinds, trig = ["x2_transfer"] * 2, opt_mod._trig(0.4)
-    coef, scale, errors = opt_mod._coefficients(kinds, Q, terms, trig)
+    coef, errors = opt_mod._coefficients(kinds, Q, terms, trig)
     with np.errstate(under="ignore"):  # 2^-1070 leaves the forms subnormal
         scaled = np.ldexp(Q, power), np.ldexp(terms, power)
-    coef2, scale2, errors2 = opt_mod._coefficients(kinds, *scaled, trig)
+    coef2, errors2 = opt_mod._coefficients(kinds, *scaled, trig)
     if power > -1000:  # the subnormal forms lost digits
-        assert (coef2 == coef).all() and (scale2 == scale + power).all()
+        assert (coef2 == coef).all()
     assert errors[1] is None and errors2[1] is None
     flat_error, flat_error2 = errors[0], errors2[0]
     assert isinstance(flat_error2, AccuracyError)
@@ -230,8 +232,7 @@ def test_constant_objective_tie_breaks_to_zero(monkeypatch):
     # w @ Q @ w = -Delta^4 + 6 Delta^2 (1 - Delta^2) - (1 - Delta^2)^2 = -cos 2t
     Q = np.array([[-1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, -1.0]])
     form = (Q[None], np.abs(Q)[None], float)
-    coef, scale, _ = opt_mod._coefficients([obj.kind], *form[:2], opt_mod._trig(obj.theta))
-    assert np.ldexp(coef, scale[:, None]).tolist() == [[0.0, 0.0, 0.0, -1.0, 0.0]]
+    assert (opt_mod._trig(obj.theta) @ Q[np.triu_indices(3)]).tolist() == [0.0, 0.0, 0.0, -1.0, 0.0]
     monkeypatch.setattr(opt_mod, "_forms", lambda kind, *parts: form)
     rec = opt_mod.minimize_delta(obj)
     assert rec.delta_star == 0.0
@@ -261,6 +262,44 @@ def test_local_minimum_certificate():
                 assert f(star) <= f(probe) + 1e-12
 
 
+# Cells where a family optimum lies at an end and the ends nearly tie.
+END_CELLS = [
+    ("fock:0", 1.3, 0.4, 11.5),
+    ("fock:0", 2.0, 0.1, 10.25),
+    ("fock:0", 2.0, 0.1, 10.5),
+    ("sqvac:1.5", 1.3, 0.4, 12.25),
+    ("coherent:2.12928", 0.7, 0.0, 11.5),
+]
+
+
+@pytest.mark.parametrize("text, gain, theta, r", END_CELLS)
+def test_an_end_optimum_is_not_beaten_by_the_other_end(text, gain, theta, r):
+    """When Delta* is an end, the other end's printed value (the form at Delta =
+    0 or 1, or compare's column for a family kind) is not lower, and a tie
+    gives Delta* = 0.  d_functional is left out: its form and its column sum
+    in different orders, so its end ties are rounding noise."""
+    state = parse_state(text)
+    family = delta_family(state, r, theta, gain)
+    kinds = [kind for kind in OBJECTIVE_KINDS if kind != "d_functional"]
+    ends = 0
+    for rec in sweep_r(kinds, [r], input=state, theta=theta, gain=gain):
+        if rec.delta_star not in (0.0, 1.0):
+            continue
+        other = 1.0 - rec.delta_star
+        if rec.kind == "one_minus_fidelity":
+            value = 1.0 - family.measures(other).fidelity
+        elif rec.kind == "frobenius":
+            value = family.measures(other).frobenius
+        else:
+            obj = Objective(kind=rec.kind, r=r, theta=theta, input=state, gain=gain)
+            value = weighted_objective(obj)(other)
+        assert rec.objective_value <= value, (rec, value)
+        if rec.objective_value == value:
+            assert rec.delta_star == 0.0, rec
+        ends += 1
+    assert ends > 0
+
+
 def test_input_dependent_kinds_require_input():
     with pytest.raises(InvalidArgumentError):
         Objective(kind="one_minus_fidelity", r=1.0)
@@ -283,21 +322,45 @@ def _quartics(coef):
 
 
 def _assert_roots_match_reference(quartics):
-    batched = opt_mod._interior_roots(quartics)
-    assert batched.shape == (len(quartics), 4)
+    batched, curvature = opt_mod._interior_roots(quartics)
+    assert batched.shape == curvature.shape == (len(quartics), 4)
+    assert (np.isnan(batched) == np.isnan(curvature)).all()
     for row, quartic in zip(batched, quartics):
         assert sorted(row[~np.isnan(row)].tolist()) == sorted(reference_interior_roots(quartic))
 
 
-def test_batched_roots_match_reference_on_random_quartics():
+def _random_rows():
+    """``(quartics, coef)``: 400 random complex quartics, and the coefficients
+    of 400 random polynomials g."""
     rng = np.random.default_rng(7)
     quartics = rng.standard_normal((400, 5)) + 1j * rng.standard_normal((400, 5))
     quartics[::7, 2] = 0.0
+    return quartics, rng.standard_normal((400, 5))
+
+
+def test_batched_roots_match_reference_on_random_quartics():
+    quartics, coef = _random_rows()
     _assert_roots_match_reference(quartics)
-    coef = rng.standard_normal((400, 5))
-    roots = opt_mod._interior_roots(_quartics(coef))
+    roots, _ = opt_mod._interior_roots(_quartics(coef))
     assert np.count_nonzero(~np.isnan(roots)) > 400  # the test sees many interior roots
     _assert_roots_match_reference(_quartics(coef))
+
+
+def test_root_curvature_is_the_second_derivative_of_the_polynomial():
+    """At every interior stationary point of the random polynomials above,
+    -Re(P'(z) / z) from the last Newton step is g''(t) of the oracle
+    polynomial: the same sign, and the same value to the rounding of the
+    coefficients (|g''| <= 4 sum |coef|)."""
+    _, coef = _random_rows()
+    roots, curvature = opt_mod._interior_roots(_quartics(coef)[:400])
+    taken = ~np.isnan(roots)
+    assert np.count_nonzero(taken) > 400
+    rows = np.nonzero(taken)[0]
+    # g''(t) = -(a1 cos t + b1 sin t) - 4 (a2 cos 2t + b2 sin 2t)
+    want = (_basis(roots[taken]) * coef[rows] * [0.0, -1.0, -1.0, -4.0, -4.0]).sum(axis=1)
+    got = curvature[taken]
+    assert (np.sign(got) == np.sign(want)).all()
+    assert (np.abs(got - want) <= 1e-12 * 4.0 * np.abs(coef[rows]).sum(axis=1)).all()
 
 
 def test_batched_roots_take_the_reduced_quadratic_on_a_zero_leading_coefficient():

@@ -16,7 +16,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-import cvteleport.optimize as opt_mod  # noqa: E402
 from cvteleport import (  # noqa: E402
     CoherentInput,
     FockInput,
@@ -28,6 +27,7 @@ from cvteleport import (  # noqa: E402
 )
 from cvteleport.optimize import OBJECTIVE_KINDS  # noqa: E402
 from oracles import (  # noqa: E402
+    _basis,
     objective_parts,
     reference_minimize,
     trig_form,
@@ -75,7 +75,7 @@ def test_exact_optimum_is_a_local_minimum_no_worse_than_the_grid(
     obj = Objective(kind=kind, r=r, theta=theta, input=state, gain=gain)
     g, _ = objective_parts(obj)
     coef, _ = trig_form(obj)
-    polynomial = float(opt_mod._basis(delta) @ coef)
+    polynomial = float(_basis(delta) @ coef)
     values = [g(d) for d in SCALE_DELTAS + (delta,)]
     scale = max(max(abs(v) for v in values), 1.0 if kind in FAMILY_KINDS else 0.0)
     assert abs(polynomial - values[-1]) <= 1e-12 * scale

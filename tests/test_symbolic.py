@@ -1,5 +1,7 @@
 """Symbolic oracle of the transfer function's cumulant table and derivative forms,
-and of the r-independence of the second- and fourth-order optima.
+of the r-independence of the second- and fourth-order optima, of the
+optimizer's map from quadratic forms to trigonometric coefficients, and of the
+closed-form fourth-moment optima.
 
 The two-mode resource of the :mod:`cvteleport.states` docstring is built in
 sympy, restricted to ``(g conj(xi), xi)`` with ``xi = w + i z``, and its log
@@ -14,12 +16,20 @@ accuracy.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
 
-from cvteleport import Channel, SqueezedBellResource, resource_closed_forms, transfer_cumulants
+from cvteleport import (
+    Channel,
+    SqueezedBellResource,
+    closed_form_delta,
+    resource_closed_forms,
+    transfer_cumulants,
+)
 from cvteleport.moments import transfer_derivative_forms
+from cvteleport.optimize import _trig
 from cvteleport.states import delta_weights, transfer_coefficients
 
 sp = pytest.importorskip("sympy")
@@ -141,3 +151,68 @@ def test_second_and_fourth_order_optima_do_not_depend_on_r(delta, theta):
     assert r not in x2.free_symbols | kappa4.free_symbols, (x2, kappa4)
     forms = resource_closed_forms(SqueezedBellResource(float(delta), float(theta), 0.0))
     assert _close(forms.x2_ab, float(x2)) and _close(forms.kappa4_ab, float(kappa4)), (x2, kappa4)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4, 2.0])
+def test_trig_map_is_the_symbolic_expansion_of_the_form(theta):
+    """``_trig(theta)`` maps ``Q[triu]`` to the coefficients of
+    ``(1, cos t, sin t, cos 2t, sin 2t)`` in ``w @ Q @ w``, ``w = W (1, cos t,
+    sin t)``: sympy expands the form of a symbolic symmetric ``Q`` in
+    ``z = e^{it}`` and reads the coefficient of ``z^k`` as ``(a_k - i b_k) / 2``."""
+    z = sp.Symbol("z")
+    q = {(i, j): sp.Symbol(f"q{i}{j}", real=True) for i in range(3) for j in range(i, 3)}
+    Q = sp.Matrix(3, 3, lambda i, j: q[min(i, j), max(i, j)])
+    c = sp.cos(_exact(theta))
+    half = sp.Rational(1, 2)
+    W = sp.Matrix([[half, half, 0], [0, 0, c], [half, -half, 0]])
+    w = W * sp.Matrix([1, (z + 1 / z) / 2, (z - 1 / z) / (2 * sp.I)])
+    g = sp.Poly(sp.expand((w.T * Q * w)[0] * z**2), z)
+    want = np.zeros((5, 6))
+    for col, key in enumerate(sorted(q)):  # the order of Q[np.triu_indices(3)]
+        coefficient = [complex(g.coeff_monomial(z ** (2 + k)).coeff(q[key])) for k in range(3)]
+        want[0, col] = coefficient[0].real
+        for k in (1, 2):
+            want[2 * k - 1, col] = 2.0 * coefficient[k].real
+            want[2 * k, col] = -2.0 * coefficient[k].imag
+    assert np.allclose(_trig(theta), want, rtol=0.0, atol=1e-15), (_trig(theta), want)
+
+
+# closed_form_delta's fourth-moment kinds and the x variance v of their input.
+MU4_KINDS = [
+    ("mu4_x_coherent", lambda s: 1),
+    ("mu4_x_fock1", lambda s: 3),
+    ("mu4_x_squeezed", lambda s: sp.exp(-2 * s)),
+    ("mu4_p_squeezed", lambda s: sp.exp(2 * s)),
+]
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_mu4_closed_forms_are_stationary_points_of_the_fourth_moment(r):
+    """The mu4 closed forms against the 40-digit stationary point in Delta of
+    ``kappa4_ab + 3 x2_ab^2 + 6 v x2_ab``, the Delta-dependent part of the
+    output's fourth moment for an input of x variance v, with
+    ``resource_closed_forms``' ``x2_ab`` and ``kappa4_ab`` at theta = 0 (held
+    to the package at two Delta)."""
+    mp = pytest.importorskip("mpmath")
+    d = sp.Symbol("d", positive=True)
+    q, e2r = sp.sqrt(1 - d**2), sp.exp(2 * _exact(r))
+    x2 = (6 - 4 * d**2 - 4 * d * q) / e2r
+    kappa4 = 24 * (1 - d**2) * (1 - 2 * (d - q) ** 2) / e2r**2
+    for delta in (0.3, 0.9):
+        forms = resource_closed_forms(SqueezedBellResource(delta, 0.0, r))
+        at = {d: _exact(delta)}
+        assert _close(forms.x2_ab, float(x2.subs(at)), 1e-14)
+        assert _close(forms.kappa4_ab, float(kappa4.subs(at)), 1e-14)
+    s = 0.3
+    for kind, variance in MU4_KINDS:
+        objective = kappa4 + 3 * x2**2 + 6 * variance(_exact(s)) * x2
+        slope = sp.lambdify(d, sp.diff(objective, d), "mpmath")
+        curvature = sp.lambdify(d, sp.diff(objective, d, 2), "mpmath")
+        got = closed_form_delta(kind, r, s)
+        with mp.workdps(40):
+            root = mp.findroot(slope, mp.mpf(got))
+            # A secant step past Delta = 1 leaves an imaginary part of rounding size.
+            assert abs(mp.im(root)) < 1e-30
+            root = mp.re(root)
+            assert 0 < root < 1 and curvature(root) > 0, (kind, r, root)
+            assert abs(got - root) <= 2 * math.ulp(got), (kind, r, got, root)
