@@ -160,10 +160,10 @@ class Factor(NamedTuple):
 _BLOCK_LINES = 8192
 
 
-def _spelled(column, end: str, empty: str):
-    """The column as ``(spellings, index)``: each value as a CSV field followed
-    by ``end`` (an empty field spelled ``empty``), a float64 array's by
-    ``_float_text`` and any other's by ``_csv_field``.
+def _spelled(column, prefix: str, end: str, empty: str):
+    """The column as ``(spellings, index)``: each value as a CSV field between
+    ``prefix`` and ``end`` (an empty field spelled ``empty``), a float64
+    array's by ``_float_text`` and any other's by ``_csv_field``.
 
     A ``Factor`` spells each of its distinct values once, into an object
     array, and its index gives each row's position there.  Any other column is
@@ -171,22 +171,35 @@ def _spelled(column, end: str, empty: str):
     """
     values, index = column if isinstance(column, Factor) else (column, None)
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        spellings = [text + end for text in map(_float_text, values.tolist())]
+        spellings = [prefix + text + end for text in map(_float_text, values.tolist())]
     else:
-        spellings = [(_csv_field(value) or empty) + end for value in values]
+        spellings = [prefix + (_csv_field(value) or empty) + end for value in values]
     return (spellings, None) if index is None else (np.array(spellings, dtype=object), index)
 
 
 def _csv_blocks(table: dict):
     """The CSV text of ``table``: its header line, then one string per block of
-    ``_BLOCK_LINES`` rows."""
+    ``_BLOCK_LINES`` rows.
+
+    A ``Factor`` of one value, other than the last column, is spelled once and
+    that spelling is put in front of each spelling of the next column, so a row
+    joins one piece fewer.
+    """
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(table)
     yield header.getvalue()
-    ends = [","] * (len(table) - 1) + ["\n"]
-    empty = '""' if len(table) == 1 else ""  # csv.writer quotes a row that is one empty field
-    spelled = [_spelled(column, end, empty) for column, end in zip(table.values(), ends)]
-    n_rows = min(len(spellings if index is None else index) for spellings, index in spelled)
+    columns = list(table.values())
+    n_rows = min(len(c.index if isinstance(c, Factor) else c) for c in columns)
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    empty = '""' if len(columns) == 1 else ""  # csv.writer quotes a row that is one empty field
+    spelled, prefix = [], ""
+    for j, (column, end) in enumerate(zip(columns, ends)):
+        spellings, index = _spelled(column, prefix, end, empty)
+        if index is not None and len(spellings) == 1 and j < len(columns) - 1:
+            prefix = spellings[0]
+        else:
+            spelled.append((spellings, index))
+            prefix = ""
     grid = np.empty((min(n_rows, _BLOCK_LINES), len(spelled)), dtype=object)
     for start in range(0, n_rows, _BLOCK_LINES):
         block = grid[:n_rows - start]
@@ -205,7 +218,9 @@ def _emit(table: dict, resolved: dict):
     ``csv.writer`` writes for the same rows.  Each value is spelled with the
     ``,`` or line end that follows it: a ``Factor`` once per distinct value,
     any other column once per row, so the writer dedups nothing a command
-    did not ask for.  A block of lines is then one grid of spellings, joined
+    did not ask for.  A ``Factor`` of one value that is not the last column
+    is spelled once for the whole table, in front of each spelling of the
+    next column.  A block of lines is then one grid of spellings, joined
     into one string and written at once, so the whole text of a large table
     is never held at once.  It goes to ``--output`` or to standard output.
     """
@@ -459,33 +474,49 @@ def _cmd_transfer_surface(resolved):
     axis = _get(resolved, "grid")
     if not axis:
         raise InvalidArgumentError("empty --grid")
-    # Rows run w-major, z-minor within each preset.
-    w, z = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     deltas = []
     for preset in presets:
         if preset not in _SURFACE_PRESETS:
             expected = tuple(_SURFACE_PRESETS)
             raise InvalidArgumentError(f"unknown preset {preset!r}; expected one of {expected}")
         deltas.append(_SURFACE_PRESETS[preset](r))
+    # tau depends on (w, z) through u = w^2 + z^2 only, so each preset is
+    # evaluated once per unordered pair of distinct squares.  (-x)^2 == x^2 and
+    # fl(a + b) == fl(b + a), so a pair's u is bit for bit each of its cells'.
     with np.errstate(over="ignore", invalid="ignore"):  # w^2 + z^2 may overflow: see below
-        u = w * w + z * z
+        squares, k = np.unique(np.multiply(axis, axis), return_inverse=True)
+        low, high = np.triu_indices(len(squares))
+        u = squares[low] + squares[high]
         tau = np.concatenate([
             _surface_values(Channel(SqueezedBellResource(delta, theta, r), gain), u)
             for delta in deltas
         ])
+    # Rows run w-major, z-minor within each preset: row i * n + j of a preset is
+    # (w, z) = (axis[i], axis[j]), and its value is that of pair cell[i * n + j].
+    # Each array of positions takes the narrowest unsigned type that holds them,
+    # so the per-row arrays of a large surface take a byte or two a row, not 8.
+    m, n = len(squares), len(axis)
+    pairs = np.empty((m, m), dtype=np.min_scalar_type(low.size))
+    pairs[low, high] = pairs[high, low] = np.arange(low.size)
+    cell = pairs[np.ix_(k, k)].ravel()
     if not np.isfinite(tau).all():
-        i = np.flatnonzero(~np.isfinite(tau))[0] % w.size
-        raise EvaluationError(f"transfer function not finite at (w, z) = ({w[i]}, {z[i]})")
-    # tau depends on (w, z) through u = w^2 + z^2 only, so its values repeat:
-    # each distinct bit pattern is spelled once.
+        # The first such cell in row order: preset-major, then w-major, z-minor.
+        bad = ~np.isfinite(tau.reshape(len(deltas), -1)[:, cell])
+        i = np.flatnonzero(bad)[0] % cell.size
+        raise EvaluationError(
+            f"transfer function not finite at (w, z) = ({axis[i // n]}, {axis[i % n]})"
+        )
+    # Each distinct bit pattern of tau is spelled once.
     bits, tau_index = np.unique(tau.view(np.int64), return_inverse=True)
-    row, n = np.arange(tau.size), len(axis)
+    tau_index = tau_index.astype(np.min_scalar_type(bits.size)).reshape(len(presets), -1)[:, cell]
+    preset_index = np.repeat(np.arange(len(presets), dtype=np.min_scalar_type(len(presets))), n * n)
+    position = np.arange(n, dtype=np.min_scalar_type(n))
     _emit({
-        "preset": Factor(presets, row // w.size),
-        "delta": Factor(deltas, row // w.size),
-        "w": Factor(axis, row // n % n),
-        "z": Factor(axis, row % n),
-        "tau": Factor(bits.view(np.float64), tau_index),
+        "preset": Factor(presets, preset_index),
+        "delta": Factor(deltas, preset_index),
+        "w": Factor(axis, np.tile(np.repeat(position, n), len(presets))),
+        "z": Factor(axis, np.tile(position, n * len(presets))),
+        "tau": Factor(bits.view(np.float64), tau_index.ravel()),
     }, resolved)
 
 

@@ -420,8 +420,9 @@ def test_transfer_surface_bad_grid_warns_nothing_under_dev_mode(grid):
     assert "error" in json.loads(proc.stderr) and "Warning" not in proc.stderr
 
 
-def _surface_rows_per_point(r, theta, gain, axis):
-    """The transfer-surface rows as one scalar transfer call per point builds them."""
+def _surface_rows_per_point(r, theta, gain, axis, presets=None):
+    """The transfer-surface rows as one scalar transfer call per point builds them,
+    for ``presets`` (default all four, in their default order)."""
     deltas = {
         "tmsv": 1.0,
         "photon_subtracted": math.cos(math.atan(math.tanh(r))),
@@ -429,7 +430,8 @@ def _surface_rows_per_point(r, theta, gain, axis):
         "coherent_optimal": closed_form_delta("fidelity_coherent", r),
     }
     rows = []
-    for preset, delta in deltas.items():
+    for preset in presets or deltas:
+        delta = deltas[preset]
         tau = transfer_fn(Channel(SqueezedBellResource(delta=delta, theta=theta, r=r), gain=gain))
         for w in axis:
             for z in axis:
@@ -457,6 +459,68 @@ def test_transfer_surface_bytes_match_per_point_evaluation(capsys):
     assert code == 0
     expected = json.dumps(rows, indent=2, default=float) + "\n"
     assert out.splitlines(True) == expected.splitlines(True)
+
+
+@pytest.mark.parametrize(
+    "grid", ["-1,0.5,-0.5,1,0,-0.0,2", "0:3:57"], ids=["signed-zero", "no-mirror"]
+)
+@pytest.mark.parametrize(
+    "presets", [["photon_added"], ["tmsv", "coherent_optimal", "photon_subtracted"]],
+    ids=["one-preset", "three-presets"],
+)
+def test_transfer_surface_bytes_match_per_point_evaluation_off_the_mirror(grid, presets, capsys):
+    """Grids whose squares repeat out of mirror order (and a signed zero), or do
+    not repeat at all, print what one scalar call per point prints, with one
+    preset (its preset and Delta columns folded by the writer) or several."""
+    rows = _surface_rows_per_point(1.25, 0.3, 1.2, parse_grid(grid), presets)
+    argv = ["transfer-surface", "--r", "1.25", f"--grid={grid}", "--theta", "0.3",
+            "--gain", "1.2", "--presets", ",".join(presets)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(rows[0]))
+    writer.writerows(row.values() for row in rows)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.split("\n", 1)[1].splitlines(True) == buf.getvalue().splitlines(True)
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    expected = json.dumps(rows, indent=2, default=float) + "\n"
+    assert out.splitlines(True) == expected.splitlines(True)
+
+
+@pytest.mark.parametrize(
+    "grid,n_squares", [("-2:2:201", 144), ("0:3:57", 57), ("-1,1,-1,0,-0.0", 2)]
+)
+def test_transfer_surface_evaluates_tau_once_per_pair_of_distinct_squares(
+    grid, n_squares, monkeypatch, capsys
+):
+    """Each preset evaluates tau at u = w^2 + z^2 once per unordered pair of
+    distinct squares.  np.linspace(-2, 2, 201) is not mirror-exact (-1.84 and
+    1.8399999999999999 are both on it), so it has 144 distinct squares, not 101:
+    10,440 pairs against 40,401 cells."""
+    n_pairs = n_squares * (n_squares + 1) // 2
+    sizes = []
+    surface_values = cli._surface_values
+    monkeypatch.setattr(
+        cli, "_surface_values", lambda ch, u: sizes.append(len(u)) or surface_values(ch, u)
+    )
+    code, _, _ = run_cli(["transfer-surface", "--r", "1.25", f"--grid={grid}",
+                          "--presets", "tmsv,photon_added"], capsys)
+    assert code == 0 and sizes == [n_pairs, n_pairs]
+
+
+@pytest.mark.parametrize("argv,point", [
+    (["--grid=1,1e200", "--presets", "tmsv,photon_added"], "(1.0, 1e+200)"),
+    (["--grid=3,1e200,-1e200", "--presets", "tmsv"], "(3.0, 1e+200)"),
+], ids=["two-presets", "repeated-square"])
+def test_transfer_surface_overflow_names_the_first_cell_in_row_order(argv, point, capsys):
+    """The error names the first cell, w-major and z-minor, whose tau is no
+    number, though its pair of squares is not the first pair."""
+    code, out, err = run_cli(["transfer-surface", "--r", "1", *argv], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "EvaluationError", "message": f"transfer function not finite at (w, z) = {point}"
+    }
 
 
 def test_emit_writes_what_csv_writer_writes(capsys):
@@ -509,6 +573,24 @@ def test_factor_columns_write_the_bytes_of_their_expanded_rows(tmp_path, capsys)
             "a": np.linspace(-1.0, 1.0, 10),
             "g": Factor(["x,y", -0.0], np.array([1, 1, 0, 0, 1, 0, 1, 0, 0, 1])),
             "t": Factor(np.array([0.5, -0.0, np.nan]), np.array([2, 0, 1, 1, 0, 2, 0, 0, 1, 2])),
+        },
+        # A Factor of one value is spelled once, in front of the next column's
+        # spellings: as the first column, twice in a row, between a plain list
+        # and a Factor, and (not folded) as the last column.
+        {
+            "one": Factor(['k,"1"'], np.zeros(6, dtype=np.intp)),
+            "same": Factor(np.array([-0.0]), np.zeros(6, dtype=np.intp)),
+            "a": [0.5, None, "", "x", -0.0, 3],
+            "mid": Factor([""], np.zeros(6, dtype=np.intp)),
+            "g": Factor(["x,y", 2.5], np.array([1, 0, 0, 1, 1, 0])),
+            "last": Factor([None], np.zeros(6, dtype=np.intp)),
+        },
+        {"empty": Factor([""], np.zeros(3, dtype=np.intp)), "none": [None, "", None]},
+        # No rows: the header alone.
+        {
+            "one": Factor(["p"], np.zeros(0, dtype=np.intp)),
+            "a": np.zeros(0),
+            "t": Factor(np.array([0.5, 1.0]), np.zeros(0, dtype=np.intp)),
         },
         {"lone": Factor(["", None, -0.0], np.array([0, 1, 2, 2, 0]))},
     ]
@@ -573,6 +655,14 @@ def test_only_a_factor_is_spelled_once_per_distinct_value(monkeypatch, capsys):
     _emit({"x": Factor(values, index)}, {"format": "csv"})
     assert capsys.readouterr().out == plain
     assert len(spelled) == len(values)
+    # A Factor of one value is spelled once for the whole table.
+    spelled.clear()
+    one = np.zeros(len(index), dtype=np.intp)
+    _emit({"c": Factor(np.array([0.75]), one), "x": Factor(values, index)}, {"format": "csv"})
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([["c", "x"], *((0.75, x) for x in column)])
+    assert capsys.readouterr().out.split("\n", 1)[1] == buf.getvalue()
+    assert len(spelled) == 1 + len(values)
 
 
 def test_transfer_surface_config_grid_of_integers_prints_the_flag_bytes(tmp_path, capsys):
