@@ -10,7 +10,8 @@ Subcommands::
     transfer-surface  (w, z) grid of the transfer function for named presets
 
 State descriptor grammar: ``fock:N``, ``coherent:RE[,IM]``, ``sqvac:S``,
-``mix:N1@P1,N2@P2,...``.  Grids are ``start:stop:count`` or comma lists.
+``mix:N1@P1,N2@P2,...``.  Grids are ``start:stop:count`` (``np.linspace``,
+mirror-exact where ``stop == -start``, finite or an error) or comma lists.
 Options may come from a JSON config file (``--config``); explicit flags win.
 Outputs are deterministic: fixed column orders, shortest round-trip decimals,
 and a provenance comment (tool version + config hash) on every CSV.
@@ -89,7 +90,12 @@ def parse_state(text: str) -> InputState:
 
 def parse_grid(text, what: str = "grid") -> list[float]:
     """Parse ``start:stop:count``, a comma list, a number or a list of numbers;
-    ``what`` names the option in the error of a value that is none of these."""
+    ``what`` names the option in the error of a value that is none of these.
+
+    ``start:stop:count`` is ``np.linspace``, mirror-exact where ``stop == -start
+    != 0``: the upper half is the exact negation of linspace's lower half and an
+    odd grid's middle point is 0.0, so each value's mirror is on the grid.  Its
+    start, stop and points must be finite."""
     if isinstance(text, (list, tuple)):
         return [as_real(x, f"{what} value") for x in text]
     if not isinstance(text, str):
@@ -97,10 +103,21 @@ def parse_grid(text, what: str = "grid") -> list[float]:
     try:
         if ":" in text:
             start, stop, count = text.split(":")
-            count = int(count)
+            start, stop, count = float(start), float(stop), int(count)
             if count < 1:
                 raise ValueError("grid count must be >= 1")
-            return [float(x) for x in np.linspace(float(start), float(stop), count)]
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise ValueError("start and stop must be finite")
+            with np.errstate(all="ignore"):
+                x = np.linspace(start, stop, count)
+            if not np.isfinite(x).all():
+                raise ValueError("grid points must be finite")
+            if stop == -start != 0 and count >= 2:
+                half = count // 2
+                x[count - half:] = -x[half - 1::-1]
+                if count % 2:
+                    x[half] = 0.0
+            return x.tolist()
         return [float(x) for x in text.split(",")]
     except InvalidArgumentError:
         raise

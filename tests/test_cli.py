@@ -78,6 +78,75 @@ def test_parse_grid_forms():
         parse_grid("0:1:0")
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_parse_grid_symmetric_start_stop_count_is_mirror_exact():
+    """``-s:s:n`` keeps np.linspace's lower half bit for bit, its upper half is
+    the exact negation of the lower, its ends are -s and s, and an odd grid's
+    middle is +0.0, for n from 2 to 400 and spans from 1e-300 to 1e300."""
+    rng = np.random.default_rng(28)
+    spans = [2.0, 0.4444, 1e-300, 1e300, *(10.0 ** rng.uniform(-8.0, 8.0, 12)).tolist()]
+    for s in spans:
+        for n in range(2, 401):
+            x = _bits(parse_grid(f"{-s!r}:{s!r}:{n}"))
+            half = n // 2
+            lower = _bits(np.linspace(-s, s, n))[:half]
+            assert (x[:half] == lower).all(), (s, n)
+            assert (x[::-1][:half] == _bits(-x[:half].view(np.float64))).all(), (s, n)
+            assert x[0] == _bits(-s) and x[-1] == _bits(s), (s, n)
+            if n % 2:
+                assert x[half] == _bits(0.0), (s, n)
+    # np.linspace puts -5.551115123125783e-17 where this grid has +0.0.
+    assert np.linspace(-0.4444, 0.4444, 89)[44] != 0.0
+    assert _bits(parse_grid("-0.4444:0.4444:89"))[44] == _bits(0.0)
+
+
+@pytest.mark.parametrize(
+    "text", ["0.75:1.0:31", "0.25:3.0:12", "0:3:57", "2:-1:7", "-1:1:1", "-0.0:0.0:3"]
+)
+def test_parse_grid_other_start_stop_count_is_linspace(text):
+    start, stop, count = text.split(":")
+    want = np.linspace(float(start), float(stop), int(count))
+    assert (_bits(parse_grid(text)) == _bits(want)).all()
+
+
+@pytest.mark.parametrize("text", ["0:inf:3", "-1e308:1e308:3", "nan:1:1", "-inf:inf:2"])
+def test_parse_grid_rejects_non_finite_start_stop_count_without_a_warning(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidArgumentError, match=f"^bad grid {re.escape(repr(text))}: "):
+            parse_grid(text)
+    assert caught == []
+
+
+def _run_module(args):
+    """``python *args`` on this checkout's package, warnings set by ``args`` alone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+NON_FINITE_GRID_COMMANDS = [
+    ["sweep", "--kinds", "x2_transfer", "--r-grid", "0:inf:3"],
+    ["sweep", "--kinds", "x2_transfer", "--r-grid=-1e308:1e308:3"],
+    ["compare", "--input", "fock:1", "--r", "1", "--delta-grid=-1e308:1e308:3"],
+    ["transfer-surface", "--r", "1", "--grid=-1e308:1e308:3"],
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["default", "W-error"])
+@pytest.mark.parametrize("argv", NON_FINITE_GRID_COMMANDS, ids=lambda argv: argv[-1])
+def test_non_finite_grid_is_one_invalid_argument_record_under_any_warnings_filter(argv, flags):
+    proc = _run_module([*flags, "-m", "cvteleport", *argv])
+    assert proc.returncode == 1 and proc.stdout == "" and proc.stderr.count("\n") == 1, proc
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "InvalidArgumentError" and error["message"].startswith("bad grid ")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -409,13 +478,8 @@ def test_transfer_surface_overflow_is_an_evaluation_error(grid, point, capsys):
 
 @pytest.mark.parametrize("grid", ["-inf,1e200", "1e200"])
 def test_transfer_surface_bad_grid_warns_nothing_under_dev_mode(grid):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "cvteleport", "transfer-surface",
-         "--r", "1", f"--grid={grid}", "--presets", "tmsv"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_module(["-X", "dev", "-W", "error", "-m", "cvteleport", "transfer-surface",
+                        "--r", "1", f"--grid={grid}", "--presets", "tmsv"])
     assert proc.returncode == 1 and proc.stdout == ""
     assert "error" in json.loads(proc.stderr) and "Warning" not in proc.stderr
 
@@ -442,7 +506,7 @@ def _surface_rows_per_point(r, theta, gain, axis, presets=None):
 
 def test_transfer_surface_bytes_match_per_point_evaluation(capsys):
     argv = ["transfer-surface", "--r", "1.25", "--grid=-2:2:31", "--theta", "0.4", "--gain", "0.9"]
-    rows = _surface_rows_per_point(1.25, 0.4, 0.9, [float(x) for x in np.linspace(-2, 2, 31)])
+    rows = _surface_rows_per_point(1.25, 0.4, 0.9, parse_grid("-2:2:31"))
     buf = io.StringIO()
     # The provenance hash of this configuration, unchanged since the per-point CLI.
     buf.write(f"# cvteleport {__version__} config=a52a89b80c76\n")
@@ -489,15 +553,15 @@ def test_transfer_surface_bytes_match_per_point_evaluation_off_the_mirror(grid, 
 
 
 @pytest.mark.parametrize(
-    "grid,n_squares", [("-2:2:201", 144), ("0:3:57", 57), ("-1,1,-1,0,-0.0", 2)]
+    "grid,n_squares",
+    [("-2:2:201", 101), ("-2:2:41", 21), ("0:3:57", 57), ("-1,1,-1,0,-0.0", 2)],
 )
 def test_transfer_surface_evaluates_tau_once_per_pair_of_distinct_squares(
     grid, n_squares, monkeypatch, capsys
 ):
     """Each preset evaluates tau at u = w^2 + z^2 once per unordered pair of
-    distinct squares.  np.linspace(-2, 2, 201) is not mirror-exact (-1.84 and
-    1.8399999999999999 are both on it), so it has 144 distinct squares, not 101:
-    10,440 pairs against 40,401 cells."""
+    distinct squares.  The grid -2:2:201 is mirror-exact, so its 201 values
+    have 101 distinct squares: 5,151 pairs against 40,401 cells."""
     n_pairs = n_squares * (n_squares + 1) // 2
     sizes = []
     surface_values = cli._surface_values

@@ -1,7 +1,7 @@
 """Symbolic oracle of the transfer function's cumulant table and derivative forms,
 of the r-independence of the second- and fourth-order optima, of the
 optimizer's map from quadratic forms to trigonometric coefficients, and of the
-closed-form fourth-moment optima.
+closed-form fourth-moment and fidelity optima.
 
 The two-mode resource of the :mod:`cvteleport.states` docstring is built in
 sympy, restricted to ``(g conj(xi), xi)`` with ``xi = w + i z``, and its log
@@ -216,3 +216,48 @@ def test_mu4_closed_forms_are_stationary_points_of_the_fourth_moment(r):
             root = mp.re(root)
             assert 0 < root < 1 and curvature(root) > 0, (kind, r, root)
             assert abs(got - root) <= 2 * math.ulp(got), (kind, r, got, root)
+
+
+# closed_form_delta's fidelity kinds and the factor p(u) of their input's
+# |chi_in(xi)|^2 = e^{-u} p(u), u = |xi|^2: any coherent input at g = 1, and |1>.
+FIDELITY_KINDS = [
+    ("fidelity_coherent", lambda u: 1),
+    ("fidelity_fock1", lambda u: (1 - u) ** 2),
+]
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_fidelity_closed_forms_are_stationary_points_of_the_fidelity(r):
+    """The fidelity closed forms against the 40-digit maximum in t of
+    ``F(t) = int_0^oo tau(u) e^{-u} p(u) du``, ``Delta = cos(t/2)``: the
+    fidelity ``(1/pi) int |chi_in|^2 tau d^2 xi`` of a real, radial tau at
+    g = 1.  tau is the two-mode resource of ``_symbolic`` restricted to the
+    real axis ``xi = sqrt(u)`` at theta = 0; each term ``u^k e^{-c u}`` of the
+    integrand integrates to ``k! / c^(k+1)``."""
+    mp = pytest.importorskip("mpmath")
+    t, u = sp.symbols("t u", positive=True)
+    delta = sp.cos(t / 2)
+    rr = _exact(r)
+    ch, sh = sp.cosh(rr), sp.sinh(rr)
+    x = sp.sqrt(u)
+    xa = xb = ch * x - sh * x  # (g conj(xi), xi) at g = 1 and xi = sqrt(u)
+    na, nb = sp.expand(xa * xa), sp.expand(xb * xb)
+    cross = 2 * delta * sp.sqrt(1 - delta**2) * xa * xb
+    factor = delta**2 + cross + (1 - delta**2) * (1 - na) * (1 - nb)
+    exponent = -(na + nb) / 2 - u  # tau's Gaussian times the input's e^{-u}
+    c = -sp.diff(exponent, u)
+    assert sp.diff(c, u) == 0 and c > 1
+    for kind, p in FIDELITY_KINDS:
+        poly = sp.Poly(sp.expand(factor * p(u)), u)
+        fidelity = sum(a * sp.factorial(k) / c ** (k + 1) for (k,), a in poly.terms())
+        slope = sp.lambdify(t, sp.diff(fidelity, t), "mpmath")
+        curvature = sp.lambdify(t, sp.diff(fidelity, t, 2), "mpmath")
+        got = closed_form_delta(kind, r)
+        with mp.workdps(40):
+            # dF/dt is a cos t + b sin t: one root in an interval shorter than pi.
+            lo, hi = mp.mpf("0.1"), mp.mpf(3)
+            assert slope(lo) * slope(hi) < 0, (kind, r)
+            root = mp.findroot(slope, (lo, hi), solver="anderson")
+            assert curvature(root) < 0, (kind, r, root)
+            want = mp.cos(root / 2)
+            assert abs(got - want) <= 2 * math.ulp(got), (kind, r, got, want)
