@@ -432,7 +432,7 @@ def _cmd_compare(resolved):
         "delta": deltas,
         "d_n": cols["d_n"],
         "fidelity": cols["fidelity"],
-        "one_minus_fidelity": 1.0 - cols["fidelity"],
+        "one_minus_fidelity": cols["one_minus_fidelity"],
         "frobenius": cols["frobenius"],
     }, resolved)
 

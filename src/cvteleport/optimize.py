@@ -19,7 +19,9 @@ them to coefficients in one product, finds every cell's roots in one stacked
 eigenvalue solve of companion matrices with Newton steps, and scores every
 candidate once, as ``outer(w @ Q @ w)`` at its Delta weights, not as ``g``,
 whose coefficients of size 1 cancel near a transfer kind's zero.  The
-winner's score is the value printed for a transfer kind.
+winner's score is the value printed for every kind.  A family kind's ``Q`` is
+its :class:`~cvteleport.photonstats.DeltaFamily`'s own form, so that value is
+the column ``compare`` prints at Delta*, bit for bit.
 :func:`minimize_delta` is its one-cell call, which raises the cell's error;
 :func:`sweep_r` its grid call, which records each cell's error.
 
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import AccuracyError, CVTeleportError, EvaluationError, InvalidArgumentError
 from .moments import moment_set, transfer_derivative_forms
 from .photonstats import delta_family
-from .states import Channel, InputState, SqueezedBellResource, delta_weight_rows, weighted_forms
+from .states import ONE, Channel, InputState, SqueezedBellResource, delta_weight_rows, sym, weighted_forms
 
 OBJECTIVE_KINDS = (
     "x2_transfer",
@@ -64,8 +66,6 @@ CLOSED_FORM_KINDS = (
     "mu4_p_squeezed",
 )
 
-# _ONE @ w = Delta^2 + (1 - Delta^2) = 1, so a linear objective l @ w is (l @ w)(_ONE @ w).
-_ONE = np.array([1.0, 0.0, 1.0])
 _UPPER = np.triu_indices(3)
 # A coefficient sums at most four entries of Q of at most four terms each,
 # every term rounded to about an ulp: 16 eps of the largest terms bounds
@@ -114,16 +114,6 @@ class OptimumRecord:
         return 0 if self.error else 1
 
 
-def _outer(x, y) -> np.ndarray:
-    """``outer(x, y)`` of each row of stacked ``x`` and ``y`` (``(..., 3)``)."""
-    return x[..., :, None] * y[..., None, :]
-
-
-def _sym(x, y) -> np.ndarray:
-    xy = _outer(x, y)
-    return 0.5 * (xy + xy.swapaxes(-1, -2))
-
-
 def _root(v):
     """``sqrt(max(v, 0))``, elementwise: the norm of a square that rounding can dip below 0."""
     return np.sqrt(np.maximum(v, 0.0))
@@ -141,44 +131,35 @@ def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
     ``(m, 3, 3)``: cell ``i`` has objective ``outer(w @ Q[i] @ w)``, and
     ``terms[i]`` holds the sums of the absolute values of the terms summed
     into ``Q[i]``.  ``outer`` is ``float``, :func:`_root` or ``abs``.
-    ``sources[i]`` is cell ``i``'s :class:`DeltaFamily` for the family kinds,
-    else its :func:`_transfer_rows`;
+    ``sources[i]`` is cell ``i``'s :class:`DeltaFamily` and its
+    ``quadratic_forms(absolute=True)`` for the family kinds, whose own forms
+    are stacked, else its :func:`_transfer_rows`;
     ``input_moments`` is the input's :func:`moment_set` for ``mu4_x`` and
     ``mu4_p``.  Each row is the elementwise arithmetic of its own cell, so
     its bits do not depend on the cells built with it.
     """
-    if kind == "d_functional":
-        # P_out - P_in, P_in on the columns that sum to 1: no O(1) terms cancel in Q.
-        # One 2-D product per cell: a stacked matmul may round differently.
-        diffs = [family.photon_basis - np.outer(family.p_in.clamped(), _ONE) for family in sources]
-        Q = np.array([diff.T @ diff for diff in diffs])
-        return Q, np.array([np.abs(diff).T @ np.abs(diff) for diff in diffs]), _root
-    if kind in _FAMILY_KINDS:
-        f = np.array([family.fidelity_basis for family in sources])
-        if kind == "frobenius":  # purity_in + purity_out - 2 F
-            gram = np.array([family.gram for family in sources])
-            purity_in = np.array([family.purity_in for family in sources])
-            ones = purity_in[:, None, None] * np.outer(_ONE, _ONE)
-            Q = gram + ones - 2.0 * _sym(f, _ONE)
-            terms = np.abs(gram) + ones + 2.0 * _sym(np.abs(f), _ONE)
-            return Q, terms, _root
-        return _sym(_ONE - f, _ONE), _sym(_ONE + np.abs(f), _ONE), float
+    if kind in _FAMILY_KINDS:  # forms[0] is the Gram matrix
+        i = _FAMILY_KINDS.index(kind) + 1
+        Q = np.array([family.forms[i] for family, _ in sources])
+        terms = np.array([terms[i] for _, terms in sources])
+        return Q, terms, float if kind == "one_minus_fidelity" else _root
 
     d1, d2, dp1, dp2 = np.array(sources).swapaxes(0, 1)
     if kind == "kappa4_transfer":  # 12 (P''(0) - P'(0)^2): exp(-e u) leaves log F past u^1
-        Q = 12.0 * (_sym(dp2, _ONE) - _outer(dp1, dp1))
-        terms = 12.0 * (_sym(np.abs(dp2), _ONE) + _outer(np.abs(dp1), np.abs(dp1)))
+        square = dp1[:, :, None] * dp1[:, None, :]
+        Q = 12.0 * (sym(dp2, ONE) - square)
+        terms = 12.0 * (sym(np.abs(dp2), ONE) + np.abs(square))
         return Q, terms, float
     if kind in ("mu4_x", "mu4_p"):  # mu4 + 6 g^2 var mu2, mu4 = 12 F''(0), mu2 = -2 F'(0)
         var = gain * gain * (
             input_moments.x2_central if kind == "mu4_x" else input_moments.p2_central
         )
         line, terms = 12.0 * d2 - 12.0 * var * d1, 12.0 * np.abs(d2) + 12.0 * abs(var) * np.abs(d1)
-        return _sym(line, _ONE), _sym(terms, _ONE), abs
+        return sym(line, ONE), sym(terms, ONE), abs
     # x2 = -2 F'(0); n_transfer = -F'(0) = x2 / 2, and resource_closed_forms.n_ab
     # = -F'(0) - 1 differs by a constant, so the minimizer is shared.
     line = (-1.0 if kind == "n_transfer" else -2.0) * d1
-    return _sym(line, _ONE), _sym(np.abs(line), _ONE), float
+    return sym(line, ONE), sym(np.abs(line), ONE), float
 
 
 def _trig(theta: float) -> np.ndarray:
@@ -300,8 +281,7 @@ def _select(coef: np.ndarray, Q: np.ndarray, theta: float, outers: Sequence) -> 
     ``g``, for ``outer = abs`` also its interior maxima below 0 and its
     zeros, and without any of these the two ends.  Each candidate is scored
     as ``outer(w @ Q[i] @ w)`` at its :func:`delta_weight_rows`, the value
-    printed for a transfer kind.  The lowest score wins; ties go to the
-    smaller Delta.
+    printed.  The lowest score wins; ties go to the smaller Delta.
     """
     n = len(coef)
     # g = a0 + Re(u1 z + u2 z^2) at z = e^{it}; z^2 g'(t) / i and z^2 g(t) are quartics in z.
@@ -336,13 +316,12 @@ def _select(coef: np.ndarray, Q: np.ndarray, theta: float, outers: Sequence) -> 
 
 
 def _record(kind: str, r: float, delta_star, value, family) -> OptimumRecord:
-    """The optimum of one cell, ``value`` its objective at ``delta_star``; for the
-    family kinds the :meth:`DeltaFamily.measures` value ``compare`` prints,
-    with its checks.  EvaluationError for a value that is not finite."""
+    """The optimum of one cell, ``value`` the score it was ranked by: for a
+    family kind the column ``compare`` prints at ``delta_star``, which must
+    pass its checks.  EvaluationError for a value that is not finite."""
     delta_star = float(delta_star)
     if family is not None:
-        m = family.measures(delta_star)
-        value = {"d_functional": m.d_n, "frobenius": m.frobenius}.get(kind, 1.0 - m.fidelity)
+        family.measure_columns([delta_star])  # raises the first failed check
     if not math.isfinite(value):
         raise EvaluationError(f"objective {kind!r} is not finite at Delta={delta_star!r}: {value!r}")
     return OptimumRecord(delta_star, float(value), r, kind)
@@ -370,8 +349,9 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
             return exc
 
     def build(family: bool, r):
-        if family:
-            return delta_family(input, r, theta, gain, n_photons)
+        if family:  # with its rounding terms, built once for every family kind
+            made = delta_family(input, r, theta, gain, n_photons)
+            return made, made.quadratic_forms(absolute=True)
         return _transfer_rows(Channel(SqueezedBellResource(1.0, theta, r), gain=gain))
 
     checks = [attempt(_check_kind, kind, input) for kind in kinds]  # None, or the kind's error
@@ -401,7 +381,7 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
                 for place in kept:
                     outcomes[place] = exc
                 continue
-            rows += [(kind, place, outer, outcomes[place] if family else None) for place in kept]
+            rows += [(kind, place, outer, outcomes[place][0] if family else None) for place in kept]
             Qs.append(Q)
             terms.append(T)
     if not rows:
@@ -423,10 +403,10 @@ def minimize_delta(obj: Objective) -> OptimumRecord:
     """Minimize ``obj`` over Delta in [0, 1]; deterministic, tie-break to smaller Delta.
 
     The one-cell :func:`_solve`, which :func:`sweep_r` runs over a grid.  Each
-    candidate is scored once, as ``outer(w @ Q @ w)`` at its Delta weights;
-    the winner's score is the value of a transfer kind, and a family kind's
-    value is the :meth:`DeltaFamily.measures` value ``compare`` prints, with
-    its checks.  Raises the cell's ``CVTeleportError``.
+    candidate is scored once, as ``outer(w @ Q @ w)`` at its Delta weights,
+    and the winner's score is the value; for a family kind it is the column
+    ``compare`` prints, and Delta* passes its checks.  Raises the cell's
+    ``CVTeleportError``.
     """
     (outcome,) = _solve([obj.kind], [obj.r], obj.input, obj.theta, obj.gain, obj.n_photons)
     if isinstance(outcome, CVTeleportError):

@@ -16,13 +16,14 @@ Delta decomposition.  The transfer function is
 ``tau = exp(-e u) sum_k w_k(Delta, theta) q_k(u)`` with three Delta-free
 polynomials ``q_k`` (:func:`cvteleport.states.transfer_basis`) and weights
 ``w = (Delta^2, 2 Delta sqrt(1 - Delta^2) cos(theta), 1 - Delta^2)``.  So
-every ``P_n`` and the fidelity are linear in ``w`` and the output purity is
-the quadratic form ``w^T G w``.  :func:`delta_family` computes the
-``(N+1) x 3`` photon basis, the three fidelity overlaps and the 3 x 3 Gram
-matrix ``G`` once per (input, r, theta, gain, N); each Delta then costs O(N)
-arithmetic, and a Delta grid is one array pass with a row per Delta
+every ``P_n`` and the fidelity are linear in ``w``, and the output purity
+``w^T G w``, ``D_N^2``, ``1 - F`` and the squared Frobenius distance are
+quadratic forms in ``w``.  :func:`delta_family` computes the ``(N+1) x 3``
+photon basis, the three fidelity overlaps, ``G`` and these forms once per
+(input, r, theta, gain, N); each Delta then costs O(N) arithmetic, and a
+Delta grid is one array pass with a row per Delta
 (:meth:`DeltaFamily.measure_columns`), whose digits at a Delta do not depend
-on the grid.
+on the grid.  The optimizer ranks Deltas by the same forms.
 
 Dephasing identity.  ``tau`` and the Fock factors depend on ``u = |xi|^2``
 only, so the channel is phase covariant: with ``(1/pi) d^2 xi = du dphi /
@@ -84,7 +85,7 @@ fills a 2-D grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,12 +99,14 @@ from .states import (
     FockMixtureInput,
     InputState,
     N_MAX_FOCK,
+    ONE,
     SqueezedBellResource,
     SqueezedVacuumInput,
     as_int,
     delta_weight_rows,
     input_photon_probs,
     input_purity,
+    sym,
     transfer_basis,
     weighted_forms,
 )
@@ -178,10 +181,11 @@ def _raise_first(checks: list):
 
 @dataclass(frozen=True)
 class DistortionMeasures:
-    """Per-channel distortion summary: D_N, fidelity, Frobenius, purities."""
+    """Per-channel distortion summary: D_N, fidelity and 1 - F, Frobenius, purities."""
 
     d_n: float
     fidelity: float
+    one_minus_fidelity: float
     frobenius: float
     purity_in: float
     purity_out: float
@@ -214,7 +218,9 @@ class DeltaFamily:
 
     With the weights ``w`` of :func:`cvteleport.states.delta_weights`,
     ``P_out = photon_basis @ w``, ``F = fidelity_basis @ w`` and
-    ``purity_out = w @ gram @ w``.  Every Delta passes the
+    ``purity_out = w @ gram @ w``.  ``forms`` holds ``gram`` and the family
+    objectives as forms in ``w`` (:meth:`quadratic_forms`), which ``compare``
+    and the optimizer both read.  Every Delta passes the
     :class:`~cvteleport.states.SqueezedBellResource` range check, and photon
     distributions the :class:`PhotonDistribution` validation.
     """
@@ -222,12 +228,26 @@ class DeltaFamily:
     state: InputState
     r: float
     theta: float
-    N: int
     photon_basis: np.ndarray
     fidelity_basis: np.ndarray
     gram: np.ndarray
     purity_in: float
     p_in: PhotonDistribution
+    forms: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "forms", self.quadratic_forms())
+
+    def quadratic_forms(self, absolute: bool = False) -> np.ndarray:
+        """``(4, 3, 3)``: ``gram`` and the forms of ``D_N^2``, ``1 - F`` and
+        ``purity_in + purity_out - 2 F``, or with ``absolute`` the sums of the
+        absolute values of their terms.  ``P_in`` goes on the columns that sum
+        to 1 (``ONE @ w = 1``): no O(1) terms cancel in ``P_out - P_in``."""
+        part, sign = (np.abs, 1.0) if absolute else (np.asarray, -1.0)
+        gram, f = part(self.gram), part(self.fidelity_basis)
+        diff = part(self.photon_basis - np.outer(self.p_in.clamped(), ONE))
+        return np.array([gram, diff.T @ diff, sym(ONE + sign * f, ONE),
+                         gram + self.purity_in * np.outer(ONE, ONE) + sign * 2.0 * sym(f, ONE)])
 
     def _weights(self, deltas) -> np.ndarray:
         """``(D, 3)``: the :func:`~cvteleport.states.delta_weight_rows` of the grid.
@@ -241,16 +261,9 @@ class DeltaFamily:
                 SqueezedBellResource(delta=delta, theta=self.theta, r=self.r)  # raises
         return delta_weight_rows(deltas, self.theta)
 
-    def _products(self, deltas):
-        """``(P_out, F, purity_out)`` over a Delta grid, one row per Delta.  Each
-        sum runs over the three weights of one row, so a Delta's digits do not
-        depend on the grid around it."""
-        w = self._weights(deltas)
-        probs = (w[:, :, None] * self.photon_basis.T).sum(axis=1)
-        return probs, (w * self.fidelity_basis).sum(axis=1), weighted_forms(w, self.gram)
-
     def photon_distribution(self, delta: float) -> PhotonDistribution:
-        return PhotonDistribution(self._products([delta])[0][0])
+        w = self._weights([delta])
+        return PhotonDistribution((w[:, :, None] * self.photon_basis.T).sum(axis=1)[0])
 
     def measures(self, delta: float) -> DistortionMeasures:
         """D_N, fidelity, Frobenius distance, and purities at one Delta.
@@ -263,10 +276,12 @@ class DeltaFamily:
     def measure_columns(self, deltas) -> dict:
         """The :class:`DistortionMeasures` fields over a Delta grid, one array each.
 
-        The grid is weighted in one array pass, one Delta per row, and each
-        Delta's values do not depend on the grid around it (:meth:`_products`).
-        Each Delta then passes the :class:`PhotonDistribution` checks, D_N
-        against [0, sqrt(2)], the
+        The grid is weighted in one array pass, one Delta per row, so each
+        Delta's values do not depend on the grid around it: ``purity_out``,
+        ``D_N^2`` (off the photon difference, ``P_out`` not clamped), ``1 - F``
+        and ``Frobenius^2`` are ``forms`` at its weights, summed as the
+        optimizer sums its scores.  Each Delta then passes the
+        :class:`PhotonDistribution` checks, D_N against [0, sqrt(2)], the
         fidelity against the Cauchy-Schwarz bound, and, for Fock-diagonal
         inputs (Fock states and Fock mixtures), the Frobenius distance
         against D_N: the output is then Fock-diagonal too, so
@@ -274,14 +289,14 @@ class DeltaFamily:
         beyond N and lies in ``[0, (T_out + T_in)^2]`` up to 1e-6, with ``T``
         the mass beyond N.  Its fidelity is read off the photon basis, so
         this holds the photon basis to the Gram moments.  The first Delta that
-        fails a check raises, with the error a per-Delta loop would raise for
-        it.
+        fails a check raises, with the error a per-Delta loop would raise.
         """
-        probs, fid, pur_out = self._products(deltas)
+        w = self._weights(deltas)
+        probs = (w[:, :, None] * self.photon_basis.T).sum(axis=1)
+        fid = (w * self.fidelity_basis).sum(axis=1)
+        pur_out, d_n2, one_minus_fid, frob2 = weighted_forms(w[:, None, :], self.forms).T
         pur_in = self.purity_in
-        diff = np.minimum(np.maximum(probs, 0.0), 1.0) - self.p_in.clamped()
-        d_n = np.sqrt((diff * diff).sum(axis=1))
-        frob = np.sqrt(np.maximum(pur_in + pur_out - 2.0 * fid, 0.0))
+        d_n, frob = np.sqrt(np.maximum(d_n2, 0.0)), np.sqrt(np.maximum(frob2, 0.0))
 
         checks = _probability_checks(probs) + [
             (
@@ -308,6 +323,7 @@ class DeltaFamily:
         return {
             "d_n": d_n,
             "fidelity": fid,
+            "one_minus_fidelity": one_minus_fid,
             "frobenius": frob,
             "purity_in": np.full(fid.shape, pur_in),
             "purity_out": pur_out,
@@ -507,7 +523,6 @@ def delta_family(
         state=state,
         r=r,
         theta=theta,
-        N=N,
         photon_basis=photon_basis,
         fidelity_basis=fidelity_basis,
         gram=gram,

@@ -210,6 +210,16 @@ def delta_weight_rows(deltas, theta: float) -> np.ndarray:
     return np.concatenate((d2, cross, comp), axis=1)
 
 
+# ONE @ w = Delta^2 + (1 - Delta^2) = 1, so a linear objective l @ w is (l @ w)(ONE @ w).
+ONE = np.array([1.0, 0.0, 1.0])
+
+
+def sym(x, y) -> np.ndarray:
+    """The symmetric part of ``outer(x, y)`` per row of ``(..., 3)`` stacks: ``(x @ w)(y @ w)``."""
+    xy = x[..., :, None] * y[..., None, :]
+    return 0.5 * (xy + xy.swapaxes(-1, -2))
+
+
 def weighted_forms(w, Q) -> np.ndarray:
     """``w @ Q @ w`` for each row of weights ``w`` ``(..., 3)`` and its
     ``Q`` ``(..., 3, 3)``, broadcast.  Each sum runs over the three weights

@@ -694,7 +694,8 @@ def _form(obj: Objective):
     ``obj``; raises the errors of the form's source and of ``_forms``."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises later
         if obj.kind in _FAMILY_KINDS:
-            source = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
+            family = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
+            source = family, family.quadratic_forms(absolute=True)
         else:
             source = _transfer_rows(_channel(obj, 1.0))
         moments = moment_set(obj.input) if obj.kind in ("mu4_x", "mu4_p") else None

@@ -269,6 +269,7 @@ END_CELLS = [
     ("fock:0", 2.0, 0.1, 10.5),
     ("sqvac:1.5", 1.3, 0.4, 12.25),
     ("coherent:2.12928", 0.7, 0.0, 11.5),
+    ("coherent:0.5,0.3", 2.0, 0.1, 10.5),
 ]
 
 
@@ -276,20 +277,18 @@ END_CELLS = [
 def test_an_end_optimum_is_not_beaten_by_the_other_end(text, gain, theta, r):
     """When Delta* is an end, the other end's printed value (the form at Delta =
     0 or 1, or compare's column for a family kind) is not lower, and a tie
-    gives Delta* = 0.  d_functional is left out: its form and its column sum
-    in different orders, so its end ties are rounding noise."""
+    gives Delta* = 0."""
     state = parse_state(text)
     family = delta_family(state, r, theta, gain)
-    kinds = [kind for kind in OBJECTIVE_KINDS if kind != "d_functional"]
+    columns = {"d_functional": "d_n", "one_minus_fidelity": "one_minus_fidelity",
+               "frobenius": "frobenius"}
     ends = 0
-    for rec in sweep_r(kinds, [r], input=state, theta=theta, gain=gain):
+    for rec in sweep_r(OBJECTIVE_KINDS, [r], input=state, theta=theta, gain=gain):
         if rec.delta_star not in (0.0, 1.0):
             continue
         other = 1.0 - rec.delta_star
-        if rec.kind == "one_minus_fidelity":
-            value = 1.0 - family.measures(other).fidelity
-        elif rec.kind == "frobenius":
-            value = family.measures(other).frobenius
+        if rec.kind in columns:
+            value = getattr(family.measures(other), columns[rec.kind])
         else:
             obj = Objective(kind=rec.kind, r=r, theta=theta, input=state, gain=gain)
             value = weighted_objective(obj)(other)

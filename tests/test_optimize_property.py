@@ -55,7 +55,7 @@ FAMILY_KINDS = ("d_functional", "one_minus_fidelity", "frobenius")
 def _family_value(obj: Objective, delta: float) -> float:
     """The column that ``compare`` prints for ``obj``'s kind at ``delta``."""
     m = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons).measures(delta)
-    return {"d_functional": m.d_n, "one_minus_fidelity": 1.0 - m.fidelity}.get(
+    return {"d_functional": m.d_n, "one_minus_fidelity": m.one_minus_fidelity}.get(
         obj.kind, m.frobenius
     )
 
@@ -81,7 +81,8 @@ def test_exact_optimum_is_a_local_minimum_no_worse_than_the_grid(
     assert abs(polynomial - values[-1]) <= 1e-12 * scale
 
     rec = minimize_delta(obj)
-    # A transfer kind's printed value is its form at the optimum's Delta weights.
+    # Every kind's printed value is its form at the optimum's Delta weights.
+    assert rec.objective_value == weighted_objective(obj)(rec.delta_star)
     f = trig_objective(obj) if kind in FAMILY_KINDS else weighted_objective(obj)
     rounding = 0.0
     if kind == "one_minus_fidelity":
@@ -89,15 +90,13 @@ def test_exact_optimum_is_a_local_minimum_no_worse_than_the_grid(
     elif kind in FAMILY_KINDS and rec.objective_value > 0.0:
         rounding = 1e-15 / (2.0 * rec.objective_value)
     if kind in FAMILY_KINDS:
-        # The optimizer prints the family's own column at the optimum; the
-        # form it minimized agrees with it to rounding.
+        # For a family kind that form is the family's own column; the
+        # polynomial the candidates were found on agrees with it to rounding.
         assert rec.objective_value == _family_value(obj, rec.delta_star)
         if kind == "one_minus_fidelity":
             assert abs(rec.objective_value - f(rec.delta_star)) <= rounding
         else:
             assert abs(rec.objective_value**2 - f(rec.delta_star) ** 2) <= 1e-15
-    else:
-        assert rec.objective_value == f(rec.delta_star)
     # Probed in t: a fourth-cumulant dip next to Delta = 1 can be narrower
     # than 1e-4 in Delta, though several times wider than that in t.
     t_star = 2.0 * math.acos(rec.delta_star)

@@ -1,7 +1,8 @@
 """Symbolic oracle of the transfer function's cumulant table and derivative forms,
-of the r-independence of the second- and fourth-order optima, of the
-optimizer's map from quadratic forms to trigonometric coefficients, and of the
-closed-form fourth-moment and fidelity optima.
+of the resource's closed forms, of the r-independence of the second- and
+fourth-order optima, of the optimizer's map from quadratic forms to
+trigonometric coefficients, and of the closed-form fourth-moment and fidelity
+optima.
 
 The two-mode resource of the :mod:`cvteleport.states` docstring is built in
 sympy, restricted to ``(g conj(xi), xi)`` with ``xi = w + i z``, and its log
@@ -151,6 +152,22 @@ def test_second_and_fourth_order_optima_do_not_depend_on_r(delta, theta):
     assert r not in x2.free_symbols | kappa4.free_symbols, (x2, kappa4)
     forms = resource_closed_forms(SqueezedBellResource(float(delta), float(theta), 0.0))
     assert _close(forms.x2_ab, float(x2)) and _close(forms.kappa4_ab, float(kappa4)), (x2, kappa4)
+
+
+# (Delta, theta, r) at g = 1, with Delta = 0, theta != 0 and a small r among them.
+CLOSED_FORM_CELLS = [(0.92388, 0.0, 1.25), (0.3, 2.5, 0.4), (0.0, 0.7, 2.0), (0.8, 1.2, 0.05)]
+
+
+@pytest.mark.parametrize("cell", CLOSED_FORM_CELLS)
+def test_resource_closed_forms_are_the_symbolic_cumulants(cell):
+    """``resource_closed_forms`` against the cumulant table of the restricted
+    resource at g = 1: ``x2_ab = K(2, 0)``, ``n_ab = K(2, 0) / 2 - 1`` and
+    ``kappa4_ab = K(4, 0)``."""
+    k, _ = _symbolic(cell + (1.0,))
+    forms = resource_closed_forms(SqueezedBellResource(*cell))
+    want = {"x2_ab": k[(2, 0)], "n_ab": k[(2, 0)] / 2 - 1, "kappa4_ab": k[(4, 0)]}
+    for name, value in want.items():
+        assert _close(getattr(forms, name), value), (cell, name, getattr(forms, name), value)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, 2.0])
