@@ -48,7 +48,7 @@ from .states import (
     SqueezedVacuumInput,
     as_int,
     as_real,
-    delta_weights,
+    delta_weight_rows,
     state_from_descriptor,
     transfer_basis,
 )
@@ -476,7 +476,7 @@ def _surface_values(ch: Channel, u: np.ndarray) -> np.ndarray:
     """The transfer function of ``ch`` at ``u = w^2 + z^2``: the
     :func:`~cvteleport.states.transfer_basis` terms times the Delta weights,
     summed in one fixed order, so a value does not depend on the grid."""
-    d2, cross, comp = delta_weights(ch.resource)
+    d2, cross, comp = delta_weight_rows(ch.resource.delta, ch.resource.theta)[0]
     rate, terms, _ = transfer_basis(ch)
     one, mixed, paired = terms(u)
     # + 0.0 spells an underflowed product of a negative sum as 0.0, not -0.0.

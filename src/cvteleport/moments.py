@@ -81,9 +81,10 @@ from .states import (
     InputState,
     SqueezedBellResource,
     SqueezedVacuumInput,
-    delta_weights,
+    delta_weight_rows,
     transfer_basis,
     transfer_coefficients,
+    transfer_label,
 )
 
 _N_MEAN_FLOOR = 1e-12
@@ -105,9 +106,9 @@ def transfer_derivative_forms(ch: Channel, rate: Optional[float] = None):
     """The rows ``(d1, d2)`` with ``F'(0) = d1 @ w`` and ``F''(0) = d2 @ w`` for
     ``F(u) = exp(-rate u) sum_k w_k q_k(u)``, the polynomials ``q_k`` of
     :func:`~cvteleport.states.transfer_basis` and the weights ``w`` of
-    :func:`delta_weights` (``w0 + w2 = 1`` carries the constants).  The
-    default rate is the transfer function's own, so that ``F(|xi|^2)`` is the
-    transfer function.  Only r and the gain enter."""
+    :func:`~cvteleport.states.delta_weight_rows` (``w0 + w2 = 1`` carries the
+    constants).  The default rate is the transfer function's own, so that
+    ``F(|xi|^2)`` is the transfer function.  Only r and the gain enter."""
     own, _, coef = transfer_basis(ch)
     c = own if rate is None else rate
     # The u and u^2 coefficients of (1 - c u + c^2 u^2 / 2) q_k(u), times 1! and 2!,
@@ -117,11 +118,31 @@ def transfer_derivative_forms(ch: Channel, rate: Optional[float] = None):
                      [2.0 * q2 - 2.0 * c * q1 + c * c * q0 for q0, q1, q2 in rows]])
 
 
+def _checked(what: str, compute):
+    """``compute()``, a cumulant table or a tuple of floats; EvaluationError where
+    it overflows or a value is not finite.  The public building blocks of
+    :func:`moment_set` check this way; it calls them unchecked and checks its
+    fields itself."""
+    try:
+        values = compute()
+    except OverflowError:
+        raise EvaluationError(f"the {what} overflow") from None
+    for value in values.values() if isinstance(values, dict) else values:
+        if not math.isfinite(value):
+            raise EvaluationError(f"the {what} overflow to a value that is not finite: {value!r}")
+    return values
+
+
 def state_cumulants(state: InputState) -> dict:
-    """Closed-form cumulant table ``{(n, m): K(n, m)}`` of a catalog state."""
+    """Closed-form cumulant table ``{(n, m): K(n, m)}`` of a catalog state.
+    Raises :class:`~cvteleport.errors.EvaluationError` where it overflows."""
+    return _checked(f"cumulants of {state!r}", lambda: _state_cumulants(state))
+
+
+def _state_cumulants(state: InputState) -> dict:
     if isinstance(state, (FockInput, FockMixtureInput)):
         # exp(-u/2) sum_n p_n L_n(u), and sum_n p_n L_n(u) = 1 - <n> u + <n(n-1)>/4 u^2 - ...
-        n, a22 = photon_moments(state)
+        n, a22 = _photon_moments(state)
         return _radial_cumulants(-(n + 0.5), -n, 0.25 * a22)
     k = dict.fromkeys(_KEYS, 0.0)
     if isinstance(state, CoherentInput):
@@ -137,8 +158,13 @@ def state_cumulants(state: InputState) -> dict:
 
 
 def transfer_cumulants(ch: Channel) -> dict:
-    """Cumulant table of the transfer function, a radial non-state function."""
-    w = np.array(delta_weights(ch.resource))
+    """Cumulant table of the transfer function, a radial non-state function.
+    Raises :class:`~cvteleport.errors.EvaluationError` where it overflows."""
+    return _checked(f"transfer cumulants of {transfer_label(ch)}", lambda: _transfer_cumulants(ch))
+
+
+def _transfer_cumulants(ch: Channel) -> dict:
+    w = delta_weight_rows(ch.resource.delta, ch.resource.theta)[0]
     f1 = float(transfer_derivative_forms(ch)[0] @ w)
     p1, p2 = (float(d @ w) for d in transfer_derivative_forms(ch, 0.0))
     return _radial_cumulants(f1, p1, 0.5 * p2)
@@ -148,12 +174,17 @@ def photon_moments(source) -> tuple[float, float]:
     """``(<a^dag a>, <a^dag^2 a^2>)`` of a catalog input state or a teleportation
     output, in the closed forms of the module docstring: for an output, the
     normal-ordered product rule with the transfer factor's derivatives from
-    :func:`transfer_derivative_forms` at rate ``a^2``."""
+    :func:`transfer_derivative_forms` at rate ``a^2``.  Raises
+    :class:`~cvteleport.errors.EvaluationError` where they overflow."""
+    return _checked(f"photon moments of {_label(source)}", lambda: _photon_moments(source))
+
+
+def _photon_moments(source) -> tuple[float, float]:
     if isinstance(source, OutputState):
         ch = source.channel
-        n, a22 = photon_moments(source.input)
+        n, a22 = _photon_moments(source.input)
         a, _ = transfer_coefficients(ch)
-        w = np.array(delta_weights(ch.resource))
+        w = delta_weight_rows(ch.resource.delta, ch.resource.theta)[0]
         f1, f2 = (float(d @ w) for d in transfer_derivative_forms(ch, a * a))
         g2 = ch.gain ** 2
         return g2 * n - f1, 2.0 * f2 - 4.0 * g2 * n * f1 + g2 * g2 * a22
@@ -211,7 +242,7 @@ def moment_set(source) -> MomentSet:
     Raises :class:`~cvteleport.errors.EvaluationError` when a field overflows
     or is not finite.
     """
-    label = source.label if isinstance(source, OutputState) else f"{source!r}"
+    label = _label(source)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite field raises below
             ms = _moment_set(source, label)
@@ -224,16 +255,20 @@ def moment_set(source) -> MomentSet:
     return ms
 
 
+def _label(source) -> str:
+    return source.label if isinstance(source, OutputState) else f"{source!r}"
+
+
 def _moment_set(source, label: str) -> MomentSet:
     if isinstance(source, OutputState):
-        g, k_tau = source.channel.gain, transfer_cumulants(source.channel)
-        k = {key: g ** sum(key) * v + k_tau[key] for key, v in state_cumulants(source.input).items()}
+        g, k_tau = source.channel.gain, _transfer_cumulants(source.channel)
+        k = {key: g ** sum(key) * v + k_tau[key] for key, v in _state_cumulants(source.input).items()}
     else:
-        k = state_cumulants(source)
+        k = _state_cumulants(source)
     x2, p2 = k[(2, 0)], k[(0, 2)]
     if x2 < -1e-10 or p2 < -1e-10:
         raise ConsistencyError(f"negative central second moment for a state ({x2!r}, {p2!r})")
-    n_mean, a22 = photon_moments(source)
+    n_mean, a22 = _photon_moments(source)
     return MomentSet(
         x_mean=k[(1, 0)],
         p_mean=k[(0, 1)],
@@ -276,15 +311,12 @@ class ResourceClosedForms:
 def resource_closed_forms(res: SqueezedBellResource) -> ResourceClosedForms:
     delta, theta, r = res.delta, res.theta, res.r
     q = math.sqrt(max(1.0 - delta * delta, 0.0))
-    e2r = math.exp(2.0 * r)
-    em2r = math.exp(-2.0 * r)
-    x2 = em2r * (6.0 - 4.0 * delta**2 - 4.0 * delta * q * math.cos(theta))
-    n_ab = -em2r * (-3.0 + e2r + 2.0 * delta**2 + 2.0 * delta * q * math.cos(theta))
+    x2 = math.exp(-2.0 * r) * (6.0 - 4.0 * delta**2 - 4.0 * delta * q * math.cos(theta))
     kappa4 = (
         24.0 * math.exp(-4.0 * r) * (1.0 - delta * delta)
         * (1.0 - 2.0 * (delta * math.cos(theta) - q) ** 2)
     )
-    return ResourceClosedForms(x2_ab=x2, n_ab=n_ab, kappa4_ab=kappa4)
+    return ResourceClosedForms(x2_ab=x2, n_ab=0.5 * x2 - 1.0, kappa4_ab=kappa4)
 
 
 @dataclass(frozen=True)
@@ -307,17 +339,21 @@ class CovarianceDistortion:
 def distortion_covariance(state: InputState, ch: Channel) -> CovarianceDistortion:
     """In/out second central moments and the transfer table's entries, read off
     the cumulant tables: the output's is ``g^2 K_in + K_tau``, so
-    ``d = out - g^2 in`` is ``K_tau`` alone, whatever the input."""
+    ``d = out - g^2 in`` is ``K_tau`` alone, whatever the input.  Raises
+    :class:`~cvteleport.errors.EvaluationError` where an entry overflows."""
     k_in, k_tau = state_cumulants(state), transfer_cumulants(ch)
-    g2 = ch.gain ** 2
     x2, p2, cov = (2, 0), (0, 2), (1, 1)
+    x2_out, p2_out, cov_out = _checked(
+        f"output second moments of {state!r} through {transfer_label(ch)}",
+        lambda: tuple(ch.gain ** 2 * k_in[key] + k_tau[key] for key in (x2, p2, cov)),
+    )
     return CovarianceDistortion(
         x2_in=k_in[x2],
-        x2_out=g2 * k_in[x2] + k_tau[x2],
+        x2_out=x2_out,
         p2_in=k_in[p2],
-        p2_out=g2 * k_in[p2] + k_tau[p2],
+        p2_out=p2_out,
         cov_in=k_in[cov],
-        cov_out=g2 * k_in[cov] + k_tau[cov],
+        cov_out=cov_out,
         d_x2=k_tau[x2],
         d_p2=k_tau[p2],
         d_cov=k_tau[cov],

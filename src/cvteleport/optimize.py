@@ -1,7 +1,7 @@
 """Exact one-dimensional optimization of the resource parameter Delta.
 
-Every objective is ``outer(w @ Q @ w)``: ``w`` the weights of
-:func:`cvteleport.states.delta_weights`, ``Q`` a Delta-free 3 x 3 matrix
+Every objective is ``outer(w @ Q @ w)``: ``w`` a row of
+:func:`cvteleport.states.delta_weight_rows`, ``Q`` a Delta-free 3 x 3 matrix
 from the transfer-derivative forms or the Delta family, and ``outer`` the
 identity, a square root or ``|.|``.  With ``Delta = cos(t/2)``, ``t`` in
 ``[0, pi]``, ``w`` is linear in ``{1, cos t, sin t}``, so ``w @ Q @ w`` is a
@@ -26,7 +26,10 @@ the column ``compare`` prints at Delta*, bit for bit.
 :func:`sweep_r` its grid call, which records each cell's error.
 
 :func:`closed_form_delta` evaluates the six closed-form optimal-Delta
-expressions; the test suite holds the optimizer to them.
+expressions in the same parameterisation, ``cos(t*/2)`` with ``t*`` an
+``atan2`` of two polynomials in ``tanh r``: bounded at every r, with the
+paper's large-r limit ``cos(pi/8)`` at ``tanh r = 1``.  The test suite holds
+the optimizer to them.
 """
 
 from __future__ import annotations
@@ -415,33 +418,33 @@ def minimize_delta(obj: Objective) -> OptimumRecord:
 
 
 def closed_form_delta(kind: str, r: float, s: Optional[float] = None) -> float:
-    """Evaluate one of the six closed-form optimal-Delta expressions."""
+    """One of the six closed-form optimal Deltas, as ``cos(t*/2)``.
+
+    Each ``t* = atan2(y, x)`` for x, y polynomials in ``E = e^{2r}`` (the coherent mu4
+    form's ``1 - cos^2 t*`` is the perfect square of ``(2 + E) / sqrt(13 + 10 E + 2 E^2)``);
+    over a power of ``e^r cosh r`` they are bounded polynomials in ``T = tanh r``, and
+    every ``t*`` tends to ``atan2(2, 2) = pi/4`` as T -> 1.  Raises InvalidArgumentError
+    for a non-finite r or s.
+    """
     if kind not in CLOSED_FORM_KINDS:
         raise InvalidArgumentError(f"unknown closed-form kind {kind!r}")
     if kind in ("mu4_x_squeezed", "mu4_p_squeezed") and s is None:
         raise InvalidArgumentError(f"closed form {kind!r} requires the input squeezing s")
+    if not (math.isfinite(r) and (s is None or math.isfinite(s))):
+        raise InvalidArgumentError(f"closed form {kind!r} needs a finite r and s, got {r!r}, {s!r}")
 
-    if kind == "fidelity_fock1":
-        e2r, e4r, e6r = math.exp(2 * r), math.exp(4 * r), math.exp(6 * r)
-        arg = math.exp(-2 * r) * (1 - e2r + e4r + 3 * e6r) / (3.0 * (e2r - 1.0) ** 2)
-        return math.cos(0.5 * math.atan(arg))
     if kind == "fidelity_coherent":
-        return math.cos(0.5 * math.atan(1.0 + math.exp(-2.0 * r)))
+        # e^40 already rounds the atan to pi/2; e^{-2r} would overflow from r = -355.
+        return math.cos(0.5 * math.atan(1.0 + math.exp(min(-2.0 * r, 40.0))))
+    if kind in ("mu4_x_squeezed", "mu4_p_squeezed"):
+        # The coherent mu4 optimum at an effective squeezing: r - s for x, r + s for p.
+        r += s if kind == "mu4_p_squeezed" else -s
+    t = math.tanh(r)
+    if kind == "fidelity_fock1":
+        return math.cos(0.5 * math.atan2(1.0 + t * (2.0 + 3.0 * t), 3.0 * t * t * (1.0 + t)))
     if kind == "mu4_x_fock1":
-        e2r = math.exp(2.0 * r)
-        sq = (1.0 + e2r) ** 2
-        return math.sqrt(
-            1.0 + 3.0 * sq / math.sqrt(sq * (13.0 + 30.0 * e2r + 18.0 * e2r * e2r))
-        ) / math.sqrt(2.0)
-    # The Gaussian mu4 optima are the coherent one at an effective squeezing: the
-    # input squeezing s lowers it to r - s for x and raises it to r + s for p.
-    if kind == "mu4_x_squeezed":
-        r -= s
-    elif kind == "mu4_p_squeezed":
-        r += s
-    e2r = math.exp(2.0 * r)
-    num = (3.0 + e2r) ** 2
-    return math.sqrt(1.0 + num / math.sqrt(num * (13.0 + 2.0 * e2r * (5.0 + e2r)))) / math.sqrt(2.0)
+        return math.cos(0.5 * math.atan2(5.0 + t, 6.0))
+    return math.cos(0.5 * math.atan2(3.0 - t, 4.0 - 2.0 * t))
 
 
 def sweep_r(

@@ -216,7 +216,7 @@ def d_functional(p_in: PhotonDistribution, p_out: PhotonDistribution) -> float:
 class DeltaFamily:
     """The Delta-independent quadratures of one (input, r, theta, gain, N) cell.
 
-    With the weights ``w`` of :func:`cvteleport.states.delta_weights`,
+    With the weights ``w`` of :func:`cvteleport.states.delta_weight_rows`,
     ``P_out = photon_basis @ w``, ``F = fidelity_basis @ w`` and
     ``purity_out = w @ gram @ w``.  ``forms`` holds ``gram`` and the family
     objectives as forms in ``w`` (:meth:`quadratic_forms`), which ``compare``

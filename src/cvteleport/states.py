@@ -229,18 +229,12 @@ def weighted_forms(w, Q) -> np.ndarray:
     return sum(w[..., i] * wq[..., i] for i in range(3))
 
 
-def delta_weights(res: SqueezedBellResource) -> tuple[float, float, float]:
-    """The :func:`delta_weight_rows` of the resource's Delta and theta."""
-    d2, cross, comp = delta_weight_rows(res.delta, res.theta)[0]
-    return float(d2), float(cross), float(comp)
-
-
 def transfer_basis(ch: Channel):
     """The Delta-free split of the transfer function.
 
     Returns ``(rate, terms, coef)`` with
     ``tau(xi) = exp(-rate u) * sum_k w_k terms(u)[k]`` for the weights ``w`` of
-    :func:`delta_weights` and ``u = |xi|^2``.  The three polynomial terms are
+    :func:`delta_weight_rows` and ``u = |xi|^2``.  The three polynomial terms are
     ``1``, ``a b u`` and ``(1 - a^2 u)(1 - b^2 u)`` with (a, b) from
     :func:`transfer_coefficients`; ``rate = (a^2 + b^2) / 2``.  ``coef`` is
     the 3 x 3 matrix of their coefficients in ``u``:

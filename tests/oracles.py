@@ -110,7 +110,6 @@ from cvteleport.states import (
     SqueezedBellResource,
     SqueezedVacuumInput,
     delta_weight_rows,
-    delta_weights,
     input_photon_probs,
     state_label,
     transfer_basis,
@@ -308,11 +307,11 @@ def transfer_fn(ch: Channel) -> CharFn:
     ``u = |xi|^2`` alone; at g = 1 it is
     ``exp(-gamma) [Delta^2 + 2 Delta sqrt(1-Delta^2) cos(theta) gamma
     + (1-Delta^2)(1-gamma)^2]`` with ``gamma = u exp(-2r)``, i.e. the
-    :func:`~cvteleport.states.delta_weights` combination of the
+    :func:`~cvteleport.states.delta_weight_rows` combination of the
     :func:`~cvteleport.states.transfer_basis` terms, in the sum order of the
     ``transfer-surface`` command.
     """
-    d2, cross, comp = delta_weights(ch.resource)
+    d2, cross, comp = delta_weight_rows(ch.resource.delta, ch.resource.theta)[0].tolist()
     rate, terms, _ = transfer_basis(ch)
 
     def tau(p: PhasePoint):

@@ -9,6 +9,7 @@ from cvteleport import (
     CoherentInput,
     ConsistencyError,
     DegenerateStateError,
+    EvaluationError,
     FockInput,
     InvalidArgumentError,
     SqueezedBellResource,
@@ -245,7 +246,7 @@ def test_non_state_tables_exempt_from_variance_check(monkeypatch):
     # which is no state, is flagged and left unchecked.
     vals = dict.fromkeys(state_cumulants(FockInput(0)), 0.0)
     vals[(2, 0)] = vals[(0, 2)] = -0.5  # negative pseudo-variance
-    monkeypatch.setattr(moments, "state_cumulants", lambda state: dict(vals))
+    monkeypatch.setattr(moments, "_state_cumulants", lambda state: dict(vals))
     with pytest.raises(ConsistencyError):
         moment_set(FockInput(0))
     monkeypatch.undo()
@@ -315,6 +316,13 @@ def test_closed_forms_match_tables(rng):
         # n_ab = -F'(0) - 1 with F'(0) = -x2_AB / 2
         assert cf.n_ab == pytest.approx(0.5 * k[(2, 0)] - 1.0, abs=1e-12)
         assert cf.kappa4_ab == pytest.approx(k[(4, 0)], abs=1e-12)
+
+
+def test_closed_forms_decay_at_very_large_r():
+    """``n_ab = x2_ab / 2 - 1`` with ``x2_ab`` decaying as e^{-2r}: -1 where
+    e^{2r} itself overflows."""
+    cf = resource_closed_forms(SqueezedBellResource(delta=0.5, theta=0.3, r=400.0))
+    assert (cf.x2_ab, cf.n_ab, cf.kappa4_ab) == (0.0, -1.0, 0.0)
 
 
 def test_photon_average_stationary_point_shared():
@@ -474,3 +482,33 @@ def test_squeezing_degenerate_error():
     broken = type(ms)(**{**ms.to_dict(), "p2_central": 0.0})
     with pytest.raises(DegenerateStateError):
         squeezing_ratio(broken)
+
+
+# ---------------------------------------------------------------------------
+# typed errors of the public building blocks of moment_set
+# ---------------------------------------------------------------------------
+
+def _resource_channel(gain):
+    return Channel(SqueezedBellResource(0.9, 0.0, 1.0), gain=gain)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: state_cumulants(SqueezedVacuumInput(400.0)),
+        lambda: photon_moments(SqueezedVacuumInput(400.0)),
+        lambda: transfer_cumulants(_resource_channel(1e154)),
+        lambda: distortion_covariance(SqueezedVacuumInput(355.0), _resource_channel(1.0)),
+        lambda: distortion_covariance(FockInput(1), _resource_channel(1e160)),
+        lambda: distortion_covariance(FockInput(1), _resource_channel(1e154)),
+        lambda: distortion_covariance(SqueezedVacuumInput(200.0), _resource_channel(1e70)),
+        lambda: photon_moments(teleport(FockInput(1), _resource_channel(1e154))),
+    ],
+    ids=["state-cumulants", "photon-moments", "transfer-cumulants-nan", "covariance-input",
+         "covariance-gain-overflow", "covariance-gain-nan", "covariance-output", "output-photon-moments"],
+)
+def test_building_blocks_raise_evaluation_error_where_they_overflow(call):
+    """Where a table entry overflows, or comes out inf or NaN, the function
+    raises EvaluationError instead of OverflowError or returning it."""
+    with pytest.raises(EvaluationError, match="overflow"):
+        call()

@@ -401,9 +401,49 @@ def test_batched_roots_polish_a_rounding_small_leading_coefficient():
 # ---------------------------------------------------------------------------
 
 def test_closed_forms_converge_at_large_r():
+    """Every form is ``cos(t*/2)`` with ``t* -> pi/4`` as ``tanh r -> 1``: at
+    r = 20 its offset from cos(pi/8) is below an ulp, and it stays there at
+    every larger r, where e^{2r} and e^{6r} would overflow."""
     for kind in CLOSED_FORM_KINDS:
         s = 1.5 if "squeezed" in kind else None
-        assert abs(closed_form_delta(kind, 20.0, s) - DELTA2_OPT) <= 1e-3, kind
+        for r in (20.0, 100.0, 700.0):
+            assert abs(closed_form_delta(kind, r, s) - DELTA2_OPT) <= math.ulp(DELTA2_OPT), (kind, r)
+
+
+def test_closed_forms_are_the_optimizers_delta_star_at_large_r():
+    """Past r of about 88.6 the earlier mu4 forms returned 1/sqrt(2); the
+    optimizer's Delta* is cos(pi/8) to the last bit there."""
+    cells = [
+        ("mu4_x", CoherentInput(1.0), lambda r: closed_form_delta("mu4_x_coherent", r)),
+        ("mu4_x", FockInput(1), lambda r: closed_form_delta("mu4_x_fock1", r)),
+        ("mu4_p", SqueezedVacuumInput(0.5), lambda r: closed_form_delta("mu4_p_squeezed", r, 0.5)),
+    ]
+    for kind, state, form in cells:
+        for r in (100.0, 200.0, 300.0):
+            rec = minimize_delta(Objective(kind=kind, r=r, input=state))
+            assert rec.delta_star == form(r), (kind, state, r)
+
+
+def test_fidelity_fock1_form_at_r0_is_the_optimizers_delta_star():
+    """At r = 0 the form's t* is atan2(1, 0) = pi/2; the earlier form divided by
+    (e^{2r} - 1)^2 there."""
+    rec = minimize_delta(Objective(kind="one_minus_fidelity", r=0.0, input=FockInput(1)))
+    assert closed_form_delta("fidelity_fock1", 0.0) == rec.delta_star == 0.7071067811865476
+
+
+@pytest.mark.parametrize("r", [150.0, 700.0, -400.0])
+def test_closed_forms_are_finite_where_exponentials_overflow(r):
+    for kind in CLOSED_FORM_KINDS:
+        value = closed_form_delta(kind, r, 2.0 if "squeezed" in kind else None)
+        assert math.isfinite(value) and 0.0 < value < 1.0, (kind, r)
+
+
+@pytest.mark.parametrize("r, s", [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (1.0, math.nan),
+                                  (1.0, math.inf)])
+def test_closed_forms_reject_a_non_finite_r_or_s(r, s):
+    for kind in CLOSED_FORM_KINDS:
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            closed_form_delta(kind, r, s)
 
 
 def test_closed_form_coherent_limit_value():

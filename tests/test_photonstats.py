@@ -370,7 +370,7 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from cvteleport.photonstats import _fock_gram_moments, _gaussian_overlaps  # noqa: E402
-from cvteleport.states import N_MAX_FOCK, delta_weights, transfer_basis  # noqa: E402
+from cvteleport.states import N_MAX_FOCK, delta_weight_rows, transfer_basis  # noqa: E402
 from oracles import (  # noqa: E402
     exact_fock_family,
     exact_gram_moments,
@@ -484,7 +484,7 @@ def test_large_coherent_family_matches_the_bessel_closed_form(beta, r, gain):
     want = radial_photon_basis(dephased, r, gain, 24, 1536)
     assert np.abs(family.photon_basis - want).max() <= 1e-13
     for delta in (0.0, 0.5, 0.9, 1.0):
-        w = np.array(delta_weights(SqueezedBellResource(delta, 0.0, r)))
+        w = delta_weight_rows(delta, 0.0)[0]
         assert np.abs(family.photon_distribution(delta).probs - want @ w).max() <= 1e-13, delta
 
 
@@ -797,7 +797,7 @@ def test_strong_squeezing_matches_mpmath():
     with mp.workdps(30):
         r, delta = 1.0, 0.6
         rate, _, coef = transfer_basis(Channel(SqueezedBellResource(1.0, 0.0, r)))
-        w = np.array(delta_weights(SqueezedBellResource(delta, 0.0, r)))
+        w = delta_weight_rows(delta, 0.0)[0]
         e, c = mp.mpf(rate), [mp.mpf(x) for x in coef.T @ w]
         # Breakpoints down to the input's narrow scale e^{-2|s|} near u = 0.
         points = [0] + [mp.mpf(10) ** k for k in range(-10, 3)]

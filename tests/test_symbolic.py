@@ -2,7 +2,8 @@
 of the resource's closed forms, of the r-independence of the second- and
 fourth-order optima, of the optimizer's map from quadratic forms to
 trigonometric coefficients, and of the closed-form fourth-moment and fidelity
-optima.
+optima: their stationarity, their 60-digit values from r = 1e-12 to 700, and
+the rate ``c1 e^{-2r}`` at which the optimizer's Delta* approaches cos(pi/8).
 
 The two-mode resource of the :mod:`cvteleport.states` docstring is built in
 sympy, restricted to ``(g conj(xi), xi)`` with ``xi = w + i z``, and its log
@@ -24,14 +25,17 @@ import pytest
 
 from cvteleport import (
     Channel,
+    Objective,
     SqueezedBellResource,
     closed_form_delta,
+    minimize_delta,
     resource_closed_forms,
     transfer_cumulants,
 )
+from cvteleport.cli import parse_state
 from cvteleport.moments import transfer_derivative_forms
 from cvteleport.optimize import _trig
-from cvteleport.states import delta_weights, transfer_coefficients
+from cvteleport.states import delta_weight_rows, transfer_coefficients
 
 sp = pytest.importorskip("sympy")
 
@@ -118,7 +122,7 @@ def test_derivative_forms_match_the_symbolic_expansion(cell):
     factor ``exp(e u) tau`` (rate 0), each as ``d @ w``."""
     _, (plain, normal, free) = _symbolic(cell)
     ch = _channel(cell)
-    w = np.array(delta_weights(ch.resource))
+    w = delta_weight_rows(ch.resource.delta, ch.resource.theta)[0]
     a, _ = transfer_coefficients(ch)
     for rate, want in ((None, plain), (a * a, normal), (0.0, free)):
         got = [float(d @ w) for d in transfer_derivative_forms(ch, rate)]
@@ -278,3 +282,82 @@ def test_fidelity_closed_forms_are_stationary_points_of_the_fidelity(r):
             assert curvature(root) < 0, (kind, r, root)
             want = mp.cos(root / 2)
             assert abs(got - want) <= 2 * math.ulp(got), (kind, r, got, want)
+
+
+def _reference_optimum(kind, r, s, mp):
+    """The closed forms in their growing exponentials ``E = e^{2r}``, as first
+    derived, at the working precision of ``mp``."""
+    r = mp.mpf(r) + {"mu4_x_squeezed": -1, "mu4_p_squeezed": 1}.get(kind, 0) * mp.mpf(s or 0)
+    e = mp.exp(2 * r)
+    if kind == "fidelity_coherent":
+        return mp.cos(mp.atan(1 + 1 / e) / 2)
+    if kind == "fidelity_fock1":
+        return mp.cos(mp.atan((1 - e + e**2 + 3 * e**3) / (3 * e * (e - 1) ** 2)) / 2)
+    if kind == "mu4_x_fock1":
+        return mp.sqrt((1 + 3 * (1 + e) / mp.sqrt(13 + 30 * e + 18 * e**2)) / 2)
+    return mp.sqrt((1 + (3 + e) / mp.sqrt(13 + 10 * e + 2 * e**2)) / 2)
+
+
+CLOSED_FORM_RS = [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 85.5, 88.0,
+                  89.0, 100.0, 118.0, 119.0, 150.0, 200.0, 354.0, 355.0, 400.0, 700.0]
+
+
+@pytest.mark.parametrize("kind", ["fidelity_coherent", "fidelity_fock1", "mu4_x_coherent",
+                                  "mu4_x_fock1", "mu4_x_squeezed", "mu4_p_squeezed"])
+def test_closed_forms_are_within_an_ulp_of_60_digits(kind):
+    """Each ``cos(t*/2)`` form against its exponential form at 60 digits, from
+    r = 1e-12 to 700 and, for the squeezed kinds, s from -3 to 5: past
+    r +- s of about 88.6 the exponential forms overflow in float64."""
+    mp = pytest.importorskip("mpmath")
+    squeezings = [-3.0, -1.0, 0.0, 0.5, 2.0, 5.0] if "squeezed" in kind else [None]
+    with mp.workdps(60):
+        for r in CLOSED_FORM_RS:
+            for s in squeezings:
+                got = closed_form_delta(kind, r, s)
+                want = _reference_optimum(kind, r, s, mp)
+                assert abs(got - want) <= math.ulp(got), (kind, r, s, got, want)
+
+
+# Each rate kind's t* = atan2(y, x) in T = tanh r, as closed_form_delta writes it
+# (the coherent fidelity's atan(1 + e^{-2r}) is atan2(2, 1 + T)), the rate c1 of
+# Delta* = cos(pi/8) + c1 e^{-2r} + O(e^{-4r}) in units of sin(pi/8), the
+# optimizer's objective and input, and the r at which to hold the optimizer to
+# the expansion.  The fidelity kinds stop at r = 5: past it the rounding of
+# their family forms is larger than e^{-4r}.
+_T = sp.Symbol("T")
+RATES = [
+    ("fidelity_coherent", (2, 1 + _T), sp.Rational(-1, 4), "one_minus_fidelity", "coherent:2.12928",
+     (3.0, 4.0, 5.0)),
+    ("fidelity_fock1", (1 + 2 * _T + 3 * _T**2, 3 * _T**2 * (1 + _T)), sp.Rational(-7, 12),
+     "one_minus_fidelity", "fock:1", (3.0, 4.0, 5.0)),
+    ("mu4_x_coherent", (3 - _T, 4 - 2 * _T), sp.Rational(1, 4), "mu4_x", "coherent:1",
+     (3.0, 5.0, 7.0, 20.0, 100.0)),
+    ("mu4_x_fock1", (5 + _T, 6), sp.Rational(1, 12), "mu4_x", "fock:1", (3.0, 5.0, 7.0, 20.0, 100.0)),
+]
+
+
+@pytest.mark.parametrize("form, args, rate, kind, state, rs", RATES, ids=[row[0] for row in RATES])
+def test_optimizer_approaches_cos_pi_over_8_at_the_closed_form_rate(form, args, rate, kind, state, rs):
+    """The paper's "tends to Delta_(2)^opt for high squeezing" as a rate: with
+    ``eps = e^{-2r}``, ``T = (1 - eps) / (1 + eps)``, and sympy's expansion of
+    ``cos(atan(y / x) / 2)`` gives ``c1 = rate * sin(pi/8)``.  The optimizer's
+    Delta* is held to ``|Delta* - cos(pi/8) - c1 eps| <= eps^2 + 4 ulp``."""
+    from cvteleport import Objective, minimize_delta
+    from cvteleport.cli import parse_state
+
+    eps = sp.Symbol("eps", positive=True)
+    y, x = (sp.sympify(a).subs(_T, (1 - eps) / (1 + eps)) for a in args)
+    delta = sp.cos(sp.atan(y / x) / 2)
+    assert sp.simplify(delta.subs(eps, 0) - sp.cos(sp.pi / 8)) == 0
+    c1 = sp.diff(delta, eps).subs(eps, 0)
+    assert sp.simplify(c1 - rate * sp.sin(sp.pi / 8)) == 0, (form, c1)
+    # The symbolic t* is the package's form.
+    for r in (0.5, 2.0):
+        t = math.tanh(r)
+        got = math.cos(0.5 * math.atan2(*(float(sp.sympify(a).subs(_T, t)) for a in args)))
+        assert abs(got - closed_form_delta(form, r)) <= math.ulp(got), (form, r)
+    c0, c1 = math.cos(math.pi / 8), float(c1)
+    for r in rs:
+        star = minimize_delta(Objective(kind=kind, r=r, input=parse_state(state))).delta_star
+        eps_r = math.exp(-2.0 * r)
+        assert abs(star - c0 - c1 * eps_r) <= eps_r**2 + 4 * math.ulp(star), (kind, state, r, star)
