@@ -15,11 +15,16 @@ mirror-exact where ``stop == -start``, finite or an error) or comma lists.
 Options may come from a JSON config file (``--config``); explicit flags win.
 Outputs are deterministic: fixed column orders, shortest round-trip decimals,
 and a provenance comment (tool version + config hash) on every CSV.
+
+One option table (``_OPTIONS``, with ``_COMMANDS`` and ``_COMMON``) defines
+the command line.  A subcommand followed by ``--flag=value``, ``--flag value``
+and ``--switch`` tokens, spelled in full, is parsed straight from the table
+into the namespace argparse would build; argparse is imported only for any
+other command line, and prints help and every usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import hashlib
@@ -28,7 +33,8 @@ import itertools
 import json
 import math
 import sys
-from typing import NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +58,9 @@ from .states import (
     state_from_descriptor,
     transfer_basis,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 _FORMATS = ("csv", "json")
 
@@ -260,7 +269,7 @@ def _emit(table: dict, resolved: dict):
 _NOT_CONFIG_KEYS = ("command", "config", "func")
 
 
-def _check_config_keys(file_cfg: dict, args: argparse.Namespace):
+def _check_config_keys(file_cfg: dict, args):
     """Reject config-file keys that are not option names of the subcommand, and
     null values: a key is given a value or left out."""
     known = set(vars(args)).difference(_NOT_CONFIG_KEYS)
@@ -277,7 +286,7 @@ def _check_config_keys(file_cfg: dict, args: argparse.Namespace):
         raise InvalidArgumentError(f"unknown config key {key!r} for {args.command}; {hint}")
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _resolve(args) -> dict:
     """Merge config-file values under explicit flags; flags win."""
     file_cfg = {}
     if getattr(args, "config", None):
@@ -556,6 +565,8 @@ _COMMON = ("config", "output", "format")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only here: a command line the option table parses never imports it
+
     parser = argparse.ArgumentParser(
         prog="cvteleport",
         description="Observable statistics of continuous-variable teleportation",
@@ -576,8 +587,64 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _table_args(argv: Sequence[str]):
+    """The namespace ``build_parser().parse_args(argv)`` builds, read off
+    ``_COMMANDS``, ``_OPTIONS`` and ``_COMMON``; None where ``argv`` takes a
+    shape the table does not parse.
+
+    ``argv[0]`` is a subcommand and every later token ``--<flag>=<value>``,
+    the value verbatim, or ``--<flag>``, a switch's ``True`` or an option whose
+    value is the next token, which must be nonempty and not start with ``-``.
+    Each flag is spelled in full for one of the subcommand's options; the
+    value goes through the option's ``type`` and must be one of its
+    ``choices``; the last of a repeated option wins.  Every other shape is
+    argparse's to parse or refuse (help, ``--``, abbreviations, negative
+    numbers as separate values and every usage error).
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, names = _COMMANDS[argv[0]]
+    names += _COMMON
+    spelled = {_flag_name(name): name for name in names}
+    values = dict.fromkeys(names)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        name = spelled.get(flag)
+        if name is None:
+            return None
+        keywords = _OPTIONS[name][0]
+        if keywords.get("action") == "store_true":
+            if equals:
+                return None
+            values[name] = True
+            continue
+        if not equals:
+            value = next(tokens, "")
+            if not value or value[0] == "-":
+                return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[name] = value
+    return SimpleNamespace(command=argv[0], **values, func=handler)
+
+
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` by default); return its exit status.
+
+    The option table parses the command lines it can (:func:`_table_args`);
+    argparse parses the rest, and prints help and every usage error."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _table_args(argv)
+    if args is None:
+        args = _shared_parser().parse_args(argv)
     try:
         resolved = _resolve(args)
         if resolved["format"] not in _FORMATS:

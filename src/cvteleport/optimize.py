@@ -14,9 +14,12 @@ lower end.  Ties go to the smaller Delta.
 
 One solve, :func:`_solve`, takes a kinds x r grid as one array problem.  It
 builds each r's transfer-derivative forms and Delta family once, up front,
-and each kind's ``Q`` for all r in one stacked pass, :func:`_forms`; maps
-them to coefficients in one product, finds every cell's roots in one stacked
-eigenvalue solve of companion matrices with Newton steps, and scores every
+and each kind's ``Q`` for all r in one stacked pass, :func:`_forms`.  The
+transfer forms are built from the channel's (a, b) scaled by a power of two
+to size 1, so no r leaves them subnormal; the printed value is the score
+times that power, rounded once.  The solve maps the forms to coefficients
+in one product, finds every cell's roots in one stacked eigenvalue solve of
+companion matrices with Newton steps, and scores every
 candidate once, as ``outer(w @ Q @ w)`` at its Delta weights, not as ``g``,
 whose coefficients of size 1 cancel near a transfer kind's zero.  The
 winner's score is the value printed for every kind.  A family kind's ``Q`` is
@@ -44,7 +47,16 @@ import numpy as np
 from .errors import AccuracyError, CVTeleportError, EvaluationError, InvalidArgumentError
 from .moments import moment_set, transfer_derivative_forms
 from .photonstats import delta_family
-from .states import ONE, Channel, InputState, SqueezedBellResource, delta_weight_rows, sym, weighted_forms
+from .states import (
+    ONE,
+    Channel,
+    InputState,
+    SqueezedBellResource,
+    delta_weight_rows,
+    sym,
+    transfer_coefficients,
+    weighted_forms,
+)
 
 OBJECTIVE_KINDS = (
     "x2_transfer",
@@ -122,47 +134,59 @@ def _root(v):
     return np.sqrt(np.maximum(v, 0.0))
 
 
-def _transfer_rows(ch: Channel) -> np.ndarray:
-    """``(4, 3)``: the rows :func:`transfer_derivative_forms` of ``ch`` at its
-    own rate, ``F'(0)`` and ``F''(0)`` of the transfer function ``F``, then at
-    rate 0, ``P'(0)`` and ``P''(0)`` of its polynomial factor ``P``."""
-    return np.concatenate((transfer_derivative_forms(ch), transfer_derivative_forms(ch, 0.0)))
+def _transfer_rows(ch: Channel) -> tuple:
+    """``(rows, scale)``: ``rows`` ``(4, 3)`` are :func:`transfer_derivative_forms`
+    of ``ch`` at ``scale``, at its own rate, ``F'(0)`` and ``F''(0)`` of the
+    transfer function ``F``, then at rate 0, ``P'(0)`` and ``P''(0)`` of its
+    polynomial factor ``P``.  ``2^scale`` is the power of two that brings
+    ``max(|a|, |b|)`` into ``[1/2, 1)``: rows 0 and 2 are ``4^-scale`` and rows
+    1 and 3 ``16^-scale`` times the unscaled ones wherever those are normal,
+    and at g = 1, where a = b, they are of size 1 at every r."""
+    a, b = transfer_coefficients(ch)
+    scale = math.frexp(max(abs(a), abs(b)))[1]  # 0 for a value that is not finite
+    rows = [transfer_derivative_forms(ch, rate, scale=scale) for rate in (None, 0.0)]
+    return np.concatenate(rows), scale
 
 
 def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
-    """``(Q, terms, outer)`` for ``m`` cells of one kind, ``Q`` and ``terms``
-    ``(m, 3, 3)``: cell ``i`` has objective ``outer(w @ Q[i] @ w)``, and
+    """``(Q, terms, outer, exponents)`` for ``m`` cells of one kind, ``Q`` and
+    ``terms`` ``(m, 3, 3)`` and ``exponents`` ``(m,)`` even integers: cell
+    ``i`` has objective ``outer(2^exponents[i] w @ Q[i] @ w)``, and
     ``terms[i]`` holds the sums of the absolute values of the terms summed
     into ``Q[i]``.  ``outer`` is ``float``, :func:`_root` or ``abs``.
     ``sources[i]`` is cell ``i``'s :class:`DeltaFamily` and its
     ``quadratic_forms(absolute=True)`` for the family kinds, whose own forms
-    are stacked, else its :func:`_transfer_rows`;
-    ``input_moments`` is the input's :func:`moment_set` for ``mu4_x`` and
-    ``mu4_p``.  Each row is the elementwise arithmetic of its own cell, so
-    its bits do not depend on the cells built with it.
+    are stacked with exponent 0, else its :func:`_transfer_rows`, whose scale
+    gives the exponent: ``4 scale`` for ``kappa4_transfer``, of degree 4 in
+    (a, b), and ``2 scale`` for the other transfer kinds.  ``input_moments`` is
+    the input's :func:`moment_set` for ``mu4_x`` and ``mu4_p``.  Each row is
+    the elementwise arithmetic of its own cell, so its bits do not depend on
+    the cells built with it.
     """
     if kind in _FAMILY_KINDS:  # forms[0] is the Gram matrix
         i = _FAMILY_KINDS.index(kind) + 1
         Q = np.array([family.forms[i] for family, _ in sources])
         terms = np.array([terms[i] for _, terms in sources])
-        return Q, terms, float if kind == "one_minus_fidelity" else _root
+        return Q, terms, float if kind == "one_minus_fidelity" else _root, np.zeros(len(Q), int)
 
-    d1, d2, dp1, dp2 = np.array(sources).swapaxes(0, 1)
+    d1, d2, dp1, dp2 = np.array([rows for rows, _ in sources]).swapaxes(0, 1)
+    scales = np.array([scale for _, scale in sources])
     if kind == "kappa4_transfer":  # 12 (P''(0) - P'(0)^2): exp(-e u) leaves log F past u^1
         square = dp1[:, :, None] * dp1[:, None, :]
         Q = 12.0 * (sym(dp2, ONE) - square)
         terms = 12.0 * (sym(np.abs(dp2), ONE) + np.abs(square))
-        return Q, terms, float
+        return Q, terms, float, 4 * scales
     if kind in ("mu4_x", "mu4_p"):  # mu4 + 6 g^2 var mu2, mu4 = 12 F''(0), mu2 = -2 F'(0)
         var = gain * gain * (
             input_moments.x2_central if kind == "mu4_x" else input_moments.p2_central
         )
+        d2 = np.ldexp(d2, 2 * scales[:, None])  # F''(0) at the 4^-scale of F'(0)
         line, terms = 12.0 * d2 - 12.0 * var * d1, 12.0 * np.abs(d2) + 12.0 * abs(var) * np.abs(d1)
-        return sym(line, ONE), sym(terms, ONE), abs
+        return sym(line, ONE), sym(terms, ONE), abs, 2 * scales
     # x2 = -2 F'(0); n_transfer = -F'(0) = x2 / 2, and resource_closed_forms.n_ab
     # = -F'(0) - 1 differs by a constant, so the minimizer is shared.
     line = (-1.0 if kind == "n_transfer" else -2.0) * d1
-    return sym(line, ONE), sym(np.abs(line), ONE), float
+    return sym(line, ONE), sym(np.abs(line), ONE), float, 2 * scales
 
 
 def _trig(theta: float) -> np.ndarray:
@@ -182,26 +206,30 @@ def _trig(theta: float) -> np.ndarray:
     ])
 
 
-def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: np.ndarray):
-    """``(coef, errors)`` for the stacked ``Q`` and ``terms`` of :func:`_forms`.
+def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: np.ndarray,
+                  exponents: Sequence[int]):
+    """``(coef, errors)`` for the stacked ``Q`` and ``terms`` of :func:`_forms`,
+    row ``i`` of each ``2^-exponents[i]`` times its form (an even power).
 
     ``coef[i] = 2^-scale trig @ Q[i][_UPPER]``, the even ``scale`` bringing
     the row's largest term near 1: a power of two scales exactly and moves no
-    root, and a row of subnormal forms (r past about 354) keeps the digits
-    the root finder needs.  ``errors[i]`` is ``None``, an ``EvaluationError``
-    for a row whose unscaled coefficients are not all finite, or an
-    ``AccuracyError`` when the row's Delta-dependent coefficients lie within
-    the rounding of their largest terms.
+    root, and a row of subnormal forms keeps what digits are left for the
+    root finder.  ``errors[i]`` is ``None``, an ``EvaluationError`` for a row
+    whose unscaled coefficients (the form's, ``2^(scale + exponents[i])``
+    times ``coef[i]``) are not all finite, or an ``AccuracyError`` when the
+    row's Delta-dependent coefficients lie within the rounding of their
+    largest terms; its numbers are the form's.
     """
     Q = Q[:, _UPPER[0], _UPPER[1], None]
     terms = terms[:, _UPPER[0], _UPPER[1], None]
     scale = 2 * (np.frexp(terms[:, :, 0].max(axis=1))[1] // 2)  # 0 for a row that is 0 or not finite
     down = -scale[:, None, None]
+    up = scale + exponents
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is an error below
         # One matrix-vector product per row: the sums do not depend on the stack.
         coef = np.matmul(trig, np.ldexp(Q, down))[:, :, 0]
         rounding = _ROUNDING * np.max(np.matmul(np.abs(trig[1:]), np.ldexp(terms, down))[:, :, 0], axis=1)
-        unscaled = np.ldexp(coef, scale[:, None])
+        unscaled = np.ldexp(coef, up[:, None])
     finite = np.isfinite(unscaled).all(axis=1)
     variation = np.max(np.abs(coef[:, 1:]), axis=1)
     flat = finite & (variation <= rounding)
@@ -211,8 +239,8 @@ def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: 
             f"objective {kinds[i]!r} has non-finite coefficients {unscaled[i]!r}"
         )
     for i in flat.nonzero()[0]:
-        varies = math.ldexp(variation[i], int(scale[i]))
-        rounds = math.ldexp(rounding[i], int(scale[i]))
+        varies = math.ldexp(variation[i], int(up[i]))
+        rounds = math.ldexp(rounding[i], int(up[i]))
         errors[i] = AccuracyError(
             f"objective {kinds[i]!r} varies over Delta by {varies:.3e}, within the "
             f"rounding {rounds:.3e} of its terms; no optimum can be certified",
@@ -339,10 +367,11 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
     r, up front, a failed build's error standing in for its value; the
     input's moments are read once, when a ``mu4`` kind has a built r.  The
     cells' forms then go through :func:`_coefficients` and :func:`_select`,
-    whose winning score is the value :func:`_record` records.  A cell's
-    error is the first of: its kind or input, its r (the channel, or the
-    family), the input's moments (``mu4_x``, ``mu4_p``), its form, its
-    value.  Any other exception than a ``CVTeleportError`` propagates.
+    whose winning score, times 2 to the form's exponent, is the value
+    :func:`_record` records.  A cell's error is the first of: its kind or
+    input, its r (the channel, or the family), the input's moments
+    (``mu4_x``, ``mu4_p``), its form, its value.  Any other exception than a
+    ``CVTeleportError`` propagates.
     """
     def attempt(f, *args):
         """``f(*args)``, or the ``CVTeleportError`` it raised."""
@@ -364,7 +393,7 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
     read = {"mu4_x", "mu4_p"}.intersection(valid) and any(
         not isinstance(rows, CVTeleportError) for rows in built[False].values())
     moments = attempt(moment_set, input) if read else None
-    outcomes, rows, Qs, terms = [], [], [], []  # rows: (kind, place, outer, family) per form
+    outcomes, rows, Qs, terms, exponents = [], [], [], [], []  # rows: (kind, place, outer, family)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is an error below
         for kind, check in zip(kinds, checks):
             if check is not None:
@@ -379,7 +408,7 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
             try:
                 if kind in ("mu4_x", "mu4_p") and isinstance(moments, CVTeleportError):
                     raise moments
-                Q, T, outer = _forms(kind, [outcomes[place] for place in kept], gain, moments)
+                Q, T, outer, E = _forms(kind, [outcomes[place] for place in kept], gain, moments)
             except CVTeleportError as exc:
                 for place in kept:
                     outcomes[place] = exc
@@ -387,12 +416,17 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
             rows += [(kind, place, outer, outcomes[place][0] if family else None) for place in kept]
             Qs.append(Q)
             terms.append(T)
+            exponents.append(E)
     if not rows:
         return outcomes
-    Q = np.concatenate(Qs)
-    coef, errors = _coefficients([row[0] for row in rows], Q, np.concatenate(terms), _trig(theta))
+    Q, exponents = np.concatenate(Qs), np.concatenate(exponents)
+    coef, errors = _coefficients(
+        [row[0] for row in rows], Q, np.concatenate(terms), _trig(theta), exponents
+    )
     solved = [i for i, error in enumerate(errors) if error is None]
     stars, values = _select(coef[solved], Q[solved], theta, [rows[i][2] for i in solved])
+    with np.errstate(over="ignore"):  # a value that overflows is an error in _record
+        values = np.ldexp(values, exponents[solved])  # rounds once, where it is subnormal
     for (_, place, _, _), error in zip(rows, errors):
         outcomes[place] = error
     for i, delta_star, value in zip(solved, stars, values):

@@ -229,7 +229,7 @@ def weighted_forms(w, Q) -> np.ndarray:
     return sum(w[..., i] * wq[..., i] for i in range(3))
 
 
-def transfer_basis(ch: Channel):
+def transfer_basis(ch: Channel, scale: int = 0):
     """The Delta-free split of the transfer function.
 
     Returns ``(rate, terms, coef)`` with
@@ -240,8 +240,16 @@ def transfer_basis(ch: Channel):
     the 3 x 3 matrix of their coefficients in ``u``:
     ``terms(u)[k] = sum_i coef[k, i] u^i``.  Only ``ch.resource.r`` and
     ``ch.gain`` enter.
+
+    A nonzero ``scale`` builds all three from ``(a 2^-scale, b 2^-scale)``, the
+    split in the variable ``u 4^scale``: the rate is ``4^-scale`` times the
+    unscaled one, and column ``i`` of ``coef`` ``4^(-i scale)`` times the
+    unscaled one, wherever both are normal.  With (a, b) scaled to size 1
+    nothing underflows, where unscaled ``a^2 b^2`` is subnormal at g = 1 from
+    r of about 177.
     """
     a, b = transfer_coefficients(ch)
+    a, b = math.ldexp(a, -scale), math.ldexp(b, -scale)
     a2, b2, ab = a * a, b * b, a * b
 
     def terms(u):

@@ -690,7 +690,8 @@ def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
 
 def _form(obj: Objective):
     """``(Q, terms, outer)`` of ``cvteleport.optimize._forms`` for the one cell
-    ``obj``; raises the errors of the form's source and of ``_forms``."""
+    ``obj``, ``Q`` and ``terms`` times ``2^exponent`` (exact where they are
+    normal); raises the errors of the form's source and of ``_forms``."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises later
         if obj.kind in _FAMILY_KINDS:
             family = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
@@ -698,7 +699,8 @@ def _form(obj: Objective):
         else:
             source = _transfer_rows(_channel(obj, 1.0))
         moments = moment_set(obj.input) if obj.kind in ("mu4_x", "mu4_p") else None
-        return _forms(obj.kind, [source], obj.gain, moments)
+        Q, terms, outer, (exponent,) = _forms(obj.kind, [source], obj.gain, moments)
+        return np.ldexp(Q, exponent), np.ldexp(terms, exponent), outer
 
 
 def _basis(delta) -> np.ndarray:
@@ -720,7 +722,7 @@ def trig_form(obj: Objective):
     errors of :func:`_form` and of ``_coefficients``."""
     Q, terms, outer = _form(obj)
     trig = _trig(obj.theta)
-    _, (error,) = _coefficients([obj.kind], Q, terms, trig)
+    _, (error,) = _coefficients([obj.kind], Q, terms, trig, [0])
     if error is not None:
         raise error
     return trig @ Q[0][_UPPER], outer

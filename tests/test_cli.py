@@ -30,7 +30,7 @@ from cvteleport import (
     teleport,
 )
 from cvteleport.optimize import closed_form_delta, sweep_r
-from conftest import DELTA2_OPT
+from conftest import DELTA2_OPT, DELTA4_OPT
 from oracles import (
     PhasePoint,
     PlaneConfig,
@@ -337,14 +337,14 @@ def test_sweep_with_flagged_cells_writes_its_records_rows(monkeypatch, capsys):
     """The kind, r and status Factors of a sweep write csv.writer's text of the
     records' rows, spelling each distinct kind and status once; its JSON is the
     same rows, with null where the CSV writes nan."""
-    kinds, r_grid = ["x2_transfer", "one_minus_fidelity"], [1.0, 400.0]
+    kinds, r_grid = ["x2_transfer", "frobenius"], [1.0, 10.0, 12.0]
     records = sweep_r(kinds, r_grid, input=CoherentInput(1.0))
     rows = [
         [rec.kind, rec.r, rec.delta_star, rec.objective_value,
          "ok" if rec.error is None else f"error: {rec.error}"]
         for rec in records
     ]
-    assert [row[4].startswith("error: AccuracyError") for row in rows] == [False, True] * 2
+    assert [row[4].startswith("error: AccuracyError") for row in rows] == [False] * 4 + [True] * 2
     names = ["kind", "r", "delta_star", "objective_value", "status"]
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows([names, *rows])
@@ -358,7 +358,7 @@ def test_sweep_with_flagged_cells_writes_its_records_rows(monkeypatch, capsys):
         return spell(value)
 
     monkeypatch.setattr(cli, "_csv_field", counted)
-    argv = ["sweep", "--kinds", ",".join(kinds), "--input", "coherent:1", "--r-grid", "1,400"]
+    argv = ["sweep", "--kinds", ",".join(kinds), "--input", "coherent:1", "--r-grid", "1,10,12"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out.split("\n", 1)[1] == expected.getvalue()
@@ -415,8 +415,10 @@ def test_uncertified_optimum_is_an_error_record(capsys):
 
 
 def test_subnormal_transfer_forms_print_their_optimum(capsys):
-    """At r = 355 the transfer forms are subnormal: the optimum is printed, with
-    no warning; the whole run used to end in one LinAlgError record."""
+    """At r = 355 the unscaled transfer forms are subnormal: the optimum is
+    printed, with no warning; the whole run used to end in one LinAlgError
+    record.  Past that, and for kappa4 from r of about 177, the forms built
+    from scaled (a, b) give the r-independent optimum to 4 ulp."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(["sweep", "--kinds", "x2_transfer,n_transfer",
@@ -429,10 +431,17 @@ def test_subnormal_transfer_forms_print_their_optimum(capsys):
         code, out, err = run_cli(["optimize", "--kind", "n_transfer", "--r", "355"], capsys)
         assert code == 0 and err == ""
         assert float(read_csv(out)[0]["delta_star"]) == pytest.approx(DELTA2_OPT, abs=4.5e-16)
-        code, out, _ = run_cli(["sweep", "--kinds", "x2_transfer,n_transfer",
-                                "--r-grid", "400"], capsys)
-        assert code == 0
-        assert all(row["status"].startswith("error: AccuracyError") for row in read_csv(out))
+        # Where the unscaled forms are 0 (r = 400) or keep a few digits (kappa4 from
+        # r = 182, n at 370), the scaled forms give the r-independent optimum.
+        cells = [(["--kinds", "x2_transfer,n_transfer", "--r-grid", "400"], DELTA2_OPT),
+                 (["--kinds", "kappa4_transfer", "--r-grid", "182,185,186,188"], DELTA4_OPT),
+                 (["--kinds", "n_transfer", "--input", "coherent:1", "--r-grid", "370"], DELTA2_OPT)]
+        for options, want in cells:
+            code, out, err = run_cli(["sweep", *options], capsys)
+            assert code == 0 and err == ""
+            for row in read_csv(out):
+                assert row["status"] == "ok", row
+                assert abs(float(row["delta_star"]) - want) <= 4 * math.ulp(want), row
 
 
 def test_transfer_surface(capsys):

@@ -8,6 +8,12 @@ either exits 0 with every number it prints finite (a sweep row flagged
 ``error:`` excepted), or exits 1 with exactly one JSON error record on
 standard error.  It never ends in a traceback; under ``python -X dev -W
 error`` a numpy warning is one, too.
+
+The option table parses a command line exactly as argparse does, or declines
+it: over command lines drawn from every flag, near-misses, help and ``--``,
+and values in both forms, its namespace is argparse's wherever it parses one,
+and it declines wherever argparse exits.  In a fresh interpreter the
+benchmark's jobs and the README's command lines never import argparse.
 """
 
 import contextlib
@@ -15,6 +21,11 @@ import csv
 import io
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +34,16 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cvteleport import errors  # noqa: E402
-from cvteleport.cli import _SURFACE_PRESETS, main  # noqa: E402
+from cvteleport.cli import (  # noqa: E402
+    _COMMANDS,
+    _COMMON,
+    _OPTIONS,
+    _SURFACE_PRESETS,
+    _flag_name,
+    _table_args,
+    build_parser,
+    main,
+)
 from cvteleport.optimize import OBJECTIVE_KINDS  # noqa: E402
 
 ERROR_TYPES = {
@@ -139,3 +159,105 @@ def test_every_command_line_prints_finite_numbers_or_one_error_record(argv):
             continue
         bad = [name for name, value in row.items() if _not_finite(value)]
         assert not bad, (argv, bad, row)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = tuple(_COMMANDS)
+# Every flag of every subcommand (so "--delta" beside "--delta-grid", and "--r-grid"
+# under optimize), abbreviations, single-dash spellings, help and "--".
+FLAGS = tuple(map(_flag_name, _OPTIONS)) + (
+    "--help", "-h", "--", "--delta-g", "--inp", "--r-", "-r", "--N-", "--format-",
+)
+VALUES = st.sampled_from([
+    "1", "0.5", "2.5", "24", "-1", "-0.0", "-1e-3", "", "inf", "nan", " 2", "1_0",
+    "x", "fock:1", "0.7:1:3", "-2:2:5", "1,2", "csv", "json", "xml", "x2_transfer",
+    "frobenius", "compare", "a=b", "--r", "-h",
+])
+
+
+@st.composite
+def table_argvs(draw):
+    """A subcommand (rarely something else) and up to five tokens, most of them
+    one of the subcommand's flags with its value after ``=`` or as the next
+    token; the rest any flag, a flag alone or a bare value."""
+    first = draw(st.sampled_from(COMMANDS * 9 + ("--help", "-h", "--", "x", "")))
+    own = tuple(map(_flag_name, _COMMANDS[first][2])) if first in _COMMANDS else FLAGS
+    argv = [first]
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(own * 9 + FLAGS))
+        form = draw(st.sampled_from(("separate", "equals") * 9 + ("alone", "value")))
+        value = draw(VALUES)
+        argv += {"separate": [flag, value], "equals": [f"{flag}={value}"],
+                 "alone": [flag], "value": [value]}[form]
+    return argv
+
+
+def _comparable(namespace) -> dict:
+    """``vars(namespace)``, a NaN value (``--delta nan``) spelled so it equals itself."""
+    return {k: "nan" if isinstance(v, float) and math.isnan(v) else v
+            for k, v in vars(namespace).items()}
+
+
+PARSER = build_parser()  # parse_args leaves it unchanged
+
+
+def _argparse_vars(argv):
+    """:func:`_comparable` of argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _comparable(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argv=table_argvs())
+def test_the_option_table_parses_as_argparse_or_declines(argv):
+    table, expected = _table_args(argv), _argparse_vars(argv)
+    if expected is None:
+        assert table is None, argv
+    if table is not None:
+        assert _comparable(table) == expected, argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_option_table_parses_every_option_of_a_subcommand(command):
+    """Each option of the subcommand once, alternating the two forms."""
+    argv = [command]
+    for k, name in enumerate(_COMMANDS[command][2] + _COMMON):
+        keywords = _OPTIONS[name][0]
+        if keywords.get("action") == "store_true":
+            argv.append(_flag_name(name))
+            continue
+        value = keywords.get("choices", ("3",) if "type" in keywords else ("-2:2",))[-1]
+        argv += [f"{_flag_name(name)}={value}"] if k % 2 else [_flag_name(name), value.lstrip("-")]
+    table = _table_args(argv)
+    assert table is not None and _comparable(table) == _argparse_vars(argv), argv
+
+
+def test_benchmark_jobs_and_readme_lines_never_import_argparse():
+    """Every job of perfbench/workloads.py and every ``cvteleport`` line of the
+    README, run through ``main`` in one fresh interpreter, exits 0 with
+    argparse never imported."""
+    readme = (ROOT / "README.md").read_text().splitlines()
+    lines = [shlex.split(line)[1:] for line in readme if line.startswith("cvteleport ")]
+    assert lines
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from workloads import WORKLOADS\n"
+        "from cvteleport.cli import main\n"
+        "argvs = [list(job) for w in WORKLOADS.values() for job in w.jobs] + json.loads(sys.argv[1])\n"
+        "codes = []\n"
+        "for argv in argvs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([len(argvs), codes, 'argparse' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(lines)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    count, codes, imported = json.loads(proc.stdout)
+    assert count > len(lines) and codes == [0] * count
+    assert not imported

@@ -175,46 +175,55 @@ def test_transfer_optima_print_their_value_to_rounding_near_a_zero():
 def test_flat_objective_raises(monkeypatch):
     one = np.array([1.0, 0.0, 1.0])
     flat = 3.25 * np.outer(one, one)  # w @ flat @ w = 3.25 at every Delta
-    monkeypatch.setattr(opt_mod, "_forms", lambda kind, *parts: (flat[None], flat[None], float))
+    monkeypatch.setattr(opt_mod, "_forms", lambda kind, *parts: (flat[None], flat[None], float, [0]))
     with pytest.raises(AccuracyError):
         opt_mod.minimize_delta(Objective(kind="x2_transfer", r=1.0))
 
 
-def test_subnormal_forms_give_an_optimum_or_a_flagged_cell():
-    """Past r = 354 the transfer forms are subnormal; scaled by a power of two
-    they keep the digits of Delta*.  By r = 400 they are 0: a flagged cell."""
+def test_subnormal_forms_give_their_optimum():
+    """At g = 1 the unscaled transfer forms are subnormal past r of about 177
+    (kappa4, ``a^2 b^2 = e^{-4r}``) and 354 (x2, n), and 0 by r = 400.  Built
+    from (a, b) scaled by a power of two they keep their digits: Delta*, which
+    does not depend on r, holds to 4 ulp up to r = 700.  The value is the
+    scaled score times that power of two, rounded once."""
+    r_grid = [177.0, 182.0, 185.0, 186.0, 188.0, 300.0, 354.0, 355.0, 370.0, 400.0, 700.0]
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        recs = sweep_r(["x2_transfer", "n_transfer", "kappa4_transfer"], [354.0, 355.0, 400.0])
+        recs = sweep_r(["x2_transfer", "n_transfer", "kappa4_transfer"], r_grid)
+    for rec in recs:
+        want = DELTA4_OPT if rec.kind == "kappa4_transfer" else DELTA2_OPT
+        assert rec.error is None and abs(rec.delta_star - want) <= 4 * math.ulp(want), rec
     cells = {(rec.kind, rec.r): rec for rec in recs}
     for kind in ("x2_transfer", "n_transfer"):
         low, high = cells[kind, 354.0], cells[kind, 355.0]
-        assert low.error is None and high.error is None
-        assert high.delta_star == pytest.approx(DELTA2_OPT, abs=TWO_ULP)
         assert 0.0 < high.objective_value < 1e-308
         # The objective falls like e^{-2r} at a fixed Delta*.
         assert high.objective_value / low.objective_value == pytest.approx(math.exp(-2.0), rel=1e-9)
-    for rec in recs:
-        if rec.r == 400.0 or rec.kind == "kappa4_transfer":
-            assert rec.error.startswith("AccuracyError") and math.isnan(rec.delta_star)
+        assert cells[kind, 400.0].objective_value == 0.0
+    # kappa4's optimum is negative: below the subnormal range it prints -0.0.
+    assert math.copysign(1.0, cells["kappa4_transfer", 188.0].objective_value) == -1.0
 
 
 @pytest.mark.parametrize("power", [-1070, -600, 600])
 def test_coefficients_and_their_errors_do_not_depend_on_a_power_of_two(power):
     """Forms scaled by 2^power give the same coefficients, the power taken
-    into their scale, and AccuracyError messages with the unscaled numbers."""
+    into their scale, and AccuracyError messages with the scaled numbers, or
+    with the unscaled ones where the power is passed as the forms' exponent."""
     one = np.array([1.0, 0.0, 1.0])
     flat = 3.25 * np.outer(one, one)
     flat[0, 0] += 1e-15  # varies, but within the rounding of its terms
     channel = Channel(SqueezedBellResource(1.0, 0.4, 1.0), gain=1.0)
-    Q, terms, _ = opt_mod._forms("x2_transfer", [opt_mod._transfer_rows(channel)], 1.0, None)
+    Q, terms, _, _ = opt_mod._forms("x2_transfer", [opt_mod._transfer_rows(channel)], 1.0, None)
     Q, terms = np.concatenate([flat[None], Q]), np.concatenate([flat[None], terms])
     kinds, trig = ["x2_transfer"] * 2, opt_mod._trig(0.4)
-    coef, errors = opt_mod._coefficients(kinds, Q, terms, trig)
+    coef, errors = opt_mod._coefficients(kinds, Q, terms, trig, [0, 0])
     with np.errstate(under="ignore"):  # 2^-1070 leaves the forms subnormal
         scaled = np.ldexp(Q, power), np.ldexp(terms, power)
-    coef2, errors2 = opt_mod._coefficients(kinds, *scaled, trig)
+    coef2, errors2 = opt_mod._coefficients(kinds, *scaled, trig, [0, 0])
+    coef3, errors3 = opt_mod._coefficients(kinds, *scaled, trig, [-power, -power])
+    assert (coef3 == coef2).all()
     if power > -1000:  # the subnormal forms lost digits
         assert (coef2 == coef).all()
+        assert str(errors3[0]) == str(errors[0]) and errors3[0].estimate == errors[0].estimate
     assert errors[1] is None and errors2[1] is None
     flat_error, flat_error2 = errors[0], errors2[0]
     assert isinstance(flat_error2, AccuracyError)
@@ -231,7 +240,7 @@ def test_constant_objective_tie_breaks_to_zero(monkeypatch):
     obj = Objective(kind="x2_transfer", r=1.0)
     # w @ Q @ w = -Delta^4 + 6 Delta^2 (1 - Delta^2) - (1 - Delta^2)^2 = -cos 2t
     Q = np.array([[-1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, -1.0]])
-    form = (Q[None], np.abs(Q)[None], float)
+    form = (Q[None], np.abs(Q)[None], float, [0])
     assert (opt_mod._trig(obj.theta) @ Q[np.triu_indices(3)]).tolist() == [0.0, 0.0, 0.0, -1.0, 0.0]
     monkeypatch.setattr(opt_mod, "_forms", lambda kind, *parts: form)
     rec = opt_mod.minimize_delta(obj)
@@ -243,7 +252,7 @@ def test_non_finite_objective_raises(monkeypatch):
     obj = Objective(kind="x2_transfer", r=1.0)
     form = np.eye(3)
     form[0, 2] = form[2, 0] = float("nan")
-    stacked = (form[None], np.abs(form)[None], float)
+    stacked = (form[None], np.abs(form)[None], float, [0])
     monkeypatch.setattr(opt_mod, "_forms", lambda kind, *parts: stacked)
     with pytest.raises(EvaluationError, match="non-finite"):
         opt_mod.minimize_delta(obj)
@@ -675,15 +684,15 @@ def test_sweep_reads_each_rs_transfer_derivative_forms_once(monkeypatch):
     """Once per r and per rate: the transfer function's own, and 0."""
     calls = []
 
-    def counting(ch, *args):
-        calls.append((ch.resource.r, *args))
-        return transfer_derivative_forms(ch, *args)
+    def counting(ch, rate, *, scale):
+        calls.append((ch.resource.r, rate))
+        return transfer_derivative_forms(ch, rate, scale=scale)
 
     monkeypatch.setattr(opt_mod, "transfer_derivative_forms", counting)
     kinds = ["x2_transfer", "kappa4_transfer", "n_transfer", "mu4_x", "mu4_p"]
     records = sweep_r(kinds, [0.5, 1.0, 2.0], input=FockInput(1))
     assert all(rec.error is None for rec in records)
-    assert calls == [(r, *rate) for r in (0.5, 1.0, 2.0) for rate in ((), (0.0,))]
+    assert calls == [(r, rate) for r in (0.5, 1.0, 2.0) for rate in (None, 0.0)]
 
 
 def test_sweep_builds_one_family_per_r(monkeypatch):
