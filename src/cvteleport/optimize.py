@@ -14,17 +14,21 @@ lower end.  Ties go to the smaller Delta.
 
 One solve, :func:`_solve`, takes a kinds x r grid as one array problem.  It
 builds each r's transfer-derivative forms and Delta family once, up front,
-and each kind's ``Q`` for all r in one stacked pass, :func:`_forms`.  The
-transfer forms are built from the channel's (a, b) scaled by a power of two
-to size 1, so no r leaves them subnormal; the printed value is the score
-times that power, rounded once.  The solve maps the forms to coefficients
-in one product, finds every cell's roots in one stacked eigenvalue solve of
-companion matrices with Newton steps, and scores every
-candidate once, as ``outer(w @ Q @ w)`` at its Delta weights, not as ``g``,
-whose coefficients of size 1 cancel near a transfer kind's zero.  The
-winner's score is the value printed for every kind.  A family kind's ``Q`` is
-its :class:`~cvteleport.photonstats.DeltaFamily`'s own form, so that value is
-the column ``compare`` prints at Delta*, bit for bit.
+the family with its forms' rounding terms from the same forms pass, and each
+kind's ``Q`` for all r in one stacked pass, :func:`_forms`.  The transfer
+forms are built from the channel's (a, b) scaled by a power of two to size
+1, so no r leaves them subnormal; the printed value is the score times that
+power, rounded once.  The solve maps the forms to coefficients in one
+product, finds every cell's roots in one stacked eigenvalue solve of
+companion matrices with Newton steps on flat arrays, and scores every
+candidate once, in one table, as ``outer(w @ Q @ w)`` at its Delta weights,
+not as ``g``, whose coefficients of size 1 cancel near a transfer kind's
+zero.  The winner's score is the value printed for every kind.  A family
+kind's ``Q`` is its :class:`~cvteleport.photonstats.DeltaFamily`'s own form,
+so that value is the column ``compare`` prints at Delta*, bit for bit; the
+winners of one family's cells pass ``compare``'s checks in one check pass, at
+the weight rows they were scored at.  Overflow and invalid values are ignored
+once for the whole solve: a value that is not finite is an error of its cell.
 :func:`minimize_delta` is its one-cell call, which raises the cell's error;
 :func:`sweep_r` its grid call, which records each cell's error.
 
@@ -44,7 +48,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, CVTeleportError, EvaluationError, InvalidArgumentError
+from .errors import (
+    AccuracyError,
+    ConsistencyError,
+    CVTeleportError,
+    EvaluationError,
+    InvalidArgumentError,
+)
 from .moments import moment_set, transfer_derivative_forms
 from .photonstats import delta_family
 from .states import (
@@ -154,9 +164,9 @@ def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
     ``i`` has objective ``outer(2^exponents[i] w @ Q[i] @ w)``, and
     ``terms[i]`` holds the sums of the absolute values of the terms summed
     into ``Q[i]``.  ``outer`` is ``float``, :func:`_root` or ``abs``.
-    ``sources[i]`` is cell ``i``'s :class:`DeltaFamily` and its
-    ``quadratic_forms(absolute=True)`` for the family kinds, whose own forms
-    are stacked with exponent 0, else its :func:`_transfer_rows`, whose scale
+    ``sources[i]`` is cell ``i``'s :class:`DeltaFamily`, built with its
+    rounding terms, for the family kinds, whose own forms and terms are
+    stacked with exponent 0, else its :func:`_transfer_rows`, whose scale
     gives the exponent: ``4 scale`` for ``kappa4_transfer``, of degree 4 in
     (a, b), and ``2 scale`` for the other transfer kinds.  ``input_moments`` is
     the input's :func:`moment_set` for ``mu4_x`` and ``mu4_p``.  Each row is
@@ -165,8 +175,8 @@ def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
     """
     if kind in _FAMILY_KINDS:  # forms[0] is the Gram matrix
         i = _FAMILY_KINDS.index(kind) + 1
-        Q = np.array([family.forms[i] for family, _ in sources])
-        terms = np.array([terms[i] for _, terms in sources])
+        Q = np.array([family.forms[i] for family in sources])
+        terms = np.array([family.terms[i] for family in sources])
         return Q, terms, float if kind == "one_minus_fidelity" else _root, np.zeros(len(Q), int)
 
     d1, d2, dp1, dp2 = np.array([rows for rows, _ in sources]).swapaxes(0, 1)
@@ -218,27 +228,28 @@ def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: 
     whose unscaled coefficients (the form's, ``2^(scale + exponents[i])``
     times ``coef[i]``) are not all finite, or an ``AccuracyError`` when the
     row's Delta-dependent coefficients lie within the rounding of their
-    largest terms; its numbers are the form's.
+    largest terms; its numbers are the form's.  Its caller ignores overflow
+    and invalid values around it: a row they touch is an error above.
     """
     Q = Q[:, _UPPER[0], _UPPER[1], None]
     terms = terms[:, _UPPER[0], _UPPER[1], None]
-    scale = 2 * (np.frexp(terms[:, :, 0].max(axis=1))[1] // 2)  # 0 for a row that is 0 or not finite
+    scale = np.frexp(terms.max(axis=(1, 2)))[1] & -2  # even; 0 for a row that is 0 or not finite
     down = -scale[:, None, None]
+    # One matrix-vector product per row: the sums do not depend on the stack.
+    coef = np.matmul(trig, np.ldexp(Q, down))[:, :, 0]
+    rounding = _ROUNDING * np.matmul(np.abs(trig[1:]), np.ldexp(terms, down)).max(axis=(1, 2))
     up = scale + exponents
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is an error below
-        # One matrix-vector product per row: the sums do not depend on the stack.
-        coef = np.matmul(trig, np.ldexp(Q, down))[:, :, 0]
-        rounding = _ROUNDING * np.max(np.matmul(np.abs(trig[1:]), np.ldexp(terms, down))[:, :, 0], axis=1)
-        unscaled = np.ldexp(coef, up[:, None])
+    unscaled = np.ldexp(coef, up[:, None])
     finite = np.isfinite(unscaled).all(axis=1)
-    variation = np.max(np.abs(coef[:, 1:]), axis=1)
-    flat = finite & (variation <= rounding)
+    variation = np.abs(coef[:, 1:]).max(axis=1)
     errors = [None] * len(kinds)
+    if (finite & (variation > rounding)).all():  # the common case: no row fails
+        return coef, errors
     for i in (~finite).nonzero()[0]:
         errors[i] = EvaluationError(
             f"objective {kinds[i]!r} has non-finite coefficients {unscaled[i]!r}"
         )
-    for i in flat.nonzero()[0]:
+    for i in (finite & (variation <= rounding)).nonzero()[0]:
         varies = math.ldexp(variation[i], int(up[i]))
         rounds = math.ldexp(rounding[i], int(up[i]))
         errors[i] = AccuracyError(
@@ -251,6 +262,17 @@ def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: 
 
 # The derivative's coefficients are the quartic's times these, as in np.polyder.
 _SLOPE = np.arange(4, 0, -1)
+# The companion matrix of a monic polynomial of degree m, 1 <= m <= 4, but its first row.
+_COMPANIONS = {m: np.eye(m, k=-1, dtype=complex)[None] for m in range(1, 5)}
+
+
+def _eigenvalues(p: np.ndarray) -> np.ndarray:
+    """``(n, m)``: the roots of each row of ``p`` ``(n, m + 1)``, a polynomial
+    whose leading coefficient is not 0, as ``np.roots`` finds them: the
+    eigenvalues of its companion matrix, in one stacked call."""
+    companion = _COMPANIONS[p.shape[1] - 1].repeat(len(p), axis=0)
+    companion[:, 0] = -p[:, 1:] / p[:, :1]
+    return np.linalg.eigvals(companion)
 
 
 def _interior_roots(quartics: np.ndarray) -> tuple:
@@ -261,98 +283,121 @@ def _interior_roots(quartics: np.ndarray) -> tuple:
 
     As in ``np.roots``, a row's zero leading and trailing coefficients are
     stripped (a zero trailing coefficient is a root at 0) and the remaining
-    roots are the eigenvalues of its companion matrix; the rows of one shape
-    take one stacked eigenvalue call.  Three Newton steps on the full quartic
-    then polish the roots with ``0.5 < |z| < 2``: a near-zero leading
-    coefficient (``g`` almost free of ``cos 2t, sin 2t``) leaves the
-    eigenvalues inexact near the unit circle.  ``P'`` is the derivative the
-    last step evaluated.
+    roots are the eigenvalues of its companion matrix (:func:`_eigenvalues`);
+    the rows of one shape take one stacked eigenvalue call, and when all rows
+    share one shape, the common case of a one-cell solve, that call takes
+    them with no row mask.  Three Newton steps on the full quartic then
+    polish the roots with ``0.5 < |z| < 2``: a near-zero leading coefficient
+    (``g`` almost free of ``cos 2t, sin 2t``) leaves the eigenvalues inexact
+    near the unit circle.  Each step runs Horner's rule, ``y = y * z + c`` from
+    ``y = 0`` as ``np.polyval`` does, on one flat array holding every root's
+    quartic and derivative.  ``P'`` is the derivative the last step
+    evaluated.
     """
     n = len(quartics)
     nonzero = np.ones((n, 6), dtype=bool)  # a zero row leads at 5: no roots
     nonzero[:, :5] = quartics != 0
     lead, trail = nonzero.argmax(axis=1), nonzero[:, 4::-1].argmax(axis=1)
+    shapes = set(zip(lead.tolist(), trail.tolist()))
     z = np.zeros((n, 4), complex)  # stripped and trailing roots stay 0
-    for lo, hi in set(zip(lead.tolist(), trail.tolist())):
-        m = 4 - lo - hi
-        if m > 0:
-            rows = (lead == lo) & (trail == hi)
-            p = quartics[rows, lo:5 - hi]
-            companion = np.repeat(np.eye(m, k=-1, dtype=complex)[None], len(p), axis=0)
-            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-            z[rows, :m] = np.linalg.eigvals(companion)
-    annulus = (np.abs(z) > 0.5) & (np.abs(z) < 2.0)
-    # Horner, as in np.polyval, on the quartic (rows :n) and its derivative (rows n:) at once.
-    columns = np.zeros((5, 2 * n, 1), complex)
-    columns[:, :n, 0] = quartics.T
-    columns[1:, n:, 0] = (quartics[:, :-1] * _SLOPE).T
+    for lo, hi in shapes:
+        if lo + hi < 4:  # one shape, the common case, needs no row mask
+            rows = slice(None) if len(shapes) == 1 else (lead == lo) & (trail == hi)
+            z[rows, :4 - lo - hi] = _eigenvalues(quartics[rows, lo:5 - hi])
+    z = z.ravel()  # root k of row i at 4 i + k
+    size = np.abs(z)
+    annulus = (size > 0.5) & (size < 2.0)
+    # Each root's quartic (the first 4 n places) and derivative (the last 4 n), one
+    # flat array per coefficient, so each Horner step is one product and one sum.
+    columns = np.zeros((5, 2, n), complex)
+    columns[:, 0] = quartics.T
+    columns[1:, 1] = (quartics[:, :-1] * _SLOPE).T
+    columns = columns.repeat(4, axis=2).reshape(5, 8 * n)
     for _ in range(3):
-        zz = np.concatenate([z, z])
-        y = np.zeros((2 * n, 4), complex)
+        at = np.concatenate((z, z))
+        y = np.zeros(8 * n, complex)
         for column in columns:
-            y = y * zz + column
-        value, dz = y[:n], y[n:]
-        z = z - np.divide(value, dz, out=np.zeros((n, 4), complex), where=annulus & (dz != 0))
-    t = np.angle(z)
-    interior = annulus & (np.abs(np.abs(z) - 1.0) <= _ROOT_TOL)
+            y = y * at + column
+        value, dz = y[:4 * n], y[4 * n:]
+        z = z - np.divide(value, dz, out=np.zeros(4 * n, complex), where=annulus & (dz != 0))
+    t = np.arctan2(z.imag, z.real)  # np.angle
+    interior = np.abs(np.abs(z) - 1.0) <= _ROOT_TOL  # so in the annulus, and polished
     interior &= (t > _ROOT_TOL) & (t < math.pi - _ROOT_TOL)
-    curvature = np.divide(dz, zz[:n], out=np.full((n, 4), np.nan, complex), where=interior)
-    return np.where(interior, np.cos(0.5 * t), np.nan), -curvature.real
+    curvature = np.divide(dz, at[:4 * n], out=np.full(4 * n, np.nan, complex), where=interior)
+    deltas = np.where(interior, np.cos(0.5 * t), np.nan)
+    return deltas.reshape(n, 4), -curvature.real.reshape(n, 4)
 
 
 _ENDS = np.array([0.0, 1.0])
 
 
 def _select(coef: np.ndarray, Q: np.ndarray, theta: float, outers: Sequence) -> tuple:
-    """``(delta_star, value)`` for every row of ``coef`` ``(n, 5)``, row ``i``
+    """``(delta_star, value, w)`` for every row of ``coef`` ``(n, 5)``, row ``i``
     the coefficients of ``g = w @ Q[i] @ w`` and its objective
-    ``outers[i](g)``.
+    ``outers[i](g)``; ``w[i]`` is the :func:`delta_weight_rows` row of
+    ``delta_star[i]``.
 
     The candidates come from the coefficients: the interior local minima of
     ``g``, for ``outer = abs`` also its interior maxima below 0 and its
-    zeros, and without any of these the two ends.  Each candidate is scored
-    as ``outer(w @ Q[i] @ w)`` at its :func:`delta_weight_rows`, the value
-    printed.  The lowest score wins; ties go to the smaller Delta.
+    zeros, and without any of these the two ends.  One table holds every
+    row's candidates, NaN in its empty places, and their weight rows, with
+    columns for the ``abs`` rows' zeros only when there are such rows.  Each
+    candidate is scored once, as ``outer(w @ Q[i] @ w)`` at its weight row,
+    the value printed; an empty place scores NaN and is never taken.  The
+    lowest taken score wins, read in one masked minimum; ties go to the
+    smaller Delta.  The winner's weight row is returned with it, so the
+    family checks (:func:`_solve`) run at the weights it was scored at.
     """
     n = len(coef)
+    dips = [i for i, outer in enumerate(outers) if outer is abs]
     # g = a0 + Re(u1 z + u2 z^2) at z = e^{it}; z^2 g'(t) / i and z^2 g(t) are quartics in z.
-    a0, u1, u2 = coef[:, 0], coef[:, 1] - 1j * coef[:, 2], coef[:, 3] - 1j * coef[:, 4]
-    dips = np.array([outer is abs for outer in outers], dtype=bool)
-    quartics = np.zeros((n, 5), complex)
-    quartics[:, 0], quartics[:, 1] = u2, u1 / 2
-    quartics[:, 3], quartics[:, 4] = -u1.conj() / 2, -u2.conj()
-    if dips.any():
-        zeros = np.stack([u2 / 2, u1 / 2, a0, u1.conj() / 2, u2.conj() / 2], axis=1)
-        quartics = np.concatenate([quartics, zeros[dips]])
+    u = coef[:, 1::2] - 1j * coef[:, 2::2]  # u1, u2
+    v = -u.conj()
+    quartics = np.zeros((n + len(dips), 5), complex)
+    quartics[:n, 0], quartics[:n, 1] = u[:, 1], u[:, 0] / 2
+    quartics[:n, 3], quartics[:n, 4] = v[:, 0] / 2, v[:, 1]
+    if dips:  # u2 / 2, u1 / 2, a0, conj(u1) / 2, conj(u2) / 2
+        quartics[n:, 1::-1], quartics[n:, 2] = u[dips] / 2, coef[dips, 0]
+        quartics[n:, 3:] = u[dips].conj() / 2
     roots, curvature = _interior_roots(quartics)
     # Columns: the stationary points, the zeros of g (for |g|), the ends.
-    deltas = np.full((n, 10), np.nan)
-    deltas[:, :4], deltas[:, 8:] = roots[:n], _ENDS
-    deltas[dips, 4:8] = roots[n:]
+    deltas = np.empty((n, 10 if dips else 6))
+    deltas[:, :4], deltas[:, -2:] = roots[:n], _ENDS
+    taken = np.empty(deltas.shape, dtype=bool)
+    if dips:
+        deltas[:, 4:8] = np.nan
+        deltas[dips, 4:8] = roots[n:]
+        taken[:, 4:8] = deltas[:, 4:8] == deltas[:, 4:8]  # not NaN
+    w = delta_weight_rows(deltas, theta).reshape(deltas.shape + (3,))
+    g = weighted_forms(w, Q[:, None])
+    curvature = curvature[:n]  # NaN, so not taken, where there is no root
+    if dips:
+        curvature[dips] *= np.sign(g[dips, :4])  # |g| has a minimum where g < 0 has a maximum
+    taken[:, :4] = curvature > 0
+    taken[:, -2:] = ~taken[:, :-2].any(axis=1, keepdims=True)
+    stop = 0
+    for outer, run in itertools.groupby(outers):  # a kind's rows are one run
+        start, stop = stop, stop + len(list(run))
+        if outer is not float:
+            g[start:stop] = outer(g[start:stop])
+    best = g.min(axis=1, where=taken, initial=np.inf)
+    tied = np.where(taken & (g == best[:, None]), deltas, np.inf)
+    winner = np.arange(n), tied.argmin(axis=1)
+    return tied[winner], best, w[winner]
 
-    taken = ~np.isnan(deltas)
-    w = delta_weight_rows(np.where(taken, deltas, 0.0), theta).reshape(n, 10, 3)
-    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is an error
-        g = weighted_forms(w, Q[:, None])
-    curvature = curvature[:n]
-    curvature[dips] *= np.sign(g[dips, :4])  # |g| has a minimum where g < 0 has a maximum
-    taken[:, :4] &= curvature > 0
-    taken[:, 8:] = ~taken[:, :8].any(axis=1, keepdims=True)
-    for outer in set(outers) - {float}:
-        same = np.array([o is outer for o in outers], dtype=bool)
-        g[same] = outer(g[same])
-    best = np.min(np.where(taken, g, np.inf), axis=1)
-    ties = taken & (g == best[:, None])
-    return np.min(np.where(ties, deltas, np.inf), axis=1), best
 
-
-def _record(kind: str, r: float, delta_star, value, family) -> OptimumRecord:
+def _record(kind: str, r: float, delta_star, value, family, failure) -> OptimumRecord:
     """The optimum of one cell, ``value`` the score it was ranked by: for a
     family kind the column ``compare`` prints at ``delta_star``, which must
-    pass its checks.  EvaluationError for a value that is not finite."""
+    lie in [0, 1] and pass its checks; ``failure`` is the message of the
+    first check it fails, from its family's one check pass, or None.
+    EvaluationError for a value that is not finite."""
     delta_star = float(delta_star)
     if family is not None:
-        family.measure_columns([delta_star])  # raises the first failed check
+        if not 0.0 <= delta_star <= 1.0:  # no winner: no score is a number
+            SqueezedBellResource(delta=delta_star, theta=family.theta, r=family.r)  # raises
+        if failure is not None:
+            raise ConsistencyError(failure)
     if not math.isfinite(value):
         raise EvaluationError(f"objective {kind!r} is not finite at Delta={delta_star!r}: {value!r}")
     return OptimumRecord(delta_star, float(value), r, kind)
@@ -363,15 +408,20 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
     :class:`OptimumRecord` or the ``CVTeleportError`` it raised.
 
     Each kind is checked once.  Each build that the valid kinds need,
-    :func:`_transfer_rows` or :func:`delta_family`, is made once per distinct
-    r, up front, a failed build's error standing in for its value; the
-    input's moments are read once, when a ``mu4`` kind has a built r.  The
-    cells' forms then go through :func:`_coefficients` and :func:`_select`,
-    whose winning score, times 2 to the form's exponent, is the value
-    :func:`_record` records.  A cell's error is the first of: its kind or
-    input, its r (the channel, or the family), the input's moments
-    (``mu4_x``, ``mu4_p``), its form, its value.  Any other exception than a
-    ``CVTeleportError`` propagates.
+    :func:`_transfer_rows` or :func:`delta_family` with its forms' rounding
+    terms, is made once per distinct r, up front, a failed build's error
+    standing in for its value; the input's moments are read once, when a
+    ``mu4`` kind has a built r.  The cells' forms then go through
+    :func:`_coefficients` and :func:`_select`, whose winning score, times 2
+    to the form's exponent, is the value :func:`_record` records; the winners
+    of each family's cells take one check pass,
+    :meth:`~cvteleport.photonstats.DeltaFamily.failed_checks`, at their
+    weight rows.  Overflow and invalid values are ignored, once, for the
+    whole pass: a value that is not finite is an error of its cell.  A cell's
+    error is the first of: its kind or input, its r (the channel, or the
+    family), the input's moments (``mu4_x``, ``mu4_p``), its form, its
+    Delta* (outside [0, 1], or failing a family check), its value.  Any
+    other exception than a ``CVTeleportError`` propagates.
     """
     def attempt(f, *args):
         """``f(*args)``, or the ``CVTeleportError`` it raised."""
@@ -382,8 +432,7 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
 
     def build(family: bool, r):
         if family:  # with its rounding terms, built once for every family kind
-            made = delta_family(input, r, theta, gain, n_photons)
-            return made, made.quadratic_forms(absolute=True)
+            return delta_family(input, r, theta, gain, n_photons, rounding=True)
         return _transfer_rows(Channel(SqueezedBellResource(1.0, theta, r), gain=gain))
 
     checks = [attempt(_check_kind, kind, input) for kind in kinds]  # None, or the kind's error
@@ -394,7 +443,7 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
         not isinstance(rows, CVTeleportError) for rows in built[False].values())
     moments = attempt(moment_set, input) if read else None
     outcomes, rows, Qs, terms, exponents = [], [], [], [], []  # rows: (kind, place, outer, family)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is an error below
+    with np.errstate(over="ignore", invalid="ignore"):
         for kind, check in zip(kinds, checks):
             if check is not None:
                 outcomes += [check] * len(r_grid)
@@ -413,26 +462,35 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
                 for place in kept:
                     outcomes[place] = exc
                 continue
-            rows += [(kind, place, outer, outcomes[place][0] if family else None) for place in kept]
+            rows += [(kind, place, outer, outcomes[place] if family else None) for place in kept]
             Qs.append(Q)
             terms.append(T)
             exponents.append(E)
-    if not rows:
-        return outcomes
-    Q, exponents = np.concatenate(Qs), np.concatenate(exponents)
-    coef, errors = _coefficients(
-        [row[0] for row in rows], Q, np.concatenate(terms), _trig(theta), exponents
-    )
-    solved = [i for i, error in enumerate(errors) if error is None]
-    stars, values = _select(coef[solved], Q[solved], theta, [rows[i][2] for i in solved])
-    with np.errstate(over="ignore"):  # a value that overflows is an error in _record
-        values = np.ldexp(values, exponents[solved])  # rounds once, where it is subnormal
+        if not rows:
+            return outcomes
+        Q, exponents = np.concatenate(Qs), np.concatenate(exponents)
+        coef, errors = _coefficients(
+            [row[0] for row in rows], Q, np.concatenate(terms), _trig(theta), exponents
+        )
+        solved = [i for i, error in enumerate(errors) if error is None]
+        if len(solved) < len(rows):
+            coef, Q, exponents = coef[solved], Q[solved], exponents[solved]
+        stars, values, weights = _select(coef, Q, theta, [rows[i][2] for i in solved])
+        values = np.ldexp(values, exponents)  # rounds once, where it is subnormal
+    # One check pass per family, over the winners of its cells at their weight rows.
+    cells = {}
+    for k, i in enumerate(solved):
+        if rows[i][3] is not None:
+            cells.setdefault(rows[i][3], []).append(k)
+    failures = {}
+    for family, ks in cells.items():
+        failures.update((ks[j], message) for j, message in family.failed_checks(weights[ks]).items())
     for (_, place, _, _), error in zip(rows, errors):
         outcomes[place] = error
-    for i, delta_star, value in zip(solved, stars, values):
+    for k, (i, delta_star, value) in enumerate(zip(solved, stars, values)):
         kind, place, _, family = rows[i]
         r = r_grid[place % len(r_grid)]
-        outcomes[place] = attempt(_record, kind, r, delta_star, value, family)
+        outcomes[place] = attempt(_record, kind, r, delta_star, value, family, failures.get(k))
     return outcomes
 
 

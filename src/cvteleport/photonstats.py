@@ -20,7 +20,8 @@ every ``P_n`` and the fidelity are linear in ``w``, and the output purity
 ``w^T G w``, ``D_N^2``, ``1 - F`` and the squared Frobenius distance are
 quadratic forms in ``w``.  :func:`delta_family` computes the ``(N+1) x 3``
 photon basis, the three fidelity overlaps, ``G`` and these forms once per
-(input, r, theta, gain, N); each Delta then costs O(N) arithmetic, and a
+(input, r, theta, gain, N), and for the optimizer their rounding terms in
+the same pass; each Delta then costs O(N) arithmetic, and a
 Delta grid is one array pass with a row per Delta
 (:meth:`DeltaFamily.measure_columns`), whose digits at a Delta do not depend
 on the grid.  The optimizer ranks Deltas by the same forms.
@@ -85,7 +86,8 @@ fills a 2-D grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -116,6 +118,9 @@ _SUM_SLACK = 1e-7
 D_N_UPPER = math.sqrt(2.0)
 # Slack of the Fock-diagonal Frobenius / D_N cross-check.
 _FROBENIUS_TOL = 1e-6
+# The sign of the forms' negative terms, and of those terms' absolute values.
+_SIGNS = np.array([[-1.0], [1.0]])
+_ONE_ONE = np.outer(ONE, ONE)
 
 
 @dataclass(frozen=True)
@@ -155,28 +160,40 @@ def _probability_checks(probs: np.ndarray) -> list:
     """The :class:`PhotonDistribution` checks on each row of ``probs``."""
     sums = probs.sum(axis=1)
     return [
-        (  # written as "not in range", so that NaN fails
-            ~((-_PROB_SLACK <= probs) & (probs <= 1.0 + _PROB_SLACK)).all(axis=1),
+        (  # written as "in range", so that NaN fails
+            ((-_PROB_SLACK <= probs) & (probs <= 1.0 + _PROB_SLACK)).all(axis=1),
             lambda j: f"photon probabilities outside [-{_PROB_SLACK}, 1+{_PROB_SLACK}]: "
             f"min={probs[j].min():.3e}, max={probs[j].max():.3e}",
         ),
-        (~(sums <= 1.0 + _SUM_SLACK), lambda j: f"photon probabilities sum to {float(sums[j])!r} > 1"),
+        (sums <= 1.0 + _SUM_SLACK, lambda j: f"photon probabilities sum to {float(sums[j])!r} > 1"),
     ]
 
 
-def _raise_first(checks: list):
-    """Raise :class:`ConsistencyError` for the first Delta that fails a check.
+def _failures(checks: list) -> dict:
+    """``{j: message}`` for each Delta ``j`` that fails a check, in order.
 
-    ``checks`` is a list of ``(failed, message)`` pairs in the order one
-    Delta is checked: ``failed`` marks the failing Deltas and
-    ``message(j)`` describes the failure at Delta ``j``.  Deltas are taken
-    in order, so the error is the one a Delta-by-Delta loop would raise
-    first.
+    ``checks`` is a list of ``(passed, message)`` pairs in the order one
+    Delta is checked: ``passed`` marks the Deltas that pass (a comparison
+    with NaN does not) and ``message(j)`` describes the failure at Delta
+    ``j``.  A Delta's message is that of the first check it fails, the one a
+    Delta-by-Delta loop would raise for it.
     """
-    failed = np.array([mask for mask, _ in checks])
-    if failed.any():
-        j = int(np.flatnonzero(failed.any(axis=0))[0])
-        raise ConsistencyError(checks[int(np.argmax(failed[:, j]))][1](j))
+    passed = checks[0][0]
+    for mask, _ in checks[1:]:
+        passed = passed & mask
+    if passed.all():
+        return {}
+    failed = ~np.array([mask for mask, _ in checks])
+    return {int(j): checks[int(np.argmax(failed[:, j]))][1](j)
+            for j in np.flatnonzero(failed.any(axis=0))}
+
+
+def _raise_first(checks: list):
+    """Raise :class:`ConsistencyError` for the first Delta that fails a check
+    (:func:`_failures`): the error a Delta-by-Delta loop would raise first."""
+    failures = _failures(checks)
+    if failures:
+        raise ConsistencyError(failures[min(failures)])
 
 
 @dataclass(frozen=True)
@@ -220,7 +237,10 @@ class DeltaFamily:
     ``P_out = photon_basis @ w``, ``F = fidelity_basis @ w`` and
     ``purity_out = w @ gram @ w``.  ``forms`` holds ``gram`` and the family
     objectives as forms in ``w`` (:meth:`quadratic_forms`), which ``compare``
-    and the optimizer both read.  Every Delta passes the
+    and the optimizer both read.  With ``rounding``, ``terms`` holds the sums
+    of the absolute values of their terms, the optimizer's rounding bounds,
+    built in the same pass as ``forms``; without it ``terms`` is None, and
+    ``compare`` builds none.  Every Delta passes the
     :class:`~cvteleport.states.SqueezedBellResource` range check, and photon
     distributions the :class:`PhotonDistribution` validation.
     """
@@ -233,21 +253,32 @@ class DeltaFamily:
     gram: np.ndarray
     purity_in: float
     p_in: PhotonDistribution
+    rounding: InitVar[bool] = False
     forms: np.ndarray = field(init=False)
+    terms: Optional[np.ndarray] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "forms", self.quadratic_forms())
+    def __post_init__(self, rounding: bool):
+        forms = self.quadratic_forms(rounding)
+        object.__setattr__(self, "forms", forms[0] if rounding else forms)
+        object.__setattr__(self, "terms", forms[1] if rounding else None)
 
-    def quadratic_forms(self, absolute: bool = False) -> np.ndarray:
+    def quadratic_forms(self, terms: bool = False) -> np.ndarray:
         """``(4, 3, 3)``: ``gram`` and the forms of ``D_N^2``, ``1 - F`` and
-        ``purity_in + purity_out - 2 F``, or with ``absolute`` the sums of the
-        absolute values of their terms.  ``P_in`` goes on the columns that sum
-        to 1 (``ONE @ w = 1``): no O(1) terms cancel in ``P_out - P_in``."""
-        part, sign = (np.abs, 1.0) if absolute else (np.asarray, -1.0)
-        gram, f = part(self.gram), part(self.fidelity_basis)
-        diff = part(self.photon_basis - np.outer(self.p_in.clamped(), ONE))
-        return np.array([gram, diff.T @ diff, sym(ONE + sign * f, ONE),
-                         gram + self.purity_in * np.outer(ONE, ONE) + sign * 2.0 * sym(f, ONE)])
+        ``purity_in + purity_out - 2 F``.  With ``terms``, ``(2, 4, 3, 3)``:
+        those forms and the sums of the absolute values of their terms (``+``
+        for ``-``), from one pass over the parts and their absolute values
+        stacked.  ``P_in`` goes on the columns that sum to 1 (``ONE @ w =
+        1``): no O(1) terms cancel in ``P_out - P_in``."""
+        gram, f = self.gram, self.fidelity_basis
+        diff = self.photon_basis - self.p_in.clamped()[:, None] * ONE
+        sign = _SIGNS[0]
+        if terms:
+            gram, f, diff = (np.array((part, np.abs(part))) for part in (gram, f, diff))
+            sign = _SIGNS
+        fidelity_line, fidelity_sym = sym(np.array((ONE + sign * f, f)), ONE)
+        forms = np.array((gram, diff.swapaxes(-1, -2) @ diff, fidelity_line,
+                          gram + self.purity_in * _ONE_ONE + (2.0 * sign)[..., None] * fidelity_sym))
+        return forms.swapaxes(0, 1) if terms else forms
 
     def _weights(self, deltas) -> np.ndarray:
         """``(D, 3)``: the :func:`~cvteleport.states.delta_weight_rows` of the grid.
@@ -291,21 +322,50 @@ class DeltaFamily:
         this holds the photon basis to the Gram moments.  The first Delta that
         fails a check raises, with the error a per-Delta loop would raise.
         """
-        w = self._weights(deltas)
+        fid, values, roots, checks = self._checked(self._weights(deltas))
+        _raise_first(checks)
+        pur_out, _, one_minus_fid, _ = values.T
+        _, d_n, _, frob = roots.T
+        return {
+            "d_n": d_n,
+            "fidelity": fid,
+            "one_minus_fidelity": one_minus_fid,
+            "frobenius": frob,
+            "purity_in": np.full(fid.shape, self.purity_in),
+            "purity_out": pur_out,
+        }
+
+    def failed_checks(self, w) -> dict:
+        """``{j: message}`` for each row ``j`` of weights ``w`` ``(D, 3)``, the
+        :func:`~cvteleport.states.delta_weight_rows` of Deltas in [0, 1], that
+        fails a :meth:`measure_columns` check: the message of the
+        :class:`~cvteleport.errors.ConsistencyError` that ``measure_columns``
+        raises for that Delta alone.  The optimizer checks the winners of one
+        family's cells in one pass, at the weight rows they were scored at,
+        and builds no columns."""
+        return _failures(self._checked(w)[-1])
+
+    def _checked(self, w) -> tuple:
+        """``(fidelity, values, roots, checks)`` at the weight rows ``w``:
+        ``values`` ``(D, 4)`` is ``forms`` at each row, ``roots`` the square
+        roots of their positive parts (``D_N`` and the Frobenius distance in
+        columns 1 and 3), and ``checks`` the :meth:`measure_columns` checks,
+        for :func:`_failures`."""
         probs = (w[:, :, None] * self.photon_basis.T).sum(axis=1)
         fid = (w * self.fidelity_basis).sum(axis=1)
-        pur_out, d_n2, one_minus_fid, frob2 = weighted_forms(w[:, None, :], self.forms).T
+        values = weighted_forms(w[:, None, :], self.forms)
+        roots = np.sqrt(np.maximum(values, 0.0))
+        pur_out, d_n, frob = values[:, 0], roots[:, 1], roots[:, 3]
         pur_in = self.purity_in
-        d_n, frob = np.sqrt(np.maximum(d_n2, 0.0)), np.sqrt(np.maximum(frob2, 0.0))
 
         checks = _probability_checks(probs) + [
             (
-                ~((-1e-9 <= d_n) & (d_n <= D_N_UPPER + 1e-9)),
+                (-1e-9 <= d_n) & (d_n <= D_N_UPPER + 1e-9),
                 lambda j: f"D_N={float(d_n[j])!r} outside [0, sqrt(2)]",
             ),
             # Cauchy-Schwarz bound; implies the purest-state upper bound on fidelity.
             (
-                ~(fid <= np.sqrt(np.maximum(pur_in * pur_out, 0.0)) + 1e-7),
+                fid <= np.sqrt(np.maximum(pur_in * pur_out, 0.0)) + 1e-7,
                 lambda j: f"fidelity {float(fid[j])!r} exceeds sqrt(purity_in * purity_out); "
                 "quadrature fault",
             ),
@@ -314,20 +374,12 @@ class DeltaFamily:
             beyond = np.maximum(1.0 - probs.sum(axis=1), 0.0) + self.p_in.truncation_mass_bound
             gap = frob * frob - d_n * d_n
             checks.append((
-                ~((-_FROBENIUS_TOL <= gap) & (gap <= beyond * beyond + _FROBENIUS_TOL)),
+                (-_FROBENIUS_TOL <= gap) & (gap <= beyond * beyond + _FROBENIUS_TOL),
                 lambda j: f"D_N={float(d_n[j])!r} and Frobenius={float(frob[j])!r} disagree "
                 "for a Fock-diagonal input by more than the photon mass past N; "
                 "quadrature or truncation fault",
             ))
-        _raise_first(checks)
-        return {
-            "d_n": d_n,
-            "fidelity": fid,
-            "one_minus_fidelity": one_minus_fid,
-            "frobenius": frob,
-            "purity_in": np.full(fid.shape, pur_in),
-            "purity_out": pur_out,
-        }
+        return fid, values, roots, checks
 
 
 # C(j, i) Gamma(i + 1/2) Gamma(j - i + 1/2) / pi, the weights of _gaussian_moments.
@@ -487,8 +539,10 @@ def delta_family(
     theta: float = 0.0,
     gain: float = 1.0,
     N: int = 24,
+    rounding: bool = False,
 ) -> DeltaFamily:
-    """Build the :class:`DeltaFamily` of one cell.
+    """Build the :class:`DeltaFamily` of one cell, with the rounding terms of
+    its forms if ``rounding``.
 
     Every input takes the Taylor coefficients of :func:`_photon_series`;
     coherent and squeezed inputs take closed-form overlaps, Fock states and
@@ -528,6 +582,7 @@ def delta_family(
         gram=gram,
         purity_in=input_purity(state),
         p_in=input_distribution(state, N),
+        rounding=rounding,
     )
 
 

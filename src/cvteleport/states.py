@@ -223,10 +223,12 @@ def sym(x, y) -> np.ndarray:
 def weighted_forms(w, Q) -> np.ndarray:
     """``w @ Q @ w`` for each row of weights ``w`` ``(..., 3)`` and its
     ``Q`` ``(..., 3, 3)``, broadcast.  Each sum runs over the three weights
-    of one row, left to right from 0 as ``np.sum`` adds three terms, so a
-    row's digits do not depend on the rows stacked with it."""
-    wq = sum(w[..., i, None] * Q[..., i, :] for i in range(3))
-    return sum(w[..., i] * wq[..., i] for i in range(3))
+    of one row, left to right, as ``np.sum`` adds three terms; the last
+    ``+ 0.0`` makes it the sum from 0, in which -0.0 terms sum to 0.0 (the
+    sign of a zero in ``Q @ w`` moves no other sum).  So a row's digits do
+    not depend on the rows stacked with it."""
+    wq = (w[..., :, None] * Q).sum(axis=-2)
+    return (w * wq).sum(axis=-1) + 0.0
 
 
 def transfer_basis(ch: Channel, scale: int = 0):

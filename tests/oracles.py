@@ -694,8 +694,7 @@ def _form(obj: Objective):
     normal); raises the errors of the form's source and of ``_forms``."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises later
         if obj.kind in _FAMILY_KINDS:
-            family = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)
-            source = family, family.quadratic_forms(absolute=True)
+            source = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons, rounding=True)
         else:
             source = _transfer_rows(_channel(obj, 1.0))
         moments = moment_set(obj.input) if obj.kind in ("mu4_x", "mu4_p") else None
@@ -722,7 +721,8 @@ def trig_form(obj: Objective):
     errors of :func:`_form` and of ``_coefficients``."""
     Q, terms, outer = _form(obj)
     trig = _trig(obj.theta)
-    _, (error,) = _coefficients([obj.kind], Q, terms, trig, [0])
+    with np.errstate(over="ignore", invalid="ignore"):  # as the optimizer runs it
+        _, (error,) = _coefficients([obj.kind], Q, terms, trig, [0])
     if error is not None:
         raise error
     return trig @ Q[0][_UPPER], outer

@@ -26,6 +26,7 @@ from cvteleport import (
 from cvteleport.cli import parse_state
 from cvteleport.moments import moment_set, transfer_derivative_forms
 from cvteleport.optimize import CLOSED_FORM_KINDS, OBJECTIVE_KINDS, OptimumRecord
+from cvteleport.photonstats import DeltaFamily
 from conftest import DELTA2_OPT, DELTA4_OPT, bisect_root
 from oracles import (
     _basis,
@@ -698,16 +699,73 @@ def test_sweep_reads_each_rs_transfer_derivative_forms_once(monkeypatch):
 def test_sweep_builds_one_family_per_r(monkeypatch):
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return delta_family(*args)
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return delta_family(*args, **kwargs)
 
     monkeypatch.setattr(opt_mod, "delta_family", counting)
     state = CoherentInput(2.12928)
     r_grid = [0.25, 1.0, 2.0, 2.5]
     records = sweep_r(["d_functional", "one_minus_fidelity", "frobenius"], r_grid, input=state)
     assert all(rec.error is None for rec in records)
-    assert calls == [(state, r, 0.0, 1.0, 24) for r in r_grid]
+    assert calls == [((state, r, 0.0, 1.0, 24), {"rounding": True}) for r in r_grid]
+
+
+def test_forms_and_rounding_terms_are_built_once_and_compare_builds_no_terms(monkeypatch):
+    """A sweep over the three family kinds builds each family's forms and
+    rounding terms in one pass per distinct r, and its check pass builds no
+    forms; compare's measure_columns reads forms that come without terms."""
+    calls = []
+    quadratic_forms = DeltaFamily.quadratic_forms
+
+    def counting(family, terms=False):
+        calls.append((family.r, terms))
+        return quadratic_forms(family, terms)
+
+    monkeypatch.setattr(DeltaFamily, "quadratic_forms", counting)
+    kinds = ["d_functional", "one_minus_fidelity", "frobenius"]
+    for state in (CoherentInput(2.12928), SqueezedVacuumInput(1.5), FockInput(1)):
+        calls.clear()
+        records = sweep_r(kinds, [0.5, 1.25, 0.5, 2.5, 1.25], input=state)
+        assert all(rec.error is None for rec in records)
+        assert calls == [(0.5, True), (1.25, True), (2.5, True)]
+    calls.clear()
+    family = delta_family(FockInput(1), 1.25)
+    family.measure_columns([0.75, 0.9, 1.0])
+    family.measures(0.9)
+    assert calls == [(1.25, False)] and family.terms is None
+    with_terms = delta_family(FockInput(1), 1.25, rounding=True)
+    assert (with_terms.forms == family.forms).all()
+    assert (with_terms.terms == family.quadratic_forms(True)[1]).all()
+
+
+def test_a_cell_whose_optimum_fails_a_check_records_compares_error(monkeypatch):
+    """The cells of one family are checked in one pass, each at its winner's
+    weight row: a cell whose Delta* fails a check records the ConsistencyError
+    that compare's measure_columns raises at that Delta alone, and the other
+    cells of the pass are solved as if unchecked."""
+    def broken(*args, **kwargs):  # a photon basis that overshoots near Delta = 1
+        family = delta_family(*args, **kwargs)
+        basis = family.photon_basis.copy()
+        basis[:, 0] *= 1.05
+        return dataclasses.replace(family, photon_basis=basis, rounding=True)
+
+    monkeypatch.setattr(opt_mod, "delta_family", broken)
+    kinds, r_grid = ["d_functional", "one_minus_fidelity", "frobenius"], [0.5, 2.5]
+    state = SqueezedVacuumInput(1.5)
+    records = sweep_r(kinds, r_grid, input=state)
+    monkeypatch.setattr(DeltaFamily, "failed_checks", lambda family, w: {})
+    unchecked = sweep_r(kinds, r_grid, input=state)
+    outcomes = {}
+    for rec, free in zip(records, unchecked):
+        try:
+            broken(state, free.r, 0.0, 1.0, 24).measure_columns([free.delta_star])
+        except ConsistencyError as exc:
+            assert rec.error == f"ConsistencyError: {exc}" and math.isnan(rec.delta_star)
+        else:
+            assert rec == free and rec.error is None
+        outcomes.setdefault(rec.r, set()).add(rec.error is None)
+    assert outcomes[0.5] == {True, False}  # one check pass, some cells failed
 
 
 def test_sweep_validates_grids():

@@ -1,15 +1,18 @@
-"""Property test of the exact Delta optimizer over random cells.
+"""Property tests of the exact Delta optimizer over random cells and random roots.
 
 The optimizer reads every objective as a degree-2 trigonometric polynomial
 in ``t = 2 arccos(Delta)``, built from a quadratic form in the Delta weights.
-The test holds that polynomial to the oracle, which evaluates each objective
-one Delta at a time from the moment tables and the Delta family, then checks
-that the optimum is a local minimum and never worse than the grid-scan
-reference minimizer.
+The first test holds that polynomial to the oracle, which evaluates each
+objective one Delta at a time from the moment tables and the Delta family,
+then checks that the optimum is a local minimum and never worse than the
+grid-scan reference minimizer.  The second draws stacks of coefficient rows
+and holds the stacked root finder to ``np.roots`` and ``np.polyval``, row by
+row and bit for bit.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -25,10 +28,11 @@ from cvteleport import (  # noqa: E402
     delta_family,
     minimize_delta,
 )
-from cvteleport.optimize import OBJECTIVE_KINDS  # noqa: E402
+from cvteleport.optimize import OBJECTIVE_KINDS, _interior_roots  # noqa: E402
 from oracles import (  # noqa: E402
     _basis,
     objective_parts,
+    reference_interior_roots,
     reference_minimize,
     trig_form,
     trig_objective,
@@ -108,3 +112,62 @@ def test_exact_optimum_is_a_local_minimum_no_worse_than_the_grid(
         # return a lower boundary value, which the documented rule does not.
         _, grid_value = reference_minimize(f)
         assert rec.objective_value <= grid_value + 1e-12 + rounding
+
+
+# A coefficient of g: 0, or of size 1e-3 to 1e3 of either sign.
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+_ROW = st.fixed_dictionaries({
+    "coef": st.lists(_COEFFICIENT, min_size=5, max_size=5),
+    # The cos 2t, sin 2t pair scaled down to where it rounds away beside the rest.
+    "decade": st.floats(-18.0, 0.0),
+    # Zero ends: none, the whole cos 2t, sin 2t pair, or sin 2t alone.
+    "ends": st.sampled_from(((), (3, 4), (4,))),
+    "zeros": st.booleans(),  # also stack the quartic of the zeros of g
+})
+
+
+def _stacked_quartics(rows) -> tuple:
+    """``(quartics, coef, stationary)``: each row's quartic of the stationary
+    points of g, ``z^2 g'(t) / i``, and for the rows that ask the quartic of
+    its zeros, ``z^2 g(t)``, of the form the optimizer builds, interleaved
+    in one stack; ``stationary`` marks the stationary rows."""
+    quartics, coefs, stationary = [], [], []
+    for row in rows:
+        coef = np.array(row["coef"])
+        coef[3:] *= 10.0 ** row["decade"]
+        coef[list(row["ends"])] = 0.0
+        a0, u1, u2 = coef[0], coef[1] - 1j * coef[2], coef[3] - 1j * coef[4]
+        quartics.append([u2, u1 / 2, 0.0, -u1.conjugate() / 2, -u2.conjugate()])
+        coefs.append(coef)
+        stationary.append(True)
+        if row["zeros"]:
+            quartics.append([u2 / 2, u1 / 2, a0, u1.conjugate() / 2, u2.conjugate() / 2])
+            coefs.append(coef)
+            stationary.append(False)
+    return np.array(quartics, dtype=complex), np.array(coefs), np.array(stationary)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=8))
+def test_stacked_roots_are_the_reference_roots_row_by_row(rows):
+    """Each row's roots are ``np.roots`` polished by ``np.polyval`` Newton
+    steps, exactly; at a stationary point the curvature has the sign of the
+    oracle's ``g''`` wherever that is clear of the roots' rounding; and a
+    row's roots and curvatures, to the bit, do not depend on the rows stacked
+    with it."""
+    quartics, coef, stationary = _stacked_quartics(rows)
+    deltas, curvature = _interior_roots(quartics)
+    assert deltas.shape == curvature.shape == (len(quartics), 4)
+    assert (np.isnan(deltas) == np.isnan(curvature)).all()
+    for i, quartic in enumerate(quartics):
+        found = deltas[i][~np.isnan(deltas[i])]
+        assert sorted(found.tolist()) == sorted(reference_interior_roots(quartic))
+        alone = _interior_roots(quartics[i:i + 1])
+        assert alone[0].tobytes() == deltas[i:i + 1].tobytes()
+        assert alone[1].tobytes() == curvature[i:i + 1].tobytes()
+        if stationary[i] and found.size:
+            # g''(t) = -(a1 cos t + b1 sin t) - 4 (a2 cos 2t + b2 sin 2t)
+            want = (_basis(found) * coef[i] * [0.0, -1.0, -1.0, -4.0, -4.0]).sum(axis=1)
+            clear = np.abs(want) > 1e-6 * 4.0 * np.abs(coef[i]).sum()
+            got = curvature[i][~np.isnan(deltas[i])]
+            assert (np.sign(got[clear]) == np.sign(want[clear])).all()
