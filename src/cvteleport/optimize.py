@@ -12,14 +12,16 @@ interior local minimum wins, even over a lower end (the fourth-order transfer
 cumulant's stationary minimum is the optimum of record); without one, the
 lower end.  Ties go to the smaller Delta.
 
-One solve, :func:`_solve`, takes a kinds x r grid as one array problem.  It
-builds each r's transfer-derivative forms and Delta family once, up front,
-the family with its forms' rounding terms from the same forms pass, and each
-kind's ``Q`` for all r in one stacked pass, :func:`_forms`.  The transfer
+One solve, :func:`_solve`, takes a kinds x r grid as one cell table: each
+(kind, r) cell holds its source, the r's transfer-derivative forms or Delta
+family, built once per distinct r, up front, or its first error.  The family
+comes with its forms' rounding terms from the same forms pass.  Each kind's
+live cells, those with no error yet, get their ``Q`` in one stacked pass,
+:func:`_forms`.  The transfer
 forms are built from the channel's (a, b) scaled by a power of two to size
 1, so no r leaves them subnormal; the printed value is the score times that
-power, rounded once.  The solve maps the forms to coefficients in one
-product, finds every cell's roots in one stacked eigenvalue solve of
+power, rounded once.  The solve maps all live cells' forms to coefficients
+in one product, finds every cell's roots in one stacked eigenvalue solve of
 companion matrices with Newton steps on flat arrays, and scores every
 candidate once, in one table, as ``outer(w @ Q @ w)`` at its Delta weights,
 not as ``g``, whose coefficients of size 1 cancel near a transfer kind's
@@ -221,8 +223,8 @@ def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: 
     """``(coef, errors)`` for the stacked ``Q`` and ``terms`` of :func:`_forms`,
     row ``i`` of each ``2^-exponents[i]`` times its form (an even power).
 
-    ``coef[i] = 2^-scale trig @ Q[i][_UPPER]``, the even ``scale`` bringing
-    the row's largest term near 1: a power of two scales exactly and moves no
+    ``coef[i] = 2^-scale trig @ Q[i][_UPPER]``, ``scale`` bringing the row's
+    largest term into [1/2, 1): a power of two scales exactly and moves no
     root, and a row of subnormal forms keeps what digits are left for the
     root finder.  ``errors[i]`` is ``None``, an ``EvaluationError`` for a row
     whose unscaled coefficients (the form's, ``2^(scale + exponents[i])``
@@ -233,7 +235,7 @@ def _coefficients(kinds: Sequence[str], Q: np.ndarray, terms: np.ndarray, trig: 
     """
     Q = Q[:, _UPPER[0], _UPPER[1], None]
     terms = terms[:, _UPPER[0], _UPPER[1], None]
-    scale = np.frexp(terms.max(axis=(1, 2)))[1] & -2  # even; 0 for a row that is 0 or not finite
+    scale = np.frexp(terms.max(axis=(1, 2)))[1]  # 0 for a row that is 0 or not finite
     down = -scale[:, None, None]
     # One matrix-vector product per row: the sums do not depend on the stack.
     coef = np.matmul(trig, np.ldexp(Q, down))[:, :, 0]
@@ -407,21 +409,23 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
     """For every cell of the ``kinds`` x ``r_grid`` grid, kind-major, its
     :class:`OptimumRecord` or the ``CVTeleportError`` it raised.
 
-    Each kind is checked once.  Each build that the valid kinds need,
+    One cell table holds each (kind, r) cell's source or its first error.
+    Each kind is checked once; each build that the valid kinds need,
     :func:`_transfer_rows` or :func:`delta_family` with its forms' rounding
-    terms, is made once per distinct r, up front, a failed build's error
-    standing in for its value; the input's moments are read once, when a
-    ``mu4`` kind has a built r.  The cells' forms then go through
-    :func:`_coefficients` and :func:`_select`, whose winning score, times 2
-    to the form's exponent, is the value :func:`_record` records; the winners
-    of each family's cells take one check pass,
+    terms, is made once per distinct r, keyed by (family, r), up front, a
+    failed build's error standing in for its value; the input's moments are
+    read once, when a valid ``mu4`` kind is present.  Each kind's live cells
+    then take one :func:`_forms` pass, and all live cells one
+    :func:`_coefficients` and one :func:`_select` pass, whose winning score,
+    times 2 to the form's exponent, is the value :func:`_record` records; the
+    winners of each family's cells take one check pass,
     :meth:`~cvteleport.photonstats.DeltaFamily.failed_checks`, at their
     weight rows.  Overflow and invalid values are ignored, once, for the
-    whole pass: a value that is not finite is an error of its cell.  A cell's
-    error is the first of: its kind or input, its r (the channel, or the
-    family), the input's moments (``mu4_x``, ``mu4_p``), its form, its
-    Delta* (outside [0, 1], or failing a family check), its value.  Any
-    other exception than a ``CVTeleportError`` propagates.
+    forms and the solve: a value that is not finite is an error of its cell.
+    A cell's error is the first of: its kind or input, its r (the channel, or
+    the family), the input's moments (``mu4_x``, ``mu4_p``), its form, its
+    Delta* (outside [0, 1], or failing a family check), its value.  Any other
+    exception than a ``CVTeleportError`` propagates.
     """
     def attempt(f, *args):
         """``f(*args)``, or the ``CVTeleportError`` it raised."""
@@ -435,63 +439,55 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
             return delta_family(input, r, theta, gain, n_photons, rounding=True)
         return _transfer_rows(Channel(SqueezedBellResource(1.0, theta, r), gain=gain))
 
+    n = len(r_grid)
     checks = [attempt(_check_kind, kind, input) for kind in kinds]  # None, or the kind's error
     valid = [kind for kind, check in zip(kinds, checks) if check is None]
-    built = {family: {r: attempt(build, family, r) for r in dict.fromkeys(r_grid)}
-             for family in {kind in _FAMILY_KINDS for kind in valid}}
-    read = {"mu4_x", "mu4_p"}.intersection(valid) and any(
-        not isinstance(rows, CVTeleportError) for rows in built[False].values())
-    moments = attempt(moment_set, input) if read else None
-    outcomes, rows, Qs, terms, exponents = [], [], [], [], []  # rows: (kind, place, outer, family)
+    builds = {(family, r): attempt(build, family, r)
+              for family in dict.fromkeys(kind in _FAMILY_KINDS for kind in valid)
+              for r in dict.fromkeys(r_grid)}
+    moments = attempt(moment_set, input) if {"mu4_x", "mu4_p"}.intersection(valid) else None
+    # The cell table, kind-major: each (kind, r) cell's source, or its first error.
+    cells = [builds[kind in _FAMILY_KINDS, r] if check is None else check
+             for kind, check in zip(kinds, checks) for r in r_grid]
+    # (place, outer, family or None) of each cell with a form, in stack order; each kind's forms.
+    live, forms = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for kind, check in zip(kinds, checks):
-            if check is not None:
-                outcomes += [check] * len(r_grid)
+        for k, kind in enumerate(kinds):
+            places = [p for p in range(k * n, k * n + n)
+                      if not isinstance(cells[p], CVTeleportError)]
+            if not places:
                 continue
-            family = kind in _FAMILY_KINDS
-            kept = [len(outcomes) + j for j, r in enumerate(r_grid)
-                    if not isinstance(built[family][r], CVTeleportError)]
-            outcomes += [built[family][r] for r in r_grid]
-            if not kept:
+            form = (moments if kind in ("mu4_x", "mu4_p") and isinstance(moments, CVTeleportError)
+                    else attempt(_forms, kind, [cells[p] for p in places], gain, moments))
+            if isinstance(form, CVTeleportError):
+                for p in places:
+                    cells[p] = form
                 continue
-            try:
-                if kind in ("mu4_x", "mu4_p") and isinstance(moments, CVTeleportError):
-                    raise moments
-                Q, T, outer, E = _forms(kind, [outcomes[place] for place in kept], gain, moments)
-            except CVTeleportError as exc:
-                for place in kept:
-                    outcomes[place] = exc
-                continue
-            rows += [(kind, place, outer, outcomes[place] if family else None) for place in kept]
-            Qs.append(Q)
-            terms.append(T)
-            exponents.append(E)
-        if not rows:
-            return outcomes
-        Q, exponents = np.concatenate(Qs), np.concatenate(exponents)
-        coef, errors = _coefficients(
-            [row[0] for row in rows], Q, np.concatenate(terms), _trig(theta), exponents
-        )
+            live += [(p, form[2], cells[p] if kind in _FAMILY_KINDS else None) for p in places]
+            forms.append(form)
+        if not live:
+            return cells
+        Q, terms, exponents = (np.concatenate([form[i] for form in forms]) for i in (0, 1, 3))
+        coef, errors = _coefficients([kinds[cell[0] // n] for cell in live], Q, terms,
+                                     _trig(theta), exponents)
         solved = [i for i, error in enumerate(errors) if error is None]
-        if len(solved) < len(rows):
-            coef, Q, exponents = coef[solved], Q[solved], exponents[solved]
-        stars, values, weights = _select(coef, Q, theta, [rows[i][2] for i in solved])
-        values = np.ldexp(values, exponents)  # rounds once, where it is subnormal
+        # take copies a few rows at a quarter of the cost of indexing with a list.
+        stars, values, weights = _select(coef.take(solved, 0), Q.take(solved, 0), theta,
+                                         [live[i][1] for i in solved])
+        values = np.ldexp(values, exponents.take(solved))  # rounds once, where it is subnormal
+    for (p, _, _), error in zip(live, errors):
+        cells[p] = error
     # One check pass per family, over the winners of its cells at their weight rows.
-    cells = {}
-    for k, i in enumerate(solved):
-        if rows[i][3] is not None:
-            cells.setdefault(rows[i][3], []).append(k)
-    failures = {}
-    for family, ks in cells.items():
-        failures.update((ks[j], message) for j, message in family.failed_checks(weights[ks]).items())
-    for (_, place, _, _), error in zip(rows, errors):
-        outcomes[place] = error
-    for k, (i, delta_star, value) in enumerate(zip(solved, stars, values)):
-        kind, place, _, family = rows[i]
-        r = r_grid[place % len(r_grid)]
-        outcomes[place] = attempt(_record, kind, r, delta_star, value, family, failures.get(k))
-    return outcomes
+    winners = {}
+    for j, i in enumerate(solved):
+        winners.setdefault(live[i][2], []).append(j)
+    failures = {js[m]: message for family, js in winners.items() if family is not None
+                for m, message in family.failed_checks(weights[js]).items()}
+    for j, i in enumerate(solved):
+        p, _, family = live[i]
+        cells[p] = attempt(_record, kinds[p // n], r_grid[p % n], stars[j], values[j], family,
+                           failures.get(j))
+    return cells
 
 
 def minimize_delta(obj: Objective) -> OptimumRecord:

@@ -588,14 +588,16 @@ def test_sweep_equals_per_cell_minimize_delta(text):
     """A cell's record does not depend on the cells solved with it: the sweep's
     stacked solve gives every cell minimize_delta's one-cell record, bit for bit;
     error cells (r = 800 overflows cosh, frobenius on coherent:1 at r = 10 is flat
-    to rounding) keep their place and message."""
+    to rounding, None is not a kind) keep their place and message, and each place
+    of a repeated r, whose build the sweep shares, gets the one-cell record."""
     state = parse_state(text)
-    r_grid = [0.25, 800.0, 1.0, 10.0, 2.5]
+    r_grid = [0.25, 800.0, 1.0, 10.0, 2.5, 1.0]
+    kinds = OBJECTIVE_KINDS[:3] + (None,) + OBJECTIVE_KINDS[3:]
     errors = 0
     for theta in (0.0, 0.3, math.pi / 2, -math.pi / 2, math.pi):
         for gain in (1.0, 0.8):
-            records = sweep_r(OBJECTIVE_KINDS, r_grid, input=state, theta=theta, gain=gain)
-            cells = [(kind, r) for kind in OBJECTIVE_KINDS for r in r_grid]
+            records = sweep_r(kinds, r_grid, input=state, theta=theta, gain=gain)
+            cells = [(kind, r) for kind in kinds for r in r_grid]
             assert len(records) == len(cells)
             for rec, (kind, r) in zip(records, cells):
                 expected = _per_cell(kind, r, theta=theta, input=state, gain=gain)

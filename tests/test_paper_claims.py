@@ -1,5 +1,13 @@
 """Sentences of the paper's abstract, each checked as it holds in this code.
 
+"The second order central momenta which is equal to the second order
+cumulants and the photon number average are also optimized by the resource
+with Delta_(2)^opt."  The output's x and p central second moments and its
+mean photon number, read off ``moment_set`` of the teleported state and
+minimized over Delta by the reference minimizer, have their minimum at
+Delta_(2)^opt = cos(pi/8) for every input and r; so do the optimizer's
+``x2_transfer`` and ``n_transfer`` objectives.
+
 "Optimal fidelity resources and optimal photon statistics resources are
 compared and is shown that for mixtures of Fock states both resources are
 equivalent."  For a Fock-diagonal input the output is Fock-diagonal, so the
@@ -15,11 +23,28 @@ import math
 
 import pytest
 
-from cvteleport import sweep_r
+from cvteleport import Channel, SqueezedBellResource, moment_set, sweep_r, teleport
 from cvteleport.cli import parse_state
 from conftest import DELTA2_OPT
+from oracles import reference_minimize
 
 R_GRID = [1.0, 2.0, 3.0, 4.0, 5.0]
+SECOND_ORDER_RS = [0.5, 1.25, 2.5]
+
+
+@pytest.mark.parametrize("text", ["fock:1", "coherent:2.12928", "sqvac:1.5", "mix:0@0.5,1@0.5"])
+def test_second_order_central_moments_and_mean_photon_number_are_optimized_by_delta2_opt(text):
+    state = parse_state(text)
+    for r in SECOND_ORDER_RS:
+        def output(delta):
+            return moment_set(teleport(state, Channel(SqueezedBellResource(delta, 0.0, r))))
+
+        for name in ("x2_central", "p2_central", "n_mean"):
+            star, _ = reference_minimize(lambda delta: getattr(output(delta), name))
+            # Within 1.1e-8 of cos(pi/8) on these cells: the reference's own accuracy.
+            assert abs(star - DELTA2_OPT) <= 1e-6, (text, r, name, star)
+    for rec in sweep_r(["x2_transfer", "n_transfer"], SECOND_ORDER_RS, input=state):
+        assert rec.error is None and rec.delta_star == DELTA2_OPT, rec
 
 
 @pytest.mark.parametrize("text", ["fock:1", "mix:0@0.5,1@0.5", "mix:0@0.2,2@0.5,5@0.3"])
