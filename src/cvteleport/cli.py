@@ -438,7 +438,7 @@ def _cmd_compare(resolved):
                           gain=_get(resolved, "gain"), N=_get(resolved, "N"))
     cols = family.measure_columns(deltas)
     _emit({
-        "delta": deltas,
+        "delta": np.array(deltas),  # float64, which the writer spells by one repr pass
         "d_n": cols["d_n"],
         "fidelity": cols["fidelity"],
         "one_minus_fidelity": cols["one_minus_fidelity"],

@@ -74,7 +74,8 @@ The Gram matrix (Parseval's identity, a sum over every photon number) is
 whose generating function has ``D' = h (1 - (1 - x) s) (1 - (1 - x) t) -
 h x^2 s t``, ``h = 2 e + g^2``, ``x = g^2 / h``.  Expanded in ``s t`` it
 factors, so ``H_q`` is a sum of squares with positive weights
-(:func:`_fock_gram_moments`).  No quadrature, cutoff or tail bound enters.
+(:func:`_fock_gram_moments`, whose tables of small integers are built once
+per ``M``).  No quadrature, cutoff or tail bound enters.
 
 Phase-sensitive overlaps.  For coherent and squeezed inputs the fidelity
 and Gram integrands are not phase invariant, but they are Gaussians times
@@ -85,6 +86,7 @@ fills a 2-D grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import Optional
@@ -93,7 +95,7 @@ import numpy as np
 
 from .channel import OutputState
 from .errors import CapacityError, ConsistencyError, EvaluationError, InvalidArgumentError
-from .numerics import _FALLING, _exp_series, _pgf_taylor, _power_series, _times
+from .numerics import _FALLING, _exp_series, _frozen, _pgf_taylor, _power_series, _times
 from .states import (
     Channel,
     CoherentInput,
@@ -140,7 +142,11 @@ class PhotonDistribution:
             raise InvalidArgumentError(
                 f"photon probabilities must be a nonempty 1-D array, got shape {probs.shape}"
             )
-        _raise_first(_probability_checks(probs[None, :]))
+        # One comparison each, which NaN fails; the messages are built on a failure.
+        total = probs.sum()
+        if not (-_PROB_SLACK <= probs.min() and probs.max() <= 1.0 + _PROB_SLACK
+                and total <= 1.0 + _SUM_SLACK):
+            _raise_first(_probability_checks(probs[None, :], np.array([total])))
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -156,9 +162,9 @@ class PhotonDistribution:
         return np.minimum(np.maximum(self.probs, 0.0), 1.0)
 
 
-def _probability_checks(probs: np.ndarray) -> list:
-    """The :class:`PhotonDistribution` checks on each row of ``probs``."""
-    sums = probs.sum(axis=1)
+def _probability_checks(probs: np.ndarray, sums: np.ndarray) -> list:
+    """The :class:`PhotonDistribution` checks on each row of ``probs``, whose
+    sums are ``sums``."""
     return [
         (  # written as "in range", so that NaN fails
             ((-_PROB_SLACK <= probs) & (probs <= 1.0 + _PROB_SLACK)).all(axis=1),
@@ -231,7 +237,7 @@ def d_functional(p_in: PhotonDistribution, p_out: PhotonDistribution) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DeltaFamily:
-    """The Delta-independent quadratures of one (input, r, theta, gain, N) cell.
+    """The Delta-independent bases and forms of one (input, r, theta, gain, N) cell.
 
     With the weights ``w`` of :func:`cvteleport.states.delta_weight_rows`,
     ``P_out = photon_basis @ w``, ``F = fidelity_basis @ w`` and
@@ -352,32 +358,32 @@ class DeltaFamily:
         columns 1 and 3), and ``checks`` the :meth:`measure_columns` checks,
         for :func:`_failures`."""
         probs = (w[:, :, None] * self.photon_basis.T).sum(axis=1)
+        sums = probs.sum(axis=1)
         fid = (w * self.fidelity_basis).sum(axis=1)
         values = weighted_forms(w[:, None, :], self.forms)
         roots = np.sqrt(np.maximum(values, 0.0))
         pur_out, d_n, frob = values[:, 0], roots[:, 1], roots[:, 3]
-        pur_in = self.purity_in
 
-        checks = _probability_checks(probs) + [
-            (
-                (-1e-9 <= d_n) & (d_n <= D_N_UPPER + 1e-9),
+        checks = _probability_checks(probs, sums) + [
+            (  # a square root: NaN, which fails, or at least 0
+                d_n <= D_N_UPPER + 1e-9,
                 lambda j: f"D_N={float(d_n[j])!r} outside [0, sqrt(2)]",
             ),
             # Cauchy-Schwarz bound; implies the purest-state upper bound on fidelity.
             (
-                fid <= np.sqrt(np.maximum(pur_in * pur_out, 0.0)) + 1e-7,
+                fid <= np.sqrt(np.maximum(self.purity_in * pur_out, 0.0)) + 1e-7,
                 lambda j: f"fidelity {float(fid[j])!r} exceeds sqrt(purity_in * purity_out); "
-                "quadrature fault",
+                "the family's fidelity and Gram bases disagree",
             ),
         ]
         if isinstance(self.state, (FockInput, FockMixtureInput)):
-            beyond = np.maximum(1.0 - probs.sum(axis=1), 0.0) + self.p_in.truncation_mass_bound
+            beyond = np.maximum(1.0 - sums, 0.0) + self.p_in.truncation_mass_bound
             gap = frob * frob - d_n * d_n
             checks.append((
                 (-_FROBENIUS_TOL <= gap) & (gap <= beyond * beyond + _FROBENIUS_TOL),
                 lambda j: f"D_N={float(d_n[j])!r} and Frobenius={float(frob[j])!r} disagree "
                 "for a Fock-diagonal input by more than the photon mass past N; "
-                "quadrature or truncation fault",
+                "the family's photon and Gram bases disagree",
             ))
         return fid, values, roots, checks
 
@@ -391,14 +397,19 @@ def _gaussian_moments(P: float, Q: float, degree: int) -> np.ndarray:
     """``m_j = (1/pi) ∫∫ exp(-P w^2 - Q z^2) (w^2 + z^2)^j dw dz`` for ``j <= degree <= 4``.
 
     ``m_j = sum_i _GAUSS[j][i] / (P^(i + 1/2) Q^(j - i + 1/2))``; for
-    ``P = Q = c`` this is ``j! / c^(j + 1)``.  Raises ``OverflowError`` when a
-    power overflows.
+    ``P = Q = c`` this is ``j! / c^(j + 1)``, each sum left to right from 0.0
+    (not ``sum``, which compensates from Python 3.12).  Raises
+    ``OverflowError`` when a power overflows.
     """
     p = [P ** (i + 0.5) for i in range(degree + 1)]
     q = [Q ** (i + 0.5) for i in range(degree + 1)]
-    return np.array([
-        sum(w / (p[i] * q[j - i]) for i, w in enumerate(_GAUSS[j])) for j in range(degree + 1)
-    ])
+    moments = []
+    for j in range(degree + 1):
+        total = 0.0
+        for i, w in enumerate(_GAUSS[j]):
+            total += w / (p[i] * q[j - i])
+        moments.append(total)
+    return np.array(moments)
 
 
 def _gaussian_overlaps(state: InputState, rate: float, coef: np.ndarray, gain: float):
@@ -451,11 +462,14 @@ def _gaussian_overlaps(state: InputState, rate: float, coef: np.ndarray, gain: f
 
 _FACTORIAL = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
 _HANKEL = np.add.outer(np.arange(3), np.arange(3))
+_Q = np.arange(5)
 # C(q, l), q, l <= 4
 _BINOMIAL = np.array([[math.comb(q, l) for l in range(5)] for q in range(5)], dtype=float)
 
 
-def _photon_series(state: InputState, rate: float, gain: float, N: int) -> np.ndarray:
+def _photon_series(
+    state: InputState, rate: float, gain: float, N: int, p: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``(3, N + 1)``: the Taylor coefficients of ``M_j(t)``, ``j = 0, 1, 2``; the
     photon basis is ``(coef @ M).T``.
 
@@ -469,7 +483,8 @@ def _photon_series(state: InputState, rate: float, gain: float, N: int) -> np.nd
     when ``exp(-y(0))`` underflows, every ``P_n``, ``n <= N_MAX_FOCK``, is
     below 1e-210 and the series is 0.  A Fock state or mixture has the factor
     ``sum_i C(j, i) (beta - 1)^i P_i(beta)`` of the module docstring
-    (:func:`~cvteleport.numerics._pgf_taylor`).
+    (:func:`~cvteleport.numerics._pgf_taylor`), with ``p`` its photon
+    probabilities ``p_0 .. p_M``.
     """
     g2 = gain * gain
     if isinstance(state, SqueezedVacuumInput):
@@ -491,13 +506,25 @@ def _photon_series(state: InputState, rate: float, gain: float, N: int) -> np.nd
         factor = (decay, decay - y_decay, decay - 2.0 * y_decay + 0.5 * _times(y, y_decay))
     else:
         beta = _times(moments[0], (rate + 0.5 * (1.0 - g2), 0.5 * (1.0 + g2) - rate))
-        pgf = _pgf_taylor(beta, input_photon_probs(state, state.max_n), 2)
+        pgf = _pgf_taylor(beta, p, 2)
         shift = -g2 * _times(moments[0], _FALLING[1])  # beta - 1
         once = _times(shift, pgf[1])
         factor = (pgf[0], pgf[0] + once, pgf[0] + 2.0 * once + _times(shift, _times(shift, pgf[2])))
     return np.array([
         _times(_times(m, f), falling) for m, f, falling in zip(moments, factor, _FALLING)
     ])
+
+
+@functools.lru_cache(maxsize=None)
+def _gram_table(M: int) -> tuple:
+    """``(ratios, index, 2k)`` of :func:`_fock_gram_moments` for the top photon
+    number ``M``: the ratios ``(q + k) / q`` whose products are ``C(q + k, k)``,
+    ``(4, M + 1)``, the index ``q + k``, ``(5, M + 1)``, and ``2k``, ``k <= M``,
+    as read-only arrays built once per ``M``."""
+    if M > N_MAX_FOCK:
+        raise CapacityError(f"top photon number {M} exceeds N_max={N_MAX_FOCK}")
+    q, k = _Q[:, None], np.arange(M + 1)
+    return _frozen((q[1:] + k) / q[1:], q + k, 2.0 * k)
 
 
 def _fock_gram_moments(p: np.ndarray, rate: float, g2: float) -> np.ndarray:
@@ -507,13 +534,15 @@ def _fock_gram_moments(p: np.ndarray, rate: float, g2: float) -> np.ndarray:
     ``v_{q,k} = sum_{l <= q} C(q, l) (-x)^l P_{k+l}(1 - x)``, from
     ``1 - s = (1 - (1 - x) s) - x s``."""
     M = len(p) - 1
+    ratios, index, two_k = _gram_table(M)
     h = 2.0 * rate + g2
     x = g2 / h
-    q, k = np.arange(5)[:, None], np.arange(M + 1)
-    pgf = _pgf_taylor(np.array([2.0 * rate / h]), p, M)[:, 0]
-    v = (_BINOMIAL * (-x) ** q.T) @ np.append(pgf, np.zeros(4))[q + k]
-    weight = np.cumprod(np.vstack([x ** (2.0 * k), (q[1:] + k) / q[1:]]), axis=0)
-    return _FACTORIAL * h ** -(q[:, 0] + 1.0) * np.sum(weight * v * v, axis=1)
+    pgf = np.zeros(M + 5)
+    pgf[: M + 1] = _pgf_taylor(np.array([2.0 * rate / h]), p, M)[:, 0]
+    v = (_BINOMIAL * (-x) ** _Q[None, :]) @ pgf[index]
+    weight = np.empty((5, M + 1))
+    weight[0], weight[1:] = x ** two_k, ratios
+    return _FACTORIAL * h ** -(_Q + 1.0) * np.sum(np.cumprod(weight, axis=0) * v * v, axis=1)
 
 
 def _fock_family(state: InputState, rate: float, coef: np.ndarray, gain: float, N: int):
@@ -528,7 +557,7 @@ def _fock_family(state: InputState, rate: float, coef: np.ndarray, gain: float, 
     except OverflowError:
         raise EvaluationError(f"the Gram moments of {state!r} at gain {gain!r} overflow") from None
     p = input_photon_probs(state, M)
-    rows = (coef @ _photon_series(state, rate, gain, max(N, M))).T
+    rows = (coef @ _photon_series(state, rate, gain, max(N, M), p)).T
     gram_m = _fock_gram_moments(p, rate, gain * gain)
     return rows[: N + 1], p @ rows[: M + 1], coef @ gram_m[_HANKEL] @ coef.T
 

@@ -223,12 +223,14 @@ def sym(x, y) -> np.ndarray:
 def weighted_forms(w, Q) -> np.ndarray:
     """``w @ Q @ w`` for each row of weights ``w`` ``(..., 3)`` and its
     ``Q`` ``(..., 3, 3)``, broadcast.  Each sum runs over the three weights
-    of one row, left to right, as ``np.sum`` adds three terms; the last
-    ``+ 0.0`` makes it the sum from 0, in which -0.0 terms sum to 0.0 (the
-    sign of a zero in ``Q @ w`` moves no other sum).  So a row's digits do
-    not depend on the rows stacked with it."""
-    wq = (w[..., :, None] * Q).sum(axis=-2)
-    return (w * wq).sum(axis=-1) + 0.0
+    of one row, left to right, as ``np.sum`` adds three terms, written out
+    (three array sums cost less than a reduction over a stack of rows); the
+    last ``+ 0.0`` makes it the sum from 0, in which -0.0 terms sum to 0.0
+    (the sign of a zero in ``Q @ w`` moves no other sum).  So a row's digits
+    do not depend on the rows stacked with it."""
+    wQ = w[..., :, None] * Q
+    terms = w * (wQ[..., 0, :] + wQ[..., 1, :] + wQ[..., 2, :])
+    return terms[..., 0] + terms[..., 1] + terms[..., 2] + 0.0
 
 
 def transfer_basis(ch: Channel, scale: int = 0):

@@ -41,6 +41,10 @@ probe also measures per-axis decay and applies an area-preserving diagonal
 rescaling ``(w, z) -> (w / lam, z * lam)`` so that strongly squeezed
 integrands stay well conditioned on the polar grid.
 
+:func:`strided_exp_series` and :func:`summed_weighted_forms` are the former
+forms of :func:`cvteleport.numerics._exp_series` and
+:func:`cvteleport.states.weighted_forms`, which those keep bit for bit.
+
 :func:`polynomial_gaussian_overlaps` builds the closed-form Gaussian overlaps
 of coherent and squeezed inputs from ``numpy.polynomial`` products of the
 transfer terms, the oracle of the matrix form in
@@ -1331,6 +1335,31 @@ def overlap(f: CharFn, g: CharFn, cfg: PlaneConfig | None = None) -> float:
 
 def purity(f: CharFn, cfg: PlaneConfig | None = None) -> float:
     return overlap(f, f, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Former forms of the series arithmetic, which the package keeps bit for bit
+# ---------------------------------------------------------------------------
+
+def strided_exp_series(x: np.ndarray) -> np.ndarray:
+    """The Taylor coefficients of ``exp(x(t))`` by ``n f_n = sum_k k x_k f_{n-k}``,
+    each sum a dot product of a slice of ``k x_k`` with the reversed, strided
+    ``f``: the oracle of :func:`cvteleport.numerics._exp_series`, which sums
+    the same products in Python floats."""
+    f = np.zeros_like(x)
+    f[0] = math.exp(x[0])
+    kx = np.arange(len(x)) * x
+    with np.errstate(all="ignore"):
+        for n in range(1, len(x)):
+            f[n] = kx[1 : n + 1] @ f[n - 1 :: -1] / n
+    return f
+
+
+def summed_weighted_forms(w, Q) -> np.ndarray:
+    """``w @ Q @ w`` per row, each three-term sum an ``np.sum`` reduction: the
+    oracle of :func:`cvteleport.states.weighted_forms`, which writes the sums out."""
+    wq = (w[..., :, None] * Q).sum(axis=-2)
+    return (w * wq).sum(axis=-1) + 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -312,3 +312,62 @@ def test_pgf_taylor_is_the_shifted_generating_function(p):
         want = np.polynomial.Polynomial(coef)(np.polynomial.Polynomial(beta)).coef
         want = np.append(want, np.zeros(len(beta)))[: len(beta)]
         assert np.abs(got[i] - want).max() <= 1e-15, i
+
+
+from cvteleport.numerics import _pgf_table, _series_table  # noqa: E402
+from cvteleport.photonstats import _gram_table  # noqa: E402
+from cvteleport.states import N_MAX_FOCK  # noqa: E402
+
+
+def _former_series_table(powers, N):
+    """``-powers``, ``powers + (n - 1.0)`` and ``n`` as ``_power_series`` built them per call."""
+    powers = np.asarray(powers)[:, None]
+    n = np.arange(1, N + 1)
+    return -powers, powers + (n - 1.0), n
+
+
+def _former_pgf_table(order, M):
+    """The binomial table and ``i + k`` as ``_pgf_taylor`` built them per call."""
+    i, k = np.arange(order + 1)[:, None], np.arange(M + 1)
+    return np.cumprod(np.vstack([np.ones(M + 1), (k + i[1:]) / i[1:]]), axis=0), i + k
+
+
+def _former_gram_table(M):
+    """The ratio table, ``q + k`` and ``2k`` as ``_fock_gram_moments`` built them per call."""
+    q, k = np.arange(5)[:, None], np.arange(M + 1)
+    return (q[1:] + k) / q[1:], q + k, 2.0 * k
+
+
+_TABLES = [
+    (_series_table, _former_series_table, shape)
+    for shape in [
+        ((0.5, 1.5, 2.5), 24), ((1, 2, 3), 0), ((1, 2, 3), 3), ((0.5, 1.5, 2.5), N_MAX_FOCK)
+    ]
+] + [
+    (_pgf_table, _former_pgf_table, shape)
+    for shape in [(0, 0), (2, 1), (2, 5), (1, 0), (7, 7), (N_MAX_FOCK, N_MAX_FOCK)]
+] + [(_gram_table, _former_gram_table, (M,)) for M in (0, 1, 5, N_MAX_FOCK)]
+
+
+@pytest.mark.parametrize("table,former,shape", _TABLES)
+def test_shape_tables_are_built_once_read_only_and_equal_a_fresh_build(table, former, shape):
+    """Each table of small integers is built once per shape, cannot be written,
+    and holds the values its caller used to build on every call."""
+    got = table(*shape)
+    assert table(*shape) is got
+    for cached, fresh in zip(got, former(*shape), strict=True):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[(0,) * cached.ndim] = 1.0
+        assert cached.shape == fresh.shape and np.array_equal(cached, fresh)
+
+
+def test_shape_tables_stop_at_n_max():
+    for build in (
+        lambda: _series_table((1, 2, 3), N_MAX_FOCK + 1),
+        lambda: _pgf_table(2, N_MAX_FOCK + 1),
+        lambda: _pgf_table(N_MAX_FOCK + 1, 0),
+        lambda: _gram_table(N_MAX_FOCK + 1),
+    ):
+        with pytest.raises(CapacityError):
+            build()

@@ -677,6 +677,57 @@ print(json.dumps({"results": results, "loaded": loaded, "test_only": test_only})
 """
 
 
+# Builds the families of the cells in argv[1] (JSON: descriptor, r, theta,
+# gain, N), in order, in a fresh interpreter, and prints a SHA-256 per family
+# of its bases, forms, rounding terms, p_in and measure_columns on a grid.
+_FAMILY_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+from cvteleport.cli import parse_state
+from cvteleport.photonstats import delta_family
+digests = []
+for text, r, theta, gain, N in json.loads(sys.argv[1]):
+    fam = delta_family(parse_state(text), r, theta, gain, N, rounding=True)
+    cols = fam.measure_columns(np.linspace(0.0, 1.0, 9))
+    parts = (fam.photon_basis, fam.fidelity_basis, fam.gram, fam.forms, fam.terms,
+             fam.p_in.probs, *(cols[name] for name in sorted(cols)))
+    blob = b"".join(np.ascontiguousarray(a).tobytes() for a in parts)
+    digests.append(hashlib.sha256(blob).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def _family_digests(cells, tmp_path) -> list:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FAMILY_DIGESTS, json.dumps(cells)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_family_does_not_depend_on_the_shapes_built_before_it(tmp_path):
+    """The series tables are built once per shape and shared: a family built
+    after families of other top photon numbers M and cutoffs N is, bit for
+    bit, the family built first in a fresh interpreter."""
+    targets = [
+        ["fock:3", 1.25, 0.0, 1.0, 24],
+        ["mix:0@0.2,2@0.5,5@0.3", 0.75, 0.4, 1.3, 3],
+        ["coherent:2.12928", 1.25, 0.1, 2.0, 64],
+        ["sqvac:1.5", 2.5, 0.0, 0.7, 0],
+    ]
+    others = [
+        ["mix:0@0.5,64@0.5", 1.0, 0.0, 1.0, 64],
+        ["fock:7", 0.5, 0.0, 1.0, 2],
+        ["fock:2", 1.25, 0.0, 1.0, 3],
+        ["coherent:1", 3.0, 0.0, 1.0, 10],
+        ["sqvac:-0.8", 0.3, 0.0, 1.0, 24],
+        ["fock:0", 1.0, 0.0, 1.0, 0],
+    ]
+    after = _family_digests(others + targets, tmp_path)[len(others):]
+    first = [_family_digests([cell], tmp_path)[0] for cell in targets]
+    assert after == first
+
+
 def test_family_commands_run_on_src_alone(tmp_path):
     """The CLI commands run with only ``src`` on the path.
 
