@@ -35,6 +35,7 @@ from .optimize import (
     OptimumRecord,
     closed_form_delta,
     minimize_delta,
+    sweep_columns,
     sweep_r,
 )
 from .photonstats import (

@@ -42,7 +42,13 @@ from . import __version__
 from .channel import teleport
 from .errors import CVTeleportError, EvaluationError, InvalidArgumentError
 from .moments import moment_set
-from .optimize import OBJECTIVE_KINDS, Objective, closed_form_delta, minimize_delta, sweep_r
+from .optimize import (
+    OBJECTIVE_KINDS,
+    Objective,
+    closed_form_delta,
+    minimize_delta,
+    sweep_columns,
+)
 from .photonstats import delta_family, input_distribution
 from .states import (
     Channel,
@@ -462,21 +468,22 @@ def _cmd_sweep(resolved):
         if kind not in OBJECTIVE_KINDS:
             raise InvalidArgumentError(f"unknown objective kind {kind!r}")
     r_grid = _get(resolved, "r_grid")
-    records = sweep_r(
+    delta_star, objective_value, errors = sweep_columns(
         kinds, r_grid, input=_get(resolved, "input", optional=True),
         theta=_get(resolved, "theta"), gain=_get(resolved, "gain"), n_photons=_get(resolved, "N"),
     )
     # Rows run kind-major over the (kind, r) grid, so kind, r and (mostly "ok")
     # status repeat: each is spelled once per distinct value.
-    row, n = np.arange(len(records)), len(r_grid)
-    status = ["ok" if rec.error is None else f"error: {rec.error}" for rec in records]
+    row, n = np.arange(len(errors)), len(r_grid)
+    status = ["ok" if error is None else f"error: {error}" for error in errors]
     position = {text: k for k, text in enumerate(dict.fromkeys(status))}
     status_index = np.array([position[text] for text in status], dtype=np.intp)
     _emit({
         "kind": Factor(kinds, row // n),
-        "r": Factor([rec.r for rec in records[:n]], row % n),
-        "delta_star": [rec.delta_star for rec in records],
-        "objective_value": [rec.objective_value for rec in records],
+        "r": Factor([float(r) for r in r_grid], row % n),
+        # float64, which the writer spells by one repr pass
+        "delta_star": delta_star,
+        "objective_value": objective_value,
         "status": Factor(list(position), status_index),
     }, resolved)
 

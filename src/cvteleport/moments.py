@@ -81,8 +81,8 @@ from .states import (
     InputState,
     SqueezedBellResource,
     SqueezedVacuumInput,
+    _basis_rows,
     delta_weight_rows,
-    transfer_basis,
     transfer_coefficients,
     transfer_label,
 )
@@ -114,13 +114,21 @@ def transfer_derivative_forms(ch: Channel, rate: Optional[float] = None, scale: 
     :func:`~cvteleport.states.transfer_basis`'s at that scale, and ``rate`` is
     taken in its variable ``u 4^scale``: ``d1`` is ``4^-scale`` and ``d2``
     ``16^-scale`` times the unscaled row wherever both are normal."""
-    own, _, coef = transfer_basis(ch, scale)
-    c = own if rate is None else rate
-    # The u and u^2 coefficients of (1 - c u + c^2 u^2 / 2) q_k(u), times 1! and 2!,
-    # in Python floats: numpy's per-call overhead would dominate three-entry rows.
-    rows = coef.tolist()
-    return np.array([[q1 - c * q0 for q0, q1, _ in rows],
-                     [2.0 * q2 - 2.0 * c * q1 + c * c * q0 for q0, q1, q2 in rows]])
+    a, b = transfer_coefficients(ch)
+    # In Python floats: numpy's per-call overhead would dominate three-entry rows.
+    own, coef = _basis_rows(math.ldexp(a, -scale), math.ldexp(b, -scale))
+    return np.array(_derivative_rows(coef, own if rate is None else rate))
+
+
+def _derivative_rows(coef, c) -> tuple:
+    """The rows ``(d1, d2)`` of :func:`transfer_derivative_forms` at rate
+    ``c`` from the rows ``coef`` of ``_basis_rows``: the u and u^2
+    coefficients of ``(1 - c u + c^2 u^2 / 2) q_k(u)``, times 1! and 2!.
+    Entry by entry on floats, or on arrays of one shape, as ``_basis_rows``:
+    the optimizer's table of every r of a grid runs the operations that one
+    channel runs here."""
+    return ([q1 - c * q0 for q0, q1, _ in coef],
+            [2.0 * q2 - 2.0 * c * q1 + c * c * q0 for q0, q1, q2 in coef])
 
 
 def _checked(what: str, compute):
@@ -195,7 +203,12 @@ def _photon_moments(source) -> tuple[float, float]:
         return g2 * n - f1, 2.0 * f2 - 4.0 * g2 * n * f1 + g2 * g2 * a22
     if isinstance(source, (FockInput, FockMixtureInput)):
         weights = ((source.n, 1.0),) if isinstance(source, FockInput) else source.weights
-        return sum(p * n for n, p in weights), sum(p * n * (n - 1) for n, p in weights)
+        # Left to right from 0.0: sum() compensates float sums from Python 3.12.
+        n_mean = a22 = 0.0
+        for n, p in weights:
+            n_mean += p * n
+            a22 += p * n * (n - 1)
+        return n_mean, a22
     if isinstance(source, CoherentInput):
         n = abs(source.beta) ** 2
         return n, n * n

@@ -14,7 +14,11 @@ lower end.  Ties go to the smaller Delta.
 
 One solve, :func:`_solve`, takes a kinds x r grid as one cell table: each
 (kind, r) cell holds its source, the r's transfer-derivative forms or Delta
-family, built once per distinct r, up front, or its first error.  The family
+family, built once per distinct r, up front, or its first error.  The
+transfer-derivative forms of every distinct r are built in one array pass,
+:func:`_transfer_table`, from each r's (a, b) in Python floats, through the
+arithmetic that :func:`~cvteleport.moments.transfer_derivative_forms` runs
+for one channel, so each r's rows have that function's bits.  The family
 comes with its forms' rounding terms from the same forms pass.  Each kind's
 live cells, those with no error yet, get their ``Q`` in one stacked pass,
 :func:`_forms`.  The transfer
@@ -31,8 +35,11 @@ so that value is the column ``compare`` prints at Delta*, bit for bit; the
 winners of one family's cells pass ``compare``'s checks in one check pass, at
 the weight rows they were scored at.  Overflow and invalid values are ignored
 once for the whole solve: a value that is not finite is an error of its cell.
+The winners are checked for range and finiteness on arrays, and the solve
+returns float64 columns of Delta* and values with each cell's error or None.
 :func:`minimize_delta` is its one-cell call, which raises the cell's error;
-:func:`sweep_r` its grid call, which records each cell's error.
+:func:`sweep_columns` its grid call, which gives each cell's error text, and
+:func:`sweep_r` the same grid as records.
 
 :func:`closed_form_delta` evaluates the six closed-form optimal-Delta
 expressions in the same parameterisation, ``cos(t*/2)`` with ``t*`` an
@@ -57,13 +64,14 @@ from .errors import (
     EvaluationError,
     InvalidArgumentError,
 )
-from .moments import moment_set, transfer_derivative_forms
+from .moments import _derivative_rows, moment_set
 from .photonstats import delta_family
 from .states import (
     ONE,
     Channel,
     InputState,
     SqueezedBellResource,
+    _basis_rows,
     delta_weight_rows,
     sym,
     transfer_coefficients,
@@ -146,18 +154,52 @@ def _root(v):
     return np.sqrt(np.maximum(v, 0.0))
 
 
-def _transfer_rows(ch: Channel) -> tuple:
-    """``(rows, scale)``: ``rows`` ``(4, 3)`` are :func:`transfer_derivative_forms`
-    of ``ch`` at ``scale``, at its own rate, ``F'(0)`` and ``F''(0)`` of the
-    transfer function ``F``, then at rate 0, ``P'(0)`` and ``P''(0)`` of its
-    polynomial factor ``P``.  ``2^scale`` is the power of two that brings
-    ``max(|a|, |b|)`` into ``[1/2, 1)``: rows 0 and 2 are ``4^-scale`` and rows
-    1 and 3 ``16^-scale`` times the unscaled ones wherever those are normal,
-    and at g = 1, where a = b, they are of size 1 at every r."""
-    a, b = transfer_coefficients(ch)
-    scale = math.frexp(max(abs(a), abs(b)))[1]  # 0 for a value that is not finite
-    rows = [transfer_derivative_forms(ch, rate, scale=scale) for rate in (None, 0.0)]
-    return np.concatenate(rows), scale
+def _transfer_table(rs: Sequence[float], theta: float, gain: float) -> tuple:
+    """``(rows, scales, errors)`` for the distinct r values ``rs``, one entry each.
+
+    ``rows`` ``(n, 4, 3)`` are
+    :func:`~cvteleport.moments.transfer_derivative_forms` of the
+    channel at r at ``scales``, at its own rate, ``F'(0)`` and ``F''(0)`` of
+    the transfer function ``F``, then at rate 0, ``P'(0)`` and ``P''(0)`` of
+    its polynomial factor ``P``.  ``2^scale`` is the power of two that brings
+    ``max(|a|, |b|)`` into ``[1/2, 1)``: rows 0 and 2 are ``4^-scale`` and
+    rows 1 and 3 ``16^-scale`` times the unscaled ones wherever those are
+    normal, and at g = 1, where a = b, they are of size 1 at every r.
+    ``errors[i]`` is None, or the ``CVTeleportError`` of the channel at
+    ``rs[i]`` (a bad r, theta or gain, or ``cosh(r)`` overflowing), whose row
+    holds no form.
+
+    Each r's (a, b) is :func:`transfer_coefficients` of its channel, in
+    Python floats; the scales and rows then take one array pass for every r,
+    through the arithmetic
+    :func:`~cvteleport.moments.transfer_derivative_forms` runs for one
+    channel, so each row has that function's bits at its r.  Its caller
+    ignores overflow and invalid values: a row they touch fails later.
+    """
+    coefficients, errors = [], []
+    for r in rs:
+        try:
+            coefficients.append(
+                transfer_coefficients(Channel(SqueezedBellResource(1.0, theta, r), gain=gain))
+            )
+            errors.append(None)
+        except CVTeleportError as exc:
+            coefficients.append((0.0, 0.0))
+            errors.append(exc)
+    a, b = np.array(coefficients).T
+    scales = np.frexp(np.maximum(np.abs(a), np.abs(b)))[1]  # 0 for a value that is not finite
+    own, coef = _basis_rows(np.ldexp(a, -scales), np.ldexp(b, -scales))
+    # q[j][:, k] is entry j of basis row k, so one call of _derivative_rows
+    # runs each entry's operations on a whole (rate, r, k) stack at once.
+    n = len(rs)
+    q = np.empty((3, n, 3))
+    for k, row in enumerate(coef):
+        for j, entry in enumerate(row):
+            q[j, :, k] = entry
+    rates = np.zeros((2, n, 1))  # its own rate, then 0
+    rates[0, :, 0] = own
+    (d1,), (d2,) = _derivative_rows([q], rates)
+    return np.array([d1, d2]).transpose(2, 1, 0, 3).reshape(n, 4, 3), scales, errors
 
 
 def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
@@ -166,14 +208,15 @@ def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
     ``i`` has objective ``outer(2^exponents[i] w @ Q[i] @ w)``, and
     ``terms[i]`` holds the sums of the absolute values of the terms summed
     into ``Q[i]``.  ``outer`` is ``float``, :func:`_root` or ``abs``.
-    ``sources[i]`` is cell ``i``'s :class:`DeltaFamily`, built with its
-    rounding terms, for the family kinds, whose own forms and terms are
-    stacked with exponent 0, else its :func:`_transfer_rows`, whose scale
-    gives the exponent: ``4 scale`` for ``kappa4_transfer``, of degree 4 in
-    (a, b), and ``2 scale`` for the other transfer kinds.  ``input_moments`` is
-    the input's :func:`moment_set` for ``mu4_x`` and ``mu4_p``.  Each row is
-    the elementwise arithmetic of its own cell, so its bits do not depend on
-    the cells built with it.
+    For the family kinds ``sources[i]`` is cell ``i``'s :class:`DeltaFamily`,
+    built with its rounding terms, whose own forms and terms are stacked with
+    exponent 0.  For the transfer kinds ``sources`` is ``(rows, scales)``,
+    cell ``i``'s rows and scale of :func:`_transfer_table` at row ``i``; the
+    scale gives the exponent: ``4 scale`` for ``kappa4_transfer``, of degree 4
+    in (a, b), and ``2 scale`` for the other transfer kinds.
+    ``input_moments`` is the input's :func:`moment_set` for ``mu4_x`` and
+    ``mu4_p``.  Each row is the elementwise arithmetic of its own cell, so
+    its bits do not depend on the cells built with it.
     """
     if kind in _FAMILY_KINDS:  # forms[0] is the Gram matrix
         i = _FAMILY_KINDS.index(kind) + 1
@@ -181,8 +224,8 @@ def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
         terms = np.array([family.terms[i] for family in sources])
         return Q, terms, float if kind == "one_minus_fidelity" else _root, np.zeros(len(Q), int)
 
-    d1, d2, dp1, dp2 = np.array([rows for rows, _ in sources]).swapaxes(0, 1)
-    scales = np.array([scale for _, scale in sources])
+    rows, scales = sources
+    d1, d2, dp1, dp2 = rows.swapaxes(0, 1)
     if kind == "kappa4_transfer":  # 12 (P''(0) - P'(0)^2): exp(-e u) leaves log F past u^1
         square = dp1[:, :, None] * dp1[:, None, :]
         Q = 12.0 * (sym(dp2, ONE) - square)
@@ -388,106 +431,162 @@ def _select(coef: np.ndarray, Q: np.ndarray, theta: float, outers: Sequence) -> 
     return tied[winner], best, w[winner]
 
 
-def _record(kind: str, r: float, delta_star, value, family, failure) -> OptimumRecord:
-    """The optimum of one cell, ``value`` the score it was ranked by: for a
-    family kind the column ``compare`` prints at ``delta_star``, which must
-    lie in [0, 1] and pass its checks; ``failure`` is the message of the
-    first check it fails, from its family's one check pass, or None.
-    EvaluationError for a value that is not finite."""
-    delta_star = float(delta_star)
-    if family is not None:
-        if not 0.0 <= delta_star <= 1.0:  # no winner: no score is a number
-            SqueezedBellResource(delta=delta_star, theta=family.theta, r=family.r)  # raises
-        if failure is not None:
-            raise ConsistencyError(failure)
-    if not math.isfinite(value):
-        raise EvaluationError(f"objective {kind!r} is not finite at Delta={delta_star!r}: {value!r}")
-    return OptimumRecord(delta_star, float(value), r, kind)
+def _record(kinds: Sequence[str], stars, values, families: Sequence, failures: dict) -> dict:
+    """``{i: error}`` for each solved cell ``i`` that fails a check: the
+    error of the first it fails.
+
+    Cell ``i`` is of kind ``kinds[i]``, with Delta* ``stars[i]`` and
+    ``values[i]`` the score it was ranked by.  For a family kind
+    ``families[i]`` is its Delta family, else None; its value is the column
+    ``compare`` prints at ``stars[i]``, which must lie in [0, 1] (the error
+    a :class:`SqueezedBellResource` raises) and pass its checks:
+    ``failures[i]`` is the message of the first check it fails, from its
+    family's one check pass (ConsistencyError).  Every value must be finite
+    (EvaluationError).  Range and finiteness are checked on the arrays, and
+    an error is built only for a cell that fails them or has a failure.
+    """
+    suspects = failures.keys() | np.flatnonzero(
+        ~(np.isfinite(values) & (stars >= 0.0) & (stars <= 1.0))
+    ).tolist()
+    errors = {}
+    for i in suspects:
+        delta_star, value, family = float(stars[i]), values[i], families[i]
+        try:
+            if family is not None:
+                if not 0.0 <= delta_star <= 1.0:  # no winner: no score is a number
+                    SqueezedBellResource(delta=delta_star, theta=family.theta, r=family.r)  # raises
+                if i in failures:
+                    raise ConsistencyError(failures[i])
+            if not math.isfinite(value):
+                raise EvaluationError(
+                    f"objective {kinds[i]!r} is not finite at Delta={delta_star!r}: {value!r}"
+                )
+        except CVTeleportError as exc:
+            errors[i] = exc
+    return errors
 
 
-def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photons) -> list:
-    """For every cell of the ``kinds`` x ``r_grid`` grid, kind-major, its
-    :class:`OptimumRecord` or the ``CVTeleportError`` it raised.
+def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photons) -> tuple:
+    """``(stars, values, errors)`` over the cells of the ``kinds`` x
+    ``r_grid`` grid, kind-major: each cell's Delta* and objective value, two
+    float64 columns, NaN where the cell failed, and its ``CVTeleportError``
+    or None, a list.
 
     One cell table holds each (kind, r) cell's source or its first error.
-    Each kind is checked once; each build that the valid kinds need,
-    :func:`_transfer_rows` or :func:`delta_family` with its forms' rounding
-    terms, is made once per distinct r, keyed by (family, r), up front, a
-    failed build's error standing in for its value; the input's moments are
-    read once, when a valid ``mu4`` kind is present.  Each kind's live cells
-    then take one :func:`_forms` pass, and all live cells one
-    :func:`_coefficients` and one :func:`_select` pass, whose winning score,
-    times 2 to the form's exponent, is the value :func:`_record` records; the
-    winners of each family's cells take one check pass,
+    Each kind is checked once.  The sources that the valid kinds need are
+    built once per distinct r, up front, a failed build's error standing in
+    for its value: the transfer kinds' rows of every r in one
+    :func:`_transfer_table` pass, and one :func:`delta_family` with its
+    forms' rounding terms per r for the family kinds; the input's moments are
+    read once, when a valid ``mu4`` kind is present.  The transfer rows of
+    the live cells, those with no error yet, are taken once for every
+    transfer kind.  Each kind's live cells then take one :func:`_forms` pass,
+    and all live cells one :func:`_coefficients` and one :func:`_select`
+    pass, whose winning score, times 2 to the form's exponent, is the value;
+    the winners of each family's cells take one check pass,
     :meth:`~cvteleport.photonstats.DeltaFamily.failed_checks`, at their
-    weight rows.  Overflow and invalid values are ignored, once, for the
-    forms and the solve: a value that is not finite is an error of its cell.
-    A cell's error is the first of: its kind or input, its r (the channel, or
-    the family), the input's moments (``mu4_x``, ``mu4_p``), its form, its
-    Delta* (outside [0, 1], or failing a family check), its value.  Any other
+    weight rows, and all winners one :func:`_record` pass.  Overflow and
+    invalid values are ignored, once, for the transfer rows, the forms and
+    the solve: a value that is not finite is an error of its cell.  A cell's
+    error is the first of: its kind or input, its r (the channel, or the
+    family), the input's moments (``mu4_x``, ``mu4_p``), its form, its Delta*
+    (outside [0, 1], or failing a family check), its value.  Any other
     exception than a ``CVTeleportError`` propagates.
     """
-    def attempt(f, *args):
-        """``f(*args)``, or the ``CVTeleportError`` it raised."""
+    def attempt(f, *args, **kwargs):
+        """``f(*args, **kwargs)``, or the ``CVTeleportError`` it raised."""
         try:
-            return f(*args)
+            return f(*args, **kwargs)
         except CVTeleportError as exc:
             return exc
 
-    def build(family: bool, r):
-        if family:  # with its rounding terms, built once for every family kind
-            return delta_family(input, r, theta, gain, n_photons, rounding=True)
-        return _transfer_rows(Channel(SqueezedBellResource(1.0, theta, r), gain=gain))
+    def by_cell(builds: list) -> tuple:
+        """``(errors, live, take)`` from the error or None of each build of
+        ``rs``: each grid cell's, the grid positions of the cells with none,
+        and the places in ``rs`` of their builds."""
+        errors = [builds[i] for i in where]
+        live = [j for j, error in enumerate(errors) if error is None]
+        return errors, live, [where[j] for j in live]
 
     n = len(r_grid)
+    rs = list(dict.fromkeys(r_grid))  # each distinct r once: -0.0 and 0.0 share one build
+    at = {r: i for i, r in enumerate(rs)}
+    where = [at[r] for r in r_grid]
     checks = [attempt(_check_kind, kind, input) for kind in kinds]  # None, or the kind's error
     valid = [kind for kind, check in zip(kinds, checks) if check is None]
-    builds = {(family, r): attempt(build, family, r)
-              for family in dict.fromkeys(kind in _FAMILY_KINDS for kind in valid)
-              for r in dict.fromkeys(r_grid)}
+    needed = {kind in _FAMILY_KINDS for kind in valid}  # which of the two sources
+    # A family kind or not -> each grid cell's build error or None, the live
+    # cells' grid positions, and their stacked sources for _forms.
+    sources = {}
+    if True in needed:
+        families = [attempt(delta_family, input, r, theta, gain, n_photons, rounding=True)
+                    for r in rs]
+        errors, live, take = by_cell([f if isinstance(f, CVTeleportError) else None
+                                      for f in families])
+        sources[True] = errors, live, [families[i] for i in take]
     moments = attempt(moment_set, input) if {"mu4_x", "mu4_p"}.intersection(valid) else None
-    # The cell table, kind-major: each (kind, r) cell's source, or its first error.
-    cells = [builds[kind in _FAMILY_KINDS, r] if check is None else check
-             for kind, check in zip(kinds, checks) for r in r_grid]
-    # (place, outer, family or None) of each cell with a form, in stack order; each kind's forms.
-    live, forms = [], []
+    cells = []  # kind-major: each cell's error, or None
+    # Per stacked row, in stack order: its cell's place, kind, outer and family or None.
+    places, row_kinds, outers, row_families, forms = [], [], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, kind in enumerate(kinds):
-            places = [p for p in range(k * n, k * n + n)
-                      if not isinstance(cells[p], CVTeleportError)]
-            if not places:
+        if False in needed:
+            rows, scales, builds = _transfer_table(rs, theta, gain)
+            errors, live, take = by_cell(builds)
+            sources[False] = errors, live, (rows.take(take, 0), scales.take(take))
+        for k, (kind, check) in enumerate(zip(kinds, checks)):
+            if check is not None:
+                cells += [check] * n
+                continue
+            family = kind in _FAMILY_KINDS
+            errors, live, source = sources[family]
+            cells += errors
+            if not live:
                 continue
             form = (moments if kind in ("mu4_x", "mu4_p") and isinstance(moments, CVTeleportError)
-                    else attempt(_forms, kind, [cells[p] for p in places], gain, moments))
+                    else attempt(_forms, kind, source, gain, moments))
             if isinstance(form, CVTeleportError):
-                for p in places:
-                    cells[p] = form
+                for j in live:
+                    cells[k * n + j] = form
                 continue
-            live += [(p, form[2], cells[p] if kind in _FAMILY_KINDS else None) for p in places]
             forms.append(form)
-        if not live:
-            return cells
-        Q, terms, exponents = (np.concatenate([form[i] for form in forms]) for i in (0, 1, 3))
-        coef, errors = _coefficients([kinds[cell[0] // n] for cell in live], Q, terms,
-                                     _trig(theta), exponents)
+            places += [k * n + j for j in live]
+            row_kinds += [kind] * len(live)
+            outers += [form[2]] * len(live)
+            row_families += source if family else [None] * len(live)
+        if not forms:
+            return np.full(len(cells), math.nan), np.full(len(cells), math.nan), cells
+        if len(forms) == 1:
+            Q, terms, _, exponents = forms[0]
+        else:
+            Q, terms, exponents = (np.concatenate([form[i] for form in forms]) for i in (0, 1, 3))
+        coef, errors = _coefficients(row_kinds, Q, terms, _trig(theta), exponents)
         solved = [i for i, error in enumerate(errors) if error is None]
-        # take copies a few rows at a quarter of the cost of indexing with a list.
-        stars, values, weights = _select(coef.take(solved, 0), Q.take(solved, 0), theta,
-                                         [live[i][1] for i in solved])
-        values = np.ldexp(values, exponents.take(solved))  # rounds once, where it is subnormal
-    for (p, _, _), error in zip(live, errors):
-        cells[p] = error
+        if len(solved) < len(errors):
+            for p, error in zip(places, errors):
+                if error is not None:
+                    cells[p] = error
+            # take copies a few rows at a quarter of the cost of indexing with a list.
+            coef, Q, exponents = coef.take(solved, 0), Q.take(solved, 0), np.take(exponents, solved)
+            places, row_kinds, outers, row_families = (
+                [column[i] for i in solved] for column in (places, row_kinds, outers, row_families)
+            )
+        stars, values, weights = _select(coef, Q, theta, outers)
+        values = np.ldexp(values, exponents)  # rounds once, where it is subnormal
     # One check pass per family, over the winners of its cells at their weight rows.
     winners = {}
-    for j, i in enumerate(solved):
-        winners.setdefault(live[i][2], []).append(j)
-    failures = {js[m]: message for family, js in winners.items() if family is not None
+    for i, family in enumerate(row_families):
+        if family is not None:
+            winners.setdefault(family, []).append(i)
+    failures = {js[m]: message for family, js in winners.items()
                 for m, message in family.failed_checks(weights[js]).items()}
-    for j, i in enumerate(solved):
-        p, _, family = live[i]
-        cells[p] = attempt(_record, kinds[p // n], r_grid[p % n], stars[j], values[j], family,
-                           failures.get(j))
-    return cells
+    for i, error in _record(row_kinds, stars, values, row_families, failures).items():
+        cells[places[i]] = error
+        stars[i] = values[i] = math.nan
+    if len(places) == len(cells):  # every cell solved: the rows are the cells, in order
+        return stars, values, cells
+    columns = np.full((2, len(cells)), math.nan)
+    columns[:, places] = stars, values
+    return columns[0], columns[1], cells
 
 
 def minimize_delta(obj: Objective) -> OptimumRecord:
@@ -499,10 +598,12 @@ def minimize_delta(obj: Objective) -> OptimumRecord:
     ``compare`` prints, and Delta* passes its checks.  Raises the cell's
     ``CVTeleportError``.
     """
-    (outcome,) = _solve([obj.kind], [obj.r], obj.input, obj.theta, obj.gain, obj.n_photons)
-    if isinstance(outcome, CVTeleportError):
-        raise outcome
-    return outcome
+    stars, values, errors = _solve([obj.kind], [obj.r], obj.input, obj.theta, obj.gain,
+                                   obj.n_photons)
+    (star,), (value,), (error,) = stars.tolist(), values.tolist(), errors
+    if error is not None:
+        raise error
+    return OptimumRecord(star, value, obj.r, obj.kind)
 
 
 def closed_form_delta(kind: str, r: float, s: Optional[float] = None) -> float:
@@ -535,6 +636,24 @@ def closed_form_delta(kind: str, r: float, s: Optional[float] = None) -> float:
     return math.cos(0.5 * math.atan2(3.0 - t, 4.0 - 2.0 * t))
 
 
+def sweep_columns(
+    kinds: Sequence[str],
+    r_grid: Sequence[float],
+    input: Optional[InputState] = None,
+    theta: float = 0.0,
+    gain: float = 1.0,
+    n_photons: int = 24,
+) -> tuple:
+    """:func:`sweep_r` as columns over its cells, kind-major:
+    ``(delta_star, objective_value, errors)``, two float64 arrays, NaN at a
+    failed cell, and each cell's ``"Type: message"`` error text or None."""
+    if not kinds or len(r_grid) == 0:
+        raise InvalidArgumentError("sweep needs nonempty kind and r grids")
+    stars, values, errors = _solve(kinds, [float(r) for r in r_grid], input, theta, gain, n_photons)
+    texts = [None if error is None else f"{type(error).__name__}: {error}" for error in errors]
+    return stars, values, texts
+
+
 def sweep_r(
     kinds: Sequence[str],
     r_grid: Sequence[float],
@@ -549,13 +668,7 @@ def sweep_r(
     code.  A cell's ``CVTeleportError`` is recorded in its place and the sweep
     continues; any other exception is a fault and propagates.
     """
-    if not kinds or len(r_grid) == 0:
-        raise InvalidArgumentError("sweep needs nonempty kind and r grids")
-    r_grid = [float(r) for r in r_grid]
-    outcomes = _solve(kinds, r_grid, input, theta, gain, n_photons)
-    return [
-        outcome if isinstance(outcome, OptimumRecord) else OptimumRecord(
-            float("nan"), float("nan"), r, kind, error=f"{type(outcome).__name__}: {outcome}"
-        )
-        for outcome, (kind, r) in zip(outcomes, itertools.product(kinds, r_grid))
-    ]
+    stars, values, errors = sweep_columns(kinds, r_grid, input, theta, gain, n_photons)
+    cells = itertools.product(kinds, [float(r) for r in r_grid])
+    return [OptimumRecord(star, value, r, kind, error) for star, value, error, (kind, r)
+            in zip(stars.tolist(), values.tolist(), errors, cells)]

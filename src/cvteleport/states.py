@@ -254,13 +254,37 @@ def transfer_basis(ch: Channel, scale: int = 0):
     """
     a, b = transfer_coefficients(ch)
     a, b = math.ldexp(a, -scale), math.ldexp(b, -scale)
+    rate, coef = _basis_rows(a, b)
     a2, b2, ab = a * a, b * b, a * b
 
     def terms(u):
         return 1.0, ab * u, (1.0 - a2 * u) * (1.0 - b2 * u)
 
-    coef = np.array([[1.0, 0.0, 0.0], [0.0, ab, 0.0], [1.0, -(a2 + b2), a2 * b2]])
-    return 0.5 * (a2 + b2), terms, coef
+    return rate, terms, np.array(coef)
+
+
+def _basis_rows(a, b) -> tuple:
+    """``(rate, coef)`` of :func:`transfer_basis` from the coefficients
+    ``(a, b)``, already scaled, with ``coef`` its three rows as tuples.  Entry
+    by entry on floats, or on arrays of one shape, one entry per channel: a
+    table of many channels runs the same operations as one channel does, so
+    each of its entries has that channel's bits."""
+    a2, b2, ab = a * a, b * b, a * b
+    return 0.5 * (a2 + b2), ((1.0, 0.0, 0.0), (0.0, ab, 0.0), (1.0, -(a2 + b2), a2 * b2))
+
+
+# lgamma(n + 1) for n = 0 .. N_MAX_FOCK, read-only: built once.
+_LOG_FACTORIALS = np.array([math.lgamma(n + 1.0) for n in range(N_MAX_FOCK + 1)])
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def _log_factorials(N: int) -> np.ndarray:
+    """``lgamma(n + 1)`` for ``n = 0 .. N``: a read-only view of one table up to
+    ``N_MAX_FOCK``, the largest cutoff of a Delta family; past it, a list of
+    ``input_photon_probs``'s own length, built on the call."""
+    if N <= N_MAX_FOCK:
+        return _LOG_FACTORIALS[:N + 1]
+    return np.array([math.lgamma(n + 1.0) for n in range(N + 1)])
 
 
 def input_photon_probs(state: InputState, N: int) -> np.ndarray:
@@ -281,8 +305,7 @@ def input_photon_probs(state: InputState, N: int) -> np.ndarray:
             probs[0] = 1.0
             return probs
         # In log space: exp(-mu) alone underflows for mu > 745.
-        log_fact = np.array([math.lgamma(n + 1.0) for n in range(N + 1)])
-        return np.exp(np.arange(N + 1) * math.log(mu) - mu - log_fact)
+        return np.exp(np.arange(N + 1) * math.log(mu) - mu - _log_factorials(N))
 
     if isinstance(state, SqueezedVacuumInput):
         t2 = math.tanh(state.s) ** 2

@@ -43,7 +43,10 @@ integrands stay well conditioned on the polar grid.
 
 :func:`strided_exp_series` and :func:`summed_weighted_forms` are the former
 forms of :func:`cvteleport.numerics._exp_series` and
-:func:`cvteleport.states.weighted_forms`, which those keep bit for bit.
+:func:`cvteleport.states.weighted_forms`, and :func:`transfer_rows` the
+former per-r form of :func:`cvteleport.optimize._transfer_table`, which those
+keep bit for bit (:func:`transfer_table_mismatches` compares the table with
+it).
 
 :func:`polynomial_gaussian_overlaps` builds the closed-form Gaussian overlaps
 of coherent and squeezed inputs from ``numpy.polynomial`` products of the
@@ -80,6 +83,7 @@ from cvteleport.errors import (
     AccuracyError,
     CapacityError,
     ConsistencyError,
+    CVTeleportError,
     InvalidArgumentError,
 )
 from cvteleport.moments import (
@@ -88,6 +92,7 @@ from cvteleport.moments import (
     moment_set,
     state_cumulants,
     transfer_cumulants,
+    transfer_derivative_forms,
 )
 from cvteleport.optimize import (
     _FAMILY_KINDS,
@@ -96,7 +101,7 @@ from cvteleport.optimize import (
     Objective,
     _coefficients,
     _forms,
-    _transfer_rows,
+    _transfer_table,
     _trig,
 )
 from cvteleport.photonstats import (
@@ -692,17 +697,57 @@ def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
 # Objectives from the tables and the family, one Delta at a time
 # ---------------------------------------------------------------------------
 
+def transfer_rows(ch: Channel) -> tuple:
+    """``(rows, scale)`` of one channel, built on its own: the rows and scale
+    that ``cvteleport.optimize._transfer_table`` builds for its r among the
+    r of a grid.  ``rows`` ``(4, 3)`` are :func:`transfer_derivative_forms`
+    of ``ch`` at ``scale``, at its own rate, then at rate 0; ``2^scale`` is
+    the power of two that brings ``max(|a|, |b|)`` into ``[1/2, 1)``."""
+    a, b = transfer_coefficients(ch)
+    scale = math.frexp(max(abs(a), abs(b)))[1]  # 0 for a value that is not finite
+    rows = [transfer_derivative_forms(ch, rate, scale=scale) for rate in (None, 0.0)]
+    return np.concatenate(rows), scale
+
+
+def transfer_table_mismatches(r_grid, theta: float, gain: float) -> list:
+    """The distinct r of ``r_grid`` at which ``cvteleport.optimize._transfer_table``
+    differs from :func:`transfer_rows` built for that r alone: in a bit of
+    its rows, in its scale, or, where the channel raises, in the error's type
+    or text."""
+    rs = list(dict.fromkeys(r_grid))
+    with np.errstate(over="ignore", invalid="ignore"):  # as the solve builds it
+        rows, scales, errors = _transfer_table(rs, theta, gain)
+    assert rows.shape == (len(rs), 4, 3) and scales.shape == (len(rs),)
+    mismatches = []
+    for r, row, scale, error in zip(rs, rows, scales, errors):
+        try:
+            want_rows, want_scale = transfer_rows(
+                Channel(SqueezedBellResource(1.0, theta, r), gain=gain)
+            )
+        except CVTeleportError as exc:
+            if type(error) is not type(exc) or str(error) != str(exc):
+                mismatches.append(r)
+            continue
+        same = row.view(np.uint64).tolist() == want_rows.view(np.uint64).tolist()
+        if error is not None or int(scale) != want_scale or not same:
+            mismatches.append(r)
+    return mismatches
+
+
 def _form(obj: Objective):
     """``(Q, terms, outer)`` of ``cvteleport.optimize._forms`` for the one cell
     ``obj``, ``Q`` and ``terms`` times ``2^exponent`` (exact where they are
-    normal); raises the errors of the form's source and of ``_forms``."""
+    normal); raises the errors of the form's source and of ``_forms``.  A
+    transfer kind's source is :func:`transfer_rows`, built per r."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises later
         if obj.kind in _FAMILY_KINDS:
-            source = delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons, rounding=True)
+            sources = [delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons,
+                                    rounding=True)]
         else:
-            source = _transfer_rows(_channel(obj, 1.0))
+            rows, scale = transfer_rows(_channel(obj, 1.0))
+            sources = rows[None], np.array([scale])
         moments = moment_set(obj.input) if obj.kind in ("mu4_x", "mu4_p") else None
-        Q, terms, outer, (exponent,) = _forms(obj.kind, [source], obj.gain, moments)
+        Q, terms, outer, (exponent,) = _forms(obj.kind, sources, obj.gain, moments)
         return np.ldexp(Q, exponent), np.ldexp(terms, exponent), outer
 
 

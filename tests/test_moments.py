@@ -11,6 +11,7 @@ from cvteleport import (
     DegenerateStateError,
     EvaluationError,
     FockInput,
+    FockMixtureInput,
     InvalidArgumentError,
     SqueezedBellResource,
     SqueezedVacuumInput,
@@ -131,6 +132,33 @@ def test_photon_identities_on_the_tables_match_the_closed_forms(rng):
                     assert ms.n_mean == pytest.approx(n, rel=1e-12, abs=1e-12), source
                     got = 0.0 if ms.g2_zero is None else ms.g2_zero * ms.n_mean**2
                     assert got == pytest.approx(a22, rel=1e-11, abs=1e-11), source
+
+
+def _left_to_right(terms) -> float:
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def test_mixture_photon_moments_sum_left_to_right():
+    """A Fock mixture's <n> and <n(n-1)> are sums of ``p n`` and
+    ``p n (n - 1)`` from 0.0, left to right, on every interpreter: on the
+    mixtures drawn here a compensated sum (``math.fsum``, or ``sum()`` from
+    Python 3.12) gives other floats, and so other printed digits."""
+    rng = np.random.default_rng(20261022)
+    disagree = 0
+    for _ in range(400):
+        size = int(rng.integers(2, 5))
+        weights = rng.random(size)
+        mix = FockMixtureInput(tuple(zip(rng.integers(0, 13, size).tolist(),
+                                         (weights / weights.sum()).tolist())))
+        terms = [[p * n for n, p in mix.weights], [p * n * (n - 1) for n, p in mix.weights]]
+        want = tuple(_left_to_right(t) for t in terms)
+        disagree += want != tuple(math.fsum(t) for t in terms)
+        assert photon_moments(mix) == want, mix
+        assert moment_set(mix).n_mean == want[0], mix
+    assert disagree >= 20
 
 
 @pytest.mark.parametrize("r", [3.0, 6.0, 10.0, 12.0])

@@ -21,11 +21,14 @@ from cvteleport import (
     delta_family,
     minimize_delta,
     resource_closed_forms,
+    sweep_columns,
     sweep_r,
 )
 from cvteleport.cli import parse_state
-from cvteleport.moments import moment_set, transfer_derivative_forms
+import cvteleport.moments as moments_mod
+from cvteleport.moments import moment_set
 from cvteleport.optimize import CLOSED_FORM_KINDS, OBJECTIVE_KINDS, OptimumRecord
+from cvteleport.states import transfer_coefficients
 from cvteleport.photonstats import DeltaFamily
 from conftest import DELTA2_OPT, DELTA4_OPT, bisect_root
 from oracles import (
@@ -35,6 +38,8 @@ from oracles import (
     objective_parts,
     reference_interior_roots,
     reference_minimize,
+    transfer_rows,
+    transfer_table_mismatches,
     trig_form,
     weighted_objective,
 )
@@ -213,7 +218,8 @@ def test_coefficients_and_their_errors_do_not_depend_on_a_power_of_two(power):
     flat = 3.25 * np.outer(one, one)
     flat[0, 0] += 1e-15  # varies, but within the rounding of its terms
     channel = Channel(SqueezedBellResource(1.0, 0.4, 1.0), gain=1.0)
-    Q, terms, _, _ = opt_mod._forms("x2_transfer", [opt_mod._transfer_rows(channel)], 1.0, None)
+    rows, scale = transfer_rows(channel)
+    Q, terms, _, _ = opt_mod._forms("x2_transfer", (rows[None], np.array([scale])), 1.0, None)
     Q, terms = np.concatenate([flat[None], Q]), np.concatenate([flat[None], terms])
     kinds, trig = ["x2_transfer"] * 2, opt_mod._trig(0.4)
     coef, errors = opt_mod._coefficients(kinds, Q, terms, trig, [0, 0])
@@ -683,19 +689,106 @@ def test_sweep_reads_the_input_moments_once(monkeypatch):
     assert calls == [FockInput(1)]
 
 
-def test_sweep_reads_each_rs_transfer_derivative_forms_once(monkeypatch):
-    """Once per r and per rate: the transfer function's own, and 0."""
-    calls = []
+def test_sweep_columns_are_sweep_r_as_float64_columns():
+    """Delta* and the value as float64 columns, kind-major, NaN at a failed
+    cell, and each cell's error text: the fields of sweep_r's records."""
+    kinds = ["x2_transfer", "one_minus_fidelity", "mu4_x"]
+    r_grid = [0.5, -1.0, 711.0, 2.0]
+    stars, values, errors = sweep_columns(kinds, r_grid, input=FockInput(1), gain=1.3)
+    records = sweep_r(kinds, r_grid, input=FockInput(1), gain=1.3)
+    assert stars.dtype == values.dtype == np.float64
+    assert stars.shape == values.shape == (len(records),)
+    assert errors == [rec.error for rec in records]
+    assert stars.tobytes() == np.array([rec.delta_star for rec in records]).tobytes()
+    assert values.tobytes() == np.array([rec.objective_value for rec in records]).tobytes()
+    failed = np.array([error is not None for error in errors])
+    assert failed.sum() == 6 and np.isnan(stars[failed]).all() and np.isnan(values[failed]).all()
+    assert np.isfinite(stars[~failed]).all() and np.isfinite(values[~failed]).all()
 
-    def counting(ch, rate, *, scale):
-        calls.append((ch.resource.r, rate))
-        return transfer_derivative_forms(ch, rate, scale=scale)
 
-    monkeypatch.setattr(opt_mod, "transfer_derivative_forms", counting)
+def test_one_solve_builds_each_distinct_r_once(monkeypatch):
+    """One transfer table per solve, over the distinct r of the grid in grid
+    order: one channel per distinct r, a repeated r and -0.0 beside 0.0
+    sharing one build, and no per-r derivative forms.  Each row keeps its
+    own r."""
+    tables, channels = [], []
+
+    def counting_table(rs, theta, gain):
+        tables.append(list(rs))
+        return transfer_table(rs, theta, gain)
+
+    def counting_coefficients(ch):
+        channels.append(ch.resource.r)
+        return transfer_coefficients(ch)
+
+    def per_r(*args, **kwargs):
+        raise AssertionError("the sweep builds no per-r derivative forms")
+
+    transfer_table = opt_mod._transfer_table
+    monkeypatch.setattr(opt_mod, "_transfer_table", counting_table)
+    monkeypatch.setattr(opt_mod, "transfer_coefficients", counting_coefficients)
+    monkeypatch.setattr(moments_mod, "transfer_derivative_forms", per_r)
     kinds = ["x2_transfer", "kappa4_transfer", "n_transfer", "mu4_x", "mu4_p"]
-    records = sweep_r(kinds, [0.5, 1.0, 2.0], input=FockInput(1))
+    r_grid = [0.5, 1.0, 0.5, -0.0, 2.0, 0.0, 1.0]
+    records = sweep_r(kinds, r_grid, input=FockInput(1))
     assert all(rec.error is None for rec in records)
-    assert calls == [(r, rate) for r in (0.5, 1.0, 2.0) for rate in (None, 0.0)]
+    assert tables == [[0.5, 1.0, -0.0, 2.0]] and channels == [0.5, 1.0, -0.0, 2.0]
+    assert math.copysign(1.0, tables[0][2]) == -1.0  # the first spelling of 0 is built
+    for k in range(len(kinds)):
+        rows = records[k * len(r_grid):(k + 1) * len(r_grid)]
+        signs = [math.copysign(1.0, r) for r in r_grid]
+        assert [math.copysign(1.0, rec.r) for rec in rows] == signs
+        assert rows[2] == dataclasses.replace(rows[0], r=0.5)
+        assert rows[5] == dataclasses.replace(rows[3], r=0.0)
+
+
+# 0.0 beside -0.0 and repeated values; x2's forms subnormal unscaled past 354 and
+# kappa4's past 177; cosh overflowing past about 710; r outside [0, inf).
+_TABLE_GRIDS = (
+    [0.0, -0.0, 0.5, 0.5, 1.25, -0.0],
+    [-0.0, 0.0, 177.0, 354.0, 355.0, 709.0],
+    [-1.0, 0.25, 711.0, 2.5, 800.0, 711.0],
+    [3.0, 3.0, 3.0],
+    np.linspace(0.0, 20.0, 41).tolist(),
+    [5e-324, 1e-300, 19.0, 20.0, 188.0, 400.0, 710.0, math.inf, math.nan],
+)
+
+
+@pytest.mark.parametrize("gain", [0.7, 1.0, 1.3, 2.0])
+@pytest.mark.parametrize("theta", [0.0, 0.4])
+@pytest.mark.parametrize("r_grid", _TABLE_GRIDS)
+def test_transfer_table_is_the_per_r_oracle_bit_for_bit(r_grid, theta, gain):
+    """Each distinct r's rows and scale of the one-pass table are the per-r
+    oracle's, bit for bit, and each failed r has its channel's error."""
+    assert transfer_table_mismatches(r_grid, theta, gain) == []
+
+
+@pytest.mark.parametrize("theta, gain", [(math.nan, 1.0), (0.4, 0.0), (0.4, -1.0), (0.4, math.inf)])
+def test_transfer_table_keeps_a_bad_theta_or_gain_per_r(theta, gain):
+    """A bad theta or gain fails every r, after a bad r's own error."""
+    assert transfer_table_mismatches([-1.0, 0.5, 711.0, 2.5], theta, gain) == []
+
+
+@pytest.mark.parametrize("gain", [0.7, 1.0, 1.3, 2.0])
+def test_failed_r_cells_keep_their_error_type_and_text(gain):
+    """A sweep over failing and valid r records each cell as minimize_delta
+    gives it alone: the error of a failed r, type and text, and the record of
+    a valid one."""
+    kinds = ["x2_transfer", "kappa4_transfer", "n_transfer", "mu4_x", "mu4_p"]
+    r_grid = [-1.0, 0.5, 711.0, 2.5, 800.0, -1.0]
+    records = sweep_r(kinds, r_grid, input=FockInput(1), theta=0.4, gain=gain)
+    cells = [(kind, r) for kind in kinds for r in r_grid]
+    for (kind, r), rec in zip(cells, records):
+        want = _per_cell(kind, r, input=FockInput(1), theta=0.4, gain=gain)
+        assert (rec.kind, rec.r, rec.error) == (want.kind, want.r, want.error)
+        assert rec.error is not None or rec == want
+    assert sum(rec.error is None for rec in records) == 2 * len(kinds)
+    assert records[0].error == (
+        "InvalidArgumentError: two-mode squeezing r must be finite and >= 0, got -1.0"
+    )
+    assert records[2].error == (
+        "InvalidArgumentError: two-mode squeezing r=711.0 overflows cosh/sinh"
+    )
 
 
 def test_sweep_builds_one_family_per_r(monkeypatch):

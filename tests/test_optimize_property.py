@@ -34,6 +34,7 @@ from oracles import (  # noqa: E402
     objective_parts,
     reference_interior_roots,
     reference_minimize,
+    transfer_table_mismatches,
     trig_form,
     trig_objective,
     weighted_objective,
@@ -171,3 +172,21 @@ def test_stacked_roots_are_the_reference_roots_row_by_row(rows):
             clear = np.abs(want) > 1e-6 * 4.0 * np.abs(coef[i]).sum()
             got = curvature[i][~np.isnan(deltas[i])]
             assert (np.sign(got[clear]) == np.sign(want[clear])).all()
+
+
+# Any r, and the values where the forms would go subnormal unscaled, cosh
+# overflows, or r lies outside [0, inf); repeats and 0.0 beside -0.0 are drawn
+# often from so few values.
+_R = st.one_of(
+    st.floats(0.0, 720.0),
+    st.sampled_from([0.0, -0.0, 177.0, 354.0, 355.0, 709.0, -1.0, 711.0, 800.0, math.inf]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r_grid=st.lists(_R, min_size=1, max_size=12), theta=st.floats(-4.0, 4.0),
+       gain=st.floats(0.05, 4.0))
+def test_transfer_table_is_the_per_r_oracle_on_random_grids(r_grid, theta, gain):
+    """The one-pass table of a grid's distinct r holds, for each, the rows
+    and scale its channel builds alone, bit for bit, or its error."""
+    assert transfer_table_mismatches(r_grid, theta, gain) == []

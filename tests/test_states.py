@@ -19,7 +19,8 @@ from cvteleport import (
     state_to_descriptor,
 )
 from cvteleport.optimize import Objective, minimize_delta
-from cvteleport.states import transfer_coefficients
+import cvteleport.states as states_mod
+from cvteleport.states import N_MAX_FOCK, transfer_coefficients
 from conftest import case_study_inputs, random_points
 from oracles import (
     PhasePoint,
@@ -172,6 +173,22 @@ def test_coherent_probs_mean():
     probs = input_photon_probs(CoherentInput(2.12928), 60)
     mean = float(np.arange(61) @ probs)
     assert abs(mean - 4.534) <= 1e-3
+
+
+@pytest.mark.parametrize("beta", [0.3, 2.12928, 1.5 + 0.5j, 40.0])
+@pytest.mark.parametrize("N", [0, 1, 24, N_MAX_FOCK, N_MAX_FOCK + 1, 200])
+def test_coherent_probs_read_one_log_factorial_table(beta, N):
+    """Bit for bit the per-call form ``exp(n log mu - mu - lgamma(n + 1))``;
+    up to ``N_MAX_FOCK`` the log-factorials are a read-only view of one
+    table, built once."""
+    mu = abs(beta) ** 2
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(N + 1)])
+    want = np.exp(np.arange(N + 1) * math.log(mu) - mu - log_fact)
+    assert input_photon_probs(CoherentInput(beta), N).tobytes() == want.tobytes()
+    table = states_mod._log_factorials(N)
+    assert table.tobytes() == log_fact.tobytes()
+    if N <= N_MAX_FOCK:
+        assert table.base is states_mod._LOG_FACTORIALS and not table.flags.writeable
 
 
 def test_squeezed_probs_parity_and_mean():
