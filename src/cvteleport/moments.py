@@ -102,21 +102,15 @@ def _radial_cumulants(f1: float, p1: float, p2: float) -> dict:
     return k
 
 
-def transfer_derivative_forms(ch: Channel, rate: Optional[float] = None, scale: int = 0):
+def transfer_derivative_forms(ch: Channel, rate: Optional[float] = None):
     """The rows ``(d1, d2)`` with ``F'(0) = d1 @ w`` and ``F''(0) = d2 @ w`` for
     ``F(u) = exp(-rate u) sum_k w_k q_k(u)``, the polynomials ``q_k`` of
     :func:`~cvteleport.states.transfer_basis` and the weights ``w`` of
     :func:`~cvteleport.states.delta_weight_rows` (``w0 + w2 = 1`` carries the
     constants).  The default rate is the transfer function's own, so that
-    ``F(|xi|^2)`` is the transfer function.  Only r and the gain enter.
-
-    With a ``scale``, ``q_k`` and the default rate are
-    :func:`~cvteleport.states.transfer_basis`'s at that scale, and ``rate`` is
-    taken in its variable ``u 4^scale``: ``d1`` is ``4^-scale`` and ``d2``
-    ``16^-scale`` times the unscaled row wherever both are normal."""
-    a, b = transfer_coefficients(ch)
+    ``F(|xi|^2)`` is the transfer function.  Only r and the gain enter."""
     # In Python floats: numpy's per-call overhead would dominate three-entry rows.
-    own, coef = _basis_rows(math.ldexp(a, -scale), math.ldexp(b, -scale))
+    own, coef = _basis_rows(*transfer_coefficients(ch))
     return np.array(_derivative_rows(coef, own if rate is None else rate))
 
 

@@ -18,10 +18,10 @@ family, built once per distinct r, up front, or its first error.  The
 transfer-derivative forms of every distinct r are built in one array pass,
 :func:`_transfer_table`, from each r's (a, b) in Python floats, through the
 arithmetic that :func:`~cvteleport.moments.transfer_derivative_forms` runs
-for one channel, so each r's rows have that function's bits.  The family
-comes with its forms' rounding terms from the same forms pass.  Each kind's
-live cells, those with no error yet, get their ``Q`` in one stacked pass,
-:func:`_forms`.  The transfer
+for one channel, so each r's rows have that function's bits.  Each kind's
+live cells, those with no error yet, get their ``Q`` and its rounding terms
+in one stacked pass, :func:`_forms`; a family builds the terms of the one
+form a kind solves, and ``compare`` builds none.  The transfer
 forms are built from the channel's (a, b) scaled by a power of two to size
 1, so no r leaves them subnormal; the printed value is the score times that
 power, rounded once.  The solve maps all live cells' forms to coefficients
@@ -209,11 +209,13 @@ def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
     ``terms[i]`` holds the sums of the absolute values of the terms summed
     into ``Q[i]``.  ``outer`` is ``float``, :func:`_root` or ``abs``.
     For the family kinds ``sources[i]`` is cell ``i``'s :class:`DeltaFamily`,
-    built with its rounding terms, whose own forms and terms are stacked with
-    exponent 0.  For the transfer kinds ``sources`` is ``(rows, scales)``,
-    cell ``i``'s rows and scale of :func:`_transfer_table` at row ``i``; the
-    scale gives the exponent: ``4 scale`` for ``kappa4_transfer``, of degree 4
-    in (a, b), and ``2 scale`` for the other transfer kinds.
+    whose form of the kind and its
+    :meth:`~cvteleport.photonstats.DeltaFamily.rounding_terms`, built once
+    per family, are stacked with exponent 0.  For the transfer kinds
+    ``sources`` is ``(rows, scales)``, cell ``i``'s rows and scale of
+    :func:`_transfer_table` at row ``i``; the scale gives the exponent:
+    ``4 scale`` for ``kappa4_transfer``, of degree 4 in (a, b), and
+    ``2 scale`` for the other transfer kinds.
     ``input_moments`` is the input's :func:`moment_set` for ``mu4_x`` and
     ``mu4_p``.  Each row is the elementwise arithmetic of its own cell, so
     its bits do not depend on the cells built with it.
@@ -221,7 +223,8 @@ def _forms(kind: str, sources: Sequence, gain: float, input_moments) -> tuple:
     if kind in _FAMILY_KINDS:  # forms[0] is the Gram matrix
         i = _FAMILY_KINDS.index(kind) + 1
         Q = np.array([family.forms[i] for family in sources])
-        terms = np.array([family.terms[i] for family in sources])
+        built = {family: family.rounding_terms(i) for family in dict.fromkeys(sources)}
+        terms = np.array([built[family] for family in sources])
         return Q, terms, float if kind == "one_minus_fidelity" else _root, np.zeros(len(Q), int)
 
     rows, scales = sources
@@ -476,13 +479,13 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
     Each kind is checked once.  The sources that the valid kinds need are
     built once per distinct r, up front, a failed build's error standing in
     for its value: the transfer kinds' rows of every r in one
-    :func:`_transfer_table` pass, and one :func:`delta_family` with its
-    forms' rounding terms per r for the family kinds; the input's moments are
-    read once, when a valid ``mu4`` kind is present.  The transfer rows of
-    the live cells, those with no error yet, are taken once for every
-    transfer kind.  Each kind's live cells then take one :func:`_forms` pass,
-    and all live cells one :func:`_coefficients` and one :func:`_select`
-    pass, whose winning score, times 2 to the form's exponent, is the value;
+    :func:`_transfer_table` pass, and one :func:`delta_family` per r for
+    the family kinds; the input's moments are read once, when a valid
+    ``mu4`` kind is present.  The transfer rows of the live cells, those with
+    no error yet, are taken once for every transfer kind.  Each kind's live
+    cells then take one :func:`_forms` pass, which builds the rounding terms
+    of that kind's form alone, and all live cells one :func:`_coefficients`
+    and one :func:`_select` pass, whose winning score, times 2 to the form's exponent, is the value;
     the winners of each family's cells take one check pass,
     :meth:`~cvteleport.photonstats.DeltaFamily.failed_checks`, at their
     weight rows, and all winners one :func:`_record` pass.  Overflow and
@@ -519,8 +522,7 @@ def _solve(kinds: Sequence, r_grid: Sequence[float], input, theta, gain, n_photo
     # cells' grid positions, and their stacked sources for _forms.
     sources = {}
     if True in needed:
-        families = [attempt(delta_family, input, r, theta, gain, n_photons, rounding=True)
-                    for r in rs]
+        families = [attempt(delta_family, input, r, theta, gain, n_photons) for r in rs]
         errors, live, take = by_cell([f if isinstance(f, CVTeleportError) else None
                                       for f in families])
         sources[True] = errors, live, [families[i] for i in take]

@@ -20,11 +20,12 @@ every ``P_n`` and the fidelity are linear in ``w``, and the output purity
 ``w^T G w``, ``D_N^2``, ``1 - F`` and the squared Frobenius distance are
 quadratic forms in ``w``.  :func:`delta_family` computes the ``(N+1) x 3``
 photon basis, the three fidelity overlaps, ``G`` and these forms once per
-(input, r, theta, gain, N), and for the optimizer their rounding terms in
-the same pass; each Delta then costs O(N) arithmetic, and a
+(input, r, theta, gain, N); each Delta then costs O(N) arithmetic, and a
 Delta grid is one array pass with a row per Delta
 (:meth:`DeltaFamily.measure_columns`), whose digits at a Delta do not depend
-on the grid.  The optimizer ranks Deltas by the same forms.
+on the grid.  The optimizer ranks Deltas by the same forms, and asks a
+family for the rounding terms of the one form it solves
+(:meth:`DeltaFamily.rounding_terms`).
 
 Dephasing identity.  ``tau`` and the Fock factors depend on ``u = |xi|^2``
 only, so the channel is phase covariant: with ``(1/pi) d^2 xi = du dphi /
@@ -88,7 +89,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -120,8 +121,6 @@ _SUM_SLACK = 1e-7
 D_N_UPPER = math.sqrt(2.0)
 # Slack of the Fock-diagonal Frobenius / D_N cross-check.
 _FROBENIUS_TOL = 1e-6
-# The sign of the forms' negative terms, and of those terms' absolute values.
-_SIGNS = np.array([[-1.0], [1.0]])
 _ONE_ONE = np.outer(ONE, ONE)
 
 
@@ -243,12 +242,10 @@ class DeltaFamily:
     ``P_out = photon_basis @ w``, ``F = fidelity_basis @ w`` and
     ``purity_out = w @ gram @ w``.  ``forms`` holds ``gram`` and the family
     objectives as forms in ``w`` (:meth:`quadratic_forms`), which ``compare``
-    and the optimizer both read.  With ``rounding``, ``terms`` holds the sums
-    of the absolute values of their terms, the optimizer's rounding bounds,
-    built in the same pass as ``forms``; without it ``terms`` is None, and
-    ``compare`` builds none.  Every Delta passes the
-    :class:`~cvteleport.states.SqueezedBellResource` range check, and photon
-    distributions the :class:`PhotonDistribution` validation.
+    and the optimizer both read; :meth:`rounding_terms` builds the rounding
+    bound of one of them, which only the optimizer asks for.  Every Delta
+    passes the :class:`~cvteleport.states.SqueezedBellResource` range check,
+    and photon distributions the :class:`PhotonDistribution` validation.
     """
 
     state: InputState
@@ -259,32 +256,42 @@ class DeltaFamily:
     gram: np.ndarray
     purity_in: float
     p_in: PhotonDistribution
-    rounding: InitVar[bool] = False
     forms: np.ndarray = field(init=False)
-    terms: Optional[np.ndarray] = field(init=False)
 
-    def __post_init__(self, rounding: bool):
-        forms = self.quadratic_forms(rounding)
-        object.__setattr__(self, "forms", forms[0] if rounding else forms)
-        object.__setattr__(self, "terms", forms[1] if rounding else None)
+    def __post_init__(self):
+        object.__setattr__(self, "forms", self.quadratic_forms())
 
-    def quadratic_forms(self, terms: bool = False) -> np.ndarray:
+    def quadratic_forms(self) -> np.ndarray:
         """``(4, 3, 3)``: ``gram`` and the forms of ``D_N^2``, ``1 - F`` and
-        ``purity_in + purity_out - 2 F``.  With ``terms``, ``(2, 4, 3, 3)``:
-        those forms and the sums of the absolute values of their terms (``+``
-        for ``-``), from one pass over the parts and their absolute values
-        stacked.  ``P_in`` goes on the columns that sum to 1 (``ONE @ w =
-        1``): no O(1) terms cancel in ``P_out - P_in``."""
-        gram, f = self.gram, self.fidelity_basis
+        ``purity_in + purity_out - 2 F``.  ``P_in`` goes on the columns that
+        sum to 1 (``ONE @ w = 1``): no O(1) terms cancel in ``P_out - P_in``."""
+        f = self.fidelity_basis
         diff = self.photon_basis - self.p_in.clamped()[:, None] * ONE
-        sign = _SIGNS[0]
-        if terms:
-            gram, f, diff = (np.array((part, np.abs(part))) for part in (gram, f, diff))
-            sign = _SIGNS
-        fidelity_line, fidelity_sym = sym(np.array((ONE + sign * f, f)), ONE)
-        forms = np.array((gram, diff.swapaxes(-1, -2) @ diff, fidelity_line,
-                          gram + self.purity_in * _ONE_ONE + (2.0 * sign)[..., None] * fidelity_sym))
-        return forms.swapaxes(0, 1) if terms else forms
+        fidelity_line, fidelity_sym = sym(np.array((ONE - f, f)), ONE)
+        return np.array((self.gram, diff.T @ diff, fidelity_line,
+                         self.gram + self.purity_in * _ONE_ONE - 2.0 * fidelity_sym))
+
+    def rounding_terms(self, i: int) -> np.ndarray:
+        """``(3, 3)``: the sums of the absolute values of the terms of
+        ``forms[i]``, ``i`` 1, 2 or 3, each taken before its cancellation: the
+        bound of the rounding in that form.  ``1 - F`` sums ``ONE`` and
+        ``|F|``, and the Frobenius form ``|gram|``, ``purity_in`` and ``2 |F|``.
+        ``D_N^2`` is ``diff^T diff`` of the photon difference
+        ``diff = P_out - P_in``, a difference of numbers up to size 1 that
+        carries their rounding, ``|P_out| + P_in`` per entry; to first order
+        that adds ``cross + cross^T``, ``cross = |diff|^T (|P_out| + P_in)``,
+        to ``|diff|^T |diff|``."""
+        if i == 1:
+            p_in = self.p_in.clamped()[:, None] * ONE
+            diff = np.abs(self.photon_basis - p_in)
+            cross = diff.T @ (np.abs(self.photon_basis) + p_in)
+            return diff.T @ diff + cross + cross.T
+        f = np.abs(self.fidelity_basis)
+        if i == 2:
+            return sym(ONE + f, ONE)
+        if i == 3:
+            return np.abs(self.gram) + self.purity_in * _ONE_ONE + 2.0 * sym(f, ONE)
+        raise InvalidArgumentError(f"a family form with rounding terms is 1, 2 or 3, got {i!r}")
 
     def _weights(self, deltas) -> np.ndarray:
         """``(D, 3)``: the :func:`~cvteleport.states.delta_weight_rows` of the grid.
@@ -568,10 +575,8 @@ def delta_family(
     theta: float = 0.0,
     gain: float = 1.0,
     N: int = 24,
-    rounding: bool = False,
 ) -> DeltaFamily:
-    """Build the :class:`DeltaFamily` of one cell, with the rounding terms of
-    its forms if ``rounding``.
+    """Build the :class:`DeltaFamily` of one cell.
 
     Every input takes the Taylor coefficients of :func:`_photon_series`;
     coherent and squeezed inputs take closed-form overlaps, Fock states and
@@ -611,7 +616,6 @@ def delta_family(
         gram=gram,
         purity_in=input_purity(state),
         p_in=input_distribution(state, N),
-        rounding=rounding,
     )
 
 

@@ -233,7 +233,7 @@ def weighted_forms(w, Q) -> np.ndarray:
     return terms[..., 0] + terms[..., 1] + terms[..., 2] + 0.0
 
 
-def transfer_basis(ch: Channel, scale: int = 0):
+def transfer_basis(ch: Channel):
     """The Delta-free split of the transfer function.
 
     Returns ``(rate, terms, coef)`` with
@@ -244,16 +244,8 @@ def transfer_basis(ch: Channel, scale: int = 0):
     the 3 x 3 matrix of their coefficients in ``u``:
     ``terms(u)[k] = sum_i coef[k, i] u^i``.  Only ``ch.resource.r`` and
     ``ch.gain`` enter.
-
-    A nonzero ``scale`` builds all three from ``(a 2^-scale, b 2^-scale)``, the
-    split in the variable ``u 4^scale``: the rate is ``4^-scale`` times the
-    unscaled one, and column ``i`` of ``coef`` ``4^(-i scale)`` times the
-    unscaled one, wherever both are normal.  With (a, b) scaled to size 1
-    nothing underflows, where unscaled ``a^2 b^2`` is subnormal at g = 1 from
-    r of about 177.
     """
     a, b = transfer_coefficients(ch)
-    a, b = math.ldexp(a, -scale), math.ldexp(b, -scale)
     rate, coef = _basis_rows(a, b)
     a2, b2, ab = a * a, b * b, a * b
 
@@ -265,10 +257,11 @@ def transfer_basis(ch: Channel, scale: int = 0):
 
 def _basis_rows(a, b) -> tuple:
     """``(rate, coef)`` of :func:`transfer_basis` from the coefficients
-    ``(a, b)``, already scaled, with ``coef`` its three rows as tuples.  Entry
-    by entry on floats, or on arrays of one shape, one entry per channel: a
-    table of many channels runs the same operations as one channel does, so
-    each of its entries has that channel's bits."""
+    ``(a, b)``, or from (a, b) times a power of two (the optimizer's transfer
+    table), with ``coef`` its three rows as tuples.  Entry by entry on
+    floats, or on arrays of one shape, one entry per channel: a table of many
+    channels runs the same operations as one channel does, so each of its
+    entries has that channel's bits."""
     a2, b2, ab = a * a, b * b, a * b
     return 0.5 * (a2 + b2), ((1.0, 0.0, 0.0), (0.0, ab, 0.0), (1.0, -(a2 + b2), a2 * b2))
 

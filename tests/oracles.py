@@ -89,10 +89,10 @@ from cvteleport.errors import (
 from cvteleport.moments import (
     _N_MEAN_FLOOR,
     MomentSet,
+    _derivative_rows,
     moment_set,
     state_cumulants,
     transfer_cumulants,
-    transfer_derivative_forms,
 )
 from cvteleport.optimize import (
     _FAMILY_KINDS,
@@ -118,6 +118,7 @@ from cvteleport.states import (
     InputState,
     SqueezedBellResource,
     SqueezedVacuumInput,
+    _basis_rows,
     delta_weight_rows,
     input_photon_probs,
     state_label,
@@ -700,13 +701,17 @@ def fd_objective_function(obj: Objective, cfg: DiffConfig | None = None):
 def transfer_rows(ch: Channel) -> tuple:
     """``(rows, scale)`` of one channel, built on its own: the rows and scale
     that ``cvteleport.optimize._transfer_table`` builds for its r among the
-    r of a grid.  ``rows`` ``(4, 3)`` are :func:`transfer_derivative_forms`
-    of ``ch`` at ``scale``, at its own rate, then at rate 0; ``2^scale`` is
-    the power of two that brings ``max(|a|, |b|)`` into ``[1/2, 1)``."""
+    r of a grid.  ``2^scale`` is the power of two that brings
+    ``max(|a|, |b|)`` into ``[1/2, 1)``, and ``rows`` ``(4, 3)`` are the
+    rows of ``cvteleport.moments.transfer_derivative_forms`` built from
+    ``(a 2^-scale, b 2^-scale)``, at their own rate, then at rate 0: the
+    forms in the variable ``u 4^scale``, ``4^-scale`` (``d1``) and
+    ``16^-scale`` (``d2``) times the unscaled rows wherever both are
+    normal."""
     a, b = transfer_coefficients(ch)
     scale = math.frexp(max(abs(a), abs(b)))[1]  # 0 for a value that is not finite
-    rows = [transfer_derivative_forms(ch, rate, scale=scale) for rate in (None, 0.0)]
-    return np.concatenate(rows), scale
+    own, coef = _basis_rows(math.ldexp(a, -scale), math.ldexp(b, -scale))
+    return np.array([*_derivative_rows(coef, own), *_derivative_rows(coef, 0.0)]), scale
 
 
 def transfer_table_mismatches(r_grid, theta: float, gain: float) -> list:
@@ -741,8 +746,7 @@ def _form(obj: Objective):
     transfer kind's source is :func:`transfer_rows`, built per r."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form raises later
         if obj.kind in _FAMILY_KINDS:
-            sources = [delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons,
-                                    rounding=True)]
+            sources = [delta_family(obj.input, obj.r, obj.theta, obj.gain, obj.n_photons)]
         else:
             rows, scale = transfer_rows(_channel(obj, 1.0))
             sources = rows[None], np.array([scale])

@@ -803,35 +803,46 @@ def test_sweep_builds_one_family_per_r(monkeypatch):
     r_grid = [0.25, 1.0, 2.0, 2.5]
     records = sweep_r(["d_functional", "one_minus_fidelity", "frobenius"], r_grid, input=state)
     assert all(rec.error is None for rec in records)
-    assert calls == [((state, r, 0.0, 1.0, 24), {"rounding": True}) for r in r_grid]
+    assert calls == [((state, r, 0.0, 1.0, 24), {}) for r in r_grid]
 
 
 def test_forms_and_rounding_terms_are_built_once_and_compare_builds_no_terms(monkeypatch):
-    """A sweep over the three family kinds builds each family's forms and
-    rounding terms in one pass per distinct r, and its check pass builds no
-    forms; compare's measure_columns reads forms that come without terms."""
-    calls = []
-    quadratic_forms = DeltaFamily.quadratic_forms
+    """A sweep over the three family kinds builds each family's forms once per
+    distinct r, and each kind the rounding terms of its own form once per
+    family; its check pass builds no forms.  compare's measure_columns reads
+    the forms and calls no rounding_terms."""
+    calls, terms_calls, built = [], [], []
+    quadratic_forms, rounding_terms = DeltaFamily.quadratic_forms, DeltaFamily.rounding_terms
 
-    def counting(family, terms=False):
-        calls.append((family.r, terms))
-        return quadratic_forms(family, terms)
+    def counting(family):
+        calls.append(family.r)
+        return quadratic_forms(family)
+
+    def counting_terms(family, i):
+        terms_calls.append((family.r, i))
+        built.append((family, i, rounding_terms(family, i)))
+        return built[-1][2]
 
     monkeypatch.setattr(DeltaFamily, "quadratic_forms", counting)
+    monkeypatch.setattr(DeltaFamily, "rounding_terms", counting_terms)
     kinds = ["d_functional", "one_minus_fidelity", "frobenius"]
     for state in (CoherentInput(2.12928), SqueezedVacuumInput(1.5), FockInput(1)):
-        calls.clear()
+        for log in (calls, terms_calls, built):
+            log.clear()
         records = sweep_r(kinds, [0.5, 1.25, 0.5, 2.5, 1.25], input=state)
         assert all(rec.error is None for rec in records)
-        assert calls == [(0.5, True), (1.25, True), (2.5, True)]
+        assert calls == [0.5, 1.25, 2.5]
+        assert terms_calls == [(r, i) for i in (1, 2, 3) for r in (0.5, 1.25, 2.5)]
     calls.clear()
+    terms_calls.clear()
     family = delta_family(FockInput(1), 1.25)
     family.measure_columns([0.75, 0.9, 1.0])
     family.measures(0.9)
-    assert calls == [(1.25, False)] and family.terms is None
-    with_terms = delta_family(FockInput(1), 1.25, rounding=True)
-    assert (with_terms.forms == family.forms).all()
-    assert (with_terms.terms == family.quadratic_forms(True)[1]).all()
+    assert calls == [1.25] and terms_calls == [] and not hasattr(family, "terms")
+    for swept, i, terms in built:  # the terms a sweep read are the family's own, bit for bit
+        again = delta_family(swept.state, swept.r)
+        assert (again.forms == swept.forms).all()
+        assert (rounding_terms(again, i) == terms).all()
 
 
 def test_a_cell_whose_optimum_fails_a_check_records_compares_error(monkeypatch):
@@ -843,7 +854,7 @@ def test_a_cell_whose_optimum_fails_a_check_records_compares_error(monkeypatch):
         family = delta_family(*args, **kwargs)
         basis = family.photon_basis.copy()
         basis[:, 0] *= 1.05
-        return dataclasses.replace(family, photon_basis=basis, rounding=True)
+        return dataclasses.replace(family, photon_basis=basis)
 
     monkeypatch.setattr(opt_mod, "delta_family", broken)
     kinds, r_grid = ["d_functional", "one_minus_fidelity", "frobenius"], [0.5, 2.5]

@@ -14,6 +14,10 @@ Delta:
   output and input mass past N;
 * :meth:`DeltaFamily.measure_columns` gives every Delta of a grid the digits
   it has on a grid of its own;
+* every family form's rounding terms (:meth:`DeltaFamily.rounding_terms`),
+  over r in [0, 40], bound the form and each of the magnitudes it sums
+  before its cancellation, ``D_N^2``'s the rounding of the photon
+  difference too;
 * the photon numbers that :func:`moment_set` gives a teleported state,
   ``n_mean`` and ``g2_zero n_mean^2``, are the sums of ``n`` and
   ``n (n - 1)`` over the family's photon distribution.
@@ -50,7 +54,7 @@ from cvteleport import (  # noqa: E402
     moment_set,
     teleport,
 )
-from cvteleport.states import N_MAX_FOCK  # noqa: E402
+from cvteleport.states import N_MAX_FOCK, ONE, sym  # noqa: E402
 
 _ROUNDING = 1e-15
 _FOCK_ROUNDING = 1e-12
@@ -136,6 +140,38 @@ def test_measure_columns_do_not_depend_on_the_grid(state, r, gain, theta, deltas
         one = family.measure_columns([delta])
         for name, col in grid.items():
             assert col[j] == one[name][0], (name, delta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    state=st.one_of(gaussian_states, fock_states),
+    r=st.floats(0.0, 40.0),
+    gain=st.floats(0.2, 3.0),
+    theta=st.floats(-math.pi, math.pi),
+)
+def test_rounding_terms_are_summed_before_their_cancellation(state, r, gain, theta):
+    """Each ``rounding_terms(i)`` is at least ``|forms[i]|`` entrywise and at
+    least each magnitude that the form sums: for ``D_N^2 = diff^T diff``,
+    ``diff = P_out - P_in``, the product ``|diff|^T |diff|`` and the rounding
+    that ``diff`` carries from the numbers it is taken from,
+    ``|diff|^T (|P_out| + P_in)``; for ``1 - F`` and the Frobenius form, the
+    parts ``ONE``, ``F``, ``gram`` and ``purity_in``.  Rounding is monotone,
+    so every bound holds exactly."""
+    family = delta_family(state, r, theta, gain, 24)
+    p_in = family.p_in.clamped()[:, None] * ONE
+    diff = np.abs(family.photon_basis - p_in)
+    cross = diff.T @ (np.abs(family.photon_basis) + p_in)
+    fidelity = np.abs(sym(family.fidelity_basis, ONE))
+    parts = {
+        1: (diff.T @ diff, cross, cross.T),
+        2: (sym(ONE, ONE), fidelity),
+        3: (np.abs(family.gram), family.purity_in * np.outer(ONE, ONE), 2.0 * fidelity),
+    }
+    for i, magnitudes in parts.items():
+        terms = family.rounding_terms(i)
+        assert terms.shape == (3, 3) and np.isfinite(terms).all()
+        for magnitude in (np.abs(family.forms[i]),) + magnitudes:
+            assert (terms >= magnitude).all(), (i, terms, magnitude)
 
 
 photon_inputs = st.one_of(

@@ -357,6 +357,14 @@ def test_family_validates_each_delta():
         fam.measures(float("nan"))
 
 
+def test_rounding_terms_exist_for_the_three_objective_forms_only():
+    fam = delta_family(FockInput(1), 1.0, N=8)
+    assert all(fam.rounding_terms(i).shape == (3, 3) for i in (1, 2, 3))
+    for i in (0, 4):  # the Gram matrix is no objective
+        with pytest.raises(InvalidArgumentError, match="1, 2 or 3"):
+            fam.rounding_terms(i)
+
+
 # ---------------------------------------------------------------------------
 # the radial family
 # ---------------------------------------------------------------------------
@@ -679,7 +687,8 @@ print(json.dumps({"results": results, "loaded": loaded, "test_only": test_only})
 
 # Builds the families of the cells in argv[1] (JSON: descriptor, r, theta,
 # gain, N), in order, in a fresh interpreter, and prints a SHA-256 per family
-# of its bases, forms, rounding terms, p_in and measure_columns on a grid.
+# of its bases, forms, the rounding terms of forms 1 to 3, p_in and
+# measure_columns on a grid.
 _FAMILY_DIGESTS = """
 import hashlib, json, sys
 import numpy as np
@@ -687,9 +696,10 @@ from cvteleport.cli import parse_state
 from cvteleport.photonstats import delta_family
 digests = []
 for text, r, theta, gain, N in json.loads(sys.argv[1]):
-    fam = delta_family(parse_state(text), r, theta, gain, N, rounding=True)
+    fam = delta_family(parse_state(text), r, theta, gain, N)
     cols = fam.measure_columns(np.linspace(0.0, 1.0, 9))
-    parts = (fam.photon_basis, fam.fidelity_basis, fam.gram, fam.forms, fam.terms,
+    parts = (fam.photon_basis, fam.fidelity_basis, fam.gram, fam.forms,
+             *(fam.rounding_terms(i) for i in (1, 2, 3)),
              fam.p_in.probs, *(cols[name] for name in sorted(cols)))
     blob = b"".join(np.ascontiguousarray(a).tobytes() for a in parts)
     digests.append(hashlib.sha256(blob).hexdigest())
