@@ -58,6 +58,8 @@ def report(criterion, elapsed, detail):
 
 # ---------------------------------------------------------------------------
 # 1. second-moment optimum, closed-form and FD paths, r-independent
+# (the abstract's sentence: test_paper_claims.py::
+# test_second_and_fourth_order_optima_do_not_depend_on_the_squeezing)
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_delta2_optimum():
@@ -80,6 +82,8 @@ def test_criterion_1_delta2_optimum():
 
 # ---------------------------------------------------------------------------
 # 2. fourth-cumulant optimum, r-independent
+# (the abstract's sentence: test_paper_claims.py::
+# test_second_and_fourth_order_optima_do_not_depend_on_the_squeezing)
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_delta4_optimum():
@@ -128,6 +132,8 @@ def test_criterion_3_closed_form_fd_agreement():
 
 # ---------------------------------------------------------------------------
 # 4. cumulant additivity across the catalog
+# (the abstract's sentence: test_paper_claims.py::
+# test_the_cumulant_distortion_depends_only_on_the_resource)
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_cumulant_additivity():

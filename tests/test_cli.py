@@ -917,6 +917,21 @@ def test_commands_that_choose_delta_refuse_delta(argv, tmp_path, capsys):
     assert f"unknown config key 'delta' for {argv[0]}" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["compare", "--r"], 2, "expected one argument"),
+    (["--help"], 0, "usage: cvteleport"),
+    (["compare", "-h"], 0, "usage: cvteleport compare"),
+])
+def test_argparse_prints_help_and_usage_errors(argv, code, message, capsys):
+    """The step "The option table parses plain command lines without importing
+    argparse; argparse prints help and every usage error" (its usage half; the
+    refused ``--delta`` is the test above)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == code
+    assert message in "".join(capsys.readouterr())
+
+
 def test_error_record_and_exit_code(capsys):
     code, out, err = run_cli(["moments", "--input", "cat:2"], capsys)
     assert code == 1 and out == ""
@@ -1296,8 +1311,10 @@ def test_readme_python_examples_run(capsys):
     assert capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
 def test_readme_command_lines_run(capsys):
-    """Every README line that starts with ``cvteleport `` exits 0 and prints a
+    """The step "README command-line examples": every README line that starts
+    with ``cvteleport `` exits 0, with every warning an error, and prints a
     JSON document or a CSV table whose rows match its header."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = [line for line in readme.splitlines() if line.startswith("cvteleport ")]

@@ -1,8 +1,10 @@
-"""Command-line contracts between ``optimize``, ``compare`` and ``sweep``.
+"""Command-line contracts: tables, grids, sweeps and optima as the CLI prints them.
 
 Each command line runs through ``cli.main`` in-process, with every warning an
 error (numpy overflow and invalid values fail), as a command-line run under
-``PYTHONWARNINGS=error`` would.
+``PYTHONWARNINGS=error`` would; the non-finite grids keep the default filter,
+where a warning shown is one more stderr line.  Each test names the CI step
+it replaced.
 """
 
 import contextlib
@@ -10,10 +12,12 @@ import csv
 import io
 import itertools
 import json
+import math
 import warnings
 
 import pytest
 
+from cvteleport import SqueezedBellResource, closed_form_delta, resource_closed_forms
 from cvteleport.cli import main
 
 FAMILY_COLUMNS = {"d_functional": 2, "one_minus_fidelity": 4, "frobenius": 5}
@@ -21,13 +25,15 @@ TRANSFER_KINDS = ["x2_transfer", "kappa4_transfer", "n_transfer", "mu4_x", "mu4_
 ALL_KINDS = TRANSFER_KINDS + list(FAMILY_COLUMNS)
 
 
-def run(line: str) -> tuple:
-    """``(exit status, stdout, stderr)`` of one command line, warnings as errors."""
+def run(line: str, action: str = "error") -> tuple:
+    """``(exit status, stdout, stderr)`` of one command line under the warnings
+    filter ``action``; each warning shown is one more stderr line."""
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as shown, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter(action)
         code = main(line.split())
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue() + "".join(f"{w.message}\n" for w in shown)
 
 
 def stdout(line: str) -> str:
@@ -99,3 +105,81 @@ def test_a_large_r_end_optimum_is_not_beaten_by_the_other_end():
     assert star == "0.0"
     other = last_fields(f"compare {cell} --r 10.5 --delta-grid 1")[1]
     assert float(value) <= float(other), (value, other)
+
+
+def test_closed_form_optima_are_bounded_and_optimize_prints_them_where_e2r_overflows():
+    """The step "Closed-form optima are bounded at every r, and optimize prints
+    them where e^{2r} overflows"."""
+    star = last_fields("optimize --kind mu4_x --input coherent:1 --r 100")[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert star == repr(closed_form_delta("mu4_x_coherent", 100.0))
+        for r in (0.0, 150.0, 700.0):
+            assert math.isfinite(closed_form_delta("fidelity_fock1", r)), r
+        assert resource_closed_forms(SqueezedBellResource(0.5, 0.0, 400.0)).n_ab == -1.0
+
+
+def test_tables_are_as_csv_writer_writes_them(tmp_path):
+    """The step "Tables as csv.writer writes them": the 161,604-row transfer
+    surface through a file and through stdout, a one-preset surface, a compare
+    grid and a sweep with quoted error cells."""
+    surface = "transfer-surface --r 1.25 --grid=-2:2:201"
+    path = tmp_path / "s.csv"
+    assert stdout(f"{surface} --output {path}") == ""
+    s = path.read_bytes().decode()
+    assert stdout(surface) == s and s.count("\n") == 161606
+    rows = s.splitlines(keepends=True)
+    # The grid is mirror-exact: its 201 values have 101 distinct magnitudes.
+    assert len({row.split(",")[2].removeprefix("-") for row in rows[2:]}) == 101
+    # One preset: its rows are the same preset's rows of the four-preset file.
+    one = stdout(f"{surface} --presets photon_added").splitlines(keepends=True)[2:]
+    assert one == [row for row in rows if row.startswith("photon_added,")]
+    c = stdout("compare --input mix:0@0.5,1@0.5 --r 1.25 --delta-grid 0.75:1.0:31")
+    assert c.count("\n") == 33
+    # frobenius is flat to rounding at r = 10 and 12; its AccuracyError message holds a comma.
+    w = stdout("sweep --kinds x2_transfer,frobenius --input coherent:1 --r-grid 1,10,12")
+    assert sum('"error: AccuracyError' in row for row in w.splitlines()) == 2
+    # Past its provenance line each table is csv.writer's text of its own rows.
+    for table in (s, c, w):
+        body, text = table.split("\n", 1)[1], io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(csv.reader(io.StringIO(body)))
+        assert text.getvalue() == body
+
+
+@pytest.mark.parametrize("line", [
+    "sweep --kinds x2_transfer --r-grid 0:inf:3",
+    "sweep --kinds x2_transfer --r-grid=-1e308:1e308:3",
+    "compare --input fock:1 --r 1 --delta-grid=-1e308:1e308:3",
+    "transfer-surface --r 1 --grid=-1e308:1e308:3",
+])
+def test_a_grid_with_a_non_finite_point_is_one_error_record(line):
+    """The step "A start:stop:count grid with a non-finite point is one
+    InvalidArgumentError record", under the default warnings filter."""
+    code, out, err = run(line, action="default")
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert '"InvalidArgumentError"' in err
+
+
+@pytest.mark.parametrize("state", ["coherent:2.12928", "sqvac:1.5", "fock:1"])
+@pytest.mark.parametrize("grid,cell,lines", [
+    ("0.25:6:200", "--gain 1 --theta 0", 1602),
+    # theta != 0 gives the near-degenerate quartics that the Newton steps polish.
+    ("0.25:6:200", "--gain 1.3 --theta 0.4", 1602),
+    # Near-flat ends and the curvature division of the root finder.
+    ("8:14:25", "--gain 2 --theta 0.1", 202),
+])
+def test_sweeps_of_all_kinds_print_no_error_cell(state, grid, cell, lines):
+    """The steps "A 200-point sweep of all 8 kinds on three inputs, also at gain
+    1.3 and theta 0.4" and "A large-r sweep of all 8 kinds at gain 2 and theta
+    0.1, where family optima near-tie at the ends"."""
+    out = stdout(f"sweep --kinds {','.join(ALL_KINDS)} --input {state} --r-grid {grid} {cell}")
+    assert out.count("\n") == lines and "error:" not in out
+
+
+@pytest.mark.parametrize("state", ["fock:0", "fock:1", "mix:0@0.5,1@0.5"])
+def test_fock_diagonal_tails_are_not_negative(state):
+    """The step "Fock-diagonal photon probabilities past the distribution's bulk
+    are not negative"."""
+    out = stdout(f"photon-stats --input {state} --delta 0 --r 0.25 --gain 0.25 --N 64")
+    rows = out.splitlines()
+    assert len(rows) == 67 and not any(row.split(",")[2].startswith("-") for row in rows[1:])

@@ -236,12 +236,21 @@ def test_the_option_table_parses_every_option_of_a_subcommand(command):
 
 
 def test_benchmark_jobs_and_readme_lines_never_import_argparse():
-    """Every job of perfbench/workloads.py and every ``cvteleport`` line of the
-    README, run through ``main`` in one fresh interpreter, exits 0 with
-    argparse never imported."""
+    """The step "The option table parses plain command lines without importing
+    argparse": every job of perfbench/workloads.py, every ``cvteleport`` line of
+    the README and one plain line per command, run through ``main`` in one fresh
+    interpreter, exit 0 with argparse never imported."""
     readme = (ROOT / "README.md").read_text().splitlines()
     lines = [shlex.split(line)[1:] for line in readme if line.startswith("cvteleport ")]
     assert lines
+    lines += [line.split() for line in (
+        "moments --input fock:1 --delta 0.92388 --r 1.25",
+        "photon-stats --input fock:1 --N 8 --delta 0.92388 --r 1.25",
+        "compare --input fock:1 --r 1.25 --delta-grid 0.7:1.0:7",
+        "optimize --kind x2_transfer --r 2.5",
+        "sweep --kinds x2_transfer,kappa4_transfer --r-grid 0.5,1.0,2.5",
+        "transfer-surface --r 1.25 --grid=-2:2:5",
+    )]
     script = (
         "import contextlib, io, json, sys\n"
         f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"

@@ -37,22 +37,54 @@ rounding of the O(1) numbers it is taken from.  The optimizer then either
 certifies a ``d_functional`` optimum near Delta_(2)^opt or raises
 ``AccuracyError``: no ``ok`` row from r = 12 to 40 is more than 1e-3 from
 cos(pi/8) (2.5e-4 at worst, fock:1 at r = 17).
+
+"We obtain optimal parameters Delta_(2)^opt and Delta_(4)^opt for the second
+and fourth order cumulants which do not depend on the squeezing of the
+resource."  At g = 1 and theta = 0 the optimizer's ``x2_transfer`` and
+``n_transfer`` optima are Delta_(2)^opt = cos(pi/8), and its
+``kappa4_transfer`` optimum Delta_(4)^opt, to 1e-10 from r = 0.05 to 20; the
+reference minimizer of the finite-difference objectives agrees to 1e-4.
+
+"For the cumulants the distortion between in and out states due to
+teleportation depends only on the resource."  The output's cumulant table,
+taken by finite differences of log chi_out, minus g^(n+m) times the input's is
+one table for every input, to 1e-5; ``distortion_covariance``'s second-order
+distortions are bit-identical across the inputs.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from cvteleport import Channel, SqueezedBellResource, moment_set, sweep_r, teleport
+from cvteleport import (
+    Channel,
+    Objective,
+    SqueezedBellResource,
+    distortion_covariance,
+    moment_set,
+    sweep_r,
+    teleport,
+)
 from cvteleport.cli import parse_state
-from conftest import DELTA2_OPT
-from oracles import reference_minimize
+from conftest import DELTA2_OPT, DELTA4_OPT, case_study_inputs, random_resources
+from oracles import (
+    CharFn,
+    DiffConfig,
+    fd_objective_function,
+    input_charfn,
+    output_charfn,
+    raw_moment_xp,
+    reference_minimize,
+)
 
 R_GRID = [1.0, 2.0, 3.0, 4.0, 5.0]
 SECOND_ORDER_RS = [0.5, 1.25, 2.5]
 HIGH_SQUEEZING_RS = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]
 HIGH_SQUEEZING_INPUTS = ["coherent:2.12928", "sqvac:1.5", "fock:1", "mix:0@0.5,1@0.5"]
+# The cumulant orders (n, m), 1 <= n + m <= 4.
+CUMULANT_KEYS = [(n, m) for n in range(5) for m in range(5 - n) if n + m]
 
 
 @pytest.mark.parametrize("text", ["fock:1", "coherent:2.12928", "sqvac:1.5", "mix:0@0.5,1@0.5"])
@@ -135,3 +167,42 @@ def test_a_high_squeezing_photon_statistics_optimum_is_delta2_opt_or_an_accuracy
     for rec in records:
         assert rec.error is None or rec.error.startswith("AccuracyError: "), rec
     assert records[-1].error is not None  # at r = 40 the difference is all rounding
+
+
+def test_second_and_fourth_order_optima_do_not_depend_on_the_squeezing():
+    rs = [0.05, 0.5, 1.25, 2.5, 6.0, 12.0, 20.0]
+    targets = {"x2_transfer": DELTA2_OPT, "n_transfer": DELTA2_OPT, "kappa4_transfer": DELTA4_OPT}
+    records = sweep_r(list(targets), rs)
+    for rec in records:
+        assert rec.error is None and abs(rec.delta_star - targets[rec.kind]) <= 1e-10, rec
+    # kappa4_AB is about 1e-5 at r = 2.5: at the default step the FD roundoff
+    # moves its minimizer by 2e-4, at four times that step by 1.1e-6.
+    cfg = DiffConfig(step=4e-3)
+    for rec in records:
+        if rec.r in (0.5, 2.5):
+            objective = fd_objective_function(Objective(kind=rec.kind, r=rec.r), cfg)
+            star, _ = reference_minimize(objective)
+            assert abs(star - rec.delta_star) <= 1e-4, (rec, star)
+
+
+def _fd_cumulants(f: CharFn) -> np.ndarray:
+    """The cumulants of a Wigner-ordered characteristic function at
+    ``CUMULANT_KEYS``: the FD engine's "raw moments" of its log."""
+    log_f = CharFn(lambda p: cmath.log(f(p)))
+    return np.array([raw_moment_xp(log_f, n, m) for n, m in CUMULANT_KEYS])
+
+
+def test_the_cumulant_distortion_depends_only_on_the_resource():
+    orders = np.array([n + m for n, m in CUMULANT_KEYS])
+    for res in random_resources(np.random.default_rng(5), 2):
+        for gain in (1.0, 1.3):
+            ch = Channel(res, gain=gain)
+            tables, covariances = [], set()
+            for state in case_study_inputs():
+                out = output_charfn(teleport(state, ch))
+                tables.append(_fd_cumulants(out) - gain ** orders * _fd_cumulants(input_charfn(state)))
+                d = distortion_covariance(state, ch)
+                covariances.add((d.d_x2, d.d_p2, d.d_cov))
+            # Within 3.4e-6 at g = 1.3, 1.6e-8 at g = 1.
+            assert np.abs(np.array(tables) - tables[0]).max() <= 1e-5, (res, gain)
+            assert len(covariances) == 1, covariances

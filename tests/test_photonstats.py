@@ -372,6 +372,7 @@ def test_rounding_terms_exist_for_the_three_objective_forms_only():
 import functools  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
+import runpy  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -715,6 +716,37 @@ def _family_digests(cells, tmp_path) -> list:
     return json.loads(proc.stdout)
 
 
+def _isolated_run(argvs, tmp_path) -> dict:
+    """The report of ``_ISOLATED_RUN`` on ``argvs``, with only ``src`` on the path."""
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests_dir.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _ISOLATED_RUN, json.dumps(argvs), str(tests_dir)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_families_print_the_same_bytes_in_either_order(tmp_path):
+    """The step "Families print the same bytes whatever was built before them":
+    the case_grid and optimize_sweep jobs and four compare lines of other
+    shapes, run in order and then reversed in one fresh interpreter."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    lines = [list(job) for name in ("case_grid", "optimize_sweep")
+             for job in workloads["WORKLOADS"][name].jobs]
+    assert len(lines) == 38, len(lines)
+    grid = ["--r", "1.25", "--delta-grid", "0.75:1.0:31"]
+    lines += [
+        ["compare", "--input", "fock:3", "--N", "2"] + grid,
+        ["compare", "--input", "fock:3", "--N", "24"] + grid,
+        ["compare", "--input", "mix:0@0.2,2@0.5,5@0.3", "--N", "3"] + grid,
+        ["compare", "--input", "mix:0@0.5,64@0.5", "--N", "64"] + grid,
+    ]
+    results = _isolated_run(lines + lines[::-1], tmp_path)["results"]
+    listed, reversed_ = results[:len(lines)], results[len(lines):][::-1]
+    assert all(code == 0 and not err for code, _, err in listed)
+    assert listed == reversed_, [argv for argv, a, b in zip(lines, listed, reversed_) if a != b]
+
+
 def test_a_family_does_not_depend_on_the_shapes_built_before_it(tmp_path):
     """The series tables are built once per shape and shared: a family built
     after families of other top photon numbers M and cutoffs N is, bit for
@@ -747,7 +779,6 @@ def test_family_commands_run_on_src_alone(tmp_path):
     scipy, sympy, mpmath or hypothesis: no production path reaches the plane
     or finite-difference oracles or a test-only package.  The families agree
     with the 2-D fidelity on a fine grid."""
-    tests_dir = Path(__file__).resolve().parent
     cell = ["--r", "1.25", "--theta", "0.2", "--gain", "0.9"]
     argvs = [
         argv
@@ -760,13 +791,7 @@ def test_family_commands_run_on_src_alone(tmp_path):
             ["moments", "--input", text, "--delta", "0.8"] + cell,
         )
     ] + [["transfer-surface", "--grid=-1:1:5"] + cell]
-    env = dict(os.environ, PYTHONPATH=str(tests_dir.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _ISOLATED_RUN, json.dumps(argvs), str(tests_dir)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = _isolated_run(argvs, tmp_path)
     assert report["loaded"] == [] and report["test_only"] == []
     assert {argv[0] for argv in argvs} == set(_COMMANDS)
     for argv, (code, out, err) in zip(argvs, report["results"], strict=True):
